@@ -380,14 +380,19 @@ let draw_loop_slabs () =
          sim_medium_prog)
   done
 
+(* One estimator draw on the medium program: a single closed item with
+   the message log off, replayed through a caller-owned arena. *)
+let draw_config = Engine.Run.without_messages (Engine.Run.closed ())
+
+let arena_draw ~state ~failed =
+  (Engine.simulate ~state ~config:{ draw_config with failed } sim_medium_prog)
+    .Engine.item_latency.(0)
+
 let draw_loop_arena () =
   let rng = Rng.create ~seed:67 in
   let state = Engine.Run_state.create sim_medium_prog in
   for _ = 1 to arena_draws do
-    ignore
-      (Engine.latency_compiled ~state
-         ~failed:[ Rng.int rng sim_medium_procs ]
-         sim_medium_prog)
+    ignore (arena_draw ~state ~failed:[ Rng.int rng sim_medium_procs ])
   done
 
 (* The cache-hit path: what revisiting a mapping's program costs with and
@@ -415,36 +420,38 @@ let epochs_run run_one =
    Both sides answer the same question about the same mapping. *)
 let reliability_mc_draws = 1000
 let reliability_crashes = 2
-let sim_medium_plan = Stage_latency.compile sim_medium
+let sim_medium_stages =
+  Crash.Of_stages
+    {
+      plan = Stage_latency.compile sim_medium;
+      throughput = Paper_workload.throughput ~eps:1;
+    }
 
-let defeat_rate_mc () =
-  let rng = Rng.create ~seed:53 in
-  let stats =
-    Stage_latency.mean_crash_latency_stats_of_plan
-      ~rand_int:(fun b -> Rng.int rng b)
-      ~crashes:reliability_crashes ~runs:reliability_mc_draws
-      ~throughput:(Paper_workload.throughput ~eps:1)
-      sim_medium_plan
-  in
-  Crash.defeat_rate stats
+let stages_mc ~seed =
+  Crash.estimate ~source:sim_medium_stages
+    ~method_:
+      (Crash.Sampled
+         {
+           crashes = reliability_crashes;
+           draws = reliability_mc_draws;
+           rng = Rng.create ~seed;
+         })
+    ()
+
+let defeat_rate_mc () = (stages_mc ~seed:53).Crash.est_p_defeat
 
 let defeat_rate_exact () =
   let t = Reliability.analyze ~max_cut_card:reliability_crashes sim_medium in
   Reliability.defeat_probability t
     (Reliability.Uniform_crashes reliability_crashes)
 
-let degraded_stats_mc () =
-  let rng = Rng.create ~seed:59 in
-  Stage_latency.mean_crash_latency_stats_of_plan
-    ~rand_int:(fun b -> Rng.int rng b)
-    ~crashes:reliability_crashes ~runs:reliability_mc_draws
-    ~throughput:(Paper_workload.throughput ~eps:1)
-    sim_medium_plan
+let degraded_stats_mc () = stages_mc ~seed:59
 
 let degraded_stats_exact () =
-  Stage_latency.exact_crash_latency_stats ~crashes:reliability_crashes
-    ~throughput:(Paper_workload.throughput ~eps:1)
-    sim_medium
+  Crash.estimate ~source:sim_medium_stages
+    ~method_:
+      (Crash.Exact { crashes = reliability_crashes; max_evaluations = None })
+    ()
 
 let sim_pairs : (string * (unit -> unit) * (unit -> unit)) list =
   [
@@ -949,9 +956,7 @@ let alloc_entries () =
     ignore (Sys.opaque_identity (Engine.run_compiled ~failed:[ 0 ] sim_medium_prog))
   in
   let arena_draw () =
-    ignore
-      (Sys.opaque_identity
-         (Engine.latency_compiled ~state ~failed:[ 0 ] sim_medium_prog))
+    ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ]))
   in
   let before_b = bytes_per_call slab_draw in
   let after_b = bytes_per_call arena_draw in
@@ -1256,11 +1261,7 @@ let gc_stats () =
             (Sys.opaque_identity
                (Engine.run_compiled ~failed:[ 0 ] sim_medium_prog)) );
       ( "arena reuse, log off (estimate draw)",
-        fun () ->
-          ignore
-            (Sys.opaque_identity
-               (Engine.latency_compiled ~state ~failed:[ 0 ] sim_medium_prog))
-      );
+        fun () -> ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ])) );
     ]
   in
   List.iter

@@ -84,26 +84,25 @@ let measure_algo config ~throughput ~rng outcome =
          sweeps, repeated trials) skips even the compile. *)
       let plan = Stage_latency.cached_plan mapping in
       let sim = of_option (Stage_latency.latency_of_plan plan ~throughput) in
-      (* The stats variant consumes the exact same draws as the plain
-         mean, so adding the defeat rate changes no measured value.  In
-         exact mode the same two columns come from the availability
-         calculus instead — no randomness consumed, no draws taken. *)
+      (* Both crash columns come from one estimate over the same plan:
+         [crash_draws] sampled draws on [rng] alone, or in exact mode the
+         availability calculus (no randomness consumed, no draws
+         taken). *)
       let crash, defeat_rate =
         if config.crashes = 0 then (sim, nan)
-        else if config.exact then
-          let exact =
-            Stage_latency.exact_crash_latency_stats ~crashes:config.crashes
-              ~throughput mapping
-          in
-          (of_option exact.Crash.degraded_mean, exact.Crash.p_defeat)
         else
-          let stats =
-            Stage_latency.mean_crash_latency_stats_of_plan
-              ~rand_int:(fun bound -> Rng.int rng bound)
-              ~crashes:config.crashes ~runs:config.crash_draws ~throughput
-              plan
+          let method_ =
+            if config.exact then
+              Crash.Exact { crashes = config.crashes; max_evaluations = None }
+            else
+              Crash.Sampled
+                { crashes = config.crashes; draws = config.crash_draws; rng }
           in
-          (of_option stats.Crash.mean, Crash.defeat_rate stats)
+          let e =
+            Crash.estimate ~source:(Crash.Of_stages { plan; throughput })
+              ~method_ ()
+          in
+          (of_option e.Crash.est_mean, e.Crash.est_p_defeat)
       in
       {
         bound;

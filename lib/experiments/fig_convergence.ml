@@ -51,33 +51,36 @@ let run_rep config rep =
   match Rltf.schedule ~opts prob with
   | Error _ -> None
   | Ok mapping ->
-      let plan = Stage_latency.compile mapping in
+      let source =
+        Crash.Of_stages { plan = Stage_latency.compile mapping; throughput }
+      in
       let exact =
-        Stage_latency.exact_crash_latency_stats ~crashes:config.crashes
-          ~throughput mapping
+        Crash.estimate ~source
+          ~method_:(Crash.Exact { crashes = config.crashes; max_evaluations = None })
+          ()
       in
       let errors =
         List.map
-          (fun runs ->
+          (fun draws ->
             (* An independent child stream per draw count: estimates at
                different counts are independent samples, not prefixes of
                one stream, so the curve shows the estimator's spread. *)
-            let draw_rng = Rng.split rng in
-            let stats =
-              Stage_latency.mean_crash_latency_stats_of_plan
-                ~rand_int:(fun bound -> Rng.int draw_rng bound)
-                ~crashes:config.crashes ~runs ~throughput plan
+            let rng = Rng.split rng in
+            let mc =
+              Crash.estimate ~source
+                ~method_:(Crash.Sampled { crashes = config.crashes; draws; rng })
+                ()
             in
             let defeat_err =
-              Float.abs (Crash.defeat_rate stats -. exact.Crash.p_defeat)
+              Float.abs (mc.Crash.est_p_defeat -. exact.Crash.est_p_defeat)
             in
             let latency_err =
-              match (stats.Crash.mean, exact.Crash.degraded_mean) with
+              match (mc.Crash.est_mean, exact.Crash.est_mean) with
               | Some mc, Some ex when ex > 0.0 ->
                   Some (Float.abs (mc -. ex) /. ex)
               | _ -> None
             in
-            (runs, defeat_err, latency_err))
+            (draws, defeat_err, latency_err))
           config.draw_counts
       in
       Some

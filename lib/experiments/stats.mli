@@ -27,8 +27,9 @@ val percentile : float -> float list -> float
     linear interpolation between closest ranks (the R-7 / NumPy
     default); the list need not be sorted.
 
-    NaN policy (mirrors [Crash.defeat_rate]): an empty sample returns
-    [nan], never [0.0] — a zero would silently read as "no latency".
+    NaN policy (mirrors a zero-draw [Crash.estimate]'s [est_p_defeat]): an
+    empty sample returns [nan], never [0.0] — a zero would silently read
+    as "no latency".
     [nan] propagates through downstream means and renders as a gap in
     CSV/plots; callers that need a total value must check the sample
     size first.

@@ -132,7 +132,7 @@ val latency_distribution :
 val expected_latency :
   ?enumerate_below:int -> t -> throughput:float -> model -> float option
 (** Mean single-item latency conditioned on survival — the analytic
-    counterpart of [Crash.stats.mean]; [None] when survival has
+    counterpart of a sampled crash estimate's mean; [None] when survival has
     probability 0. *)
 
 val closed_form_defeat : t -> pfail:(Platform.proc -> float) -> float option

@@ -3,62 +3,29 @@
     The paper evaluates each schedule by "computing the real execution time
     for a given schedule rather than just bounds", with the failing
     processors "chosen uniformly from the range [1, 20]".  This module
-    replays failure scenarios through {!Engine} behind one entry point:
-    {!estimate} evaluates a {!source} (a mapping, or a program already
-    compiled) under a {!method_} — a fixed failure set, Monte-Carlo
-    sampling, or exact enumeration.  (The pre-[estimate] per-shape
-    functions lived one release as deprecated wrappers and are gone;
-    the CI grep guard keeps them from coming back.) *)
+    answers that question behind one entry point, {!estimate}, for either
+    of the repo's two latency models:
+    - the event-driven {!Engine} (one-port contention, real transfer
+      times), reached through an [Of_mapping] or [Of_program] source;
+    - the stage model of {!Stage_latency} ([(2·S_eff − 1)/T]), reached
+      through an [Of_stages] source.
 
-type outcome = {
-  failed : Platform.proc list;  (** the processors that were failed *)
-  latency : float option;
-      (** single-item real latency; [None] when the failure set defeats the
-          schedule (more failures than it tolerates, or an invalid
-          schedule) *)
-  defeated : bool;
-      (** [latency = None]: the draw defeated the schedule.  Exposed as a
-          first-class flag so aggregations can count defeats instead of
-          silently dropping them. *)
-}
-
-type stats = {
-  mean : float option;
-      (** mean latency over the surviving draws; [None] if every draw
-          defeated the schedule *)
-  draws : int;  (** total draws taken *)
-  defeated_draws : int;  (** draws excluded from the mean *)
-}
-
-(** Exact (draw-free) counterpart of {!stats}, computed either by full
-    enumeration of the failure sets or by the {!Reliability} calculus. *)
-type exact = {
-  p_defeat : float;  (** probability that the failure set defeats the schedule *)
-  degraded_mean : float option;
-      (** mean latency conditioned on survival; [None] when every failure
-          set defeats the schedule *)
-  evaluations : int;
-      (** failure sets actually replayed ([0] on the purely analytic
-          paths) *)
-}
-
-val defeat_rate : stats -> float
-(** [defeated_draws / draws].
-
-    NaN policy: with [draws = 0] there is no estimate, and this returns
-    [nan] rather than [0.0] — a zero would silently read as "never
-    defeated".  [nan] propagates through downstream means and plots as a
-    gap instead of a lie; callers that need a total value must check
-    [draws] first.  The all-defeated case is well-defined and returns
-    [1.0] (with [stats.mean = None]). *)
+    A {!method_} picks the failure sets — a fixed set, Monte-Carlo
+    sampling, or the exact expectation over every set — and one
+    {!estimate} record carries the result. *)
 
 (** {2 The one estimation entry point} *)
 
-(** What to evaluate: a mapping (compiled internally, once) or a program
-    the caller already compiled — the compile-once-replay-per-draw
-    discipline made explicit instead of doubling every function into a
-    [_compiled] sibling. *)
-type source = Of_mapping of Mapping.t | Of_program of Engine.program
+(** What to evaluate, and under which latency model: a mapping
+    (compiled internally, once) or a program the caller already compiled
+    run through the event engine, or a compiled stage-model plan at a
+    given throughput — the compile-once-replay-per-draw discipline made
+    explicit instead of doubling every function into a [_compiled]
+    sibling. *)
+type source =
+  | Of_mapping of Mapping.t
+  | Of_program of Engine.program
+  | Of_stages of { plan : Stage_latency.plan; throughput : float }
 
 (** How to evaluate it. *)
 type method_ =
@@ -66,31 +33,37 @@ type method_ =
       (** one deterministic replay with exactly these processors failed *)
   | Sampled of { crashes : int; draws : int; rng : Rng.t }
       (** [draws] independent uniform draws of [crashes] distinct
-          processors, replayed through the engine.  [rng] is consumed
+          processors, replayed through the source's model.  [rng] is consumed
           only to {!Rng.split} one child generator per draw, up front:
           draw [i] depends on the caller's seed and [i] alone (common
           random numbers), so growing [draws] extends the sequence
           without disturbing its prefix, and the draws parallelize.
           Each draw records the [sim.crash.draws] / [sim.crash.defeats]
-          counters under a [sim.crash.sample] span, exactly like the
-          deprecated [sample]. *)
+          counters under a [sim.crash.sample] span. *)
   | Exact of { crashes : int; max_evaluations : int option }
-      (** every one of the [choose (m, crashes)] failure sets replayed
-          through the engine under a [sim.crash.exact] span;
-          [max_evaluations] (default 1_000_000) bounds the enumeration *)
+      (** the exact expectation over all [choose (m, crashes)] failure
+          sets, under a [sim.crash.exact] span.  Engine sources replay
+          every set, [max_evaluations] (default 1_000_000) bounding the
+          enumeration; [Of_stages] answers through the {!Reliability}
+          calculus instead, replays nothing and ignores
+          [max_evaluations]. *)
 
 type estimate = {
   est_crashes : int;  (** failure-set cardinality of the method *)
   est_draws : int;
       (** random draws consumed: [Sampled] draws; [0] for [Fixed] /
           [Exact] (deterministic) *)
-  est_evaluations : int;  (** engine replays performed *)
+  est_evaluations : int;
+      (** replays performed ([0] for [Of_stages] under [Exact]) *)
   est_defeated : int;  (** evaluations that defeated the schedule *)
   est_p_defeat : float;
       (** defeat probability: exact under [Exact], the Monte-Carlo
-          estimate [est_defeated / est_draws] under [Sampled] (with the
-          {!defeat_rate} NaN-on-zero-draws policy), and 0 or 1 under
-          [Fixed] *)
+          estimate [est_defeated / est_draws] under [Sampled], and 0 or 1
+          under [Fixed].  NaN policy: with [draws = 0] there is no
+          estimate and this is [nan] rather than [0.0] — a zero would
+          silently read as "never defeated"; [nan] propagates through
+          downstream means and plots as a gap instead of a lie.  The
+          all-defeated case is well-defined: [1.0] with [est_mean = None]. *)
   est_mean : float option;
       (** mean latency over the surviving evaluations; [None] when every
           evaluation was defeated (or none ran) *)
@@ -118,8 +91,12 @@ val estimate :
     precedence over [jobs]).  The estimate is {e bit-identical} at every
     worker count: draws use per-draw child seeds and the partial sums
     merge in draw order, so parallelism changes wall-clock, never the
-    result.  [Fixed] and [Exact] ignore [jobs] (a [Fixed] replay is one
+    result.  [Of_stages] draws replay the plan directly and need no
+    arena.  [Fixed] and [Exact] ignore [jobs] (a [Fixed] replay is one
     run; [Exact] enumerates sequentially through one arena).
-    @raise Invalid_argument if the mapping is incomplete, [crashes] is
-    outside [0, m], [draws < 0], or an [Exact] enumeration exceeds its
-    [max_evaluations] budget. *)
+
+    Inputs are checked up front, for every source, before anything runs.
+    @raise Invalid_argument (naming [Crash.estimate]) if the mapping is
+    incomplete, a [Fixed] processor is outside [0, m), [crashes] is
+    outside [0, m] (even with [draws = 0]), [draws < 0], or an engine
+    [Exact] enumeration exceeds its [max_evaluations] budget. *)

@@ -1418,27 +1418,11 @@ let run_compiled ?snapshot ?(n_items = 1) ?period ?(failed = [])
 let run ?snapshot ?n_items ?period ?failed ?timed_failures m =
   run_compiled ?snapshot ?n_items ?period ?failed ?timed_failures (compile m)
 
-(* The crash-draw hot path: single item, no message log, optionally an
-   arena.  Identical to [run_compiled ~n_items:1] in every recorded
-   value except [result.messages] (which this caller never reads). *)
-let latency_compiled ?state ?(failed = []) p =
-  let r =
-    simulate ?state
-      ~config:
-        {
-          Run.traffic = Run.Closed { n_items = 1; period = None };
-          snapshot = None;
-          failed;
-          timed_failures = [];
-          metrics = true;
-          record_messages = false;
-          faults = Faults.none;
-        }
-      p
-  in
-  r.item_latency.(0)
-
-let latency ?failed m = latency_compiled ?failed (compile m)
+let latency ?(failed = []) m =
+  (simulate
+     ~config:{ (Run.without_messages (Run.closed ())) with Run.failed }
+     (compile m))
+    .item_latency.(0)
 
 let sojourns r =
   Array.to_list r.item_latency |> List.filter_map Fun.id

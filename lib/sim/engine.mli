@@ -336,13 +336,6 @@ val run :
 val latency : ?failed:Platform.proc list -> Mapping.t -> float option
 (** Single-item latency: [run ~n_items:1] and the first {!result.item_latency}. *)
 
-val latency_compiled :
-  ?state:Run_state.t -> ?failed:Platform.proc list -> program -> float option
-(** {!latency} against a compiled program — the crash-draw hot path.
-    Skips the message log (this caller never reads it) and accepts an
-    arena, so a sampling loop replays with zero per-draw slab
-    allocation; the returned latency is identical to {!latency}'s. *)
-
 val sojourns : result -> float list
 (** The delivered items' sojourn latencies in item order — the sample
     the percentile summaries ({!Stats} in the experiment layer) are

@@ -138,9 +138,8 @@ let clear c =
 
 (* The shared compiled-program instance.  64 mappings comfortably covers
    a recovery chain's restoration history or a figure trial's working
-   set.  (The stage-latency plan cache lives in [Stage_latency] itself:
-   hosting it here would close a module cycle, since [Stage_latency]
-   depends on [Crash] which depends on this cache.) *)
+   set.  (The stage-latency plan cache lives in [Stage_latency] itself,
+   next to the model it caches.) *)
 let default_capacity = 64
 let programs : Engine.program t = create ~capacity:default_capacity Engine.compile
 let program m = find programs m

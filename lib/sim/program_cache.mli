@@ -67,6 +67,4 @@ val program : Mapping.t -> Engine.program
 (** [find programs m]. *)
 
 (** The stage-latency plan counterpart ([Stage_latency.cached_plan])
-    lives in [Stage_latency] — [Stage_latency] depends on [Crash], which
-    depends on this module, so hosting the plan cache here would close a
-    module cycle. *)
+    lives in [Stage_latency], next to the model it caches. *)

@@ -4,6 +4,7 @@
    failure draw — the per-draw work is a single topological sweep over
    int arrays. *)
 type plan = {
+  l_mapping : Mapping.t;
   l_tasks : int;
   l_copies : int;
   l_rids : int;
@@ -86,6 +87,7 @@ let compile m =
     done
   done;
   {
+    l_mapping = m;
     l_tasks = n_tasks;
     l_copies = copies;
     l_rids = n_rids;
@@ -99,6 +101,8 @@ let compile m =
     l_eta = eta;
     l_exits = Array.of_list (Dag.exits dag);
   }
+
+let plan_mapping pl = pl.l_mapping
 
 let depth_of_plan ?(failed = []) pl =
   let copies = pl.l_copies in
@@ -154,65 +158,7 @@ let latency_of_plan ?failed pl ~throughput =
 
 let latency ?failed m ~throughput = latency_of_plan ?failed (compile m) ~throughput
 
-let mean_crash_latency_stats_of_plan ~rand_int ~crashes ~runs ~throughput pl =
-  let n_procs = pl.l_procs in
-  if crashes > n_procs then
-    invalid_arg "Stage_latency.mean_crash_latency: more crashes than processors";
-  if runs < 0 then
-    invalid_arg "Stage_latency.mean_crash_latency: negative run count";
-  let draw () =
-    let rec pick chosen remaining =
-      if remaining = 0 then chosen
-      else begin
-        let candidate = rand_int n_procs in
-        if List.mem candidate chosen then pick chosen remaining
-        else pick (candidate :: chosen) (remaining - 1)
-      end
-    in
-    pick [] crashes
-  in
-  let rec loop i total count defeated =
-    if i >= runs then
-      {
-        Crash.mean =
-          (if count = 0 then None else Some (total /. float_of_int count));
-        draws = runs;
-        defeated_draws = defeated;
-      }
-    else begin
-      match latency_of_plan ~failed:(draw ()) pl ~throughput with
-      | Some l -> loop (i + 1) (total +. l) (count + 1) defeated
-      | None -> loop (i + 1) total count (defeated + 1)
-    end
-  in
-  loop 0 0.0 0 0
-
-(* Compile once per mapping; every draw then replays the plan. *)
-let mean_crash_latency_stats ~rand_int ~crashes ~runs ~throughput m =
-  mean_crash_latency_stats_of_plan ~rand_int ~crashes ~runs ~throughput
-    (compile m)
-
-let mean_crash_latency ~rand_int ~crashes ~runs ~throughput m =
-  (mean_crash_latency_stats ~rand_int ~crashes ~runs ~throughput m).Crash.mean
-
-(* Fully analytic: the cut-set calculus answers both the defeat
-   probability and the conditional mean of (2 S_eff - 1)/T, with the cut
-   horizon pinned to the crash count so families stay small. *)
-let exact_crash_latency_stats ~crashes ~throughput m =
-  let n_procs = Platform.size (Mapping.platform m) in
-  if crashes < 0 || crashes > n_procs then
-    invalid_arg "Stage_latency.exact_crash_latency_stats: crashes outside [0, m]";
-  let t = Reliability.analyze ~max_cut_card:crashes m in
-  let model = Reliability.Uniform_crashes crashes in
-  {
-    Crash.p_defeat = Reliability.defeat_probability t model;
-    degraded_mean = Reliability.expected_latency t ~throughput model;
-    evaluations = 0;
-  }
-
-(* The shared plan cache.  Hosted here rather than in [Program_cache]
-   because this module depends on [Crash] (for the stats record types),
-   which depends on [Program_cache] — the cache instance living there
-   would close a module cycle. *)
+(* The shared plan cache: the stage-model counterpart of
+   [Program_cache.programs]. *)
 let plans : plan Program_cache.t = Program_cache.create ~capacity:64 compile
 let cached_plan m = Program_cache.find plans m

@@ -13,7 +13,11 @@
 
     Failures can only increase the result: surviving replicas may be
     forced to wait for later-stage sources, and the earliest exit replica
-    may be lost. *)
+    may be lost.
+
+    Crash statistics over this model (sampled draws, or the exact
+    {!Reliability} calculus) come from [Crash.estimate] with an
+    [Of_stages] source. *)
 
 type plan
 (** The stage model compiled into dense arrays (replica processors and
@@ -22,22 +26,16 @@ type plan
 
 val compile : Mapping.t -> plan
 
+val plan_mapping : plan -> Mapping.t
+(** The mapping the plan was compiled from (for a cached plan, the
+    first mapping with its content). *)
+
 val depth_of_plan : ?failed:Platform.proc list -> plan -> int option
 (** {!effective_depth} against a compiled plan; identical result. *)
 
 val latency_of_plan :
   ?failed:Platform.proc list -> plan -> throughput:float -> float option
 (** {!latency} against a compiled plan; identical result. *)
-
-val mean_crash_latency_stats_of_plan :
-  rand_int:(int -> int) ->
-  crashes:int ->
-  runs:int ->
-  throughput:float ->
-  plan ->
-  Crash.stats
-(** {!mean_crash_latency_stats} against a compiled plan; consumes
-    [rand_int] identically. *)
 
 val effective_depth : ?failed:Platform.proc list -> Mapping.t -> int option
 (** [S_eff]: the maximum over exit tasks of the minimum, over alive
@@ -50,42 +48,10 @@ val latency :
   ?failed:Platform.proc list -> Mapping.t -> throughput:float -> float option
 (** [(2·S_eff − 1) / T]. *)
 
-val mean_crash_latency_stats :
-  rand_int:(int -> int) ->
-  crashes:int ->
-  runs:int ->
-  throughput:float ->
-  Mapping.t ->
-  Crash.stats
-(** Average {!latency} over [runs] uniform draws of [crashes] distinct
-    failed processors, with the draws that defeated the schedule counted
-    in {!Crash.stats.defeated_draws} instead of silently dropped.
-    Compiles the mapping once and replays the plan per draw. *)
-
-val mean_crash_latency :
-  rand_int:(int -> int) ->
-  crashes:int ->
-  runs:int ->
-  throughput:float ->
-  Mapping.t ->
-  float option
-(** The mean of {!mean_crash_latency_stats}; draws that defeat the
-    schedule are excluded.  [None] if every draw did. *)
-
-val exact_crash_latency_stats :
-  crashes:int -> throughput:float -> Mapping.t -> Crash.exact
-(** The exact values {!mean_crash_latency_stats} estimates, from the
-    {!Reliability} calculus: defeat probability and mean degraded latency
-    conditioned on survival, for [crashes] uniformly chosen distinct dead
-    processors.  Consumes no randomness and replays nothing
-    ([evaluations = 0]).
-    @raise Invalid_argument if [crashes] is outside [0, m]. *)
-
 val plans : plan Program_cache.t
 (** The global stage-latency plan cache (capacity 64), used by the
-    figure harness ([Fig_common]).  Lives here rather than in
-    {!Program_cache} because this module depends on [Crash], which
-    depends on [Program_cache]. *)
+    figure harness ([Fig_common]) — the stage-model counterpart of
+    {!Program_cache.programs}. *)
 
 val cached_plan : Mapping.t -> plan
 (** [Program_cache.find plans m] — {!compile} through the shared cache:

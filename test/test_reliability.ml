@@ -71,15 +71,21 @@ let prop_cut_sets_match_enumeration =
             let by_cuts = List.exists (fun c -> Bitset.subset c failed_set) cuts in
             let by_oracle = Reliability.defeated_by t ~failed in
             let by_stage = Stage_latency.effective_depth ~failed m = None in
-            let by_engine = Engine.latency_compiled ~failed program = None in
+            let by_engine =
+              (Crash.estimate ~source:(Crash.Of_program program)
+                 ~method_:(Crash.Fixed failed) ())
+                .Crash.est_mean
+              = None
+            in
             if not (by_cuts = by_oracle && by_oracle = by_stage && by_stage = by_engine)
             then ok := false
           done;
           !ok)
 
 (* The oracle depth sweep agrees with the stage model on every pattern,
-   and the calculus depth distribution matches the enumeration counts for
-   every crash count c. *)
+   the calculus depth distribution matches the enumeration counts for
+   every crash count c, and so does the estimator's exact defeat
+   probability under both latency models. *)
 let prop_depth_distribution_exhaustive =
   QCheck.Test.make ~name:"depth distribution matches exhaustive enumeration"
     ~count:15 seed_arb (fun seed ->
@@ -88,6 +94,13 @@ let prop_depth_distribution_exhaustive =
       | Some (prob, m) ->
           let t = Reliability.analyze m in
           let n_procs = Platform.size prob.Types.platform in
+          let stages =
+            Crash.Of_stages
+              {
+                plan = Stage_latency.compile m;
+                throughput = prob.Types.throughput;
+              }
+          in
           let ok = ref true in
           (* per crash count: depth histogram over all masks of that size *)
           let histo = Array.make (n_procs + 1) [] in
@@ -126,7 +139,23 @@ let prop_depth_distribution_exhaustive =
                 Reliability.depth_distribution t (Reliability.Uniform_crashes c);
                 Reliability.depth_distribution ~enumerate_below:0 t
                   (Reliability.Uniform_crashes c);
-              ]
+              ];
+            let defeated =
+              List.length (List.filter (fun x -> x = None) histo.(c))
+            in
+            List.iter
+              (fun source ->
+                let e =
+                  Crash.estimate ~source
+                    ~method_:(Crash.Exact { crashes = c; max_evaluations = None })
+                    ()
+                in
+                if
+                  Float.abs
+                    (e.Crash.est_p_defeat -. (float_of_int defeated /. total))
+                  > 1e-9
+                then ok := false)
+              [ Crash.Of_mapping m; stages ]
           done;
           !ok)
 
@@ -347,8 +376,8 @@ let prop_closed_form_agrees =
           Float.abs (p -. Reliability.defeat_probability t (Reliability.Independent pfail))
           <= 1e-12)
 
-(* The three exact surfaces agree: Crash's engine enumeration, the
-   analytic stage-model stats, and the raw calculus. *)
+(* The three exact surfaces agree: the estimator's engine enumeration,
+   its analytic stage-model answer, and the raw calculus. *)
 let prop_exact_siblings_agree =
   QCheck.Test.make ~name:"Crash and Stage_latency exact siblings agree"
     ~count:20
@@ -364,16 +393,24 @@ let prop_exact_siblings_agree =
               ()
           in
           let stage =
-            Stage_latency.exact_crash_latency_stats ~crashes:c
-              ~throughput:prob.Types.throughput m
+            Crash.estimate
+              ~source:
+                (Crash.Of_stages
+                   {
+                     plan = Stage_latency.compile m;
+                     throughput = prob.Types.throughput;
+                   })
+              ~method_:(Crash.Exact { crashes = c; max_evaluations = None })
+              ()
           in
           let calculus =
             let t = Reliability.analyze ~max_cut_card:c m in
             Reliability.defeat_probability t (Reliability.Uniform_crashes c)
           in
-          Float.abs (engine.Crash.est_p_defeat -. stage.Crash.p_defeat) <= 1e-9
+          Float.abs (engine.Crash.est_p_defeat -. stage.Crash.est_p_defeat)
+          <= 1e-9
           && Float.abs (engine.Crash.est_p_defeat -. calculus) <= 1e-9
-          && (stage.Crash.degraded_mean = None) = (engine.Crash.est_mean = None))
+          && (stage.Crash.est_mean = None) = (engine.Crash.est_mean = None))
 
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo convergence: the estimator approaches the exact value    *)

@@ -419,6 +419,11 @@ let epoch_tests =
 (* Stage-synchronous latency                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The stage model of a mapping at throughput 0.1 (period 10), as a
+   crash-estimator source. *)
+let stages m =
+  Crash.Of_stages { plan = Stage_latency.compile m; throughput = 0.1 }
+
 let stage_latency_tests =
   [
     case "lanes have depth one" (fun () ->
@@ -460,13 +465,13 @@ let stage_latency_tests =
           (Stage_latency.effective_depth ~failed:[ 0; 1 ] (lanes ()) = None));
     case "mean crash latency over draws" (fun () ->
         let rng = Rng.create ~seed:3 in
-        let mean =
-          Stage_latency.mean_crash_latency
-            ~rand_int:(fun b -> Rng.int rng b)
-            ~crashes:1 ~runs:16 ~throughput:0.1 (lanes ())
+        let e =
+          Crash.estimate ~source:(stages (lanes ()))
+            ~method_:(Crash.Sampled { crashes = 1; draws = 16; rng })
+            ()
         in
         (* any single crash leaves depth 1 *)
-        check_float "still one stage" 10.0 (Option.get mean));
+        check_float "still one stage" 10.0 (Option.get e.Crash.est_mean));
     case "empty graph has depth zero" (fun () ->
         let m = Mapping.create ~dag:Fixtures.empty ~platform:(Fixtures.uniform 1) ~eps:0 in
         check_int "zero" 0 (Option.get (Stage_latency.effective_depth m)));
@@ -478,6 +483,18 @@ let stage_latency_tests =
 
 let estimate_on m method_ =
   Crash.estimate ~source:(Crash.Of_mapping m) ~method_ ()
+
+(* The mapping under both latency models: the engine and the stage model. *)
+let both_models m = [ Crash.Of_mapping m; stages m ]
+
+(* [method_] on [source] raises [Invalid_argument] naming the estimator. *)
+let rejects source method_ =
+  match Crash.estimate ~source ~method_ () with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      check_true
+        (Printf.sprintf "message names Crash.estimate: %s" msg)
+        (String.starts_with ~prefix:"Crash.estimate:" msg)
 
 let crash_tests =
   [
@@ -512,37 +529,47 @@ let crash_tests =
         in
         check_float "all draws survive at 3.0" 3.0 (Option.get e.Crash.est_mean));
     case "zero draws yield an empty estimate and a nan defeat rate" (fun () ->
-        let e =
-          estimate_on (lanes ())
-            (Crash.Sampled { crashes = 1; draws = 0; rng = Rng.create ~seed:3 })
-        in
-        check_int "no draws" 0 e.Crash.est_draws;
-        check_int "no defeats" 0 e.Crash.est_defeated;
-        check_true "no mean" (e.Crash.est_mean = None);
-        check_true "nan, not zero" (Float.is_nan e.Crash.est_p_defeat);
-        (* the stats-record helper keeps the same policy *)
-        check_true "defeat_rate nan on empty stats"
-          (Float.is_nan
-             (Crash.defeat_rate
-                { Crash.mean = None; draws = 0; defeated_draws = 0 })));
+        List.iter
+          (fun source ->
+            let e =
+              Crash.estimate ~source
+                ~method_:
+                  (Crash.Sampled
+                     { crashes = 1; draws = 0; rng = Rng.create ~seed:3 })
+                ()
+            in
+            check_int "no draws" 0 e.Crash.est_draws;
+            check_int "no defeats" 0 e.Crash.est_defeated;
+            check_true "no mean" (e.Crash.est_mean = None);
+            check_true "nan, not zero" (Float.is_nan e.Crash.est_p_defeat))
+          (both_models (lanes ())));
     case "negative run counts are rejected" (fun () ->
         List.iter
-          (fun thunk ->
-            Alcotest.check_raises "runs < 0" (Invalid_argument "") (fun () ->
-                try ignore (thunk ()) with Invalid_argument _ ->
-                  raise (Invalid_argument "")))
-          [
-            (fun () ->
-              ignore
-                (estimate_on (lanes ())
-                   (Crash.Sampled
-                      { crashes = 1; draws = -1; rng = Rng.create ~seed:1 })));
-            (fun () ->
-              ignore
-                (Stage_latency.mean_crash_latency_stats
-                   ~rand_int:(fun _ -> 0)
-                   ~crashes:1 ~runs:(-1) ~throughput:0.1 (lanes ())));
-          ]);
+          (fun source ->
+            rejects source
+              (Crash.Sampled
+                 { crashes = 1; draws = -1; rng = Rng.create ~seed:1 }))
+          (both_models (lanes ())));
+    case "crash counts outside [0, m] are rejected up front" (fun () ->
+        (* lanes has four processors: a negative count used to spin
+           forever, and an oversized one passed when no draw ran *)
+        List.iter
+          (fun source ->
+            List.iter (rejects source)
+              [
+                Crash.Sampled
+                  { crashes = -1; draws = 1; rng = Rng.create ~seed:1 };
+                Crash.Sampled
+                  { crashes = 9; draws = 0; rng = Rng.create ~seed:1 };
+                Crash.Exact { crashes = -1; max_evaluations = None };
+                Crash.Exact { crashes = 5; max_evaluations = None };
+              ])
+          (both_models (lanes ())));
+    case "fixed processors outside [0, m) are rejected" (fun () ->
+        List.iter
+          (fun source ->
+            List.iter (rejects source) [ Crash.Fixed [ 7 ]; Crash.Fixed [ 1; -1 ] ])
+          (both_models (lanes ())));
     case "all-defeated runs keep a defined defeat rate" (fun () ->
         (* an unreplicated chain using every processor: any single crash
            defeats it, so the rate is exactly 1 and the mean is None *)
@@ -583,13 +610,16 @@ let crash_tests =
           (Reliability.defeat_probability t (Reliability.Uniform_crashes 2))
           e.Crash.est_p_defeat;
         let stage =
-          Stage_latency.exact_crash_latency_stats ~crashes:2 ~throughput:0.1
-            (lanes ())
+          Crash.estimate ~source:(stages (lanes ()))
+            ~method_:(Crash.Exact { crashes = 2; max_evaluations = None })
+            ()
         in
         check_float "stage model agrees on defeat" e.Crash.est_p_defeat
-          stage.Crash.p_defeat;
+          stage.Crash.est_p_defeat;
         check_float "one stage at period 10" 10.0
-          (Option.get stage.Crash.degraded_mean));
+          (Option.get stage.Crash.est_mean);
+        check_int "the stage model replays nothing" 0
+          stage.Crash.est_evaluations);
     case "exact enumeration respects its budget" (fun () ->
         Alcotest.check_raises "over budget" (Invalid_argument "") (fun () ->
             try
@@ -630,15 +660,15 @@ let crash_tests =
         check_true "bit-identical" (run () = run ()));
     case "stage-latency stats expose the defeat rate" (fun () ->
         let rng = Rng.create ~seed:5 in
-        let stats =
-          Stage_latency.mean_crash_latency_stats
-            ~rand_int:(fun b -> Rng.int rng b)
-            ~crashes:2 ~runs:48 ~throughput:0.1 (lanes ())
+        let e =
+          Crash.estimate ~source:(stages (lanes ()))
+            ~method_:(Crash.Sampled { crashes = 2; draws = 48; rng })
+            ()
         in
-        check_int "draws" 48 stats.Crash.draws;
-        check_true "defeats seen" (stats.Crash.defeated_draws > 0);
+        check_int "draws" 48 e.Crash.est_draws;
+        check_true "defeats seen" (e.Crash.est_defeated > 0);
         check_true "rate in (0,1)"
-          (Crash.defeat_rate stats > 0.0 && Crash.defeat_rate stats < 1.0));
+          (e.Crash.est_p_defeat > 0.0 && e.Crash.est_p_defeat < 1.0));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -860,18 +890,23 @@ let arena_cache_tests =
               (Types.problem ~dag:inst.Paper_workload.dag
                  ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
           in
-          let prog = Engine.compile m in
           let crashes = 1 + (seed mod 3) and draws = seed mod 40 in
-          let est jobs =
+          let est source jobs =
             estimate_fingerprint
-              (Crash.estimate ~jobs ~source:(Crash.Of_program prog)
+              (Crash.estimate ~jobs ~source
                  ~method_:
                    (Crash.Sampled
                       { crashes; draws; rng = Rng.create ~seed:(seed + 1) })
                  ())
           in
-          let sequential = est 1 in
-          sequential = est 2 && sequential = est 4
+          List.for_all
+            (fun source ->
+              let sequential = est source 1 in
+              sequential = est source 2 && sequential = est source 4)
+            [
+              Crash.Of_program (Engine.compile m);
+              Crash.Of_stages { plan = Stage_latency.compile m; throughput };
+            ]
         in
         QCheck.Test.check_exn
           (QCheck.Test.make ~count:6 ~name:"estimate-jobs-identity"
