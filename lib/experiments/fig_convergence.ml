@@ -54,9 +54,10 @@ let run_rep config rep =
       let source =
         Crash.Of_stages { plan = Stage_latency.compile mapping; throughput }
       in
+      let crashes = config.crashes in
       let exact =
         Crash.estimate ~source
-          ~method_:(Crash.Exact { crashes = config.crashes; max_evaluations = None })
+          ~method_:(Crash.Exact { crashes; max_evaluations = None })
           ()
       in
       let errors =
@@ -68,7 +69,7 @@ let run_rep config rep =
             let rng = Rng.split rng in
             let mc =
               Crash.estimate ~source
-                ~method_:(Crash.Sampled { crashes = config.crashes; draws; rng })
+                ~method_:(Crash.Sampled { crashes; draws; rng })
                 ()
             in
             let defeat_err =

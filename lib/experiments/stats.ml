@@ -50,8 +50,9 @@ let median values =
       else (nth ((n / 2) - 1) +. nth (n / 2)) /. 2.0
 
 (* Nan-on-empty policy (the discipline of a zero-draw crash estimate's
-   defeat probability): an empty sample has no percentile, and [nan] propagates through downstream
-   means and plots as a gap instead of silently reading as a value. *)
+   defeat probability): an empty sample has no percentile, and [nan]
+   propagates through downstream means and plots as a gap instead of
+   silently reading as a value. *)
 let percentile_sorted p a =
   if not (Float.is_finite p) || p < 0.0 || p > 100.0 then
     invalid_arg "Stats.percentile: p outside [0, 100]";

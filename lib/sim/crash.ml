@@ -50,7 +50,8 @@ let model_of = function
       {
         mapping = Stage_latency.plan_mapping plan;
         replayer =
-          (fun () failed -> Stage_latency.latency_of_plan ~failed plan ~throughput);
+          (fun () failed ->
+            Stage_latency.latency_of_plan ~failed plan ~throughput);
       }
 
 (* ---- shared internals -------------------------------------------------- *)
@@ -81,7 +82,7 @@ let int_binom n k =
    analogue of the sampled mean under the model's own latency semantics,
    with the enumeration count as the only cost knob.  Returns
    (evaluations, defeated, survivors' latency sum, survivors). *)
-let enumerate ~max_evaluations ~n_procs ~crashes replay =
+let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes replay =
   let total = int_binom n_procs crashes in
   if total > max_evaluations then
     invalid_arg "Crash.estimate: exact enumeration over budget";
@@ -203,21 +204,19 @@ let estimate ?pool ?(jobs = 1) ~source ~method_ () =
                  (2 S_eff - 1)/T, with the cut horizon pinned to the crash
                  count so families stay small.  Nothing is replayed. *)
               let t = Reliability.analyze ~max_cut_card:crashes model.mapping in
-              let crash_model = Reliability.Uniform_crashes crashes in
+              let uniform = Reliability.Uniform_crashes crashes in
               {
                 est_crashes = crashes;
                 est_draws = 0;
                 est_evaluations = 0;
                 est_defeated = 0;
-                est_p_defeat = Reliability.defeat_probability t crash_model;
-                est_mean = Reliability.expected_latency t ~throughput crash_model;
+                est_p_defeat = Reliability.defeat_probability t uniform;
+                est_mean = Reliability.expected_latency t ~throughput uniform;
                 est_failed = [];
               }
           | Of_mapping _ | Of_program _ ->
               let total, defeated, sum, survivors =
-                enumerate
-                  ~max_evaluations:(Option.value max_evaluations ~default:1_000_000)
-                  ~n_procs ~crashes (model.replayer ())
+                enumerate ?max_evaluations ~n_procs ~crashes (model.replayer ())
               in
               {
                 est_crashes = crashes;

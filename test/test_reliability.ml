@@ -147,7 +147,8 @@ let prop_depth_distribution_exhaustive =
               (fun source ->
                 let e =
                   Crash.estimate ~source
-                    ~method_:(Crash.Exact { crashes = c; max_evaluations = None })
+                    ~method_:
+                      (Crash.Exact { crashes = c; max_evaluations = None })
                     ()
                 in
                 if

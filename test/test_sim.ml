@@ -568,7 +568,8 @@ let crash_tests =
     case "fixed processors outside [0, m) are rejected" (fun () ->
         List.iter
           (fun source ->
-            List.iter (rejects source) [ Crash.Fixed [ 7 ]; Crash.Fixed [ 1; -1 ] ])
+            List.iter (rejects source)
+              [ Crash.Fixed [ 7 ]; Crash.Fixed [ 1; -1 ] ])
           (both_models (lanes ())));
     case "all-defeated runs keep a defined defeat rate" (fun () ->
         (* an unreplicated chain using every processor: any single crash
