@@ -130,14 +130,20 @@ let substrate_tests =
     Test.make ~name:"workload instance generation"
       (Staged.stage (fun () -> instance ~seed:19 ~granularity:1.0));
     Test.make ~name:"one-port event simulation (1 item)"
-      (Staged.stage (fun () -> Engine.run mapping_e1));
+      (Staged.stage (fun () ->
+           Engine.simulate ~config:(Engine.Run.closed ())
+             (Engine.compile mapping_e1)));
     Test.make ~name:"one-port event simulation (20 items)"
-      (Staged.stage (fun () -> Engine.run ~n_items:20 mapping_e1));
+      (Staged.stage (fun () ->
+           Engine.simulate ~config:(Engine.Run.closed ~n_items:20 ())
+             (Engine.compile mapping_e1)));
     Test.make ~name:"stage-synchronous latency"
       (Staged.stage (fun () ->
            Stage_latency.latency mapping_e1 ~throughput:0.05));
     Test.make ~name:"crash replay (1 failure)"
-      (Staged.stage (fun () -> Engine.latency ~failed:[ 0 ] mapping_e1));
+      (Staged.stage (fun () ->
+           Crash.estimate ~source:(Crash.Of_mapping mapping_e1)
+             ~method_:(Crash.Fixed [ 0 ]) ()));
     Test.make ~name:"exhaustive tolerance validation (eps=3)"
       (Staged.stage (fun () -> Validate.fault_tolerance mapping_e3));
     Test.make ~name:"exact width (Dilworth, v=100)"
@@ -311,11 +317,9 @@ let sched_tests =
 (* Compiled simulator: before/after pairs                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Each pair plays the same simulation scenario the way every caller did
-   it before the compile/run split — Engine.run pays the full per-mapping
-   flattening on every invocation — and the way the hot callers do it now,
-   replaying a program compiled once outside the timed region.  Both sides
-   produce bit-identical results. *)
+(* Each pair plays the same simulation scenario twice: compiling the
+   mapping inside the timed region, and replaying a program compiled once
+   outside it.  Both sides produce bit-identical results. *)
 
 let sim_instance ~seed ~tasks =
   let rng = Rng.create ~seed in
@@ -341,12 +345,19 @@ let sim_small_prog = Engine.compile sim_small
 let sim_medium_prog = Engine.compile sim_medium
 let sim_large_prog = Engine.compile sim_large
 
+(* One closed item: the config of every single-run pair below. *)
+let one_item = Engine.Run.closed ()
+
+let compile_pair name config m prog =
+  ( name,
+    opaque (fun () -> Engine.simulate ~config (Engine.compile m)),
+    opaque (fun () -> Engine.simulate ~config prog) )
+
 let crash_draws_per_mapping = 20
 
-(* Legacy shape: every draw recompiles, exactly what the pre-split
-   engine paid per Engine.run.  The recompile is spelled out explicitly
-   — an [Of_mapping] source now memoizes through [Program_cache], so it
-   no longer reproduces the legacy cost. *)
+(* Every draw recompiles.  The recompile is spelled out explicitly — an
+   [Of_mapping] source memoizes through [Program_cache], so it would not
+   pay the compile. *)
 let crash_draws_legacy () =
   let rng = Rng.create ~seed:47 in
   for _ = 1 to crash_draws_per_mapping do
@@ -372,12 +383,14 @@ let crash_draws_compiled () =
 let arena_draws = 200
 let sim_medium_procs = Platform.size (Mapping.platform sim_medium)
 
+(* A draw on fresh slabs with the message log on. *)
+let slab_draw ~failed =
+  Engine.simulate ~config:{ one_item with Engine.Run.failed } sim_medium_prog
+
 let draw_loop_slabs () =
   let rng = Rng.create ~seed:67 in
   for _ = 1 to arena_draws do
-    ignore
-      (Engine.run_compiled ~failed:[ Rng.int rng sim_medium_procs ]
-         sim_medium_prog)
+    ignore (slab_draw ~failed:[ Rng.int rng sim_medium_procs ])
   done
 
 (* One estimator draw on the medium program: a single closed item with
@@ -404,13 +417,16 @@ let cache_lookup_cached () = ignore (Program_cache.program sim_medium)
 
 let epochs_per_mapping = 8
 
-let epochs_run run_one =
+let epochs_run program =
   (* The operations layer's shape: one short resumed run per epoch against
      an unchanged mapping. *)
   let clock = ref 0.0 in
   for _ = 1 to epochs_per_mapping do
+    let snapshot = Some { Engine.clock = !clock; down = [] } in
     ignore
-      (run_one ~snapshot:{ Engine.clock = !clock; down = [] } ~n_items:4);
+      (Engine.simulate
+         ~config:{ (Engine.Run.closed ~n_items:4 ()) with Engine.Run.snapshot }
+         (program ()));
     clock := !clock +. 100.0
   done
 
@@ -455,22 +471,15 @@ let degraded_stats_exact () =
 
 let sim_pairs : (string * (unit -> unit) * (unit -> unit)) list =
   [
-    ( "single fault-free run (small, v=50)",
-      opaque (fun () -> Engine.run sim_small),
-      opaque (fun () -> Engine.run_compiled sim_small_prog) );
-    ( "single fault-free run (medium, v=100)",
-      opaque (fun () -> Engine.run sim_medium),
-      opaque (fun () -> Engine.run_compiled sim_medium_prog) );
-    ( "single fault-free run (large, v=150, eps=2)",
-      opaque (fun () -> Engine.run sim_large),
-      opaque (fun () -> Engine.run_compiled sim_large_prog) );
-    ( "single crashy run (medium, mid-stream fail-stop)",
-      opaque (fun () ->
-          Engine.run ~n_items:4 ~timed_failures:[ (3, 120.0) ] sim_medium),
-      opaque (fun () ->
-          Engine.run_compiled ~n_items:4
-            ~timed_failures:[ (3, 120.0) ]
-            sim_medium_prog) );
+    compile_pair "single fault-free run (small, v=50)" one_item sim_small
+      sim_small_prog;
+    compile_pair "single fault-free run (medium, v=100)" one_item sim_medium
+      sim_medium_prog;
+    compile_pair "single fault-free run (large, v=150, eps=2)" one_item
+      sim_large sim_large_prog;
+    compile_pair "single crashy run (medium, mid-stream fail-stop)"
+      { (Engine.Run.closed ~n_items:4 ()) with timed_failures = [ (3, 120.0) ] }
+      sim_medium sim_medium_prog;
     ( "20 crash draws, one mapping (compile-once)",
       opaque crash_draws_legacy,
       opaque crash_draws_compiled );
@@ -481,12 +490,8 @@ let sim_pairs : (string * (unit -> unit) * (unit -> unit)) list =
       opaque cache_lookup_compile,
       opaque cache_lookup_cached );
     ( "8 resumed epochs, one mapping (stream ops shape)",
-      opaque (fun () ->
-          epochs_run (fun ~snapshot ~n_items ->
-              Engine.run ~snapshot ~n_items sim_medium)),
-      opaque (fun () ->
-          epochs_run (fun ~snapshot ~n_items ->
-              Engine.run_compiled ~snapshot ~n_items sim_medium_prog)) );
+      opaque (fun () -> epochs_run (fun () -> Engine.compile sim_medium)),
+      opaque (fun () -> epochs_run (fun () -> sim_medium_prog)) );
     ( "defeat probability (1000 MC draws vs calculus)",
       opaque defeat_rate_mc,
       opaque defeat_rate_exact );
@@ -503,7 +508,9 @@ let sim_pairs : (string * (unit -> unit) * (unit -> unit)) list =
 let overhead_items = 20
 
 let overhead_closed () =
-  Engine.run_compiled ~n_items:overhead_items sim_medium_prog
+  Engine.simulate
+    ~config:(Engine.Run.closed ~n_items:overhead_items ())
+    sim_medium_prog
 
 (* The degenerate point: identical event sequence, so the ratio isolates
    the cost of the queue/admission machinery itself. *)
@@ -605,7 +612,8 @@ let counter_deltas () =
   delta "R-LTF schedule (eps=3)" (fun () ->
       Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e3);
   delta "one-port event simulation (20 items)" (fun () ->
-      Engine.run ~n_items:20 mapping_e1);
+      Engine.simulate ~config:(Engine.Run.closed ~n_items:20 ())
+        (Engine.compile mapping_e1));
   delta "fig3a sweep point (1 graph)" (fun () ->
       figure_point ~eps:1 ~crashes:0 ~granularity:1.0 11);
   Obs.set_enabled false;
@@ -952,9 +960,7 @@ let bytes_per_call thunk =
 
 let alloc_entries () =
   let state = Engine.Run_state.create sim_medium_prog in
-  let slab_draw () =
-    ignore (Sys.opaque_identity (Engine.run_compiled ~failed:[ 0 ] sim_medium_prog))
-  in
+  let slab_draw () = ignore (Sys.opaque_identity (slab_draw ~failed:[ 0 ])) in
   let arena_draw () =
     ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ]))
   in
@@ -1009,9 +1015,12 @@ let sim_json path =
         ( "engine_compile_medium_ns",
           opaque (fun () -> Engine.compile sim_medium) );
         ( "engine_run_compiled_medium_ns",
-          opaque (fun () -> Engine.run_compiled sim_medium_prog) );
+          opaque (fun () -> Engine.simulate ~config:one_item sim_medium_prog) );
         ( "engine_run_compiled_20_items_ns",
-          opaque (fun () -> Engine.run_compiled ~n_items:20 sim_medium_prog) );
+          opaque (fun () ->
+              Engine.simulate
+                ~config:(Engine.Run.closed ~n_items:20 ())
+                sim_medium_prog) );
       ]
   in
   let doc =
@@ -1256,10 +1265,7 @@ let gc_stats () =
   let shapes =
     [
       ( "fresh slabs + message log (legacy draw)",
-        fun () ->
-          ignore
-            (Sys.opaque_identity
-               (Engine.run_compiled ~failed:[ 0 ] sim_medium_prog)) );
+        fun () -> ignore (Sys.opaque_identity (slab_draw ~failed:[ 0 ])) );
       ( "arena reuse, log off (estimate draw)",
         fun () -> ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ])) );
     ]

@@ -84,7 +84,11 @@ let main graph_name algo tasks m eps period seed crash spec_string
         Format.printf "%a@." Mapping.pp mapping;
         print_string (Gantt.summary mapping);
         let failed = List.init (min crash m) Fun.id in
-        let result = Engine.run ~failed mapping in
+        let result =
+          Engine.simulate
+            ~config:{ (Engine.Run.closed ()) with Engine.Run.failed }
+            (Engine.compile mapping)
+        in
         let times item id =
           match (result.Engine.start_time item id, result.Engine.finish_time item id) with
           | Some s, Some f -> Some (s, f)

@@ -53,7 +53,11 @@ let () =
         (Metrics.stage_depth mapping);
       (* Demonstrate the guarantee by failing that many processors. *)
       let failed = List.init (int_of_float eps) Fun.id in
-      (match Engine.latency ~failed mapping with
+      (match
+         (Crash.estimate ~source:(Crash.Of_mapping mapping)
+            ~method_:(Crash.Fixed failed) ())
+           .Crash.est_mean
+       with
       | Some l ->
           Printf.printf "with processors {%s} down the latency is %.1f\n"
             (String.concat ", " (List.map string_of_int failed))

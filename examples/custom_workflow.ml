@@ -78,7 +78,9 @@ let () =
             (Metrics.stage_depth r.Platform_cost.mapping)
             (Metrics.latency_bound r.Platform_cost.mapping ~throughput));
       (* Export artefacts of the full-rack schedule. *)
-      let result = Engine.run mapping in
+      let result =
+        Engine.simulate ~config:(Engine.Run.closed ()) (Engine.compile mapping)
+      in
       let svg = Filename.temp_file "sensor-fusion" ".svg" in
       Svg_gantt.save svg mapping result;
       let trace = Filename.temp_file "sensor-fusion" ".json" in

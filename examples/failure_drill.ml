@@ -36,7 +36,11 @@ let () =
         let worst = ref 0.0 in
         List.iter
           (fun failed ->
-            match Engine.latency ~failed mapping with
+            match
+              (Crash.estimate ~source:(Crash.Of_mapping mapping)
+                 ~method_:(Crash.Fixed failed) ())
+                .Crash.est_mean
+            with
             | Some l ->
                 incr survived;
                 if l > !worst then worst := l

@@ -53,9 +53,14 @@ let () =
             errors);
       (* Replay the schedule through the one-port discrete-event engine,
          once healthy and once with processor 0 failed. *)
-      (match Engine.latency mapping with
+      let latency failed =
+        (Crash.estimate ~source:(Crash.Of_mapping mapping)
+           ~method_:(Crash.Fixed failed) ())
+          .Crash.est_mean
+      in
+      (match latency [] with
       | Some l -> Printf.printf "simulated latency %.2f (no failures)\n" l
       | None -> print_endline "simulation lost the outputs (unexpected)");
-      match Engine.latency ~failed:[ 0 ] mapping with
+      match latency [ 0 ] with
       | Some l -> Printf.printf "simulated latency %.2f (processor 0 failed)\n" l
       | None -> print_endline "outputs lost when P0 failed (unexpected)"

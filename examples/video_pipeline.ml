@@ -80,8 +80,12 @@ let () =
         Printf.printf "sustained rate = %.1f frames/s\n"
           (Metrics.achieved_throughput mapping);
         (* Replay 1 s of video with node 0 (a fast server) failing. *)
-        let healthy = Engine.latency mapping in
-        let degraded = Engine.latency ~failed:[ 0 ] mapping in
+        let latency failed =
+          (Crash.estimate ~source:(Crash.Of_mapping mapping)
+             ~method_:(Crash.Fixed failed) ())
+            .Crash.est_mean
+        in
+        let healthy = latency [] and degraded = latency [ 0 ] in
         (match (healthy, degraded) with
         | Some h, Some d ->
             Printf.printf "frame latency: %.4f s healthy, %.4f s with server-0 down\n"

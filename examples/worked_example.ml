@@ -11,7 +11,9 @@ let show name outcome ~throughput =
   | Error f -> Printf.printf "fails: %s\n\n" (Types.failure_to_string f)
   | Ok mapping ->
       Format.printf "%a@." Mapping.pp mapping;
-      let result = Engine.run mapping in
+      let result =
+        Engine.simulate ~config:(Engine.Run.closed ()) (Engine.compile mapping)
+      in
       let times id =
         match (result.Engine.start_time 0 id, result.Engine.finish_time 0 id) with
         | Some s, Some f -> Some (s, f)

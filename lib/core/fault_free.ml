@@ -1,7 +1,2 @@
 let run ?opts ~dag ~platform ~throughput () =
   Rltf.schedule ?opts (Types.problem ~dag ~platform ~eps:0 ~throughput)
-
-let latency ?opts ~dag ~platform ~throughput () =
-  match run ?opts ~dag ~platform ~throughput () with
-  | Error _ -> None
-  | Ok mapping -> Engine.latency mapping

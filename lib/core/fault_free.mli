@@ -8,9 +8,3 @@ val run :
   ?opts:Sched_api.options ->
   dag:Dag.t -> platform:Platform.t -> throughput:float -> unit -> Types.outcome
 (** R-LTF with [ε = 0] on the same graph, platform and throughput. *)
-
-val latency :
-  ?opts:Sched_api.options ->
-  dag:Dag.t -> platform:Platform.t -> throughput:float -> unit -> float option
-(** Simulated single-item latency [L_FF] of the fault-free schedule;
-    [None] when even the unreplicated graph cannot meet the throughput. *)

@@ -42,7 +42,9 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30)
               ( name,
                 float_of_int (Metrics.stage_depth mapping),
                 Metrics.latency_bound mapping ~throughput,
-                Engine.latency mapping,
+                (Crash.estimate ~source:(Crash.Of_mapping mapping)
+                   ~method_:(Crash.Fixed []) ())
+                  .Crash.est_mean,
                 Metrics.meets_throughput mapping ~throughput ))
       algos
   in

@@ -27,7 +27,11 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) ?(items = 30)
                  are expected to sustain it. *)
               if Metrics.meets_throughput mapping ~throughput then begin
                 let result =
-                  Engine.run ~n_items:items ~period:(1.0 /. throughput) mapping
+                  Engine.simulate
+                    ~config:
+                      (Engine.Run.closed ~n_items:items
+                         ~period:(1.0 /. throughput) ())
+                    (Engine.compile mapping)
                 in
                 (match Engine.sustained_throughput result with
                 | Some t -> sustained := t :: !sustained

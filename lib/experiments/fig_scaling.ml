@@ -50,8 +50,8 @@ let measure ~rng ~eps ~spec prob (module A : Sched_api.Algo) =
   | Ok mapping ->
       let sim_s, result =
         time_once (fun () ->
-            let prog = Engine.compile mapping in
-            Engine.run_compiled ~n_items:1 prog)
+            Engine.simulate ~config:(Engine.Run.closed ())
+              (Engine.compile mapping))
       in
       let res =
         Stats.reservoir_create ~cap:4096 ~rand_int:(fun b -> Rng.int rng b)

@@ -249,7 +249,7 @@ let all =
               | Error _ -> ()
               | Ok mapping ->
                   let prog = Engine.compile mapping in
-                  ignore (Engine.run_compiled ~n_items:4 prog);
+                  ignore (Engine.simulate ~config:(Engine.Run.closed ~n_items:4 ()) prog);
                   ignore
                     (Crash.estimate ~source:(Crash.Of_program prog)
                        ~method_:(Crash.Sampled { crashes = 1; draws = 1; rng })

@@ -331,7 +331,6 @@ let run ?(config = default_config) ~rng ~throughput m0 =
                      snapshot = Some { Engine.clock = !clock; down = !down };
                      failed = [];
                      timed_failures;
-                     metrics = true;
                      (* epochs read latencies and fault stats, never the
                         per-transfer log *)
                      record_messages = false;
@@ -375,7 +374,6 @@ let run ?(config = default_config) ~rng ~throughput m0 =
                      snapshot = Some { Engine.clock = !clock; down = !down };
                      failed = [];
                      timed_failures;
-                     metrics = true;
                      record_messages = false;
                      faults = current_faults ();
                    }

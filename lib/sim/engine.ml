@@ -263,7 +263,6 @@ module Run = struct
     snapshot : snapshot option;
     failed : Platform.proc list;
     timed_failures : (Platform.proc * float) list;
-    metrics : bool;
     record_messages : bool;
     faults : Faults.t;
   }
@@ -274,7 +273,6 @@ module Run = struct
       snapshot = None;
       failed = [];
       timed_failures = [];
-      metrics = true;
       record_messages = true;
       faults = Faults.none;
     }
@@ -285,7 +283,6 @@ module Run = struct
       snapshot = None;
       failed = [];
       timed_failures = [];
-      metrics = true;
       record_messages = true;
       faults = Faults.none;
     }
@@ -460,39 +457,20 @@ module Run_state = struct
     end;
     if Bytes.length st.rs_sat < sat_len then
       st.rs_sat <- Bytes.make (max sat_len (2 * Bytes.length st.rs_sat)) '\000'
-
-  let reset st =
-    Array.fill st.rs_fail_time 0 st.rs_procs infinity;
-    Array.fill st.rs_seen_timed 0 st.rs_procs false;
-    Array.fill st.rs_failed_procs 0 st.rs_procs false;
-    Array.fill st.rs_busy_until 0 st.rs_procs 0.0;
-    Array.fill st.rs_running 0 st.rs_procs false;
-    Array.fill st.rs_send_free 0 st.rs_procs 0.0;
-    Array.fill st.rs_recv_free 0 st.rs_procs 0.0;
-    Array.fill st.rs_ready_len 0 st.rs_procs 0;
-    Array.fill st.rs_pend_len 0 st.rs_procs 0;
-    Array.fill st.rs_dead 0 st.rs_rids true;
-    Array.fill st.rs_occ 0 st.rs_rids 0;
-    Array.fill st.rs_starts 0 (Array.length st.rs_starts) nan;
-    Array.fill st.rs_finishes 0 (Array.length st.rs_finishes) nan;
-    Array.fill st.rs_unsatisfied 0 (Array.length st.rs_unsatisfied) 0;
-    Array.fill st.rs_attempts 0 (Array.length st.rs_attempts) 0;
-    Bytes.fill st.rs_opened 0 (Bytes.length st.rs_opened) '\000';
-    Bytes.fill st.rs_sat 0 (Bytes.length st.rs_sat) '\000';
-    Event_heap.clear st.rs_events;
-    (* Release the message references the previous run's log retained. *)
-    Array.fill st.rs_log 0 (Array.length st.rs_log) None
 end
 
 let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
-    ~timed_failures ~traffic ~metrics ~record_messages ~faults p =
-  if n_items < 1 then invalid_arg "Engine.run: n_items < 1";
+    ~timed_failures ~traffic ~record_messages ~faults p =
+  if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
   let clock = snapshot.clock in
   if clock < 0.0 || not (Float.is_finite clock) then
-    invalid_arg "Engine.run: snapshot clock must be finite and non-negative";
+    invalid_arg "Engine.simulate: snapshot clock must be finite and non-negative";
   let period =
     match period with
-    | Some q -> if q < 0.0 then invalid_arg "Engine.run: negative period" else q
+    | Some q ->
+        if q < 0.0 || not (Float.is_finite q) then
+          invalid_arg "Engine.simulate: period must be finite and non-negative"
+        else q
     | None -> p.p_period
   in
   let open_mode = traffic.ot_open in
@@ -514,6 +492,12 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
      transfers completing strictly later are lost.  A crash at or before
      the snapshot clock is the paper's fail-silent-from-the-start case and
      also prunes replicas statically (they can never produce anything). *)
+  let check_proc what u =
+    if u < 0 || u >= n_procs then
+      invalid_arg ("Engine.simulate: processor outside [0, m) in " ^ what)
+  in
+  List.iter (check_proc "failed") failed;
+  List.iter (check_proc "snapshot.down") snapshot.down;
   let fail_time = st.rs_fail_time in
   Array.fill fail_time 0 n_procs infinity;
   List.iter (fun u -> fail_time.(u) <- 0.0) (failed @ snapshot.down);
@@ -521,9 +505,11 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
   Array.fill seen_timed 0 n_procs false;
   List.iter
     (fun (u, t) ->
-      if t < 0.0 then invalid_arg "Engine.run: negative failure time";
+      check_proc "timed_failures" u;
+      if Float.is_nan t || t < 0.0 then
+        invalid_arg "Engine.simulate: negative or NaN failure time";
       if seen_timed.(u) then
-        invalid_arg "Engine.run: duplicate processor in timed_failures";
+        invalid_arg "Engine.simulate: duplicate processor in timed_failures";
       seen_timed.(u) <- true;
       fail_time.(u) <- Float.min fail_time.(u) t)
     timed_failures;
@@ -613,9 +599,8 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
      iteration materialises no boxed float at all. *)
   let tnow = Array.make 1 0.0 in
   (* The metrics gate is hoisted out of the hot loop: when recording is
-     off (globally, or for this run) the run pays exactly one flag
-     read. *)
-  let obs = metrics && Obs.enabled () in
+     off the run pays exactly one flag read. *)
+  let obs = Obs.enabled () in
   let observe_heap () =
     if obs then Obs.observe "sim.heap_size" (float_of_int (Event_heap.size events))
   in
@@ -1362,67 +1347,38 @@ let simulate ?state ~(config : Run.config) p =
             ot_drop = (policy = Run.Drop_newest);
           } )
   in
-  let go () =
-    let snapshot = Option.value snapshot ~default:boot in
-    run_compiled_impl ~state:st ~snapshot ~n_items ~period ~failed
-      ~timed_failures ~traffic ~metrics:config.Run.metrics
-      ~record_messages:config.Run.record_messages ~faults:config.Run.faults p
-  in
-  if not config.Run.metrics then go ()
-  else
-    Obs.with_span "sim.engine.run" (fun () ->
-        Obs.incr "sim.runs";
-        if reused then Obs.incr "sim.arena.reuses";
-        Obs.touch "sim.arena.creates";
-        Obs.touch "sim.arena.reuses";
-        Obs.touch "sim.cache.hits";
-        Obs.touch "sim.cache.misses";
-        Obs.touch "sim.events_popped";
-        Obs.touch "sim.compiles";
-        Obs.touch "sim.drops";
-        Obs.touch "sim.queue.enqueued";
-        Obs.touch "sim.queue.blocked";
-        Obs.touch "sim.retries";
-        Obs.touch "sim.gray.slowdowns";
-        Obs.touch "sim.gray.degradations";
-        Obs.touch "sim.faults.transient";
-        Obs.touch "sim.faults.exhausted";
-        Obs.incr
-          ~by:(List.length failed + List.length timed_failures)
-          "sim.failures_injected";
-        (match snapshot with
-        | None -> ()
-        | Some s ->
-            (* Epoch bookkeeping: a run that picks the stream up from a
-               surviving-state snapshot rather than time 0 is a resume. *)
-            Obs.touch "sim.epoch.resumes";
-            if s.clock > 0.0 then Obs.incr "sim.epoch.resumes";
-            Obs.observe "sim.epoch.items" (float_of_int n_items));
-        go ())
-
-let run_compiled ?snapshot ?(n_items = 1) ?period ?(failed = [])
-    ?(timed_failures = []) p =
-  simulate
-    ~config:
-      {
-        Run.traffic = Run.Closed { n_items; period };
-        snapshot;
-        failed;
-        timed_failures;
-        metrics = true;
-        record_messages = true;
-        faults = Faults.none;
-      }
-    p
-
-let run ?snapshot ?n_items ?period ?failed ?timed_failures m =
-  run_compiled ?snapshot ?n_items ?period ?failed ?timed_failures (compile m)
-
-let latency ?(failed = []) m =
-  (simulate
-     ~config:{ (Run.without_messages (Run.closed ())) with Run.failed }
-     (compile m))
-    .item_latency.(0)
+  Obs.with_span "sim.engine.run" (fun () ->
+      Obs.incr "sim.runs";
+      if reused then Obs.incr "sim.arena.reuses";
+      Obs.touch "sim.arena.creates";
+      Obs.touch "sim.arena.reuses";
+      Obs.touch "sim.cache.hits";
+      Obs.touch "sim.cache.misses";
+      Obs.touch "sim.events_popped";
+      Obs.touch "sim.compiles";
+      Obs.touch "sim.drops";
+      Obs.touch "sim.queue.enqueued";
+      Obs.touch "sim.queue.blocked";
+      Obs.touch "sim.retries";
+      Obs.touch "sim.gray.slowdowns";
+      Obs.touch "sim.gray.degradations";
+      Obs.touch "sim.faults.transient";
+      Obs.touch "sim.faults.exhausted";
+      Obs.incr
+        ~by:(List.length failed + List.length timed_failures)
+        "sim.failures_injected";
+      (match snapshot with
+      | None -> ()
+      | Some s ->
+          (* Epoch bookkeeping: a run that picks the stream up from a
+             surviving-state snapshot rather than time 0 is a resume. *)
+          Obs.touch "sim.epoch.resumes";
+          if s.clock > 0.0 then Obs.incr "sim.epoch.resumes";
+          Obs.observe "sim.epoch.items" (float_of_int n_items));
+      let snapshot = Option.value snapshot ~default:boot in
+      run_compiled_impl ~state:st ~snapshot ~n_items ~period ~failed
+        ~timed_failures ~traffic ~record_messages:config.Run.record_messages
+        ~faults:config.Run.faults p)
 
 let sojourns r =
   Array.to_list r.item_latency |> List.filter_map Fun.id

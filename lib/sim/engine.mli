@@ -37,14 +37,10 @@
     period) built once per mapping; {!simulate} plays any number of
     scenarios — crash draws, resumed epochs, traffic profiles — against
     the same program.  Every scenario knob lives in one {!Run.config}
-    record; {!run} and {!run_compiled} are thin closed-system defaults
-    of the same entry point and reproduce the legacy event order exactly
-    (same (key, seqno) heap discipline, same destination-priority
-    tie-breaks), so their results are bit-identical to the pre-config
-    API. *)
+    record, and {!simulate} is the only way to run one. *)
 
 (** Surviving-state snapshot an epoch resumes from (the operations layer
-    drives one {!run} per epoch instead of replaying from time 0):
+    drives one {!simulate} per epoch instead of replaying from time 0):
     [clock] is the absolute time the epoch starts — item [k] of the run is
     injected at [clock + k · period] (closed) or [clock + offset k] (open)
     and every failure instant is interpreted on the same absolute axis —
@@ -53,8 +49,8 @@
 type snapshot = { clock : float; down : Platform.proc list }
 
 val boot : snapshot
-(** [{ clock = 0.0; down = [] }]: the fresh-stream state.  [run] without
-    [?snapshot] behaves exactly as before the epoch API existed. *)
+(** [{ clock = 0.0; down = [] }]: the fresh-stream state a config with
+    [snapshot = None] starts from. *)
 
 type instance = { item : int; rep : Replica.id }
 
@@ -142,7 +138,7 @@ val program_period : program -> float
     [Metrics.period (program_mapping p)]. *)
 
 (** The one run-scenario record: traffic (closed or open), failures,
-    epoch snapshot and metrics gate for a single {!simulate} call. *)
+    epoch snapshot and fault model for a single {!simulate} call. *)
 module Run : sig
   (** What happens when an item arrives and an entry replica's input
       queue is full. *)
@@ -158,7 +154,7 @@ module Run : sig
 
   type traffic =
     | Closed of { n_items : int; period : float option }
-        (** the legacy steady-state source: item [k] injected at
+        (** the steady-state source: item [k] injected at
             [clock + k · period] ([period] defaults to the program's
             achieved period), no queue bound, no backpressure *)
     | Open of {
@@ -185,13 +181,21 @@ module Run : sig
 
   type config = {
     traffic : traffic;
-    snapshot : snapshot option;  (** [None] = {!boot} *)
-    failed : Platform.proc list;  (** fail-silent from time 0 *)
-    timed_failures : (Platform.proc * float) list;  (** fail-stop *)
-    metrics : bool;
-        (** per-run metrics gate: [false] skips every [sim.*] counter,
-            histogram and span of this run even when {!Obs.enabled} —
-            for probe runs that must not pollute a profile *)
+    snapshot : snapshot option;
+        (** [None] = {!boot}.  [Some s] resumes at [s.clock] with
+            [s.down] statically dead, and the run records
+            [sim.epoch.resumes] (when the clock is positive) and a
+            [sim.epoch.items] histogram sample. *)
+    failed : Platform.proc list;
+        (** fail-silent from time 0: shorthand for a crash at time 0 *)
+    timed_failures : (Platform.proc * float) list;
+        (** fail-stop crashes mid-stream: work or transfers that would
+            complete strictly after the processor's crash instant are
+            lost, in-flight messages from the crashed sender never
+            arrive, and nothing starts on it afterwards; results
+            produced up to the crash remain valid.  A crash at or
+            before the snapshot clock is fail-silent-from-the-start:
+            the replicas on that processor are pruned statically. *)
     record_messages : bool;
         (** [false] skips the per-transfer message log entirely:
             {!result.messages} comes back [[]] and the run allocates no
@@ -202,8 +206,7 @@ module Run : sig
     faults : Faults.t;
         (** transient faults, retry policy and gray failures applied to
             the run.  {!Faults.none} (the builders' default) takes a
-            fast path that is bit-identical to the pre-faults engine.
-            Semantics: a transient execution fault consumes the whole
+            fast path that touches no fault machinery.  Semantics: a transient execution fault consumes the whole
             attempt duration on its processor before being detected (a
             timeout), a transient transfer fault holds both ports for
             the whole attempt; retries are re-driven after the backoff
@@ -218,9 +221,9 @@ module Run : sig
   }
 
   val closed : ?n_items:int -> ?period:float -> unit -> config
-  (** A closed-system config with no failures, the {!boot} snapshot and
-      metrics on — exactly what {!run} passes.  [n_items] defaults
-      to 1. *)
+  (** A closed-system config with no failures and the {!boot} snapshot;
+      set those by record update, [{ (Run.closed ()) with failed }].
+      [n_items] defaults to 1. *)
 
   val open_ :
     ?queue_bound:int ->
@@ -229,10 +232,10 @@ module Run : sig
     n_items:int ->
     Arrival.t ->
     config
-  (** An open-system config with no failures, the {!boot} snapshot and
-      metrics on.  [queue_bound] defaults to unbounded and [policy] to
-      {!Block} — the degenerate point where a [Deterministic] arrival
-      process reproduces the closed system bit-identically. *)
+  (** An open-system config with no failures and the {!boot} snapshot.
+      [queue_bound] defaults to unbounded and [policy] to {!Block} — the
+      degenerate point where a [Deterministic] arrival process
+      reproduces the closed system bit-identically. *)
 
   val with_faults : Faults.t -> config -> config
   (** [{ config with faults }] — attach a fault scenario to any
@@ -257,14 +260,9 @@ module Run_state : sig
   (** An arena sized for [program]'s processor and replica counts.  The
       per-item slabs start at single-item capacity and grow on demand
       (geometrically, so a sweep over increasing [n_items] settles).
-      Counted under [sim.arena.creates]. *)
-
-  val reset : t -> unit
-  (** Return the arena to its post-{!create} condition, releasing the
-      references the previous run retained.  Calling it between draws
-      is {e optional}: {!simulate} re-initializes every slab range it
-      uses, so a reused arena is bit-identical to a fresh one either
-      way. *)
+      Counted under [sim.arena.creates].  {!simulate} re-initializes
+      every slab range it uses, so a reused arena is bit-identical to a
+      fresh one. *)
 end
 
 val simulate : ?state:Run_state.t -> config:Run.config -> program -> result
@@ -275,66 +273,27 @@ val simulate : ?state:Run_state.t -> config:Run.config -> program -> result
     one is created for the run.  Results are bit-identical with and
     without an arena, and at any reuse count.  {b Validity}: the
     result's [start_time] / [finish_time] closures read the arena's
-    slabs, so they are valid only until the next run on (or [reset] of)
-    the same arena; [item_latency] and every other field are plain
-    values and stay valid forever.  Arenas are single-threaded — give
+    slabs, so they are valid only until the next run on the same arena;
+    [item_latency] and every other field are plain values and stay valid
+    forever.  Arenas are single-threaded — give
     each domain its own.  Reuses are counted under [sim.arena.reuses].
 
-    Closed traffic reproduces the legacy engine bit-identically.  Open
-    traffic materializes the arrival process ({!Arrival.times}), admits
-    items FIFO against the per-replica queue bound, and accounts
+    Open traffic materializes the arrival process ({!Arrival.times}),
+    admits items FIFO against the per-replica queue bound, and accounts
     backpressure ({!result.stall_time}), load shedding
     ({!result.dropped}) and queue occupancy ({!result.peak_queue});
     when a queue frees, waiting in-pipeline data beats new source
     admissions.  Open runs record [sim.queue.enqueued],
     [sim.queue.blocked], [sim.drops] and the [sim.queue.occupancy]
     histogram.
-    @raise Invalid_argument as {!run}; additionally if an open config
-    has [n_items < 1], [queue_bound < 1], an arrival process that
-    needs randomness with [rng = None], or [?state] was created for a
-    program of a different shape. *)
-
-val run_compiled :
-  ?snapshot:snapshot ->
-  ?n_items:int ->
-  ?period:float ->
-  ?failed:Platform.proc list ->
-  ?timed_failures:(Platform.proc * float) list ->
-  program ->
-  result
-(** {!simulate} with closed-system traffic — the optional-argument
-    default the pre-open-system API exposed; results are bit-identical
-    to it.  Arguments and recorded metrics are exactly those of {!run}. *)
-
-val run :
-  ?snapshot:snapshot ->
-  ?n_items:int ->
-  ?period:float ->
-  ?failed:Platform.proc list ->
-  ?timed_failures:(Platform.proc * float) list ->
-  Mapping.t ->
-  result
-(** [compile] then {!run_compiled}.  [snapshot] defaults to {!boot},
-    [n_items] to 1, [period] to the mapping's achieved period (irrelevant
-    when [n_items = 1]), [failed] to no failures.
-
-    [timed_failures] crashes processors mid-stream (fail-stop): work or
-    transfers that would complete strictly after the processor's crash
-    instant are lost, in-flight messages from the crashed sender never
-    arrive, and nothing starts on it afterwards; results produced up to the
-    crash remain valid.  [failed] is shorthand for a crash at time 0.  A
-    crash at or before the snapshot clock is fail-silent-from-the-start:
-    the replicas on that processor are pruned statically.
-
-    With [?snapshot] the run records [sim.epoch.resumes] (clock > 0) and a
-    [sim.epoch.items] histogram sample; without it the recorded metrics
-    are exactly the pre-epoch ones.
-    @raise Invalid_argument if the mapping is incomplete, [n_items < 1],
-    [period < 0], a failure time is negative, a processor appears twice in
-    [timed_failures], or the snapshot clock is negative or not finite. *)
-
-val latency : ?failed:Platform.proc list -> Mapping.t -> float option
-(** Single-item latency: [run ~n_items:1] and the first {!result.item_latency}. *)
+    @raise Invalid_argument (naming [Engine.simulate]) if [n_items < 1],
+    a closed [period] is negative or not finite, a processor in
+    [failed], [timed_failures] or [snapshot.down] is outside [0, m), a
+    failure time is negative or NaN, a processor appears twice in
+    [timed_failures], the snapshot clock is negative or not finite, an
+    open config has [queue_bound < 1] or an arrival process that needs
+    randomness with [rng = None], or [?state] was created for a program
+    of a different shape. *)
 
 val sojourns : result -> float list
 (** The delivered items' sojourn latencies in item order — the sample

@@ -70,6 +70,16 @@ let check_tolerant ?(what = "mapping") mapping =
           Alcotest.failf "%s not fault tolerant: %s" what
             (Validate.error_to_string (List.hd errors)))
 
+(* One run of a freshly compiled [m]: a single fault-free item unless
+   [config] says otherwise. *)
+let simulate ?(config = Engine.Run.closed ()) m =
+  Engine.simulate ~config (Engine.compile m)
+
+(* Single-item latency of [m] with the processors in [failed] down. *)
+let fixed_latency ?(failed = []) m =
+  (Crash.estimate ~source:(Crash.Of_mapping m) ~method_:(Crash.Fixed failed) ())
+    .Crash.est_mean
+
 (* Alcotest shorthands. *)
 let case name f = Alcotest.test_case name `Quick f
 let slow_case name f = Alcotest.test_case name `Slow f

@@ -303,10 +303,13 @@ let extension_tests =
             check_int "eps" 0 (Mapping.eps m);
             Fixtures.check_valid m ~throughput:0.1);
     case "fault-free latency exists when schedulable" (fun () ->
-        check_true "latency"
-          (Fault_free.latency ~dag:Fixtures.gauss5 ~platform:(Fixtures.uniform 4)
-             ~throughput:0.1 ()
-          <> None));
+        match
+          Fault_free.run ~dag:Fixtures.gauss5 ~platform:(Fixtures.uniform 4)
+            ~throughput:0.1 ()
+        with
+        | Error f -> Alcotest.failf "fault-free failed: %s" (Types.failure_to_string f)
+        | Ok m ->
+            check_true "latency" (Fixtures.fixed_latency m <> None));
     slow_case "max_throughput returns a feasible point" (fun () ->
         let r =
           Symmetric.max_throughput ~iterations:10 ~dag:Fixtures.gauss5

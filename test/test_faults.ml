@@ -424,7 +424,6 @@ let identity_tests =
             snapshot = None;
             failed = [];
             timed_failures = [ (1, 55.0); (4, 130.0) ];
-            metrics = true;
             record_messages = true;
             faults;
           }
@@ -456,7 +455,6 @@ let identity_tests =
                   snapshot = None;
                   failed = [];
                   timed_failures = [ crash ];
-                  metrics = true;
                   record_messages = true;
                   faults;
                 }

@@ -143,7 +143,7 @@ let simple_run () =
   Mapping.assign m { Replica.id = id 0; proc = 0; sources = [] };
   Mapping.assign m { Replica.id = id 1; proc = 1; sources = [ (0, [ id 0 ]) ] };
   Mapping.assign m { Replica.id = id 2; proc = 0; sources = [ (1, [ id 1 ]) ] };
-  (m, Engine.run m)
+  (m, Fixtures.simulate m)
 
 let export_tests =
   [
@@ -163,7 +163,7 @@ let export_tests =
         let m = Mapping.create ~dag ~platform:(Fixtures.uniform 1) ~eps:0 in
         Mapping.assign m
           { Replica.id = { Replica.task = 0; copy = 0 }; proc = 0; sources = [] };
-        let json = Trace.to_chrome_json m (Engine.run m) in
+        let json = Trace.to_chrome_json m (Fixtures.simulate m) in
         check_true "quotes escaped" (contains json {|the \"src\"|}));
     case "svg gantt contains lanes, boxes and titles" (fun () ->
         let mapping, result = simple_run () in
@@ -183,7 +183,11 @@ let export_tests =
         check_true "non-empty" (size > 200));
     case "trace of a multi-item run has one event set per item" (fun () ->
         let mapping, _ = simple_run () in
-        let result = Engine.run ~n_items:2 ~period:5.0 mapping in
+        let result =
+          Fixtures.simulate
+            ~config:(Engine.Run.closed ~n_items:2 ~period:5.0 ())
+            mapping
+        in
         let json = Trace.to_chrome_json mapping result in
         check_true "item 0" (contains json "#0");
         check_true "item 1" (contains json "#1"));

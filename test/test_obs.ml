@@ -244,7 +244,8 @@ let purity_tests =
             let mapping =
               must_schedule ~mode:Scheduler.Best_effort `Rltf (paper_problem ())
             in
-            ignore (Engine.run ~n_items:2 mapping);
+            ignore
+              (Fixtures.simulate ~config:(Engine.Run.closed ~n_items:2 ()) mapping);
             let reg = Obs.snapshot () in
             check_true "events" (Obs.Registry.counter reg "sim.events_popped" > 0);
             check_int "runs" 1 (Obs.Registry.counter reg "sim.runs");

@@ -13,6 +13,11 @@ let layered_of_seed ?(max_tasks = 40) seed =
 
 let seed_arb = QCheck.int_range 0 100_000
 
+(* Byte-for-byte float equality: NaN = NaN, and -0.0 <> 0.0, which is
+   exactly the determinism contract of Parallel.map_seeded. *)
+let float_bits_equal x y =
+  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
 (* ------------------------------------------------------------------ *)
 (* Graph properties                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -303,7 +308,7 @@ let prop_single_failure_survival =
         | Error _ -> QCheck.assume_fail ()
         | Ok m ->
             List.for_all
-              (fun p -> Engine.latency ~failed:[ p ] m <> None)
+              (fun p -> Fixtures.fixed_latency ~failed:[ p ] m <> None)
               (Platform.procs prob.Types.platform))
 
 let prop_derive_tolerant =
@@ -332,7 +337,9 @@ let prop_derive_tolerant =
 
 (* Three independent implementations decide whether a failure set defeats a
    schedule: the static validator, the discrete-event engine, and the
-   stage-synchronous model.  They must always agree. *)
+   stage-synchronous model.  They must always agree.  The engine's answer
+   comes through [Crash.estimate]'s [Fixed] replay, which must also equal a
+   plain [Engine.simulate] of the same failure set bit for bit. *)
 let prop_survival_consistency =
   QCheck.Test.make
     ~name:"validator, engine and stage model agree on survival" ~count:30
@@ -349,9 +356,16 @@ let prop_survival_consistency =
               (List.init (min n_failures m_procs) (fun _ -> Rng.int rng m_procs))
           in
           let validator = Validate.survives m ~failed in
-          let engine = Engine.latency ~failed m <> None in
+          let estimate = Fixtures.fixed_latency ~failed m in
+          let replay =
+            (Fixtures.simulate
+               ~config:{ (Engine.Run.closed ()) with Engine.Run.failed } m)
+              .Engine.item_latency.(0)
+          in
+          let engine = estimate <> None in
           let stage = Stage_latency.effective_depth ~failed m <> None in
-          validator = engine && engine = stage)
+          validator = engine && engine = stage
+          && Option.equal float_bits_equal estimate replay)
 
 (* The one-port invariants, checked on the engine's own message log: on any
    processor, transfers it sends must not overlap pairwise, and neither may
@@ -363,7 +377,9 @@ let prop_engine_one_port =
       match Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob with
       | Error _ -> QCheck.assume_fail ()
       | Ok m ->
-          let result = Engine.run ~n_items:3 m in
+          let result =
+            Fixtures.simulate ~config:(Engine.Run.closed ~n_items:3 ()) m
+          in
           let proc_of (inst : Engine.instance) =
             (Mapping.replica_exn m inst.Engine.rep.Replica.task
                inst.Engine.rep.Replica.copy)
@@ -434,7 +450,7 @@ let prop_engine_latency_lower_bound =
       match Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob with
       | Error _ -> QCheck.assume_fail ()
       | Ok m -> (
-          match Engine.latency m with
+          match Fixtures.fixed_latency m with
           | None -> false
           | Some latency ->
               let slowest_needed =
@@ -472,11 +488,6 @@ let prop_workflow_io_roundtrip =
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep engine                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Byte-for-byte float equality: NaN = NaN, and -0.0 <> 0.0, which is
-   exactly the determinism contract of Parallel.map_seeded. *)
-let float_bits_equal x y =
-  Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let trial_bits_equal (a : Fig_common.trial_result) (b : Fig_common.trial_result)
     =

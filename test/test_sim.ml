@@ -4,6 +4,13 @@ let case = Fixtures.case
 let check_float = Fixtures.check_float
 let check_int = Fixtures.check_int
 let check_true = Fixtures.check_true
+let simulate = Fixtures.simulate
+let fixed_latency = Fixtures.fixed_latency
+
+(* A closed-traffic config with failures and a resume snapshot. *)
+let closed ?n_items ?period ?(failed = []) ?(timed_failures = []) ?snapshot ()
+    =
+  { (Engine.Run.closed ?n_items ?period ()) with failed; timed_failures; snapshot }
 
 let id task copy = { Replica.task; copy }
 
@@ -73,7 +80,7 @@ let engine_tests =
         place m 0 0 0 [];
         place m 1 0 0 [ (0, [ id 0 0 ]) ];
         place m 2 0 0 [ (1, [ id 1 0 ]) ];
-        let r = Engine.run m in
+        let r = simulate m in
         check_float "t0 start" 0.0 (Option.get (r.Engine.start_time 0 (id 0 0)));
         check_float "t1 start" 1.0 (Option.get (r.Engine.start_time 0 (id 1 0)));
         check_float "t2 finish" 3.0 (Option.get (r.Engine.finish_time 0 (id 2 0)));
@@ -83,7 +90,7 @@ let engine_tests =
         place m 0 0 0 [];
         place m 1 0 1 [ (0, [ id 0 0 ]) ];
         place m 2 0 0 [ (1, [ id 1 0 ]) ];
-        let r = Engine.run m in
+        let r = simulate m in
         (* exec 1 + comm 1 + exec 1 + comm 1 + exec 1 *)
         check_float "latency" 5.0 (Option.get r.Engine.item_latency.(0));
         check_int "two transfers" 2 (List.length r.Engine.messages));
@@ -96,7 +103,7 @@ let engine_tests =
         place m 0 0 0 [];
         place m 1 0 1 [ (0, [ id 0 0 ]) ];
         place m 2 0 2 [ (0, [ id 0 0 ]) ];
-        let r = Engine.run m in
+        let r = simulate m in
         let finishes =
           List.sort compare
             [
@@ -116,7 +123,7 @@ let engine_tests =
         place m 0 0 0 [];
         place m 1 0 0 [ (0, [ id 0 0 ]) ];
         place m 2 0 0 [ (0, [ id 0 0 ]) ];
-        let r = Engine.run m in
+        let r = simulate m in
         check_float "no messages, pure compute" 3.0
           (Option.get r.Engine.item_latency.(0));
         check_int "no transfers" 0 (List.length r.Engine.messages));
@@ -127,13 +134,13 @@ let engine_tests =
         place m 0 0 2 [];
         place m 1 0 2 [ (0, [ id 0 0 ]) ];
         place m 2 0 2 [ (1, [ id 1 0 ]) ];
-        let r = Engine.run m in
+        let r = simulate m in
         (* speed 0.5: each task takes 2 *)
         check_float "latency" 6.0 (Option.get r.Engine.item_latency.(0)));
     case "latency of the empty mapping run" (fun () ->
         let m = Mapping.create ~dag:Fixtures.singleton ~platform:(Fixtures.uniform 1) ~eps:0 in
         place m 0 0 0 [];
-        check_float "one task" 1.0 (Option.get (Engine.latency m)));
+        check_float "one task" 1.0 (Option.get (fixed_latency m)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -153,18 +160,18 @@ let lanes () =
 let failure_tests =
   [
     case "healthy lanes" (fun () ->
-        check_float "latency" 3.0 (Option.get (Engine.latency (lanes ()))));
+        check_float "latency" 3.0 (Option.get (fixed_latency (lanes ()))));
     case "one lane down still delivers" (fun () ->
-        check_float "latency" 3.0 (Option.get (Engine.latency ~failed:[ 0 ] (lanes ()))));
+        check_float "latency" 3.0 (Option.get (fixed_latency ~failed:[ 0 ] (lanes ()))));
     case "both lanes down lose the item" (fun () ->
-        check_true "lost" (Engine.latency ~failed:[ 0; 1 ] (lanes ()) = None));
+        check_true "lost" (fixed_latency ~failed:[ 0; 1 ] (lanes ()) = None));
     case "failing an idle processor changes nothing" (fun () ->
-        check_float "latency" 3.0 (Option.get (Engine.latency ~failed:[ 3 ] (lanes ()))));
+        check_float "latency" 3.0 (Option.get (fixed_latency ~failed:[ 3 ] (lanes ()))));
     case "dead source forces the slower replica" (fun () ->
         (* t1(0) takes from t0(0) only; t0(0) on a failed proc starves the
            fast lane but the other lane delivers *)
         let m = lanes () in
-        let r = Engine.run ~failed:[ 0 ] m in
+        let r = simulate ~config:(closed ~failed:[ 0 ] ()) m in
         check_true "lane-0 replicas dead" (r.Engine.finish_time 0 (id 2 0) = None);
         check_float "lane-1 exit" 3.0 (Option.get (r.Engine.finish_time 0 (id 2 1))));
     case "full-group sources fall back on the survivor" (fun () ->
@@ -178,9 +185,9 @@ let failure_tests =
         place m 2 1 3 [ (1, [ id 1 1 ]) ];
         (* healthy: first arrival enables; with P0 down, t1 replicas wait
            for t0(1)'s messages but still run *)
-        check_true "healthy" (Engine.latency m <> None);
-        check_true "P0 down survives" (Engine.latency ~failed:[ 0 ] m <> None);
-        check_true "P1 down survives" (Engine.latency ~failed:[ 1 ] m <> None));
+        check_true "healthy" (fixed_latency m <> None);
+        check_true "P0 down survives" (fixed_latency ~failed:[ 0 ] m <> None);
+        check_true "P1 down survives" (fixed_latency ~failed:[ 1 ] m <> None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -194,7 +201,7 @@ let pipeline_tests =
         let m = Mapping.create ~dag ~platform:(Fixtures.uniform 1) ~eps:0 in
         place m 0 0 0 [];
         place m 1 0 0 [ (0, [ id 0 0 ]) ];
-        let r = Engine.run ~n_items:3 ~period:2.0 m in
+        let r = simulate ~config:(closed ~n_items:3 ~period:2.0 ()) m in
         Array.iter
           (fun l -> check_float "steady latency" 2.0 (Option.get l))
           r.Engine.item_latency);
@@ -203,7 +210,7 @@ let pipeline_tests =
         let m = Mapping.create ~dag ~platform:(Fixtures.uniform 1) ~eps:0 in
         place m 0 0 0 [];
         place m 1 0 0 [ (0, [ id 0 0 ]) ];
-        let r = Engine.run ~n_items:3 ~period:1.0 m in
+        let r = simulate ~config:(closed ~n_items:3 ~period:1.0 ()) m in
         let lat i = Option.get r.Engine.item_latency.(i) in
         check_float "item 0" 2.0 (lat 0);
         check_float "item 1" 3.0 (lat 1);
@@ -213,14 +220,14 @@ let pipeline_tests =
     case "sustained throughput needs two completions" (fun () ->
         let m = Mapping.create ~dag:Fixtures.singleton ~platform:(Fixtures.uniform 1) ~eps:0 in
         place m 0 0 0 [];
-        let r = Engine.run ~n_items:1 m in
+        let r = simulate ~config:(closed ~n_items:1 ()) m in
         check_true "none" (Engine.sustained_throughput r = None));
     case "earlier items have priority" (fun () ->
         let dag = Classic.chain ~n:2 ~exec:1.0 ~volume:1.0 in
         let m = Mapping.create ~dag ~platform:(Fixtures.uniform 1) ~eps:0 in
         place m 0 0 0 [];
         place m 1 0 0 [ (0, [ id 0 0 ]) ];
-        let r = Engine.run ~n_items:2 ~period:0.0 m in
+        let r = simulate ~config:(closed ~n_items:2 ~period:0.0 ()) m in
         (* both items injected at 0: item 0 must fully drain first *)
         check_float "item0 t1 finish" 2.0 (Option.get (r.Engine.finish_time 0 (id 1 0)));
         check_true "item1 finishes later"
@@ -228,11 +235,30 @@ let pipeline_tests =
     case "run rejects bad arguments" (fun () ->
         let m = Mapping.create ~dag:Fixtures.singleton ~platform:(Fixtures.uniform 1) ~eps:0 in
         Alcotest.check_raises "incomplete" (Invalid_argument "") (fun () ->
-            try ignore (Engine.run m) with Invalid_argument _ -> raise (Invalid_argument ""));
+            try ignore (simulate m) with Invalid_argument _ -> raise (Invalid_argument ""));
         place m 0 0 0 [];
         Alcotest.check_raises "n_items" (Invalid_argument "") (fun () ->
-            try ignore (Engine.run ~n_items:0 m)
+            try ignore (simulate ~config:(closed ~n_items:0 ()) m)
             with Invalid_argument _ -> raise (Invalid_argument "")));
+    case "simulate rejects out-of-range processors and NaN inputs" (fun () ->
+        (* lanes () runs on 4 processors *)
+        List.iter
+          (fun (what, config) ->
+            match simulate ~config (lanes ()) with
+            | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+            | exception Invalid_argument msg ->
+                check_true
+                  (Printf.sprintf "%s: message names Engine.simulate: %s" what msg)
+                  (String.starts_with ~prefix:"Engine.simulate:" msg))
+          [
+            ("failed = [7]", closed ~failed:[ 7 ] ());
+            ("failed = [-1]", closed ~failed:[ -1 ] ());
+            ("timed processor 9", closed ~timed_failures:[ (9, 1.0) ] ());
+            ("down = [5]", closed ~snapshot:{ Engine.clock = 0.0; down = [ 5 ] } ());
+            ("NaN failure time", closed ~timed_failures:[ (0, nan) ] ());
+            ("NaN period", closed ~period:nan ());
+            ("infinite period", closed ~n_items:2 ~period:infinity ());
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -243,12 +269,12 @@ let timed_failure_tests =
   [
     case "a crash after completion changes nothing" (fun () ->
         let m = lanes () in
-        let r = Engine.run ~timed_failures:[ (0, 100.0) ] m in
+        let r = simulate ~config:(closed ~timed_failures:[ (0, 100.0) ] ()) m in
         check_float "latency" 3.0 (Option.get r.Engine.item_latency.(0)));
     case "a crash at time zero equals the fail-silent case" (fun () ->
         let m = lanes () in
-        let a = Engine.run ~failed:[ 0 ] m in
-        let b = Engine.run ~timed_failures:[ (0, 0.0) ] m in
+        let a = simulate ~config:(closed ~failed:[ 0 ] ()) m in
+        let b = simulate ~config:(closed ~timed_failures:[ (0, 0.0) ] ()) m in
         check_float "same latency"
           (Option.get a.Engine.item_latency.(0))
           (Option.get b.Engine.item_latency.(0)));
@@ -256,14 +282,14 @@ let timed_failure_tests =
         (* lane 0 executes t0 in [0,1], t1 in [1,2], t2 in [2,3]; crash P0
            at 1.5 loses t1(0) and t2(0) but lane 1 still delivers *)
         let m = lanes () in
-        let r = Engine.run ~timed_failures:[ (0, 1.5) ] m in
+        let r = simulate ~config:(closed ~timed_failures:[ (0, 1.5) ] ()) m in
         check_float "t0(0) survived" 1.0
           (Option.get (r.Engine.finish_time 0 (id 0 0)));
         check_true "t1(0) lost" (r.Engine.finish_time 0 (id 1 0) = None);
         check_float "lane 1 delivers" 3.0 (Option.get r.Engine.item_latency.(0)));
     case "work finishing exactly at the crash instant survives" (fun () ->
         let m = lanes () in
-        let r = Engine.run ~timed_failures:[ (0, 2.0) ] m in
+        let r = simulate ~config:(closed ~timed_failures:[ (0, 2.0) ] ()) m in
         check_float "t1(0) survives the boundary" 2.0
           (Option.get (r.Engine.finish_time 0 (id 1 0)));
         check_true "t2(0) lost" (r.Engine.finish_time 0 (id 2 0) = None));
@@ -275,7 +301,7 @@ let timed_failure_tests =
         let m = Mapping.create ~dag ~platform:(Fixtures.uniform 2) ~eps:0 in
         place m 0 0 0 [];
         place m 1 0 1 [ (0, [ id 0 0 ]) ];
-        let r = Engine.run ~timed_failures:[ (0, 1.5) ] m in
+        let r = simulate ~config:(closed ~timed_failures:[ (0, 1.5) ] ()) m in
         check_true "output lost" (r.Engine.item_latency.(0) = None);
         check_int "no completed transfer" 0 (List.length r.Engine.messages));
     case "later items fail over to the surviving lane mid-stream" (fun () ->
@@ -283,21 +309,24 @@ let timed_failure_tests =
         (* P0 crashes during item 1: item 0 comes from lane 0, item 1's
            output must still be delivered by lane 1 *)
         let r =
-          Engine.run ~n_items:3 ~period:10.0 ~timed_failures:[ (0, 12.0) ] m
+          simulate
+            ~config:(closed ~n_items:3 ~period:10.0 ~timed_failures:[ (0, 12.0) ] ())
+            m
         in
         Array.iter
           (fun l -> check_true "every item delivered" (l <> None))
           r.Engine.item_latency);
     case "negative failure times are rejected" (fun () ->
         Alcotest.check_raises "negative" (Invalid_argument "") (fun () ->
-            try ignore (Engine.run ~timed_failures:[ (0, -1.0) ] (lanes ()))
+            try
+              ignore (simulate ~config:(closed ~timed_failures:[ (0, -1.0) ] ()) (lanes ()))
             with Invalid_argument _ -> raise (Invalid_argument "")));
     case "duplicate processors in timed_failures are rejected" (fun () ->
         Alcotest.check_raises "duplicate" (Invalid_argument "") (fun () ->
             try
               ignore
-                (Engine.run
-                   ~timed_failures:[ (0, 1.0); (0, 2.0) ]
+                (simulate
+                   ~config:(closed ~timed_failures:[ (0, 1.0); (0, 2.0) ] ())
                    (lanes ()))
             with Invalid_argument _ -> raise (Invalid_argument "")));
     case "a crash at time zero equals fail-silent on paper instances (QCheck)"
@@ -311,8 +340,10 @@ let timed_failure_tests =
                  ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
           in
           let p = seed mod Platform.size (Mapping.platform m) in
-          let a = Engine.run ~n_items:3 ~failed:[ p ] m in
-          let b = Engine.run ~n_items:3 ~timed_failures:[ (p, 0.0) ] m in
+          let a = simulate ~config:(closed ~n_items:3 ~failed:[ p ] ()) m in
+          let b =
+            simulate ~config:(closed ~n_items:3 ~timed_failures:[ (p, 0.0) ] ()) m
+          in
           let lat r =
             Array.to_list
               (Array.map
@@ -345,11 +376,13 @@ let epoch_tests =
   [
     case "a clock shift leaves per-item latencies bit-identical" (fun () ->
         let m = lanes () in
-        let base = Engine.run ~n_items:3 ~period:10.0 m in
+        let base = simulate ~config:(closed ~n_items:3 ~period:10.0 ()) m in
         let shifted =
-          Engine.run
-            ~snapshot:{ Engine.clock = 7.5; down = [] }
-            ~n_items:3 ~period:10.0 m
+          simulate
+            ~config:
+              (closed ~snapshot:{ Engine.clock = 7.5; down = [] } ~n_items:3
+                 ~period:10.0 ())
+            m
         in
         Alcotest.(check (list int64))
           "latencies are injection-relative" (lat_bits base) (lat_bits shifted);
@@ -358,32 +391,42 @@ let epoch_tests =
           shifted.Engine.makespan);
     case "snapshot.down equals failed" (fun () ->
         let m = lanes () in
-        let a = Engine.run ~n_items:2 ~period:10.0 ~failed:[ 0 ] m in
+        let a =
+          simulate ~config:(closed ~n_items:2 ~period:10.0 ~failed:[ 0 ] ()) m
+        in
         let b =
-          Engine.run
-            ~snapshot:{ Engine.clock = 0.0; down = [ 0 ] }
-            ~n_items:2 ~period:10.0 m
+          simulate
+            ~config:
+              (closed ~snapshot:{ Engine.clock = 0.0; down = [ 0 ] } ~n_items:2
+                 ~period:10.0 ())
+            m
         in
         Alcotest.(check (list int64)) "same outcome" (lat_bits a) (lat_bits b));
     case "a crash at or before the resume clock is statically pruned"
       (fun () ->
         let m = lanes () in
         let via_down =
-          Engine.run
-            ~snapshot:{ Engine.clock = 5.0; down = [ 0 ] }
-            ~n_items:2 ~period:10.0 m
+          simulate
+            ~config:
+              (closed ~snapshot:{ Engine.clock = 5.0; down = [ 0 ] } ~n_items:2
+                 ~period:10.0 ())
+            m
         in
         let via_timed =
-          Engine.run
-            ~snapshot:{ Engine.clock = 5.0; down = [] }
-            ~n_items:2 ~period:10.0 ~timed_failures:[ (0, 3.0) ] m
+          simulate
+            ~config:
+              (closed ~snapshot:{ Engine.clock = 5.0; down = [] } ~n_items:2
+                 ~period:10.0 ~timed_failures:[ (0, 3.0) ] ())
+            m
         in
         Alcotest.(check (list int64))
           "same outcome" (lat_bits via_down) (lat_bits via_timed));
     case "boot snapshot equals not passing one" (fun () ->
         let m = lanes () in
-        let a = Engine.run ~n_items:2 ~period:10.0 m in
-        let b = Engine.run ~snapshot:Engine.boot ~n_items:2 ~period:10.0 m in
+        let a = simulate ~config:(closed ~n_items:2 ~period:10.0 ()) m in
+        let b =
+          simulate ~config:(closed ~snapshot:Engine.boot ~n_items:2 ~period:10.0 ()) m
+        in
         Alcotest.(check (list int64)) "identical" (lat_bits a) (lat_bits b);
         check_float "same makespan" a.Engine.makespan b.Engine.makespan);
     case "a mid-epoch crash after resume loses the in-flight work" (fun () ->
@@ -391,10 +434,12 @@ let epoch_tests =
            resuming at 10 must still deliver every item via lane 1 *)
         let m = lanes () in
         let r =
-          Engine.run
-            ~snapshot:{ Engine.clock = 10.0; down = [] }
-            ~n_items:2 ~period:10.0
-            ~timed_failures:[ (0, 21.5) ]
+          simulate
+            ~config:
+              (closed ~snapshot:{ Engine.clock = 10.0; down = [] } ~n_items:2
+                 ~period:10.0
+                 ~timed_failures:[ (0, 21.5) ]
+                 ())
             m
         in
         Array.iter
@@ -408,8 +453,8 @@ let epoch_tests =
             Alcotest.check_raises "bad clock" (Invalid_argument "") (fun () ->
                 try
                   ignore
-                    (Engine.run
-                       ~snapshot:{ Engine.clock; down = [] }
+                    (simulate
+                       ~config:(closed ~snapshot:{ Engine.clock; down = [] } ())
                        (lanes ()))
                 with Invalid_argument _ -> raise (Invalid_argument "")))
           [ -1.0; Float.nan; Float.infinity ]);
@@ -673,7 +718,7 @@ let crash_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Compiled programs: run_compiled ≡ run                               *)
+(* Compiled programs: a fresh compile ≡ a reused program and arena     *)
 (* ------------------------------------------------------------------ *)
 
 (* Bit-exact serialization of everything a result exposes: the full
@@ -734,7 +779,7 @@ let digest_of_result (r : Engine.result) =
 
 let compiled_tests =
   [
-    case "run_compiled ≡ run on random draws and epochs (QCheck)" (fun () ->
+    case "a fresh compile equals a reused program and arena (QCheck)" (fun () ->
         let prop seed =
           let inst = Fixtures.paper_instance ~seed () in
           let throughput = Paper_workload.throughput ~eps:1 in
@@ -743,34 +788,29 @@ let compiled_tests =
               (Types.problem ~dag:inst.Paper_workload.dag
                  ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
           in
-          (* One program serves every scenario: a run must leave no state
-             behind in it. *)
+          (* One program and one arena serve every scenario: a run must
+             leave no state behind in either. *)
           let prog = Engine.compile m in
+          let state = Engine.Run_state.create prog in
           let n_procs = Platform.size (Mapping.platform m) in
           let p1 = seed mod n_procs and p2 = (seed / 7) mod n_procs in
-          let scenarios =
+          let configs =
             [
-              (fun () -> (Engine.run ~n_items:3 m, Engine.run_compiled ~n_items:3 prog));
-              (fun () ->
-                ( Engine.run ~n_items:2 ~failed:[ p1 ] m,
-                  Engine.run_compiled ~n_items:2 ~failed:[ p1 ] prog ));
-              (fun () ->
-                let tf = [ (p1, 40.0) ] in
-                ( Engine.run ~n_items:4 ~timed_failures:tf m,
-                  Engine.run_compiled ~n_items:4 ~timed_failures:tf prog ));
-              (fun () ->
-                let snap = { Engine.clock = 30.0; down = [ p2 ] } in
-                let tf = if p1 = p2 then [] else [ (p1, 75.0) ] in
-                ( Engine.run ~snapshot:snap ~n_items:3 ~timed_failures:tf m,
-                  Engine.run_compiled ~snapshot:snap ~n_items:3 ~timed_failures:tf
-                    prog ));
+              closed ~n_items:3 ();
+              closed ~n_items:2 ~failed:[ p1 ] ();
+              closed ~n_items:4 ~timed_failures:[ (p1, 40.0) ] ();
+              closed
+                ~snapshot:{ Engine.clock = 30.0; down = [ p2 ] }
+                ~n_items:3
+                ~timed_failures:(if p1 = p2 then [] else [ (p1, 75.0) ])
+                ();
             ]
           in
           List.for_all
-            (fun scenario ->
-              let legacy, compiled = scenario () in
-              result_fingerprint m legacy = result_fingerprint m compiled)
-            scenarios
+            (fun config ->
+              let fresh = result_fingerprint m (simulate ~config m) in
+              fresh = result_fingerprint m (Engine.simulate ~state ~config prog))
+            configs
           (* and the stage model's plan replays identically too *)
           && (let plan = Stage_latency.compile m in
               Stage_latency.depth_of_plan plan = Stage_latency.effective_depth m
@@ -778,7 +818,7 @@ let compiled_tests =
                  = Stage_latency.effective_depth ~failed:[ p1; p2 ] m)
         in
         QCheck.Test.check_exn
-          (QCheck.Test.make ~count:10 ~name:"run_compiled-equals-run"
+          (QCheck.Test.make ~count:10 ~name:"fresh-compile-equals-reused"
              QCheck.(int_range 0 10_000)
              prop));
     case "pinned message-log digest on a paper-scale workload" (fun () ->
@@ -794,7 +834,9 @@ let compiled_tests =
                ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
         in
         let r =
-          Engine.run ~n_items:8 ~timed_failures:[ (1, 55.0); (4, 130.0) ] m
+          simulate
+            ~config:(closed ~n_items:8 ~timed_failures:[ (1, 55.0); (4, 130.0) ] ())
+            m
         in
         check_int "message count" 1415 (List.length r.Engine.messages);
         Alcotest.(check string)
@@ -818,20 +860,22 @@ let compiled_tests =
           check_float "consumer starts at first arrival" 2.0
             (Option.get (r.Engine.start_time 0 (id 1 0)))
         in
-        check_result (Engine.run m);
-        check_result (Engine.run_compiled (Engine.compile m)));
+        check_result (simulate m));
     case "a program is reusable: back-to-back runs are identical" (fun () ->
         let m = lanes () in
         let prog = Engine.compile m in
-        let a = Engine.run_compiled ~n_items:3 ~period:1.5 prog in
-        let b = Engine.run_compiled ~n_items:3 ~period:1.5 prog in
+        let config = closed ~n_items:3 ~period:1.5 () in
+        let a = Engine.simulate ~config prog in
+        let b = Engine.simulate ~config prog in
         Alcotest.(check string)
           "no state leaks between runs" (result_fingerprint m a)
           (result_fingerprint m b);
         let crashy =
-          Engine.run_compiled ~n_items:2 ~timed_failures:[ (0, 1.5) ] prog
+          Engine.simulate
+            ~config:(closed ~n_items:2 ~timed_failures:[ (0, 1.5) ] ())
+            prog
         in
-        let again = Engine.run_compiled ~n_items:3 ~period:1.5 prog in
+        let again = Engine.simulate ~config prog in
         check_true "a crashy run does not poison the program"
           (result_fingerprint m again = result_fingerprint m a);
         check_true "crashy run lost lane 0's tail"
@@ -913,11 +957,11 @@ let arena_cache_tests =
           (QCheck.Test.make ~count:6 ~name:"estimate-jobs-identity"
              QCheck.(int_range 0 10_000)
              prop));
-    case "arena reuse and reset reproduce the pinned digest" (fun () ->
+    case "a dirtied arena reproduces the pinned digest" (fun () ->
         (* The exact workload of the pinned message-log digest above, run
            through an arena that a different (open-traffic) scenario has
-           already dirtied: reused-and-reset and reused-without-reset must
-           both reproduce the legacy engine's bytes. *)
+           already dirtied: the reused arena must reproduce the pinned
+           bytes. *)
         let rng = Rng.create ~seed:2009 in
         let inst = Spec.generate Spec.default ~rng ~granularity:1.0 () in
         let throughput = Paper_workload.throughput ~eps:1 in
@@ -927,17 +971,7 @@ let arena_cache_tests =
                ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
         in
         let prog = Engine.compile m in
-        let pinned =
-          {
-            Engine.Run.traffic = Engine.Run.Closed { n_items = 8; period = None };
-            snapshot = None;
-            failed = [];
-            timed_failures = [ (1, 55.0); (4, 130.0) ];
-            metrics = true;
-            record_messages = true;
-            faults = Faults.none;
-          }
-        in
+        let pinned = closed ~n_items:8 ~timed_failures:[ (1, 55.0); (4, 130.0) ] () in
         let state = Engine.Run_state.create prog in
         let dirty () =
           ignore
@@ -950,14 +984,8 @@ let arena_cache_tests =
         dirty ();
         let reused = Engine.simulate ~state ~config:pinned prog in
         Alcotest.(check string)
-          "dirty arena, no reset" "86751422180444b1ec5c84c1e9506b12"
-          (digest_of_result reused);
-        dirty ();
-        Engine.Run_state.reset state;
-        let reset_run = Engine.simulate ~state ~config:pinned prog in
-        Alcotest.(check string)
-          "dirty arena, explicit reset" "86751422180444b1ec5c84c1e9506b12"
-          (digest_of_result reset_run));
+          "dirty arena" "86751422180444b1ec5c84c1e9506b12"
+          (digest_of_result reused));
     case "an arena is rejected by a program of another shape" (fun () ->
         let state = Engine.Run_state.create (Engine.compile (lanes ())) in
         let other = Engine.compile (chain_mapping 1.0) in

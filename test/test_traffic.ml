@@ -227,7 +227,9 @@ let prop_degenerate_open_is_closed =
       | Some mapping ->
           let prog = Engine.compile mapping in
           let period = Engine.program_period prog in
-          let closed = Engine.run_compiled ~n_items ~period prog in
+          let closed =
+            Engine.simulate ~config:(Engine.Run.closed ~n_items ~period ()) prog
+          in
           let opened =
             Engine.simulate
               ~config:
@@ -253,7 +255,9 @@ let prop_degenerate_under_failures =
           let m = Platform.size (Mapping.platform mapping) in
           let timed_failures = [ (seed mod m, 1.5 *. period) ] in
           let closed =
-            Engine.run_compiled ~n_items ~period ~timed_failures prog
+            Engine.simulate
+              ~config:{ (Engine.Run.closed ~n_items ~period ()) with timed_failures }
+              prog
           in
           let opened =
             Engine.simulate
