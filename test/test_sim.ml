@@ -777,6 +777,89 @@ let digest_of_result (r : Engine.result) =
     (Printf.sprintf "P%h;M%h" r.Engine.period r.Engine.makespan);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* [result_fingerprint] plus the open-traffic and fault ledgers
+   (arrivals, injections, dropped / stalled / peak queue / stall time and
+   every [fault_stats] field), hashed. *)
+let full_digest m (r : Engine.result) =
+  let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  let f = r.Engine.faults in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          [
+            result_fingerprint m r;
+            floats r.Engine.arrivals;
+            floats r.Engine.injections;
+            Printf.sprintf "D%d;S%d;Q%d;T%h" r.Engine.dropped r.Engine.stalled
+              r.Engine.peak_queue r.Engine.stall_time;
+            Printf.sprintf "R%d;B%h;E%d;C%d;X%d;%s;G%d;L%d" f.Engine.retries
+              f.Engine.backoff_time f.Engine.exec_faults f.Engine.comm_faults
+              f.Engine.exhausted
+              (String.concat "," (Array.to_list (Array.map string_of_int f.Engine.exhausted_on)))
+              f.Engine.slowed_attempts f.Engine.degraded_transfers;
+          ]))
+
+(* The seed-2009 [Spec.default] R-LTF mapping every pinned digest runs. *)
+let pinned_mapping () =
+  let inst = Fixtures.paper_instance ~seed:2009 () in
+  Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+    (Types.problem ~dag:inst.Paper_workload.dag ~platform:inst.Paper_workload.plat
+       ~eps:1 ~throughput:(Paper_workload.throughput ~eps:1))
+
+let fault_scenario =
+  {
+    Faults.transient =
+      {
+        Faults.Transient.exec_rate = 0.05;
+        comm_rate = 0.05;
+        exec_windows = [ (2, 20.0, 40.0) ];
+        comm_windows = [ (3, 10.0, 30.0) ];
+        seed = 7;
+      };
+    retry = Faults.Backoff.make ~base_delay:0.5 ~max_retries:3 ();
+    gray =
+      {
+        Faults.Gray.stragglers =
+          [ (1, { Faults.Gray.g_from = 0.0; g_until = 80.0; factor = 1.5 }) ];
+        links = [ ((4, 7), { Faults.Gray.g_from = 0.0; g_until = 100.0; factor = 2.0 }) ];
+      };
+  }
+
+(* One config per engine path the closed-mode digest leaves unguarded:
+   bounded Block and Drop_newest queues, transient and gray faults, timed
+   failures under open traffic and a snapshot resume.  [q] is the
+   mapping's period. *)
+let pinned_configs q =
+  [
+    ( "open Poisson, Block, bound 4",
+      Engine.Run.open_ ~queue_bound:4 ~policy:Engine.Run.Block
+        ~rng:(Rng.create ~seed:11) ~n_items:40
+        (Arrival.Poisson { rate = 1.3 /. q }) );
+    ( "open MMPP, Drop_newest, bound 1",
+      Engine.Run.open_ ~queue_bound:1 ~policy:Engine.Run.Drop_newest
+        ~rng:(Rng.create ~seed:12) ~n_items:40
+        (Arrival.Mmpp
+           {
+             burst_rate = 3.0 /. q;
+             idle_rate = 0.3 /. q;
+             mean_burst = 5.0 *. q;
+             mean_idle = 5.0 *. q;
+           }) );
+    ( "closed, transient and gray faults",
+      Engine.Run.with_faults fault_scenario (closed ~n_items:8 ()) );
+    ( "open, two timed failures",
+      {
+        (Engine.Run.open_ ~queue_bound:4 ~rng:(Rng.create ~seed:13) ~n_items:30
+           (Arrival.Poisson { rate = 0.9 /. q }))
+        with
+        Engine.Run.timed_failures = [ (1, 55.0); (4, 130.0) ];
+      } );
+    ( "snapshot resume",
+      closed
+        ~snapshot:{ Engine.clock = 30.0; down = [ 2 ] }
+        ~n_items:6 ~timed_failures:[ (5, 90.0) ] () );
+  ]
+
 let compiled_tests =
   [
     case "a fresh compile equals a reused program and arena (QCheck)" (fun () ->
@@ -789,28 +872,54 @@ let compiled_tests =
                  ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
           in
           (* One program and one arena serve every scenario: a run must
-             leave no state behind in either. *)
+             leave no state behind in either.  Configs are thunks so each
+             run draws its open-traffic arrivals from a fresh generator. *)
           let prog = Engine.compile m in
           let state = Engine.Run_state.create prog in
           let n_procs = Platform.size (Mapping.platform m) in
           let p1 = seed mod n_procs and p2 = (seed / 7) mod n_procs in
+          let q = Engine.program_period prog in
+          let arrivals ~n_items ?queue_bound ?policy load =
+            Engine.Run.open_ ?queue_bound ?policy ~rng:(Rng.create ~seed) ~n_items
+              (Arrival.Poisson { rate = load /. q })
+          in
+          let faults =
+            {
+              fault_scenario with
+              Faults.transient = { fault_scenario.Faults.transient with seed };
+            }
+          in
           let configs =
             [
-              closed ~n_items:3 ();
-              closed ~n_items:2 ~failed:[ p1 ] ();
-              closed ~n_items:4 ~timed_failures:[ (p1, 40.0) ] ();
-              closed
-                ~snapshot:{ Engine.clock = 30.0; down = [ p2 ] }
-                ~n_items:3
-                ~timed_failures:(if p1 = p2 then [] else [ (p1, 75.0) ])
-                ();
+              (fun () -> closed ~n_items:3 ());
+              (fun () -> closed ~n_items:2 ~failed:[ p1 ] ());
+              (fun () -> closed ~n_items:4 ~timed_failures:[ (p1, 40.0) ] ());
+              (fun () ->
+                closed
+                  ~snapshot:{ Engine.clock = 30.0; down = [ p2 ] }
+                  ~n_items:3
+                  ~timed_failures:(if p1 = p2 then [] else [ (p1, 75.0) ])
+                  ());
+              (fun () -> arrivals ~n_items:12 ~queue_bound:(1 + (seed mod 4)) 1.3);
+              (fun () -> arrivals ~n_items:12 ~queue_bound:1 ~policy:Engine.Run.Drop_newest 1.5);
+              (fun () -> arrivals ~n_items:8 ~policy:Engine.Run.Drop_newest 1.2);
+              (fun () -> arrivals ~n_items:8 0.8);
+              (fun () -> Engine.Run.with_faults faults (closed ~n_items:3 ()));
+              (fun () ->
+                {
+                  (Engine.Run.with_faults faults (arrivals ~n_items:10 ~queue_bound:2 1.1))
+                  with
+                  Engine.Run.timed_failures = [ (p1, 40.0) ];
+                });
             ]
           in
+          (* Forward then backward, so every config also runs right after
+             a different one has dirtied the arena. *)
           List.for_all
             (fun config ->
-              let fresh = result_fingerprint m (simulate ~config m) in
-              fresh = result_fingerprint m (Engine.simulate ~state ~config prog))
-            configs
+              let fresh = full_digest m (simulate ~config:(config ()) m) in
+              fresh = full_digest m (Engine.simulate ~state ~config:(config ()) prog))
+            (configs @ List.rev configs)
           (* and the stage model's plan replays identically too *)
           && (let plan = Stage_latency.compile m in
               Stage_latency.depth_of_plan plan = Stage_latency.effective_depth m
@@ -825,14 +934,7 @@ let compiled_tests =
         (* Byte-identity guard: this digest was recorded with the legacy
            list-based engine before the compile/run split.  Any change to
            event order, tie-breaks or float expressions breaks it. *)
-        let rng = Rng.create ~seed:2009 in
-        let inst = Spec.generate Spec.default ~rng ~granularity:1.0 () in
-        let throughput = Paper_workload.throughput ~eps:1 in
-        let m =
-          Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
-            (Types.problem ~dag:inst.Paper_workload.dag
-               ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
-        in
+        let m = pinned_mapping () in
         let r =
           simulate
             ~config:(closed ~n_items:8 ~timed_failures:[ (1, 55.0); (4, 130.0) ] ())
@@ -841,6 +943,24 @@ let compiled_tests =
         check_int "message count" 1415 (List.length r.Engine.messages);
         Alcotest.(check string)
           "digest" "86751422180444b1ec5c84c1e9506b12" (digest_of_result r));
+    case "pinned digests of the open, fault and resume paths" (fun () ->
+        (* Recorded before the event-driven dispatch rewrite: any change
+           to event order, tie-breaks, admission or fault draws on these
+           paths breaks one of them. *)
+        let m = pinned_mapping () in
+        let prog = Engine.compile m in
+        List.iter2
+          (fun (name, config) expected ->
+            let r = Engine.simulate ~config prog in
+            Alcotest.(check string) name expected (full_digest m r))
+          (pinned_configs (Engine.program_period prog))
+          [
+            "135591b1b56439aa52b40d19c8e079c2";
+            "7e6e03a54b4de3731cf499b163c61db4";
+            "03d5590b02905ea67dc39f83850d6c57";
+            "96f0995c0ebcde7ddaecade8f38d408d";
+            "829ba11c399e10373fab2dea8f0be312";
+          ]);
     case "identically-shaped messages both serialize on the port" (fun () ->
         (* A source listed twice yields two structurally identical pending
            transfers; removal by index (not structural or physical
@@ -962,14 +1082,7 @@ let arena_cache_tests =
            through an arena that a different (open-traffic) scenario has
            already dirtied: the reused arena must reproduce the pinned
            bytes. *)
-        let rng = Rng.create ~seed:2009 in
-        let inst = Spec.generate Spec.default ~rng ~granularity:1.0 () in
-        let throughput = Paper_workload.throughput ~eps:1 in
-        let m =
-          Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
-            (Types.problem ~dag:inst.Paper_workload.dag
-               ~platform:inst.Paper_workload.plat ~eps:1 ~throughput)
-        in
+        let m = pinned_mapping () in
         let prog = Engine.compile m in
         let pinned = closed ~n_items:8 ~timed_failures:[ (1, 55.0); (4, 130.0) ] () in
         let state = Engine.Run_state.create prog in
