@@ -1257,7 +1257,12 @@ let parallel_smoke () =
 
 (* --gc-stats: allocation and collection counts per draw for the slab
    and arena paths — the numbers behind the "alloc" section, in a
-   human-readable dump CI uploads as an artifact. *)
+   human-readable dump CI uploads as an artifact.  Exits 1 when the
+   arena draw allocates more than [arena_draw_ceiling] bytes: per-run
+   engine state belongs in the arena, so the draw must stay near its
+   fixed result-record cost (about 1 KiB). *)
+let arena_draw_ceiling = 2048.0
+
 let gc_stats () =
   Printf.printf "## GC per draw (medium workload, %d draws per shape)\n"
     alloc_iters;
@@ -1265,13 +1270,15 @@ let gc_stats () =
   let shapes =
     [
       ( "fresh slabs + message log (legacy draw)",
+        infinity,
         fun () -> ignore (Sys.opaque_identity (slab_draw ~failed:[ 0 ])) );
       ( "arena reuse, log off (estimate draw)",
+        arena_draw_ceiling,
         fun () -> ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ])) );
     ]
   in
   List.iter
-    (fun (name, thunk) ->
+    (fun (name, ceiling, thunk) ->
       thunk ();
       let s0 = Gc.quick_stat () in
       let b0 = Gc.allocated_bytes () in
@@ -1290,7 +1297,12 @@ let gc_stats () =
         (per s0.Gc.major_words s1.Gc.major_words)
         (per
            (float_of_int s0.Gc.minor_collections)
-           (float_of_int s1.Gc.minor_collections)))
+           (float_of_int s1.Gc.minor_collections));
+      if per b0 b1 > ceiling then begin
+        Printf.eprintf "FAIL %s allocates %.0f bytes per draw (ceiling %.0f)\n"
+          name (per b0 b1) ceiling;
+        exit 1
+      end)
     shapes
 
 let () =

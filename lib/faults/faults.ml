@@ -52,8 +52,10 @@ end
    attempt is a pure hash of (seed, salt, key, attempt) — no stream, no
    order dependence — so the same scenario replays bit-identically
    whatever else the run does, and scaling the rate only grows the
-   failing set (each (key, attempt) keeps its own fixed uniform). *)
-let mix64 z =
+   failing set (each (key, attempt) keeps its own fixed uniform).  The
+   three are inlined so the intermediate Int64s stay unboxed without
+   flambda: a draw allocates nothing. *)
+let[@inline] mix64 z =
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L
   in
@@ -64,9 +66,9 @@ let mix64 z =
 
 let golden = 0x9e3779b97f4a7c15L
 
-let feed st x = mix64 (Int64.add st (Int64.mul golden (Int64.of_int x)))
+let[@inline] feed st x = mix64 (Int64.add st (Int64.mul golden (Int64.of_int x)))
 
-let uniform ~seed ~salt ~key ~attempt =
+let[@inline] uniform ~seed ~salt ~key ~attempt =
   let st = mix64 (Int64.logxor (Int64.of_int seed) 0x5851f42d4c957f2dL) in
   let st = feed st salt in
   let st = feed st key in
@@ -95,8 +97,10 @@ module Transient = struct
     t.exec_rate = 0.0 && t.comm_rate = 0.0 && t.exec_windows = []
     && t.comm_windows = []
 
-  let in_window windows who at =
-    List.exists (fun (u, t0, t1) -> u = who && at >= t0 && at < t1) windows
+  let rec in_window windows who at =
+    match windows with
+    | [] -> false
+    | (u, t0, t1) :: rest -> (u = who && at >= t0 && at < t1) || in_window rest who at
 
   (* Distinct salts keep the execution and communication draw spaces
      disjoint even when the same (key, attempt) pair occurs in both. *)
@@ -130,15 +134,21 @@ module Gray = struct
   let active w at = at >= w.g_from && at < w.g_until
 
   let exec_factor t ~proc ~at =
-    List.fold_left
-      (fun acc (u, w) -> if u = proc && active w at then acc *. w.factor else acc)
-      1.0 t.stragglers
+    match t.stragglers with
+    | [] -> 1.0
+    | stragglers ->
+        List.fold_left
+          (fun acc (u, w) -> if u = proc && active w at then acc *. w.factor else acc)
+          1.0 stragglers
 
   let comm_factor t ~src ~dst ~at =
-    List.fold_left
-      (fun acc ((s, d), w) ->
-        if s = src && d = dst && active w at then acc *. w.factor else acc)
-      1.0 t.links
+    match t.links with
+    | [] -> 1.0
+    | links ->
+        List.fold_left
+          (fun acc ((s, d), w) ->
+            if s = src && d = dst && active w at then acc *. w.factor else acc)
+          1.0 links
 end
 
 (* ---- correlated failure domains ---------------------------------------- *)

@@ -374,6 +374,14 @@ module Run_state = struct
     rs_ready_len : int array;
     rs_pend_data : int array array;
     rs_pend_len : int array;
+    (* dispatch worklists: the processors touched since the last
+       [dispatch_procs] (deduplicated by [rs_touched]) and the send ports
+       with pending transfers ([rs_port_at.(u)] is u's slot in
+       [rs_ports]) *)
+    rs_touched : bool array;
+    rs_touch_list : int array;
+    rs_ports : int array;
+    rs_port_at : int array;
     (* per-replica slabs *)
     rs_dead : bool array;
     rs_occ : int array;
@@ -397,7 +405,7 @@ module Run_state = struct
     mutable rs_opened : Bytes.t;
     mutable rs_sat : Bytes.t;
     (* event queue, message log, deferred local deliveries *)
-    rs_events : int Event_heap.t;
+    rs_events : Event_heap.t;
     mutable rs_log : message option array;
     mutable rs_dl_dst : int array;
     mutable rs_dl_pos : int array;
@@ -421,6 +429,10 @@ module Run_state = struct
       rs_ready_len = Array.make procs 0;
       rs_pend_data = Array.make procs [||];
       rs_pend_len = Array.make procs 0;
+      rs_touched = Array.make procs false;
+      rs_touch_list = Array.make procs 0;
+      rs_ports = Array.make procs 0;
+      rs_port_at = Array.make procs 0;
       rs_dead = Array.make rids true;
       rs_occ = Array.make rids 0;
       rs_pm_src = [||];
@@ -561,7 +573,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
     end
   in
   let exhausted_on = if fz then [||] else Array.make n_procs 0 in
-  let f_retries = ref 0 and f_backoff = ref 0.0 in
+  let f_retries = ref 0 and f_backoff = Array.make 1 0.0 in
   let f_exec = ref 0 and f_comm = ref 0 and f_exhausted = ref 0 in
   let f_slowed = ref 0 and f_degraded = ref 0 in
   let starts = st.rs_starts and finishes = st.rs_finishes in
@@ -589,7 +601,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
   Array.fill recv_free 0 n_procs 0.0;
   let events = st.rs_events in
   Event_heap.clear events;
-  (* Scratch slot for [Event_heap.add_unboxed]: the scheduled time is
+  (* Scratch slot for [Event_heap.add]: the scheduled time is
      stored here (an unboxed float-array store) so the hot add sites
      never box their key. *)
   let ev_key = Array.make 1 0.0 in
@@ -597,7 +609,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
      key here and [handle]/[drain]/the dispatchers read it back as a
      float-array load, so on the fault-free closed-mode path an event
      iteration materialises no boxed float at all. *)
-  let tnow = Array.make 1 0.0 in
+  let tnow = Array.make 1 clock in
   (* The metrics gate is hoisted out of the hot loop: when recording is
      off the run pays exactly one flag read. *)
   let obs = Obs.enabled () in
@@ -629,6 +641,19 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
   let ready_data = st.rs_ready_data in
   let ready_len = st.rs_ready_len in
   Array.fill ready_len 0 n_procs 0;
+  (* The processors whose startability may have changed since the last
+     [dispatch_procs]: an idle processor becomes startable only when its
+     ready heap gains an instance or when it frees, and both touch it. *)
+  let touched = st.rs_touched and touch_list = st.rs_touch_list in
+  Array.fill touched 0 n_procs false;
+  let n_touched = ref 0 in
+  let touch u =
+    if not touched.(u) then begin
+      touched.(u) <- true;
+      touch_list.(!n_touched) <- u;
+      incr n_touched
+    end
+  in
   let inst_before a b =
     let ia = a / n_rids and ib = b / n_rids in
     if ia <> ib then ia < ib
@@ -639,6 +664,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
     end
   in
   let ready_push u x =
+    touch u;
     let len = ready_len.(u) in
     if len = Array.length ready_data.(u) then begin
       let d = Array.make (max 8 (2 * len)) 0 in
@@ -689,11 +715,17 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
   in
   (* Pending transfers, bucketed by sending processor (the send port they
      wait on); index-based removal, so structurally identical messages
-     are distinct entries. *)
+     are distinct entries.  [ports] lists the send ports with a
+     nonempty bucket; [port_at] is written when a port enters the list,
+     before any read. *)
   let pend_data = st.rs_pend_data in
   let pend_len = st.rs_pend_len in
   Array.fill pend_len 0 n_procs 0;
-  let pending_count = ref 0 in
+  let ports = st.rs_ports and port_at = st.rs_port_at in
+  let n_ports = ref 0 in
+  (* Set whenever a pending transfer may have become committable since
+     the last [dispatch_msgs] scan that found none (see [loop]). *)
+  let msg_dirty = ref false in
   (* Message-pool cursor: handles are issued in creation order, which is
      exactly the legacy [pm_seq] numbering (one message created per
      cross-processor hand-off, and a requeued message keeps its
@@ -737,13 +769,24 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
     end;
     pend_data.(u).(len) <- mi;
     pend_len.(u) <- len + 1;
-    incr pending_count
+    if len = 0 then begin
+      port_at.(u) <- !n_ports;
+      ports.(!n_ports) <- u;
+      incr n_ports
+    end;
+    msg_dirty := true
   in
   let pend_remove u i =
     let len = pend_len.(u) - 1 in
     pend_data.(u).(i) <- pend_data.(u).(len);
     pend_len.(u) <- len;
-    decr pending_count
+    if len = 0 then begin
+      let last = !n_ports - 1 in
+      let v = ports.(last) and k = port_at.(u) in
+      ports.(k) <- v;
+      port_at.(v) <- k;
+      n_ports := last
+    end
   in
   let satisfy iidx pos =
     let item = iidx / n_rids and rid = iidx mod n_rids in
@@ -775,15 +818,18 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
   if open_mode then Bytes.fill opened 0 total '\000';
   let injections = Array.make n_items nan in
   let dropped = ref 0 in
-  let stall_time = ref 0.0 in
+  let stall_time = Array.make 1 0.0 in
   let peak_queue = ref 0 in
   let next_admit = ref 0 in
   let arrived = ref 0 in
-  let charge now iidx =
+  (* The open-mode helpers below read the clock from [tnow] rather than
+     taking a [float] argument, which would be boxed at every call. *)
+  let charge iidx =
     if Bytes.get opened iidx = '\000' then begin
       Bytes.set opened iidx '\001';
+      msg_dirty := true;
       let rid = iidx mod n_rids in
-      if fail_time.(proc_of.(rid)) > now then begin
+      if fail_time.(proc_of.(rid)) > tnow.(0) then begin
         let o = occ.(rid) + 1 in
         occ.(rid) <- o;
         if o > !peak_queue then peak_queue := o;
@@ -794,9 +840,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
       end
     end
   in
-  let has_room now rid =
-    fail_time.(proc_of.(rid)) <= now || occ.(rid) < bound
-  in
+  let has_room rid = fail_time.(proc_of.(rid)) <= tnow.(0) || occ.(rid) < bound in
   (* Deferred local deliveries: a finished instance's same-processor
      hand-off that found the destination queue full waits here, oldest
      first, and is retried whenever occupancy may have freed. *)
@@ -816,15 +860,13 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
     if obs then Obs.incr "sim.queue.blocked"
   in
   let dispatch_local () =
-    let now = tnow.(0) in
     if !dl_len > 0 then begin
       let dl_dst = st.rs_dl_dst and dl_pos = st.rs_dl_pos in
       let w = ref 0 in
       for i = 0 to !dl_len - 1 do
         let dst = dl_dst.(i) and pos = dl_pos.(i) in
-        if Bytes.get opened dst = '\001' || has_room now (dst mod n_rids)
-        then begin
-          charge now dst;
+        if Bytes.get opened dst = '\001' || has_room (dst mod n_rids) then begin
+          charge dst;
           satisfy dst pos
         end
         else begin
@@ -840,194 +882,229 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
      crashed one imposes nothing (its shard is gone).  Admitting makes
      the item's entry instances ready, exactly as a closed-mode Inject
      batch does. *)
-  let entry_room now =
+  let entries = p.p_entries in
+  let entry_room () =
     bound = max_int
     ||
-    let ok = ref true in
-    Array.iter
-      (fun task ->
-        for copy = 0 to copies - 1 do
-          let rid = (task * copies) + copy in
-          if (not dead.(rid)) && not (has_room now rid) then ok := false
-        done)
-      p.p_entries;
+    let ok = ref true and e = ref 0 in
+    while !ok && !e < Array.length entries do
+      for copy = 0 to copies - 1 do
+        let rid = (entries.(!e) * copies) + copy in
+        if (not dead.(rid)) && not (has_room rid) then ok := false
+      done;
+      incr e
+    done;
     !ok
   in
-  let admit now item =
+  let admit item =
+    let now = tnow.(0) in
     injections.(item) <- now;
-    stall_time := !stall_time +. (now -. arr_abs.(item));
-    Array.iter
-      (fun task ->
-        for copy = 0 to copies - 1 do
-          let rid = (task * copies) + copy in
-          if not dead.(rid) then begin
-            let iidx = (item * n_rids) + rid in
-            charge now iidx;
-            ready_push proc_of.(rid) iidx
-          end
-        done)
-      p.p_entries
+    stall_time.(0) <- stall_time.(0) +. (now -. arr_abs.(item));
+    for e = 0 to Array.length entries - 1 do
+      for copy = 0 to copies - 1 do
+        let rid = (entries.(e) * copies) + copy in
+        if not dead.(rid) then begin
+          let iidx = (item * n_rids) + rid in
+          charge iidx;
+          ready_push proc_of.(rid) iidx
+        end
+      done
+    done
   in
   (* Admit as many backlogged items as fit, FIFO: the head of the line
      blocks the line (that is what backpressure means at the source). *)
   let rec dispatch_source () =
-    let now = tnow.(0) in
-    if !next_admit < !arrived && entry_room now then begin
+    if !next_admit < !arrived && entry_room () then begin
       let item = !next_admit in
       incr next_admit;
-      admit now item;
+      admit item;
       dispatch_source ()
     end
   in
-  (* Start the best ready instance on every idle processor. *)
-  let dispatch_procs () =
+  (* Start the best ready instance on processor [u] if it is idle, alive
+     and has one. *)
+  let start u =
     let now = tnow.(0) in
-    for u = 0 to n_procs - 1 do
-      if
-        (not running.(u)) && busy_until.(u) <= now && ready_len.(u) > 0
-        && now < fail_time.(u)
-      then begin
-        let iidx = ready_pop u in
-        let dur = p.p_exec_dur.(iidx mod n_rids) in
-        (* Gray straggler: the factor active at the attempt's start
-           stretches the whole attempt. *)
-        let dur =
-          if fz then dur
+    if
+      (not running.(u)) && busy_until.(u) <= now && ready_len.(u) > 0
+      && now < fail_time.(u)
+    then begin
+      let iidx = ready_pop u in
+      let dur = p.p_exec_dur.(iidx mod n_rids) in
+      (* Gray straggler: the factor active at the attempt's start
+         stretches the whole attempt. *)
+      let dur =
+        if fz then dur
+        else begin
+          let f = Faults.Gray.exec_factor gray ~proc:u ~at:now in
+          if f = 1.0 then dur
           else begin
-            let f = Faults.Gray.exec_factor gray ~proc:u ~at:now in
-            if f = 1.0 then dur
-            else begin
-              incr f_slowed;
-              if obs then Obs.incr "sim.gray.slowdowns";
-              dur *. f
-            end
+            incr f_slowed;
+            if obs then Obs.incr "sim.gray.slowdowns";
+            dur *. f
           end
-        in
-        starts.(iidx) <- now;
-        running.(u) <- true;
-        busy_until.(u) <- now +. dur;
-        if now +. dur <= fail_time.(u) then begin
-          (* Transient execution fault: decided at dispatch, surfaced
-             only when the full attempt duration has elapsed (the
-             timeout) — the processor is busy for the whole attempt
-             either way. *)
-          let failing =
-            (not fz)
-            && begin
-                 attempts.(iidx) <- attempts.(iidx) + 1;
-                 Faults.Transient.exec_fails transient ~proc:u ~key:iidx
-                   ~attempt:attempts.(iidx) ~at:now
-               end
-          in
-          ev_key.(0) <- now +. dur;
-          Event_heap.add_unboxed events ev_key
-            ((iidx lsl 3) lor (if failing then ev_exec_failed else ev_finish));
-          observe_heap ()
         end
-        (* else: the crash interrupts this execution; the processor
-           never frees and the result is lost *)
+      in
+      starts.(iidx) <- now;
+      running.(u) <- true;
+      busy_until.(u) <- now +. dur;
+      if now +. dur <= fail_time.(u) then begin
+        (* Transient execution fault: decided at dispatch, surfaced
+           only when the full attempt duration has elapsed (the
+           timeout) — the processor is busy for the whole attempt
+           either way. *)
+        let failing =
+          (not fz)
+          && begin
+               attempts.(iidx) <- attempts.(iidx) + 1;
+               Faults.Transient.exec_fails transient ~proc:u ~key:iidx
+                 ~attempt:attempts.(iidx) ~at:now
+             end
+        in
+        ev_key.(0) <- now +. dur;
+        Event_heap.add events ev_key
+          ((iidx lsl 3) lor (if failing then ev_exec_failed else ev_finish));
+        observe_heap ()
       end
-    done
+      (* else: the crash interrupts this execution; the processor
+         never frees and the result is lost *)
+    end
+  in
+  (* Start every touched processor that can start, in ascending
+     processor order — the order a full sweep would visit them, so the
+     finish events get the same insertion numbers.  An untouched
+     processor cannot start: it was left unstartable by the previous
+     dispatch and nothing has changed for it since.  Starting touches
+     nobody, so the worklist is stable while it is visited. *)
+  let dispatch_procs () =
+    let k = !n_touched in
+    n_touched := 0;
+    if k * k > 4 * n_procs then
+      (* many touched: one sweep of the flags beats sorting them *)
+      for u = 0 to n_procs - 1 do
+        if touched.(u) then begin
+          touched.(u) <- false;
+          start u
+        end
+      done
+    else begin
+      for i = 1 to k - 1 do
+        let u = touch_list.(i) in
+        let j = ref (i - 1) in
+        while !j >= 0 && touch_list.(!j) > u do
+          touch_list.(!j + 1) <- touch_list.(!j);
+          decr j
+        done;
+        touch_list.(!j + 1) <- u
+      done;
+      for i = 0 to k - 1 do
+        let u = touch_list.(i) in
+        touched.(u) <- false;
+        start u
+      done
+    end
   in
   (* Whether a pending transfer may claim the destination's queue: a
      dead destination has no queue, an already-queued instance must keep
      receiving (or the pipeline would deadlock on its own bound), and
      otherwise the queue needs room. *)
-  let msg_room now mi =
+  let msg_room mi =
     (not st.rs_pm_alive.(mi))
-    || fail_time.(st.rs_pm_dp.(mi)) <= now
+    || fail_time.(st.rs_pm_dp.(mi)) <= tnow.(0)
     || Bytes.get opened st.rs_pm_dst.(mi) = '\001'
     || occ.(st.rs_pm_dst_rid.(mi)) < bound
   in
   (* Greedily commit every transfer whose data and both ports are free.
      The candidate order is the legacy one: highest destination priority,
      then smallest destination instance, then (on full ties) the most
-     recently created message — the highest pool handle. *)
+     recently created message — the highest pool handle.  That order is
+     strict (handles are unique), so the winner does not depend on the
+     order [ports] is scanned in.  Clears [msg_dirty] once nothing is
+     committable. *)
   let rec dispatch_msgs () =
     let now = tnow.(0) in
-    if !pending_count > 0 then begin
-      let best = ref (-1) in
-      let best_u = ref (-1) and best_i = ref (-1) in
-      for u = 0 to n_procs - 1 do
-        if pend_len.(u) > 0 && now < fail_time.(u) && send_free.(u) <= now
-        then
-          for i = 0 to pend_len.(u) - 1 do
-            let mi = pend_data.(u).(i) in
-            let dp = st.rs_pm_dp.(mi) in
-            if
-              (fail_time.(dp) <= now || recv_free.(dp) <= now)
-              && ((not open_mode) || bound = max_int || msg_room now mi)
-            then begin
-              let beats =
-                let b = !best in
-                b < 0
-                ||
-                let pm = prio.(st.rs_pm_dst_rid.(mi) / copies)
-                and pb = prio.(st.rs_pm_dst_rid.(b) / copies) in
-                pm > pb
-                || (pm = pb
-                   && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
-                      || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b) && mi > b)))
-              in
-              if beats then begin
-                best := mi;
-                best_u := u;
-                best_i := i
-              end
-            end
-          done
-      done;
-      let mi = !best in
-      if mi >= 0 then begin
-        pend_remove !best_u !best_i;
-        let sp = !best_u and dp = st.rs_pm_dp.(mi) in
-        (* Gray link degradation: the factor active at commit time
-           stretches the whole transfer on both ports. *)
-        let dur =
-          if fz then st.rs_pm_dur.(mi)
-          else begin
-            let f = Faults.Gray.comm_factor gray ~src:sp ~dst:dp ~at:now in
-            if f = 1.0 then st.rs_pm_dur.(mi)
-            else begin
-              incr f_degraded;
-              if obs then Obs.incr "sim.gray.degradations";
-              st.rs_pm_dur.(mi) *. f
+    let best = ref (-1) in
+    let best_u = ref (-1) and best_i = ref (-1) in
+    for k = 0 to !n_ports - 1 do
+      let u = ports.(k) in
+      if now < fail_time.(u) && send_free.(u) <= now then
+        for i = 0 to pend_len.(u) - 1 do
+          let mi = pend_data.(u).(i) in
+          let dp = st.rs_pm_dp.(mi) in
+          if
+            (fail_time.(dp) <= now || recv_free.(dp) <= now)
+            && ((not open_mode) || bound = max_int || msg_room mi)
+          then begin
+            let beats =
+              let b = !best in
+              b < 0
+              ||
+              let pm = prio.(st.rs_pm_dst_rid.(mi) / copies)
+              and pb = prio.(st.rs_pm_dst_rid.(b) / copies) in
+              pm > pb
+              || (pm = pb
+                 && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
+                    || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b) && mi > b)))
+            in
+            if beats then begin
+              best := mi;
+              best_u := u;
+              best_i := i
             end
           end
-        in
-        send_free.(sp) <- now +. dur;
-        if fail_time.(dp) > now then recv_free.(dp) <- now +. dur;
-        if now +. dur <= fail_time.(sp) && now +. dur <= fail_time.(dp)
-        then begin
-          (* Transient transfer fault: decided at commit, surfaced when
-             the full transfer duration has elapsed (the timeout) — the
-             ports are held for the whole attempt either way. *)
-          let failing =
-            (not fz)
-            && Faults.Transient.comm_fails transient ~src:sp ~key:mi
-                 ~attempt:st.rs_pm_attempt.(mi) ~at:now
-          in
-          ev_key.(0) <- now +. dur;
-          if failing then
-            Event_heap.add_unboxed events ev_key ((mi lsl 3) lor ev_comm_failed)
+        done
+    done;
+    let mi = !best in
+    if mi >= 0 then begin
+      pend_remove !best_u !best_i;
+      let sp = !best_u and dp = st.rs_pm_dp.(mi) in
+      (* Gray link degradation: the factor active at commit time
+         stretches the whole transfer on both ports. *)
+      let dur =
+        if fz then st.rs_pm_dur.(mi)
+        else begin
+          let f = Faults.Gray.comm_factor gray ~src:sp ~dst:dp ~at:now in
+          if f = 1.0 then st.rs_pm_dur.(mi)
           else begin
-            (* The transfer will arrive: reserve the destination's queue
-               slot now, so concurrent senders see the occupancy. *)
-            if open_mode && st.rs_pm_alive.(mi) then charge now st.rs_pm_dst.(mi);
-            st.rs_pm_commit.(mi) <- now;
-            Event_heap.add_unboxed events ev_key ((mi lsl 3) lor ev_arrival)
+            incr f_degraded;
+            if obs then Obs.incr "sim.gray.degradations";
+            st.rs_pm_dur.(mi) *. f
           end
         end
+      in
+      send_free.(sp) <- now +. dur;
+      if fail_time.(dp) > now then recv_free.(dp) <- now +. dur;
+      if now +. dur <= fail_time.(sp) && now +. dur <= fail_time.(dp)
+      then begin
+        (* Transient transfer fault: decided at commit, surfaced when
+           the full transfer duration has elapsed (the timeout) — the
+           ports are held for the whole attempt either way. *)
+        let failing =
+          (not fz)
+          && Faults.Transient.comm_fails transient ~src:sp ~key:mi
+               ~attempt:st.rs_pm_attempt.(mi) ~at:now
+        in
+        ev_key.(0) <- now +. dur;
+        if failing then
+          Event_heap.add events ev_key ((mi lsl 3) lor ev_comm_failed)
         else begin
-          (* the crash loses the transfer in flight, but the ports still
-             free up and waiting messages must be woken *)
-          ev_key.(0) <- now +. dur;
-          Event_heap.add_unboxed events ev_key ev_port_free
-        end;
-        observe_heap ();
-        dispatch_msgs ()
+          (* The transfer will arrive: reserve the destination's queue
+             slot now, so concurrent senders see the occupancy. *)
+          if open_mode && st.rs_pm_alive.(mi) then charge st.rs_pm_dst.(mi);
+          st.rs_pm_commit.(mi) <- now;
+          Event_heap.add events ev_key ((mi lsl 3) lor ev_arrival)
+        end
       end
+      else begin
+        (* the crash loses the transfer in flight, but the ports still
+           free up and waiting messages must be woken *)
+        ev_key.(0) <- now +. dur;
+        Event_heap.add events ev_key ev_port_free
+      end;
+      observe_heap ();
+      dispatch_msgs ()
     end
+    else msg_dirty := false
   in
   (* Seed the source.  Closed: entry instances of every item at their
      injection times.  Open: one Arrive per item at its arrival offset —
@@ -1035,23 +1112,23 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
      when room frees). *)
   if open_mode then
     for item = 0 to n_items - 1 do
-      Event_heap.add events arr_abs.(item) ((item lsl 3) lor ev_arrive);
+      ev_key.(0) <- arr_abs.(item);
+      Event_heap.add events ev_key ((item lsl 3) lor ev_arrive);
       observe_heap ()
     done
   else
     for item = 0 to n_items - 1 do
-      Array.iter
-        (fun task ->
-          for copy = 0 to copies - 1 do
-            let rid = (task * copies) + copy in
-            if not dead.(rid) then begin
-              Event_heap.add events
-                (clock +. (float_of_int item *. period))
-                ((((item * n_rids) + rid) lsl 3) lor ev_inject);
-              observe_heap ()
-            end
-          done)
-        p.p_entries
+      ev_key.(0) <- clock +. (float_of_int item *. period);
+      for e = 0 to Array.length entries - 1 do
+        for copy = 0 to copies - 1 do
+          let rid = (entries.(e) * copies) + copy in
+          if not dead.(rid) then begin
+            Event_heap.add events ev_key
+              ((((item * n_rids) + rid) lsl 3) lor ev_inject);
+            observe_heap ()
+          end
+        done
+      done
     done;
   let decode iidx =
     let item = iidx / n_rids and rid = iidx mod n_rids in
@@ -1069,9 +1146,9 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
         if shed then begin
           (* Load shedding decides at the arrival instant: admit or
              drop, never defer — the backlog stays empty. *)
-          if entry_room now then begin
+          if entry_room () then begin
             incr next_admit;
-            admit now item
+            admit item
           end
           else begin
             incr next_admit;
@@ -1090,9 +1167,12 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
         let u = proc_of.(rid) in
         finishes.(iidx) <- now;
         running.(u) <- false;
+        touch u;
         if now > makespan.(0) then makespan.(0) <- now;
-        if open_mode && Bytes.get opened iidx = '\001' then
+        if open_mode && Bytes.get opened iidx = '\001' then begin
           occ.(rid) <- occ.(rid) - 1;
+          msg_dirty := true
+        end;
         for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do
           let dst_rid = p.p_cons_dst.(k) in
           let dp = proc_of.(dst_rid) in
@@ -1103,9 +1183,9 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
               if
                 (not open_mode) || bound = max_int
                 || Bytes.get opened dst_iidx = '\001'
-                || has_room now dst_rid
+                || has_room dst_rid
               then begin
-                if open_mode then charge now dst_iidx;
+                if open_mode then charge dst_iidx;
                 satisfy dst_iidx p.p_cons_pos.(k)
               end
               else dl_push dst_iidx p.p_cons_pos.(k)
@@ -1127,6 +1207,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
         done
     | 3 (* ev_arrival *) ->
         let mi = ev asr 3 in
+        msg_dirty := true;
         if now > makespan.(0) then makespan.(0) <- now;
         if record_messages then
           log_push
@@ -1138,26 +1219,29 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
             };
         if st.rs_pm_alive.(mi) then
           satisfy st.rs_pm_dst.(mi) st.rs_pm_pos.(mi)
-    | 4 (* ev_port_free *) -> if now > makespan.(0) then makespan.(0) <- now
+    | 4 (* ev_port_free *) ->
+        msg_dirty := true;
+        if now > makespan.(0) then makespan.(0) <- now
     | 5 (* ev_exec_failed *) ->
         (* The attempt timed out: the processor was busy for the whole
            attempt and only now learns it produced nothing. *)
         let iidx = ev asr 3 in
         let u = proc_of.(iidx mod n_rids) in
         running.(u) <- false;
+        touch u;
         if now > makespan.(0) then makespan.(0) <- now;
         incr f_exec;
         if obs then Obs.incr "sim.faults.transient";
         if attempts.(iidx) <= retry.Faults.Backoff.max_retries then begin
           let d = Faults.Backoff.delay retry ~attempt:attempts.(iidx) in
           incr f_retries;
-          f_backoff := !f_backoff +. d;
+          f_backoff.(0) <- f_backoff.(0) +. d;
           if obs then begin
             Obs.incr "sim.retries";
             Obs.observe "sim.retry_backoff_time" d
           end;
           ev_key.(0) <- now +. d;
-          Event_heap.add_unboxed events ev_key ((iidx lsl 3) lor ev_inject);
+          Event_heap.add events ev_key ((iidx lsl 3) lor ev_inject);
           observe_heap ()
         end
         else begin
@@ -1169,6 +1253,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
         end
     | 6 (* ev_comm_failed *) ->
         let mi = ev asr 3 in
+        msg_dirty := true;
         if now > makespan.(0) then makespan.(0) <- now;
         incr f_comm;
         if obs then Obs.incr "sim.faults.transient";
@@ -1176,7 +1261,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
         if attempt <= retry.Faults.Backoff.max_retries then begin
           let d = Faults.Backoff.delay retry ~attempt in
           incr f_retries;
-          f_backoff := !f_backoff +. d;
+          f_backoff.(0) <- f_backoff.(0) +. d;
           if obs then begin
             Obs.incr "sim.retries";
             Obs.observe "sim.retry_backoff_time" d
@@ -1185,7 +1270,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
              legacy pm_seq tie-break); only the attempt count moves. *)
           st.rs_pm_attempt.(mi) <- attempt + 1;
           ev_key.(0) <- now +. d;
-          Event_heap.add_unboxed events ev_key ((mi lsl 3) lor ev_requeue);
+          Event_heap.add events ev_key ((mi lsl 3) lor ev_requeue);
           observe_heap ()
         end
         else begin
@@ -1216,18 +1301,39 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
       drain ()
     end
   in
+  (* The next timed-failure instant after the clock, in a slot so it
+     stays unboxed.  Crossing one can make a transfer committable with no
+     event at that instant (its destination's ports stop mattering), so
+     [loop] marks the transfers dirty when the clock reaches it. *)
+  let next_fail = Array.make 1 infinity in
+  let advance_fail () =
+    next_fail.(0) <- infinity;
+    for u = 0 to n_procs - 1 do
+      let f = fail_time.(u) in
+      if f > tnow.(0) && f < next_fail.(0) then next_fail.(0) <- f
+    done
+  in
+  advance_fail ();
   let rec loop () =
     if events.Event_heap.len > 0 then begin
       tnow.(0) <- events.Event_heap.keys.(0);
+      if tnow.(0) >= next_fail.(0) then begin
+        msg_dirty := true;
+        advance_fail ()
+      end;
       let ev = Event_heap.unsafe_pop events in
       if obs then Obs.incr "sim.events_popped";
       handle ev;
       drain ();
       (* When room frees, in-pipeline data beats new source admissions:
          deferred local hand-offs first, then transfers, then the
-         backlog — that priority order is the backpressure. *)
+         backlog — that priority order is the backpressure.  A transfer
+         scan that would find nothing committable is skipped: a send
+         port frees only at the event ending its transfer, and every
+         other change that can make a transfer committable sets
+         [msg_dirty]. *)
       if open_mode then dispatch_local ();
-      dispatch_msgs ();
+      if !msg_dirty then dispatch_msgs ();
       if open_mode && not shed then dispatch_source ();
       dispatch_procs ();
       loop ()
@@ -1246,35 +1352,29 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
     else Array.init n_items (fun item -> clock +. (float_of_int item *. period))
   in
   if not open_mode then Array.blit arrivals 0 injections 0 n_items;
+  (* Sojourn of each item: the latest over exit tasks of the earliest
+     finishing copy, minus the arrival; [None] when some exit task has
+     no finished copy.  Loops over unboxed locals, so the pass allocates
+     only the result. *)
+  let exits = p.p_exits in
   let item_latency =
     Array.init n_items (fun item ->
-        let arrival = arrivals.(item) in
-        Array.fold_left
-          (fun acc exit_task ->
-            match acc with
-            | None -> None
-            | Some worst ->
-                let best_finish =
-                  let rec scan copy best =
-                    if copy >= copies then best
-                    else begin
-                      let best =
-                        match get finishes item { Replica.task = exit_task; copy } with
-                        | Some f -> (
-                            match best with
-                            | Some b -> Some (Float.min b f)
-                            | None -> Some f)
-                        | None -> best
-                      in
-                      scan (copy + 1) best
-                    end
-                  in
-                  scan 0 None
-                in
-                (match best_finish with
-                | None -> None
-                | Some f -> Some (Float.max worst (f -. arrival))))
-          (Some 0.0) p.p_exits)
+        let worst = ref 0.0 and complete = ref true and x = ref 0 in
+        while !complete && !x < Array.length exits do
+          let best = ref 0.0 and found = ref false in
+          for copy = 0 to copies - 1 do
+            let rid = (exits.(!x) * copies) + copy in
+            let f = finishes.((item * n_rids) + rid) in
+            if not (dead.(rid) || Float.is_nan f) then begin
+              best := if !found then Float.min !best f else f;
+              found := true
+            end
+          done;
+          if !found then worst := Float.max !worst (!best -. arrivals.(item))
+          else complete := false;
+          incr x
+        done;
+        if !complete then Some !worst else None)
   in
   let messages =
     let rec collect i acc =
@@ -1297,13 +1397,13 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
     dropped = !dropped;
     stalled = (if open_mode then n_items - !next_admit else 0);
     peak_queue = !peak_queue;
-    stall_time = !stall_time;
+    stall_time = stall_time.(0);
     faults =
       (if fz then no_faults
        else
          {
            retries = !f_retries;
-           backoff_time = !f_backoff;
+           backoff_time = f_backoff.(0);
            exec_faults = !f_exec;
            comm_faults = !f_comm;
            exhausted = !f_exhausted;

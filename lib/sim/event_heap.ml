@@ -1,12 +1,13 @@
-(* Structure-of-arrays binary heap ordered by (key, insertion sequence
-   number).  Keys live in a [float array] so they are stored unboxed and
-   [add]/[unsafe_pop] allocate nothing per element — the engine's event
-   loop runs allocation-free over this heap. *)
+(* Structure-of-arrays binary heap of immediate ints ordered by (key,
+   insertion sequence number).  Keys live in a [float array] so they are
+   stored unboxed, and values are ints, so no store is a [caml_modify]:
+   [add]/[unsafe_pop] allocate nothing.  Sifts move a hole
+   instead of swapping, writing each displaced element once. *)
 
-type 'a t = {
+type t = {
   mutable keys : float array;
   mutable seqs : int array;
-  mutable vals : 'a array;
+  mutable vals : int array;
   mutable len : int;
   mutable next_seq : int;
 }
@@ -22,27 +23,11 @@ let clear h =
   h.len <- 0;
   h.next_seq <- 0
 
-let less h i j =
-  h.keys.(i) < h.keys.(j) || (h.keys.(i) = h.keys.(j) && h.seqs.(i) < h.seqs.(j))
-
-let swap h i j =
-  let k = h.keys.(i) in
-  h.keys.(i) <- h.keys.(j);
-  h.keys.(j) <- k;
-  let s = h.seqs.(i) in
-  h.seqs.(i) <- h.seqs.(j);
-  h.seqs.(j) <- s;
-  let v = h.vals.(i) in
-  h.vals.(i) <- h.vals.(j);
-  h.vals.(j) <- v
-
-(* The value array is filled with the element being inserted — the heap
-   is polymorphic and has no other witness of ['a]. *)
-let grow h value =
+let grow h =
   let cap = max 16 (2 * Array.length h.keys) in
   let keys = Array.make cap 0.0 in
   let seqs = Array.make cap 0 in
-  let vals = Array.make cap value in
+  let vals = Array.make cap 0 in
   Array.blit h.keys 0 keys 0 h.len;
   Array.blit h.seqs 0 seqs 0 h.len;
   Array.blit h.vals 0 vals 0 h.len;
@@ -50,70 +35,63 @@ let grow h value =
   h.seqs <- seqs;
   h.vals <- vals
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h i parent then begin
-      swap h i parent;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.len && less h l !smallest then smallest := l;
-  if r < h.len && less h r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap h i !smallest;
-    sift_down h !smallest
-  end
-
-let add h key value =
-  if h.len = Array.length h.keys then grow h value;
-  let i = h.len in
-  h.keys.(i) <- key;
-  h.seqs.(i) <- h.next_seq;
-  h.vals.(i) <- value;
-  h.next_seq <- h.next_seq + 1;
-  h.len <- i + 1;
-  sift_up h i
-
 (* The key arrives through a caller-owned one-slot float array instead
    of a [float] parameter: without flambda a float argument is boxed at
    every call, while the slot is just a pointer and its read below is an
-   unboxed load.  This is the engine's zero-allocation scheduling path;
-   the body must not delegate to [add] (the inner call would box). *)
-let add_unboxed h slot value =
-  if h.len = Array.length h.keys then grow h value;
-  let i = h.len in
-  h.keys.(i) <- slot.(0);
-  h.seqs.(i) <- h.next_seq;
-  h.vals.(i) <- value;
-  h.next_seq <- h.next_seq + 1;
-  h.len <- i + 1;
-  sift_up h i
+   unboxed load.  The new element carries the largest sequence number,
+   so it rises past a parent only on a strictly smaller key. *)
+let add h slot value =
+  if h.len = Array.length h.keys then grow h;
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
+  let key = slot.(0) in
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let i = ref h.len in
+  h.len <- !i + 1;
+  while !i > 0 && key < keys.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    keys.(!i) <- keys.(parent);
+    seqs.(!i) <- seqs.(parent);
+    vals.(!i) <- vals.(parent);
+    i := parent
+  done;
+  keys.(!i) <- key;
+  seqs.(!i) <- seq;
+  vals.(!i) <- value
 
-let remove_min h =
+let unsafe_pop h =
+  let keys = h.keys and seqs = h.seqs and vals = h.vals in
+  let top = vals.(0) in
   let last = h.len - 1 in
   h.len <- last;
   if last > 0 then begin
-    h.keys.(0) <- h.keys.(last);
-    h.seqs.(0) <- h.seqs.(last);
-    h.vals.(0) <- h.vals.(last);
-    sift_down h 0
-  end
-
-let unsafe_pop h =
-  let v = h.vals.(0) in
-  remove_min h;
-  v
-
-let pop_min h =
-  if h.len = 0 then None
-  else begin
-    let key = h.keys.(0) in
-    Some (key, unsafe_pop h)
-  end
-
-let min_key h = if h.len = 0 then None else Some h.keys.(0)
+    (* Sift the former last element down from the root's hole. *)
+    let key = keys.(last) and seq = seqs.(last) and value = vals.(last) in
+    let i = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= last then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < last
+            && (keys.(r) < keys.(l) || (keys.(r) = keys.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        if keys.(c) < key || (keys.(c) = key && seqs.(c) < seq) then begin
+          keys.(!i) <- keys.(c);
+          seqs.(!i) <- seqs.(c);
+          vals.(!i) <- vals.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    keys.(!i) <- key;
+    seqs.(!i) <- seq;
+    vals.(!i) <- value
+  end;
+  top

@@ -75,6 +75,20 @@ let check_tolerant ?(what = "mapping") mapping =
 let simulate ?(config = Engine.Run.closed ()) m =
   Engine.simulate ~config (Engine.compile m)
 
+(* Event-heap helpers: insert with a plain key, and pop every element
+   as (key, value), reading the key before each pop. *)
+let heap_add h key v = Event_heap.add h [| key |] v
+
+let heap_drain h =
+  let rec go acc =
+    if Event_heap.is_empty h then List.rev acc
+    else begin
+      let key = h.Event_heap.keys.(0) in
+      go ((key, Event_heap.unsafe_pop h) :: acc)
+    end
+  in
+  go []
+
 (* Single-item latency of [m] with the processors in [failed] down. *)
 let fixed_latency ?(failed = []) m =
   (Crash.estimate ~source:(Crash.Of_mapping m) ~method_:(Crash.Fixed failed) ())

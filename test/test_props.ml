@@ -118,18 +118,13 @@ let prop_heap_matches_model =
     QCheck.(list (int_range 0 20))
     (fun keys ->
       let h = Event_heap.create () in
-      List.iteri (fun i k -> Event_heap.add h (float_of_int k) i) keys;
+      List.iteri (fun i k -> Fixtures.heap_add h (float_of_int k) i) keys;
       let model =
         List.mapi (fun i k -> (float_of_int k, i)) keys
         |> List.stable_sort (fun (ka, ia) (kb, ib) ->
                match compare ka kb with 0 -> compare ia ib | c -> c)
       in
-      let rec drain acc =
-        match Event_heap.pop_min h with
-        | Some (k, v) -> drain ((k, v) :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = model)
+      Fixtures.heap_drain h = model)
 
 (* ------------------------------------------------------------------ *)
 (* Bitsets vs the Set.Make (Int) reference                             *)

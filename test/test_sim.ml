@@ -21,52 +21,51 @@ let place m task copy proc sources =
 (* Event heap                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let heap_add = Fixtures.heap_add
+let heap_drain = Fixtures.heap_drain
+
 let heap_tests =
   [
     case "pops in key order" (fun () ->
         let h = Event_heap.create () in
-        List.iter (fun k -> Event_heap.add h k (int_of_float k)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-        let order = ref [] in
-        let rec drain () =
-          match Event_heap.pop_min h with
-          | Some (_, v) ->
-              order := v :: !order;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.rev !order));
+        List.iter (fun k -> heap_add h k (int_of_float k)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
+        Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ]
+          (List.map snd (heap_drain h)));
     case "ties pop in insertion order" (fun () ->
         let h = Event_heap.create () in
-        List.iter (fun v -> Event_heap.add h 1.0 v) [ 10; 20; 30 ];
-        let pops = List.init 3 (fun _ ->
-            match Event_heap.pop_min h with Some (_, v) -> v | None -> -1)
-        in
-        Alcotest.(check (list int)) "fifo" [ 10; 20; 30 ] pops);
+        List.iter (fun v -> heap_add h 1.0 v) [ 10; 20; 30 ];
+        Alcotest.(check (list int)) "fifo" [ 10; 20; 30 ]
+          (List.map snd (heap_drain h)));
     case "size and emptiness" (fun () ->
         let h = Event_heap.create () in
         check_true "empty" (Event_heap.is_empty h);
-        Event_heap.add h 1.0 ();
-        Event_heap.add h 2.0 ();
+        heap_add h 1.0 0;
+        heap_add h 2.0 0;
         check_int "size" 2 (Event_heap.size h);
-        check_float "min key" 1.0 (Option.get (Event_heap.min_key h));
-        ignore (Event_heap.pop_min h);
+        check_float "min key" 1.0 h.Event_heap.keys.(0);
+        ignore (Event_heap.unsafe_pop h);
         check_int "size after pop" 1 (Event_heap.size h));
-    case "pop of empty heap" (fun () ->
-        let h : unit Event_heap.t = Event_heap.create () in
-        check_true "none" (Event_heap.pop_min h = None);
-        check_true "no key" (Event_heap.min_key h = None));
+    case "clear restarts the tie order" (fun () ->
+        (* A cleared heap must serve ties exactly as a fresh one does: the
+           run-state arena reuses one heap across runs. *)
+        let h = Event_heap.create () in
+        List.iter (fun v -> heap_add h 2.0 v) [ 1; 2; 3 ];
+        ignore (Event_heap.unsafe_pop h);
+        Event_heap.clear h;
+        check_true "cleared is empty" (Event_heap.is_empty h);
+        List.iter (fun v -> heap_add h 1.0 v) [ 7; 8; 9 ];
+        Alcotest.(check (list int)) "fresh fifo" [ 7; 8; 9 ]
+          (List.map snd (heap_drain h));
+        check_true "drained is empty" (Event_heap.is_empty h));
     case "interleaved adds and pops stay sorted" (fun () ->
         let h = Event_heap.create () in
-        Event_heap.add h 5.0 5;
-        Event_heap.add h 1.0 1;
-        (match Event_heap.pop_min h with
-        | Some (k, _) -> check_float "first" 1.0 k
-        | None -> Alcotest.fail "empty");
-        Event_heap.add h 0.5 0;
-        match Event_heap.pop_min h with
-        | Some (k, _) -> check_float "second" 0.5 k
-        | None -> Alcotest.fail "empty");
+        heap_add h 5.0 5;
+        heap_add h 1.0 1;
+        check_float "first" 1.0 h.Event_heap.keys.(0);
+        ignore (Event_heap.unsafe_pop h);
+        heap_add h 0.5 0;
+        Alcotest.(check (list (pair (float 0.0) int))) "rest" [ (0.5, 0); (5.0, 5) ]
+          (heap_drain h));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -114,6 +113,26 @@ let engine_tests =
         (* the two messages share P0's send port: arrivals at 2 and 3 *)
         Alcotest.(check (list (float 1e-9))) "serialized" [ 3.0; 4.0 ] finishes;
         check_float "latency" 4.0 (Option.get r.Engine.item_latency.(0)));
+    case "simultaneous finishes hand off in processor order" (fun () ->
+        (* Both entries start at 0 on P2 and P1 and finish at 1.  Starts
+           are made in ascending processor order, so P1's finish is
+           handled first and P2's transfer, created last, wins the tie for
+           P0's receive port. *)
+        let dag =
+          Dag.of_edges ~name:"join2" ~exec:[| 1.0; 1.0; 1.0 |]
+            [ (0, 2, 1.0); (1, 2, 1.0) ]
+        in
+        let m = Mapping.create ~dag ~platform:(Fixtures.uniform 3) ~eps:0 in
+        place m 0 0 2 [];
+        place m 1 0 1 [];
+        place m 2 0 0 [ (0, [ id 0 0 ]); (1, [ id 1 0 ]) ];
+        let r = simulate m in
+        Alcotest.(check (list (pair int (float 0.0))))
+          "sources by start" [ (0, 1.0); (1, 2.0) ]
+          (List.map
+             (fun (msg : Engine.message) ->
+               (msg.Engine.msg_src.rep.Replica.task, msg.Engine.msg_start))
+             r.Engine.messages));
     case "co-located data is available immediately" (fun () ->
         let dag =
           Dag.of_edges ~name:"fan2" ~exec:[| 1.0; 1.0; 1.0 |]
@@ -827,8 +846,10 @@ let fault_scenario =
 
 (* One config per engine path the closed-mode digest leaves unguarded:
    bounded Block and Drop_newest queues, transient and gray faults, timed
-   failures under open traffic and a snapshot resume.  [q] is the
-   mapping's period. *)
+   failures under open traffic, a snapshot resume, and crashes whose
+   instants no event marks (a transfer toward the crashed processor
+   becomes committable at the next event, whatever its receive port is
+   doing).  [q] is the mapping's period. *)
 let pinned_configs q =
   [
     ( "open Poisson, Block, bound 4",
@@ -858,6 +879,8 @@ let pinned_configs q =
       closed
         ~snapshot:{ Engine.clock = 30.0; down = [ 2 ] }
         ~n_items:6 ~timed_failures:[ (5, 90.0) ] () );
+    ( "closed, crashes at 50 and 81",
+      closed ~n_items:8 ~timed_failures:[ (10, 50.0); (17, 81.0) ] () );
   ]
 
 let compiled_tests =
@@ -960,6 +983,7 @@ let compiled_tests =
             "03d5590b02905ea67dc39f83850d6c57";
             "96f0995c0ebcde7ddaecade8f38d408d";
             "829ba11c399e10373fab2dea8f0be312";
+            "c3a010334c94c86960cbc8dd13fffc01";
           ]);
     case "identically-shaped messages both serialize on the port" (fun () ->
         (* A source listed twice yields two structurally identical pending
