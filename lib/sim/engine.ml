@@ -499,6 +499,9 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
   let transient = faults.Faults.transient
   and retry = faults.Faults.retry
   and gray = faults.Faults.gray in
+  (* Skips the gray-factor lookups, and the boxed clock each call would
+     take, when no straggler or link window is set. *)
+  let no_gray = fz || Faults.Gray.is_none gray in
   let (st : Run_state.t) = state in
   (* fail_time.(u) is when the processor crashes (fail-stop): work and
      transfers completing strictly later are lost.  A crash at or before
@@ -921,88 +924,75 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
       dispatch_source ()
     end
   in
-  (* Start the best ready instance on processor [u] if it is idle, alive
-     and has one. *)
-  let start u =
-    let now = tnow.(0) in
-    if
-      (not running.(u)) && busy_until.(u) <= now && ready_len.(u) > 0
-      && now < fail_time.(u)
-    then begin
-      let iidx = ready_pop u in
-      let dur = p.p_exec_dur.(iidx mod n_rids) in
-      (* Gray straggler: the factor active at the attempt's start
-         stretches the whole attempt. *)
-      let dur =
-        if fz then dur
-        else begin
-          let f = Faults.Gray.exec_factor gray ~proc:u ~at:now in
-          if f = 1.0 then dur
-          else begin
-            incr f_slowed;
-            if obs then Obs.incr "sim.gray.slowdowns";
-            dur *. f
-          end
-        end
-      in
-      starts.(iidx) <- now;
-      running.(u) <- true;
-      busy_until.(u) <- now +. dur;
-      if now +. dur <= fail_time.(u) then begin
-        (* Transient execution fault: decided at dispatch, surfaced
-           only when the full attempt duration has elapsed (the
-           timeout) — the processor is busy for the whole attempt
-           either way. *)
-        let failing =
-          (not fz)
-          && begin
-               attempts.(iidx) <- attempts.(iidx) + 1;
-               Faults.Transient.exec_fails transient ~proc:u ~key:iidx
-                 ~attempt:attempts.(iidx) ~at:now
-             end
-        in
-        ev_key.(0) <- now +. dur;
-        Event_heap.add events ev_key
-          ((iidx lsl 3) lor (if failing then ev_exec_failed else ev_finish));
-        observe_heap ()
-      end
-      (* else: the crash interrupts this execution; the processor
-         never frees and the result is lost *)
-    end
-  in
-  (* Start every touched processor that can start, in ascending
-     processor order — the order a full sweep would visit them, so the
-     finish events get the same insertion numbers.  An untouched
-     processor cannot start: it was left unstartable by the previous
-     dispatch and nothing has changed for it since.  Starting touches
-     nobody, so the worklist is stable while it is visited. *)
+  (* Start the best ready instance on every touched processor that is
+     idle and alive, in ascending processor order — the order a full
+     sweep would visit them, so the finish events get the same
+     insertion numbers.  An untouched processor cannot start: it was
+     left unstartable by the previous dispatch and nothing has changed
+     for it since.  Starting touches nobody, so the worklist is stable
+     while it is visited.  Sorting k touches (k <= m) takes at most k·m
+     steps; the full sweep took m after every event. *)
   let dispatch_procs () =
+    let now = tnow.(0) in
     let k = !n_touched in
     n_touched := 0;
-    if k * k > 4 * n_procs then
-      (* many touched: one sweep of the flags beats sorting them *)
-      for u = 0 to n_procs - 1 do
-        if touched.(u) then begin
-          touched.(u) <- false;
-          start u
-        end
-      done
-    else begin
-      for i = 1 to k - 1 do
-        let u = touch_list.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && touch_list.(!j) > u do
-          touch_list.(!j + 1) <- touch_list.(!j);
-          decr j
-        done;
-        touch_list.(!j + 1) <- u
+    for i = 1 to k - 1 do
+      let u = touch_list.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && touch_list.(!j) > u do
+        touch_list.(!j + 1) <- touch_list.(!j);
+        decr j
       done;
-      for i = 0 to k - 1 do
-        let u = touch_list.(i) in
-        touched.(u) <- false;
-        start u
-      done
-    end
+      touch_list.(!j + 1) <- u
+    done;
+    for i = 0 to k - 1 do
+      let u = touch_list.(i) in
+      touched.(u) <- false;
+      if
+        (not running.(u)) && busy_until.(u) <= now && ready_len.(u) > 0
+        && now < fail_time.(u)
+      then begin
+        let iidx = ready_pop u in
+        let dur = p.p_exec_dur.(iidx mod n_rids) in
+        (* Gray straggler: the factor active at the attempt's start
+           stretches the whole attempt. *)
+        let dur =
+          if no_gray then dur
+          else begin
+            let f = Faults.Gray.exec_factor gray ~proc:u ~at:now in
+            if f = 1.0 then dur
+            else begin
+              incr f_slowed;
+              if obs then Obs.incr "sim.gray.slowdowns";
+              dur *. f
+            end
+          end
+        in
+        starts.(iidx) <- now;
+        running.(u) <- true;
+        busy_until.(u) <- now +. dur;
+        if now +. dur <= fail_time.(u) then begin
+          (* Transient execution fault: decided at dispatch, surfaced
+             only when the full attempt duration has elapsed (the
+             timeout) — the processor is busy for the whole attempt
+             either way. *)
+          let failing =
+            (not fz)
+            && begin
+                 attempts.(iidx) <- attempts.(iidx) + 1;
+                 Faults.Transient.exec_fails transient ~proc:u ~key:iidx
+                   ~attempt:attempts.(iidx) ~at:now
+               end
+          in
+          ev_key.(0) <- now +. dur;
+          Event_heap.add events ev_key
+            ((iidx lsl 3) lor (if failing then ev_exec_failed else ev_finish));
+          observe_heap ()
+        end
+        (* else: the crash interrupts this execution; the processor
+           never frees and the result is lost *)
+      end
+    done
   in
   (* Whether a pending transfer may claim the destination's queue: a
      dead destination has no queue, an already-queued instance must keep
@@ -1061,7 +1051,7 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
       (* Gray link degradation: the factor active at commit time
          stretches the whole transfer on both ports. *)
       let dur =
-        if fz then st.rs_pm_dur.(mi)
+        if no_gray then st.rs_pm_dur.(mi)
         else begin
           let f = Faults.Gray.comm_factor gray ~src:sp ~dst:dp ~at:now in
           if f = 1.0 then st.rs_pm_dur.(mi)
