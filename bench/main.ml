@@ -1260,7 +1260,7 @@ let parallel_smoke () =
    human-readable dump CI uploads as an artifact.  Exits 1 when the
    arena draw allocates more than [arena_draw_ceiling] bytes: per-run
    engine state belongs in the arena, so the draw must stay near its
-   fixed result-record cost (about 1 KiB). *)
+   fixed result-record cost (about 0.5 KiB). *)
 let arena_draw_ceiling = 2048.0
 
 let gc_stats () =

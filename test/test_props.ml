@@ -115,16 +115,28 @@ let prop_timeline_busy_sum =
 let prop_heap_matches_model =
   QCheck.Test.make ~name:"event heap pops like a stable sorted list"
     ~count:200
-    QCheck.(list (int_range 0 20))
-    (fun keys ->
+    QCheck.(list (option (int_range 0 20)))
+    (fun ops ->
+      (* [Some k] inserts key k with its insertion number as the value,
+         [None] pops; the model is a list sorted by (key, insertion
+         number), so ties must come out first-in first-out. *)
       let h = Event_heap.create () in
-      List.iteri (fun i k -> Fixtures.heap_add h (float_of_int k) i) keys;
-      let model =
-        List.mapi (fun i k -> (float_of_int k, i)) keys
-        |> List.stable_sort (fun (ka, ia) (kb, ib) ->
-               match compare ka kb with 0 -> compare ia ib | c -> c)
-      in
-      Fixtures.heap_drain h = model)
+      let model = ref [] and seq = ref 0 and ok = ref true in
+      List.iter
+        (function
+          | Some k ->
+              Fixtures.heap_add h (float_of_int k) !seq;
+              model := List.merge compare !model [ (float_of_int k, !seq) ];
+              incr seq
+          | None -> (
+              match !model with
+              | [] -> ok := !ok && Event_heap.is_empty h
+              | top :: rest ->
+                  let key = h.Event_heap.keys.(0) in
+                  ok := !ok && (key, Event_heap.unsafe_pop h) = top;
+                  model := rest))
+        ops;
+      !ok && Fixtures.heap_drain h = !model)
 
 (* ------------------------------------------------------------------ *)
 (* Bitsets vs the Set.Make (Int) reference                             *)
