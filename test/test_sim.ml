@@ -45,6 +45,22 @@ let heap_tests =
         check_float "min key" 1.0 h.Event_heap.keys.(0);
         ignore (Event_heap.unsafe_pop h);
         check_int "size after pop" 1 (Event_heap.size h));
+    case "pop of empty heap" (fun () ->
+        (* [unsafe_pop] has no empty case of its own: callers guard it with
+           [is_empty], so that guard must turn true exactly when the last
+           element leaves, and the heap must stay usable afterwards. *)
+        let h = Event_heap.create () in
+        check_true "fresh is empty" (Event_heap.is_empty h);
+        check_int "fresh size" 0 (Event_heap.size h);
+        heap_add h 3.0 3;
+        check_int "only element" 3 (Event_heap.unsafe_pop h);
+        check_true "popped to empty" (Event_heap.is_empty h);
+        check_int "size at empty" 0 (Event_heap.size h);
+        heap_add h 4.0 4;
+        heap_add h 2.0 2;
+        Alcotest.(check (list (pair (float 0.0) int))) "refilled" [ (2.0, 2); (4.0, 4) ]
+          (heap_drain h);
+        check_true "drained to empty" (Event_heap.is_empty h));
     case "clear restarts the tie order" (fun () ->
         (* A cleared heap must serve ties exactly as a fresh one does: the
            run-state arena reuses one heap across runs. *)
