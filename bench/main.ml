@@ -175,143 +175,7 @@ let substrate_tests =
              (Mapping_io.print mapping_e1)));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Incremental scheduling state: before/after pairs                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Each pair re-enacts a placement-phase operation the way the engine did
-   it before this change (full rescans, tree sets, validated sub-platform
-   builds) and the way it does it now (incremental loads, bitsets, direct
-   restriction).  The "before" closures reproduce the legacy code paths on
-   today's primitives, so both sides run on the same inputs. *)
-
-let throughput_e1 = Paper_workload.throughput ~eps:1
-
-let replicas_e1 =
-  let acc = ref [] in
-  Mapping.iter mapping_e1 (fun r -> acc := r :: !acc);
-  List.rev !acc
-
-(* Built once, outside the timed region; with_tentative restores it
-   verbatim after every probe. *)
-let loads_e1 = Loads.of_mapping mapping_e1
-
-let probe_legacy () =
-  (* One candidate evaluation = one full O(replicas · degree) rescan plus
-     an O(p) max scan, for every replica of the mapping. *)
-  List.fold_left
-    (fun acc (_ : Replica.t) ->
-      let l = Loads.of_mapping mapping_e1 in
-      let best = ref 0.0 in
-      Array.iteri
-        (fun u _ -> best := Float.max !best (Loads.cycle_time l u))
-        l.Loads.sigma;
-      acc +. !best)
-    0.0 replicas_e1
-
-let probe_incremental () =
-  (* One candidate evaluation = one O(degree) tentative charge and an O(1)
-     cached max read. *)
-  List.fold_left
-    (fun acc r ->
-      acc +. Loads.with_tentative loads_e1 mapping_e1 r Loads.max_cycle_time)
-    0.0 replicas_e1
-
-let strict_check_legacy () =
-  (* R-LTF's strict finish before ?loads: meets_throughput rewalks the
-     mapping, then the worst-processor scan rewalks it again. *)
-  let ok = Metrics.meets_throughput mapping_e1 ~throughput:throughput_e1 in
-  let loads = Loads.of_mapping mapping_e1 in
-  let worst = ref 0 in
-  Array.iteri
-    (fun u _ ->
-      if Loads.cycle_time loads u > Loads.cycle_time loads !worst then worst := u)
-    loads.Loads.sigma;
-  (ok, !worst)
-
-let strict_check_shared () =
-  let loads = Loads.of_mapping mapping_e1 in
-  let ok = Metrics.meets_throughput ~loads mapping_e1 ~throughput:throughput_e1 in
-  let worst = ref 0 in
-  Array.iteri
-    (fun u _ ->
-      if Loads.cycle_time loads u > Loads.cycle_time loads !worst then worst := u)
-    loads.Loads.sigma;
-  (ok, !worst)
-
-(* Kill-set workload shaped like the scheduler's: ~(ε+1)·m support sets
-   over m = 20 processors, probed pairwise for disjointness and merged. *)
-module Iset = Set.Make (Int)
-
-let kill_set_lists =
-  let rng = Rng.create ~seed:31 in
-  List.init 64 (fun _ -> List.init (1 + Rng.int rng 8) (fun _ -> Rng.int rng 20))
-
-let kill_isets = List.map Iset.of_list kill_set_lists
-let kill_bitsets = List.map Bitset.of_list kill_set_lists
-
-let killset_ops_set () =
-  List.fold_left
-    (fun acc a ->
-      List.fold_left
-        (fun acc b ->
-          if Iset.disjoint a b then acc + Iset.cardinal (Iset.union a b)
-          else acc)
-        acc kill_isets)
-    0 kill_isets
-
-let killset_ops_bitset () =
-  List.fold_left
-    (fun acc a ->
-      List.fold_left
-        (fun acc b ->
-          if Bitset.disjoint a b then acc + Bitset.cardinal (Bitset.union a b)
-          else acc)
-        acc kill_bitsets)
-    0 kill_bitsets
-
-let plat_e1 = inst_g1.Paper_workload.plat
-let kept17 = Array.init 17 Fun.id
-
-let restrict_legacy () =
-  (* What Platform_cost.restrict used to do per elimination probe: rebuild
-     the sub-platform through create's O(m²) validation and double copy. *)
-  let speeds = Array.map (Platform.speed plat_e1) kept17 in
-  let bw =
-    Array.init (Array.length kept17) (fun i ->
-        Array.init (Array.length kept17) (fun j ->
-            if i = j then 1.0
-            else Platform.bandwidth plat_e1 kept17.(i) kept17.(j)))
-  in
-  Platform.create ~name:(Platform.name plat_e1 ^ "-subset") ~speeds
-    ~bandwidth:bw ()
-
-let restrict_direct () = Platform.restrict plat_e1 kept17
-
 let opaque f () = ignore (Sys.opaque_identity (f ()))
-
-let sched_pairs : (string * (unit -> unit) * (unit -> unit)) list =
-  [
-    ( "placement probe (loads per candidate)",
-      opaque probe_legacy,
-      opaque probe_incremental );
-    ( "strict-mode throughput check",
-      opaque strict_check_legacy,
-      opaque strict_check_shared );
-    ( "kill-set disjoint/union/cardinal",
-      opaque killset_ops_set,
-      opaque killset_ops_bitset );
-    ("sub-platform restriction", opaque restrict_legacy, opaque restrict_direct);
-  ]
-
-let sched_tests =
-  List.concat_map
-    (fun (name, before, after) ->
-      [
-        Test.make ~name:(name ^ " [before]") (Staged.stage before);
-        Test.make ~name:(name ^ " [after]") (Staged.stage after);
-      ])
-    sched_pairs
 
 (* ------------------------------------------------------------------ *)
 (* Compiled simulator: before/after pairs                               *)
@@ -353,46 +217,6 @@ let compile_pair name config m prog =
     opaque (fun () -> Engine.simulate ~config (Engine.compile m)),
     opaque (fun () -> Engine.simulate ~config prog) )
 
-let crash_draws_per_mapping = 20
-
-(* Every draw recompiles.  The recompile is spelled out explicitly — an
-   [Of_mapping] source memoizes through [Program_cache], so it would not
-   pay the compile. *)
-let crash_draws_legacy () =
-  let rng = Rng.create ~seed:47 in
-  for _ = 1 to crash_draws_per_mapping do
-    ignore
-      (Crash.estimate ~source:(Crash.Of_program (Engine.compile sim_medium))
-         ~method_:(Crash.Sampled { crashes = 1; draws = 1; rng })
-         ())
-  done
-
-let crash_draws_compiled () =
-  let rng = Rng.create ~seed:47 in
-  ignore
-    (Crash.estimate ~source:(Crash.Of_program sim_medium_prog)
-       ~method_:
-         (Crash.Sampled { crashes = 1; draws = crash_draws_per_mapping; rng })
-       ())
-
-(* The draw loop before and after the run-state arena: both sides replay
-   the same failure draws against the same compiled program; the before
-   side allocates every slab (and the message log) per draw, the after
-   side reuses one arena with the log off — the per-draw shape
-   [Crash.estimate] now takes. *)
-let arena_draws = 200
-let sim_medium_procs = Platform.size (Mapping.platform sim_medium)
-
-(* A draw on fresh slabs with the message log on. *)
-let slab_draw ~failed =
-  Engine.simulate ~config:{ one_item with Engine.Run.failed } sim_medium_prog
-
-let draw_loop_slabs () =
-  let rng = Rng.create ~seed:67 in
-  for _ = 1 to arena_draws do
-    ignore (slab_draw ~failed:[ Rng.int rng sim_medium_procs ])
-  done
-
 (* One estimator draw on the medium program: a single closed item with
    the message log off, replayed through a caller-owned arena. *)
 let draw_config = Engine.Run.without_messages (Engine.Run.closed ())
@@ -400,13 +224,6 @@ let draw_config = Engine.Run.without_messages (Engine.Run.closed ())
 let arena_draw ~state ~failed =
   (Engine.simulate ~state ~config:{ draw_config with failed } sim_medium_prog)
     .Engine.item_latency.(0)
-
-let draw_loop_arena () =
-  let rng = Rng.create ~seed:67 in
-  let state = Engine.Run_state.create sim_medium_prog in
-  for _ = 1 to arena_draws do
-    ignore (arena_draw ~state ~failed:[ Rng.int rng sim_medium_procs ])
-  done
 
 (* The cache-hit path: what revisiting a mapping's program costs with and
    without the content-keyed cache.  The after side digests and looks up
@@ -480,12 +297,6 @@ let sim_pairs : (string * (unit -> unit) * (unit -> unit)) list =
     compile_pair "single crashy run (medium, mid-stream fail-stop)"
       { (Engine.Run.closed ~n_items:4 ()) with timed_failures = [ (3, 120.0) ] }
       sim_medium sim_medium_prog;
-    ( "20 crash draws, one mapping (compile-once)",
-      opaque crash_draws_legacy,
-      opaque crash_draws_compiled );
-    ( "200 failure draws, one program (arena reuse)",
-      opaque draw_loop_slabs,
-      opaque draw_loop_arena );
     ( "program for a revisited mapping (cache hit)",
       opaque cache_lookup_compile,
       opaque cache_lookup_cached );
@@ -834,14 +645,14 @@ let write_json path doc =
   close_out oc;
   Printf.printf "wrote %s\n%!" path
 
-(* --sched-json PATH: measure the before/after pairs plus the real
-   scheduler trajectory points and emit them as one JSON document — the
-   perf-trajectory format committed as BENCH_sched.json and produced by
-   the CI bench smoke step. *)
+(* --sched-json PATH: measure the scheduler trajectory points and emit
+   them as one JSON document — the perf-trajectory format committed as
+   BENCH_sched.json and produced by the CI bench smoke step.  The
+   "pairs" array the check gate reads stays empty: the scheduler has no
+   before/after pair whose "before" side is still live code. *)
 let sched_json path =
   let cfg = bench_cfg () in
   let measure = measure_median cfg in
-  let pairs = measure_pairs cfg sched_pairs in
   let trajectory =
     List.map
       (fun (key, thunk) ->
@@ -865,7 +676,7 @@ let sched_json path =
     Obs.Json.Obj
       ([
          ("schema", Obs.Json.Str "streamsched-bench-sched/1");
-         ("pairs", Obs.Json.Arr pairs);
+         ("pairs", Obs.Json.Arr []);
          ("trajectory", Obs.Json.Obj trajectory);
        ]
       @ scale_section default_scale_csv)
@@ -931,12 +742,10 @@ let parallel_section cfg =
       ("entries", Obs.Json.Arr entries);
     ]
 
-(* Per-draw allocation, before (fresh slabs and message log every draw)
-   and after (one arena, log off) — the GC-pressure half of the arena
-   story, measured with [Gc.allocated_bytes] rather than the clock. *)
+(* Per-draw allocation of the arena draw, measured with
+   [Gc.allocated_bytes] rather than the clock. *)
 let alloc_iters = 100
 let alloc_reps = 5
-let alloc_ratio_gate = 5.0
 
 (* Minimum over repetitions, not a single pass: [Gc.allocated_bytes]
    on OCaml 5.1 sporadically over-reports around minor collections
@@ -957,28 +766,6 @@ let bytes_per_call thunk =
     if b < !best then best := b
   done;
   !best
-
-let alloc_entries () =
-  let state = Engine.Run_state.create sim_medium_prog in
-  let slab_draw () = ignore (Sys.opaque_identity (slab_draw ~failed:[ 0 ])) in
-  let arena_draw () =
-    ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ]))
-  in
-  let before_b = bytes_per_call slab_draw in
-  let after_b = bytes_per_call arena_draw in
-  Printf.printf
-    "per-draw allocation %32.0f -> %10.0f bytes (%5.1fx, gate %.1fx)\n%!"
-    before_b after_b (before_b /. after_b) alloc_ratio_gate;
-  [
-    Obs.Json.Obj
-      [
-        ("name", Obs.Json.Str "per-draw allocation (slabs vs arena)");
-        ("before_bytes", Obs.Json.Num before_b);
-        ("after_bytes", Obs.Json.Num after_b);
-        ("ratio", Obs.Json.Num (before_b /. after_b));
-        ("gate", Obs.Json.Num alloc_ratio_gate);
-      ];
-  ]
 
 (* --sim-json PATH: the compiled-simulator before/after pairs plus the
    single-run trajectory points, committed as BENCH_sim.json — the second
@@ -1030,7 +817,6 @@ let sim_json path =
          ("pairs", Obs.Json.Arr pairs);
          ("overheads", Obs.Json.Arr overheads);
          ("parallel", parallel_section cfg);
-         ("alloc", Obs.Json.Arr (alloc_entries ()));
          ("trajectory", Obs.Json.Obj trajectory);
        ]
       @ scale_section default_scale_csv)
@@ -1139,42 +925,11 @@ let check_parallel ~path doc =
             entries);
       !bad
 
-(* Validate an "alloc" section when present: each entry's before/after
-   allocation ratio must clear its recorded gate — the arena has to keep
-   buying its order-of-magnitude allocation saving, not just break
-   even. *)
-let check_alloc ~path:_ doc =
-  match Obs.Json.member "alloc" doc with
-  | Some (Obs.Json.Arr entries) ->
-      let bad = ref 0 in
-      List.iter
-        (fun e ->
-          let name =
-            match str_member "name" e with Some s -> s | None -> "<unnamed>"
-          in
-          let gate =
-            match num_member "gate" e with Some g -> g | None -> alloc_ratio_gate
-          in
-          match num_member "ratio" e with
-          | Some r when Float.is_finite r && r >= gate ->
-              Printf.printf "ok   %-48s %5.1fx less allocation (gate %.1fx)\n"
-                name r gate
-          | Some r ->
-              Printf.printf "FAIL %-48s %5.1fx allocation ratio < %.1fx\n" name
-                r gate;
-              incr bad
-          | None ->
-              Printf.printf "FAIL %-48s missing allocation ratio\n" name;
-              incr bad)
-        entries;
-      !bad
-  | _ -> 0
-
 (* --check-sim-json PATH: regression guard over a committed trajectory
    file — fail the build when any recorded before/after pair has
    regressed below break-even, any open-system overhead ratio exceeds
-   {!max_open_overhead}, the parallel estimate stopped scaling (or
-   started costing), or the arena's allocation saving eroded.  When the
+   {!max_open_overhead}, or the parallel estimate stopped scaling (or
+   started costing).  When the
    file carries large-instance scale points, their simulate cost must
    stay under the per-task ceiling. *)
 let check_sim_json path =
@@ -1208,7 +963,6 @@ let check_sim_json path =
           incr bad)
     overheads;
   bad := !bad + check_parallel ~path doc;
-  bad := !bad + check_alloc ~path doc;
   bad := !bad + check_scale ~required:false ~path doc;
   if !bad > 0 then begin
     Printf.eprintf "%s: %d entry(ies) out of bounds\n" path !bad;
@@ -1255,55 +1009,43 @@ let parallel_smoke () =
     parallel_jobs;
   Printf.printf "parallel estimate smoke: all worker counts identical\n%!"
 
-(* --gc-stats: allocation and collection counts per draw for the slab
-   and arena paths — the numbers behind the "alloc" section, in a
-   human-readable dump CI uploads as an artifact.  Exits 1 when the
-   arena draw allocates more than [arena_draw_ceiling] bytes: per-run
-   engine state belongs in the arena, so the draw must stay near its
-   fixed result-record cost (about 0.5 KiB). *)
+(* --gc-stats: allocation and collection counts per arena draw, in a
+   human-readable dump CI uploads as an artifact.  Exits 1 when the draw
+   allocates more than [arena_draw_ceiling] bytes: per-run engine state
+   belongs in the arena, so the draw must stay near its fixed
+   result-record cost (about 0.1 KiB). *)
 let arena_draw_ceiling = 2048.0
 
 let gc_stats () =
-  Printf.printf "## GC per draw (medium workload, %d draws per shape)\n"
-    alloc_iters;
+  Printf.printf "## GC per draw (medium workload, %d draws)\n" alloc_iters;
+  let name = "arena reuse, log off (estimate draw)" in
   let state = Engine.Run_state.create sim_medium_prog in
-  let shapes =
-    [
-      ( "fresh slabs + message log (legacy draw)",
-        infinity,
-        fun () -> ignore (Sys.opaque_identity (slab_draw ~failed:[ 0 ])) );
-      ( "arena reuse, log off (estimate draw)",
-        arena_draw_ceiling,
-        fun () -> ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ])) );
-    ]
+  let thunk () =
+    ignore (Sys.opaque_identity (arena_draw ~state ~failed:[ 0 ]))
   in
-  List.iter
-    (fun (name, ceiling, thunk) ->
-      thunk ();
-      let s0 = Gc.quick_stat () in
-      let b0 = Gc.allocated_bytes () in
-      for _ = 1 to alloc_iters do
-        thunk ()
-      done;
-      let b1 = Gc.allocated_bytes () in
-      let s1 = Gc.quick_stat () in
-      let per x0 x1 = (x1 -. x0) /. float_of_int alloc_iters in
-      Printf.printf
-        "%-42s %12.0f bytes (min %.0f)  %8.1f minor words  %8.1f major \
-         words  %6.2f minor collections\n%!"
-        name
-        (per b0 b1) (bytes_per_call thunk)
-        (per s0.Gc.minor_words s1.Gc.minor_words)
-        (per s0.Gc.major_words s1.Gc.major_words)
-        (per
-           (float_of_int s0.Gc.minor_collections)
-           (float_of_int s1.Gc.minor_collections));
-      if per b0 b1 > ceiling then begin
-        Printf.eprintf "FAIL %s allocates %.0f bytes per draw (ceiling %.0f)\n"
-          name (per b0 b1) ceiling;
-        exit 1
-      end)
-    shapes
+  thunk ();
+  let s0 = Gc.quick_stat () in
+  let b0 = Gc.allocated_bytes () in
+  for _ = 1 to alloc_iters do
+    thunk ()
+  done;
+  let b1 = Gc.allocated_bytes () in
+  let s1 = Gc.quick_stat () in
+  let per x0 x1 = (x1 -. x0) /. float_of_int alloc_iters in
+  Printf.printf
+    "%-42s %12.0f bytes (min %.0f)  %8.1f minor words  %8.1f major words  \
+     %6.2f minor collections\n%!"
+    name (per b0 b1) (bytes_per_call thunk)
+    (per s0.Gc.minor_words s1.Gc.minor_words)
+    (per s0.Gc.major_words s1.Gc.major_words)
+    (per
+       (float_of_int s0.Gc.minor_collections)
+       (float_of_int s1.Gc.minor_collections));
+  if per b0 b1 > arena_draw_ceiling then begin
+    Printf.eprintf "FAIL %s allocates %.0f bytes per draw (ceiling %.0f)\n"
+      name (per b0 b1) arena_draw_ceiling;
+    exit 1
+  end
 
 let () =
   match Array.to_list Sys.argv with
@@ -1319,7 +1061,6 @@ let () =
       run_group "Figure regeneration (one sweep point each)" figure_tests;
       run_group "Parallel sweep engine (domain pool)" parallel_tests;
       run_group "Scheduling algorithms" algorithm_tests;
-      run_group "Incremental scheduling state (before/after)" sched_tests;
       run_group "Compiled simulator (before/after)" sim_tests;
       run_group "Substrates" substrate_tests;
       counter_deltas ()

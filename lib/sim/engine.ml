@@ -63,7 +63,7 @@ type result = {
    order is exactly the lexicographic ((item, task, copy)) order the
    legacy engine used for tie-breaks.  Everything in the record is
    immutable after [compile], so a program can be shared freely; per-run
-   state lives entirely inside [simulate]. *)
+   state lives entirely in the [Run_state] arena. *)
 type program = {
   p_mapping : Mapping.t;
   p_tasks : int;
@@ -118,56 +118,38 @@ let compile m =
   for rid = 0 to n_rids - 1 do
     pred_off.(rid + 1) <- pred_off.(rid) + pred_count.(rid / copies)
   done;
+  (* Placement, execution durations and source groups, in rid order. *)
   let proc_of = Array.make n_rids (-1) in
   let exec_dur = Array.make n_rids 0.0 in
-  for task = 0 to n_tasks - 1 do
-    for copy = 0 to copies - 1 do
-      match Mapping.replica m task copy with
-      | None -> ()
-      | Some r ->
-          let rid = (task * copies) + copy in
-          proc_of.(rid) <- r.Replica.proc;
-          exec_dur.(rid) <- Platform.exec_time plat r.Replica.proc (Dag.exec dag task)
-    done
-  done;
-  (* Source groups. *)
   let grp_off = Array.make (n_rids + 1) 0 in
+  let groups = ref [] (* each group's source ids, last group first *) in
   for task = 0 to n_tasks - 1 do
     for copy = 0 to copies - 1 do
       let rid = (task * copies) + copy in
-      let n =
-        match Mapping.replica m task copy with
-        | None -> 0
-        | Some r -> List.length r.Replica.sources
-      in
-      grp_off.(rid + 1) <- grp_off.(rid) + n
-    done
-  done;
-  let n_groups = grp_off.(n_rids) in
-  let grp_src_off = Array.make (n_groups + 1) 0 in
-  let grp_src_lists = Array.make (max 1 n_groups) [] in
-  let g = ref 0 in
-  for task = 0 to n_tasks - 1 do
-    for copy = 0 to copies - 1 do
+      grp_off.(rid + 1) <- grp_off.(rid);
       match Mapping.replica m task copy with
       | None -> ()
       | Some r ->
-          List.iter
-            (fun (_, ids) ->
-              grp_src_off.(!g + 1) <-
-                grp_src_off.(!g) + List.length ids;
-              grp_src_lists.(!g) <- ids;
-              incr g)
-            r.Replica.sources
+          proc_of.(rid) <- r.Replica.proc;
+          exec_dur.(rid) <- Platform.exec_time plat r.Replica.proc (Dag.exec dag task);
+          grp_off.(rid + 1) <- grp_off.(rid) + List.length r.Replica.sources;
+          List.iter (fun (_, ids) -> groups := ids :: !groups) r.Replica.sources
     done
   done;
+  let groups = Array.of_list (List.rev !groups) in
+  let n_groups = Array.length groups in
+  let grp_src_off = Array.make (n_groups + 1) 0 in
+  Array.iteri
+    (fun gi ids -> grp_src_off.(gi + 1) <- grp_src_off.(gi) + List.length ids)
+    groups;
   let grp_src = Array.make (max 1 grp_src_off.(n_groups)) 0 in
-  for gi = 0 to n_groups - 1 do
-    List.iteri
-      (fun i (src : Replica.id) ->
-        grp_src.(grp_src_off.(gi) + i) <- (src.task * copies) + src.copy)
-      grp_src_lists.(gi)
-  done;
+  Array.iteri
+    (fun gi ids ->
+      List.iteri
+        (fun i (src : Replica.id) ->
+          grp_src.(grp_src_off.(gi) + i) <- (src.task * copies) + src.copy)
+        ids)
+    groups;
   (* Consumers, in the legacy consumer-table encounter order: mapping
      iteration (task, copy ascending), then source-group order, then
      source order within the group. *)
@@ -267,9 +249,9 @@ module Run = struct
     faults : Faults.t;
   }
 
-  let closed ?(n_items = 1) ?period () =
+  let of_traffic traffic =
     {
-      traffic = Closed { n_items; period };
+      traffic;
       snapshot = None;
       failed = [];
       timed_failures = [];
@@ -277,15 +259,10 @@ module Run = struct
       faults = Faults.none;
     }
 
+  let closed ?(n_items = 1) ?period () = of_traffic (Closed { n_items; period })
+
   let open_ ?queue_bound ?(policy = Block) ?rng ~n_items arrival =
-    {
-      traffic = Open { arrival; n_items; rng; queue_bound; policy };
-      snapshot = None;
-      failed = [];
-      timed_failures = [];
-      record_messages = true;
-      faults = Faults.none;
-    }
+    of_traffic (Open { arrival; n_items; rng; queue_bound; policy })
 
   let with_faults faults config = { config with faults }
   let without_messages config = { config with record_messages = false }
@@ -334,29 +311,32 @@ let ev_requeue = 7
 (* arg: message handle — a backed-off transfer re-enters the pending
    set *)
 
-(* The resolved traffic of one run: [ot_offsets] is empty for a closed
-   run and carries the materialized arrival offsets of an open one. *)
-type traffic_plan = {
-  ot_open : bool;
-  ot_offsets : float array;
-  ot_bound : int;  (* max_int = unbounded *)
-  ot_drop : bool;  (* Drop_newest *)
-}
-
-let closed_plan =
-  { ot_open = false; ot_offsets = [||]; ot_bound = max_int; ot_drop = false }
+(* Named slots of [Run_state.rs_f], the run's float scalars.  They share
+   one float array because its stores are unboxed, where a mutable float
+   field of the (mixed) arena record would box on every store.
+   [slot_key] must be 0: [Event_heap.add] reads the key from slot 0. *)
+let slot_key = 0 (* the time the next [schedule] files its event at *)
+let slot_now = 1 (* the loop's current time *)
+let slot_makespan = 2
+let slot_stall = 3 (* total backpressure wait of admitted items *)
+let slot_backoff = 4 (* total retry backoff inserted *)
+let slot_next_fail = 5 (* the next timed-failure instant after now *)
+let slot_clock = 6 (* the snapshot clock the run starts at *)
+let slot_period = 7 (* the closed injection period *)
 
 (* ------------------------------------------------------------------ *)
 (* The reusable run-state arena                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Every array slab [run_compiled_impl] needs, owned by the caller so a
-   draw loop (crash sampling, epochs, traffic sweeps) allocates them once
-   and replays thousands of scenarios with zero per-draw slab allocation.
-   Per-processor and per-replica slabs are sized at [create]; the
-   per-(item, replica) slabs grow geometrically on demand, since the item
-   count varies run to run.  Each run fully re-initializes the ranges it
-   uses, so a reused arena is bit-identical to a fresh one. *)
+(* Everything one run reads or writes besides the immutable program:
+   array slabs, owned by the caller so a draw loop (crash sampling,
+   epochs, traffic sweeps) allocates them once and replays thousands of
+   scenarios with zero per-draw slab allocation, plus the run's resolved
+   scenario, counters and float scalars.  Per-processor and per-replica
+   slabs are sized at [create]; the per-(item, replica) slabs grow
+   geometrically on demand, since the item count varies run to run.
+   [start] re-initializes every range the run uses and every scalar, so a
+   reused arena is bit-identical to a fresh one. *)
 module Run_state = struct
   type t = {
     rs_rids : int;
@@ -364,8 +344,6 @@ module Run_state = struct
     rs_total_preds : int;
     (* per-processor slabs *)
     rs_fail_time : float array;
-    rs_seen_timed : bool array;
-    rs_failed_procs : bool array;
     rs_busy_until : float array;
     rs_running : bool array;
     rs_send_free : float array;
@@ -385,9 +363,9 @@ module Run_state = struct
     (* per-replica slabs *)
     rs_dead : bool array;
     rs_occ : int array;
-    (* message pool (structure-of-arrays), grown on demand; its length
-       counter is per-run, so no reset is needed — every run writes a
-       slot before reading it, and the slots hold no pointers *)
+    (* message pool (structure-of-arrays), grown on demand; every run
+       writes a slot before reading it, and the slots hold no pointers,
+       so only its length is reset *)
     mutable rs_pm_src : int array;
     mutable rs_pm_dst : int array;
     mutable rs_pm_dst_rid : int array;
@@ -404,11 +382,45 @@ module Run_state = struct
     mutable rs_attempts : int array;
     mutable rs_opened : Bytes.t;
     mutable rs_sat : Bytes.t;
-    (* event queue, message log, deferred local deliveries *)
+    (* event queue, message log (newest first), deferred local
+       deliveries *)
     rs_events : Event_heap.t;
-    mutable rs_log : message option array;
+    mutable rs_log : message list;
     mutable rs_dl_dst : int array;
     mutable rs_dl_pos : int array;
+    (* the run's float scalars, by [slot_*] *)
+    rs_f : float array;
+    (* the run's resolved scenario *)
+    mutable rs_open : bool;
+    mutable rs_bound : int;  (* max_int = unbounded *)
+    mutable rs_shed : bool;  (* Drop_newest *)
+    mutable rs_fz : bool;  (* Faults.none: no fault-model touch point runs *)
+    mutable rs_no_gray : bool;
+        (* no straggler or link window either: skips the gray-factor
+           lookups, and the boxed clock each would take *)
+    mutable rs_obs : bool;  (* Obs.enabled (), read once per run *)
+    mutable rs_record : bool;  (* record_messages *)
+    mutable rs_faults : Faults.t;
+    (* per-run arrays the result returns, so fresh every run *)
+    mutable rs_arr_abs : float array;
+    mutable rs_injections : float array;
+    mutable rs_exhausted_on : int array;
+    (* the run's cursors and counters *)
+    mutable rs_n_touched : int;
+    mutable rs_n_ports : int;
+    mutable rs_pm_len : int;
+    mutable rs_dl_len : int;
+    mutable rs_msg_dirty : bool;
+    mutable rs_next_admit : int;
+    mutable rs_arrived : int;
+    mutable rs_dropped : int;
+    mutable rs_peak_queue : int;
+    mutable rs_f_retries : int;
+    mutable rs_f_exec : int;
+    mutable rs_f_comm : int;
+    mutable rs_f_exhausted : int;
+    mutable rs_f_slowed : int;
+    mutable rs_f_degraded : int;
   }
 
   let create p =
@@ -419,8 +431,6 @@ module Run_state = struct
       rs_procs = procs;
       rs_total_preds = p.p_total_preds;
       rs_fail_time = Array.make procs infinity;
-      rs_seen_timed = Array.make procs false;
-      rs_failed_procs = Array.make procs false;
       rs_busy_until = Array.make procs 0.0;
       rs_running = Array.make procs false;
       rs_send_free = Array.make procs 0.0;
@@ -451,96 +461,50 @@ module Run_state = struct
       rs_opened = Bytes.make (max 1 rids) '\000';
       rs_sat = Bytes.make (max 1 p.p_total_preds) '\000';
       rs_events = Event_heap.create ();
-      rs_log = Array.make 64 None;
+      rs_log = [];
       rs_dl_dst = [||];
       rs_dl_pos = [||];
+      rs_f = Array.make 8 0.0;
+      rs_open = false;
+      rs_bound = max_int;
+      rs_shed = false;
+      rs_fz = true;
+      rs_no_gray = true;
+      rs_obs = false;
+      rs_record = true;
+      rs_faults = Faults.none;
+      rs_arr_abs = [||];
+      rs_injections = [||];
+      rs_exhausted_on = [||];
+      rs_n_touched = 0;
+      rs_n_ports = 0;
+      rs_pm_len = 0;
+      rs_dl_len = 0;
+      rs_msg_dirty = false;
+      rs_next_admit = 0;
+      rs_arrived = 0;
+      rs_dropped = 0;
+      rs_peak_queue = 0;
+      rs_f_retries = 0;
+      rs_f_exec = 0;
+      rs_f_comm = 0;
+      rs_f_exhausted = 0;
+      rs_f_slowed = 0;
+      rs_f_degraded = 0;
     }
 
-  (* Grow the item-dependent slabs to at least the run's needs.  New
-     arrays need no fill here: the run initializes the range it uses. *)
-  let ensure st ~total ~sat_len =
-    if Array.length st.rs_starts < total then begin
-      let cap = max total (2 * Array.length st.rs_starts) in
-      st.rs_starts <- Array.make cap nan;
-      st.rs_finishes <- Array.make cap nan;
-      st.rs_unsatisfied <- Array.make cap 0;
-      st.rs_attempts <- Array.make cap 0;
-      st.rs_opened <- Bytes.make cap '\000'
-    end;
-    if Bytes.length st.rs_sat < sat_len then
-      st.rs_sat <- Bytes.make (max sat_len (2 * Bytes.length st.rs_sat)) '\000'
-end
-
-let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
-    ~timed_failures ~traffic ~record_messages ~faults p =
-  if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
-  let clock = snapshot.clock in
-  if clock < 0.0 || not (Float.is_finite clock) then
-    invalid_arg "Engine.simulate: snapshot clock must be finite and non-negative";
-  let period =
-    match period with
-    | Some q ->
-        if q < 0.0 || not (Float.is_finite q) then
-          invalid_arg "Engine.simulate: period must be finite and non-negative"
-        else q
-    | None -> p.p_period
-  in
-  let open_mode = traffic.ot_open in
-  let bound = traffic.ot_bound and shed = traffic.ot_drop in
-  let copies = p.p_copies in
-  let n_rids = p.p_rids and n_procs = p.p_procs in
-  let prio = p.p_prio and proc_of = p.p_proc in
-  (* Fault scenario.  [fz] guards every fault-model touch point: when the
-     scenario is Faults.none the run takes exactly the legacy code path —
-     no draws, no factor multiplies, no extra allocations — and stays
-     bit-identical to the pre-faults engine. *)
-  let fz = Faults.is_none faults in
-  if not fz then Faults.validate ~procs:n_procs faults;
-  let transient = faults.Faults.transient
-  and retry = faults.Faults.retry
-  and gray = faults.Faults.gray in
-  (* Skips the gray-factor lookups, and the boxed clock each call would
-     take, when no straggler or link window is set. *)
-  let no_gray = fz || Faults.Gray.is_none gray in
-  let (st : Run_state.t) = state in
-  (* fail_time.(u) is when the processor crashes (fail-stop): work and
-     transfers completing strictly later are lost.  A crash at or before
-     the snapshot clock is the paper's fail-silent-from-the-start case and
-     also prunes replicas statically (they can never produce anything). *)
-  let check_proc what u =
-    if u < 0 || u >= n_procs then
-      invalid_arg ("Engine.simulate: processor outside [0, m) in " ^ what)
-  in
-  List.iter (check_proc "failed") failed;
-  List.iter (check_proc "snapshot.down") snapshot.down;
-  let fail_time = st.rs_fail_time in
-  Array.fill fail_time 0 n_procs infinity;
-  List.iter (fun u -> fail_time.(u) <- 0.0) (failed @ snapshot.down);
-  let seen_timed = st.rs_seen_timed in
-  Array.fill seen_timed 0 n_procs false;
-  List.iter
-    (fun (u, t) ->
-      check_proc "timed_failures" u;
-      if Float.is_nan t || t < 0.0 then
-        invalid_arg "Engine.simulate: negative or NaN failure time";
-      if seen_timed.(u) then
-        invalid_arg "Engine.simulate: duplicate processor in timed_failures";
-      seen_timed.(u) <- true;
-      fail_time.(u) <- Float.min fail_time.(u) t)
-    timed_failures;
-  let failed_procs = st.rs_failed_procs in
-  for u = 0 to n_procs - 1 do
-    failed_procs.(u) <- fail_time.(u) <= clock
-  done;
-  (* Liveness sweep: a replica is dead when its processor failed
-     statically or when, for some predecessor, every source is dead. *)
-  let dead = st.rs_dead in
-  Array.fill dead 0 n_rids true;
-  Array.iter
-    (fun task ->
+  (* Static liveness, in topological order: a replica is dead when its
+     processor failed at or before the clock, or when, for some
+     predecessor, every source is dead. *)
+  let liveness st p =
+    let dead = st.rs_dead and copies = p.p_copies and clock = st.rs_f.(slot_clock) in
+    Array.fill dead 0 p.p_rids true;
+    for i = 0 to Array.length p.p_topo - 1 do
+      let task = p.p_topo.(i) in
       for copy = 0 to copies - 1 do
         let rid = (task * copies) + copy in
-        if proc_of.(rid) >= 0 && not failed_procs.(proc_of.(rid)) then begin
+        let u = p.p_proc.(rid) in
+        if u >= 0 && st.rs_fail_time.(u) > clock then begin
           let starved = ref false in
           let g = ref p.p_grp_off.(rid) in
           let g_end = p.p_grp_off.(rid + 1) in
@@ -557,779 +521,815 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
           done;
           dead.(rid) <- !starved
         end
-      done)
-    p.p_topo;
-  (* Per-instance state: iidx = item * n_rids + rid. *)
-  let total = n_items * n_rids in
-  let sat_len = n_items * p.p_total_preds in
-  Run_state.ensure st ~total ~sat_len;
-  (* Fault ledger: execution attempt counters per instance, exhaustion
-     counts per processor, and the run-wide tallies of the result's
-     [fault_stats].  Initialized only when the scenario is live.
-     [exhausted_on] stays a fresh allocation: it is returned in the
-     result and must survive the arena's next run. *)
-  let attempts =
-    if fz then [||]
-    else begin
-      Array.fill st.rs_attempts 0 total 0;
-      st.rs_attempts
-    end
-  in
-  let exhausted_on = if fz then [||] else Array.make n_procs 0 in
-  let f_retries = ref 0 and f_backoff = Array.make 1 0.0 in
-  let f_exec = ref 0 and f_comm = ref 0 and f_exhausted = ref 0 in
-  let f_slowed = ref 0 and f_degraded = ref 0 in
-  let starts = st.rs_starts and finishes = st.rs_finishes in
-  Array.fill starts 0 total nan;
-  Array.fill finishes 0 total nan;
-  let unsatisfied = st.rs_unsatisfied in
-  Array.fill unsatisfied 0 total 0;
-  (* Which predecessor positions are already satisfied, one byte per
-     (item, task, position). *)
-  let sat = st.rs_sat in
-  Bytes.fill sat 0 sat_len '\000';
-  for item = 0 to n_items - 1 do
-    for rid = 0 to n_rids - 1 do
-      if not dead.(rid) then
-        unsatisfied.((item * n_rids) + rid) <- p.p_pred_count.(rid / copies)
-    done
-  done;
-  (* Processor and port state. *)
-  let busy_until = st.rs_busy_until in
-  Array.fill busy_until 0 n_procs 0.0;
-  let running = st.rs_running in
-  Array.fill running 0 n_procs false;
-  let send_free = st.rs_send_free and recv_free = st.rs_recv_free in
-  Array.fill send_free 0 n_procs 0.0;
-  Array.fill recv_free 0 n_procs 0.0;
-  let events = st.rs_events in
-  Event_heap.clear events;
-  (* Scratch slot for [Event_heap.add]: the scheduled time is
-     stored here (an unboxed float-array store) so the hot add sites
-     never box their key. *)
-  let ev_key = Array.make 1 0.0 in
-  (* The loop's current time, also unboxed: [loop] writes the popped
-     key here and [handle]/[drain]/the dispatchers read it back as a
-     float-array load, so on the fault-free closed-mode path an event
-     iteration materialises no boxed float at all. *)
-  let tnow = Array.make 1 clock in
-  (* The metrics gate is hoisted out of the hot loop: when recording is
-     off the run pays exactly one flag read. *)
-  let obs = Obs.enabled () in
-  let observe_heap () =
-    if obs then Obs.observe "sim.heap_size" (float_of_int (Event_heap.size events))
-  in
-  (* Growable message-log buffer, chronological commit order; skipped
-     entirely when the config turns message recording off (draw loops
-     that never read [result.messages] save the per-transfer records). *)
-  let log_len = ref 0 in
-  let log_push msg =
-    if !log_len = Array.length st.rs_log then begin
-      let d = Array.make (2 * !log_len) None in
-      Array.blit st.rs_log 0 d 0 !log_len;
-      st.rs_log <- d
-    end;
-    st.rs_log.(!log_len) <- Some msg;
-    incr log_len
-  in
-  (* A one-slot float array rather than a ref: stores into a float array
-     are unboxed, so the per-event makespan update allocates nothing. *)
-  let makespan = Array.make 1 clock in
-  (* Ready instances, one binary heap per processor.  The heap order is
-     the legacy [better] relation — item ascending, then task priority
-     descending, then replica id ascending — which is a strict total
-     order on any one processor's ready set (two instances there always
-     differ in item or task), so popping the root picks exactly the
-     instance the legacy list fold selected. *)
-  let ready_data = st.rs_ready_data in
-  let ready_len = st.rs_ready_len in
-  Array.fill ready_len 0 n_procs 0;
-  (* The processors whose startability may have changed since the last
-     [dispatch_procs]: an idle processor becomes startable only when its
-     ready heap gains an instance or when it frees, and both touch it. *)
-  let touched = st.rs_touched and touch_list = st.rs_touch_list in
-  Array.fill touched 0 n_procs false;
-  let n_touched = ref 0 in
-  let touch u =
-    if not touched.(u) then begin
-      touched.(u) <- true;
-      touch_list.(!n_touched) <- u;
-      incr n_touched
-    end
-  in
-  let inst_before a b =
-    let ia = a / n_rids and ib = b / n_rids in
-    if ia <> ib then ia < ib
-    else begin
-      let ra = a mod n_rids and rb = b mod n_rids in
-      let pa = prio.(ra / copies) and pb = prio.(rb / copies) in
-      if pa <> pb then pa > pb else ra < rb
-    end
-  in
-  let ready_push u x =
-    touch u;
-    let len = ready_len.(u) in
-    if len = Array.length ready_data.(u) then begin
-      let d = Array.make (max 8 (2 * len)) 0 in
-      Array.blit ready_data.(u) 0 d 0 len;
-      ready_data.(u) <- d
-    end;
-    let d = ready_data.(u) in
-    d.(len) <- x;
-    ready_len.(u) <- len + 1;
-    let i = ref len in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      inst_before d.(!i) d.(parent)
-      &&
-      (let tmp = d.(!i) in
-       d.(!i) <- d.(parent);
-       d.(parent) <- tmp;
-       i := parent;
-       true)
-    do
-      ()
-    done
-  in
-  let ready_pop u =
-    let d = ready_data.(u) in
-    let len = ready_len.(u) - 1 in
-    let top = d.(0) in
-    d.(0) <- d.(len);
-    ready_len.(u) <- len;
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < len && inst_before d.(l) d.(!smallest) then smallest := l;
-      if r < len && inst_before d.(r) d.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = d.(!i) in
-        d.(!i) <- d.(!smallest);
-        d.(!smallest) <- tmp;
-        i := !smallest
-      end
-      else continue := false
-    done;
-    top
-  in
-  (* Pending transfers, bucketed by sending processor (the send port they
-     wait on); index-based removal, so structurally identical messages
-     are distinct entries.  [ports] lists the send ports with a
-     nonempty bucket; [port_at] is written when a port enters the list,
-     before any read. *)
-  let pend_data = st.rs_pend_data in
-  let pend_len = st.rs_pend_len in
-  Array.fill pend_len 0 n_procs 0;
-  let ports = st.rs_ports and port_at = st.rs_port_at in
-  let n_ports = ref 0 in
-  (* Set whenever a pending transfer may have become committable since
-     the last [dispatch_msgs] scan that found none (see [loop]). *)
-  let msg_dirty = ref false in
-  (* Message-pool cursor: handles are issued in creation order, which is
-     exactly the legacy [pm_seq] numbering (one message created per
-     cross-processor hand-off, and a requeued message keeps its
-     handle). *)
-  let pm_len = ref 0 in
-  let pm_ensure () =
-    if !pm_len = Array.length st.rs_pm_src then begin
-      let cap = max 16 (2 * Array.length st.rs_pm_src) in
-      let grow_int a =
-        let d = Array.make cap 0 in
-        Array.blit a 0 d 0 !pm_len;
-        d
-      in
-      let grow_float a =
-        let d = Array.make cap 0.0 in
-        Array.blit a 0 d 0 !pm_len;
-        d
-      in
-      let grow_bool a =
-        let d = Array.make cap false in
-        Array.blit a 0 d 0 !pm_len;
-        d
-      in
-      st.rs_pm_src <- grow_int st.rs_pm_src;
-      st.rs_pm_dst <- grow_int st.rs_pm_dst;
-      st.rs_pm_dst_rid <- grow_int st.rs_pm_dst_rid;
-      st.rs_pm_dp <- grow_int st.rs_pm_dp;
-      st.rs_pm_pos <- grow_int st.rs_pm_pos;
-      st.rs_pm_attempt <- grow_int st.rs_pm_attempt;
-      st.rs_pm_dur <- grow_float st.rs_pm_dur;
-      st.rs_pm_commit <- grow_float st.rs_pm_commit;
-      st.rs_pm_alive <- grow_bool st.rs_pm_alive
-    end
-  in
-  let pend_push u mi =
-    let len = pend_len.(u) in
-    if len = Array.length pend_data.(u) then begin
-      let d = Array.make (max 4 (2 * len)) 0 in
-      Array.blit pend_data.(u) 0 d 0 len;
-      pend_data.(u) <- d
-    end;
-    pend_data.(u).(len) <- mi;
-    pend_len.(u) <- len + 1;
-    if len = 0 then begin
-      port_at.(u) <- !n_ports;
-      ports.(!n_ports) <- u;
-      incr n_ports
-    end;
-    msg_dirty := true
-  in
-  let pend_remove u i =
-    let len = pend_len.(u) - 1 in
-    pend_data.(u).(i) <- pend_data.(u).(len);
-    pend_len.(u) <- len;
-    if len = 0 then begin
-      let last = !n_ports - 1 in
-      let v = ports.(last) and k = port_at.(u) in
-      ports.(k) <- v;
-      port_at.(v) <- k;
-      n_ports := last
-    end
-  in
-  let satisfy iidx pos =
-    let item = iidx / n_rids and rid = iidx mod n_rids in
-    let si = (item * p.p_total_preds) + p.p_pred_off.(rid) + pos in
-    if Bytes.get sat si = '\000' then begin
-      Bytes.set sat si '\001';
-      unsatisfied.(iidx) <- unsatisfied.(iidx) - 1;
-      if unsatisfied.(iidx) = 0 then ready_push proc_of.(rid) iidx
-    end
-  in
-  (* ---- open-system state: queues, source backlog, shedding ---------- *)
-  (* An instance occupies its replica's bounded input queue from the
-     moment data is first committed toward it (for an entry task: from
-     admission) until it finishes executing.  [opened] marks the charge;
-     the charge is skipped when the replica's processor is already dead
-     at charge time (no queue survives a crash), and an instance that
-     finishes always had a live-processor charge, so the Finish-side
-     release below never underflows. *)
-  let arr_abs =
-    if open_mode then Array.map (fun o -> clock +. o) traffic.ot_offsets
-    else [||]
-  in
-  (* Closed runs never read [occ] / [opened] (every touch point is
-     guarded by [open_mode]), so they are only re-initialized for open
-     ones. *)
-  let occ = st.rs_occ in
-  if open_mode then Array.fill occ 0 n_rids 0;
-  let opened = st.rs_opened in
-  if open_mode then Bytes.fill opened 0 total '\000';
-  let injections = Array.make n_items nan in
-  let dropped = ref 0 in
-  let stall_time = Array.make 1 0.0 in
-  let peak_queue = ref 0 in
-  let next_admit = ref 0 in
-  let arrived = ref 0 in
-  (* The open-mode helpers below read the clock from [tnow] rather than
-     taking a [float] argument, which would be boxed at every call. *)
-  let charge iidx =
-    if Bytes.get opened iidx = '\000' then begin
-      Bytes.set opened iidx '\001';
-      msg_dirty := true;
-      let rid = iidx mod n_rids in
-      if fail_time.(proc_of.(rid)) > tnow.(0) then begin
-        let o = occ.(rid) + 1 in
-        occ.(rid) <- o;
-        if o > !peak_queue then peak_queue := o;
-        if obs then begin
-          Obs.incr "sim.queue.enqueued";
-          Obs.observe "sim.queue.occupancy" (float_of_int o)
-        end
-      end
-    end
-  in
-  let has_room rid = fail_time.(proc_of.(rid)) <= tnow.(0) || occ.(rid) < bound in
-  (* Deferred local deliveries: a finished instance's same-processor
-     hand-off that found the destination queue full waits here, oldest
-     first, and is retried whenever occupancy may have freed. *)
-  let dl_len = ref 0 in
-  let dl_push dst pos =
-    if !dl_len = Array.length st.rs_dl_dst then begin
-      let n = max 8 (2 * !dl_len) in
-      let d = Array.make n 0 and q = Array.make n 0 in
-      Array.blit st.rs_dl_dst 0 d 0 !dl_len;
-      Array.blit st.rs_dl_pos 0 q 0 !dl_len;
-      st.rs_dl_dst <- d;
-      st.rs_dl_pos <- q
-    end;
-    st.rs_dl_dst.(!dl_len) <- dst;
-    st.rs_dl_pos.(!dl_len) <- pos;
-    incr dl_len;
-    if obs then Obs.incr "sim.queue.blocked"
-  in
-  let dispatch_local () =
-    if !dl_len > 0 then begin
-      let dl_dst = st.rs_dl_dst and dl_pos = st.rs_dl_pos in
-      let w = ref 0 in
-      for i = 0 to !dl_len - 1 do
-        let dst = dl_dst.(i) and pos = dl_pos.(i) in
-        if Bytes.get opened dst = '\001' || has_room (dst mod n_rids) then begin
-          charge dst;
-          satisfy dst pos
-        end
-        else begin
-          dl_dst.(!w) <- dst;
-          dl_pos.(!w) <- pos;
-          incr w
-        end
-      done;
-      dl_len := !w
-    end
-  in
-  (* Admission: every live entry replica must have queue room; a dead or
-     crashed one imposes nothing (its shard is gone).  Admitting makes
-     the item's entry instances ready, exactly as a closed-mode Inject
-     batch does. *)
-  let entries = p.p_entries in
-  let entry_room () =
-    bound = max_int
-    ||
-    let ok = ref true and e = ref 0 in
-    while !ok && !e < Array.length entries do
-      for copy = 0 to copies - 1 do
-        let rid = (entries.(!e) * copies) + copy in
-        if (not dead.(rid)) && not (has_room rid) then ok := false
-      done;
-      incr e
-    done;
-    !ok
-  in
-  let admit item =
-    let now = tnow.(0) in
-    injections.(item) <- now;
-    stall_time.(0) <- stall_time.(0) +. (now -. arr_abs.(item));
-    for e = 0 to Array.length entries - 1 do
-      for copy = 0 to copies - 1 do
-        let rid = (entries.(e) * copies) + copy in
-        if not dead.(rid) then begin
-          let iidx = (item * n_rids) + rid in
-          charge iidx;
-          ready_push proc_of.(rid) iidx
-        end
       done
     done
-  in
-  (* Admit as many backlogged items as fit, FIFO: the head of the line
-     blocks the line (that is what backpressure means at the source). *)
-  let rec dispatch_source () =
-    if !next_admit < !arrived && entry_room () then begin
-      let item = !next_admit in
-      incr next_admit;
-      admit item;
-      dispatch_source ()
+
+  (* Make the arena ready for one validated run: grow the item-dependent
+     slabs, resolve the scenario into flags, reset every counter and
+     float slot, and re-initialize every slab range the run reads before
+     writing.  Closed runs never
+     read [rs_occ] / [rs_opened], and fault-free ones never read
+     [rs_attempts], so those are reset only when used. *)
+  let start st p ~n_items ~clock ~period ~traffic ~offsets ~failed ~down
+      ~timed_failures ~record_messages ~faults =
+    let n_procs = p.p_procs and n_rids = p.p_rids in
+    let total = n_items * n_rids and sat_len = n_items * p.p_total_preds in
+    if Array.length st.rs_starts < total then begin
+      let cap = max total (2 * Array.length st.rs_starts) in
+      st.rs_starts <- Array.make cap nan;
+      st.rs_finishes <- Array.make cap nan;
+      st.rs_unsatisfied <- Array.make cap 0;
+      st.rs_attempts <- Array.make cap 0;
+      st.rs_opened <- Bytes.make cap '\000'
+    end;
+    if Bytes.length st.rs_sat < sat_len then
+      st.rs_sat <- Bytes.make (max sat_len (2 * Bytes.length st.rs_sat)) '\000';
+    (* Under Faults.none the run takes exactly the legacy code path — no
+       draws, no factor multiplies, no extra allocations. *)
+    let fz = Faults.is_none faults in
+    (match (traffic : Run.traffic) with
+    | Closed _ ->
+        st.rs_open <- false;
+        st.rs_bound <- max_int;
+        st.rs_shed <- false;
+        st.rs_arr_abs <- [||]
+    | Open { queue_bound; policy; _ } ->
+        st.rs_open <- true;
+        st.rs_bound <- Option.value queue_bound ~default:max_int;
+        st.rs_shed <- policy = Run.Drop_newest;
+        st.rs_arr_abs <- Array.map (fun o -> clock +. o) offsets);
+    st.rs_fz <- fz;
+    st.rs_no_gray <- fz || Faults.Gray.is_none faults.Faults.gray;
+    st.rs_obs <- Obs.enabled ();
+    st.rs_record <- record_messages;
+    st.rs_faults <- faults;
+    st.rs_injections <- Array.make n_items nan;
+    st.rs_exhausted_on <- (if fz then [||] else Array.make n_procs 0);
+    st.rs_n_touched <- 0;
+    st.rs_n_ports <- 0;
+    st.rs_pm_len <- 0;
+    st.rs_log <- [];
+    st.rs_dl_len <- 0;
+    st.rs_msg_dirty <- false;
+    st.rs_next_admit <- 0;
+    st.rs_arrived <- 0;
+    st.rs_dropped <- 0;
+    st.rs_peak_queue <- 0;
+    st.rs_f_retries <- 0;
+    st.rs_f_exec <- 0;
+    st.rs_f_comm <- 0;
+    st.rs_f_exhausted <- 0;
+    st.rs_f_slowed <- 0;
+    st.rs_f_degraded <- 0;
+    let f = st.rs_f in
+    f.(slot_now) <- clock;
+    f.(slot_makespan) <- clock;
+    f.(slot_stall) <- 0.0;
+    f.(slot_backoff) <- 0.0;
+    f.(slot_next_fail) <- infinity;
+    f.(slot_clock) <- clock;
+    f.(slot_period) <- period;
+    (* fail_time.(u) is when the processor crashes (fail-stop): work and
+       transfers completing strictly later are lost.  A crash at or
+       before the clock is the paper's fail-silent-from-the-start case
+       and also prunes replicas statically. *)
+    let fail_time = st.rs_fail_time in
+    Array.fill fail_time 0 n_procs infinity;
+    let crash_at_zero u = fail_time.(u) <- 0.0 in
+    List.iter crash_at_zero failed;
+    List.iter crash_at_zero down;
+    List.iter (fun (u, t) -> fail_time.(u) <- Float.min fail_time.(u) t) timed_failures;
+    liveness st p;
+    (* Per-instance state, iidx = item * n_rids + rid; [rs_sat] marks the
+       satisfied predecessor positions, one byte per (item, rid,
+       position). *)
+    if not fz then Array.fill st.rs_attempts 0 total 0;
+    Array.fill st.rs_starts 0 total nan;
+    Array.fill st.rs_finishes 0 total nan;
+    for item = 0 to n_items - 1 do
+      for rid = 0 to n_rids - 1 do
+        st.rs_unsatisfied.((item * n_rids) + rid) <-
+          (if st.rs_dead.(rid) then 0 else p.p_pred_count.(rid / p.p_copies))
+      done
+    done;
+    Bytes.fill st.rs_sat 0 sat_len '\000';
+    (* Processor, port and queue state. *)
+    Array.fill st.rs_busy_until 0 n_procs 0.0;
+    Array.fill st.rs_running 0 n_procs false;
+    Array.fill st.rs_send_free 0 n_procs 0.0;
+    Array.fill st.rs_recv_free 0 n_procs 0.0;
+    Array.fill st.rs_ready_len 0 n_procs 0;
+    Array.fill st.rs_touched 0 n_procs false;
+    Array.fill st.rs_pend_len 0 n_procs 0;
+    Event_heap.clear st.rs_events;
+    if st.rs_open then begin
+      Array.fill st.rs_occ 0 n_rids 0;
+      Bytes.fill st.rs_opened 0 total '\000'
     end
-  in
-  (* Start the best ready instance on every touched processor that is
-     idle and alive, in ascending processor order — the order a full
-     sweep would visit them, so the finish events get the same
-     insertion numbers.  An untouched processor cannot start: it was
-     left unstartable by the previous dispatch and nothing has changed
-     for it since.  Starting touches nobody, so the worklist is stable
-     while it is visited.  Sorting k touches (k <= m) takes at most k·m
-     steps; the full sweep took m after every event. *)
-  let dispatch_procs () =
-    let now = tnow.(0) in
-    let k = !n_touched in
-    n_touched := 0;
-    for i = 1 to k - 1 do
-      let u = touch_list.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && touch_list.(!j) > u do
-        touch_list.(!j + 1) <- touch_list.(!j);
-        decr j
-      done;
-      touch_list.(!j + 1) <- u
-    done;
-    for i = 0 to k - 1 do
-      let u = touch_list.(i) in
-      touched.(u) <- false;
-      if
-        (not running.(u)) && busy_until.(u) <= now && ready_len.(u) > 0
-        && now < fail_time.(u)
-      then begin
-        let iidx = ready_pop u in
-        let dur = p.p_exec_dur.(iidx mod n_rids) in
-        (* Gray straggler: the factor active at the attempt's start
-           stretches the whole attempt. *)
-        let dur =
-          if no_gray then dur
-          else begin
-            let f = Faults.Gray.exec_factor gray ~proc:u ~at:now in
-            if f = 1.0 then dur
-            else begin
-              incr f_slowed;
-              if obs then Obs.incr "sim.gray.slowdowns";
-              dur *. f
-            end
-          end
-        in
-        starts.(iidx) <- now;
-        running.(u) <- true;
-        busy_until.(u) <- now +. dur;
-        if now +. dur <= fail_time.(u) then begin
-          (* Transient execution fault: decided at dispatch, surfaced
-             only when the full attempt duration has elapsed (the
-             timeout) — the processor is busy for the whole attempt
-             either way. *)
-          let failing =
-            (not fz)
-            && begin
-                 attempts.(iidx) <- attempts.(iidx) + 1;
-                 Faults.Transient.exec_fails transient ~proc:u ~key:iidx
-                   ~attempt:attempts.(iidx) ~at:now
-               end
-          in
-          ev_key.(0) <- now +. dur;
-          Event_heap.add events ev_key
-            ((iidx lsl 3) lor (if failing then ev_exec_failed else ev_finish));
-          observe_heap ()
-        end
-        (* else: the crash interrupts this execution; the processor
-           never frees and the result is lost *)
+end
+
+open Run_state
+
+(* ------------------------------------------------------------------ *)
+(* Worklists, ready heaps and the message pool                          *)
+(* ------------------------------------------------------------------ *)
+
+(* File event [ev] at the time in [slot_key]. *)
+let schedule st ev =
+  Event_heap.add st.rs_events st.rs_f ev;
+  if st.rs_obs then
+    Obs.observe "sim.heap_size" (float_of_int (Event_heap.size st.rs_events))
+
+(* A copy of [a]'s first [len] elements with room for at least [min] and
+   twice [len]: the growth step of every on-demand pool below. *)
+let grown a len ~min zero =
+  let d = Array.make (max min (2 * len)) zero in
+  Array.blit a 0 d 0 len;
+  d
+
+let bump_makespan st =
+  let f = st.rs_f in
+  if f.(slot_now) > f.(slot_makespan) then f.(slot_makespan) <- f.(slot_now)
+
+(* Mark [u] as possibly startable: an idle processor becomes startable
+   only when its ready heap gains an instance or when it frees, and both
+   touch it. *)
+let touch st u =
+  if not st.rs_touched.(u) then begin
+    st.rs_touched.(u) <- true;
+    st.rs_touch_list.(st.rs_n_touched) <- u;
+    st.rs_n_touched <- st.rs_n_touched + 1
+  end
+
+(* Ready instances, one binary heap per processor.  The heap order is
+   the legacy [better] relation — item ascending, then task priority
+   descending, then replica id ascending — which is a strict total order
+   on any one processor's ready set (two instances there always differ in
+   item or task), so popping the root picks exactly the instance the
+   legacy list fold selected. *)
+let inst_before p a b =
+  let n_rids = p.p_rids in
+  let ia = a / n_rids and ib = b / n_rids in
+  if ia <> ib then ia < ib
+  else begin
+    let ra = a mod n_rids and rb = b mod n_rids in
+    let pa = p.p_prio.(ra / p.p_copies) and pb = p.p_prio.(rb / p.p_copies) in
+    if pa <> pb then pa > pb else ra < rb
+  end
+
+let ready_push st p u x =
+  touch st u;
+  let len = st.rs_ready_len.(u) in
+  if len = Array.length st.rs_ready_data.(u) then
+    st.rs_ready_data.(u) <- grown st.rs_ready_data.(u) len ~min:8 0;
+  let d = st.rs_ready_data.(u) in
+  st.rs_ready_len.(u) <- len + 1;
+  let i = ref len in
+  while !i > 0 && inst_before p x d.((!i - 1) / 2) do
+    d.(!i) <- d.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  d.(!i) <- x
+
+let ready_pop st p u =
+  let d = st.rs_ready_data.(u) in
+  let len = st.rs_ready_len.(u) - 1 in
+  let top = d.(0) and x = d.(len) in
+  st.rs_ready_len.(u) <- len;
+  let i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < len && inst_before p d.(l + 1) d.(l) then l + 1 else l in
+    if c < len && inst_before p d.(c) x then begin
+      d.(!i) <- d.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  d.(!i) <- x;
+  top
+
+(* A fresh message-pool handle.  Handles are issued in creation order,
+   which is exactly the legacy [pm_seq] numbering (one message created
+   per cross-processor hand-off, and a requeued message keeps its
+   handle). *)
+let pm_alloc st =
+  let len = st.rs_pm_len in
+  if len = Array.length st.rs_pm_src then begin
+    let grow a zero = grown a len ~min:16 zero in
+    st.rs_pm_src <- grow st.rs_pm_src 0;
+    st.rs_pm_dst <- grow st.rs_pm_dst 0;
+    st.rs_pm_dst_rid <- grow st.rs_pm_dst_rid 0;
+    st.rs_pm_dp <- grow st.rs_pm_dp 0;
+    st.rs_pm_pos <- grow st.rs_pm_pos 0;
+    st.rs_pm_attempt <- grow st.rs_pm_attempt 0;
+    st.rs_pm_dur <- grow st.rs_pm_dur 0.0;
+    st.rs_pm_commit <- grow st.rs_pm_commit 0.0;
+    st.rs_pm_alive <- grow st.rs_pm_alive false
+  end;
+  st.rs_pm_len <- len + 1;
+  len
+
+(* Pending transfers, bucketed by sending processor (the send port they
+   wait on); index-based removal, so structurally identical messages are
+   distinct entries.  [rs_ports] lists the send ports with a nonempty
+   bucket; [rs_port_at] is written when a port enters the list, before
+   any read. *)
+let pend_push st u mi =
+  let len = st.rs_pend_len.(u) in
+  if len = Array.length st.rs_pend_data.(u) then
+    st.rs_pend_data.(u) <- grown st.rs_pend_data.(u) len ~min:4 0;
+  st.rs_pend_data.(u).(len) <- mi;
+  st.rs_pend_len.(u) <- len + 1;
+  if len = 0 then begin
+    st.rs_port_at.(u) <- st.rs_n_ports;
+    st.rs_ports.(st.rs_n_ports) <- u;
+    st.rs_n_ports <- st.rs_n_ports + 1
+  end;
+  st.rs_msg_dirty <- true
+
+let pend_remove st u i =
+  let len = st.rs_pend_len.(u) - 1 in
+  st.rs_pend_data.(u).(i) <- st.rs_pend_data.(u).(len);
+  st.rs_pend_len.(u) <- len;
+  if len = 0 then begin
+    let last = st.rs_n_ports - 1 in
+    let v = st.rs_ports.(last) and k = st.rs_port_at.(u) in
+    st.rs_ports.(k) <- v;
+    st.rs_port_at.(v) <- k;
+    st.rs_n_ports <- last
+  end
+
+(* Predecessor [pos] of instance [iidx] has delivered; the last one makes
+   the instance ready. *)
+let satisfy st p iidx pos =
+  let n_rids = p.p_rids in
+  let item = iidx / n_rids and rid = iidx mod n_rids in
+  let si = (item * p.p_total_preds) + p.p_pred_off.(rid) + pos in
+  if Bytes.get st.rs_sat si = '\000' then begin
+    Bytes.set st.rs_sat si '\001';
+    let u = st.rs_unsatisfied.(iidx) - 1 in
+    st.rs_unsatisfied.(iidx) <- u;
+    if u = 0 then ready_push st p p.p_proc.(rid) iidx
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Open-system admission: queues, source backlog, shedding              *)
+(* ------------------------------------------------------------------ *)
+
+(* An instance occupies its replica's bounded input queue from the
+   moment data is first committed toward it (for an entry task: from
+   admission) until it finishes executing.  [rs_opened] marks the
+   charge; the charge is skipped when the replica's processor is already
+   dead at charge time (no queue survives a crash), and an instance that
+   finishes always had a live-processor charge, so the release in
+   [on_finish] never underflows.  These helpers read the clock from
+   [slot_now] rather than taking a [float] argument, which would be boxed
+   at every call. *)
+let charge st p iidx =
+  if Bytes.get st.rs_opened iidx = '\000' then begin
+    Bytes.set st.rs_opened iidx '\001';
+    st.rs_msg_dirty <- true;
+    let rid = iidx mod p.p_rids in
+    if st.rs_fail_time.(p.p_proc.(rid)) > st.rs_f.(slot_now) then begin
+      let o = st.rs_occ.(rid) + 1 in
+      st.rs_occ.(rid) <- o;
+      if o > st.rs_peak_queue then st.rs_peak_queue <- o;
+      if st.rs_obs then begin
+        Obs.incr "sim.queue.enqueued";
+        Obs.observe "sim.queue.occupancy" (float_of_int o)
       end
-    done
-  in
-  (* Whether a pending transfer may claim the destination's queue: a
-     dead destination has no queue, an already-queued instance must keep
-     receiving (or the pipeline would deadlock on its own bound), and
-     otherwise the queue needs room. *)
-  let msg_room mi =
-    (not st.rs_pm_alive.(mi))
-    || fail_time.(st.rs_pm_dp.(mi)) <= tnow.(0)
-    || Bytes.get opened st.rs_pm_dst.(mi) = '\001'
-    || occ.(st.rs_pm_dst_rid.(mi)) < bound
-  in
-  (* Greedily commit every transfer whose data and both ports are free.
-     The candidate order is the legacy one: highest destination priority,
-     then smallest destination instance, then (on full ties) the most
-     recently created message — the highest pool handle.  That order is
-     strict (handles are unique), so the winner does not depend on the
-     order [ports] is scanned in.  Clears [msg_dirty] once nothing is
-     committable. *)
-  let rec dispatch_msgs () =
-    let now = tnow.(0) in
-    let best = ref (-1) in
-    let best_u = ref (-1) and best_i = ref (-1) in
-    for k = 0 to !n_ports - 1 do
-      let u = ports.(k) in
-      if now < fail_time.(u) && send_free.(u) <= now then
-        for i = 0 to pend_len.(u) - 1 do
-          let mi = pend_data.(u).(i) in
-          let dp = st.rs_pm_dp.(mi) in
-          if
-            (fail_time.(dp) <= now || recv_free.(dp) <= now)
-            && ((not open_mode) || bound = max_int || msg_room mi)
-          then begin
-            let beats =
-              let b = !best in
-              b < 0
-              ||
-              let pm = prio.(st.rs_pm_dst_rid.(mi) / copies)
-              and pb = prio.(st.rs_pm_dst_rid.(b) / copies) in
-              pm > pb
-              || (pm = pb
-                 && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
-                    || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b) && mi > b)))
-            in
-            if beats then begin
-              best := mi;
-              best_u := u;
-              best_i := i
-            end
-          end
-        done
-    done;
-    let mi = !best in
-    if mi >= 0 then begin
-      pend_remove !best_u !best_i;
-      let sp = !best_u and dp = st.rs_pm_dp.(mi) in
-      (* Gray link degradation: the factor active at commit time
-         stretches the whole transfer on both ports. *)
-      let dur =
-        if no_gray then st.rs_pm_dur.(mi)
-        else begin
-          let f = Faults.Gray.comm_factor gray ~src:sp ~dst:dp ~at:now in
-          if f = 1.0 then st.rs_pm_dur.(mi)
-          else begin
-            incr f_degraded;
-            if obs then Obs.incr "sim.gray.degradations";
-            st.rs_pm_dur.(mi) *. f
-          end
-        end
-      in
-      send_free.(sp) <- now +. dur;
-      if fail_time.(dp) > now then recv_free.(dp) <- now +. dur;
-      if now +. dur <= fail_time.(sp) && now +. dur <= fail_time.(dp)
+    end
+  end
+
+let has_room st p rid =
+  st.rs_fail_time.(p.p_proc.(rid)) <= st.rs_f.(slot_now)
+  || st.rs_occ.(rid) < st.rs_bound
+
+(* Deferred local deliveries: a finished instance's same-processor
+   hand-off that found the destination queue full waits here, oldest
+   first, and is retried whenever occupancy may have freed. *)
+let dl_push st dst pos =
+  let len = st.rs_dl_len in
+  if len = Array.length st.rs_dl_dst then begin
+    st.rs_dl_dst <- grown st.rs_dl_dst len ~min:8 0;
+    st.rs_dl_pos <- grown st.rs_dl_pos len ~min:8 0
+  end;
+  st.rs_dl_dst.(len) <- dst;
+  st.rs_dl_pos.(len) <- pos;
+  st.rs_dl_len <- len + 1;
+  if st.rs_obs then Obs.incr "sim.queue.blocked"
+
+let dispatch_local st p =
+  if st.rs_dl_len > 0 then begin
+    let dl_dst = st.rs_dl_dst and dl_pos = st.rs_dl_pos in
+    let w = ref 0 in
+    for i = 0 to st.rs_dl_len - 1 do
+      let dst = dl_dst.(i) and pos = dl_pos.(i) in
+      if Bytes.get st.rs_opened dst = '\001' || has_room st p (dst mod p.p_rids)
       then begin
-        (* Transient transfer fault: decided at commit, surfaced when
-           the full transfer duration has elapsed (the timeout) — the
-           ports are held for the whole attempt either way. *)
-        let failing =
-          (not fz)
-          && Faults.Transient.comm_fails transient ~src:sp ~key:mi
-               ~attempt:st.rs_pm_attempt.(mi) ~at:now
-        in
-        ev_key.(0) <- now +. dur;
-        if failing then
-          Event_heap.add events ev_key ((mi lsl 3) lor ev_comm_failed)
-        else begin
-          (* The transfer will arrive: reserve the destination's queue
-             slot now, so concurrent senders see the occupancy. *)
-          if open_mode && st.rs_pm_alive.(mi) then charge st.rs_pm_dst.(mi);
-          st.rs_pm_commit.(mi) <- now;
-          Event_heap.add events ev_key ((mi lsl 3) lor ev_arrival)
-        end
+        charge st p dst;
+        satisfy st p dst pos
       end
       else begin
-        (* the crash loses the transfer in flight, but the ports still
-           free up and waiting messages must be woken *)
-        ev_key.(0) <- now +. dur;
-        Event_heap.add events ev_key ev_port_free
-      end;
-      observe_heap ();
-      dispatch_msgs ()
-    end
-    else msg_dirty := false
-  in
-  (* Seed the source.  Closed: entry instances of every item at their
-     injection times.  Open: one Arrive per item at its arrival offset —
-     admission happens when the event pops (and, under backpressure,
-     when room frees). *)
-  if open_mode then
-    for item = 0 to n_items - 1 do
-      ev_key.(0) <- arr_abs.(item);
-      Event_heap.add events ev_key ((item lsl 3) lor ev_arrive);
-      observe_heap ()
+        dl_dst.(!w) <- dst;
+        dl_pos.(!w) <- pos;
+        incr w
+      end
+    done;
+    st.rs_dl_len <- !w
+  end
+
+(* Admission: every live entry replica must have queue room; a dead or
+   crashed one imposes nothing (its shard is gone). *)
+let entry_room st p =
+  st.rs_bound = max_int
+  ||
+  let entries = p.p_entries and copies = p.p_copies in
+  let ok = ref true and e = ref 0 in
+  while !ok && !e < Array.length entries do
+    for copy = 0 to copies - 1 do
+      let rid = (entries.(!e) * copies) + copy in
+      if (not st.rs_dead.(rid)) && not (has_room st p rid) then ok := false
+    done;
+    incr e
+  done;
+  !ok
+
+(* Admitting makes the item's entry instances ready, exactly as a
+   closed-mode Inject batch does. *)
+let admit st p item =
+  let now = st.rs_f.(slot_now) in
+  st.rs_injections.(item) <- now;
+  st.rs_f.(slot_stall) <- st.rs_f.(slot_stall) +. (now -. st.rs_arr_abs.(item));
+  let entries = p.p_entries and copies = p.p_copies in
+  for e = 0 to Array.length entries - 1 do
+    for copy = 0 to copies - 1 do
+      let rid = (entries.(e) * copies) + copy in
+      if not st.rs_dead.(rid) then begin
+        let iidx = (item * p.p_rids) + rid in
+        charge st p iidx;
+        ready_push st p p.p_proc.(rid) iidx
+      end
     done
+  done
+
+(* Admit as many backlogged items as fit, FIFO: the head of the line
+   blocks the line (that is what backpressure means at the source). *)
+let rec dispatch_source st p =
+  if st.rs_next_admit < st.rs_arrived && entry_room st p then begin
+    let item = st.rs_next_admit in
+    st.rs_next_admit <- item + 1;
+    admit st p item;
+    dispatch_source st p
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Dispatch: processors and transfers                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Start the best ready instance on idle processor [u] at [now]. *)
+let start_exec st p u =
+  let now = st.rs_f.(slot_now) in
+  let iidx = ready_pop st p u in
+  let dur = p.p_exec_dur.(iidx mod p.p_rids) in
+  (* Gray straggler: the factor active at the attempt's start stretches
+     the whole attempt. *)
+  let dur =
+    if st.rs_no_gray then dur
+    else begin
+      let f = Faults.Gray.exec_factor st.rs_faults.Faults.gray ~proc:u ~at:now in
+      if f = 1.0 then dur
+      else begin
+        st.rs_f_slowed <- st.rs_f_slowed + 1;
+        if st.rs_obs then Obs.incr "sim.gray.slowdowns";
+        dur *. f
+      end
+    end
+  in
+  st.rs_starts.(iidx) <- now;
+  st.rs_running.(u) <- true;
+  st.rs_busy_until.(u) <- now +. dur;
+  if now +. dur <= st.rs_fail_time.(u) then begin
+    (* Transient execution fault: decided at dispatch, surfaced only when
+       the full attempt duration has elapsed (the timeout) — the
+       processor is busy for the whole attempt either way. *)
+    let failing =
+      (not st.rs_fz)
+      && begin
+           let a = st.rs_attempts.(iidx) + 1 in
+           st.rs_attempts.(iidx) <- a;
+           Faults.Transient.exec_fails st.rs_faults.Faults.transient ~proc:u
+             ~key:iidx ~attempt:a ~at:now
+         end
+    in
+    st.rs_f.(slot_key) <- now +. dur;
+    schedule st ((iidx lsl 3) lor (if failing then ev_exec_failed else ev_finish))
+  end
+(* else: the crash interrupts this execution; the processor never frees
+   and the result is lost *)
+
+(* Start the best ready instance on every touched processor that is idle
+   and alive, in ascending processor order — the order a full sweep would
+   visit them, so the finish events get the same insertion numbers.  An
+   untouched processor cannot start: it was left unstartable by the
+   previous dispatch and nothing has changed for it since.  Starting
+   touches nobody, so the worklist is stable while it is visited.
+   Sorting k touches (k <= m) takes at most k·m steps; the full sweep
+   took m after every event. *)
+let dispatch_procs st p =
+  let now = st.rs_f.(slot_now) in
+  let touch_list = st.rs_touch_list in
+  let k = st.rs_n_touched in
+  st.rs_n_touched <- 0;
+  for i = 1 to k - 1 do
+    let u = touch_list.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && touch_list.(!j) > u do
+      touch_list.(!j + 1) <- touch_list.(!j);
+      decr j
+    done;
+    touch_list.(!j + 1) <- u
+  done;
+  for i = 0 to k - 1 do
+    let u = touch_list.(i) in
+    st.rs_touched.(u) <- false;
+    if
+      (not st.rs_running.(u))
+      && st.rs_busy_until.(u) <= now
+      && st.rs_ready_len.(u) > 0
+      && now < st.rs_fail_time.(u)
+    then start_exec st p u
+  done
+
+(* Whether a pending transfer may claim the destination's queue: a dead
+   destination has no queue, an already-queued instance must keep
+   receiving (or the pipeline would deadlock on its own bound), and
+   otherwise the queue needs room. *)
+let msg_room st mi =
+  (not st.rs_pm_alive.(mi))
+  || st.rs_fail_time.(st.rs_pm_dp.(mi)) <= st.rs_f.(slot_now)
+  || Bytes.get st.rs_opened st.rs_pm_dst.(mi) = '\001'
+  || st.rs_occ.(st.rs_pm_dst_rid.(mi)) < st.rs_bound
+
+(* Commit transfer [mi], entry [i] of send port [sp]'s bucket: occupy
+   both ports and file its arrival, failure or port-free event. *)
+let commit_transfer st p sp i mi =
+  let now = st.rs_f.(slot_now) in
+  pend_remove st sp i;
+  let dp = st.rs_pm_dp.(mi) in
+  (* Gray link degradation: the factor active at commit time stretches
+     the whole transfer on both ports. *)
+  let dur =
+    if st.rs_no_gray then st.rs_pm_dur.(mi)
+    else begin
+      let f =
+        Faults.Gray.comm_factor st.rs_faults.Faults.gray ~src:sp ~dst:dp ~at:now
+      in
+      if f = 1.0 then st.rs_pm_dur.(mi)
+      else begin
+        st.rs_f_degraded <- st.rs_f_degraded + 1;
+        if st.rs_obs then Obs.incr "sim.gray.degradations";
+        st.rs_pm_dur.(mi) *. f
+      end
+    end
+  in
+  let fail_time = st.rs_fail_time in
+  st.rs_send_free.(sp) <- now +. dur;
+  if fail_time.(dp) > now then st.rs_recv_free.(dp) <- now +. dur;
+  st.rs_f.(slot_key) <- now +. dur;
+  if now +. dur <= fail_time.(sp) && now +. dur <= fail_time.(dp) then begin
+    (* Transient transfer fault: decided at commit, surfaced when the full
+       transfer duration has elapsed (the timeout) — the ports are held
+       for the whole attempt either way. *)
+    let failing =
+      (not st.rs_fz)
+      && Faults.Transient.comm_fails st.rs_faults.Faults.transient ~src:sp
+           ~key:mi ~attempt:st.rs_pm_attempt.(mi) ~at:now
+    in
+    if failing then schedule st ((mi lsl 3) lor ev_comm_failed)
+    else begin
+      (* The transfer will arrive: reserve the destination's queue slot
+         now, so concurrent senders see the occupancy. *)
+      if st.rs_open && st.rs_pm_alive.(mi) then charge st p st.rs_pm_dst.(mi);
+      st.rs_pm_commit.(mi) <- now;
+      schedule st ((mi lsl 3) lor ev_arrival)
+    end
+  end
   else
+    (* the crash loses the transfer in flight, but the ports still free
+       up and waiting messages must be woken *)
+    schedule st ev_port_free
+
+(* Greedily commit every transfer whose data and both ports are free.
+   The candidate order is the legacy one: highest destination priority,
+   then smallest destination instance, then (on full ties) the most
+   recently created message — the highest pool handle.  That order is
+   strict (handles are unique), so the winner does not depend on the
+   order [rs_ports] is scanned in.  Clears [rs_msg_dirty] once nothing is
+   committable. *)
+let rec dispatch_msgs st p =
+  let now = st.rs_f.(slot_now) in
+  let fail_time = st.rs_fail_time and prio = p.p_prio and copies = p.p_copies in
+  let check_room = st.rs_open && st.rs_bound <> max_int in
+  let best = ref (-1) in
+  let best_u = ref (-1) and best_i = ref (-1) in
+  for k = 0 to st.rs_n_ports - 1 do
+    let u = st.rs_ports.(k) in
+    if now < fail_time.(u) && st.rs_send_free.(u) <= now then
+      for i = 0 to st.rs_pend_len.(u) - 1 do
+        let mi = st.rs_pend_data.(u).(i) in
+        let dp = st.rs_pm_dp.(mi) in
+        if
+          (fail_time.(dp) <= now || st.rs_recv_free.(dp) <= now)
+          && ((not check_room) || msg_room st mi)
+        then begin
+          let beats =
+            let b = !best in
+            b < 0
+            ||
+            let pm = prio.(st.rs_pm_dst_rid.(mi) / copies)
+            and pb = prio.(st.rs_pm_dst_rid.(b) / copies) in
+            pm > pb
+            || (pm = pb
+               && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
+                  || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b) && mi > b)))
+          in
+          if beats then begin
+            best := mi;
+            best_u := u;
+            best_i := i
+          end
+        end
+      done
+  done;
+  if !best >= 0 then begin
+    commit_transfer st p !best_u !best_i !best;
+    dispatch_msgs st p
+  end
+  else st.rs_msg_dirty <- false
+
+(* Seed the source.  Closed: entry instances of every item at their
+   injection times.  Open: one Arrive per item at its arrival offset —
+   admission happens when the event pops (and, under backpressure, when
+   room frees). *)
+let seed_source st p =
+  let f = st.rs_f in
+  let n_items = Array.length st.rs_injections in
+  if st.rs_open then
     for item = 0 to n_items - 1 do
-      ev_key.(0) <- clock +. (float_of_int item *. period);
+      f.(slot_key) <- st.rs_arr_abs.(item);
+      schedule st ((item lsl 3) lor ev_arrive)
+    done
+  else begin
+    let entries = p.p_entries and copies = p.p_copies in
+    for item = 0 to n_items - 1 do
+      f.(slot_key) <- f.(slot_clock) +. (float_of_int item *. f.(slot_period));
       for e = 0 to Array.length entries - 1 do
         for copy = 0 to copies - 1 do
           let rid = (entries.(e) * copies) + copy in
-          if not dead.(rid) then begin
-            Event_heap.add events ev_key
-              ((((item * n_rids) + rid) lsl 3) lor ev_inject);
-            observe_heap ()
-          end
+          if not st.rs_dead.(rid) then
+            schedule st ((((item * p.p_rids) + rid) lsl 3) lor ev_inject)
         done
       done
-    done;
-  let decode iidx =
-    let item = iidx / n_rids and rid = iidx mod n_rids in
-    { item; rep = { Replica.task = rid / copies; copy = rid mod copies } }
-  in
-  let handle ev =
-    let now = tnow.(0) in
-    match ev land 7 with
-    | 0 (* ev_inject *) ->
-        let iidx = ev asr 3 in
-        ready_push proc_of.(iidx mod n_rids) iidx
-    | 1 (* ev_arrive *) ->
-        let item = ev asr 3 in
-        arrived := !arrived + 1;
-        if shed then begin
-          (* Load shedding decides at the arrival instant: admit or
-             drop, never defer — the backlog stays empty. *)
-          if entry_room () then begin
-            incr next_admit;
-            admit item
-          end
-          else begin
-            incr next_admit;
-            incr dropped;
-            if obs then Obs.incr "sim.drops"
-          end
-        end
-        else begin
-          let before = !next_admit in
-          dispatch_source ();
-          if !next_admit = before && obs then Obs.incr "sim.queue.blocked"
-        end
-    | 2 (* ev_finish *) ->
-        let iidx = ev asr 3 in
-        let rid = iidx mod n_rids and item = iidx / n_rids in
-        let u = proc_of.(rid) in
-        finishes.(iidx) <- now;
-        running.(u) <- false;
-        touch u;
-        if now > makespan.(0) then makespan.(0) <- now;
-        if open_mode && Bytes.get opened iidx = '\001' then begin
-          occ.(rid) <- occ.(rid) - 1;
-          msg_dirty := true
-        end;
-        for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do
-          let dst_rid = p.p_cons_dst.(k) in
-          let dp = proc_of.(dst_rid) in
-          let dst_alive = not dead.(dst_rid) in
-          let dst_iidx = (item * n_rids) + dst_rid in
-          if dp = u then begin
-            if dst_alive then
-              if
-                (not open_mode) || bound = max_int
-                || Bytes.get opened dst_iidx = '\001'
-                || has_room dst_rid
-              then begin
-                if open_mode then charge dst_iidx;
-                satisfy dst_iidx p.p_cons_pos.(k)
-              end
-              else dl_push dst_iidx p.p_cons_pos.(k)
-          end
-          else begin
-            pm_ensure ();
-            let mi = !pm_len in
-            pm_len := mi + 1;
-            st.rs_pm_src.(mi) <- iidx;
-            st.rs_pm_dst.(mi) <- dst_iidx;
-            st.rs_pm_dst_rid.(mi) <- dst_rid;
-            st.rs_pm_dp.(mi) <- dp;
-            st.rs_pm_dur.(mi) <- p.p_cons_dur.(k);
-            st.rs_pm_pos.(mi) <- p.p_cons_pos.(k);
-            st.rs_pm_alive.(mi) <- dst_alive;
-            st.rs_pm_attempt.(mi) <- 1;
-            pend_push u mi
-          end
-        done
-    | 3 (* ev_arrival *) ->
-        let mi = ev asr 3 in
-        msg_dirty := true;
-        if now > makespan.(0) then makespan.(0) <- now;
-        if record_messages then
-          log_push
-            {
-              msg_src = decode st.rs_pm_src.(mi);
-              msg_dst = decode st.rs_pm_dst.(mi);
-              msg_start = st.rs_pm_commit.(mi);
-              msg_finish = now;
-            };
-        if st.rs_pm_alive.(mi) then
-          satisfy st.rs_pm_dst.(mi) st.rs_pm_pos.(mi)
-    | 4 (* ev_port_free *) ->
-        msg_dirty := true;
-        if now > makespan.(0) then makespan.(0) <- now
-    | 5 (* ev_exec_failed *) ->
-        (* The attempt timed out: the processor was busy for the whole
-           attempt and only now learns it produced nothing. *)
-        let iidx = ev asr 3 in
-        let u = proc_of.(iidx mod n_rids) in
-        running.(u) <- false;
-        touch u;
-        if now > makespan.(0) then makespan.(0) <- now;
-        incr f_exec;
-        if obs then Obs.incr "sim.faults.transient";
-        if attempts.(iidx) <= retry.Faults.Backoff.max_retries then begin
-          let d = Faults.Backoff.delay retry ~attempt:attempts.(iidx) in
-          incr f_retries;
-          f_backoff.(0) <- f_backoff.(0) +. d;
-          if obs then begin
-            Obs.incr "sim.retries";
-            Obs.observe "sim.retry_backoff_time" d
-          end;
-          ev_key.(0) <- now +. d;
-          Event_heap.add events ev_key ((iidx lsl 3) lor ev_inject);
-          observe_heap ()
-        end
-        else begin
-          (* Retry budget exhausted: the instance is abandoned and its
-             consumers starve — the gap escalation policies react to. *)
-          incr f_exhausted;
-          exhausted_on.(u) <- exhausted_on.(u) + 1;
-          if obs then Obs.incr "sim.faults.exhausted"
-        end
-    | 6 (* ev_comm_failed *) ->
-        let mi = ev asr 3 in
-        msg_dirty := true;
-        if now > makespan.(0) then makespan.(0) <- now;
-        incr f_comm;
-        if obs then Obs.incr "sim.faults.transient";
-        let attempt = st.rs_pm_attempt.(mi) in
-        if attempt <= retry.Faults.Backoff.max_retries then begin
-          let d = Faults.Backoff.delay retry ~attempt in
-          incr f_retries;
-          f_backoff.(0) <- f_backoff.(0) +. d;
-          if obs then begin
-            Obs.incr "sim.retries";
-            Obs.observe "sim.retry_backoff_time" d
-          end;
-          (* The backed-off attempt keeps its handle (and with it the
-             legacy pm_seq tie-break); only the attempt count moves. *)
-          st.rs_pm_attempt.(mi) <- attempt + 1;
-          ev_key.(0) <- now +. d;
-          Event_heap.add events ev_key ((mi lsl 3) lor ev_requeue);
-          observe_heap ()
-        end
-        else begin
-          (* Exhaustion is charged to the sender's port — it did all the
-             (re)work — mirroring exec attribution to the executor. *)
-          incr f_exhausted;
-          let sp = proc_of.(st.rs_pm_src.(mi) mod n_rids) in
-          exhausted_on.(sp) <- exhausted_on.(sp) + 1;
-          if obs then Obs.incr "sim.faults.exhausted"
-        end
-    | _ (* ev_requeue *) ->
-        let mi = ev asr 3 in
-        if now > makespan.(0) then makespan.(0) <- now;
-        pend_push proc_of.(st.rs_pm_src.(mi) mod n_rids) mi
-  in
-  (* The pop protocol reads the heap's exposed arrays directly: the key
-     peek lands in the [tnow] slot and the value pop is an immediate, so
-     an iteration of the loop below allocates nothing. *)
-  (* Drain simultaneous events before dispatching decisions.  Hoisted
-     out of [loop] so the closure is allocated once per run, not once
-     per iteration. *)
-  let rec drain () =
-    if events.Event_heap.len > 0 && events.Event_heap.keys.(0) <= tnow.(0)
-    then begin
-      let ev' = Event_heap.unsafe_pop events in
-      if obs then Obs.incr "sim.events_popped";
-      handle ev';
-      drain ()
-    end
-  in
-  (* The next timed-failure instant after the clock, in a slot so it
-     stays unboxed.  Crossing one can make a transfer committable with no
-     event at that instant (its destination's ports stop mattering), so
-     [loop] marks the transfers dirty when the clock reaches it. *)
-  let next_fail = Array.make 1 infinity in
-  let advance_fail () =
-    next_fail.(0) <- infinity;
-    for u = 0 to n_procs - 1 do
-      let f = fail_time.(u) in
-      if f > tnow.(0) && f < next_fail.(0) then next_fail.(0) <- f
     done
-  in
-  advance_fail ();
-  let rec loop () =
-    if events.Event_heap.len > 0 then begin
-      tnow.(0) <- events.Event_heap.keys.(0);
-      if tnow.(0) >= next_fail.(0) then begin
-        msg_dirty := true;
-        advance_fail ()
-      end;
-      let ev = Event_heap.unsafe_pop events in
-      if obs then Obs.incr "sim.events_popped";
-      handle ev;
-      drain ();
-      (* When room frees, in-pipeline data beats new source admissions:
-         deferred local hand-offs first, then transfers, then the
-         backlog — that priority order is the backpressure.  A transfer
-         scan that would find nothing committable is skipped: a send
-         port frees only at the event ending its transfer, and every
-         other change that can make a transfer committable sets
-         [msg_dirty]. *)
-      if open_mode then dispatch_local ();
-      if !msg_dirty then dispatch_msgs ();
-      if open_mode && not shed then dispatch_source ();
-      dispatch_procs ();
-      loop ()
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Events                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Open mode: item [item] reaches the source. *)
+let on_arrive st p item =
+  st.rs_arrived <- st.rs_arrived + 1;
+  if st.rs_shed then begin
+    (* Load shedding decides at the arrival instant: admit or drop, never
+       defer — the backlog stays empty. *)
+    st.rs_next_admit <- st.rs_next_admit + 1;
+    if entry_room st p then admit st p item
+    else begin
+      st.rs_dropped <- st.rs_dropped + 1;
+      if st.rs_obs then Obs.incr "sim.drops"
     end
-  in
-  loop ();
+  end
+  else begin
+    let before = st.rs_next_admit in
+    dispatch_source st p;
+    if st.rs_next_admit = before && st.rs_obs then Obs.incr "sim.queue.blocked"
+  end
+
+(* Instance [iidx] finished: free its processor and queue slot, then hand
+   its output to every consumer — at once on the same processor (or into
+   the deferred list when the destination queue is full), through a new
+   pending transfer otherwise. *)
+let on_finish st p iidx =
+  let n_rids = p.p_rids in
+  let rid = iidx mod n_rids and item = iidx / n_rids in
+  let u = p.p_proc.(rid) in
+  st.rs_finishes.(iidx) <- st.rs_f.(slot_now);
+  st.rs_running.(u) <- false;
+  touch st u;
+  bump_makespan st;
+  if st.rs_open && Bytes.get st.rs_opened iidx = '\001' then begin
+    st.rs_occ.(rid) <- st.rs_occ.(rid) - 1;
+    st.rs_msg_dirty <- true
+  end;
+  for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do
+    let dst_rid = p.p_cons_dst.(k) in
+    let dp = p.p_proc.(dst_rid) in
+    let dst_alive = not st.rs_dead.(dst_rid) in
+    let dst_iidx = (item * n_rids) + dst_rid in
+    if dp = u then begin
+      if dst_alive then
+        if
+          (not st.rs_open) || st.rs_bound = max_int
+          || Bytes.get st.rs_opened dst_iidx = '\001'
+          || has_room st p dst_rid
+        then begin
+          if st.rs_open then charge st p dst_iidx;
+          satisfy st p dst_iidx p.p_cons_pos.(k)
+        end
+        else dl_push st dst_iidx p.p_cons_pos.(k)
+    end
+    else begin
+      let mi = pm_alloc st in
+      st.rs_pm_src.(mi) <- iidx;
+      st.rs_pm_dst.(mi) <- dst_iidx;
+      st.rs_pm_dst_rid.(mi) <- dst_rid;
+      st.rs_pm_dp.(mi) <- dp;
+      st.rs_pm_dur.(mi) <- p.p_cons_dur.(k);
+      st.rs_pm_pos.(mi) <- p.p_cons_pos.(k);
+      st.rs_pm_alive.(mi) <- dst_alive;
+      st.rs_pm_attempt.(mi) <- 1;
+      pend_push st u mi
+    end
+  done
+
+let decode p iidx =
+  let item = iidx / p.p_rids and rid = iidx mod p.p_rids in
+  { item; rep = { Replica.task = rid / p.p_copies; copy = rid mod p.p_copies } }
+
+(* Transfer [mi] arrived: log it and satisfy its destination. *)
+let on_arrival st p mi =
+  st.rs_msg_dirty <- true;
+  bump_makespan st;
+  if st.rs_record then
+    st.rs_log <-
+      {
+        msg_src = decode p st.rs_pm_src.(mi);
+        msg_dst = decode p st.rs_pm_dst.(mi);
+        msg_start = st.rs_pm_commit.(mi);
+        msg_finish = st.rs_f.(slot_now);
+      }
+      :: st.rs_log;
+  if st.rs_pm_alive.(mi) then satisfy st p st.rs_pm_dst.(mi) st.rs_pm_pos.(mi)
+
+(* A transient fault surfaced on the [attempt]-th try of a work unit:
+   re-drive it as event [retry_ev] after the backoff and return [true],
+   or, past the retry budget, abandon it — its consumers starve, the gap
+   escalation policies react to — charge the exhaustion to processor
+   [blame] and return [false]. *)
+let retry_or_exhaust st ~attempt ~blame retry_ev =
+  let retry = st.rs_faults.Faults.retry in
+  if st.rs_obs then Obs.incr "sim.faults.transient";
+  if attempt <= retry.Faults.Backoff.max_retries then begin
+    let d = Faults.Backoff.delay retry ~attempt in
+    st.rs_f_retries <- st.rs_f_retries + 1;
+    st.rs_f.(slot_backoff) <- st.rs_f.(slot_backoff) +. d;
+    if st.rs_obs then begin
+      Obs.incr "sim.retries";
+      Obs.observe "sim.retry_backoff_time" d
+    end;
+    st.rs_f.(slot_key) <- st.rs_f.(slot_now) +. d;
+    schedule st retry_ev;
+    true
+  end
+  else begin
+    st.rs_f_exhausted <- st.rs_f_exhausted + 1;
+    st.rs_exhausted_on.(blame) <- st.rs_exhausted_on.(blame) + 1;
+    if st.rs_obs then Obs.incr "sim.faults.exhausted";
+    false
+  end
+
+(* The execution attempt timed out: the processor was busy for the
+   whole attempt and only now learns it produced nothing. *)
+let on_exec_failed st p iidx =
+  let u = p.p_proc.(iidx mod p.p_rids) in
+  st.rs_running.(u) <- false;
+  touch st u;
+  bump_makespan st;
+  st.rs_f_exec <- st.rs_f_exec + 1;
+  ignore
+    (retry_or_exhaust st ~attempt:st.rs_attempts.(iidx) ~blame:u
+       ((iidx lsl 3) lor ev_inject))
+
+(* The transfer attempt failed.  A retried transfer keeps its handle
+   (and with it the legacy pm_seq tie-break); only the attempt count
+   moves.  Exhaustion is charged to the sender's port — it did all the
+   (re)work — mirroring execution faults charged to the executor. *)
+let on_comm_failed st p mi =
+  st.rs_msg_dirty <- true;
+  bump_makespan st;
+  st.rs_f_comm <- st.rs_f_comm + 1;
+  let attempt = st.rs_pm_attempt.(mi) in
+  let sender = p.p_proc.(st.rs_pm_src.(mi) mod p.p_rids) in
+  if retry_or_exhaust st ~attempt ~blame:sender ((mi lsl 3) lor ev_requeue) then
+    st.rs_pm_attempt.(mi) <- attempt + 1
+
+let handle st p ev =
+  let arg = ev asr 3 in
+  match ev land 7 with
+  | 0 (* ev_inject *) -> ready_push st p p.p_proc.(arg mod p.p_rids) arg
+  | 1 (* ev_arrive *) -> on_arrive st p arg
+  | 2 (* ev_finish *) -> on_finish st p arg
+  | 3 (* ev_arrival *) -> on_arrival st p arg
+  | 4 (* ev_port_free *) ->
+      st.rs_msg_dirty <- true;
+      bump_makespan st
+  | 5 (* ev_exec_failed *) -> on_exec_failed st p arg
+  | 6 (* ev_comm_failed *) -> on_comm_failed st p arg
+  | _ (* ev_requeue *) ->
+      bump_makespan st;
+      pend_push st p.p_proc.(st.rs_pm_src.(arg) mod p.p_rids) arg
+
+(* ------------------------------------------------------------------ *)
+(* The event loop and the result                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The next timed-failure instant after the clock.  Crossing one can
+   make a transfer committable with no event at that instant (its
+   destination's ports stop mattering), so [run_events] marks the
+   transfers dirty when the clock reaches it. *)
+let advance_fail st p =
+  let f = st.rs_f in
+  f.(slot_next_fail) <- infinity;
+  for u = 0 to p.p_procs - 1 do
+    let t = st.rs_fail_time.(u) in
+    if t > f.(slot_now) && t < f.(slot_next_fail) then f.(slot_next_fail) <- t
+  done
+
+let pop_and_handle st p =
+  let ev = Event_heap.unsafe_pop st.rs_events in
+  if st.rs_obs then Obs.incr "sim.events_popped";
+  handle st p ev
+
+(* The loop reads the heap's exposed arrays directly: the key peek lands
+   in [slot_now] and the value pop is an immediate, so an iteration
+   allocates nothing.  Simultaneous events are drained before any
+   dispatch decision.  When room frees, in-pipeline data beats new
+   source admissions: deferred local hand-offs first, then transfers,
+   then the backlog — that priority order is the backpressure.  A
+   transfer scan that would find nothing committable is skipped: a send
+   port frees only at the event ending its transfer, and every other
+   change that can make a transfer committable sets [rs_msg_dirty]. *)
+let run_events st p =
+  let events = st.rs_events and f = st.rs_f in
+  while events.Event_heap.len > 0 do
+    f.(slot_now) <- events.Event_heap.keys.(0);
+    if f.(slot_now) >= f.(slot_next_fail) then begin
+      st.rs_msg_dirty <- true;
+      advance_fail st p
+    end;
+    pop_and_handle st p;
+    while
+      events.Event_heap.len > 0 && events.Event_heap.keys.(0) <= f.(slot_now)
+    do
+      pop_and_handle st p
+    done;
+    if st.rs_open then dispatch_local st p;
+    if st.rs_msg_dirty then dispatch_msgs st p;
+    if st.rs_open && not st.rs_shed then dispatch_source st p;
+    dispatch_procs st p
+  done
+
+(* The sojourn pass: per item, the latest over exit tasks of the
+   earliest finishing copy, minus the arrival; [None] when some exit
+   task has no finished copy.  Loops over unboxed locals, so the pass
+   allocates only the result. *)
+let sojourn_pass st p arrivals =
+  let exits = p.p_exits and copies = p.p_copies and n_rids = p.p_rids in
+  let dead = st.rs_dead and finishes = st.rs_finishes in
+  Array.init (Array.length arrivals) (fun item ->
+      let worst = ref 0.0 and complete = ref true and x = ref 0 in
+      while !complete && !x < Array.length exits do
+        let best = ref 0.0 and found = ref false in
+        for copy = 0 to copies - 1 do
+          let rid = (exits.(!x) * copies) + copy in
+          let f = finishes.((item * n_rids) + rid) in
+          if not (dead.(rid) || Float.is_nan f) then begin
+            best := if !found then Float.min !best f else f;
+            found := true
+          end
+        done;
+        if !found then worst := Float.max !worst (!best -. arrivals.(item))
+        else complete := false;
+        incr x
+      done;
+      if !complete then Some !worst else None)
+
+let result_of st p =
+  let n_rids = p.p_rids and copies = p.p_copies and dead = st.rs_dead in
+  let n_items = Array.length st.rs_injections in
   let get arr item (id : Replica.id) =
     if dead.((id.task * copies) + id.copy) then None
     else begin
@@ -1337,71 +1337,75 @@ let run_compiled_impl ~state ~snapshot ~n_items ~period ~failed
       if Float.is_nan v then None else Some v
     end
   in
+  let period = st.rs_f.(slot_period) in
   let arrivals =
-    if open_mode then arr_abs
-    else Array.init n_items (fun item -> clock +. (float_of_int item *. period))
-  in
-  if not open_mode then Array.blit arrivals 0 injections 0 n_items;
-  (* Sojourn of each item: the latest over exit tasks of the earliest
-     finishing copy, minus the arrival; [None] when some exit task has
-     no finished copy.  Loops over unboxed locals, so the pass allocates
-     only the result. *)
-  let exits = p.p_exits in
-  let item_latency =
-    Array.init n_items (fun item ->
-        let worst = ref 0.0 and complete = ref true and x = ref 0 in
-        while !complete && !x < Array.length exits do
-          let best = ref 0.0 and found = ref false in
-          for copy = 0 to copies - 1 do
-            let rid = (exits.(!x) * copies) + copy in
-            let f = finishes.((item * n_rids) + rid) in
-            if not (dead.(rid) || Float.is_nan f) then begin
-              best := if !found then Float.min !best f else f;
-              found := true
-            end
-          done;
-          if !found then worst := Float.max !worst (!best -. arrivals.(item))
-          else complete := false;
-          incr x
-        done;
-        if !complete then Some !worst else None)
-  in
-  let messages =
-    let rec collect i acc =
-      if i < 0 then acc
-      else
-        collect (i - 1)
-          (match st.rs_log.(i) with Some m -> m :: acc | None -> acc)
-    in
-    collect (!log_len - 1) []
+    if st.rs_open then st.rs_arr_abs
+    else begin
+      let clock = st.rs_f.(slot_clock) in
+      let a = Array.init n_items (fun item -> clock +. (float_of_int item *. period)) in
+      Array.blit a 0 st.rs_injections 0 n_items;
+      a
+    end
   in
   {
-    start_time = get starts;
-    finish_time = get finishes;
-    item_latency;
+    start_time = get st.rs_starts;
+    finish_time = get st.rs_finishes;
+    item_latency = sojourn_pass st p arrivals;
     period;
-    makespan = makespan.(0);
-    messages;
+    makespan = st.rs_f.(slot_makespan);
+    messages = List.rev st.rs_log;
     arrivals;
-    injections;
-    dropped = !dropped;
-    stalled = (if open_mode then n_items - !next_admit else 0);
-    peak_queue = !peak_queue;
-    stall_time = stall_time.(0);
+    injections = st.rs_injections;
+    dropped = st.rs_dropped;
+    stalled = (if st.rs_open then n_items - st.rs_next_admit else 0);
+    peak_queue = st.rs_peak_queue;
+    stall_time = st.rs_f.(slot_stall);
     faults =
-      (if fz then no_faults
+      (if st.rs_fz then no_faults
        else
          {
-           retries = !f_retries;
-           backoff_time = f_backoff.(0);
-           exec_faults = !f_exec;
-           comm_faults = !f_comm;
-           exhausted = !f_exhausted;
-           exhausted_on;
-           slowed_attempts = !f_slowed;
-           degraded_transfers = !f_degraded;
+           retries = st.rs_f_retries;
+           backoff_time = st.rs_f.(slot_backoff);
+           exec_faults = st.rs_f_exec;
+           comm_faults = st.rs_f_comm;
+           exhausted = st.rs_f_exhausted;
+           exhausted_on = st.rs_exhausted_on;
+           slowed_attempts = st.rs_f_slowed;
+           degraded_transfers = st.rs_f_degraded;
          });
   }
+
+(* ------------------------------------------------------------------ *)
+(* The one run entry point                                              *)
+(* ------------------------------------------------------------------ *)
+
+let check_proc p what u =
+  if u < 0 || u >= p.p_procs then
+    invalid_arg ("Engine.simulate: processor outside [0, m) in " ^ what)
+
+(* Reject a malformed scenario before anything touches the arena. *)
+let check_scenario p ~n_items ~clock ~period ~failed ~down ~timed_failures
+    ~faults =
+  if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
+  if clock < 0.0 || not (Float.is_finite clock) then
+    invalid_arg "Engine.simulate: snapshot clock must be finite and non-negative";
+  (match period with
+  | Some q when q < 0.0 || not (Float.is_finite q) ->
+      invalid_arg "Engine.simulate: period must be finite and non-negative"
+  | _ -> ());
+  if not (Faults.is_none faults) then Faults.validate ~procs:p.p_procs faults;
+  List.iter (check_proc p "failed") failed;
+  List.iter (check_proc p "snapshot.down") down;
+  ignore
+    (List.fold_left
+       (fun seen (u, t) ->
+         check_proc p "timed_failures" u;
+         if Float.is_nan t || t < 0.0 then
+           invalid_arg "Engine.simulate: negative or NaN failure time";
+         if List.mem u seen then
+           invalid_arg "Engine.simulate: duplicate processor in timed_failures";
+         u :: seen)
+       [] timed_failures)
 
 let simulate ?state ~(config : Run.config) p =
   let reused = Option.is_some state in
@@ -1419,41 +1423,29 @@ let simulate ?state ~(config : Run.config) p =
   in
   let snapshot = config.Run.snapshot in
   let failed = config.Run.failed and timed_failures = config.Run.timed_failures in
-  let n_items, period, traffic =
-    match config.Run.traffic with
-    | Run.Closed { n_items; period } -> (n_items, period, closed_plan)
-    | Run.Open { arrival; n_items; rng; queue_bound; policy } ->
+  let faults = config.Run.faults in
+  let traffic = config.Run.traffic in
+  let n_items, period, offsets =
+    match traffic with
+    | Run.Closed { n_items; period } -> (n_items, period, [||])
+    | Run.Open { arrival; n_items; rng; queue_bound; _ } ->
         if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
         (match queue_bound with
         | Some b when b < 1 -> invalid_arg "Engine.simulate: queue_bound < 1"
         | _ -> ());
-        let offsets = Arrival.times ?rng ~n:n_items arrival in
-        ( n_items,
-          None,
-          {
-            ot_open = true;
-            ot_offsets = offsets;
-            ot_bound = Option.value queue_bound ~default:max_int;
-            ot_drop = (policy = Run.Drop_newest);
-          } )
+        (n_items, None, Arrival.times ?rng ~n:n_items arrival)
   in
   Obs.with_span "sim.engine.run" (fun () ->
       Obs.incr "sim.runs";
       if reused then Obs.incr "sim.arena.reuses";
-      Obs.touch "sim.arena.creates";
-      Obs.touch "sim.arena.reuses";
-      Obs.touch "sim.cache.hits";
-      Obs.touch "sim.cache.misses";
-      Obs.touch "sim.events_popped";
-      Obs.touch "sim.compiles";
-      Obs.touch "sim.drops";
-      Obs.touch "sim.queue.enqueued";
-      Obs.touch "sim.queue.blocked";
-      Obs.touch "sim.retries";
-      Obs.touch "sim.gray.slowdowns";
-      Obs.touch "sim.gray.degradations";
-      Obs.touch "sim.faults.transient";
-      Obs.touch "sim.faults.exhausted";
+      List.iter Obs.touch
+        [
+          "sim.arena.creates"; "sim.arena.reuses"; "sim.cache.hits";
+          "sim.cache.misses"; "sim.events_popped"; "sim.compiles"; "sim.drops";
+          "sim.queue.enqueued"; "sim.queue.blocked"; "sim.retries";
+          "sim.gray.slowdowns"; "sim.gray.degradations";
+          "sim.faults.transient"; "sim.faults.exhausted";
+        ];
       Obs.incr
         ~by:(List.length failed + List.length timed_failures)
         "sim.failures_injected";
@@ -1465,10 +1457,18 @@ let simulate ?state ~(config : Run.config) p =
           Obs.touch "sim.epoch.resumes";
           if s.clock > 0.0 then Obs.incr "sim.epoch.resumes";
           Obs.observe "sim.epoch.items" (float_of_int n_items));
-      let snapshot = Option.value snapshot ~default:boot in
-      run_compiled_impl ~state:st ~snapshot ~n_items ~period ~failed
-        ~timed_failures ~traffic ~record_messages:config.Run.record_messages
-        ~faults:config.Run.faults p)
+      let { clock; down } = Option.value snapshot ~default:boot in
+      check_scenario p ~n_items ~clock ~period ~failed ~down ~timed_failures
+        ~faults;
+      Run_state.start st p ~n_items ~clock
+        ~period:(Option.value period ~default:p.p_period)
+        ~traffic ~offsets ~failed ~down ~timed_failures
+        ~record_messages:config.Run.record_messages ~faults;
+      seed_source st p;
+      advance_fail st p;
+      run_events st p;
+      result_of st p)
+
 
 let sojourns r =
   Array.to_list r.item_latency |> List.filter_map Fun.id

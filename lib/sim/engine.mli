@@ -79,9 +79,6 @@ type fault_stats = {
   degraded_transfers : int;  (** transfers stretched by a link window *)
 }
 
-val no_faults : fault_stats
-(** The all-zero ledger of a fault-free run. *)
-
 type result = {
   start_time : (int -> Replica.id -> float option);
       (** execution start of an instance; [None] when dead *)
@@ -114,7 +111,7 @@ type result = {
       (** total backpressure wait [Σ (injection - arrival)] over the
           admitted items; [0.] closed *)
   faults : fault_stats;
-      (** what the fault model did to this run; {!no_faults} when the
+      (** what the fault model did to this run; all zeros when the
           config's [faults] is {!Faults.none} *)
 }
 
@@ -248,8 +245,8 @@ end
 
 (** The reusable run-state arena: every per-run array slab the engine
     needs (instance tables, port state, ready/pending heaps, the event
-    queue, the message log), allocated once per program and reused
-    across runs.  A draw loop — crash sampling, resumed epochs, traffic
+    queue, the message pool) and the run's scalars, allocated once per
+    program and reused across runs.  A draw loop — crash sampling, resumed epochs, traffic
     sweeps — creates one arena and passes it to every {!simulate} call,
     reducing per-draw allocation to the handful of words of the result
     record itself. *)
@@ -260,9 +257,10 @@ module Run_state : sig
   (** An arena sized for [program]'s processor and replica counts.  The
       per-item slabs start at single-item capacity and grow on demand
       (geometrically, so a sweep over increasing [n_items] settles).
-      Counted under [sim.arena.creates].  {!simulate} re-initializes
-      every slab range it uses, so a reused arena is bit-identical to a
-      fresh one. *)
+      Counted under [sim.arena.creates].  {!simulate} validates the
+      config first and only then re-initializes every slab range and
+      scalar the run uses, so a reused arena — even one a rejected config
+      was passed to — is bit-identical to a fresh one. *)
 end
 
 val simulate : ?state:Run_state.t -> config:Run.config -> program -> result

@@ -31,63 +31,8 @@ let granularities = List.init 10 (fun i -> 0.2 *. float_of_int (i + 1))
 
 let throughput ~eps = 1.0 /. (10.0 *. float_of_int (eps + 1))
 
-let platform ?(spec = default_spec) ~rng () =
-  let lo_s, hi_s = spec.speed_range in
-  let speeds = Array.init spec.m (fun _ -> Rng.uniform rng ~lo:lo_s ~hi:hi_s) in
-  let lo_d, hi_d = spec.unit_delay_range in
-  let bw = Array.make_matrix spec.m spec.m 1.0 in
-  for k = 0 to spec.m - 1 do
-    for h = k + 1 to spec.m - 1 do
-      let delay = Rng.uniform rng ~lo:lo_d ~hi:hi_d in
-      bw.(k).(h) <- 1.0 /. delay;
-      bw.(h).(k) <- 1.0 /. delay
-    done
-  done;
-  Platform.create ~name:"paper-platform" ~speeds ~bandwidth:bw ()
-
 type instance = {
   dag : Dag.t;
   plat : Platform.t;
   granularity : float;
 }
-
-let instance ?(spec = default_spec) ~rng ~granularity () =
-  let lo_t, hi_t = spec.tasks_range in
-  let tasks = Rng.uniform_int rng ~lo:lo_t ~hi:hi_t in
-  let weights =
-    {
-      Random_dag.exec_range = spec.exec_range;
-      volume_range = spec.volume_range;
-    }
-  in
-  let dag =
-    match spec.family with
-    | Layered ->
-        Random_dag.layered ~weights ~rng ~tasks ~edge_density:spec.edge_density ()
-    | Fan_in_out -> Random_dag.fan_in_out ~weights ~rng ~tasks ~max_degree:2 ()
-    | Series_parallel -> Random_dag.series_parallel ~weights ~rng ~tasks ()
-    | Stream_chain ->
-        (* split/join pipeline of the requested size, with random weights
-           drawn once per task/edge (map_weights visits each edge twice —
-           once per adjacency direction — so the draws must be
-           precomputed) *)
-        let branches = 3 in
-        let stages = max 1 (tasks / (branches + 2)) in
-        let skeleton =
-          Classic.stream_pipeline ~stages ~branches ~exec:1.0 ~volume:1.0
-        in
-        let lo_e, hi_e = spec.exec_range and lo_v, hi_v = spec.volume_range in
-        let execs =
-          Array.init (Dag.size skeleton) (fun _ -> Rng.uniform rng ~lo:lo_e ~hi:hi_e)
-        in
-        let vols = Hashtbl.create (Dag.n_edges skeleton) in
-        Dag.iter_edges skeleton (fun s d _ ->
-            Hashtbl.replace vols (s, d) (Rng.uniform rng ~lo:lo_v ~hi:hi_v));
-        Dag.map_weights
-          ~exec:(fun t _ -> execs.(t))
-          ~volume:(fun s d _ -> Hashtbl.find vols (s, d))
-          skeleton
-  in
-  let plat = platform ~spec ~rng () in
-  let dag = Calibrate.calibrated dag plat ~granularity in
-  { dag; plat; granularity }

@@ -44,19 +44,9 @@ val granularities : float list
 val throughput : eps:int -> float
 (** The paper's desired throughput [1 / (10 (ε+1))]. *)
 
-val platform : ?spec:spec -> rng:Rng.t -> unit -> Platform.t
-  [@@deprecated
-    "go through Spec.generate (Spec.paper spec) — the registry is the one workload entry point"]
-(** A random heterogeneous platform: speeds and unit link delays drawn
-    from the spec's ranges (the delay matrix is symmetric). *)
-
 type instance = {
   dag : Dag.t;
   plat : Platform.t;
   granularity : float;
 }
-
-val instance : ?spec:spec -> rng:Rng.t -> granularity:float -> unit -> instance
-  [@@deprecated
-    "use Spec.generate (consumes the identical rng stream); direct calls bypass the registry"]
-(** One calibrated random instance at the given granularity. *)
+(** One calibrated random instance; drawn by {!Spec.generate}. *)

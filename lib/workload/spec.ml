@@ -1,7 +1,3 @@
-[@@@alert "-deprecated"]
-(* This module is the one non-deprecated front door to the generators it
-   wraps; the internal calls below are the sanctioned ones. *)
-
 type impl =
   | Paper of Paper_workload.spec
   | Classic_fig1
@@ -128,9 +124,69 @@ let throughput s ~eps =
   | Paper _ | Classic_fig1 | Classic_fig2 _ -> Paper_workload.throughput ~eps
   | Huge h -> Huge.throughput ~spec:h ~eps ()
 
+(* The paper's random heterogeneous platform: speeds and unit link
+   delays drawn from the spec's ranges (the delay matrix is symmetric). *)
+let paper_platform (spec : Paper_workload.spec) ~rng =
+  let open Paper_workload in
+  let lo_s, hi_s = spec.speed_range in
+  let speeds = Array.init spec.m (fun _ -> Rng.uniform rng ~lo:lo_s ~hi:hi_s) in
+  let lo_d, hi_d = spec.unit_delay_range in
+  let bw = Array.make_matrix spec.m spec.m 1.0 in
+  for k = 0 to spec.m - 1 do
+    for h = k + 1 to spec.m - 1 do
+      let delay = Rng.uniform rng ~lo:lo_d ~hi:hi_d in
+      bw.(k).(h) <- 1.0 /. delay;
+      bw.(h).(k) <- 1.0 /. delay
+    done
+  done;
+  Platform.create ~name:"paper-platform" ~speeds ~bandwidth:bw ()
+
+(* One calibrated random instance of the paper's workload. *)
+let paper_instance (spec : Paper_workload.spec) ~rng ~granularity =
+  let open Paper_workload in
+  let lo_t, hi_t = spec.tasks_range in
+  let tasks = Rng.uniform_int rng ~lo:lo_t ~hi:hi_t in
+  let weights =
+    {
+      Random_dag.exec_range = spec.exec_range;
+      volume_range = spec.volume_range;
+    }
+  in
+  let dag =
+    match spec.family with
+    | Layered ->
+        Random_dag.layered ~weights ~rng ~tasks ~edge_density:spec.edge_density ()
+    | Fan_in_out -> Random_dag.fan_in_out ~weights ~rng ~tasks ~max_degree:2 ()
+    | Series_parallel -> Random_dag.series_parallel ~weights ~rng ~tasks ()
+    | Stream_chain ->
+        (* split/join pipeline of the requested size, with random weights
+           drawn once per task/edge (map_weights visits each edge twice —
+           once per adjacency direction — so the draws must be
+           precomputed) *)
+        let branches = 3 in
+        let stages = max 1 (tasks / (branches + 2)) in
+        let skeleton =
+          Classic.stream_pipeline ~stages ~branches ~exec:1.0 ~volume:1.0
+        in
+        let lo_e, hi_e = spec.exec_range and lo_v, hi_v = spec.volume_range in
+        let execs =
+          Array.init (Dag.size skeleton) (fun _ -> Rng.uniform rng ~lo:lo_e ~hi:hi_e)
+        in
+        let vols = Hashtbl.create (Dag.n_edges skeleton) in
+        Dag.iter_edges skeleton (fun s d _ ->
+            Hashtbl.replace vols (s, d) (Rng.uniform rng ~lo:lo_v ~hi:hi_v));
+        Dag.map_weights
+          ~exec:(fun t _ -> execs.(t))
+          ~volume:(fun s d _ -> Hashtbl.find vols (s, d))
+          skeleton
+  in
+  let plat = paper_platform spec ~rng in
+  let dag = Calibrate.calibrated dag plat ~granularity in
+  { dag; plat; granularity }
+
 let generate s ~rng ?(granularity = 1.0) () =
   match s.impl with
-  | Paper pspec -> Paper_workload.instance ~spec:pspec ~rng ~granularity ()
+  | Paper pspec -> paper_instance pspec ~rng ~granularity
   | Classic_fig1 ->
       {
         Paper_workload.dag = Classic.fig1_graph;

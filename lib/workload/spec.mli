@@ -2,10 +2,9 @@
 
     A {!t} names a complete recipe — graph family, sizes, platform,
     throughput law — and {!generate} turns it into a scheduling instance.
-    Experiments should reach workloads through this module only; the
-    per-family constructors ({!Paper_workload.instance},
-    {!Huge.instance}, …) are implementation details and the first two are
-    deprecated as direct entry points. *)
+    Experiments should reach workloads through this module only: it
+    holds the paper generator itself, and {!Huge.instance} is an
+    implementation detail. *)
 
 (** The recipe behind a spec.  Exposed so callers can resize
     programmatically ([{ p with tasks_range = … }]); prefer

@@ -928,6 +928,7 @@ let compiled_tests =
               Faults.transient = { fault_scenario.Faults.transient with seed };
             }
           in
+          let gray_only = { Faults.none with Faults.gray = fault_scenario.Faults.gray } in
           let configs =
             [
               (fun () -> closed ~n_items:3 ());
@@ -950,6 +951,10 @@ let compiled_tests =
                   with
                   Engine.Run.timed_failures = [ (p1, 40.0) ];
                 });
+              (fun () ->
+                Engine.Run.without_messages
+                  (closed ~n_items:3 ~timed_failures:[ (p1, 40.0) ] ()));
+              (fun () -> Engine.Run.with_faults gray_only (closed ~n_items:4 ()));
             ]
           in
           (* Forward then backward, so every config also runs right after
@@ -1139,6 +1144,30 @@ let arena_cache_tests =
         Alcotest.(check string)
           "dirty arena" "86751422180444b1ec5c84c1e9506b12"
           (digest_of_result reused));
+    case "a rejected config leaves a reused arena as good as fresh" (fun () ->
+        (* [simulate] validates a config before it writes to the arena, so
+           a valid run right after rejected ones matches a fresh arena. *)
+        let m = pinned_mapping () in
+        let prog = Engine.compile m in
+        let state = Engine.Run_state.create prog in
+        let valid = closed ~n_items:4 ~timed_failures:[ (1, 55.0); (4, 60.0) ] () in
+        ignore (Engine.simulate ~state ~config:valid prog);
+        List.iter
+          (fun (name, config) ->
+            match Engine.simulate ~state ~config prog with
+            | _ -> Alcotest.failf "%s was accepted" name
+            | exception Invalid_argument _ -> ())
+          [
+            ( "duplicate timed_failures processor",
+              closed ~n_items:2 ~timed_failures:[ (2, 10.0); (5, 20.0); (2, 30.0) ] () );
+            ("out-of-range failed processor", closed ~failed:[ 0; 99 ] ());
+          ];
+        let fresh = Engine.simulate ~config:valid prog in
+        let reused = Engine.simulate ~state ~config:valid prog in
+        Alcotest.(check string)
+          "same ledgers and times" (full_digest m fresh) (full_digest m reused);
+        Alcotest.(check string)
+          "same message log" (digest_of_result fresh) (digest_of_result reused));
     case "an arena is rejected by a program of another shape" (fun () ->
         let state = Engine.Run_state.create (Engine.compile (lanes ())) in
         let other = Engine.compile (chain_mapping 1.0) in

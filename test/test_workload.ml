@@ -1,7 +1,3 @@
-(* This file unit-tests the per-family generators themselves, so it is
-   the one test allowed to call the deprecated direct constructors. *)
-[@@@alert "-deprecated"]
-
 open Test_support
 
 let case = Fixtures.case
@@ -215,7 +211,7 @@ let paper_tests =
         check_float "eps=3" 0.025 (Paper_workload.throughput ~eps:3));
     case "platform has twenty processors in the given ranges" (fun () ->
         let rng = Rng.create ~seed:13 in
-        let p = Paper_workload.platform ~rng () in
+        let p = (Spec.generate Spec.default ~rng ()).Paper_workload.plat in
         check_int "m" 20 (Platform.size p);
         List.iter
           (fun u ->
@@ -227,7 +223,7 @@ let paper_tests =
     case "instance sizes and calibration" (fun () ->
         let rng = Rng.create ~seed:14 in
         for _ = 1 to 5 do
-          let inst = Paper_workload.instance ~rng ~granularity:0.6 () in
+          let inst = Spec.generate Spec.default ~rng ~granularity:0.6 () in
           let v = Dag.size inst.Paper_workload.dag in
           check_true "task range" (v >= 50 && v <= 150);
           check_float "granularity" 0.6
@@ -242,7 +238,7 @@ let paper_tests =
         let spec =
           { Paper_workload.default_spec with Paper_workload.m = 5; tasks_range = (10, 10) }
         in
-        let inst = Paper_workload.instance ~spec ~rng ~granularity:1.0 () in
+        let inst = Spec.generate (Spec.paper spec) ~rng ~granularity:1.0 () in
         check_int "five processors" 5 (Platform.size inst.Paper_workload.plat);
         check_int "ten tasks" 10 (Dag.size inst.Paper_workload.dag));
   ]
