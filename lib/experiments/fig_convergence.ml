@@ -130,28 +130,9 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
          config.crashes config.eps (List.length reps) config.reps)
     ~x_label:"crash draws" ~y_label:"|MC - exact|" curves;
   Fig_latency.table_of_series curves;
-  (* Not [Fig_latency.csv_of_series]: the x axis here is the draw count,
-     not a granularity, and the header should say so. *)
-  (match curves with
-  | [] -> ()
-  | first :: _ ->
-      let xs = List.map fst first.Ascii_plot.points in
-      let rows =
-        List.map
-          (fun x ->
-            x
-            :: List.map
-                 (fun s ->
-                   match List.assoc_opt x s.Ascii_plot.points with
-                   | Some y -> y
-                   | None -> nan)
-                 curves)
-          xs
-      in
-      Csv.write_floats
-        ~path:(Filename.concat out_dir "fig-convergence.csv")
-        ~header:("draws" :: List.map (fun s -> s.Ascii_plot.label) curves)
-        rows);
+  Fig_latency.csv_of_series ~x_header:"draws"
+    (Filename.concat out_dir "fig-convergence.csv")
+    curves;
   curves
 
 (* The CI gate: with everything pinned by the seed this either always

@@ -367,9 +367,10 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   Fig_latency.table_of_series delivered;
   Printf.printf "Retries per injected item:\n";
   Fig_latency.table_of_series retries;
-  Fig_latency.csv_of_series (Filename.concat out_dir "fig-faults-retry-latency.csv") lat;
-  Fig_latency.csv_of_series (Filename.concat out_dir "fig-faults-retry-delivered.csv") delivered;
-  Fig_latency.csv_of_series (Filename.concat out_dir "fig-faults-retry-count.csv") retries;
+  let retry_csv name = Filename.concat out_dir ("fig-faults-retry-" ^ name ^ ".csv") in
+  Fig_latency.csv_of_series ~x_header:"fault_rate" (retry_csv "latency") lat;
+  Fig_latency.csv_of_series ~x_header:"fault_rate" (retry_csv "delivered") delivered;
+  Fig_latency.csv_of_series ~x_header:"fault_rate" (retry_csv "count") retries;
   (* Part B: gray straggler factor. *)
   let gray =
     [
@@ -391,7 +392,8 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
     ~title:"Mean latency vs gray straggler factor (no crash, no loss)"
     ~x_label:"execution slowdown factor" ~y_label:"mean sojourn" gray;
   Fig_latency.table_of_series gray;
-  Fig_latency.csv_of_series (Filename.concat out_dir "fig-faults-gray.csv") gray;
+  Fig_latency.csv_of_series ~x_header:"straggler_factor"
+    (Filename.concat out_dir "fig-faults-gray.csv") gray;
   (* Part C: correlation strength. *)
   let corr_series label proj =
     {
@@ -423,7 +425,8 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
     ~x_label:"correlation rho (shock share of p_total)"
     ~y_label:"P(defeat)" corr;
   Fig_latency.table_of_series corr;
-  Fig_latency.csv_of_series (Filename.concat out_dir "fig-faults-correlated.csv") corr;
+  Fig_latency.csv_of_series ~x_header:"rho"
+    (Filename.concat out_dir "fig-faults-correlated.csv") corr;
   (* Part D: the eviction drill. *)
   (match eviction_drill config with
   | None -> Printf.printf "eviction drill: scheduling failed, skipped\n"

@@ -25,7 +25,7 @@ let series ~mode samples =
           Fig_common.ltf_crash samples;
       ]
 
-let csv_of_series path series =
+let csv_of_series ~x_header path series =
   match series with
   | [] -> ()
   | first :: _ ->
@@ -43,7 +43,7 @@ let csv_of_series path series =
           xs
       in
       Csv.write_floats ~path
-        ~header:("granularity" :: List.map (fun s -> s.Ascii_plot.label) series)
+        ~header:(x_header :: List.map (fun s -> s.Ascii_plot.label) series)
         rows
 
 let table_of_series series =
@@ -84,7 +84,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : Fig_common.config) ~mode
   Ascii_plot.print ~title ~x_label:"granularity" ~y_label:"normalized latency"
     curves;
   table_of_series curves;
-  csv_of_series
+  csv_of_series ~x_header:"granularity"
     (Filename.concat out_dir
        (Printf.sprintf "fig-latency-%s-eps%d.csv" what config.Fig_common.eps))
     curves;

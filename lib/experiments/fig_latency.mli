@@ -21,5 +21,6 @@ val run :
 val table_of_series : Ascii_plot.series list -> unit
 (** Print one row per x value, one column per series. *)
 
-val csv_of_series : string -> Ascii_plot.series list -> unit
-(** Write the same layout as CSV. *)
+val csv_of_series : x_header:string -> string -> Ascii_plot.series list -> unit
+(** Write the same layout as CSV to the given path, headed by [x_header]
+    (the x axis) and then the series labels. *)

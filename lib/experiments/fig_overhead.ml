@@ -46,7 +46,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : Fig_common.config) () =
   in
   Ascii_plot.print ~title ~x_label:"granularity" ~y_label:"overhead %" curves;
   Fig_latency.table_of_series curves;
-  Fig_latency.csv_of_series
+  Fig_latency.csv_of_series ~x_header:"granularity"
     (Filename.concat out_dir
        (Printf.sprintf "fig-overhead-eps%d%s.csv" config.Fig_common.eps suffix))
     curves;
@@ -59,7 +59,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : Fig_common.config) () =
        Printf.printf "Defeated crash draws (c=%d, %% of draws):\n"
          config.Fig_common.crashes);
     Fig_latency.table_of_series defeats;
-    Fig_latency.csv_of_series
+    Fig_latency.csv_of_series ~x_header:"granularity"
       (Filename.concat out_dir
          (Printf.sprintf "fig-overhead-defeats-eps%d%s.csv"
             config.Fig_common.eps suffix))

@@ -137,19 +137,6 @@ let run_trial config t =
           inst ))
     algos rngs
 
-let mean proj points =
-  let vals =
-    List.filter_map
-      (fun p ->
-        let v = proj p in
-        if Float.is_nan v then None else Some v)
-      points
-  in
-  match vals with
-  | [] -> nan
-  | _ ->
-      List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
-
 let series config results proj =
   let labels = List.map (fun a -> a.label) (algorithms ~eps:config.eps) in
   List.map
@@ -167,34 +154,13 @@ let series config results proj =
                       measured)
                 results
             in
-            (hazard, mean proj here))
+            (hazard, Stats.mean_by proj here))
           config.hazards
       in
       { Ascii_plot.label; points })
     labels
 
-let csv path series_list =
-  match series_list with
-  | [] -> ()
-  | first :: _ ->
-      let xs = List.map fst first.Ascii_plot.points in
-      let rows =
-        List.map
-          (fun x ->
-            x
-            :: List.map
-                 (fun s ->
-                   match List.assoc_opt x s.Ascii_plot.points with
-                   | Some y -> y
-                   | None -> nan)
-                 series_list)
-          xs
-      in
-      Csv.write_floats ~path
-        ~header:
-          ("crashes_per_proc_per_kitem"
-          :: List.map (fun s -> s.Ascii_plot.label) series_list)
-        rows
+let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
 
 (* Analytic no-recovery reference: each processor fails within the
    horizon independently with q = 1 - exp(-lambda), lambda = hazard *
@@ -245,7 +211,7 @@ let exact_survival_series config =
                            (Reliability.Independent (fun _ -> q))))
                 analyses
             in
-            (hazard, mean Fun.id survivals))
+            (hazard, Stats.mean_by Fun.id survivals))
           config.hazards
       in
       { Ascii_plot.label = algo.label; points })

@@ -179,18 +179,6 @@ let run_trial config profile t =
       (algo.label, measure config ~profile ~load:t.load ~rng:algo_rng algo inst))
     algos rngs
 
-let mean proj points =
-  let vals =
-    List.filter_map
-      (fun p ->
-        let v = proj p in
-        if Float.is_nan v then None else Some v)
-      points
-  in
-  match vals with
-  | [] -> nan
-  | _ -> List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
-
 (* One labelled series per (algorithm, projection): the latency chart
    interleaves a p50 and a p99 series per algorithm so the divergence
    past saturation is visible in one plot. *)
@@ -213,7 +201,7 @@ let series config results projections =
                           measured)
                     results
                 in
-                (load, mean proj here))
+                (load, Stats.mean_by proj here))
               config.loads
           in
           {
@@ -224,27 +212,7 @@ let series config results projections =
         projections)
     labels
 
-let csv path series_list =
-  match series_list with
-  | [] -> ()
-  | first :: _ ->
-      let xs = List.map fst first.Ascii_plot.points in
-      let rows =
-        List.map
-          (fun x ->
-            x
-            :: List.map
-                 (fun s ->
-                   match List.assoc_opt x s.Ascii_plot.points with
-                   | Some y -> y
-                   | None -> nan)
-                 series_list)
-          xs
-      in
-      Csv.write_floats ~path
-        ~header:
-          ("offered_load" :: List.map (fun s -> s.Ascii_plot.label) series_list)
-        rows
+let csv = Fig_latency.csv_of_series ~x_header:"offered_load"
 
 let sweep config ~out_dir ~jobs profile =
   let name = profile_name profile in

@@ -311,79 +311,61 @@ let run ?(config = default_config) ~rng ~throughput m0 =
      crash during the window. *)
   let play ~t_end ~crash_now =
     let p = period () in
-    let timed_failures =
-      match crash_now with None -> [] | Some c -> [ c ]
+    (* [traffic n] is the epoch's source for its first [n] items: the
+       steady grid at the current period, or under an overload scenario
+       an arrival trace mixing two deterministic rates — the burst period
+       inside the post-recovery window, the nominal one after — through
+       bounded queues.  Offsets are relative to the epoch snapshot. *)
+    let wanted, traffic =
+      match config.overload with
+      | None ->
+          ( slots ~period:p !clock t_end,
+            fun n_items -> Engine.Run.Closed { n_items; period = Some p } )
+      | Some o ->
+          let fast = p /. o.burst_factor in
+          let rec collect acc n t =
+            if t >= t_end then (List.rev acc, n)
+            else
+              let step = if t < !burst_until then fast else p in
+              collect ((t -. !clock) :: acc) (n + 1) (t +. step)
+          in
+          let offsets, wanted = collect [] 0 !clock in
+          ( wanted,
+            fun n_items ->
+              Engine.Run.Open
+                {
+                  arrival =
+                    Arrival.Trace (List.filteri (fun i _ -> i < n_items) offsets);
+                  n_items;
+                  rng = None;
+                  queue_bound = Some o.queue_bound;
+                  policy = o.policy;
+                } )
     in
-    match config.overload with
-    | None ->
-        let wanted = slots ~period:p !clock t_end in
-        let n_items = min wanted config.max_items_per_epoch in
-        let capped = wanted - n_items in
-        let run_result =
-          if n_items = 0 then None
-          else
-            Some
-              (Engine.simulate ~state:!arena
-                 ~config:
-                   {
-                     Engine.Run.traffic =
-                       Engine.Run.Closed { n_items; period = Some p };
-                     snapshot = Some { Engine.clock = !clock; down = !down };
-                     failed = [];
-                     timed_failures;
-                     (* epochs read latencies and fault stats, never the
-                        per-transfer log *)
-                     record_messages = false;
-                     faults = current_faults ();
-                   }
-                 !compiled)
-        in
-        absorb_exhaustions run_result;
-        (n_items, capped, run_result)
-    | Some o ->
-        (* The arrival grid mixes two deterministic rates: the burst
-           period inside the post-recovery window, the nominal one
-           after.  Offsets are relative to the epoch snapshot. *)
-        let fast = p /. o.burst_factor in
-        let rec collect acc n t =
-          if t >= t_end then (List.rev acc, n)
-          else
-            let step = if t < !burst_until then fast else p in
-            collect ((t -. !clock) :: acc) (n + 1) (t +. step)
-        in
-        let all_offsets, wanted = collect [] 0 !clock in
-        let n_items = min wanted config.max_items_per_epoch in
-        let capped = wanted - n_items in
-        let offsets = List.filteri (fun i _ -> i < n_items) all_offsets in
-        let run_result =
-          if n_items = 0 then None
-          else
-            Some
-              (Engine.simulate ~state:!arena
-                 ~config:
-                   {
-                     Engine.Run.traffic =
-                       Engine.Run.Open
-                         {
-                           arrival = Arrival.Trace offsets;
-                           n_items;
-                           rng = None;
-                           queue_bound = Some o.queue_bound;
-                           policy = o.policy;
-                         };
-                     snapshot = Some { Engine.clock = !clock; down = !down };
-                     failed = [];
-                     timed_failures;
-                     record_messages = false;
-                     faults = current_faults ();
-                   }
-                 !compiled)
-        in
-        (match run_result with
-        | Some r -> total_dropped := !total_dropped + r.Engine.dropped
-        | None -> ());
-        absorb_exhaustions run_result;
-        (n_items, capped, run_result)
+    let n_items = min wanted config.max_items_per_epoch in
+    let run_result =
+      if n_items = 0 then None
+      else
+        Some
+          (Engine.simulate ~state:!arena
+             ~config:
+               {
+                 Engine.Run.traffic = traffic n_items;
+                 snapshot = Some { Engine.clock = !clock; down = !down };
+                 failed = [];
+                 timed_failures = Option.to_list crash_now;
+                 (* epochs read latencies and fault stats, never the
+                    per-transfer log *)
+                 record_messages = false;
+                 faults = current_faults ();
+               }
+             !compiled)
+    in
+    Option.iter
+      (fun r -> total_dropped := !total_dropped + r.Engine.dropped)
+      run_result;
+    absorb_exhaustions run_result;
+    (n_items, wanted - n_items, run_result)
   in
   let rec loop timeline =
     if !clock >= config.horizon then ()

@@ -286,8 +286,8 @@ end
    the event heap stores no pointers and the loop allocates nothing per
    event. *)
 
-let ev_inject = 0 (* arg: iidx — an entry instance becomes ready *)
-let ev_arrive = 1 (* arg: item — open mode: an item reaches the source *)
+let ev_inject = 0 (* arg: iidx — a backed-off execution retry becomes ready *)
+let ev_arrive = 1 (* arg: item — an item reaches the source *)
 let ev_finish = 2 (* arg: iidx *)
 
 let ev_arrival = 3
@@ -322,7 +322,7 @@ let slot_stall = 3 (* total backpressure wait of admitted items *)
 let slot_backoff = 4 (* total retry backoff inserted *)
 let slot_next_fail = 5 (* the next timed-failure instant after now *)
 let slot_clock = 6 (* the snapshot clock the run starts at *)
-let slot_period = 7 (* the closed injection period *)
+let slot_period = 7 (* the period the result reports *)
 
 (* ------------------------------------------------------------------ *)
 (* The reusable run-state arena                                         *)
@@ -380,7 +380,7 @@ module Run_state = struct
     mutable rs_finishes : float array;
     mutable rs_unsatisfied : int array;
     mutable rs_attempts : int array;
-    mutable rs_opened : Bytes.t;
+    mutable rs_charged : Bytes.t;
     mutable rs_sat : Bytes.t;
     (* event queue, message log (newest first), deferred local
        deliveries *)
@@ -391,7 +391,6 @@ module Run_state = struct
     (* the run's float scalars, by [slot_*] *)
     rs_f : float array;
     (* the run's resolved scenario *)
-    mutable rs_open : bool;
     mutable rs_bound : int;  (* max_int = unbounded *)
     mutable rs_shed : bool;  (* Drop_newest *)
     mutable rs_fz : bool;  (* Faults.none: no fault-model touch point runs *)
@@ -458,14 +457,13 @@ module Run_state = struct
       rs_finishes = Array.make (max 1 rids) nan;
       rs_unsatisfied = Array.make (max 1 rids) 0;
       rs_attempts = Array.make (max 1 rids) 0;
-      rs_opened = Bytes.make (max 1 rids) '\000';
+      rs_charged = Bytes.make (max 1 rids) '\000';
       rs_sat = Bytes.make (max 1 p.p_total_preds) '\000';
       rs_events = Event_heap.create ();
       rs_log = [];
       rs_dl_dst = [||];
       rs_dl_pos = [||];
       rs_f = Array.make 8 0.0;
-      rs_open = false;
       rs_bound = max_int;
       rs_shed = false;
       rs_fz = true;
@@ -527,12 +525,12 @@ module Run_state = struct
   (* Make the arena ready for one validated run: grow the item-dependent
      slabs, resolve the scenario into flags, reset every counter and
      float slot, and re-initialize every slab range the run reads before
-     writing.  Closed runs never
-     read [rs_occ] / [rs_opened], and fault-free ones never read
-     [rs_attempts], so those are reset only when used. *)
-  let start st p ~n_items ~clock ~period ~traffic ~offsets ~failed ~down
+     writing.  Fault-free runs never read [rs_attempts], so it is reset
+     only when used. *)
+  let start st p ~clock ~period ~offsets ~queue_bound ~policy ~failed ~down
       ~timed_failures ~record_messages ~faults =
     let n_procs = p.p_procs and n_rids = p.p_rids in
+    let n_items = Array.length offsets in
     let total = n_items * n_rids and sat_len = n_items * p.p_total_preds in
     if Array.length st.rs_starts < total then begin
       let cap = max total (2 * Array.length st.rs_starts) in
@@ -540,24 +538,21 @@ module Run_state = struct
       st.rs_finishes <- Array.make cap nan;
       st.rs_unsatisfied <- Array.make cap 0;
       st.rs_attempts <- Array.make cap 0;
-      st.rs_opened <- Bytes.make cap '\000'
+      st.rs_charged <- Bytes.make cap '\000'
     end;
     if Bytes.length st.rs_sat < sat_len then
       st.rs_sat <- Bytes.make (max sat_len (2 * Bytes.length st.rs_sat)) '\000';
     (* Under Faults.none the run takes exactly the legacy code path — no
        draws, no factor multiplies, no extra allocations. *)
     let fz = Faults.is_none faults in
-    (match (traffic : Run.traffic) with
-    | Closed _ ->
-        st.rs_open <- false;
-        st.rs_bound <- max_int;
-        st.rs_shed <- false;
-        st.rs_arr_abs <- [||]
-    | Open { queue_bound; policy; _ } ->
-        st.rs_open <- true;
-        st.rs_bound <- Option.value queue_bound ~default:max_int;
-        st.rs_shed <- policy = Run.Drop_newest;
-        st.rs_arr_abs <- Array.map (fun o -> clock +. o) offsets);
+    st.rs_bound <- Option.value queue_bound ~default:max_int;
+    st.rs_shed <- policy = Run.Drop_newest;
+    (* [offsets] is the run's own fresh array: shift it in place onto the
+       absolute time axis, where it becomes the result's [arrivals]. *)
+    for item = 0 to n_items - 1 do
+      offsets.(item) <- clock +. offsets.(item)
+    done;
+    st.rs_arr_abs <- offsets;
     st.rs_fz <- fz;
     st.rs_no_gray <- fz || Faults.Gray.is_none faults.Faults.gray;
     st.rs_obs <- Obs.enabled ();
@@ -621,11 +616,9 @@ module Run_state = struct
     Array.fill st.rs_ready_len 0 n_procs 0;
     Array.fill st.rs_touched 0 n_procs false;
     Array.fill st.rs_pend_len 0 n_procs 0;
-    Event_heap.clear st.rs_events;
-    if st.rs_open then begin
-      Array.fill st.rs_occ 0 n_rids 0;
-      Bytes.fill st.rs_opened 0 total '\000'
-    end
+    Array.fill st.rs_occ 0 n_rids 0;
+    Bytes.fill st.rs_charged 0 total '\000';
+    Event_heap.clear st.rs_events
 end
 
 open Run_state
@@ -774,12 +767,12 @@ let satisfy st p iidx pos =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Open-system admission: queues, source backlog, shedding              *)
+(* Admission: queues, source backlog, shedding                         *)
 (* ------------------------------------------------------------------ *)
 
 (* An instance occupies its replica's bounded input queue from the
    moment data is first committed toward it (for an entry task: from
-   admission) until it finishes executing.  [rs_opened] marks the
+   admission) until it finishes executing.  [rs_charged] marks the
    charge; the charge is skipped when the replica's processor is already
    dead at charge time (no queue survives a crash), and an instance that
    finishes always had a live-processor charge, so the release in
@@ -787,8 +780,8 @@ let satisfy st p iidx pos =
    [slot_now] rather than taking a [float] argument, which would be boxed
    at every call. *)
 let charge st p iidx =
-  if Bytes.get st.rs_opened iidx = '\000' then begin
-    Bytes.set st.rs_opened iidx '\001';
+  if Bytes.get st.rs_charged iidx = '\000' then begin
+    Bytes.set st.rs_charged iidx '\001';
     st.rs_msg_dirty <- true;
     let rid = iidx mod p.p_rids in
     if st.rs_fail_time.(p.p_proc.(rid)) > st.rs_f.(slot_now) then begin
@@ -826,7 +819,7 @@ let dispatch_local st p =
     let w = ref 0 in
     for i = 0 to st.rs_dl_len - 1 do
       let dst = dl_dst.(i) and pos = dl_pos.(i) in
-      if Bytes.get st.rs_opened dst = '\001' || has_room st p (dst mod p.p_rids)
+      if Bytes.get st.rs_charged dst = '\001' || has_room st p (dst mod p.p_rids)
       then begin
         charge st p dst;
         satisfy st p dst pos
@@ -856,8 +849,8 @@ let entry_room st p =
   done;
   !ok
 
-(* Admitting makes the item's entry instances ready, exactly as a
-   closed-mode Inject batch does. *)
+(* Admitting makes the item's entry instances ready and charges their
+   queues. *)
 let admit st p item =
   let now = st.rs_f.(slot_now) in
   st.rs_injections.(item) <- now;
@@ -969,7 +962,7 @@ let dispatch_procs st p =
 let msg_room st mi =
   (not st.rs_pm_alive.(mi))
   || st.rs_fail_time.(st.rs_pm_dp.(mi)) <= st.rs_f.(slot_now)
-  || Bytes.get st.rs_opened st.rs_pm_dst.(mi) = '\001'
+  || Bytes.get st.rs_charged st.rs_pm_dst.(mi) = '\001'
   || st.rs_occ.(st.rs_pm_dst_rid.(mi)) < st.rs_bound
 
 (* Commit transfer [mi], entry [i] of send port [sp]'s bucket: occupy
@@ -1011,7 +1004,7 @@ let commit_transfer st p sp i mi =
     else begin
       (* The transfer will arrive: reserve the destination's queue slot
          now, so concurrent senders see the occupancy. *)
-      if st.rs_open && st.rs_pm_alive.(mi) then charge st p st.rs_pm_dst.(mi);
+      if st.rs_pm_alive.(mi) then charge st p st.rs_pm_dst.(mi);
       st.rs_pm_commit.(mi) <- now;
       schedule st ((mi lsl 3) lor ev_arrival)
     end
@@ -1031,7 +1024,7 @@ let commit_transfer st p sp i mi =
 let rec dispatch_msgs st p =
   let now = st.rs_f.(slot_now) in
   let fail_time = st.rs_fail_time and prio = p.p_prio and copies = p.p_copies in
-  let check_room = st.rs_open && st.rs_bound <> max_int in
+  let check_room = st.rs_bound <> max_int in
   let best = ref (-1) in
   let best_u = ref (-1) and best_i = ref (-1) in
   for k = 0 to st.rs_n_ports - 1 do
@@ -1069,37 +1062,21 @@ let rec dispatch_msgs st p =
   end
   else st.rs_msg_dirty <- false
 
-(* Seed the source.  Closed: entry instances of every item at their
-   injection times.  Open: one Arrive per item at its arrival offset —
+(* Seed the source: one Arrive per item at its arrival instant —
    admission happens when the event pops (and, under backpressure, when
    room frees). *)
-let seed_source st p =
+let seed_source st =
   let f = st.rs_f in
-  let n_items = Array.length st.rs_injections in
-  if st.rs_open then
-    for item = 0 to n_items - 1 do
-      f.(slot_key) <- st.rs_arr_abs.(item);
-      schedule st ((item lsl 3) lor ev_arrive)
-    done
-  else begin
-    let entries = p.p_entries and copies = p.p_copies in
-    for item = 0 to n_items - 1 do
-      f.(slot_key) <- f.(slot_clock) +. (float_of_int item *. f.(slot_period));
-      for e = 0 to Array.length entries - 1 do
-        for copy = 0 to copies - 1 do
-          let rid = (entries.(e) * copies) + copy in
-          if not st.rs_dead.(rid) then
-            schedule st ((((item * p.p_rids) + rid) lsl 3) lor ev_inject)
-        done
-      done
-    done
-  end
+  for item = 0 to Array.length st.rs_arr_abs - 1 do
+    f.(slot_key) <- st.rs_arr_abs.(item);
+    schedule st ((item lsl 3) lor ev_arrive)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Open mode: item [item] reaches the source. *)
+(* Item [item] reaches the source. *)
 let on_arrive st p item =
   st.rs_arrived <- st.rs_arrived + 1;
   if st.rs_shed then begin
@@ -1130,7 +1107,7 @@ let on_finish st p iidx =
   st.rs_running.(u) <- false;
   touch st u;
   bump_makespan st;
-  if st.rs_open && Bytes.get st.rs_opened iidx = '\001' then begin
+  if Bytes.get st.rs_charged iidx = '\001' then begin
     st.rs_occ.(rid) <- st.rs_occ.(rid) - 1;
     st.rs_msg_dirty <- true
   end;
@@ -1142,11 +1119,11 @@ let on_finish st p iidx =
     if dp = u then begin
       if dst_alive then
         if
-          (not st.rs_open) || st.rs_bound = max_int
-          || Bytes.get st.rs_opened dst_iidx = '\001'
+          st.rs_bound = max_int
+          || Bytes.get st.rs_charged dst_iidx = '\001'
           || has_room st p dst_rid
         then begin
-          if st.rs_open then charge st p dst_iidx;
+          charge st p dst_iidx;
           satisfy st p dst_iidx p.p_cons_pos.(k)
         end
         else dl_push st dst_iidx p.p_cons_pos.(k)
@@ -1296,9 +1273,9 @@ let run_events st p =
     do
       pop_and_handle st p
     done;
-    if st.rs_open then dispatch_local st p;
+    dispatch_local st p;
     if st.rs_msg_dirty then dispatch_msgs st p;
-    if st.rs_open && not st.rs_shed then dispatch_source st p;
+    if not st.rs_shed then dispatch_source st p;
     dispatch_procs st p
   done
 
@@ -1337,27 +1314,17 @@ let result_of st p =
       if Float.is_nan v then None else Some v
     end
   in
-  let period = st.rs_f.(slot_period) in
-  let arrivals =
-    if st.rs_open then st.rs_arr_abs
-    else begin
-      let clock = st.rs_f.(slot_clock) in
-      let a = Array.init n_items (fun item -> clock +. (float_of_int item *. period)) in
-      Array.blit a 0 st.rs_injections 0 n_items;
-      a
-    end
-  in
   {
     start_time = get st.rs_starts;
     finish_time = get st.rs_finishes;
-    item_latency = sojourn_pass st p arrivals;
-    period;
+    item_latency = sojourn_pass st p st.rs_arr_abs;
+    period = st.rs_f.(slot_period);
     makespan = st.rs_f.(slot_makespan);
     messages = List.rev st.rs_log;
-    arrivals;
+    arrivals = st.rs_arr_abs;
     injections = st.rs_injections;
     dropped = st.rs_dropped;
-    stalled = (if st.rs_open then n_items - st.rs_next_admit else 0);
+    stalled = n_items - st.rs_next_admit;
     peak_queue = st.rs_peak_queue;
     stall_time = st.rs_f.(slot_stall);
     faults =
@@ -1384,14 +1351,15 @@ let check_proc p what u =
     invalid_arg ("Engine.simulate: processor outside [0, m) in " ^ what)
 
 (* Reject a malformed scenario before anything touches the arena. *)
-let check_scenario p ~n_items ~clock ~period ~failed ~down ~timed_failures
-    ~faults =
+let check_scenario p ~n_items ~clock ~period ~queue_bound ~failed ~down
+    ~timed_failures ~faults =
   if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
   if clock < 0.0 || not (Float.is_finite clock) then
     invalid_arg "Engine.simulate: snapshot clock must be finite and non-negative";
-  (match period with
-  | Some q when q < 0.0 || not (Float.is_finite q) ->
-      invalid_arg "Engine.simulate: period must be finite and non-negative"
+  if period < 0.0 || not (Float.is_finite period) then
+    invalid_arg "Engine.simulate: period must be finite and non-negative";
+  (match queue_bound with
+  | Some b when b < 1 -> invalid_arg "Engine.simulate: queue_bound < 1"
   | _ -> ());
   if not (Faults.is_none faults) then Faults.validate ~procs:p.p_procs faults;
   List.iter (check_proc p "failed") failed;
@@ -1421,20 +1389,27 @@ let simulate ?state ~(config : Run.config) p =
         st
     | None -> Run_state.create p
   in
-  let snapshot = config.Run.snapshot in
-  let failed = config.Run.failed and timed_failures = config.Run.timed_failures in
-  let faults = config.Run.faults in
-  let traffic = config.Run.traffic in
-  let n_items, period, offsets =
-    match traffic with
-    | Run.Closed { n_items; period } -> (n_items, period, [||])
-    | Run.Open { arrival; n_items; rng; queue_bound; _ } ->
-        if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
-        (match queue_bound with
-        | Some b when b < 1 -> invalid_arg "Engine.simulate: queue_bound < 1"
-        | _ -> ());
-        (n_items, None, Arrival.times ?rng ~n:n_items arrival)
+  let { Run.snapshot; failed; timed_failures; faults; _ } = config in
+  let { clock; down } = Option.value snapshot ~default:boot in
+  (* Closed traffic is the degenerate open run: the paper's steady state
+     injects one item every [period] (default: the program's achieved
+     period), which is a deterministic arrival process through unbounded
+     [Block] queues — nothing ever waits at the source.  Its result
+     reports the resolved period and, as documented, no queue
+     occupancy.  Open runs are paced by their arrivals and report the
+     program's period. *)
+  let n_items, period, arrival, rng, queue_bound, policy, closed =
+    match config.Run.traffic with
+    | Run.Closed { n_items; period } ->
+        let period = Option.value period ~default:p.p_period in
+        let arrival = Arrival.Deterministic { period } in
+        (n_items, period, arrival, None, None, Run.Block, true)
+    | Run.Open { arrival; n_items; rng; queue_bound; policy } ->
+        (n_items, p.p_period, arrival, rng, queue_bound, policy, false)
   in
+  check_scenario p ~n_items ~clock ~period ~queue_bound ~failed ~down
+    ~timed_failures ~faults;
+  let offsets = Arrival.times ?rng ~n:n_items arrival in
   Obs.with_span "sim.engine.run" (fun () ->
       Obs.incr "sim.runs";
       if reused then Obs.incr "sim.arena.reuses";
@@ -1457,18 +1432,14 @@ let simulate ?state ~(config : Run.config) p =
           Obs.touch "sim.epoch.resumes";
           if s.clock > 0.0 then Obs.incr "sim.epoch.resumes";
           Obs.observe "sim.epoch.items" (float_of_int n_items));
-      let { clock; down } = Option.value snapshot ~default:boot in
-      check_scenario p ~n_items ~clock ~period ~failed ~down ~timed_failures
+      Run_state.start st p ~clock ~period ~offsets ~queue_bound ~policy ~failed
+        ~down ~timed_failures ~record_messages:config.Run.record_messages
         ~faults;
-      Run_state.start st p ~n_items ~clock
-        ~period:(Option.value period ~default:p.p_period)
-        ~traffic ~offsets ~failed ~down ~timed_failures
-        ~record_messages:config.Run.record_messages ~faults;
-      seed_source st p;
+      seed_source st;
       advance_fail st p;
       run_events st p;
+      if closed then st.rs_peak_queue <- 0;
       result_of st p)
-
 
 let sojourns r =
   Array.to_list r.item_latency |> List.filter_map Fun.id

@@ -5,10 +5,11 @@
     through a complete mapping, with optional fail-silent processor
     failures effective from time 0.  Semantics:
 
-    - in the {e closed-system} mode, item [k] enters the system at time
-      [k · period]; in the {e open-system} mode items arrive when an
-      {!Arrival} process says they do, each replica owns a bounded FIFO
-      input queue, and a full queue exerts backpressure (see {!Run});
+    - items arrive when an {!Arrival} process says they do, each replica
+      owns a bounded FIFO input queue, and a full queue exerts
+      backpressure (see {!Run}); the paper's {e closed-system} steady
+      state, item [k] entering at time [k · period], is the degenerate
+      case of a deterministic process through unbounded queues;
     - a replica instance (item, task, copy) is {e dead} when its processor
       failed or when, for some predecessor task, every replica in its source
       set is dead; dead instances never execute nor send;
@@ -153,7 +154,11 @@ module Run : sig
     | Closed of { n_items : int; period : float option }
         (** the steady-state source: item [k] injected at
             [clock + k · period] ([period] defaults to the program's
-            achieved period), no queue bound, no backpressure *)
+            achieved period).  {!simulate} lowers it onto the open path
+            as [Arrival.Deterministic { period }] through unbounded
+            queues with {!Block} — nothing ever waits at the source —
+            and reports the resolved [period] with [peak_queue],
+            [stalled] and [stall_time] all [0]. *)
     | Open of {
         arrival : Arrival.t;
         n_items : int;
@@ -231,8 +236,8 @@ module Run : sig
     config
   (** An open-system config with no failures and the {!boot} snapshot.
       [queue_bound] defaults to unbounded and [policy] to {!Block} — the
-      degenerate point where a [Deterministic] arrival process
-      reproduces the closed system bit-identically. *)
+      degenerate point where a [Deterministic] arrival process is
+      exactly the [Closed] lowering. *)
 
   val with_faults : Faults.t -> config -> config
   (** [{ config with faults }] — attach a fault scenario to any
@@ -276,14 +281,14 @@ val simulate : ?state:Run_state.t -> config:Run.config -> program -> result
     forever.  Arenas are single-threaded — give
     each domain its own.  Reuses are counted under [sim.arena.reuses].
 
-    Open traffic materializes the arrival process ({!Arrival.times}),
-    admits items FIFO against the per-replica queue bound, and accounts
+    Every run materializes its arrival process ({!Arrival.times}; a
+    [Closed] config is lowered to a deterministic one first), admits
+    items FIFO against the per-replica queue bound, and accounts
     backpressure ({!result.stall_time}), load shedding
     ({!result.dropped}) and queue occupancy ({!result.peak_queue});
     when a queue frees, waiting in-pipeline data beats new source
-    admissions.  Open runs record [sim.queue.enqueued],
-    [sim.queue.blocked], [sim.drops] and the [sim.queue.occupancy]
-    histogram.
+    admissions.  Runs record [sim.queue.enqueued], [sim.queue.blocked],
+    [sim.drops] and the [sim.queue.occupancy] histogram.
     @raise Invalid_argument (naming [Engine.simulate]) if [n_items < 1],
     a closed [period] is negative or not finite, a processor in
     [failed], [timed_failures] or [snapshot.down] is outside [0, m), a

@@ -1,12 +1,13 @@
 (* Open-system traffic: arrival processes, bounded queues, backpressure.
 
-   The load-bearing guarantee is the degenerate point: a Deterministic
-   arrival process through an unbounded Block queue must reproduce the
-   closed-system engine bit-for-bit (same latencies, same message log,
-   same makespan), because the open machinery is advertised as a strict
-   superset of the legacy API.  Around it: pinned digests for the
-   randomized processes (Poisson / MMPP), queue-bound invariants, drop
-   accounting, and the percentile helpers the traffic figures consume. *)
+   The load-bearing guarantee is the degenerate point: the engine runs a
+   Closed config as a Deterministic arrival process through unbounded
+   Block queues, so an explicit open run of that process must match it
+   bit-for-bit (same latencies, same message log, same makespan), and the
+   closed result must still report no queueing at all.  Around it: pinned
+   digests for the randomized processes (Poisson / MMPP), queue-bound
+   invariants, drop accounting, and the percentile helpers the traffic
+   figures consume. *)
 
 open Test_support
 
@@ -242,10 +243,31 @@ let prop_degenerate_open_is_closed =
           && float_bits_equal opened.Engine.stall_time 0.0
           && results_bit_identical closed opened)
 
+(* A transient + gray fault scenario on an [m]-processor platform: rate
+   draws on every execution and transfer, a straggler and a degraded
+   link whose windows open at the snapshot clock. *)
+let fault_scenario ~seed ~m ~clock ~period ~rate ~factor =
+  let window =
+    { Faults.Gray.g_from = clock; g_until = clock +. (3.0 *. period); factor }
+  in
+  {
+    Faults.transient =
+      { Faults.Transient.none with exec_rate = rate; comm_rate = rate; seed };
+    retry = Faults.Backoff.make ~base_delay:(0.1 *. period) ~max_retries:2 ();
+    gray =
+      {
+        Faults.Gray.stragglers = [ (seed mod m, window) ];
+        links = [ ((0, 1), window) ];
+      };
+  }
+
 let prop_degenerate_under_failures =
   QCheck.Test.make
     ~name:"the degenerate point holds under timed failures too" ~count:25
-    seed_arb (fun seed ->
+    QCheck.(
+      quad seed_arb (float_range 0.01 30.0) (float_range 0.0 0.3)
+        (float_range 1.0 3.0))
+    (fun (seed, clock, rate, factor) ->
       match mapping_of_seed seed with
       | None -> QCheck.assume_fail ()
       | Some mapping ->
@@ -253,24 +275,33 @@ let prop_degenerate_under_failures =
           let period = Engine.program_period prog in
           let n_items = 4 in
           let m = Platform.size (Mapping.platform mapping) in
-          let timed_failures = [ (seed mod m, 1.5 *. period) ] in
+          let timed_failures = [ (seed mod m, clock +. (1.5 *. period)) ] in
+          let snapshot = Some { Engine.clock; down = [] } in
+          let faults = fault_scenario ~seed ~m ~clock ~period ~rate ~factor in
+          let with_scenario config =
+            Engine.Run.with_faults faults
+              { config with Engine.Run.timed_failures; snapshot }
+          in
           let closed =
             Engine.simulate
-              ~config:{ (Engine.Run.closed ~n_items ~period ()) with timed_failures }
+              ~config:(with_scenario (Engine.Run.closed ~n_items ~period ()))
               prog
           in
           let opened =
             Engine.simulate
               ~config:
-                {
-                  (Engine.Run.open_ ~n_items
-                     (Arrival.Deterministic { period }))
-                  with
-                  Engine.Run.timed_failures;
-                }
+                (with_scenario
+                   (Engine.Run.open_ ~n_items (Arrival.Deterministic { period })))
               prog
           in
-          results_bit_identical closed opened)
+          closed.Engine.peak_queue = 0
+          && closed.Engine.stalled = 0
+          && float_bits_equal closed.Engine.stall_time 0.0
+          && closed.Engine.dropped = 0
+          && Array.map bits closed.Engine.injections
+             = Array.map bits closed.Engine.arrivals
+          && closed.Engine.faults = opened.Engine.faults
+          && results_bit_identical closed opened)
 
 (* ------------------------------------------------------------------ *)
 (* Queue bounds, backpressure and shedding                              *)
