@@ -12,6 +12,8 @@ open Toolkit
 (* Fixtures shared across iterations                                    *)
 (* ------------------------------------------------------------------ *)
 
+let best_effort = Scheduler.(default |> with_mode Best_effort)
+
 let instance ~seed ~granularity =
   let rng = Rng.create ~seed in
   Spec.generate Spec.default ~rng ~granularity ()
@@ -26,15 +28,13 @@ let problem ~eps inst =
 let prob_e1 = problem ~eps:1 inst_g1
 let prob_e3 = problem ~eps:3 inst_g1
 
-let mapping_e1 =
-  match Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e1 with
+let rltf_mapping prob =
+  match Rltf.schedule ~opts:best_effort prob with
   | Ok m -> m
   | Error _ -> failwith "bench fixture: R-LTF failed"
 
-let mapping_e3 =
-  match Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e3 with
-  | Ok m -> m
-  | Error _ -> failwith "bench fixture: R-LTF failed"
+let mapping_e1 = rltf_mapping prob_e1
+let mapping_e3 = rltf_mapping prob_e3
 
 (* A figure "point": schedule + measure both algorithms on one fresh graph
    at one granularity, exactly what the sweep repeats 60 times per point. *)
@@ -116,13 +116,13 @@ let parallel_tests =
 let algorithm_tests =
   [
     Test.make ~name:"LTF schedule (v=100, m=20, eps=1)"
-      (Staged.stage (fun () -> Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e1));
+      (Staged.stage (fun () -> Ltf.schedule ~opts:best_effort prob_e1));
     Test.make ~name:"R-LTF schedule (v=100, m=20, eps=1)"
-      (Staged.stage (fun () -> Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e1));
+      (Staged.stage (fun () -> Rltf.schedule ~opts:best_effort prob_e1));
     Test.make ~name:"LTF schedule (eps=3)"
-      (Staged.stage (fun () -> Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e3));
+      (Staged.stage (fun () -> Ltf.schedule ~opts:best_effort prob_e3));
     Test.make ~name:"R-LTF schedule (eps=3)"
-      (Staged.stage (fun () -> Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e3));
+      (Staged.stage (fun () -> Rltf.schedule ~opts:best_effort prob_e3));
   ]
 
 let substrate_tests =
@@ -191,15 +191,7 @@ let sim_instance ~seed ~tasks =
   Spec.generate (Spec.paper spec) ~rng ~granularity:1.0 ()
 
 let sim_mapping ~seed ~tasks ~eps =
-  let inst = sim_instance ~seed ~tasks in
-  let prob =
-    Types.problem ~dag:inst.Paper_workload.dag
-      ~platform:inst.Paper_workload.plat ~eps
-      ~throughput:(Paper_workload.throughput ~eps)
-  in
-  match Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob with
-  | Ok m -> m
-  | Error _ -> failwith "bench fixture: R-LTF failed on sim workload"
+  rltf_mapping (problem ~eps (sim_instance ~seed ~tasks))
 
 let sim_small = sim_mapping ~seed:41 ~tasks:50 ~eps:1
 let sim_medium = sim_mapping ~seed:42 ~tasks:100 ~eps:1
@@ -256,7 +248,7 @@ let reliability_crashes = 2
 let sim_medium_stages =
   Crash.Of_stages
     {
-      plan = Stage_latency.compile sim_medium;
+      plan = Replica_graph.compile sim_medium;
       throughput = Paper_workload.throughput ~eps:1;
     }
 
@@ -405,9 +397,9 @@ let counter_deltas () =
       counters
   in
   delta "LTF schedule (v=100, m=20, eps=1)" (fun () ->
-      Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e1);
+      Ltf.schedule ~opts:best_effort prob_e1);
   delta "R-LTF schedule (eps=3)" (fun () ->
-      Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob_e3);
+      Rltf.schedule ~opts:best_effort prob_e3);
   delta "one-port event simulation (20 items)" (fun () ->
       Engine.simulate ~config:(Engine.Run.closed ~n_items:20 ())
         (Engine.compile mapping_e1));
@@ -647,15 +639,9 @@ let sched_json path =
         (key, Obs.Json.Num ns))
       [
         ( "ltf_schedule_ns",
-          opaque (fun () ->
-              Ltf.schedule
-                ~opts:Scheduler.(default |> with_mode Best_effort)
-                prob_e1) );
+          opaque (fun () -> Ltf.schedule ~opts:best_effort prob_e1) );
         ( "rltf_schedule_ns",
-          opaque (fun () ->
-              Rltf.schedule
-                ~opts:Scheduler.(default |> with_mode Best_effort)
-                prob_e1) );
+          opaque (fun () -> Rltf.schedule ~opts:best_effort prob_e1) );
       ]
   in
   let doc =
@@ -688,21 +674,30 @@ let estimate_at_jobs jobs =
 let parallel_jobs = [ 1; 2; 4 ]
 let parallel_speedup_gate = 2.0
 
-(* Assert the worker-count identity before any timing: a scaling number
-   for a parallel path that changed the answer is worthless. *)
-let assert_parallel_identity () =
+(* The worker-count identity: one 1000-draw estimate at -j 1/2/4,
+   asserting bit-identity (exit 1 on any divergence) and printing raw
+   wall-clocks for the log.  It is the CI determinism step
+   ([--parallel-smoke]) and runs before any scaling timing, because a
+   scaling number for a parallel path that changed the answer is
+   worthless.  No OLS, no JSON: a correctness gate, not a measurement. *)
+let parallel_smoke () =
   let reference = estimate_at_jobs 1 in
   List.iter
     (fun jobs ->
-      if estimate_at_jobs jobs <> reference then begin
-        Printf.eprintf
-          "FAIL parallel estimate at -j %d differs from -j 1\n" jobs;
+      let t0 = Unix.gettimeofday () in
+      let e = estimate_at_jobs jobs in
+      let dt = Unix.gettimeofday () -. t0 in
+      if e <> reference then begin
+        Printf.eprintf "FAIL estimate at -j %d differs from -j 1\n" jobs;
         exit 1
-      end)
-    (List.filter (fun j -> j > 1) parallel_jobs)
+      end;
+      Printf.printf "ok   -j %d bit-identical (%d draws, %.3f s)\n%!" jobs
+        parallel_draws dt)
+    parallel_jobs;
+  Printf.printf "parallel estimate smoke: all worker counts identical\n%!"
 
 let parallel_section cfg =
-  assert_parallel_identity ();
+  parallel_smoke ();
   let entries =
     List.map
       (fun jobs ->
@@ -974,26 +969,6 @@ let check_sched_json path =
   end;
   Printf.printf "%s: %d pair(s) at or above break-even, scale points ok\n" path
     n_pairs
-
-(* --parallel-smoke: the CI determinism step — one 1000-draw estimate at
-   -j 1/2/4, asserting bit-identity (exit 1 on any divergence) and
-   printing raw wall-clocks for the log.  No OLS, no JSON: this is a
-   correctness gate, not a measurement. *)
-let parallel_smoke () =
-  let reference = estimate_at_jobs 1 in
-  List.iter
-    (fun jobs ->
-      let t0 = Unix.gettimeofday () in
-      let e = estimate_at_jobs jobs in
-      let dt = Unix.gettimeofday () -. t0 in
-      if e <> reference then begin
-        Printf.eprintf "FAIL estimate at -j %d differs from -j 1\n" jobs;
-        exit 1
-      end;
-      Printf.printf "ok   -j %d bit-identical (%d draws, %.3f s)\n%!" jobs
-        parallel_draws dt)
-    parallel_jobs;
-  Printf.printf "parallel estimate smoke: all worker counts identical\n%!"
 
 (* --gc-stats: allocation and collection counts per arena draw, in a
    human-readable dump CI uploads as an artifact.  Exits 1 when the draw

@@ -178,3 +178,85 @@ let mean_series ~label proj samples =
     |> List.map (fun (g, ss) -> (g, Stats.mean_by proj ss))
   in
   { Ascii_plot.label; points }
+
+(* ---- the extension sweeps ---------------------------------------------- *)
+
+type contender = {
+  label : string;
+  algo_eps : int;
+  algo : (module Scheduler.Algo);
+}
+
+let best_effort = Scheduler.(default |> with_mode Best_effort)
+
+let contender ~eps ((module A : Scheduler.Algo) as algo) =
+  { label = Printf.sprintf "%s (eps=%d)" A.name eps; algo_eps = eps; algo }
+
+let contenders ~eps =
+  let baseline name =
+    match Baseline_registry.find name with
+    | Some ((module A : Scheduler.Algo) as algo) ->
+        { label = A.name; algo_eps = 0; algo }
+    | None -> invalid_arg ("Fig_common.contenders: unknown baseline " ^ name)
+  in
+  [
+    contender ~eps Rltf.algo;
+    contender ~eps Ltf.algo;
+    baseline "HEFT [9]";
+    baseline "Hary-Ozguner [4]";
+  ]
+
+let rep_instance spec ~seed ~rep =
+  let rng = Rng.create ~seed:(seed + (7919 * rep)) in
+  (rng, Spec.generate spec ~rng ~granularity:1.0 ())
+
+let schedule c inst =
+  let (module A : Scheduler.Algo) = c.algo in
+  let throughput = Paper_workload.throughput ~eps:c.algo_eps in
+  let prob =
+    Types.problem ~dag:inst.Paper_workload.dag
+      ~platform:inst.Paper_workload.plat ~eps:c.algo_eps ~throughput
+  in
+  match A.run ~opts:best_effort prob with
+  | Ok mapping -> Some (mapping, throughput)
+  | Error _ -> None
+
+let service_period mapping ~throughput =
+  Float.max (1.0 /. throughput) (Metrics.period mapping)
+
+let measure_contenders ~eps ~rng inst measure =
+  let cs = contenders ~eps in
+  (* A child stream per contender, split in fixed order before any
+     scheduling, so adding or reordering measurements never perturbs
+     another contender's draws. *)
+  let rngs = List.map (fun _ -> Rng.split rng) cs in
+  List.map2 (fun c rng -> (c.label, measure ~rng c inst)) cs rngs
+
+let series_by ~eps ~xs ~x_of results projections =
+  List.concat_map
+    (fun c ->
+      List.map
+        (fun (suffix, proj) ->
+          let points =
+            List.map
+              (fun x ->
+                let here =
+                  List.concat_map
+                    (fun (t, measured) ->
+                      if x_of t <> x then []
+                      else
+                        List.filter_map
+                          (fun (l, m) -> if l = c.label then m else None)
+                          measured)
+                    results
+                in
+                (x, Stats.mean_by proj here))
+              xs
+          in
+          {
+            Ascii_plot.label =
+              (if suffix = "" then c.label else c.label ^ " " ^ suffix);
+            points;
+          })
+        projections)
+    (contenders ~eps)

@@ -115,3 +115,62 @@ val by_granularity : sample list -> (float * sample list) list
 val mean_series :
   label:string -> (sample -> float) -> sample list -> Ascii_plot.series
 (** Per-granularity mean of the (non-NaN) projection. *)
+
+(** {2 The extension sweeps}
+
+    The traffic, recovery and fault sweeps ([Fig_traffic], [Fig_recovery],
+    [Fig_faults]) schedule one reduced-scale instance per rep with the
+    same contenders and group their measurements the same way. *)
+
+(** An algorithm entered in an extension sweep, scheduled best-effort at
+    its own replication degree. *)
+type contender = {
+  label : string;  (** the series label *)
+  algo_eps : int;  (** ε the contender is scheduled with *)
+  algo : (module Scheduler.Algo);
+}
+
+val contender : eps:int -> (module Scheduler.Algo) -> contender
+(** A replicating contender labelled ["NAME (eps=ε)"]. *)
+
+val contenders : eps:int -> contender list
+(** R-LTF and LTF at [eps], then the single-copy baselines HEFT and
+    Hary-Özgüner at ε = 0, in that (series) order. *)
+
+val rep_instance :
+  Spec.t -> seed:int -> rep:int -> Rng.t * Paper_workload.instance
+(** The rep's root stream, seeded [seed + 7919 · rep], and the instance
+    generated from it at granularity 1.0.  The seed ignores the sweep's x
+    value, so every point of a sweep sees the same graphs (common random
+    numbers). *)
+
+val schedule : contender -> Paper_workload.instance -> (Mapping.t * float) option
+(** The contender's best-effort mapping and the paper's throughput
+    [1 / (10 (ε+1))] it was scheduled for; [None] when scheduling
+    failed. *)
+
+val service_period : Mapping.t -> throughput:float -> float
+(** The achieved service interval [max (1/T) (period)]: the unit the
+    sweeps' loads, horizons and delays are expressed in. *)
+
+val measure_contenders :
+  eps:int ->
+  rng:Rng.t ->
+  Paper_workload.instance ->
+  (rng:Rng.t -> contender -> Paper_workload.instance -> 'p option) ->
+  (string * 'p option) list
+(** Measure every contender on the instance, each on its own child of
+    [rng] (split in contender order before any measurement); labelled
+    with the contender's label. *)
+
+val series_by :
+  eps:int ->
+  xs:float list ->
+  x_of:('t -> float) ->
+  ('t * (string * 'p option) list) list ->
+  (string * ('p -> float)) list ->
+  Ascii_plot.series list
+(** Per contender, one series per [(suffix, projection)]: at each [x] of
+    [xs], the mean projection of the points the contender measured in
+    the trials at [x] ([None] points skipped).  A series is labelled
+    ["LABEL SUFFIX"], or ["LABEL"] when the suffix is empty. *)

@@ -52,7 +52,7 @@ let run_rep config rep =
   | Error _ -> None
   | Ok mapping ->
       let source =
-        Crash.Of_stages { plan = Stage_latency.compile mapping; throughput }
+        Crash.Of_stages { plan = Replica_graph.compile mapping; throughput }
       in
       let crashes = config.crashes in
       let exact =

@@ -78,18 +78,6 @@ let quick =
 
 (* ---- shared helpers ---------------------------------------------------- *)
 
-let schedule_rltf ~eps inst =
-  let throughput = Paper_workload.throughput ~eps in
-  let prob =
-    Types.problem ~dag:inst.Paper_workload.dag
-      ~platform:inst.Paper_workload.plat ~eps ~throughput
-  in
-  match
-    Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob
-  with
-  | Ok mapping -> Some (mapping, throughput)
-  | Error _ -> None
-
 let busiest_proc mapping =
   let n = Platform.size (Mapping.platform mapping) in
   let load = Array.make n 0 in
@@ -232,10 +220,12 @@ type drill = {
 let eviction_drill config =
   let rng = Rng.create ~seed:config.seed in
   let inst = Spec.generate config.spec ~rng ~granularity:1.0 () in
-  match schedule_rltf ~eps:config.eps inst with
+  match
+    Fig_common.schedule (Fig_common.contender ~eps:config.eps Rltf.algo) inst
+  with
   | None -> None
   | Some (mapping, throughput) ->
-      let p = Float.max (1.0 /. throughput) (Metrics.period mapping) in
+      let p = Fig_common.service_period mapping ~throughput in
       let victim = busiest_proc mapping in
       let horizon = float_of_int config.n_items *. 8.0 *. p in
       let faults =
@@ -293,12 +283,13 @@ type trial_result = {
    stream is split off before use, so each axis moves because of its
    knob, never because of resampling noise (CRN along every sweep). *)
 let run_trial config rep =
-  let rng = Rng.create ~seed:(config.seed + (7919 * rep)) in
-  let inst = Spec.generate config.spec ~rng ~granularity:1.0 () in
-  match schedule_rltf ~eps:config.eps inst with
+  let rng, inst = Fig_common.rep_instance config.spec ~seed:config.seed ~rep in
+  match
+    Fig_common.schedule (Fig_common.contender ~eps:config.eps Rltf.algo) inst
+  with
   | None -> None
   | Some (mapping, throughput) ->
-      let p = Float.max (1.0 /. throughput) (Metrics.period mapping) in
+      let p = Fig_common.service_period mapping ~throughput in
       let prog = Engine.compile mapping in
       let fault_seed = config.seed + (104729 * rep) in
       let tr_retry =

@@ -46,35 +46,6 @@ let quick =
     horizon_items = 60;
   }
 
-type algo = {
-  label : string;
-  algo_eps : int;
-  schedule : Types.problem -> Types.outcome;
-}
-
-let algorithms ~eps =
-  let opts = Scheduler.(default |> with_mode Best_effort) in
-  let baseline name =
-    match Baseline_registry.find name with
-    | Some (module A : Scheduler.Algo) ->
-        { label = A.name; algo_eps = 0; schedule = A.run ~opts }
-    | None -> invalid_arg ("Fig_recovery: unknown baseline " ^ name)
-  in
-  [
-    {
-      label = Printf.sprintf "R-LTF (eps=%d)" eps;
-      algo_eps = eps;
-      schedule = Rltf.schedule ~opts;
-    };
-    {
-      label = Printf.sprintf "LTF (eps=%d)" eps;
-      algo_eps = eps;
-      schedule = Ltf.schedule ~opts;
-    };
-    baseline "HEFT [9]";
-    baseline "Hary-Ozguner [4]";
-  ]
-
 (* What one algorithm's timeline contributed to one sweep point. *)
 type point = {
   availability : float;
@@ -82,18 +53,13 @@ type point = {
   had_outage : float;  (** 0/1, so the mean is the outage rate *)
 }
 
-let measure config ~hazard_per_kitem ~rng algo inst =
-  let throughput = Paper_workload.throughput ~eps:algo.algo_eps in
-  let prob =
-    Types.problem ~dag:inst.Paper_workload.dag
-      ~platform:inst.Paper_workload.plat ~eps:algo.algo_eps ~throughput
-  in
-  match algo.schedule prob with
-  | Error _ -> None
-  | Ok mapping ->
+let measure config ~hazard_per_kitem ~rng contender inst =
+  match Fig_common.schedule contender inst with
+  | None -> None
+  | Some (mapping, throughput) ->
       (* The mapping's effective period converts the item-denominated
          knobs into the absolute time units the ops simulator runs in. *)
-      let p = Float.max (1.0 /. throughput) (Metrics.period mapping) in
+      let p = Fig_common.service_period mapping ~throughput in
       let ops_config =
         {
           Stream_ops.horizon = float_of_int config.horizon_items *. p;
@@ -121,44 +87,15 @@ type trial = { hazard_per_kitem : float; rep : int }
    random numbers), so each curve moves along the sweep because of the
    rate, never because of resampling noise. *)
 let run_trial config t =
-  let rng = Rng.create ~seed:(config.seed + (7919 * t.rep)) in
-  let inst =
-    Spec.generate config.spec ~rng ~granularity:1.0 ()
+  let rng, inst =
+    Fig_common.rep_instance config.spec ~seed:config.seed ~rep:t.rep
   in
-  let algos = algorithms ~eps:config.eps in
-  (* Every algorithm draws from its own child stream, split in fixed
-     order before any scheduling, so adding or reordering measurements
-     never perturbs another algorithm's timeline. *)
-  let rngs = List.map (fun _ -> Rng.split rng) algos in
-  List.map2
-    (fun algo algo_rng ->
-      ( algo.label,
-        measure config ~hazard_per_kitem:t.hazard_per_kitem ~rng:algo_rng algo
-          inst ))
-    algos rngs
+  Fig_common.measure_contenders ~eps:config.eps ~rng inst
+    (measure config ~hazard_per_kitem:t.hazard_per_kitem)
 
 let series config results proj =
-  let labels = List.map (fun a -> a.label) (algorithms ~eps:config.eps) in
-  List.map
-    (fun label ->
-      let points =
-        List.map
-          (fun hazard ->
-            let here =
-              List.concat_map
-                (fun (t, measured) ->
-                  if t.hazard_per_kitem <> hazard then []
-                  else
-                    List.filter_map
-                      (fun (l, m) -> if l = label then m else None)
-                      measured)
-                results
-            in
-            (hazard, Stats.mean_by proj here))
-          config.hazards
-      in
-      { Ascii_plot.label; points })
-    labels
+  Fig_common.series_by ~eps:config.eps ~xs:config.hazards
+    ~x_of:(fun t -> t.hazard_per_kitem) results [ ("", proj) ]
 
 let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
 
@@ -169,30 +106,24 @@ let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
    never defeated.  Timelines with recovery must sit above this curve;
    the gap is what recovery buys. *)
 let exact_survival_series config =
-  let algos = algorithms ~eps:config.eps in
-  (* Same seed derivation as [run_trial], so the analytic curve covers
-     exactly the graphs the timelines ran on. *)
+  let contenders = Fig_common.contenders ~eps:config.eps in
+  (* Same instances as [run_trial], so the analytic curve covers exactly
+     the graphs the timelines ran on. *)
   let analyses =
     List.init config.reps (fun rep ->
-        let rng = Rng.create ~seed:(config.seed + (7919 * rep)) in
-        let inst =
-          Spec.generate config.spec ~rng ~granularity:1.0 ()
+        let _, inst =
+          Fig_common.rep_instance config.spec ~seed:config.seed ~rep
         in
         List.map
-          (fun algo ->
-            let throughput = Paper_workload.throughput ~eps:algo.algo_eps in
-            let prob =
-              Types.problem ~dag:inst.Paper_workload.dag
-                ~platform:inst.Paper_workload.plat ~eps:algo.algo_eps
-                ~throughput
-            in
-            match algo.schedule prob with
-            | Error _ -> (algo.label, None)
-            | Ok mapping -> (algo.label, Some (Reliability.analyze mapping)))
-          algos)
+          (fun (c : Fig_common.contender) ->
+            ( c.label,
+              Option.map
+                (fun (mapping, _) -> Reliability.analyze mapping)
+                (Fig_common.schedule c inst) ))
+          contenders)
   in
   List.map
-    (fun algo ->
+    (fun (c : Fig_common.contender) ->
       let points =
         List.map
           (fun hazard ->
@@ -203,7 +134,7 @@ let exact_survival_series config =
             let survivals =
               List.filter_map
                 (fun per_algo ->
-                  match List.assoc algo.label per_algo with
+                  match List.assoc c.label per_algo with
                   | None -> None
                   | Some t ->
                       Some
@@ -214,8 +145,8 @@ let exact_survival_series config =
             (hazard, Stats.mean_by Fun.id survivals))
           config.hazards
       in
-      { Ascii_plot.label = algo.label; points })
-    algos
+      { Ascii_plot.label = c.label; points })
+    contenders
 
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   let trials =

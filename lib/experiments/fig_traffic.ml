@@ -64,35 +64,6 @@ let arrival_process profile ~rate ~period =
           mean_idle = 20.0 *. period;
         }
 
-type algo = {
-  label : string;
-  algo_eps : int;
-  schedule : Types.problem -> Types.outcome;
-}
-
-let algorithms ~eps =
-  let opts = Scheduler.(default |> with_mode Best_effort) in
-  let baseline name =
-    match Baseline_registry.find name with
-    | Some (module A : Scheduler.Algo) ->
-        { label = A.name; algo_eps = 0; schedule = A.run ~opts }
-    | None -> invalid_arg ("Fig_traffic: unknown baseline " ^ name)
-  in
-  [
-    {
-      label = Printf.sprintf "R-LTF (eps=%d)" eps;
-      algo_eps = eps;
-      schedule = Rltf.schedule ~opts;
-    };
-    {
-      label = Printf.sprintf "LTF (eps=%d)" eps;
-      algo_eps = eps;
-      schedule = Ltf.schedule ~opts;
-    };
-    baseline "HEFT [9]";
-    baseline "Hary-Ozguner [4]";
-  ]
-
 (* What one algorithm contributed at one sweep point: the latency
    percentiles and peak queue of an unbounded backpressure run, and the
    shed fraction of a bounded Drop_newest run over the same arrivals. *)
@@ -103,18 +74,13 @@ type point = {
   drop_pct : float;
 }
 
-let measure config ~profile ~load ~rng algo inst =
-  let throughput = Paper_workload.throughput ~eps:algo.algo_eps in
-  let prob =
-    Types.problem ~dag:inst.Paper_workload.dag
-      ~platform:inst.Paper_workload.plat ~eps:algo.algo_eps ~throughput
-  in
-  match algo.schedule prob with
-  | Error _ -> None
-  | Ok mapping ->
+let measure config ~profile ~load ~rng contender inst =
+  match Fig_common.schedule contender inst with
+  | None -> None
+  | Some (mapping, throughput) ->
       (* The achieved period is the service interval the load multiplies:
          load 1.0 offers work exactly as fast as the pipeline drains it. *)
-      let p = Float.max (1.0 /. throughput) (Metrics.period mapping) in
+      let p = Fig_common.service_period mapping ~throughput in
       let rate = load /. p in
       (* Materialize the arrivals once and replay them as a trace, so the
          percentile run and the shedding run see the same traffic (and the
@@ -165,52 +131,18 @@ type trial = { load : float; rep : int }
    numbers), so each curve moves along the sweep because of the offered
    rate, never because of resampling noise. *)
 let run_trial config profile t =
-  let rng = Rng.create ~seed:(config.seed + (7919 * t.rep)) in
-  let inst =
-    Spec.generate config.spec ~rng ~granularity:1.0 ()
+  let rng, inst =
+    Fig_common.rep_instance config.spec ~seed:config.seed ~rep:t.rep
   in
-  let algos = algorithms ~eps:config.eps in
-  (* A child stream per algorithm, split in fixed order before any
-     scheduling, so adding or reordering measurements never perturbs
-     another algorithm's arrivals. *)
-  let rngs = List.map (fun _ -> Rng.split rng) algos in
-  List.map2
-    (fun algo algo_rng ->
-      (algo.label, measure config ~profile ~load:t.load ~rng:algo_rng algo inst))
-    algos rngs
+  Fig_common.measure_contenders ~eps:config.eps ~rng inst
+    (measure config ~profile ~load:t.load)
 
 (* One labelled series per (algorithm, projection): the latency chart
    interleaves a p50 and a p99 series per algorithm so the divergence
    past saturation is visible in one plot. *)
-let series config results projections =
-  let labels = List.map (fun a -> a.label) (algorithms ~eps:config.eps) in
-  List.concat_map
-    (fun label ->
-      List.map
-        (fun (suffix, proj) ->
-          let points =
-            List.map
-              (fun load ->
-                let here =
-                  List.concat_map
-                    (fun (t, measured) ->
-                      if t.load <> load then []
-                      else
-                        List.filter_map
-                          (fun (l, m) -> if l = label then m else None)
-                          measured)
-                    results
-                in
-                (load, Stats.mean_by proj here))
-              config.loads
-          in
-          {
-            Ascii_plot.label =
-              (if suffix = "" then label else label ^ " " ^ suffix);
-            points;
-          })
-        projections)
-    labels
+let series config results =
+  Fig_common.series_by ~eps:config.eps ~xs:config.loads
+    ~x_of:(fun t -> t.load) results
 
 let csv = Fig_latency.csv_of_series ~x_header:"offered_load"
 

@@ -148,8 +148,6 @@ let percentile_slice p a ~len =
     vlo +. ((h -. float_of_int lo) *. (vhi -. vlo))
   end
 
-let percentile_in_place p a = percentile_slice p a ~len:(Array.length a)
-
 let quantiles_slice a ~len =
   {
     q_n = len;
@@ -158,8 +156,6 @@ let quantiles_slice a ~len =
     p99 = percentile_slice 99.0 a ~len;
     p999 = percentile_slice 99.9 a ~len;
   }
-
-let quantiles_in_place a = quantiles_slice a ~len:(Array.length a)
 
 type reservoir = {
   r_buf : float array;

@@ -47,30 +47,23 @@ val quantiles : float list -> quantiles
 (** The tail-latency summary of one sample in a single sort: {!percentile}
     at 50 / 95 / 99 / 99.9, with the same nan-on-empty policy. *)
 
-val percentile_in_place : float -> float array -> float
-(** {!percentile} over an array by expected-O(n) selection (three-way
-    quickselect) instead of a full sort — the path the scaling
-    experiment takes for 10⁶-point samples.  Permutes the array; the
-    values must be NaN-free (use {!reservoir_add}, which skips NaN).
-    Same value and NaN-on-empty policy as {!percentile}.
-    @raise Invalid_argument when [p] is outside [0, 100]. *)
-
-val quantiles_in_place : float array -> quantiles
-(** {!quantiles} by repeated selection, O(n) expected and no sorted
-    copy.  Permutes the array. *)
-
 val percentile_slice : float -> float array -> len:int -> float
-(** {!percentile_in_place} restricted to the prefix [a.(0 .. len - 1)];
-    slots at and past [len] are neither read nor moved.  The hot-path
-    variant for callers that reuse one preallocated buffer and fill a
-    varying prefix per iteration (e.g. {!Engine.sojourns_into}) — no
-    per-call [Array.sub] copy.  Permutes the prefix.
+(** {!percentile} over the prefix [a.(0 .. len - 1)] by expected-O(n)
+    selection (three-way quickselect) instead of a full sort — the path
+    the scaling experiment takes for 10⁶-point samples.  Slots at and
+    past [len] are neither read nor moved, so callers can reuse one
+    preallocated buffer and fill a varying prefix per iteration (e.g.
+    {!Engine.sojourns_into}) with no per-call [Array.sub] copy.
+    Permutes the prefix; the values must be NaN-free (use
+    {!reservoir_add}, which skips NaN).  Same value and NaN-on-empty
+    policy as {!percentile}.
     @raise Invalid_argument when [p] is outside [0, 100] or [len] is
     outside [0, Array.length a]. *)
 
 val quantiles_slice : float array -> len:int -> quantiles
-(** {!quantiles_in_place} over the prefix [a.(0 .. len - 1)]; same
-    contract as {!percentile_slice}.  [q_n = len]. *)
+(** {!quantiles} over the prefix [a.(0 .. len - 1)] by repeated
+    selection, O(n) expected and no sorted copy; same contract as
+    {!percentile_slice}.  [q_n = len]. *)
 
 type reservoir
 (** Bounded-memory uniform subsample of a stream (Vitter's algorithm R),

@@ -69,11 +69,11 @@ type config = {
       (** cap on items simulated per epoch; slots beyond the cap are
           reported as [capped], not silently dropped *)
   overload : overload option;
-      (** [None] (the default) runs the legacy closed-system epochs,
-          bit-identical to the pre-overload API *)
+      (** [None] (the default) runs closed epochs: each epoch's items
+          enter on the period grid, as one [Engine.Run.Closed] run *)
   faults : fault_injection option;
-      (** [None] (the default) runs fault-free epochs, bit-identical to
-          the pre-faults API *)
+      (** [None] (the default) runs fault-free epochs ([Faults.none])
+          and never evicts *)
 }
 
 val default_config : config

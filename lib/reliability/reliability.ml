@@ -28,24 +28,14 @@ type model =
     }
 
 type t = {
-  t_mapping : Mapping.t;
-  t_copies : int;
-  t_rids : int;
-  t_procs : int;
-  t_proc : int array;  (* per rid *)
-  t_grp_off : int array;  (* rid -> groups, length t_rids + 1 *)
-  t_src_off : int array;  (* group -> sources, length n_groups + 1 *)
-  t_src : int array;  (* source rid *)
-  t_eta : int array;  (* 0 when co-located with the consumer, else 1 *)
-  t_topo : int array;
-  t_exits : int array;
+  t_graph : Replica_graph.t;
   t_max_card : int;
   t_fam : (int * int, Bitset.t list) Hashtbl.t;  (* (rid, threshold) *)
   mutable t_defeat : Bitset.t list option;
 }
 
-let mapping t = t.t_mapping
-let procs t = t.t_procs
+let mapping t = t.t_graph.mapping
+let procs t = t.t_graph.procs
 let cut_card_horizon t = t.t_max_card
 
 (* ---- antichain algebra ------------------------------------------------ *)
@@ -120,15 +110,15 @@ let rec family t rid s =
     match Hashtbl.find_opt t.t_fam (rid, s) with
     | Some f -> f
     | None ->
-        let max_card = t.t_max_card in
-        let acc = ref [ Bitset.singleton t.t_proc.(rid) ] in
-        for g = t.t_grp_off.(rid) to t.t_grp_off.(rid + 1) - 1 do
+        let max_card = t.t_max_card and gr = t.t_graph in
+        let acc = ref [ Bitset.singleton gr.proc.(rid) ] in
+        for g = gr.grp_off.(rid) to gr.grp_off.(rid + 1) - 1 do
           let grp = ref always in
-          for k = t.t_src_off.(g) to t.t_src_off.(g + 1) - 1 do
+          for k = gr.src_off.(g) to gr.src_off.(g + 1) - 1 do
             if !grp <> never then
               grp :=
                 and_ ~max_card !grp
-                  (family t t.t_src.(k) (sub_threshold s t.t_eta.(k)))
+                  (family t gr.src.(k) (sub_threshold s gr.eta.(k)))
           done;
           acc := or_ ~max_card !acc !grp
         done;
@@ -142,13 +132,13 @@ let depth_family t d =
   Array.fold_left
     (fun acc exit_task ->
       let all = ref always in
-      for copy = 0 to t.t_copies - 1 do
+      for copy = 0 to t.t_graph.copies - 1 do
         if !all <> never then
-          let rid = (exit_task * t.t_copies) + copy in
+          let rid = (exit_task * t.t_graph.copies) + copy in
           all := and_ ~max_card:t.t_max_card !all (family t rid d)
       done;
       or_ ~max_card:t.t_max_card acc !all)
-    never t.t_exits
+    never t.t_graph.exits
 
 let defeat_cut_sets t =
   match t.t_defeat with
@@ -168,55 +158,8 @@ let analyze ?(max_cut_card = max_int) m =
         invalid_arg "Reliability.analyze: mapping is not complete";
       if max_cut_card < 0 then
         invalid_arg "Reliability.analyze: negative cut horizon";
-      let dag = Mapping.dag m in
-      let copies = Mapping.n_copies m in
-      let n_tasks = Dag.size dag in
-      let n_rids = n_tasks * copies in
-      let proc_of = Array.make (max 1 n_rids) (-1) in
-      let grp_off = Array.make (n_rids + 1) 0 in
-      Mapping.iter m (fun r ->
-          let rid = (r.Replica.id.task * copies) + r.Replica.id.copy in
-          proc_of.(rid) <- r.Replica.proc;
-          grp_off.(rid + 1) <- List.length r.Replica.sources);
-      for rid = 0 to n_rids - 1 do
-        grp_off.(rid + 1) <- grp_off.(rid) + grp_off.(rid + 1)
-      done;
-      let n_groups = grp_off.(n_rids) in
-      let src_off = Array.make (n_groups + 1) 0 in
-      let src = ref [] and n_srcs = ref 0 and g = ref 0 in
-      Mapping.iter m (fun r ->
-          List.iter
-            (fun (_, ids) ->
-              src_off.(!g + 1) <- src_off.(!g) + List.length ids;
-              src := (r.Replica.proc, ids) :: !src;
-              n_srcs := !n_srcs + List.length ids;
-              incr g)
-            r.Replica.sources);
-      let src_arr = Array.make (max 1 !n_srcs) 0 in
-      let eta_arr = Array.make (max 1 !n_srcs) 0 in
-      List.iteri
-        (fun rev_g (consumer_proc, ids) ->
-          let gi = n_groups - 1 - rev_g in
-          List.iteri
-            (fun i (s : Replica.id) ->
-              let srid = (s.task * copies) + s.copy in
-              src_arr.(src_off.(gi) + i) <- srid;
-              eta_arr.(src_off.(gi) + i) <-
-                (if proc_of.(srid) = consumer_proc then 0 else 1))
-            ids)
-        !src;
       {
-        t_mapping = m;
-        t_copies = copies;
-        t_rids = n_rids;
-        t_procs = Platform.size (Mapping.platform m);
-        t_proc = proc_of;
-        t_grp_off = grp_off;
-        t_src_off = src_off;
-        t_src = src_arr;
-        t_eta = eta_arr;
-        t_topo = Topo.order dag;
-        t_exits = Array.of_list (Dag.exits dag);
+        t_graph = Replica_graph.compile m;
         t_max_card = max_cut_card;
         t_fam = Hashtbl.create 97;
         t_defeat = None;
@@ -228,50 +171,12 @@ let analyze ?(max_cut_card = max_int) m =
    probabilities.  The tests enumerate failure patterns through this and
    compare with the calculus. *)
 let depth_with t ~failed =
-  let copies = t.t_copies in
-  let dead_proc = Array.make (max 1 t.t_procs) false in
   List.iter
     (fun p ->
-      if p < 0 || p >= t.t_procs then
-        invalid_arg "Reliability.depth_with: processor out of range";
-      dead_proc.(p) <- true)
+      if p < 0 || p >= procs t then
+        invalid_arg "Reliability.depth_with: processor out of range")
     failed;
-  let stage = Array.make (max 1 t.t_rids) 0 in
-  Array.iter
-    (fun task ->
-      for copy = 0 to copies - 1 do
-        let rid = (task * copies) + copy in
-        if not dead_proc.(t.t_proc.(rid)) then begin
-          let acc = ref 1 and starved = ref false in
-          let g = ref t.t_grp_off.(rid) in
-          let g_end = t.t_grp_off.(rid + 1) in
-          while (not !starved) && !g < g_end do
-            let best = ref max_int in
-            for k = t.t_src_off.(!g) to t.t_src_off.(!g + 1) - 1 do
-              let s = stage.(t.t_src.(k)) in
-              if s > 0 && s + t.t_eta.(k) < !best then best := s + t.t_eta.(k)
-            done;
-            if !best = max_int then starved := true
-            else if !best > !acc then acc := !best;
-            incr g
-          done;
-          if not !starved then stage.(rid) <- !acc
-        end
-      done)
-    t.t_topo;
-  let rec max_over_exits acc i =
-    if i >= Array.length t.t_exits then Some acc
-    else begin
-      let exit_task = t.t_exits.(i) in
-      let best = ref max_int in
-      for copy = 0 to copies - 1 do
-        let s = stage.((exit_task * copies) + copy) in
-        if s > 0 && s < !best then best := s
-      done;
-      if !best = max_int then None else max_over_exits (max acc !best) (i + 1)
-    end
-  in
-  max_over_exits 0 0
+  Replica_graph.depth ~failed t.t_graph
 
 let defeated_by t ~failed = depth_with t ~failed = None
 
@@ -388,7 +293,7 @@ let independent_probability ~pfail cuts =
 let max_correlated_domains = 20
 
 let correlated_probability t ~domains ~p_shock ~p_fail cuts =
-  if Faults.Domains.procs domains <> t.t_procs then
+  if Faults.Domains.procs domains <> procs t then
     invalid_arg "Reliability: Correlated domains partition a different platform";
   let n_domains = Faults.Domains.count domains in
   if n_domains > max_correlated_domains then
@@ -418,7 +323,7 @@ let correlated_probability t ~domains ~p_shock ~p_fail cuts =
   !total
 
 let check_uniform t c =
-  if c < 0 || c > t.t_procs then
+  if c < 0 || c > procs t then
     invalid_arg "Reliability: crash count outside [0, m]";
   if c > t.t_max_card then
     invalid_arg "Reliability: crash count exceeds the analysis cut horizon"
@@ -426,7 +331,7 @@ let check_uniform t c =
 let probability t cuts = function
   | Uniform_crashes c ->
       check_uniform t c;
-      uniform_probability ~procs:t.t_procs ~crashes:c cuts
+      uniform_probability ~procs:(procs t) ~crashes:c cuts
   | Independent pfail ->
       if t.t_max_card <> max_int then
         invalid_arg "Reliability: Independent model needs an unpruned analysis";
@@ -460,10 +365,10 @@ let foreach_subset m c f =
 
 (* (defeat probability, finite-depth distribution) in one sweep. *)
 let uniform_enumeration t ~crashes =
-  let total = binom t.t_procs crashes in
+  let total = binom (procs t) crashes in
   let defeated = ref 0.0 in
   let hist = Hashtbl.create 16 in
-  foreach_subset t.t_procs crashes (fun failed ->
+  foreach_subset (procs t) crashes (fun failed ->
       match depth_with t ~failed with
       | None -> defeated := !defeated +. 1.0
       | Some d ->
@@ -479,7 +384,7 @@ let enumerable t ~budget = function
   | Independent _ | Correlated _ -> None
   | Uniform_crashes c ->
       check_uniform t c;
-      if binom t.t_procs c <= float_of_int budget then Some c else None
+      if binom (procs t) c <= float_of_int budget then Some c else None
 
 let defeat_probability ?(enumerate_below = default_enumeration_budget) t model
     =
@@ -500,7 +405,7 @@ let family_equal a b = List.equal Bitset.equal a b
    (a stage grows by at most one per DAG hop). *)
 let depth_distribution_by_families t model =
   let defeat = defeat_cut_sets t in
-  let n_tasks = Array.length t.t_topo in
+  let n_tasks = t.t_graph.tasks in
   let p_defeat = probability t defeat model in
   let entry d p acc = if p > 0.0 then (d, p) :: acc else acc in
   let rec walk d fam_d p_d acc =
@@ -571,8 +476,8 @@ let closed_form_defeat t ~pfail =
         Array.fold_left
           (fun p_no_defeat exit_task ->
             let p_exit_dead = ref 1.0 in
-            for copy = 0 to t.t_copies - 1 do
-              let rid = (exit_task * t.t_copies) + copy in
+            for copy = 0 to t.t_graph.copies - 1 do
+              let rid = (exit_task * t.t_graph.copies) + copy in
               let fam = family t rid dead in
               let sup =
                 List.fold_left
@@ -591,7 +496,7 @@ let closed_form_defeat t ~pfail =
               p_exit_dead := !p_exit_dead *. (1.0 -. p_alive)
             done;
             p_no_defeat *. (1.0 -. !p_exit_dead))
-          1.0 t.t_exits
+          1.0 t.t_graph.exits
       in
       Some (1.0 -. p_defeat)
     with Not_closed -> None

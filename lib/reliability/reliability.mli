@@ -38,8 +38,8 @@
     estimators. *)
 
 type t
-(** The compiled analysis of one complete mapping: replica tables plus the
-    memoized cut-set families. *)
+(** The compiled analysis of one complete mapping: its [Replica_graph.t]
+    plus the memoized cut-set families. *)
 
 (** Failure distribution to evaluate a cut-set family under. *)
 type model =
@@ -151,5 +151,8 @@ val defeated_by : t -> failed:Platform.proc list -> bool
     families against exhaustive enumeration. *)
 
 val depth_with : t -> failed:Platform.proc list -> int option
-(** Oracle sweep for the effective depth; [None] when defeated.  Agrees
-    with [Stage_latency.effective_depth]. *)
+(** Oracle sweep for the effective depth; [None] when defeated.  It is
+    [Replica_graph.depth] over the analysis' replica graph, after
+    checking that every failed processor is in range, so it equals
+    [Stage_latency.effective_depth] by construction.
+    @raise Invalid_argument on a processor outside [0, m). *)

@@ -1,0 +1,117 @@
+type t = {
+  mapping : Mapping.t;
+  tasks : int;
+  copies : int;
+  rids : int;
+  procs : int;
+  topo : int array;
+  exits : int array;
+  placed : bool array;
+  proc : int array;
+  grp_off : int array;
+  src_off : int array;
+  src : int array;
+  eta : int array;
+}
+
+(* Two passes over the mapping in (task, copy) order, which is rid order:
+   the first places replicas and counts groups and sources, the second
+   fills the source CSR once every processor is known. *)
+let compile m =
+  let dag = Mapping.dag m in
+  let copies = Mapping.n_copies m in
+  let tasks = Dag.size dag in
+  let rids = tasks * copies in
+  let rid_of (id : Replica.id) = (id.task * copies) + id.copy in
+  let placed = Array.make rids false in
+  let proc = Array.make rids (-1) in
+  let grp_off = Array.make (rids + 1) 0 in
+  let n_srcs = ref 0 in
+  Mapping.iter m (fun r ->
+      let rid = rid_of r.Replica.id in
+      placed.(rid) <- true;
+      proc.(rid) <- r.Replica.proc;
+      grp_off.(rid + 1) <- List.length r.Replica.sources;
+      List.iter
+        (fun (_, ids) -> n_srcs := !n_srcs + List.length ids)
+        r.Replica.sources);
+  for rid = 0 to rids - 1 do
+    grp_off.(rid + 1) <- grp_off.(rid) + grp_off.(rid + 1)
+  done;
+  let src_off = Array.make (grp_off.(rids) + 1) 0 in
+  let src = Array.make (max 1 !n_srcs) 0 in
+  let eta = Array.make (max 1 !n_srcs) 0 in
+  let g = ref 0 in
+  Mapping.iter m (fun r ->
+      List.iter
+        (fun (_, ids) ->
+          let k = ref src_off.(!g) in
+          List.iter
+            (fun id ->
+              let s = rid_of id in
+              src.(!k) <- s;
+              eta.(!k) <- (if proc.(s) = r.Replica.proc then 0 else 1);
+              incr k)
+            ids;
+          src_off.(!g + 1) <- !k;
+          incr g)
+        r.Replica.sources);
+  {
+    mapping = m;
+    tasks;
+    copies;
+    rids;
+    procs = Platform.size (Mapping.platform m);
+    topo = Topo.order dag;
+    exits = Array.of_list (Dag.exits dag);
+    placed;
+    proc;
+    grp_off;
+    src_off;
+    src;
+    eta;
+  }
+
+let depth ?(failed = []) g =
+  let copies = g.copies in
+  let dead_proc = Array.make g.procs false in
+  List.iter (fun p -> dead_proc.(p) <- true) failed;
+  (* stage 0 = dead; alive replicas have stage >= 1 *)
+  let stage = Array.make g.rids 0 in
+  Array.iter
+    (fun task ->
+      for copy = 0 to copies - 1 do
+        let rid = (task * copies) + copy in
+        if g.placed.(rid) && not dead_proc.(g.proc.(rid)) then begin
+          (* Per predecessor, the best alive source; the replica is dead
+             if some predecessor has none. *)
+          let acc = ref 1 and starved = ref false in
+          let gi = ref g.grp_off.(rid) in
+          let g_end = g.grp_off.(rid + 1) in
+          while (not !starved) && !gi < g_end do
+            let best = ref max_int in
+            for k = g.src_off.(!gi) to g.src_off.(!gi + 1) - 1 do
+              let s = stage.(g.src.(k)) in
+              if s > 0 && s + g.eta.(k) < !best then best := s + g.eta.(k)
+            done;
+            if !best = max_int then starved := true
+            else if !best > !acc then acc := !best;
+            incr gi
+          done;
+          if not !starved then stage.(rid) <- !acc
+        end
+      done)
+    g.topo;
+  let rec max_over_exits acc i =
+    if i >= Array.length g.exits then Some acc
+    else begin
+      let exit_task = g.exits.(i) in
+      let best = ref max_int in
+      for copy = 0 to copies - 1 do
+        let s = stage.((exit_task * copies) + copy) in
+        if s > 0 && s < !best then best := s
+      done;
+      if !best = max_int then None else max_over_exits (max acc !best) (i + 1)
+    end
+  in
+  max_over_exits 0 0

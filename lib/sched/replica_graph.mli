@@ -1,0 +1,47 @@
+(** The replica graph of a mapping, compiled into dense arrays.
+
+    Every replica gets a dense id [rid = task * copies + copy].  Its
+    source sets are stored as CSR: [rid] owns the groups
+    [grp_off.(rid) .. grp_off.(rid + 1) - 1], one per predecessor task in
+    the replica's source order, and group [g] owns the sources
+    [src_off.(g) .. src_off.(g + 1) - 1], each a source rid [src.(k)]
+    with hop cost [eta.(k)] ([0] when the source shares the consumer's
+    processor, [1] otherwise).
+
+    This is the one layout behind the liveness rule of the paper's
+    "real execution" (§5): a replica takes, per predecessor, the first
+    available input, and an exit takes its earliest surviving copy.  The
+    event engine's program, the stage model ([Stage_latency]) and the
+    exact calculus ([Reliability]) all read it from {!compile}; {!depth}
+    is the one sweep of that rule. *)
+
+type t = private {
+  mapping : Mapping.t;  (** the mapping compiled *)
+  tasks : int;
+  copies : int;  (** [eps + 1] *)
+  rids : int;  (** [tasks * copies] *)
+  procs : int;  (** platform size *)
+  topo : int array;  (** a topological order of the tasks *)
+  exits : int array;  (** the exit tasks *)
+  placed : bool array;  (** per rid: the mapping has this replica *)
+  proc : int array;  (** per rid: its processor, [-1] when unplaced *)
+  grp_off : int array;  (** rid -> groups, length [rids + 1] *)
+  src_off : int array;  (** group -> sources, length [n_groups + 1] *)
+  src : int array;  (** per source: its rid *)
+  eta : int array;  (** per source: [0] co-located, [1] across processors *)
+}
+
+val compile : Mapping.t -> t
+(** The graph of a mapping, complete or partial (unplaced replicas are
+    never alive).  Built once per mapping; the arrays are shared and must
+    not be mutated. *)
+
+val depth : ?failed:Platform.proc list -> t -> int option
+(** The effective pipeline depth [S_eff] under the fail-silent failure
+    set [failed] (default none): the maximum over exit tasks of the
+    minimum, over that task's alive replicas, of the replica's stage.  A
+    replica on a live processor is alive when every group has an alive
+    source, and its stage is [max 1 (max over groups (min over alive
+    sources (stage + eta)))].  [None] when some exit task has no alive
+    replica (the failure set defeats the mapping); [Some 0] for the
+    empty graph.  Processors in [failed] must be in range. *)

@@ -1,7 +1,7 @@
 type source =
   | Of_mapping of Mapping.t
   | Of_program of Engine.program
-  | Of_stages of { plan : Stage_latency.plan; throughput : float }
+  | Of_stages of { plan : Replica_graph.t; throughput : float }
 
 type method_ =
   | Fixed of Platform.proc list
@@ -48,7 +48,7 @@ let model_of = function
   | Of_program p -> engine_model p
   | Of_stages { plan; throughput } ->
       {
-        mapping = Stage_latency.plan_mapping plan;
+        mapping = plan.Replica_graph.mapping;
         replayer =
           (fun () failed ->
             Stage_latency.latency_of_plan ~failed plan ~throughput);

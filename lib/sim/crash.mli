@@ -25,7 +25,7 @@
 type source =
   | Of_mapping of Mapping.t
   | Of_program of Engine.program
-  | Of_stages of { plan : Stage_latency.plan; throughput : float }
+  | Of_stages of { plan : Replica_graph.t; throughput : float }
 
 (** How to evaluate it. *)
 type method_ =

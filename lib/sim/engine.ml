@@ -118,41 +118,17 @@ let compile m =
   for rid = 0 to n_rids - 1 do
     pred_off.(rid + 1) <- pred_off.(rid) + pred_count.(rid / copies)
   done;
-  (* Placement, execution durations and source groups, in rid order. *)
-  let proc_of = Array.make n_rids (-1) in
-  let exec_dur = Array.make n_rids 0.0 in
-  let grp_off = Array.make (n_rids + 1) 0 in
-  let groups = ref [] (* each group's source ids, last group first *) in
-  for task = 0 to n_tasks - 1 do
-    for copy = 0 to copies - 1 do
-      let rid = (task * copies) + copy in
-      grp_off.(rid + 1) <- grp_off.(rid);
-      match Mapping.replica m task copy with
-      | None -> ()
-      | Some r ->
-          proc_of.(rid) <- r.Replica.proc;
-          exec_dur.(rid) <- Platform.exec_time plat r.Replica.proc (Dag.exec dag task);
-          grp_off.(rid + 1) <- grp_off.(rid) + List.length r.Replica.sources;
-          List.iter (fun (_, ids) -> groups := ids :: !groups) r.Replica.sources
-    done
-  done;
-  let groups = Array.of_list (List.rev !groups) in
-  let n_groups = Array.length groups in
-  let grp_src_off = Array.make (n_groups + 1) 0 in
-  Array.iteri
-    (fun gi ids -> grp_src_off.(gi + 1) <- grp_src_off.(gi) + List.length ids)
-    groups;
-  let grp_src = Array.make (max 1 grp_src_off.(n_groups)) 0 in
-  Array.iteri
-    (fun gi ids ->
-      List.iteri
-        (fun i (src : Replica.id) ->
-          grp_src.(grp_src_off.(gi) + i) <- (src.task * copies) + src.copy)
-        ids)
-    groups;
-  (* Consumers, in the legacy consumer-table encounter order: mapping
-     iteration (task, copy ascending), then source-group order, then
-     source order within the group. *)
+  (* Placement, topology and source groups come from the shared replica
+     graph; execution durations and consumers are engine-specific. *)
+  let g = Replica_graph.compile m in
+  let proc_of = g.proc in
+  let exec_dur =
+    Array.init n_rids (fun rid ->
+        Platform.exec_time plat proc_of.(rid) (Dag.exec dag (rid / copies)))
+  in
+  (* Consumers, in the legacy consumer-table encounter order: rid order
+     (task, copy ascending), then source-group order, then source order
+     within the group. *)
   let pred_pos task pred =
     let rec scan i = function
       | [] -> invalid_arg "Engine.compile: source is not a predecessor"
@@ -160,66 +136,59 @@ let compile m =
     in
     scan 0 (Dag.preds dag task)
   in
-  let cons_count = Array.make n_rids 0 in
-  Mapping.iter m (fun (r : Replica.t) ->
-      List.iter
-        (fun (_, ids) ->
-          List.iter
-            (fun (src : Replica.id) ->
-              let srid = (src.task * copies) + src.copy in
-              cons_count.(srid) <- cons_count.(srid) + 1)
-            ids)
-        r.Replica.sources);
+  let n_srcs = g.src_off.(g.grp_off.(n_rids)) in
   let cons_off = Array.make (n_rids + 1) 0 in
-  for rid = 0 to n_rids - 1 do
-    cons_off.(rid + 1) <- cons_off.(rid) + cons_count.(rid)
+  for k = 0 to n_srcs - 1 do
+    cons_off.(g.src.(k) + 1) <- cons_off.(g.src.(k) + 1) + 1
   done;
-  let n_cons = cons_off.(n_rids) in
-  let cons_dst = Array.make (max 1 n_cons) 0 in
-  let cons_dur = Array.make (max 1 n_cons) 0.0 in
-  let cons_pos = Array.make (max 1 n_cons) 0 in
+  for rid = 0 to n_rids - 1 do
+    cons_off.(rid + 1) <- cons_off.(rid) + cons_off.(rid + 1)
+  done;
+  let cons_dst = Array.make (max 1 n_srcs) 0 in
+  let cons_dur = Array.make (max 1 n_srcs) 0.0 in
+  let cons_pos = Array.make (max 1 n_srcs) 0 in
   let cursor = Array.sub cons_off 0 n_rids in
-  Mapping.iter m (fun (r : Replica.t) ->
-      let dst_rid = (r.id.Replica.task * copies) + r.id.Replica.copy in
-      let dp = r.Replica.proc in
-      List.iter
-        (fun (pred, ids) ->
-          let vol = Dag.volume dag pred r.id.Replica.task in
-          let pos = pred_pos r.id.Replica.task pred in
-          List.iter
-            (fun (src : Replica.id) ->
-              let srid = (src.task * copies) + src.copy in
-              let k = cursor.(srid) in
-              cons_dst.(k) <- dst_rid;
-              cons_pos.(k) <- pos;
-              cons_dur.(k) <-
-                (let sp = proc_of.(srid) in
-                 if sp = dp then 0.0 else Platform.comm_time plat sp dp vol);
-              cursor.(srid) <- k + 1)
-            ids)
-        r.Replica.sources);
+  for dst_rid = 0 to n_rids - 1 do
+    let task = dst_rid / copies and dp = proc_of.(dst_rid) in
+    for gi = g.grp_off.(dst_rid) to g.grp_off.(dst_rid + 1) - 1 do
+      (* [Mapping.assign] keeps every group non-empty and made of
+         replicas of its one predecessor *)
+      let pred = g.src.(g.src_off.(gi)) / copies in
+      let vol = Dag.volume dag pred task and pos = pred_pos task pred in
+      for k = g.src_off.(gi) to g.src_off.(gi + 1) - 1 do
+        let srid = g.src.(k) in
+        let c = cursor.(srid) in
+        cons_dst.(c) <- dst_rid;
+        cons_pos.(c) <- pos;
+        cons_dur.(c) <-
+          (if g.eta.(k) = 0 then 0.0
+           else Platform.comm_time plat proc_of.(srid) dp vol);
+        cursor.(srid) <- c + 1
+      done
+    done
+  done;
   {
     p_mapping = m;
     p_tasks = n_tasks;
     p_copies = copies;
     p_rids = n_rids;
     p_procs = n_procs;
-    p_topo = Topo.order dag;
+    p_topo = g.topo;
     p_prio = prio;
     p_pred_count = pred_count;
     p_pred_off = pred_off;
     p_total_preds = pred_off.(n_rids);
     p_proc = proc_of;
     p_exec_dur = exec_dur;
-    p_grp_off = grp_off;
-    p_grp_src_off = grp_src_off;
-    p_grp_src = grp_src;
+    p_grp_off = g.grp_off;
+    p_grp_src_off = g.src_off;
+    p_grp_src = g.src;
     p_cons_off = cons_off;
     p_cons_dst = cons_dst;
     p_cons_dur = cons_dur;
     p_cons_pos = cons_pos;
     p_entries = Array.of_list (Dag.entries dag);
-    p_exits = Array.of_list (Dag.exits dag);
+    p_exits = g.exits;
     p_period = Metrics.period m;
   }
 

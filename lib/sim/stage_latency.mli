@@ -19,40 +19,29 @@
     {!Reliability} calculus) come from [Crash.estimate] with an
     [Of_stages] source. *)
 
-type plan
-(** The stage model compiled into dense arrays (replica processors and
-    source sets as CSR): built once per mapping, replayed per failure
-    draw. *)
-
-val compile : Mapping.t -> plan
-
-val plan_mapping : plan -> Mapping.t
-(** The mapping the plan was compiled from (for a cached plan, the
-    first mapping with its content). *)
-
-val depth_of_plan : ?failed:Platform.proc list -> plan -> int option
-(** {!effective_depth} against a compiled plan; identical result. *)
-
 val latency_of_plan :
-  ?failed:Platform.proc list -> plan -> throughput:float -> float option
-(** {!latency} against a compiled plan; identical result. *)
+  ?failed:Platform.proc list -> Replica_graph.t -> throughput:float ->
+  float option
+(** {!latency} against a compiled replica graph (a {e plan}, built once
+    per mapping and replayed per failure draw); identical result. *)
 
 val effective_depth : ?failed:Platform.proc list -> Mapping.t -> int option
 (** [S_eff]: the maximum over exit tasks of the minimum, over alive
     replicas of that task, of the replica's effective stage (per
     predecessor, the best alive source).  [None] when some exit task has
     no alive replica (the failure set defeats the schedule); [Some 0] for
-    the empty graph. *)
+    the empty graph.  [Replica_graph.depth] of a fresh compile. *)
 
 val latency :
   ?failed:Platform.proc list -> Mapping.t -> throughput:float -> float option
 (** [(2·S_eff − 1) / T]. *)
 
-val plans : plan Program_cache.t
+val plans : Replica_graph.t Program_cache.t
 (** The global stage-latency plan cache (capacity 64), used by the
     figure harness ([Fig_common]) — the stage-model counterpart of
     {!Program_cache.programs}. *)
 
-val cached_plan : Mapping.t -> plan
-(** [Program_cache.find plans m] — {!compile} through the shared cache:
-    repeated lookups on the same mapping content pay the compile once. *)
+val cached_plan : Mapping.t -> Replica_graph.t
+(** [Program_cache.find plans m] — [Replica_graph.compile] through the
+    shared cache: repeated lookups on the same mapping content pay the
+    compile once. *)

@@ -42,14 +42,14 @@ let stats_tests =
         let rng = Rng.create ~seed:33 in
         let xs = List.init 1000 (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:100.0) in
         let a = Stats.quantiles xs in
-        let b = Stats.quantiles_in_place (Array.of_list xs) in
+        let b = Stats.quantiles_slice (Array.of_list xs) ~len:1000 in
         check_int "n" a.Stats.q_n b.Stats.q_n;
         check_float "p50" a.Stats.p50 b.Stats.p50;
         check_float "p95" a.Stats.p95 b.Stats.p95;
         check_float "p99" a.Stats.p99 b.Stats.p99;
         check_float "p999" a.Stats.p999 b.Stats.p999);
     case "quantiles_in_place on an empty array is all-nan" (fun () ->
-        let q = Stats.quantiles_in_place [||] in
+        let q = Stats.quantiles_slice [||] ~len:0 in
         check_int "n" 0 q.Stats.q_n;
         check_true "nan" (Float.is_nan q.Stats.p50));
     case "reservoir is exact below its capacity" (fun () ->

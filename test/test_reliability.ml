@@ -82,6 +82,54 @@ let prop_cut_sets_match_enumeration =
           done;
           !ok)
 
+(* Past exhaustive reach: paper-layered R-LTF mappings on m = 20
+   processors (eps in {1, 2}), probed with random c-subsets for every
+   c <= eps + 1.  The oracle sweep, the minimal cuts of an analysis
+   pruned at c, and a fixed-set engine replay must reach one defeat
+   verdict on every subset. *)
+let prop_defeat_predicate_at_m20 =
+  QCheck.Test.make ~name:"defeat predicate agrees with cuts and engine at m=20"
+    ~count:10 seed_arb (fun seed ->
+      let rng = Rng.create ~seed in
+      let eps = 1 + Rng.int rng 2 in
+      let granularity = Rng.choose rng Paper_workload.granularities in
+      let inst = Spec.generate Spec.default ~rng ~granularity () in
+      let prob =
+        Types.problem ~dag:inst.Paper_workload.dag
+          ~platform:inst.Paper_workload.plat ~eps
+          ~throughput:(Spec.throughput Spec.default ~eps)
+      in
+      match
+        Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob
+      with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok m ->
+          let n_procs = Platform.size inst.Paper_workload.plat in
+          let program = Engine.compile m in
+          List.for_all
+            (fun c ->
+              let t = Reliability.analyze ~max_cut_card:c m in
+              let cuts = Reliability.defeat_cut_sets t in
+              List.for_all
+                (fun _ ->
+                  let procs = Array.init n_procs Fun.id in
+                  Rng.shuffle rng procs;
+                  let failed = Array.to_list (Array.sub procs 0 c) in
+                  let failed_set = Bitset.of_list failed in
+                  let by_oracle = Reliability.defeated_by t ~failed in
+                  let by_cuts =
+                    List.exists (fun cut -> Bitset.subset cut failed_set) cuts
+                  in
+                  let by_engine =
+                    (Crash.estimate ~source:(Crash.Of_program program)
+                       ~method_:(Crash.Fixed failed) ())
+                      .Crash.est_mean
+                    = None
+                  in
+                  by_oracle = by_cuts && by_cuts = by_engine)
+                (List.init 12 Fun.id))
+            (List.init (eps + 1) (fun i -> i + 1)))
+
 (* The oracle depth sweep agrees with the stage model on every pattern,
    the calculus depth distribution matches the enumeration counts for
    every crash count c, and so does the estimator's exact defeat
@@ -97,7 +145,7 @@ let prop_depth_distribution_exhaustive =
           let stages =
             Crash.Of_stages
               {
-                plan = Stage_latency.compile m;
+                plan = Replica_graph.compile m;
                 throughput = prob.Types.throughput;
               }
           in
@@ -398,7 +446,7 @@ let prop_exact_siblings_agree =
               ~source:
                 (Crash.Of_stages
                    {
-                     plan = Stage_latency.compile m;
+                     plan = Replica_graph.compile m;
                      throughput = prob.Types.throughput;
                    })
               ~method_:(Crash.Exact { crashes = c; max_evaluations = None })
@@ -777,6 +825,7 @@ let () =
             prop_pruned_analysis_agrees;
             prop_closed_form_agrees;
             prop_exact_siblings_agree;
+            prop_defeat_predicate_at_m20;
           ] );
       ("convergence", List.map to_alcotest [ prop_mc_converges_to_exact ]);
       ( "correlated",

@@ -502,7 +502,7 @@ let epoch_tests =
 (* The stage model of a mapping at throughput 0.1 (period 10), as a
    crash-estimator source. *)
 let stages m =
-  Crash.Of_stages { plan = Stage_latency.compile m; throughput = 0.1 }
+  Crash.Of_stages { plan = Replica_graph.compile m; throughput = 0.1 }
 
 let stage_latency_tests =
   [
@@ -965,9 +965,9 @@ let compiled_tests =
               fresh = full_digest m (Engine.simulate ~state ~config:(config ()) prog))
             (configs @ List.rev configs)
           (* and the stage model's plan replays identically too *)
-          && (let plan = Stage_latency.compile m in
-              Stage_latency.depth_of_plan plan = Stage_latency.effective_depth m
-              && Stage_latency.depth_of_plan ~failed:[ p1; p2 ] plan
+          && (let plan = Replica_graph.compile m in
+              Replica_graph.depth plan = Stage_latency.effective_depth m
+              && Replica_graph.depth ~failed:[ p1; p2 ] plan
                  = Stage_latency.effective_depth ~failed:[ p1; p2 ] m)
         in
         QCheck.Test.check_exn
@@ -1115,7 +1115,7 @@ let arena_cache_tests =
               sequential = est source 2 && sequential = est source 4)
             [
               Crash.Of_program (Engine.compile m);
-              Crash.Of_stages { plan = Stage_latency.compile m; throughput };
+              Crash.Of_stages { plan = Replica_graph.compile m; throughput };
             ]
         in
         QCheck.Test.check_exn
