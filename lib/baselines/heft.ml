@@ -27,7 +27,7 @@ let run dag plat =
      bottom level of a predecessor strictly exceeds its successors'. *)
   let assignment = Array.make n 0 in
   let start = Array.make n 0.0 and finish = Array.make n 0.0 in
-  let slots = Array.make (Platform.size plat) Timeline.empty in
+  let slots = Array.init (Platform.size plat) (fun _ -> Timeline.create ()) in
   List.iter
     (fun task ->
       let best = ref None in
@@ -56,7 +56,7 @@ let run dag plat =
           assignment.(task) <- proc;
           start.(task) <- est;
           finish.(task) <- eft;
-          slots.(proc) <- Timeline.insert slots.(proc) ~start:est ~duration:(eft -. est))
+          Timeline.insert slots.(proc) ~start:est ~duration:(eft -. est))
     order;
   let makespan = Array.fold_left Float.max 0.0 finish in
   { assignment; start; finish; makespan }

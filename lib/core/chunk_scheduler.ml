@@ -406,24 +406,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
   List.iter consider hosts;
   List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
   match Option.map snd !best with
-  | None ->
-      if Sys.getenv_opt "STREAMSCHED_DEBUG" <> None then begin
-        Printf.eprintf "general: no proc for t%d(%d); claimed={%s}\n"
-          ct.ct_task copy
-          (String.concat ","
-             (List.map string_of_int (State.Pset.elements ct.ct_claimed)));
-        List.iter
-          (fun proc ->
-            let delta = Types.period prob in
-            Printf.eprintf
-              "  P%d claimed=%b sigma=%.2f c_in=%.2f c_out=%.2f (delta=%.1f)\n"
-              proc
-              (State.Pset.mem proc ct.ct_claimed)
-              (State.sigma state proc) (State.c_in state proc)
-              (State.c_out state proc) delta)
-          procs
-      end;
-      None
+  | None -> None
   | Some trial ->
       State.commit state trial;
       record_placement state ct trial;

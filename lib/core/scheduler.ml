@@ -1,5 +1,4 @@
 include Sched_api
-include Chunk_scheduler
 
 let all : (module Sched_api.Algo) list = [ Ltf.algo; Rltf.algo ]
 

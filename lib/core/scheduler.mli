@@ -1,10 +1,9 @@
 (** The public face of the scheduling core: the canonical configuration
     surface (re-exported from {!Sched_api}, whose record and [Algo]
-    signature are the only ones in the codebase), the chunked
-    list-scheduling engine shared by LTF and R-LTF (re-exported from
-    {!Chunk_scheduler}, where the full algorithm documentation lives), and
-    the registry of first-class algorithm modules that drives the figure
-    sweeps.
+    signature are the only ones in the codebase) and the registry of
+    first-class algorithm modules that drives the figure sweeps.  The
+    chunked list-scheduling engine shared by LTF and R-LTF lives in
+    {!Chunk_scheduler}, with the full algorithm documentation.
 
     Code configures a run with one {!options} record:
     {[
@@ -17,25 +16,6 @@
 include module type of struct
   include Sched_api
 end
-
-type rank = Chunk_scheduler.rank
-(** Smaller is better, compared lexicographically; ties broken by processor
-    index. *)
-
-val by_finish_time : rank
-(** LTF's policy: [(F, 0)]. *)
-
-val by_stage_then_finish : rank
-(** R-LTF's Rule 1 policy: [(stage, F)]. *)
-
-val schedule :
-  ?opts:options ->
-  rank:rank ->
-  Types.problem ->
-  (State.t, Types.failure) result
-(** Schedule every task of the problem's DAG.  On success the returned
-    state holds a complete mapping.  See {!Chunk_scheduler.schedule} for
-    the algorithm and the recorded metrics. *)
 
 val all : (module Algo) list
 (** The core algorithms, in presentation order: LTF then R-LTF.  Baseline

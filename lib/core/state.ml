@@ -31,9 +31,9 @@ let create (prob : Types.problem) =
     delta = Types.period prob;
     copies;
     loads = Loads.create ~n_procs;
-    proc_tl = Array.make n_procs Timeline.empty;
-    send_tl = Array.make n_procs Timeline.empty;
-    recv_tl = Array.make n_procs Timeline.empty;
+    proc_tl = Array.init n_procs (fun _ -> Timeline.create ());
+    send_tl = Array.init n_procs (fun _ -> Timeline.create ());
+    recv_tl = Array.init n_procs (fun _ -> Timeline.create ());
     finish_arr = Array.make slots nan;
     stage_arr = Array.make slots 0;
     support_arr = Array.make slots Pset.empty;
@@ -104,16 +104,16 @@ type trial = {
   t_comms : (Replica.id * float * float * float) list;
 }
 
-(* Earliest start >= ready fitting simultaneously in two timelines: iterate
-   the two earliest-fit maps until they agree (both are monotone, so this
-   terminates at their least common fixpoint). *)
-let joint_fit a b ~ready ~duration =
+(* Earliest start >= ready fitting simultaneously in two probed timelines:
+   iterate the two earliest-fit maps until they agree (both are monotone,
+   so this terminates at their least common fixpoint). *)
+let joint_fit a pa b pb ~ready ~duration =
   let rec settle candidate =
-    let ca = Timeline.earliest_fit a ~ready:candidate ~duration in
-    let cb = Timeline.earliest_fit b ~ready:ca ~duration in
+    let ca = Timeline.earliest_fit ~probe:pa a ~ready:candidate ~duration in
+    let cb = Timeline.earliest_fit ~probe:pb b ~ready:ca ~duration in
     if cb = candidate then candidate else settle cb
   in
-  settle (Timeline.earliest_fit a ~ready ~duration)
+  settle (Timeline.earliest_fit ~probe:pa a ~ready ~duration)
 
 let proc_of_replica s (id : Replica.id) =
   (Mapping.replica_exn s.mapping id.task id.copy).Replica.proc
@@ -139,23 +139,26 @@ let evaluate s ~task ~copy ~proc ~sources =
            | 0 -> Replica.compare_id a b
            | c -> c)
   in
-  (* Place transfers sequentially on a private copy of the receive port and
-     the (shared, persistent) send ports of their sources.  The handful of
-     distinct source processors rides in an assoc list: probes run a
-     billion times at scale and must not allocate hash tables. *)
-  let recv = ref s.recv_tl.(proc) in
+  (* Place transfers sequentially on probes of the receive port and of the
+     send ports of their sources, leaving the committed timelines
+     untouched.  The handful of distinct source processors rides in an
+     assoc list: probes run a billion times at scale and must not allocate
+     hash tables. *)
+  let recv_tl = s.recv_tl.(proc) in
+  let recv = ref [] in
   let sends = ref [] in
-  let send_of p =
-    match List.assq_opt p !sends with Some tl -> tl | None -> s.send_tl.(p)
-  in
+  let send_of p = Option.value (List.assq_opt p !sends) ~default:[] in
   let comms =
     List.map
       (fun (src, sp, dur) ->
         let ready = finish s src in
-        let start = joint_fit (send_of sp) !recv ~ready ~duration:dur in
-        recv := Timeline.insert !recv ~start ~duration:dur;
+        let send = send_of sp in
+        let start =
+          joint_fit s.send_tl.(sp) send recv_tl !recv ~ready ~duration:dur
+        in
+        recv := Timeline.tentative ~probe:!recv recv_tl ~start ~duration:dur;
         sends :=
-          (sp, Timeline.insert (send_of sp) ~start ~duration:dur)
+          (sp, Timeline.tentative ~probe:send s.send_tl.(sp) ~start ~duration:dur)
           :: List.remove_assq sp !sends;
         (src, start, dur, start +. dur))
       remote
@@ -253,20 +256,11 @@ let commit s trial =
     (fun ((src : Replica.id), start, dur, _) ->
       let sp = proc_of_replica s src in
       Loads.add_comm s.loads ~src:sp ~dst:trial.t_proc dur;
-      (* Store the committed timelines compacted: probes branch private
-         versions off these on every placement trial, and a committed
-         overlay sitting at the pack bound would make each such probe
-         re-pack the whole buffer only to discard it. *)
-      s.recv_tl.(trial.t_proc) <-
-        Timeline.compact
-          (Timeline.insert s.recv_tl.(trial.t_proc) ~start ~duration:dur);
-      s.send_tl.(sp) <-
-        Timeline.compact (Timeline.insert s.send_tl.(sp) ~start ~duration:dur))
+      Timeline.insert s.recv_tl.(trial.t_proc) ~start ~duration:dur;
+      Timeline.insert s.send_tl.(sp) ~start ~duration:dur)
     trial.t_comms;
-  s.proc_tl.(trial.t_proc) <-
-    Timeline.compact
-      (Timeline.insert s.proc_tl.(trial.t_proc) ~start:trial.t_start
-         ~duration:(trial.t_finish -. trial.t_start));
+  Timeline.insert s.proc_tl.(trial.t_proc) ~start:trial.t_start
+    ~duration:(trial.t_finish -. trial.t_start);
   let k = (trial.t_task * s.copies) + trial.t_copy in
   s.finish_arr.(k) <- trial.t_finish;
   s.stage_arr.(k) <- trial.t_stage;

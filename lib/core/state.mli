@@ -2,7 +2,7 @@
 
     Wraps a partial {!Mapping.t} together with everything the algorithms
     probe at each placement step: per-processor computing loads [Σ_u],
-    communication cycle loads [Cᴵ_u]/[Cᴼ_u], persistent one-port timelines
+    communication cycle loads [Cᴵ_u]/[Cᴼ_u], mutable one-port timelines
     for contention-aware finish-time estimation, committed replica finish
     times, and incremental pipeline stages.
 
@@ -10,7 +10,8 @@
     {!commit}ted.  Trials schedule each incoming transfer earliest-fit on
     the pair (sender send port, receiver receive port) and the execution
     earliest-fit on the target processor, on top of the committed
-    timelines. *)
+    timelines; the trial's own transfers ride in {!Timeline.probe}s, so the
+    committed timelines are only written by {!commit}. *)
 
 type t
 
@@ -33,9 +34,9 @@ val c_in : t -> Platform.proc -> float
 val c_out : t -> Platform.proc -> float
 
 val loads : t -> Loads.t
-(** The incrementally maintained per-processor loads (Σ/Cᴵ/Cᴼ and the
-    cached max cycle time).  {!commit} charges them through the [Loads]
-    primitives, so readers never pay a full [Loads.of_mapping] rewalk. *)
+(** The incrementally maintained per-processor loads (Σ/Cᴵ/Cᴼ).  {!commit}
+    charges them through the [Loads] primitives, so readers never pay a
+    full [Loads.of_mapping] rewalk. *)
 
 module Pset = Bitset
 (** Kill sets are packed bitsets over the processor indices: [disjoint] /

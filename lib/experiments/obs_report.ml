@@ -8,8 +8,6 @@ let required_counters =
     "core.chunks";
     "sched.loads.full_recomputes";
     "sched.loads.incremental_updates";
-    "sched.loads.max_cache_hits";
-    "sched.loads.max_cache_misses";
     "sim.events_popped";
     "sim.runs";
     "sim.compiles";

@@ -1,159 +1,54 @@
-type t = {
-  sigma : float array;
-  c_in : float array;
-  c_out : float array;
-  mutable max_cache : float;
-  mutable max_valid : bool;
-}
-
-let touch_counters () =
-  Obs.touch "sched.loads.full_recomputes";
-  Obs.touch "sched.loads.incremental_updates";
-  Obs.touch "sched.loads.max_cache_hits";
-  Obs.touch "sched.loads.max_cache_misses"
+type t = { sigma : float array; c_in : float array; c_out : float array }
 
 let create ~n_procs =
-  touch_counters ();
+  Obs.touch "sched.loads.full_recomputes";
+  Obs.touch "sched.loads.incremental_updates";
   {
     sigma = Array.make n_procs 0.0;
     c_in = Array.make n_procs 0.0;
     c_out = Array.make n_procs 0.0;
-    max_cache = 0.0;
-    max_valid = true;
   }
-
-let cycle_time l u = Float.max l.sigma.(u) (Float.max l.c_in.(u) l.c_out.(u))
-
-(* Loads only grow under additions, so folding the affected processor's new
-   cycle time into the cached maximum keeps the cache exact; removals can
-   lower the maximum, so they invalidate instead (lazy O(p) recompute). *)
-let bump_max l u =
-  if l.max_valid then l.max_cache <- Float.max l.max_cache (cycle_time l u)
 
 let add_exec l u time =
   Obs.incr "sched.loads.incremental_updates";
-  l.sigma.(u) <- l.sigma.(u) +. time;
-  bump_max l u
+  l.sigma.(u) <- l.sigma.(u) +. time
 
 let add_comm l ~src ~dst time =
   l.c_in.(dst) <- l.c_in.(dst) +. time;
-  l.c_out.(src) <- l.c_out.(src) +. time;
-  bump_max l dst;
-  bump_max l src
+  l.c_out.(src) <- l.c_out.(src) +. time
 
-(* Charge one replica against its already-placed sources, in exactly the
-   order [of_mapping] has always used (float addition is order-sensitive and
-   schedules are pinned bit-identical): Σ first, then per predecessor and
-   per off-processor source, Cᴵ at the replica then Cᴼ at the source. *)
-let charge l m (r : Replica.t) =
-  let plat = Mapping.platform m in
-  let dag = Mapping.dag m in
-  l.sigma.(r.proc) <-
-    l.sigma.(r.proc) +. Platform.exec_time plat r.proc (Dag.exec dag r.id.task);
-  bump_max l r.proc;
-  List.iter
-    (fun (pred, ids) ->
-      let vol = Dag.volume dag pred r.id.task in
-      List.iter
-        (fun (src : Replica.id) ->
-          let src_r = Mapping.replica_exn m src.task src.copy in
-          if src_r.proc <> r.proc then begin
-            let time = Platform.comm_time plat src_r.proc r.proc vol in
-            l.c_in.(r.proc) <- l.c_in.(r.proc) +. time;
-            l.c_out.(src_r.proc) <- l.c_out.(src_r.proc) +. time;
-            bump_max l r.proc;
-            bump_max l src_r.proc
-          end)
-        ids)
-    r.sources
-
-(* A removal can only lower the cached maximum if one of the processors it
-   touches could have been the argmax: a touched processor strictly below
-   the cached value before its first decrement stays below it, so the
-   maximum is still attained at some untouched processor and the cache
-   remains exact.  Only when a touched processor sits at the cached value
-   do we fall back to the dirty flag (lazy O(p) recompute on next read) —
-   rollback-heavy probes at large v then skip the full rescan entirely. *)
-let discharge l m (r : Replica.t) =
-  let plat = Mapping.platform m in
-  let dag = Mapping.dag m in
-  let could_be_argmax = ref (not l.max_valid) in
-  let check u =
-    if l.max_valid && cycle_time l u >= l.max_cache then could_be_argmax := true
-  in
-  check r.proc;
-  l.sigma.(r.proc) <-
-    l.sigma.(r.proc) -. Platform.exec_time plat r.proc (Dag.exec dag r.id.task);
-  List.iter
-    (fun (pred, ids) ->
-      let vol = Dag.volume dag pred r.id.task in
-      List.iter
-        (fun (src : Replica.id) ->
-          let src_r = Mapping.replica_exn m src.task src.copy in
-          if src_r.proc <> r.proc then begin
-            let time = Platform.comm_time plat src_r.proc r.proc vol in
-            check src_r.proc;
-            l.c_in.(r.proc) <- l.c_in.(r.proc) -. time;
-            l.c_out.(src_r.proc) <- l.c_out.(src_r.proc) -. time
-          end)
-        ids)
-    r.sources;
-  if !could_be_argmax then l.max_valid <- false
-
-let add_replica l m r =
-  Obs.incr "sched.loads.incremental_updates";
-  charge l m r
-
-let remove_replica l m r =
-  Obs.incr "sched.loads.incremental_updates";
-  discharge l m r
-
-let with_tentative l m (r : Replica.t) f =
-  Obs.incr "sched.loads.incremental_updates";
-  (* Exact rollback: save the touched entries and restore them verbatim, so
-     a probe is bitwise-neutral (subtracting back is not, in floats). *)
-  let saved_sigma = l.sigma.(r.proc)
-  and saved_c_in = l.c_in.(r.proc)
-  and saved_max = l.max_cache
-  and saved_valid = l.max_valid in
-  let saved_out = ref [] in
-  List.iter
-    (fun (_, ids) ->
-      List.iter
-        (fun (src : Replica.id) ->
-          let sp = (Mapping.replica_exn m src.task src.copy).Replica.proc in
-          if not (List.mem_assoc sp !saved_out) then
-            saved_out := (sp, l.c_out.(sp)) :: !saved_out)
-        ids)
-    r.sources;
-  charge l m r;
-  Fun.protect
-    ~finally:(fun () ->
-      l.sigma.(r.proc) <- saved_sigma;
-      l.c_in.(r.proc) <- saved_c_in;
-      List.iter (fun (p, v) -> l.c_out.(p) <- v) !saved_out;
-      l.max_cache <- saved_max;
-      l.max_valid <- saved_valid)
-    (fun () -> f l)
-
+(* Float addition is order-sensitive and schedules are pinned
+   bit-identical: per replica Σ first (written directly, so the full
+   recompute does not count as incremental updates), then per predecessor
+   and per off-processor source, Cᴵ at the replica before Cᴼ at the
+   source. *)
 let of_mapping m =
   Obs.incr "sched.loads.full_recomputes";
-  let loads = create ~n_procs:(Platform.size (Mapping.platform m)) in
-  Mapping.iter m (fun r -> charge loads m r);
-  loads
+  let plat = Mapping.platform m and dag = Mapping.dag m in
+  let l = create ~n_procs:(Platform.size plat) in
+  Mapping.iter m (fun (r : Replica.t) ->
+      l.sigma.(r.proc) <-
+        l.sigma.(r.proc) +. Platform.exec_time plat r.proc (Dag.exec dag r.id.task);
+      List.iter
+        (fun (pred, ids) ->
+          let vol = Dag.volume dag pred r.id.task in
+          List.iter
+            (fun (src : Replica.id) ->
+              let sp = (Mapping.replica_exn m src.task src.copy).Replica.proc in
+              if sp <> r.proc then
+                add_comm l ~src:sp ~dst:r.proc
+                  (Platform.comm_time plat sp r.proc vol))
+            ids)
+        r.sources);
+  l
+
+let cycle_time l u = Float.max l.sigma.(u) (Float.max l.c_in.(u) l.c_out.(u))
 
 let max_cycle_time l =
-  if l.max_valid then begin
-    Obs.incr "sched.loads.max_cache_hits";
-    l.max_cache
-  end
-  else begin
-    Obs.incr "sched.loads.max_cache_misses";
-    let best = ref 0.0 in
-    Array.iteri (fun u _ -> best := Float.max !best (cycle_time l u)) l.sigma;
-    l.max_cache <- !best;
-    l.max_valid <- true;
-    !best
-  end
+  let best = ref 0.0 in
+  for u = 0 to Array.length l.sigma - 1 do
+    best := Float.max !best (cycle_time l u)
+  done;
+  !best
 
 let utilization l ~throughput u = throughput *. l.sigma.(u)

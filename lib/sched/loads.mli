@@ -1,5 +1,4 @@
-(** Per-processor computation and communication loads (§4), maintained
-    incrementally.
+(** Per-processor computation and communication loads (§4).
 
     For a mapping [X], processor [u] carries per data item:
     - a computing load [Σ_u = Σ_{replicas r on u} E(task r) / s_u];
@@ -11,19 +10,15 @@
     The cycle time of [u] is [Δ_u = max(Σ_u, Cᴵ_u, Cᴼ_u)] and the achieved
     throughput is [1 / max_u Δ_u].
 
-    The structure is mutable: {!add_replica} / {!remove_replica} /
-    {!with_tentative} update the three vectors and a cached [max_u Δ_u] in
-    O(degree) instead of the O(replicas · degree) full rewalk of
-    {!of_mapping}, which is what makes candidate evaluation match the §4
-    complexity bound.  The record is [private]: read the arrays freely, but
-    all writes go through this interface so the cache stays coherent. *)
+    The scheduler charges each committed replica with {!add_exec} and
+    {!add_comm}, in O(degree), instead of the O(replicas · degree) full
+    rewalk of {!of_mapping}.  The record is [private]: read the arrays
+    freely, but all writes go through this interface. *)
 
 type t = private {
   sigma : float array;  (** computing load per processor *)
   c_in : float array;   (** receive-port load per processor *)
   c_out : float array;  (** send-port load per processor *)
-  mutable max_cache : float;   (** cached [max_u Δ_u]; meaningful iff valid *)
-  mutable max_valid : bool;
 }
 
 val create : n_procs:int -> t
@@ -32,38 +27,21 @@ val create : n_procs:int -> t
 val of_mapping : Mapping.t -> t
 (** Loads of a (possibly partial) mapping: only placed replicas count.
     Full O(replicas · degree) rewalk — counted under the
-    [sched.loads.full_recomputes] metric. *)
+    [sched.loads.full_recomputes] metric.  Each replica charges [Σ], then
+    per transfer [Cᴵ] before [Cᴼ], the float order {!add_exec} and
+    {!add_comm} callers use. *)
 
 val add_exec : t -> Platform.proc -> float -> unit
-(** Charge execution time onto [Σ_u].  Low-level primitive for callers
-    (e.g. [State.commit]) that must charge loads in a specific float
-    order; prefer {!add_replica}. *)
+(** Charge execution time onto [Σ_u]. *)
 
 val add_comm : t -> src:Platform.proc -> dst:Platform.proc -> float -> unit
 (** Charge one transfer: [Cᴵ_dst] then [Cᴼ_src], in that order. *)
-
-val add_replica : t -> Mapping.t -> Replica.t -> unit
-(** Charge one replica and its incoming edges (sources must be placed in
-    the mapping).  O(degree); identical float order to {!of_mapping}. *)
-
-val remove_replica : t -> Mapping.t -> Replica.t -> unit
-(** Undo {!add_replica} by subtraction.  O(degree), but float subtraction
-    is not an exact inverse — loads drift within rounding error of the
-    from-scratch value (tests compare with tolerance), and the cached
-    maximum is invalidated.  For exact probes use {!with_tentative}. *)
-
-val with_tentative : t -> Mapping.t -> Replica.t -> (t -> 'a) -> 'a
-(** [with_tentative l m r f] charges [r], runs [f] on the updated loads
-    and restores the touched entries {e verbatim} — the probe is
-    bitwise-neutral, unlike a subtractive undo.  Exception-safe. *)
 
 val cycle_time : t -> Platform.proc -> float
 (** [Δ_u]. *)
 
 val max_cycle_time : t -> float
-(** [max_u Δ_u]; [0] for an empty mapping.  O(1) on a valid cache
-    (additions keep it exact), O(p) recompute after a removal —
-    hits/misses are counted under [sched.loads.max_cache_*]. *)
+(** [max_u Δ_u]; [0] for an empty mapping.  O(p). *)
 
 val utilization : t -> throughput:float -> Platform.proc -> float
 (** [U_{P_u} = T · Σ_u] (§4); between 0 and 1 whenever the throughput

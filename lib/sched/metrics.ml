@@ -9,21 +9,18 @@ let granularity dag plat =
   in
   if comm = 0.0 then infinity else comp /. comm
 
-let loads_of ?loads m =
-  match loads with Some l -> l | None -> Loads.of_mapping m
-
-let achieved_throughput ?loads m =
-  let delta = Loads.max_cycle_time (loads_of ?loads m) in
+let achieved_throughput m =
+  let delta = Loads.max_cycle_time (Loads.of_mapping m) in
   if delta = 0.0 then infinity else 1.0 /. delta
 
-let period ?loads m =
-  let t = achieved_throughput ?loads m in
+let period m =
+  let t = achieved_throughput m in
   if t = infinity then 0.0 else 1.0 /. t
 
 let tolerance = 1e-9
 
 let meets_throughput ?loads m ~throughput =
-  let loads = loads_of ?loads m in
+  let loads = match loads with Some l -> l | None -> Loads.of_mapping m in
   let budget = 1.0 /. throughput in
   let slack = 1.0 +. tolerance in
   let ok = ref true in

@@ -6,12 +6,11 @@ val granularity : Dag.t -> Platform.t -> float
     [infinity] when the graph has no edge or the platform a single
     processor. *)
 
-val achieved_throughput : ?loads:Loads.t -> Mapping.t -> float
+val achieved_throughput : Mapping.t -> float
 (** [1 / max_u Δ_u] for the loads of the mapping; [infinity] for an empty
-    mapping.  Callers holding incremental state pass [?loads] to skip the
-    full {!Loads.of_mapping} rewalk. *)
+    mapping. *)
 
-val period : ?loads:Loads.t -> Mapping.t -> float
+val period : Mapping.t -> float
 (** Inverse of {!achieved_throughput}: the smallest iteration period the
     mapping can sustain. *)
 

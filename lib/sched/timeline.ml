@@ -1,242 +1,130 @@
-(* Busy intervals on a resource, stored flat for million-task schedules.
-
-   The committed intervals of a timeline live in a shared growable pair of
-   sorted float arrays (starts, finishes); a timeline value is a *version*:
-   a prefix length into that buffer plus a small persistent overlay of
-   recent inserts.  Versions are cheap to branch — the trial placements of
-   processor selection extend the overlay and are discarded for free,
-   exactly like the old interval-list representation — while queries run a
-   binary search over the flat prefix instead of a head-to-tail scan.
-
-   In-place buffer appends are only permitted for the *tip* version (the
-   one whose prefix length equals the committed buffer length), which is
-   the single committed timeline held in the scheduler's per-resource
-   arrays; every branched version sees an unchanged prefix.  Out-of-order
-   inserts (gap filling) go through the overlay and are packed into a fresh
-   buffer once the overlay grows past a small bound, keeping every
-   operation amortized O(log n + overlay). *)
-
-type buf = {
-  mutable bs : float array; (* starts,   sorted, prefix [0, bn) committed *)
-  mutable bf : float array; (* finishes, same indexing *)
-  mutable bn : int;
-}
+(* Busy intervals on a resource: one growable pair of sorted float arrays
+   (starts, finishes), edited in place.  Queries binary-search the starts
+   instead of scanning from the head, which keeps million-task schedules
+   cheap.  A probe's tentative intervals ride in a short sorted list that
+   queries merge with the committed arrays, committed entries first on
+   equal starts — the order in which they were inserted. *)
 
 type t = {
-  buf : buf;
-  n : int; (* this version's valid prefix of [buf] *)
-  ov : (float * float) list; (* sorted by start; small *)
-  ov_n : int;
+  mutable starts : float array;
+  mutable finishes : float array; (* same indexing *)
+  mutable n : int;
 }
+
+type probe = (float * float) list
 
 let eps = 1e-12
 
-(* Commit-side compaction threshold: {!compact} rebuilds a flat buffer once
-   the overlay holds this many entries, so long-lived (committed) timelines
-   always expose an overlay strictly below it. *)
-let compact_at = 8
+let create () = { starts = [||]; finishes = [||]; n = 0 }
 
-(* Trial-side safety valve.  Versions branched off a committed timeline
-   (processor-selection probes) extend the overlay and are discarded, so
-   packing them is wasted O(n) work; with committed overlays < [compact_at]
-   a probe gets [max_overlay - compact_at + 1] cheap inserts of headroom
-   before this bound forces a pack. *)
-let max_overlay = 16
-
-let empty =
-  { buf = { bs = [||]; bf = [||]; bn = 0 }; n = 0; ov = []; ov_n = 0 }
-
-(* First index in [0, n) with bs.(i) >= ready -. eps.  Every interval
-   strictly before the returned index satisfies s + eps < ready and (by
-   disjointness, up to the eps slack) f <= s_next + eps < ready + 2eps; the
-   one interval stepped back to below may span [ready], so scans start at
-   [lower_bound - 1]. *)
-let lower_bound buf n ~ready =
-  let lo = ref 0 and hi = ref n in
+(* Where a scan from [ready] starts: one before the first index with
+   starts.(i) >= ready -. eps (or 0).  Every interval before that first
+   index satisfies s + eps < ready and (by disjointness, up to the eps
+   slack) f <= s_next + eps < ready + 2eps; only the last of them may span
+   [ready], so the scan steps back to it. *)
+let first_from t ~ready =
+  let lo = ref 0 and hi = ref t.n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if buf.bs.(mid) < ready -. eps then lo := mid + 1 else hi := mid
+    if t.starts.(mid) < ready -. eps then lo := mid + 1 else hi := mid
   done;
-  !lo
+  max 0 (!lo - 1)
 
-let earliest_fit t ~ready ~duration =
+(* Whether the merged (committed, probe) walk takes committed index [i]
+   next: committed entries go first on equal starts. *)
+let committed_next t i probe =
+  i < t.n && match probe with [] -> true | (ps, _) :: _ -> t.starts.(i) <= ps
+
+let earliest_fit ?(probe = []) t ~ready ~duration =
   if duration < 0.0 then invalid_arg "Timeline.earliest_fit: negative duration";
-  let buf = t.buf and n = t.n in
-  let i0 =
-    if n = 0 then 0
-    else
-      let lb = lower_bound buf n ~ready in
-      if lb = 0 then 0 else lb - 1
-  in
-  (* Merge-scan the buffer prefix and the overlay in start order (buffer
-     first on ties), applying the same candidate recurrence the interval
-     list used: skip a busy interval by advancing past its finish, stop at
-     the first gap wide enough. *)
-  let rec scan candidate i ov =
-    let take_buf =
-      i < n
-      && match ov with [] -> true | (os, _) :: _ -> buf.bs.(i) <= os
-    in
-    if take_buf then begin
-      let s = buf.bs.(i) and f = buf.bf.(i) in
+  (* Skip a busy interval by advancing past its finish; stop at the first
+     gap wide enough. *)
+  let rec scan candidate i probe =
+    if committed_next t i probe then begin
+      let s = t.starts.(i) and f = t.finishes.(i) in
       if candidate +. duration <= s +. eps then candidate
-      else scan (Float.max candidate f) (i + 1) ov
+      else scan (Float.max candidate f) (i + 1) probe
     end
     else
-      match ov with
+      match probe with
       | [] -> candidate
       | (s, f) :: rest ->
           if candidate +. duration <= s +. eps then candidate
           else scan (Float.max candidate f) i rest
   in
-  scan ready i0 t.ov
+  scan ready (first_from t ~ready) probe
 
-(* Intervals skipped by the lower-bound jump end before [start]; checking
-   the immediate predecessor and every interval from there on reproduces
-   the old full-scan overlap validation. *)
-let check_no_overlap t ~start ~finish =
-  let buf = t.buf and n = t.n in
-  let i0 =
-    if n = 0 then 0
-    else
-      let lb = lower_bound buf n ~ready:start in
-      if lb = 0 then 0 else lb - 1
+(* Intervals skipped by [first_from] end before [start], so checking from
+   there on is a full overlap check. *)
+let check_no_overlap ~fn t probe ~start ~finish =
+  let overlap s f =
+    if finish > s +. eps && f > start +. eps then
+      invalid_arg (fn ^ ": overlapping interval")
   in
-  let overlap s f = finish > s +. eps && f > start +. eps in
-  let rec check i ov =
-    let take_buf =
-      i < n
-      && match ov with [] -> true | (os, _) :: _ -> buf.bs.(i) <= os
-    in
-    if take_buf then begin
-      if overlap buf.bs.(i) buf.bf.(i) then
-        invalid_arg "Timeline.insert: overlapping interval";
-      if buf.bs.(i) < finish then check (i + 1) ov
+  let rec check i probe =
+    if committed_next t i probe then begin
+      let s = t.starts.(i) in
+      overlap s t.finishes.(i);
+      if s < finish then check (i + 1) probe
     end
     else
-      match ov with
+      match probe with
       | [] -> ()
       | (s, f) :: rest ->
-          if overlap s f then invalid_arg "Timeline.insert: overlapping interval";
+          overlap s f;
           if s < finish then check i rest
   in
-  check i0 t.ov
-
-(* Fold the merged (prefix, overlay) view left to right in start order,
-   buffer entries first on ties — the order the old sorted list presented. *)
-let fold_merged t ~init ~f =
-  let buf = t.buf and n = t.n in
-  let rec go acc i ov =
-    let take_buf =
-      i < n
-      && match ov with [] -> true | (os, _) :: _ -> buf.bs.(i) <= os
-    in
-    if take_buf then go (f acc buf.bs.(i) buf.bf.(i)) (i + 1) ov
-    else
-      match ov with
-      | [] -> acc
-      | (s, fi) :: rest -> go (f acc s fi) i rest
-  in
-  go init 0 t.ov
-
-let pack t ~start ~finish =
-  Obs.incr "sched.timeline.trial_packs";
-  let total = t.n + t.ov_n + 1 in
-  let bs = Array.make (max 8 (2 * total)) 0.0 in
-  let bf = Array.make (Array.length bs) 0.0 in
-  let idx = ref 0 in
-  let push s f =
-    bs.(!idx) <- s;
-    bf.(!idx) <- f;
-    incr idx
-  in
-  (* Merge the new interval into the merged view in one pass (new interval
-     goes after existing entries with the same start, matching the sorted
-     overlay insertion below). *)
-  let placed = ref false in
-  fold_merged t ~init:() ~f:(fun () s f ->
-      if (not !placed) && start < s then begin
-        push start finish;
-        placed := true
-      end;
-      push s f);
-  if not !placed then push start finish;
-  { buf = { bs; bf; bn = !idx }; n = !idx; ov = []; ov_n = 0 }
-
-let grow buf =
-  let cap = max 8 (2 * Array.length buf.bs) in
-  let bs = Array.make cap 0.0 and bf = Array.make cap 0.0 in
-  Array.blit buf.bs 0 bs 0 buf.bn;
-  Array.blit buf.bf 0 bf 0 buf.bn;
-  buf.bs <- bs;
-  buf.bf <- bf
+  check (first_from t ~ready:start) probe
 
 let insert t ~start ~duration =
   if duration < 0.0 then invalid_arg "Timeline.insert: negative duration";
-  if duration = 0.0 then t
+  if duration > 0.0 then begin
+    let finish = start +. duration in
+    check_no_overlap ~fn:"Timeline.insert" t [] ~start ~finish;
+    if t.n = Array.length t.starts then begin
+      let cap = max 8 (2 * t.n) in
+      let grow a =
+        let b = Array.make cap 0.0 in
+        Array.blit a 0 b 0 t.n;
+        b
+      in
+      t.starts <- grow t.starts;
+      t.finishes <- grow t.finishes
+    end;
+    (* Slot after every interval starting at or before [start]. *)
+    let lo = ref 0 and hi = ref t.n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.starts.(mid) <= start then lo := mid + 1 else hi := mid
+    done;
+    let i = !lo in
+    Array.blit t.starts i t.starts (i + 1) (t.n - i);
+    Array.blit t.finishes i t.finishes (i + 1) (t.n - i);
+    t.starts.(i) <- start;
+    t.finishes.(i) <- finish;
+    t.n <- t.n + 1
+  end
+
+let tentative ?(probe = []) t ~start ~duration =
+  if duration < 0.0 then invalid_arg "Timeline.tentative: negative duration";
+  if duration = 0.0 then probe
   else begin
     let finish = start +. duration in
-    check_no_overlap t ~start ~finish;
-    if t.n = 0 && t.ov_n = 0 then begin
-      (* First interval: claim a fresh private buffer (never extend the
-         shared [empty] buffer). *)
-      let bs = Array.make 8 0.0 and bf = Array.make 8 0.0 in
-      bs.(0) <- start;
-      bf.(0) <- finish;
-      { buf = { bs; bf; bn = 1 }; n = 1; ov = []; ov_n = 0 }
-    end
-    else if
-      t.ov_n = 0 && t.n = t.buf.bn (* tip version: may extend in place *)
-      && t.buf.bs.(t.n - 1) <= start
-      && t.buf.bf.(t.n - 1) <= start +. eps
-    then begin
-      let buf = t.buf in
-      if buf.bn = Array.length buf.bs then grow buf;
-      buf.bs.(buf.bn) <- start;
-      buf.bf.(buf.bn) <- finish;
-      buf.bn <- buf.bn + 1;
-      { t with n = buf.bn }
-    end
-    else if t.ov_n >= max_overlay then pack t ~start ~finish
-    else begin
-      (* Sorted persistent overlay insert; stable after equal starts. *)
-      let rec place = function
-        | [] -> [ (start, finish) ]
-        | (s, f) :: rest when s <= start -> (s, f) :: place rest
-        | later -> (start, finish) :: later
-      in
-      { t with ov = place t.ov; ov_n = t.ov_n + 1 }
-    end
+    check_no_overlap ~fn:"Timeline.tentative" t probe ~start ~finish;
+    let rec place = function
+      | (s, _) as iv :: rest when s <= start -> iv :: place rest
+      | later -> (start, finish) :: later
+    in
+    place probe
   end
 
-(* Rebuild the merged view into a fresh flat buffer.  The merged order is
-   preserved exactly, so every query over the compacted timeline returns
-   the same result as over the original — only the representation changes.
-   Callers holding a timeline for the long term (the scheduler's commit
-   path) run this so probes branched off it always find overlay headroom
-   below [max_overlay] and never pay the O(n) trial pack. *)
-let compact t =
-  if t.ov_n < compact_at then t
-  else begin
-    Obs.incr "sched.timeline.compactions";
-    let total = t.n + t.ov_n in
-    let bs = Array.make (max 8 (2 * total)) 0.0 in
-    let bf = Array.make (Array.length bs) 0.0 in
-    let idx = ref 0 in
-    fold_merged t ~init:() ~f:(fun () s f ->
-        bs.(!idx) <- s;
-        bf.(!idx) <- f;
-        incr idx);
-    { buf = { bs; bf; bn = !idx }; n = !idx; ov = []; ov_n = 0 }
-  end
+let busy_until t = if t.n = 0 then 0.0 else t.finishes.(t.n - 1)
 
-(* End of the interval with the greatest start (the last one in the merged
-   order), not the max finish: intervals may overlap by [eps], and the old
-   list fold returned the final element's finish. *)
-let busy_until t =
-  fold_merged t ~init:0.0 ~f:(fun _ _ f -> f)
+let total_busy t =
+  let acc = ref 0.0 in
+  for i = 0 to t.n - 1 do
+    acc := !acc +. (t.finishes.(i) -. t.starts.(i))
+  done;
+  !acc
 
-let total_busy t = fold_merged t ~init:0.0 ~f:(fun acc s f -> acc +. (f -. s))
-
-let intervals t =
-  List.rev (fold_merged t ~init:[] ~f:(fun acc s f -> (s, f) :: acc))
+let intervals t = List.init t.n (fun i -> (t.starts.(i), t.finishes.(i)))

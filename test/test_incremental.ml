@@ -1,10 +1,9 @@
 open Test_support
 
-(* The incremental scheduling-state engine: Loads add/remove/tentative
-   equivalence with the from-scratch recompute, the cached max-cycle-time
-   invariant, Bitset agreement with the Set.Make(Int) reference, and the
-   pinned figure/schedule regression guaranteeing the engine produces
-   bit-identical results. *)
+(* The incremental scheduling-state engine: the scheduler's loads against
+   the from-scratch recompute, Bitset agreement with the Set.Make(Int)
+   reference, and the pinned figure/schedule regression guaranteeing the
+   engine produces bit-identical results. *)
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
@@ -15,129 +14,39 @@ let check_true = Fixtures.check_true
 let seed_arb = QCheck.int_range 0 100_000
 
 (* ------------------------------------------------------------------ *)
-(* Incremental Loads vs of_mapping                                     *)
+(* Scheduler loads vs of_mapping                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A complete mapping to replay replica-by-replica: LTF best-effort on a
-   random layered graph (best-effort only fails on replication-rule dead
-   ends, which a 6-processor platform avoids at these sizes). *)
-let mapping_of_seed seed =
+(* A complete schedule state: LTF best-effort on a random layered graph
+   (best-effort only fails on replication-rule dead ends, which a
+   6-processor platform avoids at these sizes). *)
+let state_of_seed seed =
   let rng = Rng.create ~seed in
   let tasks = 2 + Rng.int rng 19 in
   let dag = Random_dag.layered ~rng ~tasks () in
   let prob =
     Types.problem ~dag ~platform:(Fixtures.uniform 6) ~eps:1 ~throughput:0.01
   in
-  match
-    Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob
-  with
-  | Ok m -> Some m
-  | Error _ -> None
-
-let replicas_of m =
-  let acc = ref [] in
-  Mapping.iter m (fun r -> acc := r :: !acc);
-  List.rev !acc
+  Ltf.schedule_state ~opts:Scheduler.(default |> with_mode Best_effort) prob
 
 let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b)
 
-let agrees (l : Loads.t) (ref_l : Loads.t) =
-  let arrays_close x y =
-    Array.for_all2 (fun a b -> close a b) x y
-  in
-  arrays_close l.Loads.sigma ref_l.Loads.sigma
-  && arrays_close l.Loads.c_in ref_l.Loads.c_in
-  && arrays_close l.Loads.c_out ref_l.Loads.c_out
-
-let recomputed_max (l : Loads.t) =
-  let best = ref 0.0 in
-  Array.iteri (fun u _ -> best := Float.max !best (Loads.cycle_time l u)) l.Loads.sigma;
-  !best
-
-let prop_incremental_equals_scratch =
-  QCheck.Test.make
-    ~name:"random add/remove/tentative sequence matches of_mapping" ~count:60
-    seed_arb (fun seed ->
-      match mapping_of_seed seed with
-      | None -> true
-      | Some m ->
-          let rng = Rng.create ~seed:(seed + 7919) in
-          let l =
-            Loads.create ~n_procs:(Platform.size (Mapping.platform m))
-          in
-          (* Replay every replica into [l]; along the way, churn with
-             remove/re-add pairs and bitwise-neutral tentative probes. *)
-          let rebounds = ref 0 in
-          let ok = ref true in
-          let check_cache () =
-            if l.Loads.max_valid then
-              ok :=
-                !ok && Loads.max_cycle_time l = recomputed_max l
-          in
-          let rec drain = function
-            | [] -> ()
-            | r :: rest -> (
-                match Rng.int rng 4 with
-                | 0 ->
-                    (* Tentative probe first: must leave every entry
-                       bitwise unchanged. *)
-                    let snap_sigma = Array.copy l.Loads.sigma
-                    and snap_in = Array.copy l.Loads.c_in
-                    and snap_out = Array.copy l.Loads.c_out in
-                    let probed =
-                      Loads.with_tentative l m r (fun l' ->
-                          Loads.max_cycle_time l')
-                    in
-                    ok :=
-                      !ok && probed >= 0.0
-                      && l.Loads.sigma = snap_sigma
-                      && l.Loads.c_in = snap_in
-                      && l.Loads.c_out = snap_out;
-                    Loads.add_replica l m r;
-                    check_cache ();
-                    drain rest
-                | 1 when !rebounds < 40 ->
-                    (* Add, remove again, and retry later. *)
-                    incr rebounds;
-                    Loads.add_replica l m r;
-                    Loads.remove_replica l m r;
-                    check_cache ();
-                    drain (rest @ [ r ])
-                | _ ->
-                    Loads.add_replica l m r;
-                    check_cache ();
-                    drain rest)
-          in
-          drain (replicas_of m);
-          let scratch = Loads.of_mapping m in
-          !ok && agrees l scratch
+(* The scheduler charges loads per committed replica, transfers in
+   readiness order; the from-scratch rewalk charges them in mapping order.
+   Both sum the same terms, so they agree up to rounding. *)
+let prop_state_loads_match_scratch =
+  QCheck.Test.make ~name:"scheduler loads match of_mapping" ~count:60 seed_arb
+    (fun seed ->
+      match state_of_seed seed with
+      | Error _ -> true
+      | Ok st ->
+          let l = State.loads st in
+          let scratch = Loads.of_mapping (State.mapping st) in
+          let arrays_close x y = Array.for_all2 close x y in
+          arrays_close l.Loads.sigma scratch.Loads.sigma
+          && arrays_close l.Loads.c_in scratch.Loads.c_in
+          && arrays_close l.Loads.c_out scratch.Loads.c_out
           && close (Loads.max_cycle_time l) (Loads.max_cycle_time scratch))
-
-let prop_tentative_matches_committed =
-  QCheck.Test.make
-    ~name:"with_tentative sees the same loads as a committed add" ~count:60
-    seed_arb (fun seed ->
-      match mapping_of_seed seed with
-      | None -> true
-      | Some m -> (
-          match List.rev (replicas_of m) with
-          | [] -> true
-          | last :: _ ->
-              let n_procs = Platform.size (Mapping.platform m) in
-              let build skip_last =
-                let l = Loads.create ~n_procs in
-                List.iter
-                  (fun (r : Replica.t) ->
-                    if not (skip_last && r == last) then Loads.add_replica l m r)
-                  (replicas_of m);
-                l
-              in
-              let committed = build false in
-              let l = build true in
-              Loads.with_tentative l m last (fun l' ->
-                  agrees l' committed
-                  && Loads.max_cycle_time l'
-                     = Loads.max_cycle_time committed)))
 
 (* ------------------------------------------------------------------ *)
 (* Flat State arrays vs a from-mapping reference                       *)
@@ -153,18 +62,7 @@ let prop_flat_state_matches_reference =
   QCheck.Test.make
     ~name:"flat stage/support arrays match a from-mapping reference"
     ~count:40 seed_arb (fun seed ->
-      let rng = Rng.create ~seed in
-      let tasks = 2 + Rng.int rng 19 in
-      let dag = Random_dag.layered ~rng ~tasks () in
-      let prob =
-        Types.problem ~dag ~platform:(Fixtures.uniform 6) ~eps:1
-          ~throughput:0.01
-      in
-      match
-        Ltf.schedule_state
-          ~opts:Scheduler.(default |> with_mode Best_effort)
-          prob
-      with
+      match state_of_seed seed with
       | Error _ -> true
       | Ok st ->
           let m = State.mapping st in
@@ -411,11 +309,7 @@ let regression_tests =
 let () =
   Alcotest.run "incremental"
     [
-      ( "loads",
-        [
-          to_alcotest prop_incremental_equals_scratch;
-          to_alcotest prop_tentative_matches_committed;
-        ] );
+      ("loads", [ to_alcotest prop_state_loads_match_scratch ]);
       ("state", [ to_alcotest prop_flat_state_matches_reference ]);
       ( "bitset",
         bitset_tests

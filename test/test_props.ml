@@ -81,17 +81,17 @@ let prop_timeline_no_overlap =
     QCheck.(pair seed_arb (int_range 1 30))
     (fun (seed, n) ->
       let rng = Rng.create ~seed in
-      let tl = ref Timeline.empty in
+      let tl = Timeline.create () in
       for _ = 1 to n do
         let ready = Rng.float rng 20.0 and duration = 0.1 +. Rng.float rng 5.0 in
-        let start = Timeline.earliest_fit !tl ~ready ~duration in
-        tl := Timeline.insert !tl ~start ~duration
+        let start = Timeline.earliest_fit tl ~ready ~duration in
+        Timeline.insert tl ~start ~duration
       done;
       let rec disjoint = function
         | (_, f) :: ((s, _) :: _ as rest) -> f <= s +. 1e-9 && disjoint rest
         | _ -> true
       in
-      disjoint (Timeline.intervals !tl))
+      disjoint (Timeline.intervals tl))
 
 let prop_timeline_busy_sum =
   QCheck.Test.make ~name:"total busy time is the sum of inserted durations"
@@ -99,14 +99,50 @@ let prop_timeline_busy_sum =
     QCheck.(pair seed_arb (int_range 1 20))
     (fun (seed, n) ->
       let rng = Rng.create ~seed in
-      let tl = ref Timeline.empty and total = ref 0.0 in
+      let tl = Timeline.create () and total = ref 0.0 in
       for _ = 1 to n do
         let duration = 0.5 +. Rng.float rng 3.0 in
-        let start = Timeline.earliest_fit !tl ~ready:(Rng.float rng 10.0) ~duration in
-        tl := Timeline.insert !tl ~start ~duration;
+        let start = Timeline.earliest_fit tl ~ready:(Rng.float rng 10.0) ~duration in
+        Timeline.insert tl ~start ~duration;
         total := !total +. duration
       done;
-      Float.abs (Timeline.total_busy !tl -. !total) <= 1e-6)
+      Float.abs (Timeline.total_busy tl -. !total) <= 1e-6)
+
+(* A probe is the committed timeline plus its own intervals: placing a
+   random probe never writes the timeline, and fitting against the probe
+   answers exactly as fitting against a timeline with those intervals
+   inserted. *)
+let prop_timeline_probe_is_virtual_insert =
+  QCheck.Test.make ~name:"a probe fits like an insert and leaves the timeline"
+    ~count:200
+    QCheck.(triple seed_arb (int_range 0 20) (int_range 1 6))
+    (fun (seed, n, k) ->
+      let rng = Rng.create ~seed in
+      let random_job () = (Rng.float rng 30.0, 0.1 +. Rng.float rng 4.0) in
+      (* [tl] gets the committed intervals only, [inserted] those and the
+         probe's as real inserts. *)
+      let tl = Timeline.create () and inserted = Timeline.create () in
+      for _ = 1 to n do
+        let ready, duration = random_job () in
+        let start = Timeline.earliest_fit tl ~ready ~duration in
+        Timeline.insert tl ~start ~duration;
+        Timeline.insert inserted ~start ~duration
+      done;
+      let committed = Timeline.intervals tl in
+      let probe = ref [] in
+      for _ = 1 to k do
+        let ready, duration = random_job () in
+        let start = Timeline.earliest_fit ~probe:!probe tl ~ready ~duration in
+        probe := Timeline.tentative ~probe:!probe tl ~start ~duration;
+        Timeline.insert inserted ~start ~duration
+      done;
+      Timeline.intervals tl = committed
+      && List.for_all
+           (fun _ ->
+             let ready = Rng.float rng 40.0 and duration = Rng.float rng 5.0 in
+             Timeline.earliest_fit ~probe:!probe tl ~ready ~duration
+             = Timeline.earliest_fit inserted ~ready ~duration)
+           (List.init 30 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Event heap vs a sorted-list model                                   *)
@@ -553,7 +589,12 @@ let () =
           ] );
       ( "structures",
         List.map to_alcotest
-          [ prop_timeline_no_overlap; prop_timeline_busy_sum; prop_heap_matches_model ]
+          [
+            prop_timeline_no_overlap;
+            prop_timeline_busy_sum;
+            prop_timeline_probe_is_virtual_insert;
+            prop_heap_matches_model;
+          ]
       );
       ( "bitsets",
         List.map to_alcotest

@@ -126,70 +126,54 @@ let mapping_tests =
 (* Timeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let timeline_of ivs =
+  let t = Timeline.create () in
+  List.iter (fun (start, duration) -> Timeline.insert t ~start ~duration) ivs;
+  t
+
 let timeline_tests =
   [
     case "earliest fit on empty" (fun () ->
         check_float "at ready" 3.0
-          (Timeline.earliest_fit Timeline.empty ~ready:3.0 ~duration:2.0));
+          (Timeline.earliest_fit (Timeline.create ()) ~ready:3.0 ~duration:2.0));
     case "fit into a gap" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:0.0 ~duration:2.0 in
-        let t = Timeline.insert t ~start:5.0 ~duration:2.0 in
+        let t = timeline_of [ (0.0, 2.0); (5.0, 2.0) ] in
         check_float "gap" 2.0 (Timeline.earliest_fit t ~ready:0.0 ~duration:3.0);
         check_float "too big for gap" 7.0
           (Timeline.earliest_fit t ~ready:0.0 ~duration:4.0));
     case "fit respects ready time" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:0.0 ~duration:2.0 in
+        let t = timeline_of [ (0.0, 2.0) ] in
         check_float "after busy and ready" 4.0
           (Timeline.earliest_fit t ~ready:4.0 ~duration:1.0));
     case "insert keeps intervals sorted" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:5.0 ~duration:1.0 in
-        let t = Timeline.insert t ~start:1.0 ~duration:1.0 in
-        let t = Timeline.insert t ~start:3.0 ~duration:1.0 in
+        let t = timeline_of [ (5.0, 1.0); (1.0, 1.0); (3.0, 1.0) ] in
         Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
           "sorted"
           [ (1.0, 2.0); (3.0, 4.0); (5.0, 6.0) ]
           (Timeline.intervals t));
     case "overlap is rejected" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:0.0 ~duration:2.0 in
+        let t = timeline_of [ (0.0, 2.0) ] in
         Alcotest.check_raises "overlap" (Invalid_argument "") (fun () ->
-            try ignore (Timeline.insert t ~start:1.0 ~duration:1.0)
+            try Timeline.insert t ~start:1.0 ~duration:1.0
             with Invalid_argument _ -> raise (Invalid_argument "")));
     case "zero duration is a no-op" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:1.0 ~duration:0.0 in
+        let t = timeline_of [ (1.0, 0.0) ] in
         check_int "still empty" 0 (List.length (Timeline.intervals t)));
     case "busy accounting" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:1.0 ~duration:2.0 in
-        let t = Timeline.insert t ~start:4.0 ~duration:1.5 in
+        let t = timeline_of [ (1.0, 2.0); (4.0, 1.5) ] in
         check_float "busy until" 5.5 (Timeline.busy_until t);
         check_float "total busy" 3.5 (Timeline.total_busy t));
-    case "persistence" (fun () ->
-        let base = Timeline.insert Timeline.empty ~start:0.0 ~duration:1.0 in
-        let _branch = Timeline.insert base ~start:2.0 ~duration:1.0 in
-        check_int "base untouched" 1 (List.length (Timeline.intervals base)));
-    case "compact preserves every query" (fun () ->
-        (* out-of-order inserts grow the overlay past the compaction
-           threshold before the representations are compared *)
-        let t =
-          List.fold_left
-            (fun t s -> Timeline.insert t ~start:s ~duration:0.5)
-            Timeline.empty
-            [ 10.0; 2.0; 8.0; 4.0; 0.0; 6.0; 12.0; 3.0; 14.0; 16.0; 18.0; 20.0 ]
-        in
-        let c = Timeline.compact t in
-        Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-          "intervals" (Timeline.intervals t) (Timeline.intervals c);
-        check_float "busy until" (Timeline.busy_until t) (Timeline.busy_until c);
-        check_float "total busy" (Timeline.total_busy t) (Timeline.total_busy c);
-        List.iter
-          (fun ready ->
-            check_float "earliest fit"
-              (Timeline.earliest_fit t ~ready ~duration:0.75)
-              (Timeline.earliest_fit c ~ready ~duration:0.75))
-          [ 0.0; 1.0; 2.25; 5.0; 11.0; 30.0 ]);
-    case "compact below the threshold is the identity" (fun () ->
-        let t = Timeline.insert Timeline.empty ~start:1.0 ~duration:1.0 in
-        check_true "same value" (Timeline.compact t == t);
-        check_true "empty too" (Timeline.compact Timeline.empty == Timeline.empty));
+    case "a probe leaves the timeline untouched" (fun () ->
+        let t = timeline_of [ (0.0, 1.0) ] in
+        let probe = Timeline.tentative t ~start:2.0 ~duration:1.0 in
+        check_int "base untouched" 1 (List.length (Timeline.intervals t));
+        check_float "probe seen" 3.0
+          (Timeline.earliest_fit ~probe t ~ready:1.5 ~duration:1.0);
+        check_float "probe not committed" 1.5
+          (Timeline.earliest_fit t ~ready:1.5 ~duration:1.0);
+        Alcotest.check_raises "probe overlap" (Invalid_argument "") (fun () ->
+            try ignore (Timeline.tentative ~probe t ~start:2.5 ~duration:1.0)
+            with Invalid_argument _ -> raise (Invalid_argument "")));
   ]
 
 (* ------------------------------------------------------------------ *)
