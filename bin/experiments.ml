@@ -28,9 +28,8 @@ let report_metrics ~metrics ~metrics_text ~check_metrics =
           problems;
         1
 
-let run_experiments names fig workload quick seed jobs out_dir exact metrics
+let run_experiments names workload quick seed jobs out_dir exact metrics
     metrics_text check_metrics check_exact =
-  let names = match fig with Some f -> [ f ] | None -> names in
   let targets =
     match names with
     | [] | [ "all" ] -> Ok Runner.all
@@ -114,15 +113,6 @@ let out_arg =
   let doc = "Directory for the CSV outputs." in
   Arg.(value & opt string "results" & info [ "out" ] ~docv:"DIR" ~doc)
 
-let fig_arg =
-  let doc =
-    "Run a single experiment by name (same names as the positional \
-     arguments; overrides them).  $(b,--fig latency) is the profiling \
-     run that exercises every instrumented layer."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "fig" ] ~docv:"EXPERIMENT" ~doc)
-
 let workload_arg =
   let doc =
     "Run the sweep experiments on a named workload spec instead of their \
@@ -173,7 +163,7 @@ let check_metrics_arg =
     "Enable the observability layer and validate the collected metrics \
      against the documented key set (see Obs_report); exits non-zero \
      when a documented key is missing.  Meaningful after a run that \
-     touches every layer, e.g. $(b,--fig latency)."
+     touches every layer, e.g. the $(b,latency) profile."
   in
   Arg.(value & flag & info [ "check-metrics" ] ~doc)
 
@@ -185,7 +175,7 @@ let cmd =
   let info = Cmd.info "experiments" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run_experiments $ names_arg $ fig_arg $ workload_arg $ quick_arg
+      const run_experiments $ names_arg $ workload_arg $ quick_arg
       $ seed_arg $ jobs_arg $ out_arg $ exact_arg $ metrics_arg
       $ metrics_text_arg $ check_metrics_arg $ check_exact_arg)
 

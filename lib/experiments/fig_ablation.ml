@@ -19,8 +19,8 @@ let configurations =
       ("double lane budget", default |> with_lane_budget_factor 2.0);
     ]
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20)
-    ?(granularity = 1.0) ?(eps = 1) ?(jobs = 1) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20) ?(jobs = 1) () =
+  let granularity = 1.0 and eps = 1 in
   let throughput = Paper_workload.throughput ~eps in
   let rows =
     List.map
@@ -81,33 +81,17 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20)
   Printf.printf
     "Ablation of the R-LTF implementation (g=%.1f, eps=%d, %d graphs):\n"
     granularity eps graphs;
-  Ascii_table.print
-    ~header:
-      [ "configuration"; "strict ok"; "meets T"; "stages"; "latency bound"; "messages" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           Printf.sprintf "%d/%d" r.strict_ok graphs;
-           Printf.sprintf "%d/%d" r.meets graphs;
-           Printf.sprintf "%.1f" r.stages.Stats.mean;
-           Printf.sprintf "%.0f" r.latency.Stats.mean;
-           Printf.sprintf "%.0f" r.messages.Stats.mean;
-         ])
-       rows);
-  Csv.write
+  Fig_common.table
     ~path:(Filename.concat out_dir "fig-ablation.csv")
-    ~header:
-      [ "configuration"; "strict_ok"; "meets_T"; "stages"; "latency_bound"; "messages" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           string_of_int r.strict_ok;
-           string_of_int r.meets;
-           Printf.sprintf "%.3f" r.stages.Stats.mean;
-           Printf.sprintf "%.3f" r.latency.Stats.mean;
-           Printf.sprintf "%.3f" r.messages.Stats.mean;
-         ])
-       rows);
+    [
+      Fig_common.text "configuration" (fun r -> r.name);
+      Fig_common.count "strict ok" "strict_ok" ~total:graphs (fun r -> r.strict_ok);
+      Fig_common.count "meets T" "meets_T" ~total:graphs (fun r -> r.meets);
+      Fig_common.num "stages" "stages" "%.1f" "%.3f" (fun r -> r.stages.Stats.mean);
+      Fig_common.num "latency bound" "latency_bound" "%.0f" "%.3f" (fun r ->
+          r.latency.Stats.mean);
+      Fig_common.num "messages" "messages" "%.0f" "%.3f" (fun r ->
+          r.messages.Stats.mean);
+    ]
+    rows;
   rows

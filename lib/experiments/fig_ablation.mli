@@ -22,8 +22,6 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?granularity:float ->
-  ?eps:int ->
   ?jobs:int ->
   unit ->
   row list

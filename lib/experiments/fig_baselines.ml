@@ -22,13 +22,13 @@ let algorithms ~throughput =
   List.map (entry ~suffix:" (eps=0)") Scheduler.all
   @ List.map (fun a -> entry a) Baseline_registry.all
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30)
-    ?(granularity = 1.0) ?(jobs = 1) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30) ?(jobs = 1) () =
+  let granularity = 1.0 in
   let throughput = Paper_workload.throughput ~eps:0 in
   let algos = algorithms ~throughput in
   (* One graph is a pure function of its rep index, so the graphs can run
-     on a domain pool; aggregation below stays in rep order, making the
-     result identical for every [jobs]. *)
+     on a domain pool; the per-rep results come back in rep order, making
+     the result identical for every [jobs]. *)
   let measure rep =
     let rng = Rng.create ~seed:(seed + (7919 * rep)) in
     let inst = Spec.generate Spec.default ~rng ~granularity () in
@@ -40,39 +40,23 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30)
         | Some mapping ->
             Some
               ( name,
-                float_of_int (Metrics.stage_depth mapping),
-                Metrics.latency_bound mapping ~throughput,
-                (Crash.estimate ~source:(Crash.Of_mapping mapping)
-                   ~method_:(Crash.Fixed []) ())
-                  .Crash.est_mean,
-                Metrics.meets_throughput mapping ~throughput ))
+                ( float_of_int (Metrics.stage_depth mapping),
+                  Metrics.latency_bound mapping ~throughput,
+                  (Crash.estimate ~source:(Crash.Of_mapping mapping)
+                     ~method_:(Crash.Fixed []) ())
+                    .Crash.est_mean,
+                  Metrics.meets_throughput mapping ~throughput ) ))
       algos
   in
   let per_rep = Parallel.map_seeded ~jobs measure (List.init graphs Fun.id) in
-  let acc = Hashtbl.create 16 in
-  let record name field value =
-    let key = (name, field) in
-    let prev = try Hashtbl.find acc key with Not_found -> [] in
-    Hashtbl.replace acc key (value :: prev)
-  in
-  let meets = Hashtbl.create 16 in
-  List.iter
-    (List.iter (fun (name, stages, bound, sim, meets_t) ->
-         record name `Stages stages;
-         record name `Bound bound;
-         (match sim with Some l -> record name `Sim l | None -> ());
-         if meets_t then
-           Hashtbl.replace meets name
-             (1 + try Hashtbl.find meets name with Not_found -> 0)))
-    per_rep;
   let rows =
     List.filter_map
       (fun (name, _) ->
-        let get field = try Hashtbl.find acc (name, field) with Not_found -> [] in
+        let mine = Fig_common.per_label name per_rep in
         match
-          ( Stats.summarize_opt (get `Stages),
-            Stats.summarize_opt (get `Bound),
-            Stats.summarize_opt (get `Sim) )
+          ( Stats.summarize_opt (List.map (fun (s, _, _, _) -> s) mine),
+            Stats.summarize_opt (List.map (fun (_, b, _, _) -> b) mine),
+            Stats.summarize_opt (List.filter_map (fun (_, _, l, _) -> l) mine) )
         with
         | Some stages, Some latency_bound, Some sim_latency ->
             Some
@@ -82,7 +66,7 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30)
                 latency_bound;
                 sim_latency;
                 meets_throughput =
-                  (try Hashtbl.find meets name with Not_found -> 0);
+                  List.length (List.filter (fun (_, _, _, m) -> m) mine);
               }
         | _ -> None)
       algos
@@ -90,29 +74,17 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30)
   Printf.printf
     "Baseline comparison (eps=0, g=%.1f, %d graphs, T=%.3f):\n" granularity
     graphs throughput;
-  Ascii_table.print
-    ~header:[ "algorithm"; "stages"; "latency bound"; "sim latency"; "meets T" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           Printf.sprintf "%.1f" r.stages.Stats.mean;
-           Printf.sprintf "%.1f" r.latency_bound.Stats.mean;
-           Printf.sprintf "%.1f" r.sim_latency.Stats.mean;
-           Printf.sprintf "%d/%d" r.meets_throughput graphs;
-         ])
-       rows);
-  Csv.write
+  Fig_common.table
     ~path:(Filename.concat out_dir "fig-baselines.csv")
-    ~header:[ "algorithm"; "stages"; "latency_bound"; "sim_latency"; "meets_T" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           Printf.sprintf "%.3f" r.stages.Stats.mean;
-           Printf.sprintf "%.3f" r.latency_bound.Stats.mean;
-           Printf.sprintf "%.3f" r.sim_latency.Stats.mean;
-           string_of_int r.meets_throughput;
-         ])
-       rows);
+    [
+      Fig_common.text "algorithm" (fun r -> r.name);
+      Fig_common.num "stages" "stages" "%.1f" "%.3f" (fun r -> r.stages.Stats.mean);
+      Fig_common.num "latency bound" "latency_bound" "%.1f" "%.3f" (fun r ->
+          r.latency_bound.Stats.mean);
+      Fig_common.num "sim latency" "sim_latency" "%.1f" "%.3f" (fun r ->
+          r.sim_latency.Stats.mean);
+      Fig_common.count "meets T" "meets_T" ~total:graphs (fun r ->
+          r.meets_throughput);
+    ]
+    rows;
   rows

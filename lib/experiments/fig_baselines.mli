@@ -18,7 +18,6 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?granularity:float ->
   ?jobs:int ->
   unit ->
   row list

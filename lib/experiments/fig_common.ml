@@ -260,3 +260,47 @@ let series_by ~eps ~xs ~x_of results projections =
           })
         projections)
     (contenders ~eps)
+
+let per_label label per_rep =
+  List.fold_left
+    (fun acc measured ->
+      List.fold_left
+        (fun acc (l, m) -> if l = label then m :: acc else acc)
+        acc measured)
+    [] per_rep
+
+(* ---- tables ------------------------------------------------------------ *)
+
+type 'r column = {
+  head : string;
+  key : string;
+  show : 'r -> string;
+  csv : 'r -> string;
+}
+
+let text head proj = { head; key = head; show = proj; csv = proj }
+
+let num head key show_fmt csv_fmt proj =
+  {
+    head;
+    key;
+    show = (fun r -> Printf.sprintf show_fmt (proj r));
+    csv = (fun r -> Printf.sprintf csv_fmt (proj r));
+  }
+
+let count head key ~total proj =
+  {
+    head;
+    key;
+    show = (fun r -> Printf.sprintf "%d/%d" (proj r) total);
+    csv = (fun r -> string_of_int (proj r));
+  }
+
+let table ~path columns rows =
+  let cells cell = List.map (fun r -> List.map (fun c -> cell c r) columns) rows in
+  Ascii_table.print
+    ~header:(List.map (fun c -> c.head) columns)
+    (cells (fun c -> c.show));
+  Csv.write ~path
+    ~header:(List.map (fun c -> c.key) columns)
+    (cells (fun c -> c.csv))

@@ -174,3 +174,39 @@ val series_by :
     [xs], the mean projection of the points the contender measured in
     the trials at [x] ([None] points skipped).  A series is labelled
     ["LABEL SUFFIX"], or ["LABEL"] when the suffix is empty. *)
+
+val per_label : string -> (string * 'a) list list -> 'a list
+(** The measurements labelled [label] in per-rep lists, in {e reverse}
+    rep order: the order the table figures' summaries fold in, so their
+    float sums (and CSVs) stay fixed. *)
+
+(** {2 Tables}
+
+    A table figure declares each column once; {!table} renders the same
+    rows on the terminal and in the CSV. *)
+
+type 'r column = {
+  head : string;  (** the terminal header *)
+  key : string;  (** the CSV header *)
+  show : 'r -> string;  (** the terminal cell *)
+  csv : 'r -> string;  (** the CSV cell *)
+}
+
+val text : string -> ('r -> string) -> 'r column
+(** The same header and cell on both sides. *)
+
+val num :
+  string ->
+  string ->
+  (float -> string, unit, string) format ->
+  (float -> string, unit, string) format ->
+  ('r -> float) ->
+  'r column
+(** [num head key show_fmt csv_fmt proj]: a float, usually shown with
+    fewer digits than the file keeps. *)
+
+val count : string -> string -> total:int -> ('r -> int) -> 'r column
+(** ["n/total"] on the terminal, ["n"] in the file. *)
+
+val table : path:string -> 'r column list -> 'r list -> unit
+(** Print the table, then write the CSV to [path]. *)

@@ -4,8 +4,8 @@ type row = {
   cost_fraction : Stats.summary;
 }
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 8) ?(eps = 1)
-    ?(latency_factor = 1.5) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 8) () =
+  let eps = 1 and latency_factor = 1.5 in
   let throughput = Paper_workload.throughput ~eps in
   let rows =
     List.filter_map
@@ -41,25 +41,14 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 8) ?(eps = 1)
   Printf.printf
     "Platform cost minimization (eps=%d, latency budget %.1fx, %d graphs):\n"
     eps latency_factor graphs;
-  Ascii_table.print
-    ~header:[ "g"; "processors kept (of 20)"; "cost fraction" ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.1f" r.granularity;
-           Printf.sprintf "%.1f" r.kept_procs.Stats.mean;
-           Printf.sprintf "%.2f" r.cost_fraction.Stats.mean;
-         ])
-       rows);
-  Csv.write
+  Fig_common.table
     ~path:(Filename.concat out_dir "fig-cost.csv")
-    ~header:[ "granularity"; "kept_procs"; "cost_fraction" ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.2f" r.granularity;
-           Printf.sprintf "%.3f" r.kept_procs.Stats.mean;
-           Printf.sprintf "%.4f" r.cost_fraction.Stats.mean;
-         ])
-       rows);
+    [
+      Fig_common.num "g" "granularity" "%.1f" "%.2f" (fun r -> r.granularity);
+      Fig_common.num "processors kept (of 20)" "kept_procs" "%.1f" "%.3f"
+        (fun r -> r.kept_procs.Stats.mean);
+      Fig_common.num "cost fraction" "cost_fraction" "%.2f" "%.4f" (fun r ->
+          r.cost_fraction.Stats.mean);
+    ]
+    rows;
   rows

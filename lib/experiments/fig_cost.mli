@@ -14,8 +14,6 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?eps:int ->
-  ?latency_factor:float ->
   unit ->
   row list
 (** Defaults: 8 graphs per granularity in {0.6, 1.0, 1.6}, ε = 1, latency

@@ -22,82 +22,69 @@ let heuristics ~throughput =
     ("Hary-Ozguner [4]", fun dag plat -> Some (Hary.mapping dag plat ~throughput));
   ]
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) ?(tasks = 9)
-    ?(m = 4) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) ?(tasks = 9) () =
+  let m = 4 in
   let plat = Platform.homogeneous ~name:"optgap" ~m ~speed:1.0 ~bandwidth:1.0 () in
-  let acc = Hashtbl.create 8 in
-  let record name ratio stages optimal =
-    let ratios, stages', hits =
-      try Hashtbl.find acc name with Not_found -> ([], [], 0)
-    in
-    Hashtbl.replace acc name
-      (ratio :: ratios, stages :: stages', if optimal then hits + 1 else hits)
-  in
-  let usable = ref 0 in
-  let rep = ref 0 in
+  (* a period that makes placement non-trivial: roughly half the work
+     must leave the first processor *)
+  let throughput = float_of_int m /. (2.0 *. float_of_int tasks) in
+  (* Per usable instance, each heuristic's (stages / optimal, stages,
+     hit); instances whose exact search exceeds the node limit are
+     skipped, up to [4 · graphs] draws. *)
+  let per_rep = ref [] and usable = ref 0 and rep = ref 0 in
   while !usable < graphs && !rep < graphs * 4 do
     incr rep;
     let rng = Rng.create ~seed:(seed + (1009 * !rep)) in
     let dag = Random_dag.layered ~rng ~tasks () in
     let dag = Calibrate.calibrated dag plat ~granularity:1.0 in
-    (* a period that makes placement non-trivial: roughly half the work
-       must leave the first processor *)
-    let throughput = float_of_int m /. (2.0 *. float_of_int tasks) in
     match Optimal.minimum_stages ~dag ~platform:plat ~throughput () with
     | None -> ()
     | Some exact ->
+        let optimal = exact.Optimal.stages in
         incr usable;
-        List.iter
-          (fun (name, algo) ->
-            match algo dag plat with
-            | None -> ()
-            | Some mapping ->
-                let s = Metrics.stage_depth mapping in
-                record name
-                  (float_of_int s /. float_of_int (max 1 exact.Optimal.stages))
-                  (float_of_int s)
-                  (s = exact.Optimal.stages))
-          (heuristics ~throughput)
+        per_rep :=
+          List.filter_map
+            (fun (name, algo) ->
+              Option.map
+                (fun mapping ->
+                  let s = Metrics.stage_depth mapping in
+                  ( name,
+                    ( float_of_int s /. float_of_int (max 1 optimal),
+                      float_of_int s,
+                      s = optimal ) ))
+                (algo dag plat))
+            (heuristics ~throughput)
+          :: !per_rep
   done;
+  let per_rep = List.rev !per_rep and usable = !usable in
   let rows =
     List.filter_map
       (fun (name, _) ->
-        match Hashtbl.find_opt acc name with
-        | Some (ratios, stages, hits) when ratios <> [] ->
+        match Fig_common.per_label name per_rep with
+        | [] -> None
+        | mine ->
             Some
               {
                 name;
-                mean_stages = Stats.mean stages;
-                mean_ratio = Stats.mean ratios;
-                optimal_hits = hits;
-              }
-        | _ -> None)
+                mean_stages = Stats.mean (List.map (fun (_, s, _) -> s) mine);
+                mean_ratio = Stats.mean (List.map (fun (r, _, _) -> r) mine);
+                optimal_hits = List.length (List.filter (fun (_, _, h) -> h) mine);
+              })
       (heuristics ~throughput:1.0)
   in
   Printf.printf
     "Optimality gap vs exact branch-and-bound (%d instances, %d tasks, m=%d):\n"
-    !usable tasks m;
-  Ascii_table.print
-    ~header:[ "algorithm"; "mean stages"; "stages / optimal"; "optimal hits" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           Printf.sprintf "%.2f" r.mean_stages;
-           Printf.sprintf "%.2f" r.mean_ratio;
-           Printf.sprintf "%d/%d" r.optimal_hits !usable;
-         ])
-       rows);
-  Csv.write
+    usable tasks m;
+  Fig_common.table
     ~path:(Filename.concat out_dir "fig-optgap.csv")
-    ~header:[ "algorithm"; "mean_stages"; "mean_ratio"; "optimal_hits" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           Printf.sprintf "%.3f" r.mean_stages;
-           Printf.sprintf "%.3f" r.mean_ratio;
-           string_of_int r.optimal_hits;
-         ])
-       rows);
+    [
+      Fig_common.text "algorithm" (fun r -> r.name);
+      Fig_common.num "mean stages" "mean_stages" "%.2f" "%.3f" (fun r ->
+          r.mean_stages);
+      Fig_common.num "stages / optimal" "mean_ratio" "%.2f" "%.3f" (fun r ->
+          r.mean_ratio);
+      Fig_common.count "optimal hits" "optimal_hits" ~total:usable (fun r ->
+          r.optimal_hits);
+    ]
+    rows;
   rows

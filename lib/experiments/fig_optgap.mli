@@ -18,7 +18,6 @@ val run :
   ?seed:int ->
   ?graphs:int ->
   ?tasks:int ->
-  ?m:int ->
   unit ->
   row list
 (** Defaults: 15 graphs of 9 tasks on 4 homogeneous processors.  Prints a

@@ -6,8 +6,8 @@ type row = {
   stage_model : Stats.summary;
 }
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) ?(items = 30)
-    ?(eps = 1) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) ?(items = 30) () =
+  let eps = 1 in
   let throughput = Paper_workload.throughput ~eps in
   let rows =
     List.filter_map
@@ -63,33 +63,18 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) ?(items = 30)
   in
   Printf.printf
     "Pipelined event-driven validation (eps=%d, %d items/stream):\n" eps items;
-  Ascii_table.print
-    ~header:
-      [
-        "g"; "desired T"; "sustained T"; "steady latency"; "stage model bound";
-      ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.1f" r.granularity;
-           Printf.sprintf "%.4f" r.desired_throughput;
-           Printf.sprintf "%.4f" r.sustained.Stats.mean;
-           Printf.sprintf "%.1f" r.steady_latency.Stats.mean;
-           Printf.sprintf "%.1f" r.stage_model.Stats.mean;
-         ])
-       rows);
-  Csv.write
+  Fig_common.table
     ~path:(Filename.concat out_dir "fig-pipeline.csv")
-    ~header:
-      [ "granularity"; "desired_T"; "sustained_T"; "steady_latency"; "stage_model" ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.2f" r.granularity;
-           Printf.sprintf "%.6f" r.desired_throughput;
-           Printf.sprintf "%.6f" r.sustained.Stats.mean;
-           Printf.sprintf "%.3f" r.steady_latency.Stats.mean;
-           Printf.sprintf "%.3f" r.stage_model.Stats.mean;
-         ])
-       rows);
+    [
+      Fig_common.num "g" "granularity" "%.1f" "%.2f" (fun r -> r.granularity);
+      Fig_common.num "desired T" "desired_T" "%.4f" "%.6f" (fun r ->
+          r.desired_throughput);
+      Fig_common.num "sustained T" "sustained_T" "%.4f" "%.6f" (fun r ->
+          r.sustained.Stats.mean);
+      Fig_common.num "steady latency" "steady_latency" "%.1f" "%.3f" (fun r ->
+          r.steady_latency.Stats.mean);
+      Fig_common.num "stage model bound" "stage_model" "%.1f" "%.3f" (fun r ->
+          r.stage_model.Stats.mean);
+    ]
+    rows;
   rows

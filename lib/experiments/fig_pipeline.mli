@@ -19,7 +19,6 @@ val run :
   ?seed:int ->
   ?graphs:int ->
   ?items:int ->
-  ?eps:int ->
   unit ->
   row list
 (** Defaults: 10 graphs per granularity in {0.4, 1.0, 1.6}, 30 items,

@@ -78,9 +78,10 @@ let measure ~rng ~eps ~spec prob (module A : Sched_api.Algo) =
           finish_p999 = q.Stats.p999;
         }
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(eps = 1)
+let run ?(out_dir = "results") ?(seed = 2009)
     ?(v_sweep = [ 1_000; 10_000; 100_000; 1_000_000 ])
     ?(m_sweep = [ 100; 1_000 ]) () =
+  let eps = 1 in
   let points = ref [] in
   List.iter
     (fun m ->

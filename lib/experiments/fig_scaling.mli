@@ -18,11 +18,10 @@ type point = {
 val run :
   ?out_dir:string ->
   ?seed:int ->
-  ?eps:int ->
   ?v_sweep:int list ->
   ?m_sweep:int list ->
   unit ->
   point list
 (** Writes [fig-scaling.csv] and prints the scaling plots.  Each
     (v, m, algo) contributes one point; failed schedules are reported
-    and skipped.  Deterministic in [seed]. *)
+    and skipped.  Runs at ε = 1; deterministic in [seed]. *)

@@ -4,8 +4,8 @@ type row = {
   best_eps : Stats.summary;
 }
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10)
-    ?(latency_factor = 1.5) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) () =
+  let latency_factor = 1.5 in
   let rows =
     List.filter_map
       (fun granularity ->
@@ -45,25 +45,14 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10)
   Printf.printf
     "Symmetric problems (Section 6), latency bound = %.1fx the R-LTF bound:\n"
     latency_factor;
-  Ascii_table.print
-    ~header:[ "g"; "max throughput (eps=1)"; "max eps (T=1/20)" ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.1f" r.granularity;
-           Printf.sprintf "%.4f" r.best_throughput.Stats.mean;
-           Printf.sprintf "%.2f" r.best_eps.Stats.mean;
-         ])
-       rows);
-  Csv.write
+  Fig_common.table
     ~path:(Filename.concat out_dir "fig-symmetric.csv")
-    ~header:[ "granularity"; "max_throughput"; "max_eps" ]
-    (List.map
-       (fun r ->
-         [
-           Printf.sprintf "%.2f" r.granularity;
-           Printf.sprintf "%.6f" r.best_throughput.Stats.mean;
-           Printf.sprintf "%.3f" r.best_eps.Stats.mean;
-         ])
-       rows);
+    [
+      Fig_common.num "g" "granularity" "%.1f" "%.2f" (fun r -> r.granularity);
+      Fig_common.num "max throughput (eps=1)" "max_throughput" "%.4f" "%.6f"
+        (fun r -> r.best_throughput.Stats.mean);
+      Fig_common.num "max eps (T=1/20)" "max_eps" "%.2f" "%.3f" (fun r ->
+          r.best_eps.Stats.mean);
+    ]
+    rows;
   rows

@@ -14,9 +14,8 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?latency_factor:float ->
   unit ->
   row list
-(** [latency_factor] (default 1.5) sets the latency bound to
-    [factor × (2S−1)/T] of the plain R-LTF schedule of the instance.
+(** Defaults: 10 graphs per granularity.  The latency bound is
+    [1.5 × (2S−1)/T] of the plain R-LTF schedule of the instance.
     Prints a table and writes [fig-symmetric.csv]. *)

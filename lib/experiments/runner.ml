@@ -59,6 +59,16 @@ let overhead_fig name ~eps ~crashes description =
         ignore (Fig_overhead.run ~out_dir ~jobs ~config ()));
   }
 
+(* A table figure on its fixed workload: [quick] or [full] graphs. *)
+let table_fig name description ~quick ~full run =
+  {
+    name;
+    description;
+    run =
+      (fun ~workload:_ ~quick:small ~seed ~jobs ~exact:_ ~out_dir ->
+        ignore (run ~out_dir ~seed ~jobs ~graphs:(if small then quick else full)));
+  }
+
 let all =
   [
     latency_fig "fig3a" ~eps:1 ~mode:Fig_latency.Bounds ~crashes:0
@@ -78,15 +88,9 @@ let all =
       description = "Figs. 1-2: the paper's worked examples, replayed";
       run = (fun ~workload:_ ~quick:_ ~seed:_ ~jobs:_ ~exact:_ ~out_dir:_ -> Paper_examples.print ());
     };
-    {
-      name = "baselines";
-      description = "Extension A: Section 3 heuristics on the paper workload";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs ~exact:_ ~out_dir ->
-          ignore
-            (Fig_baselines.run ~out_dir ~seed ~jobs
-               ~graphs:(if quick then 6 else 30) ()));
-    };
+    table_fig "baselines" "Extension A: Section 3 heuristics on the paper workload"
+      ~quick:6 ~full:30 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_baselines.run ~out_dir ~seed ~jobs ~graphs ());
     {
       name = "complexity";
       description = "Theorem 1: empirical LTF runtime scaling";
@@ -97,62 +101,28 @@ let all =
                ~repetitions:(if quick then 1 else 3)
                ()));
     };
-    {
-      name = "symmetric";
-      description = "Extension B: Section 6 symmetric problems";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs:_ ~exact:_ ~out_dir ->
-          ignore
-            (Fig_symmetric.run ~out_dir ~seed ~graphs:(if quick then 3 else 10) ()));
-    };
-    {
-      name = "ablation";
-      description = "Extension C: ablation of the implementation's mechanisms";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs ~exact:_ ~out_dir ->
-          ignore
-            (Fig_ablation.run ~out_dir ~seed ~jobs
-               ~graphs:(if quick then 5 else 20) ()));
-    };
-    {
-      name = "pipeline";
-      description = "Extension D: event-driven validation of the throughput";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs:_ ~exact:_ ~out_dir ->
-          ignore
-            (Fig_pipeline.run ~out_dir ~seed ~graphs:(if quick then 3 else 10) ()));
-    };
-    {
-      name = "optgap";
-      description = "Extension F: optimality gap vs exact branch-and-bound";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs:_ ~exact:_ ~out_dir ->
-          ignore
-            (Fig_optgap.run ~out_dir ~seed ~graphs:(if quick then 5 else 15) ()));
-    };
-    {
-      name = "families";
-      description = "Extension H: robustness across graph families";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs:_ ~exact:_ ~out_dir ->
-          ignore
-            (Fig_families.run ~out_dir ~seed ~graphs:(if quick then 4 else 12) ()));
-    };
-    {
-      name = "topology";
-      description = "Extension G: sensitivity to the platform topology";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs:_ ~exact:_ ~out_dir ->
-          ignore
-            (Fig_topology.run ~out_dir ~seed ~graphs:(if quick then 4 else 12) ()));
-    };
-    {
-      name = "cost";
-      description = "Extension E: platform rental-cost minimization (Section 6)";
-      run =
-        (fun ~workload:_ ~quick ~seed ~jobs:_ ~exact:_ ~out_dir ->
-          ignore (Fig_cost.run ~out_dir ~seed ~graphs:(if quick then 2 else 8) ()));
-    };
+    table_fig "symmetric" "Extension B: Section 6 symmetric problems" ~quick:3
+      ~full:10 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
+        Fig_symmetric.run ~out_dir ~seed ~graphs ());
+    table_fig "ablation"
+      "Extension C: ablation of the implementation's mechanisms" ~quick:5
+      ~full:20 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_ablation.run ~out_dir ~seed ~jobs ~graphs ());
+    table_fig "pipeline" "Extension D: event-driven validation of the throughput"
+      ~quick:3 ~full:10 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
+        Fig_pipeline.run ~out_dir ~seed ~graphs ());
+    table_fig "optgap" "Extension F: optimality gap vs exact branch-and-bound"
+      ~quick:5 ~full:15 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
+        Fig_optgap.run ~out_dir ~seed ~graphs ());
+    table_fig "families" "Extension H: robustness across graph families"
+      ~quick:4 ~full:12 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
+        Fig_robustness.families ~out_dir ~seed ~graphs ());
+    table_fig "topology" "Extension G: sensitivity to the platform topology"
+      ~quick:4 ~full:12 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
+        Fig_robustness.topology ~out_dir ~seed ~graphs ());
+    table_fig "cost" "Extension E: platform rental-cost minimization (Section 6)"
+      ~quick:2 ~full:8 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
+        Fig_cost.run ~out_dir ~seed ~graphs ());
     {
       name = "recovery";
       description =
@@ -231,23 +201,14 @@ let all =
              event-driven one-port simulator so a latency profile also
              covers the sim.* metrics. *)
           let graphs = if quick then 3 else 10 in
-          let throughput = Paper_workload.throughput ~eps:1 in
+          let rltf = Fig_common.contender ~eps:1 Rltf.algo in
           let replayed = ref 0 in
           List.iter
             (fun rep ->
-              let rng = Rng.create ~seed:(seed + (7919 * rep)) in
-              let inst = Spec.generate Spec.default ~rng ~granularity:1.0 () in
-              let prob =
-                Types.problem ~dag:inst.Paper_workload.dag
-                  ~platform:inst.Paper_workload.plat ~eps:1 ~throughput
-              in
-              match
-                Rltf.schedule
-                  ~opts:Scheduler.(default |> with_mode Best_effort)
-                  prob
-              with
-              | Error _ -> ()
-              | Ok mapping ->
+              let rng, inst = Fig_common.rep_instance Spec.default ~seed ~rep in
+              match Fig_common.schedule rltf inst with
+              | None -> ()
+              | Some (mapping, _) ->
                   let prog = Engine.compile mapping in
                   ignore (Engine.simulate ~config:(Engine.Run.closed ~n_items:4 ()) prog);
                   ignore

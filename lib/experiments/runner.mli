@@ -27,7 +27,7 @@ type experiment = {
 val all : experiment list
 (** fig3a fig3b fig3c fig4a fig4b fig4c examples baselines complexity
     symmetric ablation pipeline optgap families topology cost recovery
-    convergence latency — in that order.  Every experiment runs under an
+    traffic faults convergence scaling latency — in that order.  Every experiment runs under an
     [exp.fig.<name>] span when {!Obs.enabled} is on; ["latency"]
     combines the fig3a sweep with an event-driven replay so one
     profiling run exercises the scheduler, the simulator and the sweep

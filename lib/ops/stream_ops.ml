@@ -371,48 +371,37 @@ let run ?(config = default_config) ~rng ~throughput m0 =
     if !clock >= config.horizon then ()
     else
       match timeline with
-      | [] -> (
-          match config.faults with
-          | None ->
-              (* Quiet tail: run out to the horizon and stop. *)
+      | [] ->
+          (* Quiet tail: run out to the horizon in review windows (one
+             window without fault injection) so the escalation policy
+             gets a periodic look at the exhaustion ledger.  A processor
+             that crossed the eviction threshold is evicted — a synthetic
+             fail-stop driven through the normal recovery chain at the
+             review instant. *)
+          let window =
+            match config.faults with
+            | None -> config.horizon
+            | Some fi -> fi.review_window
+          in
+          let rec quiet () =
+            if !clock < config.horizon then begin
               let t_start = !clock in
-              let n_items, capped, run_result =
-                play ~t_end:config.horizon ~crash_now:None
-              in
-              clock := config.horizon;
-              record_epoch ~t_start ~t_end:config.horizon ~crash:None
-                ~downtime:0.0 ~decision:Ran_clean ~run_result ~n_items ~capped
-                ~extra_lost:0
-          | Some fi ->
-              (* Faulty quiet tail: chunk into review windows so the
-                 escalation policy gets a periodic look at the exhaustion
-                 ledger.  A processor that crossed the eviction threshold
-                 is evicted — a synthetic fail-stop driven through the
-                 normal recovery chain at the review instant. *)
-              let rec quiet () =
-                if !clock < config.horizon then begin
-                  let t_start = !clock in
-                  let t_end =
-                    Float.min config.horizon (!clock +. fi.review_window)
-                  in
-                  let n_items, capped, run_result =
-                    play ~t_end ~crash_now:None
-                  in
-                  clock := t_end;
-                  record_epoch ~t_start ~t_end ~crash:None ~downtime:0.0
-                    ~decision:Ran_clean ~run_result ~n_items ~capped
-                    ~extra_lost:0;
-                  (match eviction_candidate () with
-                  | Some (orig_p, cur) ->
-                      incr evictions;
-                      Obs.incr "ops.evictions";
-                      Obs.with_span "ops.recovery.epoch" (fun () ->
-                          handle_crash ~orig_p ~t_c:!clock ~cur)
-                  | None -> ());
-                  quiet ()
-                end
-              in
-              quiet ())
+              let t_end = Float.min config.horizon (!clock +. window) in
+              let n_items, capped, run_result = play ~t_end ~crash_now:None in
+              clock := t_end;
+              record_epoch ~t_start ~t_end ~crash:None ~downtime:0.0
+                ~decision:Ran_clean ~run_result ~n_items ~capped ~extra_lost:0;
+              (match eviction_candidate () with
+              | Some (orig_p, cur) ->
+                  incr evictions;
+                  Obs.incr "ops.evictions";
+                  Obs.with_span "ops.recovery.epoch" (fun () ->
+                      handle_crash ~orig_p ~t_c:!clock ~cur)
+              | None -> ());
+              quiet ()
+            end
+          in
+          quiet ()
       | (orig_p, t_c) :: rest ->
           let cur = index_of orig_p in
           if cur < 0 || List.mem cur !down then

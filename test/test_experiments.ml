@@ -116,6 +116,32 @@ let output_tests =
         let s = Ascii_table.render ~header:[ "col"; "x" ] [ [ "a"; "1" ]; [ "long"; "2" ] ] in
         check_true "has rule" (contains s "---");
         check_true "rows present" (contains s "long"));
+    case "one column list renders the table and the csv" (fun () ->
+        let columns =
+          [
+            Fig_common.text "name" fst;
+            Fig_common.num "mean value" "mean" "%.1f" "%.3f" (fun (_, (v, _)) -> v);
+            Fig_common.count "hits" "hits" ~total:4 (fun (_, (_, n)) -> n);
+          ]
+        in
+        let rows = [ ("a", (1.25, 3)); ("b,c", (10.0, 0)) ] in
+        let path = Filename.temp_file "streamsched" ".csv" in
+        Fig_common.table ~path columns rows;
+        let csv = In_channel.with_open_bin path In_channel.input_all in
+        Sys.remove path;
+        Alcotest.(check string)
+          "csv" "name,mean,hits\na,1.250,3\n\"b,c\",10.000,0\n" csv;
+        Alcotest.(check string)
+          "shown cells"
+          "name  mean value  hits\n\
+           ----  ----------  ----\n\
+           a     1.2         3/4\n\
+           b,c   10.0        0/4\n"
+          (Ascii_table.render
+             ~header:(List.map (fun c -> c.Fig_common.head) columns)
+             (List.map
+                (fun r -> List.map (fun c -> c.Fig_common.show r) columns)
+                rows)));
     case "table pads ragged rows" (fun () ->
         let s = Ascii_table.render ~header:[ "a"; "b"; "c" ] [ [ "1" ] ] in
         check_true "renders" (String.length s > 0));
@@ -316,7 +342,8 @@ let fig_tests =
     slow_case "topology experiment covers every (topology, algorithm) pair"
       (fun () ->
         let rows =
-          Fig_topology.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2 ()
+          Fig_robustness.topology ~out_dir:(Filename.get_temp_dir_name ())
+            ~graphs:2 ()
         in
         check_int "six rows" 6 (List.length rows));
     slow_case "cost experiment keeps fractions within [0, 1]" (fun () ->
@@ -328,6 +355,35 @@ let fig_tests =
             let f = r.Fig_cost.cost_fraction.Stats.mean in
             check_true "fraction" (f > 0.0 && f <= 1.0 +. 1e-9))
           rows);
+    slow_case "table figures write pinned csvs" (fun () ->
+        (* Digests recorded before the table figures shared one writer
+           and one robustness sweep: the refactor must not move a byte. *)
+        let out_dir = Filename.temp_dir "streamsched" "tables" in
+        ignore (Fig_baselines.run ~out_dir ~graphs:2 ());
+        ignore (Fig_symmetric.run ~out_dir ~graphs:1 ());
+        ignore (Fig_cost.run ~out_dir ~graphs:1 ());
+        ignore (Fig_ablation.run ~out_dir ~graphs:2 ());
+        ignore (Fig_pipeline.run ~out_dir ~graphs:2 ());
+        ignore (Fig_optgap.run ~out_dir ~graphs:2 ());
+        ignore (Fig_robustness.families ~out_dir ~graphs:2 ());
+        ignore (Fig_robustness.topology ~out_dir ~graphs:2 ());
+        List.iter
+          (fun (file, digest) ->
+            let path = Filename.concat out_dir file in
+            Alcotest.(check string) file digest
+              (Digest.to_hex (Digest.file path));
+            Sys.remove path)
+          [
+            ("fig-baselines.csv", "f0df3969b27564c3bcb7cab08f48a363");
+            ("fig-symmetric.csv", "90f4a316e4565f1db96c017b4afa8abe");
+            ("fig-cost.csv", "1ac7bdc1e2b9746e489d4cb90890774b");
+            ("fig-ablation.csv", "b9a340d79f855ab1eaca838cd4b26ec4");
+            ("fig-pipeline.csv", "5ba4dd02880047adccc0b505758ce740");
+            ("fig-optgap.csv", "13e5297e01d0fc832c0144d923a5daf7");
+            ("fig-families.csv", "b1fec7801b9d2b11d0cef3a6242196e7");
+            ("fig-topology.csv", "c398cdd416399895ab8fdadd81eb8862");
+          ];
+        Sys.rmdir out_dir);
     case "paper examples produce comparable rows" (fun () ->
         check_int "fig1 rows" 3 (List.length (Paper_examples.fig1 ()));
         check_int "fig2 rows" 4 (List.length (Paper_examples.fig2 ())));
