@@ -36,7 +36,6 @@ type t = {
 
 let mapping t = t.t_graph.mapping
 let procs t = t.t_graph.procs
-let cut_card_horizon t = t.t_max_card
 
 (* ---- antichain algebra ------------------------------------------------ *)
 
@@ -432,15 +431,6 @@ let depth_distribution ?(enumerate_below = default_enumeration_budget) t model
   match enumerable t ~budget:enumerate_below model with
   | Some c -> snd (uniform_enumeration t ~crashes:c)
   | None -> depth_distribution_by_families t model
-
-let expected_depth ?enumerate_below t model =
-  let dist = depth_distribution ?enumerate_below t model in
-  let mass = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 dist in
-  if mass <= 0.0 then None
-  else
-    Some
-      (List.fold_left (fun acc (d, p) -> acc +. (float_of_int d *. p)) 0.0 dist
-      /. mass)
 
 let latency_of_depth ~throughput d =
   float_of_int ((2 * d) - 1) /. throughput

@@ -83,10 +83,6 @@ val analyze : ?max_cut_card:int -> Mapping.t -> t
 val mapping : t -> Mapping.t
 val procs : t -> int
 
-val cut_card_horizon : t -> int
-(** The [max_cut_card] the analysis was built with ([max_int] when
-    unbounded). *)
-
 val defeat_cut_sets : t -> Bitset.t list
 (** The minimal failure sets that defeat the schedule, as a canonically
     ordered antichain (cuts larger than the horizon pruned).  Empty when
@@ -118,10 +114,6 @@ val depth_distribution :
     [(d, P(depth = d))] with [d] increasing and only strictly positive
     masses listed.  The masses sum to [survival_probability] (defeat holds
     the rest).  Strategy choice and raises as {!defeat_probability}. *)
-
-val expected_depth : ?enumerate_below:int -> t -> model -> float option
-(** Mean depth conditioned on survival; [None] when the schedule is
-    defeated with probability 1. *)
 
 val latency_distribution :
   ?enumerate_below:int -> t -> throughput:float -> model ->

@@ -20,39 +20,48 @@ type estimate = {
 
 (* ---- the latency models ------------------------------------------------ *)
 
-(* A source resolved to its latency model: the mapping it evaluates and a
-   per-worker replay of one failure set.  [replayer ()] allocates the
-   worker's scratch — an engine arena, nothing for the stage model — so a
-   draw loop calls it once and replays through the result. *)
-type model = {
-  mapping : Mapping.t;
-  replayer : unit -> Platform.proc list -> float option;
-}
+(* A source resolved to its latency model.  Both read one replica graph:
+   the engine's is the one [Engine.compile] built the program from. *)
+type model =
+  | Engine_model of Engine.program
+  | Stage_model of { plan : Replica_graph.t; throughput : float }
+
+let model_of = function
+  | Of_mapping m -> Engine_model (Program_cache.program m)
+  | Of_program p -> Engine_model p
+  | Of_stages { plan; throughput } -> Stage_model { plan; throughput }
+
+let graph_of = function
+  | Engine_model p -> Engine.program_graph p
+  | Stage_model { plan; _ } -> plan
 
 (* One closed item with the message log off: the engine's crash draw. *)
 let replay_config = Engine.Run.without_messages (Engine.Run.closed ())
 
-let engine_model p =
-  {
-    mapping = Engine.program_mapping p;
-    replayer =
-      (fun () ->
-        let state = Engine.Run_state.create p in
-        fun failed ->
-          (Engine.simulate ~state ~config:{ replay_config with failed } p)
-            .item_latency.(0));
-  }
+(* [engine_replay p ()] allocates one worker's arena and returns the
+   replay of a failure set through it. *)
+let engine_replay p () =
+  let state = Engine.Run_state.create p in
+  fun failed ->
+    (Engine.simulate ~state ~config:{ replay_config with failed } p)
+      .item_latency.(0)
 
-let model_of = function
-  | Of_mapping m -> engine_model (Program_cache.program m)
-  | Of_program p -> engine_model p
-  | Of_stages { plan; throughput } ->
-      {
-        mapping = plan.Replica_graph.mapping;
-        replayer =
-          (fun () failed ->
-            Stage_latency.latency_of_plan ~failed plan ~throughput);
-      }
+(* The replay of a set the cut predicate says survives.  The predicate and
+   the engine apply one liveness rule, so a defeat here is a bug in one of
+   them — never a draw to count as defeated. *)
+let survivor_replay p () =
+  let replay = engine_replay p () in
+  fun failed ->
+    match replay failed with
+    | Some latency -> latency
+    | None ->
+        failwith
+          (Printf.sprintf
+             "Crash.estimate: the engine defeated failure set {%s}, which \
+              Replica_graph.depth says survives"
+             (String.concat ", " (List.map string_of_int failed)))
+
+let predicate_defeats graph failed = Replica_graph.depth ~failed graph = None
 
 (* ---- shared internals -------------------------------------------------- *)
 
@@ -78,11 +87,11 @@ let int_binom n k =
     !r
   end
 
-(* Every one of the choose (m, c) failure sets replayed: the exact
+(* Every one of the choose (m, c) failure sets evaluated: the exact
    analogue of the sampled mean under the model's own latency semantics,
    with the enumeration count as the only cost knob.  Returns
    (evaluations, defeated, survivors' latency sum, survivors). *)
-let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes replay =
+let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes evaluate =
   let total = int_binom n_procs crashes in
   if total > max_evaluations then
     invalid_arg "Crash.estimate: exact enumeration over budget";
@@ -90,7 +99,7 @@ let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes replay =
   (* next processor to pick >= [from]; [chosen] in decreasing order *)
   let rec go chosen from remaining =
     if remaining = 0 then begin
-      match replay (List.rev chosen) with
+      match evaluate (List.rev chosen) with
       | Some l ->
           sum := !sum +. l;
           incr survivors
@@ -104,12 +113,89 @@ let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes replay =
   go [] 0 crashes;
   (total, !defeated, !sum, !survivors)
 
-(* Draws are processed in fixed-size chunks whose partial sums are folded
-   in chunk-index order.  The chunking is a function of the draw count
-   alone — never of the worker count — so the float-addition order (and
-   therefore the estimate, bitwise) is the same at every [jobs], and
-   [jobs = 1] takes the very same fold. *)
+(* Draws are folded in fixed-size chunks: each chunk's sum starts at 0.0
+   and the chunk sums are folded in chunk-index order.  The chunking is a
+   function of the draw count alone — never of the worker count or of
+   which draws were replayed — so the float-addition order (and therefore
+   the estimate, bitwise) is the same at every [jobs]. *)
 let chunk_size = 32
+
+(* [fresh ()] applied once per chunk-sized slice of [xs], the slices
+   fanned out over the domains: the per-worker scratch (an engine arena)
+   is allocated once per slice.  Each element is evaluated under a
+   [sim.crash.sample] span. *)
+let map_chunks ?pool ~jobs fresh xs =
+  let n = Array.length xs in
+  Parallel.map_seeded ?pool ~jobs
+    (fun lo ->
+      let evaluate = fresh () in
+      Array.init (min chunk_size (n - lo)) (fun k ->
+          Obs.with_span "sim.crash.sample" (fun () -> evaluate xs.(lo + k))))
+    (List.init ((n + chunk_size - 1) / chunk_size) (fun ci -> ci * chunk_size))
+  |> Array.concat
+
+(* Failure sets keyed by their canonical packed form, so a set drawn in
+   any order finds its one replay. *)
+module Set_table = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = Bitset.equal
+  let hash = Hashtbl.hash
+end)
+
+(* The latency of every draw, [None] when it defeats the mapping.  Stage
+   draws are evaluated directly.  Engine draws are judged by the cut
+   predicate first; each distinct surviving set is then replayed once and
+   its latency shared by every draw of that set. *)
+let draw_latencies ?pool ~jobs model sets =
+  match model with
+  | Stage_model { plan; throughput } ->
+      map_chunks ?pool ~jobs
+        (fun () failed ->
+          Stage_latency.latency_of_plan ~failed plan ~throughput)
+        sets
+  | Engine_model p ->
+      let graph = Engine.program_graph p in
+      let index = Set_table.create 64 and distinct = ref [] in
+      let slot =
+        Array.map
+          (fun failed ->
+            if predicate_defeats graph failed then -1
+            else begin
+              let key = Bitset.of_list failed in
+              match Set_table.find_opt index key with
+              | Some s -> s
+              | None ->
+                  let s = Set_table.length index in
+                  Set_table.add index key s;
+                  distinct := failed :: !distinct;
+                  s
+            end)
+          sets
+      in
+      let replayed =
+        map_chunks ?pool ~jobs (survivor_replay p)
+          (Array.of_list (List.rev !distinct))
+      in
+      Array.map (fun s -> if s < 0 then None else Some replayed.(s)) slot
+
+let fold_chunks latencies =
+  let n = Array.length latencies in
+  let total = ref 0.0 and count = ref 0 in
+  let lo = ref 0 in
+  while !lo < n do
+    let chunk = ref 0.0 in
+    for i = !lo to min n (!lo + chunk_size) - 1 do
+      match latencies.(i) with
+      | Some l ->
+          chunk := !chunk +. l;
+          incr count
+      | None -> ()
+    done;
+    total := !total +. !chunk;
+    lo := !lo + chunk_size
+  done;
+  (!total, !count)
 
 let mean_of total count =
   if count = 0 then None else Some (total /. float_of_int count)
@@ -130,11 +216,19 @@ let validate ~n_procs = function
 
 let estimate ?pool ?(jobs = 1) ~source ~method_ () =
   let model = model_of source in
-  let n_procs = Platform.size (Mapping.platform model.mapping) in
+  let graph = graph_of model in
+  let n_procs = graph.Replica_graph.procs in
   validate ~n_procs method_;
   match method_ with
   | Fixed failed ->
-      let latency = model.replayer () failed in
+      (* Always a plain replay, never short-circuited by the predicate:
+         the engine oracle the tests compare the predicate against. *)
+      let latency =
+        match model with
+        | Engine_model p -> engine_replay p () failed
+        | Stage_model { plan; throughput } ->
+            Stage_latency.latency_of_plan ~failed plan ~throughput
+      in
       let defeated = latency = None in
       {
         est_crashes = List.length failed;
@@ -146,44 +240,23 @@ let estimate ?pool ?(jobs = 1) ~source ~method_ () =
         est_failed = failed;
       }
   | Sampled { crashes; draws; rng } ->
-      (* One child generator per draw, split off up front: draw [i]'s
-         failure set depends only on the caller's seed and [i] (common
-         random numbers), so growing [draws] extends the draw sequence
-         without disturbing its prefix, and workers need no shared RNG. *)
-      let seeds = Array.init draws (fun _ -> Rng.split rng) in
-      let n_chunks = (draws + chunk_size - 1) / chunk_size in
-      let run_chunk ci =
-        let replay = model.replayer () in
-        let lo = ci * chunk_size in
-        let hi = min draws (lo + chunk_size) in
-        let total = ref 0.0 and count = ref 0 and defeated = ref 0 in
-        let last = ref [] in
-        for i = lo to hi - 1 do
-          Obs.with_span "sim.crash.sample" (fun () ->
-              Obs.incr "sim.crash.draws";
-              Obs.touch "sim.crash.defeats";
-              let failed =
-                draw_distinct seeds.(i) ~count:crashes ~bound:n_procs
-              in
-              (match replay failed with
-              | Some l ->
-                  total := !total +. l;
-                  incr count
-              | None ->
-                  Obs.incr "sim.crash.defeats";
-                  incr defeated);
-              last := failed)
-        done;
-        (!total, !count, !defeated, !last)
+      (* One child generator per draw: draw [i]'s failure set depends
+         only on the caller's seed and [i] (common random numbers), so
+         growing [draws] extends the draw sequence without disturbing its
+         prefix. *)
+      let sets =
+        Array.init draws (fun _ ->
+            draw_distinct (Rng.split rng) ~count:crashes ~bound:n_procs)
       in
-      let partials =
-        Parallel.map_seeded ?pool ~jobs run_chunk (List.init n_chunks Fun.id)
-      in
-      let total, count, defeated, last =
-        List.fold_left
-          (fun (t, c, d, _) (t', c', d', l') -> (t +. t', c + c', d + d', l'))
-          (0.0, 0, 0, []) partials
-      in
+      let latencies = draw_latencies ?pool ~jobs model sets in
+      Array.iter
+        (fun latency ->
+          Obs.incr "sim.crash.draws";
+          Obs.touch "sim.crash.defeats";
+          if Option.is_none latency then Obs.incr "sim.crash.defeats")
+        latencies;
+      let total, count = fold_chunks latencies in
+      let defeated = draws - count in
       {
         est_crashes = crashes;
         est_draws = draws;
@@ -193,17 +266,20 @@ let estimate ?pool ?(jobs = 1) ~source ~method_ () =
           (if draws = 0 then nan
            else float_of_int defeated /. float_of_int draws);
         est_mean = mean_of total count;
-        est_failed = last;
+        est_failed = (if draws = 0 then [] else sets.(draws - 1));
       }
   | Exact { crashes; max_evaluations } ->
       Obs.with_span "sim.crash.exact" (fun () ->
-          match source with
-          | Of_stages { throughput; _ } ->
+          match model with
+          | Stage_model { plan; throughput } ->
               (* Fully analytic: the cut-set calculus answers both the
                  defeat probability and the conditional mean of
                  (2 S_eff - 1)/T, with the cut horizon pinned to the crash
                  count so families stay small.  Nothing is replayed. *)
-              let t = Reliability.analyze ~max_cut_card:crashes model.mapping in
+              let t =
+                Reliability.analyze ~max_cut_card:crashes
+                  plan.Replica_graph.mapping
+              in
               let uniform = Reliability.Uniform_crashes crashes in
               {
                 est_crashes = crashes;
@@ -214,9 +290,14 @@ let estimate ?pool ?(jobs = 1) ~source ~method_ () =
                 est_mean = Reliability.expected_latency t ~throughput uniform;
                 est_failed = [];
               }
-          | Of_mapping _ | Of_program _ ->
+          | Engine_model p ->
+              (* The predicate settles defeated sets; only survivors are
+                 replayed, in enumeration order through one arena. *)
+              let replay = survivor_replay p () in
               let total, defeated, sum, survivors =
-                enumerate ?max_evaluations ~n_procs ~crashes (model.replayer ())
+                enumerate ?max_evaluations ~n_procs ~crashes (fun failed ->
+                    if predicate_defeats graph failed then None
+                    else Some (replay failed))
               in
               {
                 est_crashes = crashes;

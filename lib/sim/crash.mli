@@ -30,7 +30,10 @@ type source =
 (** How to evaluate it. *)
 type method_ =
   | Fixed of Platform.proc list
-      (** one deterministic replay with exactly these processors failed *)
+      (** one deterministic replay with exactly these processors failed.
+          Never short-circuited: an engine source always runs the engine,
+          even when the cut predicate could answer, so [Fixed] stays the
+          independent oracle the predicate is tested against. *)
   | Sampled of { crashes : int; draws : int; rng : Rng.t }
       (** [draws] independent uniform draws of [crashes] distinct
           processors, replayed through the source's model.  [rng] is consumed
@@ -38,15 +41,18 @@ type method_ =
           draw [i] depends on the caller's seed and [i] alone (common
           random numbers), so growing [draws] extends the sequence
           without disturbing its prefix, and the draws parallelize.
-          Each draw records the [sim.crash.draws] / [sim.crash.defeats]
-          counters under a [sim.crash.sample] span. *)
+          Each draw counts once in [sim.crash.draws], and once in
+          [sim.crash.defeats] when it defeats the mapping.  A
+          [sim.crash.sample] span wraps each evaluation: one stage-model
+          draw, or one engine replay of a distinct surviving set. *)
   | Exact of { crashes : int; max_evaluations : int option }
       (** the exact expectation over all [choose (m, crashes)] failure
-          sets, under a [sim.crash.exact] span.  Engine sources replay
-          every set, [max_evaluations] (default 1_000_000) bounding the
-          enumeration; [Of_stages] answers through the {!Reliability}
-          calculus instead, replays nothing and ignores
-          [max_evaluations]. *)
+          sets, under a [sim.crash.exact] span.  Engine sources
+          enumerate every set, [max_evaluations] (default 1_000_000)
+          bounding the enumeration; the cut predicate settles the
+          defeated sets and only the survivors are replayed.
+          [Of_stages] answers through the {!Reliability} calculus
+          instead, replays nothing and ignores [max_evaluations]. *)
 
 type estimate = {
   est_crashes : int;  (** failure-set cardinality of the method *)
@@ -54,7 +60,9 @@ type estimate = {
       (** random draws consumed: [Sampled] draws; [0] for [Fixed] /
           [Exact] (deterministic) *)
   est_evaluations : int;
-      (** replays performed ([0] for [Of_stages] under [Exact]) *)
+      (** failure sets evaluated — [Sampled] draws, [Exact] sets, [1]
+          for [Fixed]; [0] for [Of_stages] under [Exact].  Not a count
+          of engine replays, which skip defeated and repeated sets. *)
   est_defeated : int;  (** evaluations that defeated the schedule *)
   est_p_defeat : float;
       (** defeat probability: exact under [Exact], the Monte-Carlo
@@ -84,19 +92,27 @@ val estimate :
     the same mapping content skip even that; pass [Of_program] to hold
     the program yourself.
 
-    [Sampled] draws run through one reusable {!Engine.Run_state} arena
-    per worker (zero per-draw slab allocation) and fan out across
-    domains: [?jobs] (default 1) spawns a {!Domain_pool} of that size
-    for the call, [?pool] reuses a caller-owned pool instead (taking
+    An engine-source [Sampled] estimate works in three steps.  It draws
+    every failure set from the per-draw seeds; it decides defeat per
+    draw with the cut predicate ({!Replica_graph.depth} on the program's
+    graph returning [None]); and it replays each {e distinct} surviving
+    set once, through one reusable {!Engine.Run_state} arena per
+    worker, fanned out across domains.  The per-draw latencies are then
+    folded in fixed 32-draw chunks in draw order.  [Of_stages] draws
+    evaluate the plan directly, fanned out the same way, and need no
+    arena.  [?jobs] (default 1) spawns a {!Domain_pool} of that size for
+    the call; [?pool] reuses a caller-owned pool instead (taking
     precedence over [jobs]).  The estimate is {e bit-identical} at every
-    worker count: draws use per-draw child seeds and the partial sums
+    worker count: draws use per-draw child seeds and the chunked sums
     merge in draw order, so parallelism changes wall-clock, never the
-    result.  [Of_stages] draws replay the plan directly and need no
-    arena.  [Fixed] and [Exact] ignore [jobs] (a [Fixed] replay is one
+    result.  [Fixed] and [Exact] ignore [jobs] (a [Fixed] replay is one
     run; [Exact] enumerates sequentially through one arena).
 
     Inputs are checked up front, for every source, before anything runs.
     @raise Invalid_argument (naming [Crash.estimate]) if the mapping is
     incomplete, a [Fixed] processor is outside [0, m), [crashes] is
     outside [0, m] (even with [draws = 0]), [draws < 0], or an engine
-    [Exact] enumeration exceeds its [max_evaluations] budget. *)
+    [Exact] enumeration exceeds its [max_evaluations] budget.
+    @raise Failure (naming [Crash.estimate]) if the engine defeats a
+    failure set the cut predicate says survives — the two disagree on
+    the liveness rule, which is a bug, never a defeat to count. *)

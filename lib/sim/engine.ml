@@ -91,10 +91,14 @@ type program = {
   p_entries : int array;
   p_exits : int array;
   p_period : float;  (* the mapping's achieved period (default period) *)
+  p_graph : Replica_graph.t;
+      (* the replica graph the tables above were built from; the event
+         loop reads the flat fields, never this *)
 }
 
 let program_mapping p = p.p_mapping
 let program_period p = p.p_period
+let program_graph p = p.p_graph
 
 let compile m =
   if not (Mapping.is_complete m) then
@@ -190,6 +194,7 @@ let compile m =
     p_entries = Array.of_list (Dag.entries dag);
     p_exits = g.exits;
     p_period = Metrics.period m;
+    p_graph = g;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -135,6 +135,11 @@ val program_period : program -> float
 (** The mapping's achieved period, cached at compile time; equals
     [Metrics.period (program_mapping p)]. *)
 
+val program_graph : program -> Replica_graph.t
+(** The replica graph {!compile} built the program from, kept so callers
+    that need the liveness rule ({!Replica_graph.depth}) pay no second
+    compile. *)
+
 (** The one run-scenario record: traffic (closed or open), failures,
     epoch snapshot and fault model for a single {!simulate} call. *)
 module Run : sig

@@ -253,6 +253,41 @@ let purity_tests =
               (match Obs.Registry.histogram reg "sim.heap_size" with
               | Some h -> h.Obs.Registry.max >= 1.0
               | None -> false)));
+    case "an all-defeated engine estimate still counts every draw" (fun () ->
+        (* An unreplicated chain across all three processors: the cut
+           predicate defeats every single-crash draw, so nothing is
+           replayed, yet each draw is counted once as drawn and once as
+           defeated. *)
+        let m =
+          Mapping.create ~dag:Fixtures.chain3 ~platform:(Fixtures.uniform 3)
+            ~eps:0
+        in
+        let rep task = { Replica.task; copy = 0 } in
+        List.iter
+          (fun task ->
+            Mapping.assign m
+              {
+                Replica.id = rep task;
+                proc = task;
+                sources =
+                  (if task = 0 then [] else [ (task - 1, [ rep (task - 1) ]) ]);
+              })
+          [ 0; 1; 2 ];
+        let program = Engine.compile m in
+        with_obs (fun () ->
+            let e =
+              Crash.estimate ~source:(Crash.Of_program program)
+                ~method_:
+                  (Crash.Sampled
+                     { crashes = 1; draws = 8; rng = Rng.create ~seed:5 })
+                ()
+            in
+            let reg = Obs.snapshot () in
+            check_int "all defeated" 8 e.Crash.est_defeated;
+            check_int "draws" 8 (Obs.Registry.counter reg "sim.crash.draws");
+            check_int "defeats" 8
+              (Obs.Registry.counter reg "sim.crash.defeats");
+            check_int "no replay ran" 0 (Obs.Registry.counter reg "sim.runs")));
     case "collect under a domain pool folds worker registries" (fun () ->
         let config =
           {

@@ -425,8 +425,11 @@ let prop_closed_form_agrees =
           Float.abs (p -. Reliability.defeat_probability t (Reliability.Independent pfail))
           <= 1e-12)
 
-(* The three exact surfaces agree: the estimator's engine enumeration,
-   its analytic stage-model answer, and the raw calculus. *)
+(* The exact surfaces agree: the estimator's engine enumeration, its
+   analytic stage-model answer, the raw calculus, and an enumeration of
+   every failure set through [Crash.Fixed].  The engine enumeration takes
+   its defeat verdicts from [Replica_graph.depth]; the [Fixed] replays
+   never consult it, so they stay the predicate-independent side. *)
 let prop_exact_siblings_agree =
   QCheck.Test.make ~name:"Crash and Stage_latency exact siblings agree"
     ~count:20
@@ -456,9 +459,41 @@ let prop_exact_siblings_agree =
             let t = Reliability.analyze ~max_cut_card:c m in
             Reliability.defeat_probability t (Reliability.Uniform_crashes c)
           in
+          let fixed =
+            let program = Engine.compile m in
+            let n_procs = Platform.size prob.Types.platform in
+            List.filter_map
+              (fun mask ->
+                if popcount mask <> c then None
+                else
+                  Some
+                    (Crash.estimate ~source:(Crash.Of_program program)
+                       ~method_:(Crash.Fixed (subset_of_mask ~m:n_procs mask))
+                       ())
+                      .Crash.est_mean)
+              (List.init (1 lsl n_procs) Fun.id)
+          in
+          let fixed_survivors = List.filter_map Fun.id fixed in
+          let fixed_p_defeat =
+            float_of_int (List.length fixed - List.length fixed_survivors)
+            /. float_of_int (List.length fixed)
+          in
+          let fixed_mean =
+            match fixed_survivors with
+            | [] -> None
+            | ls ->
+                Some
+                  (List.fold_left ( +. ) 0.0 ls
+                  /. float_of_int (List.length ls))
+          in
           Float.abs (engine.Crash.est_p_defeat -. stage.Crash.est_p_defeat)
           <= 1e-9
           && Float.abs (engine.Crash.est_p_defeat -. calculus) <= 1e-9
+          && Float.abs (engine.Crash.est_p_defeat -. fixed_p_defeat) <= 1e-9
+          && (match (engine.Crash.est_mean, fixed_mean) with
+             | None, None -> true
+             | Some a, Some b -> Float.abs (a -. b) <= 1e-9 *. Float.abs b
+             | _ -> false)
           && (stage.Crash.est_mean = None) = (engine.Crash.est_mean = None))
 
 (* ------------------------------------------------------------------ *)

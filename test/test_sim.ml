@@ -1082,6 +1082,121 @@ let estimate_fingerprint (e : Crash.estimate) =
     (match e.Crash.est_mean with None -> "-" | Some v -> Printf.sprintf "%h" v)
     (String.concat "," (List.map string_of_int e.Crash.est_failed))
 
+(* A per-draw reference for the engine estimator, which judges defeat with
+   the cut predicate and replays each distinct surviving set once.  Here
+   every failure set goes through [Crash.Fixed] — the engine alone, with
+   no predicate — and the estimate is assembled by hand. *)
+let fixed_latency_of program failed =
+  (Crash.estimate ~source:(Crash.Of_program program)
+     ~method_:(Crash.Fixed failed) ())
+    .Crash.est_mean
+
+let estimate_of_latencies ~crashes ~draws ~evaluations ~failed
+    (total, survivors) =
+  let defeated = evaluations - survivors in
+  {
+    Crash.est_crashes = crashes;
+    est_draws = draws;
+    est_evaluations = evaluations;
+    est_defeated = defeated;
+    est_p_defeat =
+      (if evaluations = 0 then nan
+       else float_of_int defeated /. float_of_int evaluations);
+    est_mean =
+      (if survivors = 0 then None
+       else Some (total /. float_of_int survivors));
+    est_failed = failed;
+  }
+
+(* Draw [k]'s set comes from the prefix property (an estimate over [k + 1]
+   draws reports it as [est_failed]); the latencies are folded in 32-draw
+   chunks, each summed from 0.0, the chunk sums folded in order. *)
+let sampled_reference program ~crashes ~draws ~seed =
+  let sampled draws =
+    Crash.Sampled { crashes; draws; rng = Rng.create ~seed }
+  in
+  let sets =
+    Array.init draws (fun k ->
+        (Crash.estimate ~source:(Crash.Of_program program)
+           ~method_:(sampled (k + 1)) ())
+          .Crash.est_failed)
+  in
+  let total = ref 0.0 and chunk = ref 0.0 and survivors = ref 0 in
+  Array.iteri
+    (fun k failed ->
+      (match fixed_latency_of program failed with
+      | Some l ->
+          chunk := !chunk +. l;
+          incr survivors
+      | None -> ());
+      if (k + 1) mod 32 = 0 || k = draws - 1 then begin
+        total := !total +. !chunk;
+        chunk := 0.0
+      end)
+    sets;
+  estimate_of_latencies ~crashes ~draws ~evaluations:draws
+    ~failed:(if draws = 0 then [] else sets.(draws - 1))
+    (!total, !survivors)
+
+(* Every [crashes]-subset of [0, n_procs) in lexicographic order, the
+   survivors' latencies summed in that order. *)
+let exact_reference program ~n_procs ~crashes =
+  let rec subsets from c =
+    if c = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun u -> List.map (List.cons u) (subsets (u + 1) (c - 1)))
+        (List.init (max 0 (n_procs - c - from + 1)) (fun i -> from + i))
+  in
+  let sets = subsets 0 crashes in
+  let total, survivors =
+    List.fold_left
+      (fun (total, survivors) failed ->
+        match fixed_latency_of program failed with
+        | Some l -> (total +. l, survivors + 1)
+        | None -> (total, survivors))
+      (0.0, 0) sets
+  in
+  estimate_of_latencies ~crashes ~draws:0 ~evaluations:(List.length sets)
+    ~failed:[] (total, survivors)
+
+(* The engine estimator at [jobs] 1 and 2 ([Sampled]) and its [Exact]
+   enumeration, each against its reference, compared bitwise. *)
+let check_against_reference program ~n_procs ~crashes ~draws ~seed =
+  let expected =
+    estimate_fingerprint (sampled_reference program ~crashes ~draws ~seed)
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "sampled c=%d draws=%d -j %d" crashes draws jobs)
+        expected
+        (estimate_fingerprint
+           (Crash.estimate ~jobs ~source:(Crash.Of_program program)
+              ~method_:
+                (Crash.Sampled { crashes; draws; rng = Rng.create ~seed })
+              ())))
+    [ 1; 2 ];
+  if crashes <= 2 || crashes = n_procs then
+    Alcotest.(check string)
+      (Printf.sprintf "exact c=%d" crashes)
+      (estimate_fingerprint (exact_reference program ~n_procs ~crashes))
+      (estimate_fingerprint
+         (Crash.estimate ~source:(Crash.Of_program program)
+            ~method_:(Crash.Exact { crashes; max_evaluations = None })
+            ()))
+
+(* An R-LTF mapping of the paper instance of [seed] at [eps]. *)
+let paper_program ~seed ~eps =
+  let inst = Fixtures.paper_instance ~seed () in
+  let m =
+    Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+      (Types.problem ~dag:inst.Paper_workload.dag
+         ~platform:inst.Paper_workload.plat ~eps
+         ~throughput:(Paper_workload.throughput ~eps))
+  in
+  (Engine.compile m, Platform.size inst.Paper_workload.plat)
+
 let chain_mapping exec =
   let dag = Classic.chain ~n:2 ~exec ~volume:1.0 in
   let m = Mapping.create ~dag ~platform:(Fixtures.uniform 2) ~eps:0 in
@@ -1091,6 +1206,38 @@ let chain_mapping exec =
 
 let arena_cache_tests =
   [
+    case "engine estimates equal the per-draw Fixed reference (QCheck)"
+      (fun () ->
+        let prop seed =
+          let eps = seed mod 3 in
+          let program, n_procs = paper_program ~seed ~eps in
+          check_against_reference program ~n_procs
+            ~crashes:(1 + (seed / 3 mod (eps + 2)))
+            ~draws:(seed mod 45) ~seed:(seed + 1);
+          true
+        in
+        QCheck.Test.check_exn
+          (QCheck.Test.make ~count:6 ~name:"estimate-matches-reference"
+             QCheck.(int_range 0 10_000)
+             prop));
+    case "engine estimates equal the reference at the edges" (fun () ->
+        let program, n_procs = paper_program ~seed:7 ~eps:1 in
+        (* no crashes: one distinct surviving set *)
+        check_against_reference program ~n_procs ~crashes:0 ~draws:40 ~seed:3;
+        (* no draws: a nan defeat rate *)
+        check_against_reference program ~n_procs ~crashes:2 ~draws:0 ~seed:3;
+        (* every processor down: every draw defeated *)
+        check_against_reference program ~n_procs ~crashes:n_procs ~draws:33
+          ~seed:3;
+        let all_down =
+          Crash.estimate ~source:(Crash.Of_program program)
+            ~method_:
+              (Crash.Sampled
+                 { crashes = n_procs; draws = 33; rng = Rng.create ~seed:3 })
+            ()
+        in
+        check_float "certain defeat" 1.0 all_down.Crash.est_p_defeat;
+        check_true "no mean" (all_down.Crash.est_mean = None));
     case "parallel estimate is bit-identical at -j1/-j2/-j4 (QCheck)" (fun () ->
         let prop seed =
           let inst = Fixtures.paper_instance ~seed () in
