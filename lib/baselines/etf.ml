@@ -8,11 +8,7 @@ type schedule = {
 let run dag plat =
   let n = Dag.size dag in
   let priority =
-    Levels.bottom dag
-      {
-        Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-        Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-      }
+    Levels.bottom dag (Metrics.paper_weights dag plat)
   in
   let assignment = Array.make n 0 in
   let start = Array.make n 0.0 and finish = Array.make n 0.0 in

@@ -5,19 +5,13 @@ type schedule = {
   makespan : float;
 }
 
-let averaged_weights dag plat =
-  {
-    Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-    Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-  }
-
 (* Insertion-based earliest start on a processor's committed slots. *)
 let earliest_slot slots ~ready ~duration =
   Timeline.earliest_fit slots ~ready ~duration
 
 let run dag plat =
   let n = Dag.size dag in
-  let rank = Levels.bottom dag (averaged_weights dag plat) in
+  let rank = Levels.bottom dag (Metrics.paper_weights dag plat) in
   let order =
     List.init n Fun.id
     |> List.sort (fun a b ->

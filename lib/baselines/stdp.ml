@@ -7,12 +7,7 @@ type result = {
 
 let run dag plat ~throughput =
   let cap = Hary.load_cap plat ~throughput in
-  let weights =
-    {
-      Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-      Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-    }
-  in
+  let weights = Metrics.paper_weights dag plat in
   (* Earliest time = top level; latest = critical path length - bottom
      level (so latest - earliest is the task's slack). *)
   let earliest = Levels.top dag weights in

@@ -1,11 +1,6 @@
 let run dag plat ~throughput =
   let cap = Hary.load_cap plat ~throughput in
-  let weights =
-    {
-      Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-      Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-    }
-  in
+  let weights = Metrics.paper_weights dag plat in
   let clusters = Clustering.create dag in
   (* Phase 1: unlimited-processor clustering — zero the heaviest edges
      while the throughput cap holds. *)

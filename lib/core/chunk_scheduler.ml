@@ -97,67 +97,57 @@ let singleton_data state count task =
   { ct_task = task; ct_z = 0; ct_theta = theta; ct_claimed = State.Pset.empty;
     ct_heads = heads }
 
+(* The incumbent of a placement step: the best trial offered so far and
+   its selection key (penalty, then the rank score). *)
+type incumbent = {
+  i_penalty : float;
+  i_primary : float;
+  i_secondary : float;
+  i_trial : State.trial;
+}
+
 (* Incremental form of the historical pick-best fold: [offer] feeds
    admitted trials in their generation order (ascending processor, then
    variant order), keeping the winner under (penalty, rank) with ties
    broken by processor index — the same winner the materialize-then-fold
-   version selected. *)
-let offer ~(mode : Sched_api.mode) ~rank state best trial =
-  let penalty =
-    match mode with Strict -> 0.0 | Best_effort -> State.overload state trial
+   version selected.  The key is compared one float at a time, with the
+   lexicographic [<]/[=] of the tuple it replaces. *)
+let offer ~rank state best ~penalty trial =
+  let primary, secondary = rank.score state trial in
+  let wins =
+    match !best with
+    | None -> true
+    | Some b ->
+        penalty < b.i_penalty
+        || penalty = b.i_penalty
+           && (primary < b.i_primary
+              || primary = b.i_primary
+                 && (secondary < b.i_secondary
+                    || secondary = b.i_secondary
+                       && trial.State.t_proc < b.i_trial.State.t_proc))
   in
-  let key = (penalty, rank.score state trial) in
-  match !best with
-  | Some (best_key, best_trial) ->
-      if
-        key < best_key
-        || (key = best_key && trial.State.t_proc < best_trial.State.t_proc)
-      then best := Some (key, trial)
-  | None -> best := Some (key, trial)
+  if wins then
+    best :=
+      Some
+        { i_penalty = penalty; i_primary = primary; i_secondary = secondary;
+          i_trial = trial }
 
 (* A candidate processor can be skipped without probing when the incumbent
    carries no overload penalty (so any candidate's penalty, ≥ 0, cannot
    beat it) and the rank lower bound already loses: the bound is
    component-wise ≤ the true score of every trial on that processor, so
    bound >lex incumbent implies score >lex incumbent, and the strict
-   inequality also rules out the processor-index tie-break. *)
-let prune ~rank best ~stage_lb ~finish_lb =
+   inequality also rules out the processor-index tie-break.  The floors
+   cost a processor-timeline scan, so they are only computed when the
+   incumbent makes a prune possible. *)
+let prune ~rank state best floor_data proc =
   match !best with
-  | Some ((penalty, best_rank), _) ->
-      penalty = 0.0 && rank.bound ~stage_lb ~finish_lb > best_rank
-  | None -> false
-
-(* The per-candidate floors feeding {!prune}.  [preds] holds, for each
-   predecessor, the transfer volume and the admissible source replicas as
-   (finish, stage, host) triples: every source set the placement branches
-   may try draws at least one of them per predecessor, so data readiness
-   is floored by the per-predecessor minimum arrival (finish plus the
-   transfer time, zero when co-located) and the stage by the minimum
-   stage (+1 when remote).  Adding the candidate's execution time floors
-   the finish. *)
-let candidate_bound plat ~preds ~work proc =
-  let fin = ref 0.0 and stg = ref 1 in
-  List.iter
-    (fun (vol, reps) ->
-      let f = ref infinity and s = ref max_int in
-      List.iter
-        (fun (rf, rs, rp) ->
-          if rp = proc then begin
-            if rf < !f then f := rf;
-            if rs < !s then s := rs
-          end
-          else begin
-            let arr = rf +. Platform.comm_time plat rp proc vol in
-            if arr < !f then f := arr;
-            if rs + 1 < !s then s := rs + 1
-          end)
-        reps;
-      if reps <> [] then begin
-        if !f > !fin then fin := !f;
-        if !s > !stg then stg := !s
-      end)
-    preds;
-  (!stg, !fin +. Platform.exec_time plat proc work)
+  | Some b when b.i_penalty = 0.0 ->
+      let stage_lb, finish_lb = State.floors state floor_data ~proc in
+      let primary, secondary = rank.bound ~stage_lb ~finish_lb in
+      primary > b.i_primary
+      || (primary = b.i_primary && secondary > b.i_secondary)
+  | _ -> false
 
 (* Hosts of the admissible sources, probed ahead of the main sweep: a
    co-located placement pays no transfer, so it usually sets a strong
@@ -165,25 +155,37 @@ let candidate_bound plat ~preds ~work proc =
    remaining sweep.  The selected trial is order-independent — the winner
    is the minimum under ((penalty, rank), processor index), which no
    traversal permutation changes. *)
-let source_hosts preds =
-  List.sort_uniq compare
-    (List.concat_map (fun (_, reps) -> List.map (fun (_, _, p) -> p) reps) preds)
+let source_hosts mapping sources =
+  List.sort_uniq Int.compare
+    (List.concat_map
+       (fun (_, ids) ->
+         List.map
+           (fun (id : Replica.id) ->
+             (Mapping.replica_exn mapping id.task id.copy).Replica.proc)
+           ids)
+       sources)
 
-(* Condition-(1) admission shared by both placement branches: in strict
-   mode an infeasible trial is rejected, in best-effort mode it survives
-   (ranked by overload) but still counts as a rejection for the profile. *)
-let admit ~(mode : Sched_api.mode) state trial =
+(* Judge one source-set variant of a candidate processor and offer it.
+   Condition (1) and the overload penalty come from the transfer list
+   before any timeline probe: in strict mode an infeasible variant is
+   rejected, in best-effort mode it survives (ranked by its penalty) but
+   still counts as a rejection for the profile, and a penalty strictly
+   above the incumbent's already loses the selection. *)
+let consider_variant ~(mode : Sched_api.mode) ~rank state best ~task ~copy ~proc
+    ~sources =
+  let transfers = State.transfers state ~task ~proc ~sources in
+  let (adm : State.admission) = State.admission state ~task ~proc transfers in
+  if not adm.feasible then Obs.incr "core.feasibility_rejections";
+  let probe penalty =
+    match !best with
+    | Some b when penalty > b.i_penalty -> Obs.incr "core.probe_prunes"
+    | _ ->
+        offer ~rank state best ~penalty
+          (State.evaluate state ~task ~copy ~proc ~sources ~transfers)
+  in
   match mode with
-  | Strict ->
-      if State.feasible state trial then Some trial
-      else begin
-        Obs.incr "core.feasibility_rejections";
-        None
-      end
-  | Best_effort ->
-      if Obs.enabled () && not (State.feasible state trial) then
-        Obs.incr "core.feasibility_rejections";
-      Some trial
+  | Strict -> if adm.feasible then probe 0.0
+  | Best_effort -> probe adm.penalty
 
 (* Each replica may sole-source (transitively) through at most a "lane" of
    [m / (ε+1)] processors: the kill sets of the ε+1 replicas of a task must
@@ -219,49 +221,26 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     let sources =
       List.map (fun (pred, ids) -> (pred, [ List.hd !ids ])) ct.ct_heads
     in
-    let plat = prob.Types.platform and dag = prob.Types.dag in
-    let work = Dag.exec dag ct.ct_task in
-    (* The bound data for this fixed source set: exactly one admissible
-       replica per predecessor. *)
-    let preds =
-      List.map
-        (fun (pred, ids) ->
-          let src = List.hd ids in
-          ( Dag.volume dag pred ct.ct_task,
-            [
-              ( State.finish state src,
-                State.stage state src,
-                (Mapping.replica_exn (State.mapping state) src.Replica.task
-                   src.Replica.copy)
-                  .Replica.proc );
-            ] ))
-        sources
-    in
+    let floor_data = State.floor_data state ~task:ct.ct_task sources in
     let best = ref None in
     let consider proc =
       if not (State.Pset.mem proc ct.ct_claimed) then begin
-        let stage_lb, finish_lb = candidate_bound plat ~preds ~work proc in
-        if prune ~rank best ~stage_lb ~finish_lb then
+        if prune ~rank state best floor_data proc then
           Obs.incr "core.probe_prunes"
         else begin
           let kill = State.support_of_sources state ~proc ~sources in
-          if State.Pset.cardinal kill <= budget then begin
-            let trial =
-              State.evaluate state ~task:ct.ct_task ~copy ~proc ~sources
-            in
-            match admit ~mode state trial with
-            | Some trial -> offer ~mode ~rank state best trial
-            | None -> ()
-          end
+          if State.Pset.cardinal kill <= budget then
+            consider_variant ~mode ~rank state best ~task:ct.ct_task ~copy
+              ~proc ~sources
         end
       end
     in
-    let hosts = source_hosts preds in
+    let hosts = source_hosts (State.mapping state) sources in
     List.iter consider hosts;
     List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
-    match Option.map snd !best with
+    match !best with
     | None -> None
-    | Some trial ->
+    | Some { i_trial = trial; _ } ->
         State.commit state trial;
         record_placement state ct trial;
         List.iter (fun (_, ids) -> ids := List.tl !ids) ct.ct_heads;
@@ -364,24 +343,18 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     | Both_variants ->
         if greedy = conservative then [ greedy ] else [ greedy; conservative ]
   in
-  (* Bound data valid for every source-set variant: each predecessor must
-     deliver from at least one of its replicas. *)
-  let preds =
+  (* Every source-set variant draws at least one replica per predecessor. *)
+  let all_sources =
     List.map
-      (fun (_, vol, replicas) ->
-        ( vol,
-          List.map
-            (fun (r : Replica.t) ->
-              (State.finish state r.id, State.stage state r.id, r.proc))
-            replicas ))
+      (fun (pred, _, replicas) ->
+        (pred, List.map (fun (r : Replica.t) -> r.Replica.id) replicas))
       pred_replicas
   in
-  let work = Dag.exec prob.Types.dag ct.ct_task in
+  let floor_data = State.floor_data state ~task:ct.ct_task all_sources in
   let best = ref None in
   let consider proc =
     if not (State.Pset.mem proc ct.ct_claimed) then begin
-      let stage_lb, finish_lb = candidate_bound plat ~preds ~work proc in
-      if prune ~rank best ~stage_lb ~finish_lb then
+      if prune ~rank state best floor_data proc then
         Obs.incr "core.probe_prunes"
       else
         List.iter
@@ -391,23 +364,18 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
               State.Pset.disjoint
                 (State.Pset.remove proc kill_set)
                 ct.ct_claimed
-            then begin
-              let trial =
-                State.evaluate state ~task:ct.ct_task ~copy ~proc ~sources
-              in
-              match admit ~mode state trial with
-              | Some trial -> offer ~mode ~rank state best trial
-              | None -> ()
-            end)
+            then
+              consider_variant ~mode ~rank state best ~task:ct.ct_task ~copy
+                ~proc ~sources)
           (variants_on proc)
     end
   in
-  let hosts = source_hosts preds in
+  let hosts = source_hosts mapping all_sources in
   List.iter consider hosts;
   List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
-  match Option.map snd !best with
+  match !best with
   | None -> None
-  | Some trial ->
+  | Some { i_trial = trial; _ } ->
       State.commit state trial;
       record_placement state ct trial;
       Some trial
@@ -422,13 +390,7 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   Obs.touch "core.chunks";
   let dag = prob.Types.dag and plat = prob.Types.platform in
   let state = State.create prob in
-  let weights =
-    {
-      Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-      Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-    }
-  in
-  let priority = Levels.priority dag weights in
+  let priority = Levels.priority dag (Metrics.paper_weights dag plat) in
   let procs = Platform.procs plat in
   let count_scratch = Array.make (Platform.size plat) 0 in
   let higher a b =

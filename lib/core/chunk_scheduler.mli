@@ -32,7 +32,8 @@
     (re-exported by [Scheduler]); this module defines only the engine.
 
     When {!Obs.enabled} is on, a run records the counters
-    [core.placement_probes], [core.feasibility_rejections],
+    [core.placement_probes], [core.probe_prunes],
+    [core.feasibility_rejections],
     [core.one_to_one_calls], [core.general_calls], [core.commits] and
     [core.chunks], the histogram [core.chunk_size], and the per-chunk span
     [core.scheduler.chunk] into the calling domain's registry.  The
@@ -45,9 +46,10 @@ type rank = {
           processor index. *)
   bound : stage_lb:int -> finish_lb:float -> float * float;
       (** A component-wise lower bound on [score] for any trial of the
-          (task, copy) being placed on a candidate processor, given a floor
-          on its pipeline stage and on its finish time (earliest source
-          data readiness plus the candidate's execution time).  Candidates
+          (task, copy) being placed on a candidate processor, given the
+          {!State.floors} on its pipeline stage and on its finish time
+          (the processor timeline's earliest fit after the earliest
+          source data readiness, plus the execution time).  Candidates
           whose bound already loses lexicographically to a zero-overload
           incumbent are skipped without probing the timelines — the
           selected trial is identical, only the probe count changes. *)

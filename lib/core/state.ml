@@ -16,9 +16,9 @@ type t = {
   stage_arr : int array;    (* [task * copies + copy]; 0 = unplaced *)
   support_arr : Pset.t array; (* [task * copies + copy]; kill sets *)
   scratch_out : (int, float) Hashtbl.t;
-      (* reusable per-source-proc accumulator for trial loads; reset (not
+      (* reusable per-source-proc accumulator for [admission]; reset (not
          recreated) so the fold order matches a fresh 8-slot table and the
-         best-effort overload sums stay bit-identical *)
+         best-effort penalty sums stay bit-identical *)
 }
 
 let create (prob : Types.problem) =
@@ -60,9 +60,6 @@ let stage s (id : Replica.id) =
   st
 
 let loads s = s.loads
-let sigma s u = s.loads.Loads.sigma.(u)
-let c_in s u = s.loads.Loads.c_in.(u)
-let c_out s u = s.loads.Loads.c_out.(u)
 
 let support s (id : Replica.id) = s.support_arr.(slot s id)
 
@@ -104,6 +101,119 @@ type trial = {
   t_comms : (Replica.id * float * float * float) list;
 }
 
+type transfer = { tr_src : Replica.id; tr_proc : Platform.proc; tr_dur : float }
+
+let proc_of_replica s (id : Replica.id) =
+  (Mapping.replica_exn s.mapping id.task id.copy).Replica.proc
+
+(* Off-processor transfers in order of data readiness, so the probe is
+   deterministic. *)
+let transfers s ~task ~proc ~sources =
+  let plat = s.prob.platform and dag = s.prob.dag in
+  List.concat_map
+    (fun (pred, ids) ->
+      let vol = Dag.volume dag pred task in
+      List.filter_map
+        (fun (src : Replica.id) ->
+          let sp = proc_of_replica s src in
+          if sp = proc then None
+          else
+            Some
+              { tr_src = src; tr_proc = sp; tr_dur = Platform.comm_time plat sp proc vol })
+        ids)
+    sources
+  |> List.sort (fun a b ->
+         match Float.compare (finish s a.tr_src) (finish s b.tr_src) with
+         | 0 -> Replica.compare_id a.tr_src b.tr_src
+         | c -> c)
+
+type admission = { feasible : bool; penalty : float }
+
+(* The outgoing durations are summed per source processor in a hash table
+   and folded in its order: the penalty is a float sum, so that order is
+   part of the pinned schedules. *)
+let admission s ~task ~proc transfers =
+  let plat = s.prob.platform and dag = s.prob.dag and l = s.loads in
+  let exec = Platform.exec_time plat proc (Dag.exec dag task) in
+  let incoming = List.fold_left (fun acc tr -> acc +. tr.tr_dur) 0.0 transfers in
+  let outgoing = s.scratch_out in
+  Hashtbl.reset outgoing;
+  List.iter
+    (fun tr ->
+      let prev = try Hashtbl.find outgoing tr.tr_proc with Not_found -> 0.0 in
+      Hashtbl.replace outgoing tr.tr_proc (prev +. tr.tr_dur))
+    transfers;
+  let slack = s.delta *. (1.0 +. 1e-9) in
+  let over current extra = Float.max 0.0 (current +. extra -. s.delta) in
+  {
+    feasible =
+      l.Loads.sigma.(proc) +. exec <= slack
+      && l.Loads.c_in.(proc) +. incoming <= slack
+      && Hashtbl.fold
+           (fun sp extra ok -> ok && l.Loads.c_out.(sp) +. extra <= slack)
+           outgoing true;
+    penalty =
+      over l.Loads.sigma.(proc) exec
+      +. over l.Loads.c_in.(proc) incoming
+      +. Hashtbl.fold
+           (fun sp extra acc -> acc +. over l.Loads.c_out.(sp) extra)
+           outgoing 0.0;
+  }
+
+type floor_data = {
+  f_task : Dag.task;
+  f_preds : (float * (float * int * Platform.proc) list) list;
+      (* per predecessor: volume, and (finish, stage, host) per source *)
+}
+
+let floor_data s ~task sources =
+  let dag = s.prob.dag in
+  {
+    f_task = task;
+    f_preds =
+      List.map
+        (fun (pred, ids) ->
+          ( Dag.volume dag pred task,
+            List.map
+              (fun (src : Replica.id) ->
+                (finish s src, stage s src, proc_of_replica s src))
+              ids ))
+        sources;
+  }
+
+(* Every source set drawing one of the listed replicas per predecessor has
+   its data ready no earlier than the latest per-predecessor minimum
+   arrival (finish plus the transfer time, zero when co-located), and a
+   stage no lower than the per-predecessor minimum (+1 when remote).
+   [evaluate] starts the execution at the processor timeline's earliest
+   fit after the data is ready, and [earliest_fit] is monotone in [ready],
+   so the fit at the data floor floors the finish too. *)
+let floors s fd ~proc =
+  let plat = s.prob.platform in
+  let ready = ref 0.0 and stg = ref 1 in
+  List.iter
+    (fun (vol, reps) ->
+      let f = ref infinity and st = ref max_int in
+      List.iter
+        (fun (rf, rs, rp) ->
+          if rp = proc then begin
+            if rf < !f then f := rf;
+            if rs < !st then st := rs
+          end
+          else begin
+            let arr = rf +. Platform.comm_time plat rp proc vol in
+            if arr < !f then f := arr;
+            if rs + 1 < !st then st := rs + 1
+          end)
+        reps;
+      if reps <> [] then begin
+        if !f > !ready then ready := !f;
+        if !st > !stg then stg := !st
+      end)
+    fd.f_preds;
+  let exec = Platform.exec_time plat proc (Dag.exec s.prob.dag fd.f_task) in
+  (!stg, Timeline.earliest_fit s.proc_tl.(proc) ~ready:!ready ~duration:exec +. exec)
+
 (* Earliest start >= ready fitting simultaneously in two probed timelines:
    iterate the two earliest-fit maps until they agree (both are monotone,
    so this terminates at their least common fixpoint). *)
@@ -115,30 +225,9 @@ let joint_fit a pa b pb ~ready ~duration =
   in
   settle (Timeline.earliest_fit ~probe:pa a ~ready ~duration)
 
-let proc_of_replica s (id : Replica.id) =
-  (Mapping.replica_exn s.mapping id.task id.copy).Replica.proc
-
-let evaluate s ~task ~copy ~proc ~sources =
+let evaluate s ~task ~copy ~proc ~sources ~transfers =
   Obs.incr "core.placement_probes";
   let plat = s.prob.platform and dag = s.prob.dag in
-  (* Off-processor transfers, scheduled in order of data readiness so the
-     estimate is deterministic. *)
-  let remote =
-    List.concat_map
-      (fun (pred, ids) ->
-        let vol = Dag.volume dag pred task in
-        List.filter_map
-          (fun (src : Replica.id) ->
-            let sp = proc_of_replica s src in
-            if sp = proc then None
-            else Some (src, sp, Platform.comm_time plat sp proc vol))
-          ids)
-      sources
-    |> List.sort (fun (a, _, _) (b, _, _) ->
-           match compare (finish s a) (finish s b) with
-           | 0 -> Replica.compare_id a b
-           | c -> c)
-  in
   (* Place transfers sequentially on probes of the receive port and of the
      send ports of their sources, leaving the committed timelines
      untouched.  The handful of distinct source processors rides in an
@@ -150,7 +239,7 @@ let evaluate s ~task ~copy ~proc ~sources =
   let send_of p = Option.value (List.assq_opt p !sends) ~default:[] in
   let comms =
     List.map
-      (fun (src, sp, dur) ->
+      (fun { tr_src = src; tr_proc = sp; tr_dur = dur } ->
         let ready = finish s src in
         let send = send_of sp in
         let start =
@@ -161,7 +250,7 @@ let evaluate s ~task ~copy ~proc ~sources =
           (sp, Timeline.tentative ~probe:send s.send_tl.(sp) ~start ~duration:dur)
           :: List.remove_assq sp !sends;
         (src, start, dur, start +. dur))
-      remote
+      transfers
   in
   (* Data from co-located sources is available at their finish time. *)
   let local_ready =
@@ -201,42 +290,6 @@ let evaluate s ~task ~copy ~proc ~sources =
     t_stage;
     t_comms = comms;
   }
-
-(* Fills [s.scratch_out] with the per-source-processor outgoing durations;
-   callers must consume it before the next trial_loads call. *)
-let trial_loads s trial =
-  let plat = s.prob.platform and dag = s.prob.dag in
-  let exec = Platform.exec_time plat trial.t_proc (Dag.exec dag trial.t_task) in
-  let incoming =
-    List.fold_left (fun acc (_, _, dur, _) -> acc +. dur) 0.0 trial.t_comms
-  in
-  let outgoing = s.scratch_out in
-  Hashtbl.reset outgoing;
-  List.iter
-    (fun ((src : Replica.id), _, dur, _) ->
-      let sp = proc_of_replica s src in
-      let prev = try Hashtbl.find outgoing sp with Not_found -> 0.0 in
-      Hashtbl.replace outgoing sp (prev +. dur))
-    trial.t_comms;
-  (exec, incoming, outgoing)
-
-let feasible s trial =
-  let slack = s.delta *. (1.0 +. 1e-9) in
-  let exec, incoming, outgoing = trial_loads s trial in
-  s.loads.Loads.sigma.(trial.t_proc) +. exec <= slack
-  && s.loads.Loads.c_in.(trial.t_proc) +. incoming <= slack
-  && Hashtbl.fold
-       (fun sp extra ok -> ok && s.loads.Loads.c_out.(sp) +. extra <= slack)
-       outgoing true
-
-let overload s trial =
-  let exec, incoming, outgoing = trial_loads s trial in
-  let over current extra = Float.max 0.0 (current +. extra -. s.delta) in
-  over s.loads.Loads.sigma.(trial.t_proc) exec
-  +. over s.loads.Loads.c_in.(trial.t_proc) incoming
-  +. Hashtbl.fold
-       (fun sp extra acc -> acc +. over s.loads.Loads.c_out.(sp) extra)
-       outgoing 0.0
 
 let commit s trial =
   Obs.incr "core.commits";

@@ -6,12 +6,15 @@
     for contention-aware finish-time estimation, committed replica finish
     times, and incremental pipeline stages.
 
-    A placement is evaluated as a {!trial} (pure, no state change) and then
-    {!commit}ted.  Trials schedule each incoming transfer earliest-fit on
-    the pair (sender send port, receiver receive port) and the execution
-    earliest-fit on the target processor, on top of the committed
-    timelines; the trial's own transfers ride in {!Timeline.probe}s, so the
-    committed timelines are only written by {!commit}. *)
+    A placement is judged in two steps, neither of which changes the state.
+    Its {!transfers} decide condition (1) and the overload penalty through
+    {!admission}, without touching a timeline; only then does {!evaluate}
+    probe the timelines for a {!trial}, which is then {!commit}ted.  Trials
+    schedule each incoming transfer earliest-fit on the pair (sender send
+    port, receiver receive port) and the execution earliest-fit on the
+    target processor, on top of the committed timelines; the trial's own
+    transfers ride in {!Timeline.probe}s, so the committed timelines are
+    only written by {!commit}. *)
 
 type t
 
@@ -28,10 +31,6 @@ val finish : t -> Replica.id -> float
 
 val stage : t -> Replica.id -> int
 (** Incrementally maintained pipeline stage of a placed replica. *)
-
-val sigma : t -> Platform.proc -> float
-val c_in : t -> Platform.proc -> float
-val c_out : t -> Platform.proc -> float
 
 val loads : t -> Loads.t
 (** The incrementally maintained per-processor loads (Σ/Cᴵ/Cᴼ).  {!commit}
@@ -78,29 +77,71 @@ type trial = {
       (** incoming transfers: source replica, start, duration, arrival *)
 }
 
+type transfer = {
+  tr_src : Replica.id;
+  tr_proc : Platform.proc;  (** the source replica's processor *)
+  tr_dur : float;  (** transfer time over the link to the target *)
+}
+
+val transfers :
+  t ->
+  task:Dag.task ->
+  proc:Platform.proc ->
+  sources:(Dag.task * Replica.id list) list ->
+  transfer list
+(** The off-processor transfers of placing a replica of [task] on [proc]
+    with the given source sets (each source already placed), sorted by
+    source finish time, then replica id: the order {!evaluate} schedules
+    them in. *)
+
+type admission = {
+  feasible : bool;
+      (** Condition (1) of §4: with the replica added, the target
+          processor's computing load and input-communication load, and
+          every source processor's output-communication load, all fit
+          within the period [Δ = 1/T]. *)
+  penalty : float;
+      (** Total amount by which the placement would push those loads beyond
+          the period.  The best-effort mode ranks by it first, to pick the
+          least-overloaded placement when condition (1) cannot be met
+          anywhere (the paper's "we use other processors, at the risk of
+          increasing the communication overhead"). *)
+}
+
+val admission : t -> task:Dag.task -> proc:Platform.proc -> transfer list -> admission
+(** Condition (1) and the overload penalty of a placement, from its
+    {!transfers} alone: both depend on the transfer durations, not on when
+    the transfers run, so they are known before any timeline probe. *)
+
+type floor_data
+(** The source replicas a placement step may draw from, per predecessor of
+    the task, with their volume, finish, stage and host read once. *)
+
+val floor_data :
+  t -> task:Dag.task -> (Dag.task * Replica.id list) list -> floor_data
+(** [floor_data s ~task sources]: the admissible replicas of each
+    predecessor of [task] (all placed). *)
+
+val floors : t -> floor_data -> proc:Platform.proc -> int * float
+(** [(stage_lb, finish_lb)]: lower bounds on [t_stage] and [t_finish] of
+    every trial of the task on [proc] whose source sets draw at least one
+    admissible replica per predecessor.  The data cannot be ready before
+    the latest per-predecessor earliest arrival, and the finish floor is
+    the processor timeline's earliest fit at that instant plus the
+    execution time: {!Timeline.earliest_fit} is monotone in [ready]. *)
+
 val evaluate :
   t ->
   task:Dag.task ->
   copy:int ->
   proc:Platform.proc ->
   sources:(Dag.task * Replica.id list) list ->
+  transfers:transfer list ->
   trial
 (** Simulate placing the replica on the processor with the given source
-    sets (one entry per predecessor, each source already placed).  Does not
-    check the throughput condition — see {!feasible}. *)
-
-val feasible : t -> trial -> bool
-(** Condition (1) of §4 for the trial: with the replica added, the target
-    processor's computing load and input-communication load, and every
-    source processor's output-communication load, all fit within the period
-    [Δ = 1/T]. *)
-
-val overload : t -> trial -> float
-(** Total amount by which the trial would push the affected resource loads
-    beyond the period; [0] iff {!feasible}.  Used by the best-effort
-    scheduling mode to pick the least-overloaded placement when condition
-    (1) cannot be met anywhere (the paper's "we use other processors, at
-    the risk of increasing the communication overhead"). *)
+    sets (one entry per predecessor, each source already placed) and their
+    {!transfers}.  Does not check condition (1) — see {!admission}.  Counted
+    under [core.placement_probes]. *)
 
 val commit : t -> trial -> unit
 (** Apply a trial: place the replica in the mapping, charge loads, reserve

@@ -1,6 +1,7 @@
 let required_counters =
   [
     "core.placement_probes";
+    "core.probe_prunes";
     "core.feasibility_rejections";
     "core.one_to_one_calls";
     "core.general_calls";

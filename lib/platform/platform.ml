@@ -1,10 +1,43 @@
 type proc = int
 
+(* The aggregates are folded once when the platform is built: priority
+   weights read them per DAG edge, and the O(m²) matrix scans would
+   otherwise rerun on every read. *)
 type t = {
   name : string;
   speeds : float array;
   bw : float array array;
+  inv_speed_mean : float;
+  unit_delay_mean : float;
+  min_speed : float;
+  min_bw : float; (* over distinct pairs; infinity when m = 1 *)
 }
+
+let make ~name ~speeds ~bw =
+  let m = Array.length speeds in
+  let inv_speed_mean =
+    Array.fold_left (fun acc s -> acc +. (1.0 /. s)) 0.0 speeds
+    /. float_of_int m
+  in
+  let delay_total = ref 0.0 and min_bw = ref infinity in
+  for k = 0 to m - 1 do
+    for h = 0 to m - 1 do
+      if k <> h then begin
+        delay_total := !delay_total +. (1.0 /. bw.(k).(h));
+        if bw.(k).(h) < !min_bw then min_bw := bw.(k).(h)
+      end
+    done
+  done;
+  {
+    name;
+    speeds;
+    bw;
+    inv_speed_mean;
+    unit_delay_mean =
+      (if m = 1 then 0.0 else !delay_total /. float_of_int (m * (m - 1)));
+    min_speed = Array.fold_left Float.min infinity speeds;
+    min_bw = !min_bw;
+  }
 
 let create ?(name = "platform") ~speeds ~bandwidth () =
   let m = Array.length speeds in
@@ -34,7 +67,7 @@ let create ?(name = "platform") ~speeds ~bandwidth () =
           end)
         row)
     bandwidth;
-  { name; speeds = Array.copy speeds; bw = Array.map Array.copy bandwidth }
+  make ~name ~speeds:(Array.copy speeds) ~bw:(Array.map Array.copy bandwidth)
 
 let homogeneous ?(name = "homogeneous") ~m ~speed ~bandwidth () =
   if m <= 0 then invalid_arg "Platform.homogeneous: no processors";
@@ -55,39 +88,10 @@ let exec_time p u w = w /. p.speeds.(u)
 let comm_time p src dst vol = if src = dst then 0.0 else vol /. p.bw.(src).(dst)
 let procs p = List.init (size p) Fun.id
 
-let mean_inverse_speed p =
-  let total = Array.fold_left (fun acc s -> acc +. (1.0 /. s)) 0.0 p.speeds in
-  total /. float_of_int (size p)
-
-let mean_unit_delay p =
-  let m = size p in
-  if m = 1 then 0.0
-  else begin
-    let total = ref 0.0 in
-    for k = 0 to m - 1 do
-      for h = 0 to m - 1 do
-        if k <> h then total := !total +. (1.0 /. p.bw.(k).(h))
-      done
-    done;
-    !total /. float_of_int (m * (m - 1))
-  end
-
-let slowest_exec_time p w =
-  let min_speed = Array.fold_left Float.min infinity p.speeds in
-  w /. min_speed
-
-let slowest_comm_time p vol =
-  let m = size p in
-  if m = 1 then 0.0
-  else begin
-    let min_bw = ref infinity in
-    for k = 0 to m - 1 do
-      for h = 0 to m - 1 do
-        if k <> h && p.bw.(k).(h) < !min_bw then min_bw := p.bw.(k).(h)
-      done
-    done;
-    vol /. !min_bw
-  end
+let mean_inverse_speed p = p.inv_speed_mean
+let mean_unit_delay p = p.unit_delay_mean
+let slowest_exec_time p w = w /. p.min_speed
+let slowest_comm_time p vol = if size p = 1 then 0.0 else vol /. p.min_bw
 
 (* The caller (platform-cost minimization) probes hundreds of subsets: copy
    the rows straight out of an already-validated platform instead of going
@@ -101,7 +105,7 @@ let restrict p kept =
         Array.init m (fun j ->
             if i = j then 1.0 else p.bw.(kept.(i)).(kept.(j))))
   in
-  { name = p.name ^ "-subset"; speeds; bw }
+  make ~name:(p.name ^ "-subset") ~speeds ~bw
 
 let fastest_proc p =
   let best = ref 0 in

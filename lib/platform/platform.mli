@@ -48,6 +48,9 @@ val comm_time : t -> proc -> proc -> float -> float
 val procs : t -> proc list
 (** All processors in increasing order. *)
 
+(** The four aggregates below are folded once when the platform is built
+    ({!create}, {!homogeneous}, {!restrict}), so reading them is O(1). *)
+
 val mean_inverse_speed : t -> float
 (** Mean over processors of [1 / s_u]: the expected execution time of a unit
     of work on a random processor, used for averaged path lengths. *)

@@ -9,6 +9,14 @@ let granularity dag plat =
   in
   if comm = 0.0 then infinity else comp /. comm
 
+let paper_weights dag plat =
+  let inv_speed = Platform.mean_inverse_speed plat
+  and unit_delay = Platform.mean_unit_delay plat in
+  {
+    Levels.node = (fun t -> Dag.exec dag t *. inv_speed);
+    Levels.edge = (fun _ _ vol -> vol *. unit_delay);
+  }
+
 let achieved_throughput m =
   let delta = Loads.max_cycle_time (Loads.of_mapping m) in
   if delta = 0.0 then infinity else 1.0 /. delta

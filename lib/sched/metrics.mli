@@ -6,6 +6,12 @@ val granularity : Dag.t -> Platform.t -> float
     [infinity] when the graph has no edge or the platform a single
     processor. *)
 
+val paper_weights : Dag.t -> Platform.t -> Levels.weights
+(** The platform-averaged path weights of the paper's priorities: a task
+    weighs its work times {!Platform.mean_inverse_speed}, an edge its volume
+    times {!Platform.mean_unit_delay}.  Shared by the schedulers, the
+    baselines and the engine's dispatch priorities. *)
+
 val achieved_throughput : Mapping.t -> float
 (** [1 / max_u Δ_u] for the loads of the mapping; [infinity] for an empty
     mapping. *)

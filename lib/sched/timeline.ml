@@ -120,11 +120,4 @@ let tentative ?(probe = []) t ~start ~duration =
 
 let busy_until t = if t.n = 0 then 0.0 else t.finishes.(t.n - 1)
 
-let total_busy t =
-  let acc = ref 0.0 in
-  for i = 0 to t.n - 1 do
-    acc := !acc +. (t.finishes.(i) -. t.starts.(i))
-  done;
-  !acc
-
 let intervals t = List.init t.n (fun i -> (t.starts.(i), t.finishes.(i)))

@@ -36,8 +36,5 @@ val tentative : ?probe:probe -> t -> start:float -> duration:float -> probe
 val busy_until : t -> float
 (** End of the last busy interval; [0] for an empty timeline. *)
 
-val total_busy : t -> float
-(** Sum of busy durations. *)
-
 val intervals : t -> (float * float) list
 (** Busy intervals in increasing order (for tests and rendering). *)

@@ -108,15 +108,7 @@ let compile m =
   let copies = Mapping.n_copies m in
   let n_tasks = Dag.size dag and n_procs = Platform.size plat in
   let n_rids = n_tasks * copies in
-  let prio =
-    let weights =
-      {
-        Levels.node = (fun t -> Dag.exec dag t *. Platform.mean_inverse_speed plat);
-        Levels.edge = (fun _ _ vol -> vol *. Platform.mean_unit_delay plat);
-      }
-    in
-    Levels.bottom dag weights
-  in
+  let prio = Levels.bottom dag (Metrics.paper_weights dag plat) in
   let pred_count = Array.init n_tasks (fun t -> List.length (Dag.preds dag t)) in
   let pred_off = Array.make (n_rids + 1) 0 in
   for rid = 0 to n_rids - 1 do

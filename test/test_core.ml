@@ -150,12 +150,13 @@ let state_tests =
         | Error f -> Alcotest.failf "LTF failed: %s" (Types.failure_to_string f)
         | Ok state ->
             let loads = Loads.of_mapping (State.mapping state) in
+            let inc = State.loads state in
             Array.iteri
               (fun u sigma ->
-                Fixtures.check_float "sigma" sigma (State.sigma state u);
-                Fixtures.check_float "c_in" loads.Loads.c_in.(u) (State.c_in state u);
+                Fixtures.check_float "sigma" sigma inc.Loads.sigma.(u);
+                Fixtures.check_float "c_in" loads.Loads.c_in.(u) inc.Loads.c_in.(u);
                 Fixtures.check_float "c_out" loads.Loads.c_out.(u)
-                  (State.c_out state u))
+                  inc.Loads.c_out.(u))
               loads.Loads.sigma);
     case "finish times respect dependencies" (fun () ->
         let prob = problem ~m:10 Classic.fig2_graph in

@@ -106,7 +106,11 @@ let prop_timeline_busy_sum =
         Timeline.insert tl ~start ~duration;
         total := !total +. duration
       done;
-      Float.abs (Timeline.total_busy tl -. !total) <= 1e-6)
+      let busy =
+        List.fold_left (fun acc (s, f) -> acc +. (f -. s)) 0.0
+          (Timeline.intervals tl)
+      in
+      Float.abs (busy -. !total) <= 1e-6)
 
 (* A probe is the committed timeline plus its own intervals: placing a
    random probe never writes the timeline, and fitting against the probe
@@ -310,6 +314,121 @@ let prop_best_effort_tolerant =
       in
       check (Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob)
       && check (Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob))
+
+(* Condition (1) and the overload penalty as the probe used to compute
+   them: from the probed trial's own transfers, summed per source
+   processor in a fresh table. *)
+let admission_of_trial state (trial : State.trial) =
+  let prob = State.problem state and l = State.loads state in
+  let delta = Types.period prob in
+  let exec =
+    Platform.exec_time prob.Types.platform trial.t_proc
+      (Dag.exec prob.Types.dag trial.t_task)
+  in
+  let incoming =
+    List.fold_left (fun acc (_, _, dur, _) -> acc +. dur) 0.0 trial.t_comms
+  in
+  let outgoing = Hashtbl.create 8 in
+  List.iter
+    (fun ((src : Replica.id), _, dur, _) ->
+      let sp = (Mapping.replica_exn (State.mapping state) src.task src.copy).proc in
+      let prev = Option.value (Hashtbl.find_opt outgoing sp) ~default:0.0 in
+      Hashtbl.replace outgoing sp (prev +. dur))
+    trial.t_comms;
+  let slack = delta *. (1.0 +. 1e-9) in
+  let over current extra = Float.max 0.0 (current +. extra -. delta) in
+  ( l.Loads.sigma.(trial.t_proc) +. exec <= slack
+    && l.Loads.c_in.(trial.t_proc) +. incoming <= slack
+    && Hashtbl.fold
+         (fun sp extra ok -> ok && l.Loads.c_out.(sp) +. extra <= slack)
+         outgoing true,
+    over l.Loads.sigma.(trial.t_proc) exec
+    +. over l.Loads.c_in.(trial.t_proc) incoming
+    +. Hashtbl.fold
+         (fun sp extra acc -> acc +. over l.Loads.c_out.(sp) extra)
+         outgoing 0.0 )
+
+(* Drive [State] through a whole schedule by hand: every replica tries
+   every free processor with two source sets (full groups, and one replica
+   per predecessor), and the best trial under the mode's (penalty, rank)
+   key is committed.  Every candidate is probed, and checked against what
+   the scheduler knows before the probe: the floors of each admissible
+   source list it draws from never exceed the trial's stage and finish,
+   and the admission equals, bit for bit, the one recomputed from the
+   trial's transfers.  Returns false on the first violation. *)
+let pre_probe_exact prob ~(rank : Chunk_scheduler.rank) ~best_effort =
+  let state = State.create prob in
+  let dag = prob.Types.dag and mapping = State.mapping state in
+  let exact = ref true in
+  let place task copy =
+    let groups =
+      List.map
+        (fun (pred, _) ->
+          ( pred,
+            List.map (fun (r : Replica.t) -> r.id) (Mapping.replicas_of_task mapping pred) ))
+        (Dag.preds dag task)
+    in
+    let group_floors = State.floor_data state ~task groups in
+    let best = ref None in
+    for proc = 0 to Platform.size prob.Types.platform - 1 do
+      if not (Mapping.mapped mapping task proc) then begin
+        let single =
+          List.map (fun (pred, ids) -> (pred, [ List.nth ids (proc mod List.length ids) ])) groups
+        in
+        List.iter
+          (fun (sources, floor_data) ->
+            let transfers = State.transfers state ~task ~proc ~sources in
+            let adm = State.admission state ~task ~proc transfers in
+            let trial = State.evaluate state ~task ~copy ~proc ~sources ~transfers in
+            List.iter
+              (fun fd ->
+                let stage_lb, finish_lb = State.floors state fd ~proc in
+                if stage_lb > trial.t_stage || finish_lb > trial.t_finish then
+                  exact := false)
+              floor_data;
+            let feasible, penalty = admission_of_trial state trial in
+            if feasible <> adm.feasible || not (float_bits_equal penalty adm.penalty)
+            then exact := false;
+            if best_effort || adm.feasible then begin
+              let key = ((if best_effort then adm.penalty else 0.0), rank.score state trial) in
+              match !best with
+              | Some (k, _) when k <= key -> ()
+              | _ -> best := Some (key, trial)
+            end)
+          [
+            (groups, [ group_floors ]);
+            (single, [ group_floors; State.floor_data state ~task single ]);
+          ]
+      end
+    done;
+    Option.map (fun (_, trial) -> State.commit state trial) !best
+  in
+  (try
+     Array.iter
+       (fun task ->
+         for copy = 0 to prob.Types.eps do
+           if Option.is_none (place task copy) then raise Exit
+         done)
+       (Topo.order dag)
+   with Exit -> ());
+  !exact
+
+let prop_pre_probe_exact =
+  QCheck.Test.make
+    ~name:"pre-probe floors and admission are exact under both modes and ranks"
+    ~count:40 seed_arb (fun seed ->
+      let prob = small_problem_of_seed seed in
+      (* four times the generous rate, so best effort meets overloads *)
+      let tight =
+        Types.problem ~dag:prob.Types.dag ~platform:prob.Types.platform
+          ~eps:prob.Types.eps ~throughput:(4.0 *. prob.Types.throughput)
+      in
+      List.for_all
+        (fun (prob, best_effort) ->
+          List.for_all
+            (fun rank -> pre_probe_exact prob ~rank ~best_effort)
+            [ Chunk_scheduler.by_finish_time; Chunk_scheduler.by_stage_then_finish ])
+        [ (prob, false); (tight, true) ])
 
 let prop_effective_depth_bounded =
   QCheck.Test.make
@@ -616,6 +735,7 @@ let () =
             prop_rltf_valid;
             prop_best_effort_tolerant;
             prop_effective_depth_bounded;
+            prop_pre_probe_exact;
             prop_crash_monotone;
             prop_single_failure_survival;
             prop_derive_tolerant;
