@@ -735,7 +735,6 @@ let () =
             prop_rltf_valid;
             prop_best_effort_tolerant;
             prop_effective_depth_bounded;
-            prop_pre_probe_exact;
             prop_crash_monotone;
             prop_single_failure_survival;
             prop_derive_tolerant;
@@ -743,5 +742,6 @@ let () =
             prop_recovery_restores_tolerance;
             prop_engine_one_port;
             prop_engine_latency_lower_bound;
+            prop_pre_probe_exact;
           ] );
     ]
