@@ -1,8 +1,12 @@
-(* Bechamel benchmarks: one Test.make per evaluation figure of the paper
-   (timing the regeneration of one representative sweep point of it) plus
-   micro-benchmarks for every subsystem the figures are built from.
+(* The benchmark driver behind the CI trajectory files and gates.  Every
+   mode is one flag:
 
-     dune exec bench/main.exe
+     dune exec bench/main.exe -- --sched-json PATH
+     dune exec bench/main.exe -- --sim-json PATH
+     dune exec bench/main.exe -- --check-sched-json PATH
+     dune exec bench/main.exe -- --check-sim-json PATH
+     dune exec bench/main.exe -- --parallel-smoke
+     dune exec bench/main.exe -- --gc-stats
 *)
 
 open Bechamel
@@ -18,162 +22,17 @@ let instance ~seed ~granularity =
   let rng = Rng.create ~seed in
   Spec.generate Spec.default ~rng ~granularity ()
 
-let inst_g1 = instance ~seed:1 ~granularity:1.0
-
 let problem ~eps inst =
   Types.problem ~dag:inst.Paper_workload.dag ~platform:inst.Paper_workload.plat
     ~eps
     ~throughput:(Paper_workload.throughput ~eps)
 
-let prob_e1 = problem ~eps:1 inst_g1
-let prob_e3 = problem ~eps:3 inst_g1
+let prob_e1 = problem ~eps:1 (instance ~seed:1 ~granularity:1.0)
 
 let rltf_mapping prob =
   match Rltf.schedule ~opts:best_effort prob with
   | Ok m -> m
   | Error _ -> failwith "bench fixture: R-LTF failed"
-
-let mapping_e1 = rltf_mapping prob_e1
-let mapping_e3 = rltf_mapping prob_e3
-
-(* A figure "point": schedule + measure both algorithms on one fresh graph
-   at one granularity, exactly what the sweep repeats 60 times per point. *)
-let figure_point ~eps ~crashes ~granularity seed =
-  let config =
-    {
-      (Fig_common.quick ~eps ~crashes) with
-      Fig_common.graphs_per_point = 1;
-      granularities = [ granularity ];
-      seed;
-    }
-  in
-  Fig_common.collect config
-
-(* ------------------------------------------------------------------ *)
-(* The benchmarks                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let figure_tests =
-  [
-    Test.make ~name:"fig3a-point (eps=1 bounds)"
-      (Staged.stage (fun () -> figure_point ~eps:1 ~crashes:0 ~granularity:1.0 11));
-    Test.make ~name:"fig3b-point (eps=1, 1 crash)"
-      (Staged.stage (fun () -> figure_point ~eps:1 ~crashes:1 ~granularity:1.0 12));
-    Test.make ~name:"fig3c-point (eps=1 overhead)"
-      (Staged.stage (fun () -> figure_point ~eps:1 ~crashes:1 ~granularity:0.6 13));
-    Test.make ~name:"fig4a-point (eps=3 bounds)"
-      (Staged.stage (fun () -> figure_point ~eps:3 ~crashes:0 ~granularity:1.0 14));
-    Test.make ~name:"fig4b-point (eps=3, 2 crashes)"
-      (Staged.stage (fun () -> figure_point ~eps:3 ~crashes:2 ~granularity:1.0 15));
-    Test.make ~name:"fig4c-point (eps=3 overhead)"
-      (Staged.stage (fun () -> figure_point ~eps:3 ~crashes:2 ~granularity:0.6 16));
-    Test.make ~name:"fig1+fig2 worked examples"
-      (Staged.stage (fun () ->
-           ignore (Paper_examples.fig1 ());
-           ignore (Paper_examples.fig2 ())));
-    Test.make ~name:"baselines-row (8 heuristics, 1 graph)"
-      (Staged.stage (fun () ->
-           let inst = instance ~seed:17 ~granularity:1.0 in
-           let dag = inst.Paper_workload.dag and plat = inst.Paper_workload.plat in
-           let throughput = Paper_workload.throughput ~eps:0 in
-           ignore (Heft.mapping ~throughput dag plat);
-           ignore (Etf.mapping ~throughput dag plat);
-           ignore (Hary.mapping dag plat ~throughput);
-           ignore (Expert.mapping dag plat ~throughput);
-           ignore (Tda.mapping dag plat ~throughput);
-           ignore (Stdp.mapping dag plat ~throughput);
-           ignore (Wmsh.mapping dag plat ~throughput);
-           ignore (Hoang.mapping ~iterations:10 dag plat)));
-    Test.make ~name:"symmetric-point (Section 6 searches)"
-      (Staged.stage (fun () ->
-           let inst = instance ~seed:18 ~granularity:1.0 in
-           let dag = inst.Paper_workload.dag and plat = inst.Paper_workload.plat in
-           ignore
-             (Symmetric.max_throughput ~iterations:6 ~dag ~platform:plat ~eps:1
-                ~latency_bound:500.0 ())));
-  ]
-
-(* A 12-trial sweep (3 granularities x 4 graphs) timed at -j 1/2/4:
-   the collect results are bit-identical across the three, only the
-   wall-clock may differ.  Pool setup/teardown is included, as in the
-   CLI's `-j N` path. *)
-let parallel_collect_config =
-  {
-    (Fig_common.quick ~eps:1 ~crashes:1) with
-    Fig_common.graphs_per_point = 4;
-    granularities = [ 0.6; 1.0; 1.4 ];
-  }
-
-let parallel_tests =
-  List.map
-    (fun jobs ->
-      Test.make
-        ~name:(Printf.sprintf "collect 12 trials, -j %d" jobs)
-        (Staged.stage (fun () ->
-             Fig_common.collect ~jobs parallel_collect_config)))
-    [ 1; 2; 4 ]
-
-let algorithm_tests =
-  [
-    Test.make ~name:"LTF schedule (v=100, m=20, eps=1)"
-      (Staged.stage (fun () -> Ltf.schedule ~opts:best_effort prob_e1));
-    Test.make ~name:"R-LTF schedule (v=100, m=20, eps=1)"
-      (Staged.stage (fun () -> Rltf.schedule ~opts:best_effort prob_e1));
-    Test.make ~name:"LTF schedule (eps=3)"
-      (Staged.stage (fun () -> Ltf.schedule ~opts:best_effort prob_e3));
-    Test.make ~name:"R-LTF schedule (eps=3)"
-      (Staged.stage (fun () -> Rltf.schedule ~opts:best_effort prob_e3));
-  ]
-
-let substrate_tests =
-  [
-    Test.make ~name:"workload instance generation"
-      (Staged.stage (fun () -> instance ~seed:19 ~granularity:1.0));
-    Test.make ~name:"one-port event simulation (1 item)"
-      (Staged.stage (fun () ->
-           Engine.simulate ~config:(Engine.Run.closed ())
-             (Engine.compile mapping_e1)));
-    Test.make ~name:"one-port event simulation (20 items)"
-      (Staged.stage (fun () ->
-           Engine.simulate ~config:(Engine.Run.closed ~n_items:20 ())
-             (Engine.compile mapping_e1)));
-    Test.make ~name:"stage-synchronous latency"
-      (Staged.stage (fun () ->
-           Stage_latency.latency mapping_e1 ~throughput:0.05));
-    Test.make ~name:"crash replay (1 failure)"
-      (Staged.stage (fun () ->
-           Crash.estimate ~source:(Crash.Of_mapping mapping_e1)
-             ~method_:(Crash.Fixed [ 0 ]) ()));
-    Test.make ~name:"exhaustive tolerance validation (eps=3)"
-      (Staged.stage (fun () -> Validate.fault_tolerance mapping_e3));
-    Test.make ~name:"exact width (Dilworth, v=100)"
-      (Staged.stage (fun () -> Width.exact inst_g1.Paper_workload.dag));
-    Test.make ~name:"post-failure recovery (1 crash)"
-      (Staged.stage (fun () -> Recovery.restore mapping_e1 ~failed:[ 0 ]));
-    Test.make ~name:"platform cost minimization"
-      (Staged.stage (fun () ->
-           Platform_cost.minimize ~dag:inst_g1.Paper_workload.dag
-             ~platform:inst_g1.Paper_workload.plat ~eps:1
-             ~throughput:(Paper_workload.throughput ~eps:1)
-             ()));
-    Test.make ~name:"exact optimum (9 tasks, m=4)"
-      (Staged.stage
-         (let plat =
-            Platform.homogeneous ~name:"bench" ~m:4 ~speed:1.0 ~bandwidth:1.0 ()
-          in
-          let rng = Rng.create ~seed:23 in
-          let dag =
-            Calibrate.calibrated (Random_dag.layered ~rng ~tasks:9 ()) plat
-              ~granularity:1.0
-          in
-          fun () ->
-            Optimal.minimum_stages ~dag ~platform:plat ~throughput:0.25 ()));
-    Test.make ~name:"mapping round trip (print + parse)"
-      (Staged.stage (fun () ->
-           Mapping_io.parse ~dag:inst_g1.Paper_workload.dag
-             ~platform:inst_g1.Paper_workload.plat
-             (Mapping_io.print mapping_e1)));
-  ]
 
 let opaque f () = ignore (Sys.opaque_identity (f ()))
 
@@ -364,51 +223,6 @@ let overhead_pairs : (string * float * (unit -> unit) * (unit -> unit)) list =
       opaque overhead_faults_inert );
   ]
 
-let sim_tests =
-  List.concat_map
-    (fun (name, before, after) ->
-      [
-        Test.make ~name:(name ^ " [before]") (Staged.stage before);
-        Test.make ~name:(name ^ " [after]") (Staged.stage after);
-      ])
-    sim_pairs
-
-(* ------------------------------------------------------------------ *)
-(* Counter deltas                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Work-per-run to go with the time-per-run above: run each
-   representative operation once under the observability layer and print
-   what a single invocation costs in placement probes, heap events, etc.
-   Recording stays off for the timed groups so they measure the same
-   code path as production runs. *)
-let counter_deltas () =
-  Printf.printf "## Counter deltas (Stream_obs, one invocation each)\n%!";
-  Obs.set_enabled true;
-  let delta name f =
-    Obs.reset ();
-    ignore (f ());
-    let counters =
-      List.sort compare (Obs.Registry.counters (Obs.snapshot ()))
-    in
-    Printf.printf "%s\n" name;
-    List.iter
-      (fun (k, v) -> if v > 0 then Printf.printf "    %-32s %d\n" k v)
-      counters
-  in
-  delta "LTF schedule (v=100, m=20, eps=1)" (fun () ->
-      Ltf.schedule ~opts:best_effort prob_e1);
-  delta "R-LTF schedule (eps=3)" (fun () ->
-      Rltf.schedule ~opts:best_effort prob_e3);
-  delta "one-port event simulation (20 items)" (fun () ->
-      Engine.simulate ~config:(Engine.Run.closed ~n_items:20 ())
-        (Engine.compile mapping_e1));
-  delta "fig3a sweep point (1 graph)" (fun () ->
-      figure_point ~eps:1 ~crashes:0 ~granularity:1.0 11);
-  Obs.set_enabled false;
-  Obs.reset ();
-  print_newline ()
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -430,22 +244,6 @@ let estimates cfg test =
       | Some [ ns_per_run ] -> (label, Some ns_per_run) :: acc
       | _ -> (label, None) :: acc)
     analyzed []
-
-let run_group name tests =
-  Printf.printf "## %s\n%!" name;
-  let cfg = bench_cfg () in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun (label, est) ->
-          match est with
-          | Some ns_per_run ->
-              Printf.printf "%-44s %14.0f ns/run (%10.3f ms)\n%!" label
-                ns_per_run (ns_per_run /. 1e6)
-          | None -> Printf.printf "%-44s (no estimate)\n%!" label)
-        (estimates cfg test))
-    tests;
-  print_newline ()
 
 (* One OLS estimate can land on a scheduler hiccup; the committed JSON
    numbers are the median of three independent estimates, so a single
@@ -1022,11 +820,8 @@ let () =
   | _ :: "--parallel-smoke" :: _ -> parallel_smoke ()
   | _ :: "--gc-stats" :: _ -> gc_stats ()
   | _ ->
-      print_endline "Benchmarks (Bechamel, monotonic clock, OLS ns/run)";
-      print_endline "===================================================";
-      run_group "Figure regeneration (one sweep point each)" figure_tests;
-      run_group "Parallel sweep engine (domain pool)" parallel_tests;
-      run_group "Scheduling algorithms" algorithm_tests;
-      run_group "Compiled simulator (before/after)" sim_tests;
-      run_group "Substrates" substrate_tests;
-      counter_deltas ()
+      prerr_endline
+        "usage: main.exe (--sched-json PATH | --sim-json PATH | \
+         --check-sched-json PATH | --check-sim-json PATH | --parallel-smoke | \
+         --gc-stats)";
+      exit 2

@@ -25,7 +25,6 @@ type failure =
           forward fault-tolerant communication structure fits the period on
           the given processor (whose cycle time is reported) *)
 
-val pp_failure : Format.formatter -> failure -> unit
 val failure_to_string : failure -> string
 
 type outcome = (Mapping.t, failure) result

@@ -17,9 +17,8 @@ type t = {
       (* (src * v + dst) -> volume; O(1) volume/has_edge lookups for the
          simulator's per-finish consumer loop and the schedulers *)
   mutable csr_succs_cache : csr option;
-  mutable csr_preds_cache : csr option;
-      (* flat compressed-row views, built on first demand; clustering and
-         the scaling paths walk these instead of the cons-cell lists *)
+      (* flat compressed-row view, built on first demand; clustering and
+         the scaling paths walk it instead of the cons-cell lists *)
 }
 
 (* The frozen edge table, rebuilt whenever the adjacency lists change
@@ -122,7 +121,6 @@ module Builder = struct
       n_edges = List.length b.b_edges;
       edge_tbl = index_edges succs;
       csr_succs_cache = None;
-      csr_preds_cache = None;
     }
 end
 
@@ -174,14 +172,6 @@ let csr_succs g =
       g.csr_succs_cache <- Some c;
       c
 
-let csr_preds g =
-  match g.csr_preds_cache with
-  | Some c -> c
-  | None ->
-      let c = csr_of_adjacency g.preds in
-      g.csr_preds_cache <- Some c;
-      c
-
 let filter_tasks g keep =
   let rec collect i acc =
     if i < 0 then acc else collect (i - 1) (if keep i then i :: acc else acc)
@@ -211,9 +201,6 @@ let fold_edges g ~init ~f =
 
 let total_exec g = Array.fold_left ( +. ) 0.0 g.exec
 
-let total_volume g =
-  fold_edges g ~init:0.0 ~f:(fun acc _ _ vol -> acc +. vol)
-
 let reverse g =
   {
     g with
@@ -222,7 +209,6 @@ let reverse g =
     preds = Array.map (fun l -> l) g.succs;
     edge_tbl = index_edges g.preds;
     csr_succs_cache = None;
-    csr_preds_cache = None;
   }
 
 let map_weights ?exec ?volume g =
@@ -238,7 +224,6 @@ let map_weights ?exec ?volume g =
     preds = Array.mapi remap_preds g.preds;
     edge_tbl = index_edges succs;
     csr_succs_cache = None;
-    csr_preds_cache = None;
   }
 
 let pp ppf g =

@@ -93,8 +93,6 @@ type csr = {
 }
 
 val csr_succs : t -> csr
-val csr_preds : t -> csr
-
 val entries : t -> task list
 (** Tasks with no predecessor, in increasing order. *)
 
@@ -108,9 +106,6 @@ val fold_edges : t -> init:'a -> f:('a -> task -> task -> float -> 'a) -> 'a
 
 val total_exec : t -> float
 (** Sum of execution weights over all tasks. *)
-
-val total_volume : t -> float
-(** Sum of data volumes over all edges. *)
 
 (** {1 Transformations} *)
 

@@ -15,9 +15,3 @@ let to_string ?(highlight = []) g =
         (Printf.sprintf "  n%d -> n%d [label=\"%g\"];\n" src dst vol));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let to_file ?highlight path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?highlight g))

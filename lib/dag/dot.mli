@@ -4,6 +4,3 @@ val to_string : ?highlight:Dag.task list -> Dag.t -> string
 (** DOT source for the graph; nodes carry their label and execution weight,
     edges their data volume.  Tasks in [highlight] are drawn filled (e.g. a
     critical path). *)
-
-val to_file : ?highlight:Dag.task list -> string -> Dag.t -> unit
-(** Write {!to_string} to the given path. *)

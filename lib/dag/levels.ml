@@ -3,9 +3,6 @@ type weights = {
   edge : Dag.task -> Dag.task -> float -> float;
 }
 
-let unit_weights : weights =
-  { node = (fun _ -> 1.0); edge = (fun _ _ v -> v) }
-
 let exec_weights g : weights =
   { node = Dag.exec g; edge = (fun _ _ v -> v) }
 

@@ -15,10 +15,6 @@ type weights = {
       (** weight of an edge given source, destination and data volume *)
 }
 
-val unit_weights : weights
-(** Node weight = 1, edge weight = data volume; useful for structural
-    (hop-counting) levels. *)
-
 val exec_weights : Dag.t -> weights
 (** Node weight = execution weight of the task, edge weight = data volume:
     the natural weights on a homogeneous unit-speed platform. *)

@@ -32,30 +32,6 @@ let critical_path g w =
         walk entry []
   end
 
-let longest_path_through g w t =
-  let tl = Levels.top g w and bl = Levels.bottom g w in
-  tl.(t) +. bl.(t)
-
-let saturating_add a b =
-  if a > max_int - b then max_int else a + b
-
-let count_paths g =
-  let counts = Array.make (Dag.size g) 0 in
-  Array.iter
-    (fun t ->
-      counts.(t) <-
-        (match Dag.succs g t with
-        | [] -> 1
-        | succs ->
-            List.fold_left
-              (fun acc (s, _) -> saturating_add acc counts.(s))
-              0 succs))
-    (Topo.reverse_order g);
-  List.fold_left
-    (fun acc t -> saturating_add acc counts.(t))
-    0 (Dag.entries g)
-  |> fun total -> if Dag.size g = 0 then 0 else total
-
 let all_paths ?(limit = 10_000) g =
   let found = ref [] and n_found = ref 0 in
   let rec extend t prefix =

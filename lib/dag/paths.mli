@@ -4,14 +4,6 @@ val critical_path : Dag.t -> Levels.weights -> Dag.task list
 (** A longest weighted path from an entry to an exit task, as the ordered
     list of tasks along it ([[]] for the empty graph). *)
 
-val longest_path_through : Dag.t -> Levels.weights -> Dag.task -> float
-(** Length of the longest entry-to-exit path passing through the given task
-    (= top level + bottom level, the LTF priority). *)
-
-val count_paths : Dag.t -> int
-(** Total number of entry-to-exit paths.  Saturates at [max_int] (path
-    counts grow exponentially on dense graphs). *)
-
 val all_paths : ?limit:int -> Dag.t -> Dag.task list list
 (** Enumerate entry-to-exit paths (at most [limit], default 10_000), in a
     deterministic order.  Used by the EXPERT baseline which processes paths

@@ -7,12 +7,6 @@ type series = {
   points : (float * float) list;  (** (x, y), NaN ys are skipped *)
 }
 
-val decimate : ?max_points:int -> series -> series
-(** An evenly-strided subset of at most [max_points] points (default
-    256), always retaining both endpoints; series at or under the cap
-    are returned unchanged.  The scaling experiment runs this before
-    plotting 10⁶-point series. *)
-
 val render :
   ?width:int -> ?height:int ->
   ?x_label:string -> ?y_label:string ->
@@ -21,7 +15,8 @@ val render :
 (** A [width × height] character canvas (default 64 × 20) with axes
     labelled by the data ranges and a legend mapping glyphs to series.
     Series longer than [max_points] (default 4096, far above anything a
-    canvas resolves) are {!decimate}d first. *)
+    canvas resolves) are first cut to an evenly-strided subset that
+    keeps both endpoints. *)
 
 val print :
   ?width:int -> ?height:int ->

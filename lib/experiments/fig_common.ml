@@ -62,11 +62,9 @@ type sample = {
 let ltf_bound s = s.ltf.bound
 let ltf_sim s = s.ltf.sim
 let ltf_crash s = s.ltf.crash
-let ltf_meets s = s.ltf.meets
 let rltf_bound s = s.rltf.bound
 let rltf_sim s = s.rltf.sim
 let rltf_crash s = s.rltf.crash
-let rltf_meets s = s.rltf.meets
 let ltf_defeat_rate s = s.ltf.defeat_rate
 let rltf_defeat_rate s = s.rltf.defeat_rate
 let ff_sim s = s.ff_sim

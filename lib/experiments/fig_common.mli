@@ -80,11 +80,9 @@ type sample = {
 val ltf_bound : sample -> float
 val ltf_sim : sample -> float
 val ltf_crash : sample -> float
-val ltf_meets : sample -> bool
 val rltf_bound : sample -> float
 val rltf_sim : sample -> float
 val rltf_crash : sample -> float
-val rltf_meets : sample -> bool
 val ltf_defeat_rate : sample -> float
 val rltf_defeat_rate : sample -> float
 val ff_sim : sample -> float

@@ -37,11 +37,6 @@ type rep_errors = {
   latency_errors : (int * float) list;
 }
 
-val run_rep : config -> int -> rep_errors option
-(** One graph: schedule, evaluate exactly, then estimate at every draw
-    count on independent child streams.  [None] when R-LTF failed to
-    schedule the instance.  Pure function of (config, rep index). *)
-
 val collect : ?jobs:int -> config -> rep_errors list
 (** All reps that scheduled, in rep order; deterministic in the seed for
     every [jobs] value. *)

@@ -175,6 +175,7 @@ let measure_corr config ~rng ~rho mapping =
   let domains = Faults.Domains.racks ~size:config.rack_size ~procs:m in
   let p_shock, p_ind = split_probability ~p_total:config.p_total ~rho in
   let t = Reliability.analyze mapping in
+  let graph = Replica_graph.compile mapping in
   let cp_exact =
     Reliability.defeat_probability t
       (Reliability.Correlated
@@ -197,7 +198,7 @@ let measure_corr config ~rng ~rho mapping =
       if shocked.(Faults.Domains.domain_of domains u) || Rng.bool rng p_ind
       then failed := u :: !failed
     done;
-    if Reliability.defeated_by t ~failed:!failed then incr defeated
+    if Replica_graph.depth ~failed:!failed graph = None then incr defeated
   done;
   {
     cp_exact;

@@ -8,10 +8,6 @@
 
 val series : Fig_common.sample list -> Ascii_plot.series list
 
-val defeat_series : Fig_common.sample list -> Ascii_plot.series list
-(** Mean percentage of crash draws that defeated the mapping (an exit
-    task lost every replica), per algorithm. *)
-
 val run :
   ?out_dir:string -> ?jobs:int -> config:Fig_common.config -> unit ->
   Ascii_plot.series list

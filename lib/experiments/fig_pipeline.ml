@@ -39,7 +39,10 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) ?(items = 30) () =
                 (match result.Engine.item_latency.(items - 1) with
                 | Some l -> steady := l :: !steady
                 | None -> ());
-                match Stage_latency.latency mapping ~throughput with
+                match
+                  Stage_latency.latency_of_plan
+                    (Replica_graph.compile mapping) ~throughput
+                with
                 | Some l -> model := l :: !model
                 | None -> ()
               end

@@ -52,16 +52,6 @@ val run_trial : config -> trial -> (string * point option) list
     [None] marks an algorithm that failed to schedule.  Pure function of
     its arguments (exposed for the regression tests). *)
 
-val exact_survival_series : config -> Ascii_plot.series list
-(** Analytic no-recovery reference: the exact probability (from
-    {!Reliability}) that each algorithm's static schedule is never
-    defeated within the horizon, with each processor failing
-    independently with [q = 1 - exp (-. hazard *. horizon /. 1000.)] —
-    the same Poisson process the timelines draw from.  Averaged over the
-    same instances [run_trial] generates (same seed derivation), so the
-    recovery timelines must sit above this curve: the gap is what
-    recovery buys. *)
-
 val run :
   ?out_dir:string ->
   ?jobs:int ->
@@ -72,6 +62,9 @@ val run :
     outage-rate table, writes [fig-recovery-availability.csv],
     [fig-recovery-latency.csv] and [fig-recovery-outages.csv], and
     returns the (availability, latency) series.  With [config.exact] it
-    additionally prints the {!exact_survival_series} plot/table and
-    writes [fig-recovery-exact-survival.csv].  [jobs] worker domains
+    additionally prints the analytic no-recovery reference (the exact
+    {!Reliability} probability that each static schedule is never
+    defeated within the horizon, on the same instances; the recovery
+    timelines must sit above it) and writes
+    [fig-recovery-exact-survival.csv].  [jobs] worker domains
     (default 1 = sequential, identical output for every value). *)

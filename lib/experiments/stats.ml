@@ -137,7 +137,7 @@ let percentile_slice p a ~len =
   if not (Float.is_finite p) || p < 0.0 || p > 100.0 then
     invalid_arg "Stats.percentile: p outside [0, 100]";
   if len < 0 || len > Array.length a then
-    invalid_arg "Stats.percentile_slice: len outside [0, length]";
+    invalid_arg "Stats.quantiles_slice: len outside [0, length]";
   if len = 0 then nan
   else begin
     let h = p /. 100.0 *. float_of_int (len - 1) in
@@ -190,6 +190,3 @@ let reservoir_quantiles r =
   (* Report the true sample size: the quantiles are estimates over the
      retained subsample, but q_n = 0 must keep meaning "no data". *)
   { q with q_n = r.r_seen }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%.2f ± %.2f (n=%d)" s.mean s.stderr s.n

@@ -47,23 +47,13 @@ val quantiles : float list -> quantiles
 (** The tail-latency summary of one sample in a single sort: {!percentile}
     at 50 / 95 / 99 / 99.9, with the same nan-on-empty policy. *)
 
-val percentile_slice : float -> float array -> len:int -> float
-(** {!percentile} over the prefix [a.(0 .. len - 1)] by expected-O(n)
-    selection (three-way quickselect) instead of a full sort — the path
-    the scaling experiment takes for 10⁶-point samples.  Slots at and
-    past [len] are neither read nor moved, so callers can reuse one
-    preallocated buffer and fill a varying prefix per iteration (e.g.
-    {!Engine.sojourns_into}) with no per-call [Array.sub] copy.
-    Permutes the prefix; the values must be NaN-free (use
-    {!reservoir_add}, which skips NaN).  Same value and NaN-on-empty
-    policy as {!percentile}.
-    @raise Invalid_argument when [p] is outside [0, 100] or [len] is
-    outside [0, Array.length a]. *)
-
 val quantiles_slice : float array -> len:int -> quantiles
 (** {!quantiles} over the prefix [a.(0 .. len - 1)] by repeated
-    selection, O(n) expected and no sorted copy; same contract as
-    {!percentile_slice}.  [q_n = len]. *)
+    expected-O(n) selection, with no sorted copy.  Slots at and past
+    [len] are neither read nor moved, so a caller can reuse one buffer
+    (e.g. {!Engine.sojourns_into}).  Permutes the prefix; the values must
+    be NaN-free (use {!reservoir_add}, which skips NaN).  [q_n = len].
+    @raise Invalid_argument when [len] is outside [0, Array.length a]. *)
 
 type reservoir
 (** Bounded-memory uniform subsample of a stream (Vitter's algorithm R),
@@ -89,6 +79,3 @@ val mean_by : ('a -> float) -> 'a list -> float
 (** Mean of the projection over the items, skipping [nan] projections;
     [nan] when nothing measurable remains.  This is how the figures
     consume record-shaped samples directly. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** ["mean ± stderr (n=…)"]. *)

@@ -39,11 +39,6 @@ module Backoff = struct
     if t.base_delay = 0.0 then 0.0
     else t.base_delay *. (t.multiplier ** float_of_int (attempt - 1))
 
-  let total_delay t =
-    let rec sum k acc =
-      if k > t.max_retries then acc else sum (k + 1) (acc +. delay t ~attempt:k)
-    in
-    sum 1 0.0
 end
 
 (* ---- deterministic Bernoulli draws ------------------------------------ *)

@@ -49,10 +49,6 @@ module Backoff : sig
       when [base_delay = 0.] whatever the multiplier.
       @raise Invalid_argument when [attempt < 1]. *)
 
-  val total_delay : t -> float
-  (** Sum of {!delay} over the whole retry budget — the worst-case
-      backoff time one work unit can spend before exhaustion. *)
-
   val validate : t -> unit
   (** @raise Invalid_argument when [max_retries < 0], [base_delay] is
       negative or not finite, or [multiplier] is negative or not

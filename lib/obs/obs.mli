@@ -98,7 +98,6 @@ module Registry : sig
   val span_stats : t -> string -> span_stat option
   val spans : t -> (string * span_stat) list
 
-  val to_json_value : t -> Json.t
   val to_json : t -> string
   (** [{"counters": {...}, "histograms": {...}, "spans": {...}}] with all
       keys sorted, so equal registries render identically. *)

@@ -25,7 +25,3 @@ let star ?(name = "star") ~m ~speed ~hub_bandwidth ~leaf_bandwidth () =
             else leaf_bandwidth))
   in
   Platform.create ~name ~speeds:(Array.make m speed) ~bandwidth:bw ()
-
-let heterogeneous_speeds ?(name = "related-machines") ~speeds ~bandwidth () =
-  let m = Array.length speeds in
-  Platform.create ~name ~speeds ~bandwidth:(Array.make_matrix m m bandwidth) ()

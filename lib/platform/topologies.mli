@@ -31,14 +31,5 @@ val star :
 (** Processor 0 is the hub: its links run at [hub_bandwidth]; leaf-to-leaf
     links (logically routed through the hub) at [leaf_bandwidth]. *)
 
-val heterogeneous_speeds :
-  ?name:string ->
-  speeds:float array ->
-  bandwidth:float ->
-  unit ->
-  Platform.t
-(** Uniform links with the given per-processor speeds — the classic
-    "related machines" model. *)
-
 val cluster_of : per_cluster:int -> Platform.proc -> int
 (** The cluster index of a processor under {!clustered}'s numbering. *)

@@ -164,21 +164,6 @@ let analyze ?(max_cut_card = max_int) m =
         t_defeat = None;
       })
 
-(* ---- oracle sweeps ------------------------------------------------------ *)
-
-(* Direct replay of the simulator's liveness sweep — no cut sets, no
-   probabilities.  The tests enumerate failure patterns through this and
-   compare with the calculus. *)
-let depth_with t ~failed =
-  List.iter
-    (fun p ->
-      if p < 0 || p >= procs t then
-        invalid_arg "Reliability.depth_with: processor out of range")
-    failed;
-  Replica_graph.depth ~failed t.t_graph
-
-let defeated_by t ~failed = depth_with t ~failed = None
-
 (* ---- probability evaluation ------------------------------------------- *)
 
 let binom n k =
@@ -368,7 +353,7 @@ let uniform_enumeration t ~crashes =
   let defeated = ref 0.0 in
   let hist = Hashtbl.create 16 in
   foreach_subset (procs t) crashes (fun failed ->
-      match depth_with t ~failed with
+      match Replica_graph.depth ~failed t.t_graph with
       | None -> defeated := !defeated +. 1.0
       | Some d ->
           Hashtbl.replace hist d
@@ -491,4 +476,3 @@ let closed_form_defeat t ~pfail =
       Some (1.0 -. p_defeat)
     with Not_closed -> None
   end
-

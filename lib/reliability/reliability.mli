@@ -16,7 +16,11 @@
     [max(1, max over groups (min over alive sources (stage + eta)))] with
     [eta = 0] when co-located and [1] across processors, and the effective
     depth of the pattern is [max over exits (min over alive copies stage)];
-    single-item degraded latency is [(2 depth - 1) / T].
+    single-item degraded latency is [(2 depth - 1) / T].  That sweep is
+    [Replica_graph.depth ~failed] on the mapping's compiled graph, the
+    oracle for one pattern: [None] means defeated, and a processor of
+    [F] outside [0, m) raises [Invalid_argument] naming
+    [Replica_graph.depth].
 
     Both the defeat predicate and the depth are monotone in [F] (killing
     more processors only deepens or defeats the schedule), so every event
@@ -136,15 +140,3 @@ val closed_form_defeat : t -> pfail:(Platform.proc -> float) -> float option
     formula is exact.  [None] when the structure does not admit it or the
     analysis was pruned; when [Some], it equals
     [defeat_probability t (Independent pfail)] up to rounding. *)
-
-val defeated_by : t -> failed:Platform.proc list -> bool
-(** Oracle: replay one failure pattern through the liveness sweep (no
-    probabilities involved).  Used by the tests to cross-check the cut
-    families against exhaustive enumeration. *)
-
-val depth_with : t -> failed:Platform.proc list -> int option
-(** Oracle sweep for the effective depth; [None] when defeated.  It is
-    [Replica_graph.depth] over the analysis' replica graph, after
-    checking that every failed processor is in range, so it equals
-    [Stage_latency.effective_depth] by construction.
-    @raise Invalid_argument on a processor outside [0, m). *)

@@ -43,5 +43,3 @@ let stage_depth m = Stages.depth (Stages.compute m)
 let latency_bound m ~throughput =
   let s = stage_depth m in
   float_of_int ((2 * s) - 1) /. throughput
-
-let replication_messages = Mapping.n_messages

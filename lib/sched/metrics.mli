@@ -32,6 +32,3 @@ val stage_depth : Mapping.t -> int
 val latency_bound : Mapping.t -> throughput:float -> float
 (** The paper's pipelined latency [L = (2S − 1) / T] for the desired
     throughput [T] (§4, after [Hary–Özgüner 1999]). *)
-
-val replication_messages : Mapping.t -> int
-(** Cross-processor replica communications; between [e] and [e(ε+1)²]. *)

@@ -75,7 +75,12 @@ let compile m =
 let depth ?(failed = []) g =
   let copies = g.copies in
   let dead_proc = Array.make g.procs false in
-  List.iter (fun p -> dead_proc.(p) <- true) failed;
+  List.iter
+    (fun p ->
+      if p < 0 || p >= g.procs then
+        invalid_arg "Replica_graph.depth: processor out of range";
+      dead_proc.(p) <- true)
+    failed;
   (* stage 0 = dead; alive replicas have stage >= 1 *)
   let stage = Array.make g.rids 0 in
   Array.iter

@@ -44,4 +44,6 @@ val depth : ?failed:Platform.proc list -> t -> int option
     source, and its stage is [max 1 (max over groups (min over alive
     sources (stage + eta)))].  [None] when some exit task has no alive
     replica (the failure set defeats the mapping); [Some 0] for the
-    empty graph.  Processors in [failed] must be in range. *)
+    empty graph.
+    @raise Invalid_argument naming [Replica_graph.depth] when a processor
+    in [failed] is outside [0, procs). *)

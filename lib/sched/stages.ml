@@ -41,13 +41,3 @@ let of_replica t (id : Replica.id) =
   s
 
 let depth t = t.depth
-
-let replicas_in_stage t s =
-  let acc = ref [] in
-  for task = Array.length t.stage - 1 downto 0 do
-    for copy = Array.length t.stage.(task) - 1 downto 0 do
-      if t.stage.(task).(copy) = s then
-        acc := { Replica.task; copy } :: !acc
-    done
-  done;
-  !acc

@@ -20,6 +20,3 @@ val of_replica : t -> Replica.id -> int
 val depth : t -> int
 (** The pipeline stage number [S]: largest replica stage, or [0] for an
     empty mapping. *)
-
-val replicas_in_stage : t -> int -> Replica.id list
-(** Replicas of a given stage, in (task, copy) order. *)

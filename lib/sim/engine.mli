@@ -49,10 +49,6 @@
     (statically dead, exactly like [failed]). *)
 type snapshot = { clock : float; down : Platform.proc list }
 
-val boot : snapshot
-(** [{ clock = 0.0; down = [] }]: the fresh-stream state a config with
-    [snapshot = None] starts from. *)
-
 type instance = { item : int; rep : Replica.id }
 
 type message = {
@@ -189,10 +185,11 @@ module Run : sig
   type config = {
     traffic : traffic;
     snapshot : snapshot option;
-        (** [None] = {!boot}.  [Some s] resumes at [s.clock] with
-            [s.down] statically dead, and the run records
-            [sim.epoch.resumes] (when the clock is positive) and a
-            [sim.epoch.items] histogram sample. *)
+        (** [None] = a fresh stream, [{ clock = 0.0; down = [] }].
+            [Some s] resumes at [s.clock] with [s.down] statically
+            dead, and the run records [sim.epoch.resumes] (when the
+            clock is positive) and a [sim.epoch.items] histogram
+            sample. *)
     failed : Platform.proc list;
         (** fail-silent from time 0: shorthand for a crash at time 0 *)
     timed_failures : (Platform.proc * float) list;
@@ -228,8 +225,8 @@ module Run : sig
   }
 
   val closed : ?n_items:int -> ?period:float -> unit -> config
-  (** A closed-system config with no failures and the {!boot} snapshot;
-      set those by record update, [{ (Run.closed ()) with failed }].
+  (** A closed-system config with no failures and no snapshot (a fresh
+      stream); set those by record update, [{ (Run.closed ()) with failed }].
       [n_items] defaults to 1. *)
 
   val open_ :
@@ -239,7 +236,8 @@ module Run : sig
     n_items:int ->
     Arrival.t ->
     config
-  (** An open-system config with no failures and the {!boot} snapshot.
+  (** An open-system config with no failures and no snapshot (a fresh
+      stream).
       [queue_bound] defaults to unbounded and [policy] to {!Block} — the
       degenerate point where a [Deterministic] arrival process is
       exactly the [Closed] lowering. *)

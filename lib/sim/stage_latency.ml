@@ -1,13 +1,7 @@
-let effective_depth ?failed m =
-  Replica_graph.depth ?failed (Replica_graph.compile m)
-
 let latency_of_plan ?failed pl ~throughput =
   Option.map
     (fun depth -> float_of_int ((2 * depth) - 1) /. throughput)
     (Replica_graph.depth ?failed pl)
-
-let latency ?failed m ~throughput =
-  latency_of_plan ?failed (Replica_graph.compile m) ~throughput
 
 (* The shared plan cache: the stage-model counterpart of
    [Program_cache.programs]. *)

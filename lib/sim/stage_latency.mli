@@ -22,19 +22,12 @@
 val latency_of_plan :
   ?failed:Platform.proc list -> Replica_graph.t -> throughput:float ->
   float option
-(** {!latency} against a compiled replica graph (a {e plan}, built once
-    per mapping and replayed per failure draw); identical result. *)
-
-val effective_depth : ?failed:Platform.proc list -> Mapping.t -> int option
-(** [S_eff]: the maximum over exit tasks of the minimum, over alive
-    replicas of that task, of the replica's effective stage (per
-    predecessor, the best alive source).  [None] when some exit task has
-    no alive replica (the failure set defeats the schedule); [Some 0] for
-    the empty graph.  [Replica_graph.depth] of a fresh compile. *)
-
-val latency :
-  ?failed:Platform.proc list -> Mapping.t -> throughput:float -> float option
-(** [(2·S_eff − 1) / T]. *)
+(** [(2·S_eff − 1) / T] against a compiled replica graph (a {e plan},
+    built once per mapping and replayed per failure draw), where [S_eff]
+    is [Replica_graph.depth ?failed plan]; [None] when the failure set
+    defeats the schedule.
+    @raise Invalid_argument when a processor in [failed] is out of
+    range (the check of [Replica_graph.depth]). *)
 
 val plans : Replica_graph.t Program_cache.t
 (** The global stage-latency plan cache (capacity 64), used by the

@@ -9,10 +9,6 @@ type t =
     }
   | Trace of float list
 
-let requires_rng = function
-  | Deterministic _ | Trace _ -> false
-  | Poisson _ | Mmpp _ -> true
-
 let positive name v =
   if not (Float.is_finite v) || v <= 0.0 then
     invalid_arg ("Arrival.times: " ^ name ^ " must be positive and finite")
@@ -87,16 +83,6 @@ let times ?rng ~n t =
       in
       fill 0 offsets;
       arr
-
-let mean_rate = function
-  | Deterministic { period } -> if period > 0.0 then Some (1.0 /. period) else None
-  | Poisson { rate } -> Some rate
-  | Mmpp { burst_rate; idle_rate; mean_burst; mean_idle } ->
-      (* Expected arrivals per cycle over the expected cycle length. *)
-      Some
-        (((burst_rate *. mean_burst) +. (idle_rate *. mean_idle))
-        /. (mean_burst +. mean_idle))
-  | Trace _ -> None
 
 let to_string = function
   | Deterministic { period } -> Printf.sprintf "deterministic(period=%g)" period

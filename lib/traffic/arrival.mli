@@ -36,10 +36,6 @@ type t =
       (** externally recorded arrival offsets, nondecreasing, relative
           to the start of the run *)
 
-val requires_rng : t -> bool
-(** Whether {!times} consumes randomness: [true] for {!Poisson} and
-    {!Mmpp}, [false] for {!Deterministic} and {!Trace}. *)
-
 val times : ?rng:Rng.t -> n:int -> t -> float array
 (** The offsets of the first [n] arrivals, relative to the start of the
     run: a nondecreasing array of [n] finite non-negative floats.
@@ -49,11 +45,6 @@ val times : ?rng:Rng.t -> n:int -> t -> float array
     not positive and finite, [rng] is missing for a random process, or
     a [Trace] has fewer than [n] offsets, a negative / non-finite
     offset, or decreasing offsets. *)
-
-val mean_rate : t -> float option
-(** Long-run arrival rate: [1 / period] for {!Deterministic}, [rate]
-    for {!Poisson}, the phase-weighted rate for {!Mmpp}; [None] for a
-    {!Trace} (no model behind the data). *)
 
 val to_string : t -> string
 (** One-line description for logs and figure captions. *)

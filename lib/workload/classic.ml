@@ -161,31 +161,6 @@ let stencil ~rows ~cols ~exec ~volume =
   done;
   Dag.Builder.build b
 
-let tree_size ~depth ~arity =
-  (* 1 + a + a^2 + ... + a^depth *)
-  let rec total level acc width =
-    if level > depth then acc else total (level + 1) (acc + width) (width * arity)
-  in
-  total 0 0 1
-
-let in_tree ~depth ~arity ~exec ~volume =
-  if depth < 0 then invalid_arg "Classic.in_tree: negative depth";
-  if arity < 1 then invalid_arg "Classic.in_tree: arity < 1";
-  let n = tree_size ~depth ~arity in
-  let b = Dag.Builder.create ~name:"in-tree" n in
-  for i = 0 to n - 1 do
-    Dag.Builder.set_exec b i exec
-  done;
-  (* node 0 is the root; children of i are arity*i+1 .. arity*i+arity,
-     and every child feeds its parent *)
-  for i = 1 to n - 1 do
-    Dag.Builder.add_edge b ~volume i ((i - 1) / arity)
-  done;
-  Dag.Builder.build b
-
-let out_tree ~depth ~arity ~exec ~volume =
-  Dag.reverse (in_tree ~depth ~arity ~exec ~volume)
-
 let stream_pipeline ~stages ~branches ~exec ~volume =
   if stages < 1 then invalid_arg "Classic.stream_pipeline: stages < 1";
   if branches < 1 then invalid_arg "Classic.stream_pipeline: branches < 1";

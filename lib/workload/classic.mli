@@ -45,14 +45,6 @@ val stencil : rows:int -> cols:int -> exec:float -> volume:float -> Dag.t
 (** A [rows × cols] wavefront: task [(i, j)] feeds [(i+1, j)] and
     [(i, j+1)]. *)
 
-val in_tree : depth:int -> arity:int -> exec:float -> volume:float -> Dag.t
-(** A complete reduction tree: [arity^depth] leaves merging down to one
-    root (the single exit task).  Depth 0 is a single task. *)
-
-val out_tree : depth:int -> arity:int -> exec:float -> volume:float -> Dag.t
-(** The transpose of {!in_tree}: one source broadcasting down to
-    [arity^depth] leaves. *)
-
 val stream_pipeline :
   stages:int -> branches:int -> exec:float -> volume:float -> Dag.t
 (** A StreamIt-style pipeline: a chain of [stages] split/join segments,

@@ -11,9 +11,6 @@ type weight_spec = {
   volume_range : float * float;  (** edge data volumes, e.g. (50, 150) *)
 }
 
-val default_weights : weight_spec
-(** [(50, 150)] for both, the ranges of §5. *)
-
 val layered :
   ?weights:weight_spec ->
   rng:Rng.t ->

@@ -239,7 +239,6 @@ let print_platform p =
     (Platform.procs p);
   Buffer.contents buf
 
-let save_platform path p = write_file path (print_platform p)
 
 (* ------------------------------------------------------------------ *)
 (* Workload specs                                                      *)

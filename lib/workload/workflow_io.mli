@@ -45,8 +45,6 @@ val save_workflow : string -> Dag.t -> unit
 val parse_platform : string -> (Platform.t, error) result
 val load_platform : string -> (Platform.t, error) result
 val print_platform : Platform.t -> string
-val save_platform : string -> Platform.t -> unit
-
 (** {1 Workload specs}
 
     Besides explicit workflow/platform files, a workload can be named by

@@ -271,7 +271,7 @@ let fig_tests =
               && same (rltf_crash x) (rltf_crash y));
             check_true "ff" (same (ff_sim x) (ff_sim y));
             check_true "meets"
-              (ltf_meets x = ltf_meets y && rltf_meets x = rltf_meets y))
+              (x.ltf.meets = y.ltf.meets && x.rltf.meets = y.rltf.meets))
           sequential parallel);
     slow_case "collect is deterministic in the seed" (fun () ->
         let config = tiny_config ~eps:1 ~crashes:0 in

@@ -113,12 +113,6 @@ let topology_tests =
         in
         check_float "hub" 8.0 (Platform.bandwidth p 0 4);
         check_float "leaf" 1.0 (Platform.bandwidth p 2 4));
-    case "related machines" (fun () ->
-        let p =
-          Topologies.heterogeneous_speeds ~speeds:[| 2.0; 1.0 |] ~bandwidth:3.0 ()
-        in
-        check_float "speed" 2.0 (Platform.speed p 0);
-        check_float "bw" 3.0 (Platform.bandwidth p 0 1));
     case "empty shapes are rejected" (fun () ->
         Alcotest.check_raises "empty" (Invalid_argument "") (fun () ->
             try

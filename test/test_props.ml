@@ -438,7 +438,7 @@ let prop_effective_depth_bounded =
       match Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob with
       | Error _ -> QCheck.assume_fail ()
       | Ok m -> (
-          match Stage_latency.effective_depth m with
+          match Replica_graph.depth (Replica_graph.compile m) with
           | None -> false
           | Some depth -> depth >= 1 && depth <= Metrics.stage_depth m))
 
@@ -449,12 +449,13 @@ let prop_crash_monotone =
       match Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob with
       | Error _ -> QCheck.assume_fail ()
       | Ok m -> (
-          match Stage_latency.effective_depth m with
+          let graph = Replica_graph.compile m in
+          match Replica_graph.depth graph with
           | None -> false
           | Some healthy ->
               List.for_all
                 (fun p ->
-                  match Stage_latency.effective_depth ~failed:[ p ] m with
+                  match Replica_graph.depth ~failed:[ p ] graph with
                   | None -> prob.Types.eps = 0
                   | Some depth -> depth >= healthy)
                 (Platform.procs prob.Types.platform)))
@@ -525,7 +526,9 @@ let prop_survival_consistency =
               .Engine.item_latency.(0)
           in
           let engine = estimate <> None in
-          let stage = Stage_latency.effective_depth ~failed m <> None in
+          let stage =
+            Replica_graph.depth ~failed (Replica_graph.compile m) <> None
+          in
           validator = engine && engine = stage
           && Option.equal float_bits_equal estimate replay)
 

@@ -31,6 +31,10 @@ let schedule_of_seed seed =
 let subset_of_mask ~m mask =
   List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init m Fun.id)
 
+(* The liveness sweep on one failure pattern: the defeat predicate the
+   cut families and the engine replay are checked against. *)
+let defeated graph ~failed = Replica_graph.depth ~failed graph = None
+
 let popcount mask =
   let rec go mask acc = if mask = 0 then acc else go (mask land (mask - 1)) (acc + 1) in
   go mask 0
@@ -51,9 +55,8 @@ let float_binom n k =
 (* ------------------------------------------------------------------ *)
 
 (* The cut families ARE the defeat predicate: a pattern defeats the
-   schedule iff it contains a minimal cut.  Checked against the calculus
-   oracle sweep, the stage model and the discrete-event engine, for all
-   2^m patterns. *)
+   schedule iff it contains a minimal cut.  Checked against the depth
+   sweep and the discrete-event engine, for all 2^m patterns. *)
 let prop_cut_sets_match_enumeration =
   QCheck.Test.make ~name:"defeat cuts reproduce every failure pattern"
     ~count:25 seed_arb (fun seed ->
@@ -63,28 +66,27 @@ let prop_cut_sets_match_enumeration =
           let t = Reliability.analyze m in
           let cuts = Reliability.defeat_cut_sets t in
           let program = Engine.compile m in
+          let graph = Replica_graph.compile m in
           let n_procs = Platform.size prob.Types.platform in
           let ok = ref true in
           for mask = 0 to (1 lsl n_procs) - 1 do
             let failed = subset_of_mask ~m:n_procs mask in
             let failed_set = Bitset.of_list failed in
             let by_cuts = List.exists (fun c -> Bitset.subset c failed_set) cuts in
-            let by_oracle = Reliability.defeated_by t ~failed in
-            let by_stage = Stage_latency.effective_depth ~failed m = None in
+            let by_depth = defeated graph ~failed in
             let by_engine =
               (Crash.estimate ~source:(Crash.Of_program program)
                  ~method_:(Crash.Fixed failed) ())
                 .Crash.est_mean
               = None
             in
-            if not (by_cuts = by_oracle && by_oracle = by_stage && by_stage = by_engine)
-            then ok := false
+            if not (by_cuts = by_depth && by_depth = by_engine) then ok := false
           done;
           !ok)
 
 (* Past exhaustive reach: paper-layered R-LTF mappings on m = 20
    processors (eps in {1, 2}), probed with random c-subsets for every
-   c <= eps + 1.  The oracle sweep, the minimal cuts of an analysis
+   c <= eps + 1.  The depth sweep, the minimal cuts of an analysis
    pruned at c, and a fixed-set engine replay must reach one defeat
    verdict on every subset. *)
 let prop_defeat_predicate_at_m20 =
@@ -106,6 +108,7 @@ let prop_defeat_predicate_at_m20 =
       | Ok m ->
           let n_procs = Platform.size inst.Paper_workload.plat in
           let program = Engine.compile m in
+          let graph = Replica_graph.compile m in
           List.for_all
             (fun c ->
               let t = Reliability.analyze ~max_cut_card:c m in
@@ -116,7 +119,7 @@ let prop_defeat_predicate_at_m20 =
                   Rng.shuffle rng procs;
                   let failed = Array.to_list (Array.sub procs 0 c) in
                   let failed_set = Bitset.of_list failed in
-                  let by_oracle = Reliability.defeated_by t ~failed in
+                  let by_depth = defeated graph ~failed in
                   let by_cuts =
                     List.exists (fun cut -> Bitset.subset cut failed_set) cuts
                   in
@@ -126,14 +129,13 @@ let prop_defeat_predicate_at_m20 =
                       .Crash.est_mean
                     = None
                   in
-                  by_oracle = by_cuts && by_cuts = by_engine)
+                  by_depth = by_cuts && by_cuts = by_engine)
                 (List.init 12 Fun.id))
             (List.init (eps + 1) (fun i -> i + 1)))
 
-(* The oracle depth sweep agrees with the stage model on every pattern,
-   the calculus depth distribution matches the enumeration counts for
-   every crash count c, and so does the estimator's exact defeat
-   probability under both latency models. *)
+(* The calculus depth distribution matches the depth sweep's enumeration
+   counts for every crash count c, and so does the estimator's exact
+   defeat probability under both latency models. *)
 let prop_depth_distribution_exhaustive =
   QCheck.Test.make ~name:"depth distribution matches exhaustive enumeration"
     ~count:15 seed_arb (fun seed ->
@@ -142,20 +144,16 @@ let prop_depth_distribution_exhaustive =
       | Some (prob, m) ->
           let t = Reliability.analyze m in
           let n_procs = Platform.size prob.Types.platform in
+          let graph = Replica_graph.compile m in
           let stages =
-            Crash.Of_stages
-              {
-                plan = Replica_graph.compile m;
-                throughput = prob.Types.throughput;
-              }
+            Crash.Of_stages { plan = graph; throughput = prob.Types.throughput }
           in
           let ok = ref true in
           (* per crash count: depth histogram over all masks of that size *)
           let histo = Array.make (n_procs + 1) [] in
           for mask = 0 to (1 lsl n_procs) - 1 do
             let failed = subset_of_mask ~m:n_procs mask in
-            let d = Reliability.depth_with t ~failed in
-            if d <> Stage_latency.effective_depth ~failed m then ok := false;
+            let d = Replica_graph.depth ~failed graph in
             let c = popcount mask in
             histo.(c) <- d :: histo.(c)
           done;
@@ -215,18 +213,17 @@ let prop_uniform_probability_exhaustive =
       | None -> QCheck.assume_fail ()
       | Some (prob, m) ->
           let t = Reliability.analyze m in
+          let graph = Replica_graph.compile m in
           let n_procs = Platform.size prob.Types.platform in
           List.for_all
             (fun c ->
-              let defeated = ref 0 in
+              let n_defeated = ref 0 in
               for mask = 0 to (1 lsl n_procs) - 1 do
                 if popcount mask = c then
-                  if
-                    Reliability.defeated_by t
-                      ~failed:(subset_of_mask ~m:n_procs mask)
-                  then incr defeated
+                  if defeated graph ~failed:(subset_of_mask ~m:n_procs mask)
+                  then incr n_defeated
               done;
-              let brute = float_of_int !defeated /. float_binom n_procs c in
+              let brute = float_of_int !n_defeated /. float_binom n_procs c in
               let by_enum =
                 Reliability.defeat_probability t (Reliability.Uniform_crashes c)
               in
@@ -248,10 +245,11 @@ let prop_independent_probability_exhaustive =
           let n_procs = Platform.size prob.Types.platform in
           let rng = Rng.create ~seed:(seed + 13) in
           let hazard = Array.init n_procs (fun _ -> Rng.float rng 0.9) in
+          let graph = Replica_graph.compile m in
           let brute = ref 0.0 in
           for mask = 0 to (1 lsl n_procs) - 1 do
             let failed = subset_of_mask ~m:n_procs mask in
-            if Reliability.defeated_by t ~failed then begin
+            if defeated graph ~failed then begin
               let w = ref 1.0 in
               for u = 0 to n_procs - 1 do
                 w :=
@@ -281,14 +279,16 @@ let prop_expected_latency_exhaustive =
           let t = Reliability.analyze m in
           let throughput = prob.Types.throughput in
           let n_procs = Platform.size prob.Types.platform in
+          let graph = Replica_graph.compile m in
           List.for_all
             (fun c ->
               let total = ref 0.0 and survivors = ref 0 in
               for mask = 0 to (1 lsl n_procs) - 1 do
                 if popcount mask = c then
                   match
-                    Reliability.depth_with t
+                    Replica_graph.depth
                       ~failed:(subset_of_mask ~m:n_procs mask)
+                      graph
                   with
                   | None -> ()
                   | Some d ->
@@ -638,10 +638,10 @@ let validation_errors () =
 (* ------------------------------------------------------------------ *)
 
 (* Exhaustive ground truth: condition on every shock pattern, then sum
-   over every idiosyncratic pattern with the oracle as defeat predicate
-   — the definition the 2^D evaluation must reproduce. *)
-let brute_force_correlated t ~domains ~p_shock ~p_fail =
-  let m = Reliability.procs t in
+   over every idiosyncratic pattern with the depth sweep as defeat
+   predicate — the definition the 2^D evaluation must reproduce. *)
+let brute_force_correlated graph ~domains ~p_shock ~p_fail =
+  let m = graph.Replica_graph.procs in
   let n_domains = Faults.Domains.count domains in
   let total = ref 0.0 in
   for shock_mask = 0 to (1 lsl n_domains) - 1 do
@@ -663,7 +663,7 @@ let brute_force_correlated t ~domains ~p_shock ~p_fail =
           prob := !prob *. (if idio then q else 1.0 -. q);
           if shocked || idio then failed := u :: !failed
         done;
-        if !prob > 0.0 && Reliability.defeated_by t ~failed:!failed then
+        if !prob > 0.0 && defeated graph ~failed:!failed then
           total := !total +. !prob
       done
   done;
@@ -685,7 +685,9 @@ let prop_correlated_matches_brute_force =
               (Reliability.Correlated { domains; p_shock; p_fail })
           in
           Float.abs
-            (exact -. brute_force_correlated t ~domains ~p_shock ~p_fail)
+            (exact
+            -. brute_force_correlated (Replica_graph.compile m) ~domains
+                 ~p_shock ~p_fail)
           < 1e-9)
 
 let prop_zero_shock_degenerates_to_independent =
@@ -731,11 +733,13 @@ let correlated_mirrored_chain () =
   Fixtures.check_float "no shock (rho = 0)" 0.04 (evaluate ~s:0.0 ~q:0.2)
 
 (* Monte-Carlo cross-validation of the same model: draw the shock and
-   the idiosyncratic failures, replay the oracle.  Seed-pinned, so the
+   the idiosyncratic failures, replay the depth sweep.  Seed-pinned, so the
    estimate is deterministic and the gate is a convergence bound, not a
    flaky statistical test. *)
 let correlated_mc_cross_check () =
-  let t = Reliability.analyze (mirrored_chain ()) in
+  let m = mirrored_chain () in
+  let t = Reliability.analyze m in
+  let graph = Replica_graph.compile m in
   let domains = Faults.Domains.make ~procs:2 [ [ 0; 1 ] ] in
   let s = 0.1 and q = 1.0 /. 9.0 in
   let exact =
@@ -745,16 +749,16 @@ let correlated_mc_cross_check () =
   in
   let rng = Rng.create ~seed:2009 in
   let draws = 20_000 in
-  let defeated = ref 0 in
+  let n_defeated = ref 0 in
   for _ = 1 to draws do
     let shocked = Rng.bool rng s in
     let failed = ref [] in
     for u = 1 downto 0 do
       if shocked || Rng.bool rng q then failed := u :: !failed
     done;
-    if Reliability.defeated_by t ~failed:!failed then incr defeated
+    if defeated graph ~failed:!failed then incr n_defeated
   done;
-  let mc = float_of_int !defeated /. float_of_int draws in
+  let mc = float_of_int !n_defeated /. float_of_int draws in
   Fixtures.check_float_eps 0.01 "MC within the convergence gate" exact mc
 
 let correlated_validation_errors () =

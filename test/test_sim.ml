@@ -460,7 +460,11 @@ let epoch_tests =
         let m = lanes () in
         let a = simulate ~config:(closed ~n_items:2 ~period:10.0 ()) m in
         let b =
-          simulate ~config:(closed ~snapshot:Engine.boot ~n_items:2 ~period:10.0 ()) m
+          simulate
+            ~config:
+              (closed ~snapshot:{ Engine.clock = 0.0; down = [] } ~n_items:2
+                 ~period:10.0 ())
+            m
         in
         Alcotest.(check (list int64)) "identical" (lat_bits a) (lat_bits b);
         check_float "same makespan" a.Engine.makespan b.Engine.makespan);
@@ -504,19 +508,24 @@ let epoch_tests =
 let stages m =
   Crash.Of_stages { plan = Replica_graph.compile m; throughput = 0.1 }
 
+let depth ?failed m = Replica_graph.depth ?failed (Replica_graph.compile m)
+
 let stage_latency_tests =
   [
     case "lanes have depth one" (fun () ->
-        check_int "depth" 1 (Option.get (Stage_latency.effective_depth (lanes ())));
+        check_int "depth" 1 (Option.get (depth (lanes ())));
         check_float "latency = period" 10.0
-          (Option.get (Stage_latency.latency (lanes ()) ~throughput:0.1)));
+          (Option.get
+             (Stage_latency.latency_of_plan
+                (Replica_graph.compile (lanes ()))
+                ~throughput:0.1)));
     case "spread diamond has depth three" (fun () ->
         let m = Mapping.create ~dag:Fixtures.diamond4 ~platform:Fixtures.hetero4 ~eps:0 in
         place m 0 0 0 [];
         place m 1 0 1 [ (0, [ id 0 0 ]) ];
         place m 2 0 2 [ (0, [ id 0 0 ]) ];
         place m 3 0 3 [ (1, [ id 1 0 ]); (2, [ id 2 0 ]) ];
-        check_int "depth" 3 (Option.get (Stage_latency.effective_depth m)));
+        check_int "depth" 3 (Option.get (depth m)));
     case "effective depth takes the best source" (fun () ->
         (* t1(0) has a local and a remote source: the local one wins *)
         let dag = Classic.chain ~n:2 ~exec:1.0 ~volume:1.0 in
@@ -527,7 +536,7 @@ let stage_latency_tests =
         place m 1 1 2 [ (0, [ id 0 0; id 0 1 ]) ];
         check_int "official stages take the max" 2 (Metrics.stage_depth m);
         check_int "effective depth takes the min" 1
-          (Option.get (Stage_latency.effective_depth m)));
+          (Option.get (depth m)));
     case "failures can only increase the depth" (fun () ->
         let dag = Classic.chain ~n:2 ~exec:1.0 ~volume:1.0 in
         let m = Mapping.create ~dag ~platform:(Fixtures.uniform 3) ~eps:1 in
@@ -535,14 +544,14 @@ let stage_latency_tests =
         place m 0 1 1 [];
         place m 1 0 0 [ (0, [ id 0 0; id 0 1 ]) ];
         place m 1 1 2 [ (0, [ id 0 0; id 0 1 ]) ];
-        let healthy = Option.get (Stage_latency.effective_depth m) in
+        let healthy = Option.get (depth m) in
         (* failing P0 kills the lane exit; the survivor pays a hop *)
-        let degraded = Option.get (Stage_latency.effective_depth ~failed:[ 0 ] m) in
+        let degraded = Option.get (depth ~failed:[ 0 ] m) in
         check_int "healthy" 1 healthy;
         check_int "degraded" 2 degraded);
     case "defeated schedules return None" (fun () ->
         check_true "both lanes"
-          (Stage_latency.effective_depth ~failed:[ 0; 1 ] (lanes ()) = None));
+          (depth ~failed:[ 0; 1 ] (lanes ()) = None));
     case "mean crash latency over draws" (fun () ->
         let rng = Rng.create ~seed:3 in
         let e =
@@ -554,7 +563,20 @@ let stage_latency_tests =
         check_float "still one stage" 10.0 (Option.get e.Crash.est_mean));
     case "empty graph has depth zero" (fun () ->
         let m = Mapping.create ~dag:Fixtures.empty ~platform:(Fixtures.uniform 1) ~eps:0 in
-        check_int "zero" 0 (Option.get (Stage_latency.effective_depth m)));
+        check_int "zero" 0 (Option.get (depth m)));
+    case "failed processor out of range is rejected" (fun () ->
+        let plan = Replica_graph.compile (lanes ()) in
+        let m = Platform.size (Mapping.platform (lanes ())) in
+        List.iter
+          (fun p ->
+            Alcotest.check_raises
+              (Printf.sprintf "failed:[%d]" p)
+              (Invalid_argument "Replica_graph.depth: processor out of range")
+              (fun () ->
+                ignore
+                  (Stage_latency.latency_of_plan ~failed:[ p ] plan
+                     ~throughput:0.1)))
+          [ m; -1 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -964,11 +986,6 @@ let compiled_tests =
               let fresh = full_digest m (simulate ~config:(config ()) m) in
               fresh = full_digest m (Engine.simulate ~state ~config:(config ()) prog))
             (configs @ List.rev configs)
-          (* and the stage model's plan replays identically too *)
-          && (let plan = Replica_graph.compile m in
-              Replica_graph.depth plan = Stage_latency.effective_depth m
-              && Replica_graph.depth ~failed:[ p1; p2 ] plan
-                 = Stage_latency.effective_depth ~failed:[ p1; p2 ] m)
         in
         QCheck.Test.check_exn
           (QCheck.Test.make ~count:10 ~name:"fresh-compile-equals-reused"

@@ -137,39 +137,6 @@ let arrival_tests =
             Arrival.times ~n:2 (Arrival.Trace [ -1.0; 0.0 ]));
         rejects "non-finite trace offset" (fun () ->
             Arrival.times ~n:2 (Arrival.Trace [ 0.0; nan ])));
-    case "mean rates match the models" (fun () ->
-        let check_rate what expected p =
-          match Arrival.mean_rate p with
-          | None -> Alcotest.failf "%s: expected a rate" what
-          | Some r -> Fixtures.check_float what expected r
-        in
-        check_rate "deterministic" 4.0
-          (Arrival.Deterministic { period = 0.25 });
-        check_rate "poisson" 2.5 (Arrival.Poisson { rate = 2.5 });
-        (* phase-weighted: (6*2 + 0.5*4) / (2 + 4) *)
-        check_rate "mmpp"
-          (((6.0 *. 2.0) +. (0.5 *. 4.0)) /. 6.0)
-          (Arrival.Mmpp
-             {
-               burst_rate = 6.0;
-               idle_rate = 0.5;
-               mean_burst = 2.0;
-               mean_idle = 4.0;
-             });
-        check_true "trace has no model"
-          (Arrival.mean_rate (Arrival.Trace [ 0.0 ]) = None);
-        check_true "randomness flags"
-          (Arrival.requires_rng (Arrival.Poisson { rate = 1.0 })
-          && Arrival.requires_rng
-               (Arrival.Mmpp
-                  {
-                    burst_rate = 1.0;
-                    idle_rate = 1.0;
-                    mean_burst = 1.0;
-                    mean_idle = 1.0;
-                  })
-          && (not (Arrival.requires_rng (Arrival.Deterministic { period = 1.0 })))
-          && not (Arrival.requires_rng (Arrival.Trace []))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -314,22 +314,6 @@ let spec_tests =
 
 let classic_tests =
   [
-    case "in_tree shape" (fun () ->
-        let g = Classic.in_tree ~depth:2 ~arity:2 ~exec:1.0 ~volume:1.0 in
-        check_int "size 1+2+4" 7 (Dag.size g);
-        Alcotest.(check (list int)) "single exit (the root)" [ 0 ] (Dag.exits g);
-        check_int "four leaves" 4 (List.length (Dag.entries g));
-        check_int "in-degree of the root" 2 (Dag.in_degree g 0);
-        check_true "recognized as SP" (Sp.is_series_parallel g));
-    case "in_tree depth zero is a single task" (fun () ->
-        check_int "one task" 1
-          (Dag.size (Classic.in_tree ~depth:0 ~arity:3 ~exec:1.0 ~volume:1.0)));
-    case "out_tree is the transpose of in_tree" (fun () ->
-        let i = Classic.in_tree ~depth:2 ~arity:3 ~exec:1.0 ~volume:1.0 in
-        let o = Classic.out_tree ~depth:2 ~arity:3 ~exec:1.0 ~volume:1.0 in
-        check_int "same size" (Dag.size i) (Dag.size o);
-        Alcotest.(check (list int)) "root becomes the entry" [ 0 ] (Dag.entries o);
-        Dag.iter_edges i (fun s d _ -> check_true "edge flipped" (Dag.has_edge o d s)));
     case "stream_pipeline shape" (fun () ->
         let g = Classic.stream_pipeline ~stages:3 ~branches:4 ~exec:1.0 ~volume:1.0 in
         check_int "size 3*(4+2)" 18 (Dag.size g);
