@@ -90,7 +90,7 @@ let epochs_run program =
      an unchanged mapping. *)
   let clock = ref 0.0 in
   for _ = 1 to epochs_per_mapping do
-    let snapshot = Some { Engine.clock = !clock; down = [] } in
+    let snapshot = Some { Engine.clock = !clock } in
     ignore
       (Engine.simulate
          ~config:{ (Engine.Run.closed ~n_items:4 ()) with Engine.Run.snapshot }

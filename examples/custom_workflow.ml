@@ -85,4 +85,9 @@ let () =
       Svg_gantt.save svg mapping result;
       let trace = Filename.temp_file "sensor-fusion" ".json" in
       Trace.save_chrome_json trace mapping result;
-      Printf.printf "\nSVG Gantt: %s\nChrome trace: %s\n" svg trace
+      (* Temp-file names change from run to run, so stdout names each
+         artefact by its size and only stderr prints the paths. *)
+      let bytes path = In_channel.with_open_bin path In_channel.length in
+      Printf.printf "\nSVG Gantt: %Ld bytes\nChrome trace: %Ld bytes\n"
+        (bytes svg) (bytes trace);
+      Printf.eprintf "%s\n%s\n" svg trace

@@ -12,14 +12,6 @@
     schedulers' [v·m] placement probes for a quotient of a few percent of
     [v], at the cost of the latency optimality of per-task placement. *)
 
-val schedule :
-  base:(?opts:Sched_api.options -> Types.problem -> Types.outcome) ->
-  ?opts:Sched_api.options ->
-  Types.problem ->
-  Types.outcome
-(** Cluster, schedule the quotient with [base], expand.  Failures on a
-    cluster are reported at a representative member task. *)
-
 val ltf : (module Sched_api.Algo)
 (** ["C-LTF"]: clustered LTF. *)
 

@@ -77,17 +77,6 @@ let cut_volume t =
 let chain_edge dag src dst =
   Dag.out_degree dag src = 1 && Dag.in_degree dag dst = 1
 
-let chains ?(max_load = infinity) dag =
-  let t = create dag in
-  let csr = Dag.csr_succs dag in
-  for src = 0 to Dag.size dag - 1 do
-    if csr.Dag.row_ptr.(src + 1) - csr.Dag.row_ptr.(src) = 1 then begin
-      let dst = csr.Dag.cols.(csr.Dag.row_ptr.(src)) in
-      if Dag.in_degree dag dst = 1 then ignore (merge_if t ~max_load src dst)
-    end
-  done;
-  t
-
 let affinity ?(max_load = infinity) dag =
   let t = create dag in
   let edges =
@@ -105,8 +94,8 @@ let affinity ?(max_load = infinity) dag =
    execution weight the summed member weights, and one edge per pair of
    clusters joined by at least one task edge, carrying the summed volume.
    Merges restricted to [chain_edge] contractions guarantee acyclicity, so
-   [Dag.Builder.build]'s cycle check never fires for quotients built from
-   {!chains} or {!affinity}. *)
+   [Dag.Builder.build]'s cycle check never fires for quotients built by
+   {!affinity}. *)
 let quotient t =
   let groups = members t in
   let k = Array.length groups in

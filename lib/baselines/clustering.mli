@@ -10,9 +10,6 @@ type t
 val create : Dag.t -> t
 (** One singleton cluster per task. *)
 
-val find : t -> Dag.task -> int
-(** Canonical cluster id of the task. *)
-
 val same : t -> Dag.task -> Dag.task -> bool
 
 val load : t -> int -> float
@@ -41,10 +38,6 @@ val cut_volume : t -> float
     contracted, so every cluster is a linear path segment and the quotient
     graph is guaranteed acyclic. *)
 
-val chains : ?max_load:float -> Dag.t -> t
-(** Contract every chain edge in task order, capping each cluster's
-    execution weight at [max_load] (default unbounded). *)
-
 val affinity : ?max_load:float -> Dag.t -> t
 (** Contract chain edges in decreasing volume order (heaviest
     communication first), capping cluster weight at [max_load]. *)
@@ -53,8 +46,8 @@ val quotient : t -> Dag.t * int array * Dag.task list array
 (** [quotient t] is [(cluster_dag, cluster_of, members)]: the cluster DAG
     with summed execution weights and summed inter-cluster volumes, the
     task -> cluster-id map, and the member lists (cluster ids match
-    {!members} order).  Only valid for clusterings built from {!chains} /
-    {!affinity} (arbitrary merges may make the quotient cyclic, which
+    {!members} order).  Only valid for clusterings built by {!affinity}
+    (arbitrary merges may make the quotient cyclic, which
     [Dag.Builder.build] rejects). *)
 
 val to_assignment :

@@ -1,7 +1,11 @@
 let path_exec dag path =
   List.fold_left (fun acc task -> acc +. Dag.exec dag task) 0.0 path
 
-let run ?(max_paths = 2000) dag plat ~throughput =
+(* Cap on the enumerated paths; tasks on no enumerated path join their
+   heaviest-volume neighbour's cluster. *)
+let max_paths = 2000
+
+let run dag plat ~throughput =
   let cap = Hary.load_cap plat ~throughput in
   let clusters = Clustering.create dag in
   let assigned = Array.make (Dag.size dag) false in
@@ -51,5 +55,5 @@ let run ?(max_paths = 2000) dag plat ~throughput =
       end);
   Clustering.to_assignment clusters plat
 
-let mapping ?max_paths dag plat ~throughput =
-  Assignment.to_mapping ~throughput dag plat (run ?max_paths dag plat ~throughput)
+let mapping dag plat ~throughput =
+  Assignment.to_mapping ~throughput dag plat (run dag plat ~throughput)

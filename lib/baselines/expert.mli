@@ -5,11 +5,9 @@
     cut into maximal sub-paths whose combined execution fits within one
     period; the tasks of a sub-path form a stage-local cluster.  Clusters
     are then placed on processors balancing computational load.  Path
-    enumeration is capped; tasks not covered by any enumerated path join
-    the cluster of their heaviest-volume neighbour. *)
+    enumeration is capped at 2000 paths; tasks not covered by any
+    enumerated path join the cluster of their heaviest-volume
+    neighbour. *)
 
-val run :
-  ?max_paths:int -> Dag.t -> Platform.t -> throughput:float -> Assignment.t
-
-val mapping :
-  ?max_paths:int -> Dag.t -> Platform.t -> throughput:float -> Mapping.t
+val run : Dag.t -> Platform.t -> throughput:float -> Assignment.t
+val mapping : Dag.t -> Platform.t -> throughput:float -> Mapping.t

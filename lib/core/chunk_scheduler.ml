@@ -165,20 +165,31 @@ let source_hosts mapping sources =
            ids)
        sources)
 
+(* One placement's pruned candidates and condition-(1) rejections,
+   reported with one [Obs.incr] each when the placement ends: at
+   m = 10³ an [Obs.incr] per candidate would hash its key millions of
+   times. *)
+type tally = { mutable prunes : int; mutable rejections : int }
+
+let report tally =
+  if tally.prunes > 0 then Obs.incr ~by:tally.prunes "core.probe_prunes";
+  if tally.rejections > 0 then
+    Obs.incr ~by:tally.rejections "core.feasibility_rejections"
+
 (* Judge one source-set variant of a candidate processor and offer it.
    Condition (1) and the overload penalty come from the transfer list
    before any timeline probe: in strict mode an infeasible variant is
    rejected, in best-effort mode it survives (ranked by its penalty) but
    still counts as a rejection for the profile, and a penalty strictly
    above the incumbent's already loses the selection. *)
-let consider_variant ~(mode : Sched_api.mode) ~rank state best ~task ~copy ~proc
-    ~sources =
+let consider_variant ~(mode : Sched_api.mode) ~rank ~tally state best ~task
+    ~copy ~proc ~sources =
   let transfers = State.transfers state ~task ~proc ~sources in
   let (adm : State.admission) = State.admission state ~task ~proc transfers in
-  if not adm.feasible then Obs.incr "core.feasibility_rejections";
+  if not adm.feasible then tally.rejections <- tally.rejections + 1;
   let probe penalty =
     match !best with
-    | Some b when penalty > b.i_penalty -> Obs.incr "core.probe_prunes"
+    | Some b when penalty > b.i_penalty -> tally.prunes <- tally.prunes + 1
     | _ ->
         offer ~rank state best ~penalty
           (State.evaluate state ~task ~copy ~proc ~sources ~transfers)
@@ -223,21 +234,23 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     in
     let floor_data = State.floor_data state ~task:ct.ct_task sources in
     let best = ref None in
+    let tally = { prunes = 0; rejections = 0 } in
     let consider proc =
       if not (State.Pset.mem proc ct.ct_claimed) then begin
         if prune ~rank state best floor_data proc then
-          Obs.incr "core.probe_prunes"
+          tally.prunes <- tally.prunes + 1
         else begin
           let kill = State.support_of_sources state ~proc ~sources in
           if State.Pset.cardinal kill <= budget then
-            consider_variant ~mode ~rank state best ~task:ct.ct_task ~copy
-              ~proc ~sources
+            consider_variant ~mode ~rank ~tally state best ~task:ct.ct_task
+              ~copy ~proc ~sources
         end
       end
     in
     let hosts = source_hosts (State.mapping state) sources in
     List.iter consider hosts;
     List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
+    report tally;
     match !best with
     | None -> None
     | Some { i_trial = trial; _ } ->
@@ -352,10 +365,11 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
   in
   let floor_data = State.floor_data state ~task:ct.ct_task all_sources in
   let best = ref None in
+  let tally = { prunes = 0; rejections = 0 } in
   let consider proc =
     if not (State.Pset.mem proc ct.ct_claimed) then begin
       if prune ~rank state best floor_data proc then
-        Obs.incr "core.probe_prunes"
+        tally.prunes <- tally.prunes + 1
       else
         List.iter
           (fun sources ->
@@ -365,14 +379,15 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
                 (State.Pset.remove proc kill_set)
                 ct.ct_claimed
             then
-              consider_variant ~mode ~rank state best ~task:ct.ct_task ~copy
-                ~proc ~sources)
+              consider_variant ~mode ~rank ~tally state best ~task:ct.ct_task
+                ~copy ~proc ~sources)
           (variants_on proc)
     end
   in
   let hosts = source_hosts mapping all_sources in
   List.iter consider hosts;
   List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
+  report tally;
   match !best with
   | None -> None
   | Some { i_trial = trial; _ } ->

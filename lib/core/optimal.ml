@@ -6,7 +6,10 @@ type result = {
 
 exception Node_limit
 
-let minimum_stages ?(node_limit = 2_000_000) ~dag ~platform ~throughput () =
+(* Search nodes explored before giving up without an optimality proof. *)
+let node_limit = 2_000_000
+
+let minimum_stages ~dag ~platform ~throughput =
   let n = Dag.size dag in
   if n > 24 then invalid_arg "Optimal.minimum_stages: more than 24 tasks";
   let m = Platform.size platform in

@@ -19,14 +19,12 @@ type result = {
 }
 
 val minimum_stages :
-  ?node_limit:int ->
   dag:Dag.t ->
   platform:Platform.t ->
   throughput:float ->
-  unit ->
   result option
 (** [None] when no assignment satisfies the throughput constraint, or when
-    the search exceeds [node_limit] (default 2_000_000) without proving
+    the search explores more than 2_000_000 nodes without proving
     optimality — partial results are never returned.
     @raise Invalid_argument if the graph has more than 24 tasks (the
     search would be hopeless anyway). *)

@@ -22,7 +22,6 @@ type error =
           period.  Unreachable without a bound: with ε + 1 survivors and
           at most ε live siblings, a sibling-free survivor always exists. *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val restore :

@@ -17,12 +17,5 @@ val schedule : ?opts:Sched_api.options -> Types.problem -> Types.outcome
 (** Run R-LTF under the given options ({!Sched_api.default} when omitted)
     and return the forward mapping. *)
 
-val schedule_state :
-  ?opts:Sched_api.options ->
-  Types.problem ->
-  (State.t, Types.failure) result
-(** The scheduling state of the reverse run (over the transpose graph);
-    mainly for tests.  Use {!schedule} for the forward mapping. *)
-
 val algo : (module Sched_api.Algo)
 (** R-LTF as a registry entry (named ["R-LTF"]); see [Scheduler.all]. *)

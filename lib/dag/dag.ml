@@ -1,11 +1,5 @@
 type task = int
 
-type csr = {
-  row_ptr : int array; (* length v + 1 *)
-  cols : int array;    (* length e, neighbor ids, ascending per row *)
-  vols : float array;  (* length e, matching volumes *)
-}
-
 type t = {
   name : string;
   exec : float array;
@@ -16,9 +10,6 @@ type t = {
   edge_tbl : (int, float) Hashtbl.t;
       (* (src * v + dst) -> volume; O(1) volume/has_edge lookups for the
          simulator's per-finish consumer loop and the schedulers *)
-  mutable csr_succs_cache : csr option;
-      (* flat compressed-row view, built on first demand; clustering and
-         the scaling paths walk it instead of the cons-cell lists *)
 }
 
 (* The frozen edge table, rebuilt whenever the adjacency lists change
@@ -120,7 +111,6 @@ module Builder = struct
       preds = Array.map sort preds;
       n_edges = List.length b.b_edges;
       edge_tbl = index_edges succs;
-      csr_succs_cache = None;
     }
 end
 
@@ -141,36 +131,6 @@ let out_degree g t = List.length g.succs.(t)
 let in_degree g t = List.length g.preds.(t)
 let volume g src dst = Hashtbl.find g.edge_tbl ((src * size g) + dst)
 let has_edge g src dst = Hashtbl.mem g.edge_tbl ((src * size g) + dst)
-
-(* Flatten an adjacency-list array into compressed-row form.  The lists
-   are already sorted by neighbor id (Builder.build sorts them), so the
-   CSR rows inherit that order. *)
-let csr_of_adjacency adj =
-  let n = Array.length adj in
-  let row_ptr = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    row_ptr.(u + 1) <- row_ptr.(u) + List.length adj.(u)
-  done;
-  let e = row_ptr.(n) in
-  let cols = Array.make e 0 and vols = Array.make e 0.0 in
-  for u = 0 to n - 1 do
-    let i = ref row_ptr.(u) in
-    List.iter
-      (fun (w, vol) ->
-        cols.(!i) <- w;
-        vols.(!i) <- vol;
-        incr i)
-      adj.(u)
-  done;
-  { row_ptr; cols; vols }
-
-let csr_succs g =
-  match g.csr_succs_cache with
-  | Some c -> c
-  | None ->
-      let c = csr_of_adjacency g.succs in
-      g.csr_succs_cache <- Some c;
-      c
 
 let filter_tasks g keep =
   let rec collect i acc =
@@ -208,7 +168,6 @@ let reverse g =
     succs = Array.map (fun l -> l) g.preds;
     preds = Array.map (fun l -> l) g.succs;
     edge_tbl = index_edges g.preds;
-    csr_succs_cache = None;
   }
 
 let map_weights ?exec ?volume g =
@@ -223,15 +182,4 @@ let map_weights ?exec ?volume g =
     succs;
     preds = Array.mapi remap_preds g.preds;
     edge_tbl = index_edges succs;
-    csr_succs_cache = None;
   }
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>dag %S: %d tasks, %d edges@," g.name (size g) g.n_edges;
-  iter_tasks g (fun t ->
-      Format.fprintf ppf "%s [E=%g] ->" g.labels.(t) g.exec.(t);
-      List.iter
-        (fun (dst, vol) -> Format.fprintf ppf " %s(%g)" g.labels.(dst) vol)
-        g.succs.(t);
-      Format.fprintf ppf "@,");
-  Format.fprintf ppf "@]"

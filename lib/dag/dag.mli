@@ -80,19 +80,6 @@ val volume : t -> task -> task -> float
 
 val has_edge : t -> task -> task -> bool
 
-(** {1 Flat views}
-
-    Compressed-row adjacency for allocation-free traversal at scale: the
-    neighbors of [t] are [cols.(row_ptr.(t)) .. cols.(row_ptr.(t+1) - 1)]
-    (ascending), with matching volumes in [vols].  Built on first demand
-    and cached; the arrays are shared — callers must not mutate them. *)
-type csr = {
-  row_ptr : int array; (* length v + 1 *)
-  cols : int array;    (* length e *)
-  vols : float array;  (* length e *)
-}
-
-val csr_succs : t -> csr
 val entries : t -> task list
 (** Tasks with no predecessor, in increasing order. *)
 
@@ -119,6 +106,3 @@ val map_weights :
   ?volume:(task -> task -> float -> float) ->
   t -> t
 (** Rescale node and/or edge weights, e.g. for granularity calibration. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debugging printer: one line per task with its successors. *)

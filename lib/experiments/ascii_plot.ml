@@ -9,11 +9,14 @@ let finite_points s = List.filter (fun (_, y) -> not (Float.is_nan y)) s.points
 
 (* Keep an evenly-strided subset (always including both endpoints): a
    terminal canvas can't resolve more than a few points per column, so a
-   10⁶-point series would spend all its time plotting collisions. *)
-let decimate ?(max_points = 256) s =
+   10⁶-point series would spend all its time plotting collisions.  4096
+   points is far above anything a canvas resolves. *)
+let max_points = 4096
+
+let decimate s =
   let pts = Array.of_list s.points in
   let n = Array.length pts in
-  if max_points < 2 || n <= max_points then s
+  if n <= max_points then s
   else
     let points =
       List.init max_points (fun i -> pts.(i * (n - 1) / (max_points - 1)))
@@ -21,8 +24,8 @@ let decimate ?(max_points = 256) s =
     { s with points }
 
 let render ?(width = 64) ?(height = 20) ?(x_label = "") ?(y_label = "")
-    ?(max_points = 4096) ~title series =
-  let series = List.map (decimate ~max_points) series in
+    ~title series =
+  let series = List.map decimate series in
   let all = List.concat_map finite_points series in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (title ^ "\n");
@@ -86,6 +89,5 @@ let render ?(width = 64) ?(height = 20) ?(x_label = "") ?(y_label = "")
     Buffer.contents buf
   end
 
-let print ?width ?height ?x_label ?y_label ?max_points ~title series =
-  print_string
-    (render ?width ?height ?x_label ?y_label ?max_points ~title series)
+let print ?x_label ?y_label ~title series =
+  print_string (render ?x_label ?y_label ~title series)

@@ -10,16 +10,13 @@ type series = {
 val render :
   ?width:int -> ?height:int ->
   ?x_label:string -> ?y_label:string ->
-  ?max_points:int ->
   title:string -> series list -> string
 (** A [width × height] character canvas (default 64 × 20) with axes
     labelled by the data ranges and a legend mapping glyphs to series.
-    Series longer than [max_points] (default 4096, far above anything a
-    canvas resolves) are first cut to an evenly-strided subset that
-    keeps both endpoints. *)
+    Series longer than 4096 points (far above anything a canvas
+    resolves) are first cut to an evenly-strided subset that keeps both
+    endpoints. *)
 
 val print :
-  ?width:int -> ?height:int ->
-  ?x_label:string -> ?y_label:string ->
-  ?max_points:int ->
-  title:string -> series list -> unit
+  ?x_label:string -> ?y_label:string -> title:string -> series list -> unit
+(** [render] at the default canvas size, printed to stdout. *)

@@ -43,10 +43,6 @@ type trial = {
   rep : int;  (** graph index within the point, [0 .. graphs_per_point-1] *)
 }
 
-val trials : config -> trial list
-(** All (granularity × rep) trials, in (granularity, rep) order — the
-    order [collect] returns samples in. *)
-
 val trial_seed : trial -> int
 (** The per-trial root seed, derived from [config.seed], the granularity
     and the rep index. *)

@@ -7,21 +7,16 @@
 type config = {
   seed : int;
   reps : int;
-  crashes : int;
-  eps : int;
   draw_counts : int list;
-  spec : Spec.t;
 }
 
+(* R-LTF replicates with [eps] on the paper workload and is measured
+   under [crashes] simultaneous fail-stop processors. *)
+let crashes = 2
+let eps = 1
+
 let default =
-  {
-    seed = 2009;
-    reps = 12;
-    crashes = 2;
-    eps = 1;
-    draw_counts = [ 10; 30; 100; 300; 1000 ];
-    spec = Spec.default;
-  }
+  { seed = 2009; reps = 12; draw_counts = [ 10; 30; 100; 300; 1000 ] }
 
 let quick = { default with reps = 4; draw_counts = [ 10; 40; 160 ] }
 
@@ -39,13 +34,11 @@ type rep_errors = {
    sampled value. *)
 let run_rep config rep =
   let rng = Rng.create ~seed:(config.seed + (7919 * rep)) in
-  let inst =
-    Spec.generate config.spec ~rng ~granularity:1.0 ()
-  in
-  let throughput = Paper_workload.throughput ~eps:config.eps in
+  let inst = Spec.generate Spec.default ~rng ~granularity:1.0 () in
+  let throughput = Paper_workload.throughput ~eps in
   let prob =
     Types.problem ~dag:inst.Paper_workload.dag ~platform:inst.Paper_workload.plat
-      ~eps:config.eps ~throughput
+      ~eps ~throughput
   in
   let opts = Scheduler.(default |> with_mode Best_effort) in
   match Rltf.schedule ~opts prob with
@@ -54,7 +47,6 @@ let run_rep config rep =
       let source =
         Crash.Of_stages { plan = Replica_graph.compile mapping; throughput }
       in
-      let crashes = config.crashes in
       let exact =
         Crash.estimate ~source
           ~method_:(Crash.Exact { crashes; max_evaluations = None })
@@ -127,7 +119,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
     ~title:
       (Printf.sprintf
          "MC error vs exact calculus (c=%d, eps=%d, %d/%d graphs scheduled)"
-         config.crashes config.eps (List.length reps) config.reps)
+         crashes eps (List.length reps) config.reps)
     ~x_label:"crash draws" ~y_label:"|MC - exact|" curves;
   Fig_latency.table_of_series curves;
   Fig_latency.csv_of_series ~x_header:"draws"
@@ -136,9 +128,11 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   curves
 
 (* The CI gate: with everything pinned by the seed this either always
-   passes or always fails, so a tolerance is a regression check on the
+   passes or always fails, so the tolerance is a regression check on the
    calculus/sampler pair, not a flaky statistical test. *)
-let check ?(tolerance = 0.05) ?(jobs = 1) config =
+let tolerance = 0.05
+
+let check ?(jobs = 1) config =
   match collect ~jobs config with
   | [] -> Error "convergence check: no instance could be scheduled"
   | reps -> (

@@ -30,18 +30,22 @@ type config = {
   retry_budgets : int list;  (** max_retries values of the A sweep *)
   straggler_factors : float list;  (** gray slowdown factors of the B sweep *)
   rhos : float list;  (** correlation strengths of the C sweep *)
-  p_total : float;  (** per-processor total failure probability of C *)
-  rack_size : int;  (** processors per failure domain of C *)
   mc_draws : int;  (** Monte-Carlo draws per C point *)
   n_items : int;  (** items simulated per A/B run *)
-  eps : int;  (** replication degree for R-LTF *)
-  spec : Spec.t;
 }
+
+(* Part C's failure model: racks of [rack_size] processors, each
+   processor failing with total probability [p_total]. *)
+let p_total = 0.08
+let rack_size = 3
+
+(* Replication degree for R-LTF. *)
+let eps = 1
 
 (* Same reduced scale as the traffic and recovery figures: the cost of a
    trial is items through the event engine, not graph size. *)
 let spec =
-  Spec.paper ~name:"paper-faults" ~descr:"reduced scale for the event engine"
+  Spec.paper ~name:"paper-faults"
     {
       Paper_workload.default_spec with
       Paper_workload.tasks_range = (30, 60);
@@ -56,12 +60,8 @@ let default =
     retry_budgets = [ 0; 1; 3; 5 ];
     straggler_factors = [ 1.0; 1.5; 2.0; 4.0 ];
     rhos = [ 0.0; 0.25; 0.5; 0.75; 1.0 ];
-    p_total = 0.08;
-    rack_size = 3;
     mc_draws = 2000;
     n_items = 60;
-    eps = 1;
-    spec;
   }
 
 let quick =
@@ -172,8 +172,8 @@ let split_probability ~p_total ~rho =
 
 let measure_corr config ~rng ~rho mapping =
   let m = Platform.size (Mapping.platform mapping) in
-  let domains = Faults.Domains.racks ~size:config.rack_size ~procs:m in
-  let p_shock, p_ind = split_probability ~p_total:config.p_total ~rho in
+  let domains = Faults.Domains.racks ~size:rack_size ~procs:m in
+  let p_shock, p_ind = split_probability ~p_total ~rho in
   let t = Reliability.analyze mapping in
   let graph = Replica_graph.compile mapping in
   let cp_exact =
@@ -187,7 +187,7 @@ let measure_corr config ~rng ~rho mapping =
   in
   let cp_independent =
     Reliability.defeat_probability t
-      (Reliability.Independent (fun _ -> config.p_total))
+      (Reliability.Independent (fun _ -> p_total))
   in
   let n_domains = Faults.Domains.count domains in
   let defeated = ref 0 in
@@ -220,9 +220,9 @@ type drill = {
    the machine through the same chain a crash would take. *)
 let eviction_drill config =
   let rng = Rng.create ~seed:config.seed in
-  let inst = Spec.generate config.spec ~rng ~granularity:1.0 () in
+  let inst = Spec.generate spec ~rng ~granularity:1.0 () in
   match
-    Fig_common.schedule (Fig_common.contender ~eps:config.eps Rltf.algo) inst
+    Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst
   with
   | None -> None
   | Some (mapping, throughput) ->
@@ -249,7 +249,6 @@ let eviction_drill config =
         {
           Stream_ops.horizon;
           hazard = Failure_gen.uniform ~lambda:0.0;
-          max_attempts = None;
           reconfig_delay = 2.0 *. p;
           max_items_per_epoch = config.n_items + 8;
           overload = None;
@@ -284,9 +283,9 @@ type trial_result = {
    stream is split off before use, so each axis moves because of its
    knob, never because of resampling noise (CRN along every sweep). *)
 let run_trial config rep =
-  let rng, inst = Fig_common.rep_instance config.spec ~seed:config.seed ~rep in
+  let rng, inst = Fig_common.rep_instance spec ~seed:config.seed ~rep in
   match
-    Fig_common.schedule (Fig_common.contender ~eps:config.eps Rltf.algo) inst
+    Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst
   with
   | None -> None
   | Some (mapping, throughput) ->
@@ -352,7 +351,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
       (Printf.sprintf
          "Mean latency vs transient fault rate (R-LTF eps=%d, %d items, %d \
           graphs, backoff 0.25 period x2)"
-         config.eps config.n_items config.reps)
+         eps config.n_items config.reps)
     ~x_label:"per-attempt fault rate" ~y_label:"mean sojourn" lat;
   Fig_latency.table_of_series lat;
   Printf.printf "Delivered items (%% of injected):\n";
@@ -413,7 +412,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
       (Printf.sprintf
          "Defeat probability vs correlation strength (racks of %d, p_total \
           %.2f, %d MC draws)"
-         config.rack_size config.p_total config.mc_draws)
+         rack_size p_total config.mc_draws)
     ~x_label:"correlation rho (shock share of p_total)"
     ~y_label:"P(defeat)" corr;
   Fig_latency.table_of_series corr;

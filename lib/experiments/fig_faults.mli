@@ -1,7 +1,8 @@
 (** Extension M: fault injection — transient retry/backoff, gray
     stragglers, correlated failure domains, and escalation to eviction.
 
-    Four parts over the same R-LTF schedules:
+    Four parts over the same R-LTF schedules (ε = 1, on 30–60-task
+    paper-workload graphs over 12 processors):
 
     - {b A} sweeps the per-attempt transient fault rate against the retry
       budget on a closed stream; retries are re-driven after a truncated
@@ -12,7 +13,7 @@
       latency degrades smoothly with no crash and no item lost (factor
       1.0 runs the instrumented path and matches the fault-free run).
     - {b C} sweeps the correlation strength ρ of rack-level common
-      shocks at fixed per-processor marginal [p_total]: the exact
+      shocks at a fixed per-processor marginal of 0.08: the exact
       Marshall–Olkin defeat probability ({!Reliability.Correlated}),
       a Monte-Carlo estimate over the same model, and the independent
       model of equal marginals as baseline.
@@ -31,17 +32,13 @@ type config = {
   retry_budgets : int list;  (** max_retries values of the A sweep *)
   straggler_factors : float list;  (** gray slowdown factors of the B sweep *)
   rhos : float list;  (** correlation strengths of the C sweep *)
-  p_total : float;  (** per-processor total failure probability of C *)
-  rack_size : int;  (** processors per failure domain of C *)
   mc_draws : int;  (** Monte-Carlo draws per C point *)
   n_items : int;  (** items simulated per A/B run *)
-  eps : int;  (** replication degree for R-LTF *)
-  spec : Spec.t;
 }
 
 val default : config
 (** Rates 0 → 0.2, budgets 0/1/3/5, factors 1 → 4, ρ 0 → 1 over racks of
-    3 at [p_total] 0.08, 60 items, 4 graphs per point, 2000 MC draws. *)
+    3, 60 items, 4 graphs per point, 2000 MC draws. *)
 
 val quick : config
 (** Three rates, two budgets, two factors, three ρ, 24 items, 2 graphs,

@@ -5,9 +5,6 @@ type mode =
   | Bounds      (** 0-crash simulated latency vs the (2S−1)/T upper bound *)
   | Crash       (** 0-crash vs c-crash simulated latency *)
 
-val series : mode:mode -> Fig_common.sample list -> Ascii_plot.series list
-(** The four curves of the figure, in the paper's legend order. *)
-
 val run :
   ?out_dir:string -> ?jobs:int -> config:Fig_common.config -> mode:mode ->
   unit -> Ascii_plot.series list

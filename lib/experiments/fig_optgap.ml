@@ -22,8 +22,12 @@ let heuristics ~throughput =
     ("Hary-Ozguner [4]", fun dag plat -> Some (Hary.mapping dag plat ~throughput));
   ]
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) ?(tasks = 9) () =
-  let m = 4 in
+(* Instance size: [tasks]-task layered graphs on [m] homogeneous
+   processors, small enough for the exact search. *)
+let tasks = 9
+let m = 4
+
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) () =
   let plat = Platform.homogeneous ~name:"optgap" ~m ~speed:1.0 ~bandwidth:1.0 () in
   (* a period that makes placement non-trivial: roughly half the work
      must leave the first processor *)
@@ -37,7 +41,7 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) ?(tasks = 9) () =
     let rng = Rng.create ~seed:(seed + (1009 * !rep)) in
     let dag = Random_dag.layered ~rng ~tasks () in
     let dag = Calibrate.calibrated dag plat ~granularity:1.0 in
-    match Optimal.minimum_stages ~dag ~platform:plat ~throughput () with
+    match Optimal.minimum_stages ~dag ~platform:plat ~throughput with
     | None -> ()
     | Some exact ->
         let optimal = exact.Optimal.stages in

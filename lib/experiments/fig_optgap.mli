@@ -17,7 +17,6 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?tasks:int ->
   unit ->
   row list
 (** Defaults: 15 graphs of 9 tasks on 4 homogeneous processors.  Prints a

@@ -6,8 +6,6 @@
     graph and platform), for LTF and R-LTF, each with 0 crashes and with
     [c] crashes. *)
 
-val series : Fig_common.sample list -> Ascii_plot.series list
-
 val run :
   ?out_dir:string -> ?jobs:int -> config:Fig_common.config -> unit ->
   Ascii_plot.series list

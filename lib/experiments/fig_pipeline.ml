@@ -6,8 +6,11 @@ type row = {
   stage_model : Stats.summary;
 }
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) ?(items = 30) () =
-  let eps = 1 in
+(* Items streamed through each schedule, and its replication degree. *)
+let items = 30
+let eps = 1
+
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 10) () =
   let throughput = Paper_workload.throughput ~eps in
   let rows =
     List.filter_map

@@ -18,7 +18,6 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?items:int ->
   unit ->
   row list
 (** Defaults: 10 graphs per granularity in {0.4, 1.0, 1.6}, 30 items,

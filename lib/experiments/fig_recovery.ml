@@ -9,17 +9,20 @@ type config = {
   reps : int;  (** random graphs per sweep point *)
   hazards : float list;  (** crashes per processor per 1000 items *)
   horizon_items : int;
-  reconfig_items : float;  (** downtime per recovery attempt, in items *)
-  eps : int;  (** replication degree for LTF / R-LTF *)
   exact : bool;  (** also emit the analytic no-recovery survival curve *)
-  spec : Spec.t;
 }
+
+(* Downtime per recovery attempt, in items. *)
+let reconfig_items = 2.0
+
+(* Replication degree for LTF / R-LTF. *)
+let eps = 1
 
 (* A deliberately smaller workload than the figure sweeps: an operations
    timeline replays hundreds of items through the event-driven engine,
    so the per-trial cost is a long horizon rather than a big graph. *)
 let spec =
-  Spec.paper ~name:"paper-recovery" ~descr:"reduced scale for the event engine"
+  Spec.paper ~name:"paper-recovery"
     {
       Paper_workload.default_spec with
       Paper_workload.tasks_range = (30, 60);
@@ -32,10 +35,7 @@ let default =
     reps = 10;
     hazards = [ 0.05; 0.1; 0.2; 0.5; 1.0; 2.0; 5.0 ];
     horizon_items = 200;
-    reconfig_items = 2.0;
-    eps = 1;
     exact = false;
-    spec;
   }
 
 let quick =
@@ -65,8 +65,7 @@ let measure config ~hazard_per_kitem ~rng contender inst =
           Stream_ops.horizon = float_of_int config.horizon_items *. p;
           hazard =
             Failure_gen.uniform ~lambda:(hazard_per_kitem /. (1000.0 *. p));
-          max_attempts = None;
-          reconfig_delay = config.reconfig_items *. p;
+          reconfig_delay = reconfig_items *. p;
           max_items_per_epoch = config.horizon_items + 8;
           overload = None;
           faults = None;
@@ -88,13 +87,13 @@ type trial = { hazard_per_kitem : float; rep : int }
    rate, never because of resampling noise. *)
 let run_trial config t =
   let rng, inst =
-    Fig_common.rep_instance config.spec ~seed:config.seed ~rep:t.rep
+    Fig_common.rep_instance spec ~seed:config.seed ~rep:t.rep
   in
-  Fig_common.measure_contenders ~eps:config.eps ~rng inst
+  Fig_common.measure_contenders ~eps ~rng inst
     (measure config ~hazard_per_kitem:t.hazard_per_kitem)
 
 let series config results proj =
-  Fig_common.series_by ~eps:config.eps ~xs:config.hazards
+  Fig_common.series_by ~eps ~xs:config.hazards
     ~x_of:(fun t -> t.hazard_per_kitem) results [ ("", proj) ]
 
 let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
@@ -106,13 +105,13 @@ let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
    never defeated.  Timelines with recovery must sit above this curve;
    the gap is what recovery buys. *)
 let exact_survival_series config =
-  let contenders = Fig_common.contenders ~eps:config.eps in
+  let contenders = Fig_common.contenders ~eps in
   (* Same instances as [run_trial], so the analytic curve covers exactly
      the graphs the timelines ran on. *)
   let analyses =
     List.init config.reps (fun rep ->
         let _, inst =
-          Fig_common.rep_instance config.spec ~seed:config.seed ~rep
+          Fig_common.rep_instance spec ~seed:config.seed ~rep
         in
         List.map
           (fun (c : Fig_common.contender) ->
@@ -167,7 +166,7 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
     ~title:
       (Printf.sprintf
          "Availability vs failure pressure (eps=%d, %d items, %d graphs/point)"
-         config.eps config.horizon_items config.reps)
+         eps config.horizon_items config.reps)
     ~x_label:"crashes/proc/1000 items" ~y_label:"availability" availability;
   Fig_latency.table_of_series availability;
   Ascii_plot.print

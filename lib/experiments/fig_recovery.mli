@@ -5,12 +5,12 @@
     {!Stream_ops}: exponential fail-stop arrivals, per-crash recovery
     through the {!Recovery_policy} degradation chain, downtime and item
     loss.  It sweeps the failure pressure and compares LTF and R-LTF
-    (replicated, ε from the config) against two unreplicated §3
+    (replicated, ε = 1) against two unreplicated §3
     baselines (HEFT and Hary-Özgüner), plotting availability (items
     delivered / items injected) and the mean degraded-mode latency.
 
     Knobs are denominated in {e items} (crashes per processor per 1000
-    injected items, horizon and reconfiguration delay in items) so every
+    injected items, horizon and a 2-item reconfiguration delay) so every
     algorithm faces the same failure pressure per unit of delivered work
     even though their injection periods differ.  The per-trial RNG seed
     ignores the swept hazard (common random numbers): each curve moves
@@ -21,13 +21,10 @@ type config = {
   reps : int;  (** random graphs per sweep point *)
   hazards : float list;  (** crashes per processor per 1000 items *)
   horizon_items : int;
-  reconfig_items : float;  (** downtime per recovery attempt, in items *)
-  eps : int;  (** replication degree for LTF / R-LTF *)
   exact : bool;
       (** also compute the analytic no-recovery survival curve with the
           {!Reliability} calculus (default [false]); purely additive —
           the sampled artifacts never change *)
-  spec : Spec.t;
 }
 
 val default : config
@@ -37,20 +34,6 @@ val default : config
 
 val quick : config
 (** 3 graphs/point, 3 hazard points, 60-item horizon. *)
-
-type trial = { hazard_per_kitem : float; rep : int }
-
-type point = {
-  availability : float;
-  degraded_latency : float;
-  had_outage : float;  (** 0/1, so the mean is the outage rate *)
-}
-
-val run_trial : config -> trial -> (string * point option) list
-(** One (hazard, graph) cell: schedule every algorithm on the same
-    instance and operate each mapping on its own pre-split RNG stream;
-    [None] marks an algorithm that failed to schedule.  Pure function of
-    its arguments (exposed for the regression tests). *)
 
 val run :
   ?out_dir:string ->

@@ -90,7 +90,7 @@ let run ?(out_dir = "results") ?(seed = 2009)
           let spec = { Huge.default_spec with Huge.tasks = v; m } in
           let rng = Rng.create ~seed:(seed + (31 * m) + v) in
           let inst = Spec.generate (Spec.huge spec) ~rng ~granularity:1.0 () in
-          let throughput = Huge.throughput ~spec ~eps () in
+          let throughput = Huge.throughput spec ~eps in
           let prob =
             Types.problem ~dag:inst.Paper_workload.dag
               ~platform:inst.Paper_workload.plat ~eps ~throughput

@@ -15,15 +15,18 @@ type config = {
   reps : int;  (** random graphs per sweep point *)
   loads : float list;  (** offered load: mean arrival rate × period *)
   n_items : int;  (** arrivals simulated per run *)
-  queue_bound : int;  (** per-replica queue bound of the shedding run *)
-  eps : int;  (** replication degree for LTF / R-LTF *)
-  spec : Spec.t;
 }
+
+(* Per-replica queue bound of the shedding run. *)
+let queue_bound = 4
+
+(* Replication degree for LTF / R-LTF. *)
+let eps = 1
 
 (* Same reduced scale as the recovery timelines: the cost of a trial is
    the number of items through the event engine, not the graph size. *)
 let spec =
-  Spec.paper ~name:"paper-traffic" ~descr:"reduced scale for the event engine"
+  Spec.paper ~name:"paper-traffic"
     {
       Paper_workload.default_spec with
       Paper_workload.tasks_range = (30, 60);
@@ -36,9 +39,6 @@ let default =
     reps = 5;
     loads = [ 0.5; 0.7; 0.9; 1.0; 1.1; 1.3; 1.5 ];
     n_items = 300;
-    queue_bound = 4;
-    eps = 1;
-    spec;
   }
 
 let quick =
@@ -109,7 +109,7 @@ let measure config ~profile ~load ~rng contender inst =
         Engine.simulate ~state
           ~config:
             (Engine.Run.without_messages
-               (Engine.Run.open_ ~queue_bound:config.queue_bound
+               (Engine.Run.open_ ~queue_bound
                   ~policy:Engine.Run.Drop_newest ~n_items:config.n_items trace))
           prog
       in
@@ -132,16 +132,16 @@ type trial = { load : float; rep : int }
    rate, never because of resampling noise. *)
 let run_trial config profile t =
   let rng, inst =
-    Fig_common.rep_instance config.spec ~seed:config.seed ~rep:t.rep
+    Fig_common.rep_instance spec ~seed:config.seed ~rep:t.rep
   in
-  Fig_common.measure_contenders ~eps:config.eps ~rng inst
+  Fig_common.measure_contenders ~eps ~rng inst
     (measure config ~profile ~load:t.load)
 
 (* One labelled series per (algorithm, projection): the latency chart
    interleaves a p50 and a p99 series per algorithm so the divergence
    past saturation is visible in one plot. *)
 let series config results =
-  Fig_common.series_by ~eps:config.eps ~xs:config.loads
+  Fig_common.series_by ~eps ~xs:config.loads
     ~x_of:(fun t -> t.load) results
 
 let csv = Fig_latency.csv_of_series ~x_header:"offered_load"
@@ -168,13 +168,13 @@ let sweep config ~out_dir ~jobs profile =
       (Printf.sprintf
          "Sojourn percentiles vs offered load (%s, eps=%d, %d items, %d \
           graphs/point)"
-         name config.eps config.n_items config.reps)
+         name eps config.n_items config.reps)
     ~x_label:"offered load (rate x period)" ~y_label:"sojourn" latency;
   Fig_latency.table_of_series latency;
   Printf.printf "Peak input-queue occupancy (unbounded, backpressure):\n";
   Fig_latency.table_of_series queue;
   Printf.printf "Shed items (%% of arrivals, queue bound %d, drop-newest):\n"
-    config.queue_bound;
+    queue_bound;
   Fig_latency.table_of_series drops;
   csv (Filename.concat out_dir ("fig-traffic-latency-" ^ name ^ ".csv")) latency;
   csv (Filename.concat out_dir ("fig-traffic-queue-" ^ name ^ ".csv")) queue;

@@ -6,8 +6,10 @@
     phases at the same mean rate) whose rate is [load / period].  Each
     (algorithm, graph, load) point runs twice over the {e same}
     materialized arrival trace: an unbounded backpressure run measuring
-    the sojourn percentiles (p50/p99) and peak queue, and a bounded
-    [Drop_newest] run measuring the shed fraction.  Equal seeds give
+    the sojourn percentiles (p50/p99) and peak queue, and a
+    [Drop_newest] run with a queue bound of 4 per replica measuring the
+    shed fraction.  LTF and R-LTF replicate with ε = 1, on 30–60-task
+    graphs over 12 processors.  Equal seeds give
     bit-identical CSVs at any [jobs] (common random numbers; the trial
     seed ignores the load so a sweep re-times the same quanta). *)
 
@@ -16,13 +18,10 @@ type config = {
   reps : int;  (** random graphs per sweep point *)
   loads : float list;  (** offered load: mean arrival rate × period *)
   n_items : int;  (** arrivals simulated per run *)
-  queue_bound : int;  (** per-replica queue bound of the shedding run *)
-  eps : int;  (** replication degree for LTF / R-LTF *)
-  spec : Spec.t;
 }
 
 val default : config
-(** Loads 0.5 → 1.5, 300 items, 5 graphs per point, queue bound 4. *)
+(** Loads 0.5 → 1.5, 300 items, 5 graphs per point. *)
 
 val quick : config
 (** Three loads, 80 items, 2 graphs per point — the CI profile. *)

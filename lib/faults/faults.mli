@@ -41,18 +41,16 @@ module Backoff : sig
   val make :
     ?base_delay:float -> ?multiplier:float -> max_retries:int -> unit -> t
   (** [base_delay] defaults to [0.] (immediate retry), [multiplier]
-      to [2.].  @raise Invalid_argument as {!validate}. *)
+      to [2.].
+      @raise Invalid_argument when [max_retries < 0], [base_delay] is
+      negative or not finite, or [multiplier] is negative or not
+      finite. *)
 
   val delay : t -> attempt:int -> float
   (** Backoff after the [attempt]-th failed attempt (1-based):
       [base_delay *. multiplier ** (attempt - 1)], and exactly [0.]
       when [base_delay = 0.] whatever the multiplier.
       @raise Invalid_argument when [attempt < 1]. *)
-
-  val validate : t -> unit
-  (** @raise Invalid_argument when [max_retries < 0], [base_delay] is
-      negative or not finite, or [multiplier] is negative or not
-      finite. *)
 end
 
 (** Transient (soft) faults: an execution attempt or a transfer attempt
@@ -75,9 +73,6 @@ module Transient : sig
   }
 
   val none : t
-
-  val is_none : t -> bool
-  (** No fault source at all: both rates zero and no windows. *)
 
   val exec_fails : t -> proc:int -> key:int -> attempt:int -> at:float -> bool
   (** Whether the [attempt]-th execution attempt (1-based) of the work
@@ -165,15 +160,16 @@ val none : t
     default, bit-identical to the pre-faults behavior. *)
 
 val is_none : t -> bool
-(** No fault source at all ({!Transient.is_none} and {!Gray.is_none});
-    the retry policy is irrelevant when nothing ever fails. *)
+(** No fault source at all (both transient rates zero, no transient
+    window, and {!Gray.is_none}); the retry policy is irrelevant when
+    nothing ever fails. *)
 
 val validate : procs:int -> t -> unit
 (** Validate the whole scenario against a platform of [procs]
     processors.  @raise Invalid_argument when a rate is outside [0, 1],
     a window is malformed (negative or non-finite bounds, [t1 < t0]) or
     names an out-of-range processor, a gray factor is not finite and
-    positive, or the retry policy fails {!Backoff.validate}. *)
+    positive, or the retry policy breaks the bounds of {!Backoff.make}. *)
 
 val uniform : seed:int -> salt:int -> key:int -> attempt:int -> float
 (** The deterministic draw under the probabilistic transient faults: a

@@ -94,7 +94,6 @@ module Registry : sig
   (** All registered counters, sorted by name. *)
 
   val histogram : t -> string -> histogram option
-  val histograms : t -> (string * histogram) list
   val span_stats : t -> string -> span_stat option
   val spans : t -> (string * span_stat) list
 
@@ -109,9 +108,6 @@ module Registry : sig
   val pp_text : Format.formatter -> t -> unit
   (** Human-readable dump, one metric per line. *)
 end
-
-val current : unit -> Registry.t
-(** The calling domain's registry. *)
 
 val incr : ?by:int -> string -> unit
 (** Bump a counter in the current domain's registry (no-op when

@@ -3,7 +3,7 @@ type hazard = { lambda : float; speed_exponent : float }
 let uniform ~lambda = { lambda; speed_exponent = 0.0 }
 
 let rate hazard plat p =
-  if hazard.lambda < 0.0 then invalid_arg "Failure_gen.rate: negative lambda";
+  if hazard.lambda < 0.0 then invalid_arg "Failure_gen: negative lambda";
   hazard.lambda *. (Platform.speed plat p ** hazard.speed_exponent)
 
 let by_time =

@@ -17,10 +17,6 @@ type hazard = {
 val uniform : lambda:float -> hazard
 (** Speed-independent hazard ([α = 0]). *)
 
-val rate : hazard -> Platform.t -> Platform.proc -> float
-(** The processor's crash rate [λ · s_u^α].
-    @raise Invalid_argument if [λ < 0]. *)
-
 val lifetimes :
   rng:Rng.t -> hazard -> Platform.t -> (Platform.proc * float) list
 (** One crash instant per processor, sorted by time (ties by processor
@@ -31,7 +27,8 @@ val lifetimes :
     exact time-rescalings of each other — the crash set inside any fixed
     horizon grows monotonically with [λ] (common random numbers, the
     property the chaos suite's availability-monotonicity assertion leans
-    on). *)
+    on).
+    @raise Invalid_argument if [λ < 0]. *)
 
 (** Correlated crash draws: processors grouped into failure domains
     (racks, power feeds) share a Marshall–Olkin common shock. *)

@@ -14,7 +14,6 @@ type fault_injection = {
 type config = {
   horizon : float;
   hazard : Failure_gen.hazard;
-  max_attempts : int option;
   reconfig_delay : float;
   max_items_per_epoch : int;
   overload : overload option;
@@ -25,7 +24,6 @@ let default_config =
   {
     horizon = 400.0;
     hazard = Failure_gen.uniform ~lambda:1e-3;
-    max_attempts = None;
     reconfig_delay = 5.0;
     max_items_per_epoch = 256;
     overload = None;
@@ -351,8 +349,8 @@ let run ?(config = default_config) ~rng ~throughput m0 =
              ~config:
                {
                  Engine.Run.traffic = traffic n_items;
-                 snapshot = Some { Engine.clock = !clock; down = !down };
-                 failed = [];
+                 snapshot = Some { Engine.clock = !clock };
+                 failed = !down;
                  timed_failures = Option.to_list crash_now;
                  (* epochs read latencies and fault stats, never the
                     per-transfer log *)
@@ -430,8 +428,7 @@ let run ?(config = default_config) ~rng ~throughput m0 =
     in
     clock := Float.max t_c !clock;
     let verdict =
-      Recovery_policy.react ?max_attempts:config.max_attempts ~throughput
-        ~failed:(cur :: !down) !mapping
+      Recovery_policy.react ~throughput ~failed:(cur :: !down) !mapping
     in
     match verdict with
     | Recovery_policy.Restored o ->

@@ -8,10 +8,11 @@
     previous surviving state ({!Engine.snapshot}).  When a processor
     hosting live replicas dies, the in-flight items it carried are lost,
     the stream pauses for a reconfiguration delay and
-    {!Recovery_policy.react} picks the best surviving service level —
-    full-strength in-place restoration down to an unreplicated remap —
-    or declares a terminal {!Outage} after which every remaining item is
-    counted lost.
+    {!Recovery_policy.react}, with its default retry budget (the whole
+    chain), picks the best surviving service level — full-strength
+    in-place restoration down to an unreplicated remap — or declares a
+    terminal {!Outage} after which every remaining item is counted
+    lost.
 
     Every epoch records what an operator would want on a dashboard:
     items injected/delivered/lost, peak and mean latency, downtime, the
@@ -60,9 +61,6 @@ type fault_injection = {
 type config = {
   horizon : float;  (** simulated operation time (time units) *)
   hazard : Failure_gen.hazard;  (** crash arrival law *)
-  max_attempts : int option;
-      (** retry budget forwarded to {!Recovery_policy.react};
-          [None] = the policy default (the whole chain) *)
   reconfig_delay : float;
       (** stream downtime per recovery attempt (time units) *)
   max_items_per_epoch : int;
@@ -77,7 +75,7 @@ type config = {
 }
 
 val default_config : config
-(** 400 time units, uniform λ = 10⁻³, policy-default retries, delay 5,
+(** 400 time units, uniform λ = 10⁻³, delay 5,
     at most 256 items per epoch, no overload, no fault injection. *)
 
 type decision =
@@ -129,10 +127,6 @@ type report = {
   outage : bool;
   outage_clock : float;  (** when service stopped; [nan] if it never did *)
 }
-
-val touch : unit -> unit
-(** Pre-register the [ops.recovery.*] counters at 0 (no-op when metrics
-    are off). *)
 
 val run :
   ?config:config -> rng:Rng.t -> throughput:float -> Mapping.t -> report

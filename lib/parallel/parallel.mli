@@ -9,8 +9,7 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], the pool default. *)
 
-val map_seeded :
-  ?pool:Domain_pool.t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_seeded : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_seeded ~jobs f xs] equals [List.map f xs] provided [f x] depends
     only on [x].
 
@@ -18,8 +17,4 @@ val map_seeded :
     spawned.  Otherwise the elements are dispatched on a fresh
     [jobs]-worker {!Domain_pool} (shut down before returning) and the
     results are reassembled in input order.  The first (lowest-index)
-    exception is re-raised after all elements settled.
-
-    [?pool] dispatches on a caller-owned pool instead (ignoring [jobs]
-    and shutting nothing down) — for call sites that amortize one pool
-    across many maps, e.g. the crash estimator inside a figure sweep. *)
+    exception is re-raised after all elements settled. *)

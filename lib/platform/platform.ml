@@ -111,8 +111,3 @@ let fastest_proc p =
   let best = ref 0 in
   Array.iteri (fun u s -> if s > p.speeds.(!best) then best := u) p.speeds;
   !best
-
-let pp ppf p =
-  Format.fprintf ppf "@[<v>platform %S: %d processors@," p.name (size p);
-  Array.iteri (fun u s -> Format.fprintf ppf "P%d: speed %g@," u s) p.speeds;
-  Format.fprintf ppf "@]"

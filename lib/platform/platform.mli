@@ -74,5 +74,3 @@ val restrict : t -> proc array -> t
 
 val fastest_proc : t -> proc
 (** A processor of maximal speed (smallest index among ties). *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,7 +34,6 @@ type t = {
   mutable t_defeat : Bitset.t list option;
 }
 
-let mapping t = t.t_graph.mapping
 let procs t = t.t_graph.procs
 
 (* ---- antichain algebra ------------------------------------------------ *)
@@ -376,8 +375,7 @@ let defeat_probability ?(enumerate_below = default_enumeration_budget) t model
   | Some c -> fst (uniform_enumeration t ~crashes:c)
   | None -> probability t (defeat_cut_sets t) model
 
-let survival_probability ?enumerate_below t model =
-  1.0 -. defeat_probability ?enumerate_below t model
+let survival_probability t model = 1.0 -. defeat_probability t model
 
 (* ---- depth and latency distributions ----------------------------------- *)
 
@@ -420,10 +418,10 @@ let depth_distribution ?(enumerate_below = default_enumeration_budget) t model
 let latency_of_depth ~throughput d =
   float_of_int ((2 * d) - 1) /. throughput
 
-let latency_distribution ?enumerate_below t ~throughput model =
+let latency_distribution t ~throughput model =
   List.map
     (fun (d, p) -> (latency_of_depth ~throughput d, p))
-    (depth_distribution ?enumerate_below t model)
+    (depth_distribution t model)
 
 let expected_latency ?enumerate_below t ~throughput model =
   let dist = depth_distribution ?enumerate_below t model in

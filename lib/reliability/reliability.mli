@@ -84,9 +84,6 @@ val analyze : ?max_cut_card:int -> Mapping.t -> t
     answer exactly.
     @raise Invalid_argument if the mapping is not complete. *)
 
-val mapping : t -> Mapping.t
-val procs : t -> int
-
 val defeat_cut_sets : t -> Bitset.t list
 (** The minimal failure sets that defeat the schedule, as a canonically
     ordered antichain (cuts larger than the horizon pruned).  Empty when
@@ -109,7 +106,7 @@ val defeat_probability : ?enumerate_below:int -> t -> model -> float
     than 20 domains or domains that partition a different platform
     size. *)
 
-val survival_probability : ?enumerate_below:int -> t -> model -> float
+val survival_probability : t -> model -> float
 (** [1 - defeat_probability]. *)
 
 val depth_distribution :
@@ -120,8 +117,7 @@ val depth_distribution :
     the rest).  Strategy choice and raises as {!defeat_probability}. *)
 
 val latency_distribution :
-  ?enumerate_below:int -> t -> throughput:float -> model ->
-  (float * float) list
+  t -> throughput:float -> model -> (float * float) list
 (** {!depth_distribution} mapped through the stage-synchronous latency
     [(2 d - 1) / throughput]: the exact degraded-latency distribution. *)
 

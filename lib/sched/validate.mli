@@ -16,7 +16,6 @@ type error =
   | Not_fault_tolerant of Platform.proc list
       (** this set of at most ε processor failures loses some exit task *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val structure : Mapping.t -> error list

@@ -124,9 +124,9 @@ let chunk_size = 32
    fanned out over the domains: the per-worker scratch (an engine arena)
    is allocated once per slice.  Each element is evaluated under a
    [sim.crash.sample] span. *)
-let map_chunks ?pool ~jobs fresh xs =
+let map_chunks ~jobs fresh xs =
   let n = Array.length xs in
-  Parallel.map_seeded ?pool ~jobs
+  Parallel.map_seeded ~jobs
     (fun lo ->
       let evaluate = fresh () in
       Array.init (min chunk_size (n - lo)) (fun k ->
@@ -147,10 +147,10 @@ end)
    draws are evaluated directly.  Engine draws are judged by the cut
    predicate first; each distinct surviving set is then replayed once and
    its latency shared by every draw of that set. *)
-let draw_latencies ?pool ~jobs model sets =
+let draw_latencies ~jobs model sets =
   match model with
   | Stage_model { plan; throughput } ->
-      map_chunks ?pool ~jobs
+      map_chunks ~jobs
         (fun () failed ->
           Stage_latency.latency_of_plan ~failed plan ~throughput)
         sets
@@ -174,7 +174,7 @@ let draw_latencies ?pool ~jobs model sets =
           sets
       in
       let replayed =
-        map_chunks ?pool ~jobs (survivor_replay p)
+        map_chunks ~jobs (survivor_replay p)
           (Array.of_list (List.rev !distinct))
       in
       Array.map (fun s -> if s < 0 then None else Some replayed.(s)) slot
@@ -214,7 +214,7 @@ let validate ~n_procs = function
 
 (* ---- the one entry point ---------------------------------------------- *)
 
-let estimate ?pool ?(jobs = 1) ~source ~method_ () =
+let estimate ?(jobs = 1) ~source ~method_ () =
   let model = model_of source in
   let graph = graph_of model in
   let n_procs = graph.Replica_graph.procs in
@@ -248,7 +248,7 @@ let estimate ?pool ?(jobs = 1) ~source ~method_ () =
         Array.init draws (fun _ ->
             draw_distinct (Rng.split rng) ~count:crashes ~bound:n_procs)
       in
-      let latencies = draw_latencies ?pool ~jobs model sets in
+      let latencies = draw_latencies ~jobs model sets in
       Array.iter
         (fun latency ->
           Obs.incr "sim.crash.draws";

@@ -81,7 +81,6 @@ type estimate = {
 }
 
 val estimate :
-  ?pool:Domain_pool.t ->
   ?jobs:int ->
   source:source ->
   method_:method_ ->
@@ -101,8 +100,7 @@ val estimate :
     folded in fixed 32-draw chunks in draw order.  [Of_stages] draws
     evaluate the plan directly, fanned out the same way, and need no
     arena.  [?jobs] (default 1) spawns a {!Domain_pool} of that size for
-    the call; [?pool] reuses a caller-owned pool instead (taking
-    precedence over [jobs]).  The estimate is {e bit-identical} at every
+    the call.  The estimate is {e bit-identical} at every
     worker count: draws use per-draw child seeds and the chunked sums
     merge in draw order, so parallelism changes wall-clock, never the
     result.  [Fixed] and [Exact] ignore [jobs] (a [Fixed] replay is one

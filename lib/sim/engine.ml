@@ -1,6 +1,4 @@
-type snapshot = { clock : float; down : Platform.proc list }
-
-let boot = { clock = 0.0; down = [] }
+type snapshot = { clock : float }
 
 type instance = { item : int; rep : Replica.id }
 
@@ -493,7 +491,7 @@ module Run_state = struct
      float slot, and re-initialize every slab range the run reads before
      writing.  Fault-free runs never read [rs_attempts], so it is reset
      only when used. *)
-  let start st p ~clock ~period ~offsets ~queue_bound ~policy ~failed ~down
+  let start st p ~clock ~period ~offsets ~queue_bound ~policy ~failed
       ~timed_failures ~record_messages ~faults =
     let n_procs = p.p_procs and n_rids = p.p_rids in
     let n_items = Array.length offsets in
@@ -556,9 +554,7 @@ module Run_state = struct
        and also prunes replicas statically. *)
     let fail_time = st.rs_fail_time in
     Array.fill fail_time 0 n_procs infinity;
-    let crash_at_zero u = fail_time.(u) <- 0.0 in
-    List.iter crash_at_zero failed;
-    List.iter crash_at_zero down;
+    List.iter (fun u -> fail_time.(u) <- 0.0) failed;
     List.iter (fun (u, t) -> fail_time.(u) <- Float.min fail_time.(u) t) timed_failures;
     liveness st p;
     (* Per-instance state, iidx = item * n_rids + rid; [rs_sat] marks the
@@ -1317,7 +1313,7 @@ let check_proc p what u =
     invalid_arg ("Engine.simulate: processor outside [0, m) in " ^ what)
 
 (* Reject a malformed scenario before anything touches the arena. *)
-let check_scenario p ~n_items ~clock ~period ~queue_bound ~failed ~down
+let check_scenario p ~n_items ~clock ~period ~queue_bound ~failed
     ~timed_failures ~faults =
   if n_items < 1 then invalid_arg "Engine.simulate: n_items < 1";
   if clock < 0.0 || not (Float.is_finite clock) then
@@ -1329,7 +1325,6 @@ let check_scenario p ~n_items ~clock ~period ~queue_bound ~failed ~down
   | _ -> ());
   if not (Faults.is_none faults) then Faults.validate ~procs:p.p_procs faults;
   List.iter (check_proc p "failed") failed;
-  List.iter (check_proc p "snapshot.down") down;
   ignore
     (List.fold_left
        (fun seen (u, t) ->
@@ -1356,7 +1351,7 @@ let simulate ?state ~(config : Run.config) p =
     | None -> Run_state.create p
   in
   let { Run.snapshot; failed; timed_failures; faults; _ } = config in
-  let { clock; down } = Option.value snapshot ~default:boot in
+  let clock = match snapshot with Some s -> s.clock | None -> 0.0 in
   (* Closed traffic is the degenerate open run: the paper's steady state
      injects one item every [period] (default: the program's achieved
      period), which is a deterministic arrival process through unbounded
@@ -1373,7 +1368,7 @@ let simulate ?state ~(config : Run.config) p =
     | Run.Open { arrival; n_items; rng; queue_bound; policy } ->
         (n_items, p.p_period, arrival, rng, queue_bound, policy, false)
   in
-  check_scenario p ~n_items ~clock ~period ~queue_bound ~failed ~down
+  check_scenario p ~n_items ~clock ~period ~queue_bound ~failed
     ~timed_failures ~faults;
   let offsets = Arrival.times ?rng ~n:n_items arrival in
   Obs.with_span "sim.engine.run" (fun () ->
@@ -1399,7 +1394,7 @@ let simulate ?state ~(config : Run.config) p =
           if s.clock > 0.0 then Obs.incr "sim.epoch.resumes";
           Obs.observe "sim.epoch.items" (float_of_int n_items));
       Run_state.start st p ~clock ~period ~offsets ~queue_bound ~policy ~failed
-        ~down ~timed_failures ~record_messages:config.Run.record_messages
+        ~timed_failures ~record_messages:config.Run.record_messages
         ~faults;
       seed_source st;
       advance_fail st p;

@@ -44,10 +44,10 @@
     drives one {!simulate} per epoch instead of replaying from time 0):
     [clock] is the absolute time the epoch starts — item [k] of the run is
     injected at [clock + k · period] (closed) or [clock + offset k] (open)
-    and every failure instant is interpreted on the same absolute axis —
-    and [down] lists the processors that already crashed in earlier epochs
-    (statically dead, exactly like [failed]). *)
-type snapshot = { clock : float; down : Platform.proc list }
+    and every failure instant is interpreted on the same absolute axis.
+    Processors that crashed in earlier epochs go in {!Run.config.failed}
+    (statically dead). *)
+type snapshot = { clock : float }
 
 type instance = { item : int; rep : Replica.id }
 
@@ -185,13 +185,16 @@ module Run : sig
   type config = {
     traffic : traffic;
     snapshot : snapshot option;
-        (** [None] = a fresh stream, [{ clock = 0.0; down = [] }].
-            [Some s] resumes at [s.clock] with [s.down] statically
-            dead, and the run records [sim.epoch.resumes] (when the
-            clock is positive) and a [sim.epoch.items] histogram
-            sample. *)
+        (** [None] = a fresh stream, [{ clock = 0.0 }].  [Some s]
+            resumes at [s.clock], and the run records
+            [sim.epoch.resumes] (when the clock is positive) and a
+            [sim.epoch.items] histogram sample. *)
     failed : Platform.proc list;
-        (** fail-silent from time 0: shorthand for a crash at time 0 *)
+        (** fail-silent from time 0 (the paper's §5 failure model): the
+            replicas on these processors are pruned statically.  A
+            resumed epoch lists here the processors that crashed in
+            earlier epochs.  Counted in [sim.failures_injected] with
+            [timed_failures]. *)
     timed_failures : (Platform.proc * float) list;
         (** fail-stop crashes mid-stream: work or transfers that would
             complete strictly after the processor's crash instant are
@@ -294,7 +297,7 @@ val simulate : ?state:Run_state.t -> config:Run.config -> program -> result
     [sim.drops] and the [sim.queue.occupancy] histogram.
     @raise Invalid_argument (naming [Engine.simulate]) if [n_items < 1],
     a closed [period] is negative or not finite, a processor in
-    [failed], [timed_failures] or [snapshot.down] is outside [0, m), a
+    [failed] or [timed_failures] is outside [0, m), a
     failure time is negative or NaN, a processor appears twice in
     [timed_failures], the snapshot clock is negative or not finite, an
     open config has [queue_bound < 1] or an arrival process that needs

@@ -127,7 +127,6 @@ let length c =
   Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) @@ fun () ->
   Hashtbl.length c.table
 
-let capacity c = c.capacity
 let hits c = Atomic.get c.hits
 let misses c = Atomic.get c.misses
 

@@ -45,8 +45,6 @@ val mem : 'v t -> Mapping.t -> bool
 val length : 'v t -> int
 (** Entries currently held ([<= capacity]). *)
 
-val capacity : 'v t -> int
-
 val hits : 'v t -> int
 (** Lifetime hit count of this cache (atomic; independent of
     {!Obs.enabled}). *)

@@ -4,8 +4,13 @@ let palette =
     "#b07aa1"; "#ff9da7"; "#9c755f"; "#bab0ac";
   |]
 
-let render ?(width = 960) ?(row_height = 34) ?(item = 0) mapping
-    (result : Engine.result) =
+(* Drawing width and processor row height in pixels; the chart shows the
+   first data item. *)
+let width = 960
+let row_height = 34
+let item = 0
+
+let render mapping (result : Engine.result) =
   let plat = Mapping.platform mapping in
   let dag = Mapping.dag mapping in
   let n_procs = Platform.size plat in
@@ -93,8 +98,8 @@ let render ?(width = 960) ?(row_height = 34) ?(item = 0) mapping
   Buffer.add_string buf "\n</svg>\n";
   Buffer.contents buf
 
-let save path ?item mapping result =
+let save path mapping result =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ?item mapping result))
+    (fun () -> output_string oc (render mapping result))

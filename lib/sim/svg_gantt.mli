@@ -3,16 +3,9 @@
     plotting toolchain in this repository's dependency set, so figures are
     emitted directly as SVG). *)
 
-val render :
-  ?width:int ->
-  ?row_height:int ->
-  ?item:int ->
-  Mapping.t ->
-  Engine.result ->
-  string
-(** An SVG document with one row per processor: replica executions as
-    filled boxes (one colour per task, labelled), transfers as thin boxes
-    in a narrow sub-row.  [item] selects the data item (default 0);
-    [width] is the drawing width in pixels (default 960). *)
+val render : Mapping.t -> Engine.result -> string
+(** A 960-pixel-wide SVG document of data item 0 with one row per
+    processor: replica executions as filled boxes (one colour per task,
+    labelled), transfers as thin boxes in a narrow sub-row. *)
 
-val save : string -> ?item:int -> Mapping.t -> Engine.result -> unit
+val save : string -> Mapping.t -> Engine.result -> unit

@@ -144,8 +144,6 @@ let fold f s init =
     s;
   !acc
 
-let iter f s = fold (fun x () -> f x) s ()
-
 let elements s = List.rev (fold (fun x acc -> x :: acc) s [])
 
 let of_list l = List.fold_left (fun s x -> add x s) empty l

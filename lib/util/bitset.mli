@@ -61,8 +61,6 @@ val elements : t -> elt list
 (** In increasing order, as [Set.Make (Int)] returns them. *)
 
 val of_list : elt list -> t
-val iter : (elt -> unit) -> t -> unit
-(** In increasing order. *)
 
 val fold : (elt -> 'a -> 'a) -> t -> 'a -> 'a
 (** In increasing order. *)

@@ -43,12 +43,12 @@ let default_spec =
 
 let mean (lo, hi) = 0.5 *. (lo +. hi)
 
-let throughput ?(spec = default_spec) ~eps () =
+let throughput spec ~eps =
   spec.target_utilization *. float_of_int spec.m *. mean spec.speed_range
   /. (float_of_int spec.tasks *. mean spec.exec_range
      *. float_of_int (eps + 1))
 
-let platform ?(spec = default_spec) ~rng () =
+let platform spec ~rng =
   let lo_s, hi_s = spec.speed_range in
   let speeds = Array.make spec.m 1.0 in
   for p = 0 to spec.m - 1 do
@@ -57,7 +57,7 @@ let platform ?(spec = default_spec) ~rng () =
   let bw = Array.make_matrix spec.m spec.m (1.0 /. spec.unit_delay) in
   Platform.create ~name:"huge-platform" ~speeds ~bandwidth:bw ()
 
-let instance ?(spec = default_spec) ~rng ?(granularity = 1.0) () =
+let instance spec ~rng ~granularity =
   if spec.tasks < 1 then invalid_arg "Huge.instance: empty graph";
   let v = spec.tasks in
   let width = max 1 spec.m in
@@ -83,5 +83,5 @@ let instance ?(spec = default_spec) ~rng ?(granularity = 1.0) () =
     end
   done;
   let dag = Dag.Builder.build b in
-  let plat = platform ~spec ~rng () in
+  let plat = platform spec ~rng in
   { Paper_workload.dag; plat; granularity }

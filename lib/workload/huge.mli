@@ -20,13 +20,12 @@ type spec = {
 val default_spec : spec
 (** v = 10⁶ tasks on m = 10³ processors. *)
 
-val throughput : ?spec:spec -> eps:int -> unit -> float
+val throughput : spec -> eps:int -> float
 (** The analytic throughput putting every processor at
     [target_utilization] mean load with [ε+1] replicas. *)
 
-val platform : ?spec:spec -> rng:Rng.t -> unit -> Platform.t
-(** Speeds drawn from [speed_range]; constant link delay [unit_delay]. *)
-
 val instance :
-  ?spec:spec -> rng:Rng.t -> ?granularity:float -> unit -> Paper_workload.instance
-(** One huge instance; [granularity] (default 1.0) scales the volumes. *)
+  spec -> rng:Rng.t -> granularity:float -> Paper_workload.instance
+(** One huge instance on a platform with speeds drawn from
+    [speed_range] and constant link delay [unit_delay]; [granularity]
+    scales the volumes. *)

@@ -6,72 +6,53 @@ type impl =
 
 type t = {
   name : string;
-  descr : string;
   impl : impl;
 }
 
 let name s = s.name
-let descr s = s.descr
+let paper ?(name = "paper-custom") pspec = { name; impl = Paper pspec }
+let huge hspec = { name = "huge-custom"; impl = Huge hspec }
 
-let paper ?(name = "paper-custom") ?(descr = "custom paper-style workload")
-    pspec =
-  { name; descr; impl = Paper pspec }
-
-let huge ?(name = "huge-custom") ?(descr = "custom huge workload") hspec =
-  { name; descr; impl = Huge hspec }
-
+(* The paper's §5 workload: random layered DAGs, v∈[50,150], m=20. *)
 let default =
-  {
-    name = "paper-layered";
-    descr = "the paper's §5 workload: random layered DAGs, v∈[50,150], m=20";
-    impl = Paper Paper_workload.default_spec;
-  }
+  { name = "paper-layered"; impl = Paper Paper_workload.default_spec }
 
 let all =
   [
     default;
+    (* §5 parameters on bounded-degree random-growth graphs. *)
     {
       name = "paper-fan-in-out";
-      descr = "§5 parameters on bounded-degree random-growth graphs";
       impl =
         Paper
           { Paper_workload.default_spec with
             Paper_workload.family = Paper_workload.Fan_in_out };
     };
+    (* §5 parameters on random series-parallel graphs. *)
     {
       name = "paper-series-parallel";
-      descr = "§5 parameters on random series-parallel graphs";
       impl =
         Paper
           { Paper_workload.default_spec with
             Paper_workload.family = Paper_workload.Series_parallel };
     };
+    (* §5 parameters on split/join pipelines (StreamIt-like). *)
     {
       name = "paper-stream-chain";
-      descr = "§5 parameters on split/join pipelines (StreamIt-like)";
       impl =
         Paper
           { Paper_workload.default_spec with
             Paper_workload.family = Paper_workload.Stream_chain };
     };
-    {
-      name = "classic-fig1";
-      descr = "the paper's Fig. 1 worked example (fixed graph and platform)";
-      impl = Classic_fig1;
-    };
-    {
-      name = "classic-fig2";
-      descr = "the paper's Fig. 2 worked example on m=4 processors";
-      impl = Classic_fig2 4;
-    };
-    {
-      name = "huge";
-      descr = "million-task layered pipeline on a thousand processors";
-      impl = Huge Huge.default_spec;
-    };
+    (* The paper's Fig. 1 worked example (fixed graph and platform). *)
+    { name = "classic-fig1"; impl = Classic_fig1 };
+    (* The paper's Fig. 2 worked example on m=4 processors. *)
+    { name = "classic-fig2"; impl = Classic_fig2 4 };
+    (* Million-task layered pipeline on a thousand processors. *)
+    { name = "huge"; impl = Huge Huge.default_spec };
+    (* The huge family at test size. *)
     {
       name = "huge-small";
-      descr = "the huge family at test size: v=2000 on m=50";
       impl = Huge { Huge.default_spec with Huge.tasks = 2000; m = 50 };
     };
   ]
@@ -122,7 +103,7 @@ let of_string str =
 let throughput s ~eps =
   match s.impl with
   | Paper _ | Classic_fig1 | Classic_fig2 _ -> Paper_workload.throughput ~eps
-  | Huge h -> Huge.throughput ~spec:h ~eps ()
+  | Huge h -> Huge.throughput h ~eps
 
 (* The paper's random heterogeneous platform: speeds and unit link
    delays drawn from the spec's ranges (the delay matrix is symmetric). *)
@@ -199,4 +180,4 @@ let generate s ~rng ?(granularity = 1.0) () =
         plat = Classic.fig2_platform ~m;
         granularity;
       }
-  | Huge hspec -> Huge.instance ~spec:hspec ~rng ~granularity ()
+  | Huge hspec -> Huge.instance hspec ~rng ~granularity

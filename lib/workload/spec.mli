@@ -17,18 +17,16 @@ type impl =
 
 type t = {
   name : string;
-  descr : string;
   impl : impl;
 }
 
 val name : t -> string
-val descr : t -> string
 
-val paper : ?name:string -> ?descr:string -> Paper_workload.spec -> t
-(** Wrap a custom paper-style spec. *)
+val paper : ?name:string -> Paper_workload.spec -> t
+(** Wrap a custom paper-style spec (named ["paper-custom"] by default). *)
 
-val huge : ?name:string -> ?descr:string -> Huge.spec -> t
-(** Wrap a custom huge spec. *)
+val huge : Huge.spec -> t
+(** Wrap a custom huge spec, named ["huge-custom"]. *)
 
 val default : t
 (** ["paper-layered"] — the paper's own §5 workload. *)

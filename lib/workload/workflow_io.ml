@@ -244,9 +244,7 @@ let print_platform p =
 (* Workload specs                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let instance_of_spec ?(granularity = 1.0) ~seed str =
+let instance_of_spec ~seed str =
   match Spec.of_string str with
   | Error message -> Error { line = 0; message }
-  | Ok spec ->
-      let rng = Rng.create ~seed in
-      Ok (Spec.generate spec ~rng ~granularity ())
+  | Ok spec -> Ok (Spec.generate spec ~rng:(Rng.create ~seed) ())

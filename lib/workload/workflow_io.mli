@@ -53,9 +53,7 @@ val print_platform : Platform.t -> string
     builder. *)
 
 val instance_of_spec :
-  ?granularity:float ->
-  seed:int ->
-  string ->
-  (Paper_workload.instance, error) result
-(** Generate a full instance (graph and platform) from a spec string.
-    Deterministic in [seed]; parse errors are reported on line 0. *)
+  seed:int -> string -> (Paper_workload.instance, error) result
+(** Generate a full instance (graph and platform) from a spec string at
+    granularity 1.0.  Deterministic in [seed]; parse errors are reported
+    on line 0. *)

@@ -50,7 +50,6 @@ let operate ?(overload = None) ?(faults = None) ~seed ~pressure mapping =
     {
       Stream_ops.horizon = float_of_int horizon_items *. p;
       hazard = Failure_gen.uniform ~lambda:(pressure /. (1000.0 *. p));
-      max_attempts = None;
       reconfig_delay = 2.0 *. p;
       max_items_per_epoch = horizon_items + 8;
       overload;
@@ -292,6 +291,52 @@ let chaos_tests =
         check_true "deterministic availability bits"
           (Int64.bits_of_float report.Stream_ops.availability
           = Int64.bits_of_float again.Stream_ops.availability));
+    case "pinned digest of a timeline that resumes with down processors"
+      (fun () ->
+        (* An in-place restoration keeps the crashed processor in the
+           platform, so the epoch after it resumes with that processor
+           statically dead.  The digest pins every epoch of such a
+           timeline: clocks, item accounting, latencies and decisions. *)
+        let seed = 23 in
+        let r = operate ~seed ~pressure:10.0 (mapping_of seed) in
+        let in_place (ep : Stream_ops.epoch) =
+          match ep.Stream_ops.decision with
+          | Stream_ops.Restored Recovery_policy.Full_strength
+          | Stream_ops.Restored Recovery_policy.Relaxed_throughput ->
+              true
+          | _ -> false
+        in
+        let rec resumes_down = function
+          | ep :: (_ :: _ as rest) -> in_place ep || resumes_down rest
+          | _ -> false
+        in
+        check_true "an epoch resumes with a processor down"
+          (resumes_down r.Stream_ops.epochs);
+        let epoch (ep : Stream_ops.epoch) =
+          Printf.sprintf "%d@%h..%h:i%d,d%d,l%d,c%d,p%h,m%h,%s,w%h,%s,t%d"
+            ep.Stream_ops.index ep.Stream_ops.t_start ep.Stream_ops.t_end
+            ep.Stream_ops.injected ep.Stream_ops.delivered ep.Stream_ops.lost
+            ep.Stream_ops.capped ep.Stream_ops.peak_latency
+            ep.Stream_ops.mean_latency
+            (match ep.Stream_ops.crash with
+            | None -> "-"
+            | Some (p, t) -> Printf.sprintf "%d@%h" p t)
+            ep.Stream_ops.downtime
+            (Stream_ops.decision_to_string ep.Stream_ops.decision)
+            ep.Stream_ops.tolerance
+        in
+        let totals =
+          Printf.sprintf "C%d;I%d;D%d;A%h;M%h;G%h;W%h" r.Stream_ops.crashes
+            r.Stream_ops.injected r.Stream_ops.delivered
+            r.Stream_ops.availability r.Stream_ops.mean_latency
+            r.Stream_ops.degraded_mean_latency r.Stream_ops.total_downtime
+        in
+        let text =
+          String.concat ";" (List.map epoch r.Stream_ops.epochs @ [ totals ])
+        in
+        Alcotest.(check string)
+          "digest" "16225774ea06541cacdaec3aacf86e41"
+          (Digest.to_hex (Digest.string text)));
   ]
 
 let () = Alcotest.run "chaos" [ ("recovery-engine", chaos_tests) ]

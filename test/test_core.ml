@@ -466,7 +466,7 @@ let optimal_tests =
     case "a chain with a loose period fits in one stage" (fun () ->
         match
           Optimal.minimum_stages ~dag:Fixtures.chain3
-            ~platform:(Fixtures.uniform 3) ~throughput:0.2 ()
+            ~platform:(Fixtures.uniform 3) ~throughput:0.2
         with
         | None -> Alcotest.fail "expected a solution"
         | Some r ->
@@ -478,14 +478,14 @@ let optimal_tests =
         match
           Optimal.minimum_stages ~dag:Fixtures.chain3
             ~platform:(Fixtures.uniform 3)
-            ~throughput:(1.0 /. 1.2) ()
+            ~throughput:(1.0 /. 1.2)
         with
         | None -> Alcotest.fail "expected a solution"
         | Some r -> check_int "three stages" 3 r.Optimal.stages);
     case "impossible throughput yields None" (fun () ->
         check_true "none"
           (Optimal.minimum_stages ~dag:Fixtures.chain3
-             ~platform:(Fixtures.uniform 3) ~throughput:10.0 ()
+             ~platform:(Fixtures.uniform 3) ~throughput:10.0
           = None));
     case "the optimum never exceeds a heuristic" (fun () ->
         let rng = Rng.create ~seed:77 in
@@ -496,7 +496,7 @@ let optimal_tests =
               ~granularity:1.0
           in
           let throughput = 0.25 in
-          match Optimal.minimum_stages ~dag ~platform:plat ~throughput () with
+          match Optimal.minimum_stages ~dag ~platform:plat ~throughput with
           | None -> ()
           | Some exact -> (
               Fixtures.check_valid ~what:"optimal mapping" exact.Optimal.mapping
@@ -525,7 +525,7 @@ let optimal_tests =
         in
         let dag = Calibrate.calibrated base homo ~granularity:1.0 in
         let get plat =
-          match Optimal.minimum_stages ~dag ~platform:plat ~throughput:0.3 () with
+          match Optimal.minimum_stages ~dag ~platform:plat ~throughput:0.3 with
           | Some r -> r.Optimal.stages
           | None -> -1
         in
@@ -534,7 +534,7 @@ let optimal_tests =
         let dag = Classic.chain ~n:30 ~exec:1.0 ~volume:1.0 in
         ignore
           (Optimal.minimum_stages ~dag ~platform:(Fixtures.uniform 2)
-             ~throughput:0.01 ()));
+             ~throughput:0.01));
   ]
 
 (* ------------------------------------------------------------------ *)

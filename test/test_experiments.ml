@@ -310,8 +310,7 @@ let fig_tests =
         check_true "unknown name" (Runner.find "fig9z" = None));
     slow_case "pipeline validation sustains the desired throughput" (fun () ->
         let rows =
-          Fig_pipeline.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2
-            ~items:15 ()
+          Fig_pipeline.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2 ()
         in
         List.iter
           (fun r ->
@@ -329,8 +328,7 @@ let fig_tests =
           (List.length rows));
     slow_case "optimality-gap ratios are at least one" (fun () ->
         let rows =
-          Fig_optgap.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:3
-            ~tasks:7 ()
+          Fig_optgap.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:3 ()
         in
         check_true "has rows" (rows <> []);
         List.iter

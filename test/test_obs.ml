@@ -316,6 +316,37 @@ let purity_tests =
                  (Int64.bits_of_float (Fig_common.ltf_sim x))
                  (Int64.bits_of_float (Fig_common.ltf_sim y)))
              seq_samples par_samples));
+    case "core counter totals of pinned schedules" (fun () ->
+        (* LTF and R-LTF on the seed-42 paper problem, strict and best
+           effort: every per-candidate counter is pinned, so batching the
+           increments must keep each total. *)
+        let keys =
+          [
+            "core.placement_probes"; "core.probe_prunes";
+            "core.feasibility_rejections"; "core.one_to_one_calls";
+            "core.general_calls"; "core.commits"; "core.chunks";
+          ]
+        in
+        let totals =
+          with_obs (fun () ->
+              List.iter
+                (fun mode ->
+                  let opts = Scheduler.(default |> with_mode mode) in
+                  ignore (Ltf.schedule ~opts (paper_problem ()));
+                  ignore (Rltf.schedule ~opts (paper_problem ())))
+                [ Scheduler.Strict; Scheduler.Best_effort ];
+              let reg = Obs.snapshot () in
+              List.map (fun k -> (k, Obs.Registry.counter reg k)) keys)
+        in
+        Alcotest.(check (list (pair string int)))
+          "totals"
+          [
+            ("core.placement_probes", 5978); ("core.probe_prunes", 9669);
+            ("core.feasibility_rejections", 18); ("core.one_to_one_calls", 732);
+            ("core.general_calls", 206); ("core.commits", 800);
+            ("core.chunks", 40);
+          ]
+          totals);
   ]
 
 (* ------------------------------------------------------------------ *)

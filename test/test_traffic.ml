@@ -243,7 +243,7 @@ let prop_degenerate_under_failures =
           let n_items = 4 in
           let m = Platform.size (Mapping.platform mapping) in
           let timed_failures = [ (seed mod m, clock +. (1.5 *. period)) ] in
-          let snapshot = Some { Engine.clock; down = [] } in
+          let snapshot = Some { Engine.clock } in
           let faults = fault_scenario ~seed ~m ~clock ~period ~rate ~factor in
           let with_scenario config =
             Engine.Run.with_faults faults
