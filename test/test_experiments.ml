@@ -355,7 +355,9 @@ let fig_tests =
           rows);
     slow_case "table figures write pinned csvs" (fun () ->
         (* Digests recorded before the table figures shared one writer
-           and one robustness sweep: the refactor must not move a byte. *)
+           and one robustness sweep, and before the series figures
+           (at their quick configs) shared one chart writer and one
+           sweep skeleton: a refactor must not move a byte. *)
         let out_dir = Filename.temp_dir "streamsched" "tables" in
         ignore (Fig_baselines.run ~out_dir ~graphs:2 ());
         ignore (Fig_symmetric.run ~out_dir ~graphs:1 ());
@@ -365,6 +367,20 @@ let fig_tests =
         ignore (Fig_optgap.run ~out_dir ~graphs:2 ());
         ignore (Fig_robustness.families ~out_dir ~graphs:2 ());
         ignore (Fig_robustness.topology ~out_dir ~graphs:2 ());
+        ignore
+          (Fig_latency.run ~out_dir ~jobs:1
+             ~config:(Fig_common.quick ~eps:1 ~crashes:0)
+             ~mode:Fig_latency.Bounds ());
+        ignore
+          (Fig_overhead.run ~out_dir ~jobs:1
+             ~config:(Fig_common.quick ~eps:1 ~crashes:1) ());
+        ignore
+          (Fig_recovery.run ~out_dir ~jobs:1
+             ~config:{ Fig_recovery.quick with Fig_recovery.exact = true } ());
+        ignore (Fig_traffic.run ~out_dir ~jobs:1 ~config:Fig_traffic.quick ());
+        ignore (Fig_faults.run ~out_dir ~jobs:1 ~config:Fig_faults.quick ());
+        ignore
+          (Fig_convergence.run ~out_dir ~jobs:1 ~config:Fig_convergence.quick ());
         List.iter
           (fun (file, digest) ->
             let path = Filename.concat out_dir file in
@@ -380,6 +396,25 @@ let fig_tests =
             ("fig-optgap.csv", "13e5297e01d0fc832c0144d923a5daf7");
             ("fig-families.csv", "b1fec7801b9d2b11d0cef3a6242196e7");
             ("fig-topology.csv", "c398cdd416399895ab8fdadd81eb8862");
+            ("fig-latency-bounds-eps1.csv", "ed2271c49c0363dfb2fb6f78cbc76ec5");
+            ("fig-overhead-eps1.csv", "1415a68eeecffaaea5192e85041941ce");
+            ("fig-overhead-defeats-eps1.csv", "92f9252a7c6bc6c8f39fdde51ccc741f");
+            ("fig-recovery-availability.csv", "5652eaa27b2a0f33390b035fd73b5e82");
+            ("fig-recovery-latency.csv", "2a00667f6586ddfdb2f7c1dd1fdcf14a");
+            ("fig-recovery-outages.csv", "e55f72b559671297ebe940f24f1b920a");
+            ("fig-recovery-exact-survival.csv", "00fefe1e3a359bfbf19bb056115bfa72");
+            ("fig-traffic-latency-poisson.csv", "449af5f05764d901da5d834e25c5783e");
+            ("fig-traffic-queue-poisson.csv", "ac73641de74cd7f19b4314ac913c7f45");
+            ("fig-traffic-drops-poisson.csv", "79ec1d4fbc3396dc9ec9afc6601a985e");
+            ("fig-traffic-latency-mmpp.csv", "2c035e7f4a22232cac2e732dd046ea73");
+            ("fig-traffic-queue-mmpp.csv", "6b3ccf1523a7b91b3b5ef55b3378a699");
+            ("fig-traffic-drops-mmpp.csv", "f2da7a3134349520e7087001dec06c2f");
+            ("fig-faults-retry-latency.csv", "11f5e0701c65a0ed6d8210c002153f42");
+            ("fig-faults-retry-delivered.csv", "b62bf2d0b28dd92cc2fbea23e2506c5e");
+            ("fig-faults-retry-count.csv", "eafbba3069629a1c42075c7157d61783");
+            ("fig-faults-gray.csv", "6026db05a60391d17932ed9d9b293708");
+            ("fig-faults-correlated.csv", "0b7d48a237cd93efd81d9d0001e4f337");
+            ("fig-convergence.csv", "9442f05b361a5213d2528eb6eb030c91");
           ];
         Sys.rmdir out_dir);
     case "paper examples produce comparable rows" (fun () ->
