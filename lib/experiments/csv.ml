@@ -32,7 +32,3 @@ let write ~path ~header rows =
       in
       put header;
       List.iter put rows)
-
-let write_floats ~path ~header rows =
-  let render v = if Float.is_nan v then "" else Printf.sprintf "%.6g" v in
-  write ~path ~header (List.map (List.map render) rows)

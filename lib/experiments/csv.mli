@@ -6,7 +6,3 @@ val escape : string -> string
 
 val write : path:string -> header:string list -> string list list -> unit
 (** Write a header row and data rows; creates parent directories. *)
-
-val write_floats :
-  path:string -> header:string list -> float list list -> unit
-(** Rows of floats rendered with [%.6g]; NaNs become empty cells. *)

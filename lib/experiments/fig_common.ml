@@ -204,6 +204,14 @@ let contenders ~eps =
     baseline "Hary-Ozguner [4]";
   ]
 
+let reduced_spec =
+  Spec.paper
+    {
+      Paper_workload.default_spec with
+      Paper_workload.tasks_range = (30, 60);
+      m = 12;
+    }
+
 let rep_instance spec ~seed ~rep =
   let rng = Rng.create ~seed:(seed + (7919 * rep)) in
   (rng, Spec.generate spec ~rng ~granularity:1.0 ())
@@ -222,15 +230,36 @@ let schedule c inst =
 let service_period mapping ~throughput =
   Float.max (1.0 /. throughput) (Metrics.period mapping)
 
-let measure_contenders ~eps ~rng inst measure =
-  let cs = contenders ~eps in
-  (* A child stream per contender, split in fixed order before any
-     scheduling, so adding or reordering measurements never perturbs
-     another contender's draws. *)
-  let rngs = List.map (fun _ -> Rng.split rng) cs in
-  List.map2 (fun c rng -> (c.label, measure ~rng c inst)) cs rngs
+type 'p sweep = {
+  sweep_eps : int;
+  xs : float list;
+  measured : (float * (string * 'p option) list) list;
+}
 
-let series_by ~eps ~xs ~x_of results projections =
+(* A trial is a pure function of its (x, rep) pair: the rep's stream and
+   instance ignore x (common random numbers), so the sweep runs on the
+   domain pool with bit-identical output for every [jobs]. *)
+let sweep ~jobs ~seed ~eps ~xs ~reps measure =
+  let trials =
+    List.concat_map (fun x -> List.init reps (fun rep -> (x, rep))) xs
+  in
+  let run (x, rep) =
+    let rng, inst = rep_instance reduced_spec ~seed ~rep in
+    let cs = contenders ~eps in
+    (* A child stream per contender, split in fixed order before any
+       scheduling, so adding or reordering measurements never perturbs
+       another contender's draws. *)
+    let rngs = List.map (fun _ -> Rng.split rng) cs in
+    List.map2 (fun c rng -> (c.label, measure x ~rng c inst)) cs rngs
+  in
+  {
+    sweep_eps = eps;
+    xs;
+    measured =
+      List.combine (List.map fst trials) (Parallel.map_seeded ~jobs run trials);
+  }
+
+let series_by sweep projections =
   List.concat_map
     (fun c ->
       List.map
@@ -240,16 +269,16 @@ let series_by ~eps ~xs ~x_of results projections =
               (fun x ->
                 let here =
                   List.concat_map
-                    (fun (t, measured) ->
-                      if x_of t <> x then []
+                    (fun (at, measured) ->
+                      if at <> x then []
                       else
                         List.filter_map
                           (fun (l, m) -> if l = c.label then m else None)
                           measured)
-                    results
+                    sweep.measured
                 in
                 (x, Stats.mean_by proj here))
-              xs
+              sweep.xs
           in
           {
             Ascii_plot.label =
@@ -257,7 +286,7 @@ let series_by ~eps ~xs ~x_of results projections =
             points;
           })
         projections)
-    (contenders ~eps)
+    (contenders ~eps:sweep.sweep_eps)
 
 let per_label label per_rep =
   List.fold_left
@@ -302,3 +331,35 @@ let table ~path columns rows =
   Csv.write ~path
     ~header:(List.map (fun c -> c.key) columns)
     (cells (fun c -> c.csv))
+
+(* ---- series charts ----------------------------------------------------- *)
+
+type heading =
+  | Plot of { title : string; x_label : string; y_label : string }
+  | Line of string
+
+let chart ~path ~x_header heading series =
+  (match heading with
+  | Plot { title; x_label; y_label } ->
+      Ascii_plot.print ~title ~x_label ~y_label series
+  | Line line -> Printf.printf "%s\n" line);
+  let xs =
+    match series with [] -> [] | s :: _ -> List.map fst s.Ascii_plot.points
+  in
+  let column (s : Ascii_plot.series) =
+    let y x = Option.value (List.assoc_opt x s.points) ~default:nan in
+    let cell fmt empty x =
+      let v = y x in
+      if Float.is_nan v then empty else Printf.sprintf fmt v
+    in
+    { head = s.label; key = s.label; show = cell "%.1f" "-"; csv = cell "%.6g" "" }
+  in
+  table ~path
+    ({
+       head = "g";
+       key = x_header;
+       show = Printf.sprintf "%.1f";
+       csv = Printf.sprintf "%.6g";
+     }
+    :: List.map column series)
+    xs

@@ -131,6 +131,11 @@ val contenders : eps:int -> contender list
 (** R-LTF and LTF at [eps], then the single-copy baselines HEFT and
     Hary-Özgüner at ε = 0, in that (series) order. *)
 
+val reduced_spec : Spec.t
+(** The extension sweeps' workload: paper-style graphs of 30–60 tasks on
+    12 processors.  A timeline replays many items through the event
+    engine, so a trial's cost is its horizon, not the graph size. *)
+
 val rep_instance :
   Spec.t -> seed:int -> rep:int -> Rng.t * Paper_workload.instance
 (** The rep's root stream, seeded [seed + 7919 · rep], and the instance
@@ -147,27 +152,29 @@ val service_period : Mapping.t -> throughput:float -> float
 (** The achieved service interval [max (1/T) (period)]: the unit the
     sweeps' loads, horizons and delays are expressed in. *)
 
-val measure_contenders :
-  eps:int ->
-  rng:Rng.t ->
-  Paper_workload.instance ->
-  (rng:Rng.t -> contender -> Paper_workload.instance -> 'p option) ->
-  (string * 'p option) list
-(** Measure every contender on the instance, each on its own child of
-    [rng] (split in contender order before any measurement); labelled
-    with the contender's label. *)
+type 'p sweep
+(** Every contender's measurements at every (x, rep) trial of a sweep. *)
 
-val series_by :
+val sweep :
+  jobs:int ->
+  seed:int ->
   eps:int ->
   xs:float list ->
-  x_of:('t -> float) ->
-  ('t * (string * 'p option) list) list ->
-  (string * ('p -> float)) list ->
-  Ascii_plot.series list
-(** Per contender, one series per [(suffix, projection)]: at each [x] of
-    [xs], the mean projection of the points the contender measured in
-    the trials at [x] ([None] points skipped).  A series is labelled
-    ["LABEL SUFFIX"], or ["LABEL"] when the suffix is empty. *)
+  reps:int ->
+  (float -> rng:Rng.t -> contender -> Paper_workload.instance -> 'p option) ->
+  'p sweep
+(** Run the trials [(x, rep)] in x-major order on [jobs] worker domains
+    (identical output for every value).  A trial takes the rep's
+    {!rep_instance} of {!reduced_spec}, splits one child of its stream
+    per contender of {!contenders}[ ~eps] (in order, before any
+    measurement), and measures each contender at [x]. *)
+
+val series_by : 'p sweep -> (string * ('p -> float)) list -> Ascii_plot.series list
+(** Per contender, one series per [(suffix, projection)]: at each [x],
+    the mean projection of the points the contender measured in the
+    trials at [x] ([None] points and NaN projections skipped).  A series
+    is labelled ["LABEL SUFFIX"], or ["LABEL"] when the suffix is
+    empty. *)
 
 val per_label : string -> (string * 'a) list list -> 'a list
 (** The measurements labelled [label] in per-rep lists, in {e reverse}
@@ -204,3 +211,21 @@ val count : string -> string -> total:int -> ('r -> int) -> 'r column
 
 val table : path:string -> 'r column list -> 'r list -> unit
 (** Print the table, then write the CSV to [path]. *)
+
+(** {2 Series charts}
+
+    A series figure charts mean series against one x axis; {!chart} is
+    its one writer. *)
+
+type heading =
+  | Plot of { title : string; x_label : string; y_label : string }
+      (** an ASCII plot of the series *)
+  | Line of string  (** one line of text instead of a plot *)
+
+val chart :
+  path:string -> x_header:string -> heading -> Ascii_plot.series list -> unit
+(** Print the heading, then a {!table} of one row per x value of the
+    first series and one column per series (values [%.1f], a missing or
+    NaN value shown as ["-"]), then write the same rows to the CSV at
+    [path], headed by [x_header] and the series labels (values [%.6g],
+    missing or NaN as an empty cell). *)

@@ -85,10 +85,6 @@ let run_rep config rep =
               errors;
         }
 
-let mean = function
-  | [] -> nan
-  | vs -> List.fold_left ( +. ) 0.0 vs /. float_of_int (List.length vs)
-
 let collect ?(jobs = 1) config =
   Parallel.map_seeded ~jobs (run_rep config) (List.init config.reps Fun.id)
   |> List.filter_map Fun.id
@@ -98,7 +94,7 @@ let error_series ~proj reps =
   List.sort_uniq compare (List.concat_map (fun r -> List.map fst (proj r)) reps)
   |> List.map (fun n ->
          ( float_of_int n,
-           mean (List.concat_map (fun r -> List.assoc_opt n (proj r) |> Option.to_list) reps) ))
+           Stats.mean (List.concat_map (fun r -> List.assoc_opt n (proj r) |> Option.to_list) reps) ))
 
 let series reps =
   [
@@ -114,18 +110,19 @@ let series reps =
 
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   let reps = collect ~jobs config in
-  let curves = series reps in
-  Ascii_plot.print
-    ~title:
-      (Printf.sprintf
-         "MC error vs exact calculus (c=%d, eps=%d, %d/%d graphs scheduled)"
-         crashes eps (List.length reps) config.reps)
-    ~x_label:"crash draws" ~y_label:"|MC - exact|" curves;
-  Fig_latency.table_of_series curves;
-  Fig_latency.csv_of_series ~x_header:"draws"
-    (Filename.concat out_dir "fig-convergence.csv")
-    curves;
-  curves
+  Fig_common.chart
+    ~path:(Filename.concat out_dir "fig-convergence.csv")
+    ~x_header:"draws"
+    (Fig_common.Plot
+       {
+         title =
+           Printf.sprintf
+             "MC error vs exact calculus (c=%d, eps=%d, %d/%d graphs scheduled)"
+             crashes eps (List.length reps) config.reps;
+         x_label = "crash draws";
+         y_label = "|MC - exact|";
+       })
+    (series reps)
 
 (* The CI gate: with everything pinned by the seed this either always
    passes or always fails, so the tolerance is a regression check on the

@@ -25,10 +25,8 @@ val default : config
 val quick : config
 (** 4 graphs, draws 10/40/160 — the smoke-run and CI-gate variant. *)
 
-val run :
-  ?out_dir:string -> ?jobs:int -> config:config -> unit ->
-  Ascii_plot.series list
-(** Prints the error-vs-draws plot and table and writes
+val run : ?out_dir:string -> ?jobs:int -> config:config -> unit -> unit
+(** Charts ({!Fig_common.chart}) the error-vs-draws plot and table into
     [fig-convergence.csv]. *)
 
 val check : ?jobs:int -> config -> (unit, string) result

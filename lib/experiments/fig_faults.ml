@@ -42,16 +42,6 @@ let rack_size = 3
 (* Replication degree for R-LTF. *)
 let eps = 1
 
-(* Same reduced scale as the traffic and recovery figures: the cost of a
-   trial is items through the event engine, not graph size. *)
-let spec =
-  Spec.paper ~name:"paper-faults"
-    {
-      Paper_workload.default_spec with
-      Paper_workload.tasks_range = (30, 60);
-      m = 12;
-    }
-
 let default =
   {
     seed = 2009;
@@ -87,10 +77,6 @@ let busiest_proc mapping =
   Array.iteri (fun u c -> if c > load.(!best) then best := u) load;
   !best
 
-let mean = function
-  | [] -> nan
-  | vals -> List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
-
 (* ---- Part A: retry budget x fault rate --------------------------------- *)
 
 type retry_point = {
@@ -121,7 +107,7 @@ let measure_retry config ~fault_seed ~budget ~rate prog ~period =
   in
   let sojourns = Engine.sojourns r in
   {
-    rp_latency = mean sojourns;
+    rp_latency = Stats.mean sojourns;
     rp_delivered =
       float_of_int (List.length sojourns) /. float_of_int config.n_items;
     rp_retries =
@@ -150,7 +136,7 @@ let measure_gray config ~factor prog ~period ~proc =
            (Engine.Run.closed ~n_items:config.n_items ~period ()))
       prog
   in
-  mean (Engine.sojourns r)
+  Stats.mean (Engine.sojourns r)
 
 (* ---- Part C: correlated failure domains -------------------------------- *)
 
@@ -219,8 +205,9 @@ type drill = {
    the threshold at the first review, and the operations layer evicts
    the machine through the same chain a crash would take. *)
 let eviction_drill config =
-  let rng = Rng.create ~seed:config.seed in
-  let inst = Spec.generate spec ~rng ~granularity:1.0 () in
+  let _, inst =
+    Fig_common.rep_instance Fig_common.reduced_spec ~seed:config.seed ~rep:0
+  in
   match
     Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst
   with
@@ -283,7 +270,9 @@ type trial_result = {
    stream is split off before use, so each axis moves because of its
    knob, never because of resampling noise (CRN along every sweep). *)
 let run_trial config rep =
-  let rng, inst = Fig_common.rep_instance spec ~seed:config.seed ~rep in
+  let rng, inst =
+    Fig_common.rep_instance Fig_common.reduced_spec ~seed:config.seed ~rep
+  in
   match
     Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst
   with
@@ -318,112 +307,93 @@ let run_trial config rep =
       in
       Some { tr_retry; tr_gray; tr_corr }
 
+(* The mean over the scheduled trials of [find t x] at each [x]; a NaN
+   measurement propagates into its point. *)
+let series_over trials label xs find =
+  {
+    Ascii_plot.label;
+    points =
+      List.map (fun x -> (x, Stats.mean (List.filter_map (find x) trials))) xs;
+  }
+
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   let trials =
     Parallel.map_seeded ~jobs (run_trial config)
       (List.init config.reps Fun.id)
     |> List.filter_map Fun.id
   in
-  (* Part A: one latency and one delivery series per retry budget. *)
-  let retry_series proj suffix =
-    List.map
-      (fun budget ->
-        {
-          Ascii_plot.label = Printf.sprintf "budget=%d%s" budget suffix;
-          points =
-            List.map
-              (fun rate ->
-                ( rate,
-                  mean
-                    (List.filter_map
-                       (fun t -> Option.map proj
-                           (List.assoc_opt (budget, rate) t.tr_retry))
-                       trials) ))
-              config.fault_rates;
-        })
-      config.retry_budgets
+  let chart name x_header heading series =
+    Fig_common.chart
+      ~path:(Filename.concat out_dir ("fig-faults-" ^ name ^ ".csv"))
+      ~x_header heading series
   in
-  let lat = retry_series (fun rp -> rp.rp_latency) "" in
-  let delivered = retry_series (fun rp -> 100.0 *. rp.rp_delivered) "" in
-  let retries = retry_series (fun rp -> rp.rp_retries) "" in
-  Ascii_plot.print
-    ~title:
-      (Printf.sprintf
-         "Mean latency vs transient fault rate (R-LTF eps=%d, %d items, %d \
-          graphs, backoff 0.25 period x2)"
-         eps config.n_items config.reps)
-    ~x_label:"per-attempt fault rate" ~y_label:"mean sojourn" lat;
-  Fig_latency.table_of_series lat;
-  Printf.printf "Delivered items (%% of injected):\n";
-  Fig_latency.table_of_series delivered;
-  Printf.printf "Retries per injected item:\n";
-  Fig_latency.table_of_series retries;
-  let retry_csv name = Filename.concat out_dir ("fig-faults-retry-" ^ name ^ ".csv") in
-  Fig_latency.csv_of_series ~x_header:"fault_rate" (retry_csv "latency") lat;
-  Fig_latency.csv_of_series ~x_header:"fault_rate" (retry_csv "delivered") delivered;
-  Fig_latency.csv_of_series ~x_header:"fault_rate" (retry_csv "count") retries;
+  (* Part A: one latency, delivery and retry series per retry budget. *)
+  let retry_chart name heading proj =
+    chart ("retry-" ^ name) "fault_rate" heading
+      (List.map
+         (fun budget ->
+           series_over trials
+             (Printf.sprintf "budget=%d" budget)
+             config.fault_rates
+             (fun rate t ->
+               Option.map proj (List.assoc_opt (budget, rate) t.tr_retry)))
+         config.retry_budgets)
+  in
+  retry_chart "latency"
+    (Fig_common.Plot
+       {
+         title =
+           Printf.sprintf
+             "Mean latency vs transient fault rate (R-LTF eps=%d, %d items, \
+              %d graphs, backoff 0.25 period x2)"
+             eps config.n_items config.reps;
+         x_label = "per-attempt fault rate";
+         y_label = "mean sojourn";
+       })
+    (fun rp -> rp.rp_latency);
+  retry_chart "delivered"
+    (Fig_common.Line "Delivered items (% of injected):")
+    (fun rp -> 100.0 *. rp.rp_delivered);
+  retry_chart "count" (Fig_common.Line "Retries per injected item:") (fun rp ->
+      rp.rp_retries);
   (* Part B: gray straggler factor. *)
-  let gray =
+  chart "gray" "straggler_factor"
+    (Fig_common.Plot
+       {
+         title = "Mean latency vs gray straggler factor (no crash, no loss)";
+         x_label = "execution slowdown factor";
+         y_label = "mean sojourn";
+       })
     [
-      {
-        Ascii_plot.label = "straggler on busiest proc";
-        points =
-          List.map
-            (fun factor ->
-              ( factor,
-                mean
-                  (List.filter_map
-                     (fun t -> List.assoc_opt factor t.tr_gray)
-                     trials) ))
-            config.straggler_factors;
-      };
-    ]
-  in
-  Ascii_plot.print
-    ~title:"Mean latency vs gray straggler factor (no crash, no loss)"
-    ~x_label:"execution slowdown factor" ~y_label:"mean sojourn" gray;
-  Fig_latency.table_of_series gray;
-  Fig_latency.csv_of_series ~x_header:"straggler_factor"
-    (Filename.concat out_dir "fig-faults-gray.csv") gray;
+      series_over trials "straggler on busiest proc" config.straggler_factors
+        (fun factor t -> List.assoc_opt factor t.tr_gray);
+    ];
   (* Part C: correlation strength. *)
   let corr_series label proj =
-    {
-      Ascii_plot.label;
-      points =
-        List.map
-          (fun rho ->
-            ( rho,
-              mean
-                (List.filter_map
-                   (fun t -> Option.map proj (List.assoc_opt rho t.tr_corr))
-                   trials) ))
-          config.rhos;
-    }
+    series_over trials label config.rhos (fun rho t ->
+        Option.map proj (List.assoc_opt rho t.tr_corr))
   in
-  let corr =
+  chart "correlated" "rho"
+    (Fig_common.Plot
+       {
+         title =
+           Printf.sprintf
+             "Defeat probability vs correlation strength (racks of %d, \
+              p_total %.2f, %d MC draws)"
+             rack_size p_total config.mc_draws;
+         x_label = "correlation rho (shock share of p_total)";
+         y_label = "P(defeat)";
+       })
     [
       corr_series "exact (Marshall-Olkin)" (fun c -> c.cp_exact);
       corr_series "Monte-Carlo" (fun c -> c.cp_mc);
       corr_series "independent (equal marginals)" (fun c -> c.cp_independent);
-    ]
-  in
-  Ascii_plot.print
-    ~title:
-      (Printf.sprintf
-         "Defeat probability vs correlation strength (racks of %d, p_total \
-          %.2f, %d MC draws)"
-         rack_size p_total config.mc_draws)
-    ~x_label:"correlation rho (shock share of p_total)"
-    ~y_label:"P(defeat)" corr;
-  Fig_latency.table_of_series corr;
-  Fig_latency.csv_of_series ~x_header:"rho"
-    (Filename.concat out_dir "fig-faults-correlated.csv") corr;
+    ];
   (* Part D: the eviction drill. *)
-  (match eviction_drill config with
+  match eviction_drill config with
   | None -> Printf.printf "eviction drill: scheduling failed, skipped\n"
   | Some d ->
       Printf.printf
         "eviction drill: %d eviction(s), availability %.3f, epochs [%s]\n"
         d.dr_evictions d.dr_availability
-        (String.concat "; " d.dr_decisions));
-  (lat, gray, corr)
+        (String.concat "; " d.dr_decisions)

@@ -45,13 +45,8 @@ val quick : config
     400 MC draws — the CI profile. *)
 
 val run :
-  ?out_dir:string ->
-  ?jobs:int ->
-  config:config ->
-  unit ->
-  Ascii_plot.series list * Ascii_plot.series list * Ascii_plot.series list
-(** Run the four parts; prints the charts and the eviction-drill
-    summary, writes [fig-faults-retry-{latency,delivered,count}.csv],
+  ?out_dir:string -> ?jobs:int -> config:config -> unit -> unit
+(** Run the four parts; charts ({!Fig_common.chart}) parts A–C into
+    [fig-faults-retry-{latency,delivered,count}.csv],
     [fig-faults-gray.csv] and [fig-faults-correlated.csv] under
-    [out_dir], and returns the (retry-latency, gray, correlated) series
-    lists. *)
+    [out_dir], and prints the eviction-drill summary. *)

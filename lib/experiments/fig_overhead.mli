@@ -7,9 +7,9 @@
     [c] crashes. *)
 
 val run :
-  ?out_dir:string -> ?jobs:int -> config:Fig_common.config -> unit ->
-  Ascii_plot.series list
-(** Prints the plot and table and writes [fig-overhead-epsE.csv];
+  ?out_dir:string -> ?jobs:int -> config:Fig_common.config -> unit -> unit
+(** Charts the overhead with {!Fig_common.chart} (plot, table and
+    [fig-overhead-epsE.csv]);
     when [crashes > 0] also prints the defeat-rate table and writes it to
     the separate [fig-overhead-defeats-epsE.csv] (the overhead CSV itself
     is unchanged).  With [config.exact] the crash columns come from the

@@ -18,17 +18,6 @@ let reconfig_items = 2.0
 (* Replication degree for LTF / R-LTF. *)
 let eps = 1
 
-(* A deliberately smaller workload than the figure sweeps: an operations
-   timeline replays hundreds of items through the event-driven engine,
-   so the per-trial cost is a long horizon rather than a big graph. *)
-let spec =
-  Spec.paper ~name:"paper-recovery"
-    {
-      Paper_workload.default_spec with
-      Paper_workload.tasks_range = (30, 60);
-      m = 12;
-    }
-
 let default =
   {
     seed = 2009;
@@ -53,7 +42,11 @@ type point = {
   had_outage : float;  (** 0/1, so the mean is the outage rate *)
 }
 
-let measure config ~hazard_per_kitem ~rng contender inst =
+(* The sweep's trial seed ignores the hazard on purpose: with equal RNG
+   state the failure generator's quanta are identical across sweep points
+   (common random numbers), so each curve moves along the sweep because
+   of the rate, never because of resampling noise. *)
+let measure config hazard_per_kitem ~rng contender inst =
   match Fig_common.schedule contender inst with
   | None -> None
   | Some (mapping, throughput) ->
@@ -79,25 +72,6 @@ let measure config ~hazard_per_kitem ~rng contender inst =
           had_outage = (if report.Stream_ops.outage then 1.0 else 0.0);
         }
 
-type trial = { hazard_per_kitem : float; rep : int }
-
-(* The trial seed ignores the hazard on purpose: with equal RNG state the
-   failure generator's quanta are identical across sweep points (common
-   random numbers), so each curve moves along the sweep because of the
-   rate, never because of resampling noise. *)
-let run_trial config t =
-  let rng, inst =
-    Fig_common.rep_instance spec ~seed:config.seed ~rep:t.rep
-  in
-  Fig_common.measure_contenders ~eps ~rng inst
-    (measure config ~hazard_per_kitem:t.hazard_per_kitem)
-
-let series config results proj =
-  Fig_common.series_by ~eps ~xs:config.hazards
-    ~x_of:(fun t -> t.hazard_per_kitem) results [ ("", proj) ]
-
-let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
-
 (* Analytic no-recovery reference: each processor fails within the
    horizon independently with q = 1 - exp(-lambda), lambda = hazard *
    horizon / 1000 (the same Poisson process Failure_gen draws from), and
@@ -106,12 +80,13 @@ let csv = Fig_latency.csv_of_series ~x_header:"crashes_per_proc_per_kitem"
    the gap is what recovery buys. *)
 let exact_survival_series config =
   let contenders = Fig_common.contenders ~eps in
-  (* Same instances as [run_trial], so the analytic curve covers exactly
+  (* Same instances as the sweep, so the analytic curve covers exactly
      the graphs the timelines ran on. *)
   let analyses =
     List.init config.reps (fun rep ->
         let _, inst =
-          Fig_common.rep_instance spec ~seed:config.seed ~rep
+          Fig_common.rep_instance Fig_common.reduced_spec ~seed:config.seed
+            ~rep
         in
         List.map
           (fun (c : Fig_common.contender) ->
@@ -148,43 +123,35 @@ let exact_survival_series config =
     contenders
 
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
-  let trials =
-    List.concat_map
-      (fun hazard_per_kitem ->
-        List.init config.reps (fun rep -> { hazard_per_kitem; rep }))
-      config.hazards
+  let sweep =
+    Fig_common.sweep ~jobs ~seed:config.seed ~eps ~xs:config.hazards
+      ~reps:config.reps (measure config)
   in
-  (* A trial is a pure function of its record (the RNG stream derives
-     from the seed and rep alone), so the sweep runs on the domain pool
-     with bit-identical output for every [jobs]. *)
-  let measured = Parallel.map_seeded ~jobs (run_trial config) trials in
-  let results = List.combine trials measured in
-  let availability = series config results (fun p -> p.availability) in
-  let latency = series config results (fun p -> p.degraded_latency) in
-  let outages = series config results (fun p -> p.had_outage *. 100.0) in
-  Ascii_plot.print
-    ~title:
-      (Printf.sprintf
-         "Availability vs failure pressure (eps=%d, %d items, %d graphs/point)"
-         eps config.horizon_items config.reps)
-    ~x_label:"crashes/proc/1000 items" ~y_label:"availability" availability;
-  Fig_latency.table_of_series availability;
-  Ascii_plot.print
-    ~title:"Mean degraded-mode latency vs failure pressure"
-    ~x_label:"crashes/proc/1000 items" ~y_label:"latency" latency;
-  Fig_latency.table_of_series latency;
-  Printf.printf "Outage rate (%% of timelines):\n";
-  Fig_latency.table_of_series outages;
-  csv (Filename.concat out_dir "fig-recovery-availability.csv") availability;
-  csv (Filename.concat out_dir "fig-recovery-latency.csv") latency;
-  csv (Filename.concat out_dir "fig-recovery-outages.csv") outages;
-  if config.exact then begin
-    let survival = exact_survival_series config in
-    Ascii_plot.print
-      ~title:
-        "Exact no-recovery survival probability (analytic, same instances)"
-      ~x_label:"crashes/proc/1000 items" ~y_label:"P(never defeated)" survival;
-    Fig_latency.table_of_series survival;
-    csv (Filename.concat out_dir "fig-recovery-exact-survival.csv") survival
-  end;
-  (availability, latency)
+  let chart name heading proj =
+    Fig_common.chart
+      ~path:(Filename.concat out_dir ("fig-recovery-" ^ name ^ ".csv"))
+      ~x_header:"crashes_per_proc_per_kitem" heading
+      (Fig_common.series_by sweep [ ("", proj) ])
+  in
+  let plot title y_label =
+    Fig_common.Plot { title; x_label = "crashes/proc/1000 items"; y_label }
+  in
+  chart "availability"
+    (plot
+       (Printf.sprintf
+          "Availability vs failure pressure (eps=%d, %d items, %d graphs/point)"
+          eps config.horizon_items config.reps)
+       "availability")
+    (fun p -> p.availability);
+  chart "latency"
+    (plot "Mean degraded-mode latency vs failure pressure" "latency")
+    (fun p -> p.degraded_latency);
+  chart "outages" (Fig_common.Line "Outage rate (% of timelines):") (fun p ->
+      p.had_outage *. 100.0);
+  if config.exact then
+    Fig_common.chart
+      ~path:(Filename.concat out_dir "fig-recovery-exact-survival.csv")
+      ~x_header:"crashes_per_proc_per_kitem"
+      (plot "Exact no-recovery survival probability (analytic, same instances)"
+         "P(never defeated)")
+      (exact_survival_series config)

@@ -36,18 +36,14 @@ val quick : config
 (** 3 graphs/point, 3 hazard points, 60-item horizon. *)
 
 val run :
-  ?out_dir:string ->
-  ?jobs:int ->
-  config:config ->
-  unit ->
-  Ascii_plot.series list * Ascii_plot.series list
-(** Prints the availability and degraded-latency plots/tables plus the
-    outage-rate table, writes [fig-recovery-availability.csv],
-    [fig-recovery-latency.csv] and [fig-recovery-outages.csv], and
-    returns the (availability, latency) series.  With [config.exact] it
-    additionally prints the analytic no-recovery reference (the exact
+  ?out_dir:string -> ?jobs:int -> config:config -> unit -> unit
+(** Charts ({!Fig_common.chart}) the availability and degraded latency
+    (plots and tables) and the outage rate (table), writing
+    [fig-recovery-availability.csv], [fig-recovery-latency.csv] and
+    [fig-recovery-outages.csv].  With [config.exact] it
+    additionally charts the analytic no-recovery reference (the exact
     {!Reliability} probability that each static schedule is never
     defeated within the horizon, on the same instances; the recovery
-    timelines must sit above it) and writes
+    timelines must sit above it) into
     [fig-recovery-exact-survival.csv].  [jobs] worker domains
     (default 1 = sequential, identical output for every value). *)

@@ -23,16 +23,6 @@ let queue_bound = 4
 (* Replication degree for LTF / R-LTF. *)
 let eps = 1
 
-(* Same reduced scale as the recovery timelines: the cost of a trial is
-   the number of items through the event engine, not the graph size. *)
-let spec =
-  Spec.paper ~name:"paper-traffic"
-    {
-      Paper_workload.default_spec with
-      Paper_workload.tasks_range = (30, 60);
-      m = 12;
-    }
-
 let default =
   {
     seed = 2009;
@@ -74,7 +64,11 @@ type point = {
   drop_pct : float;
 }
 
-let measure config ~profile ~load ~rng contender inst =
+(* The sweep's trial seed ignores the load on purpose: with equal RNG
+   state the arrival quanta are identical across sweep points (common
+   random numbers), so each curve moves along the sweep because of the
+   offered rate, never because of resampling noise. *)
+let measure config profile load ~rng contender inst =
   match Fig_common.schedule contender inst with
   | None -> None
   | Some (mapping, throughput) ->
@@ -124,64 +118,44 @@ let measure config ~profile ~load ~rng contender inst =
             /. float_of_int config.n_items;
         }
 
-type trial = { load : float; rep : int }
-
-(* The trial seed ignores the load on purpose: with equal RNG state the
-   arrival quanta are identical across sweep points (common random
-   numbers), so each curve moves along the sweep because of the offered
-   rate, never because of resampling noise. *)
-let run_trial config profile t =
-  let rng, inst =
-    Fig_common.rep_instance spec ~seed:config.seed ~rep:t.rep
-  in
-  Fig_common.measure_contenders ~eps ~rng inst
-    (measure config ~profile ~load:t.load)
-
-(* One labelled series per (algorithm, projection): the latency chart
-   interleaves a p50 and a p99 series per algorithm so the divergence
-   past saturation is visible in one plot. *)
-let series config results =
-  Fig_common.series_by ~eps ~xs:config.loads
-    ~x_of:(fun t -> t.load) results
-
-let csv = Fig_latency.csv_of_series ~x_header:"offered_load"
-
+(* The latency chart interleaves a p50 and a p99 series per algorithm so
+   the divergence past saturation is visible in one plot. *)
 let sweep config ~out_dir ~jobs profile =
   let name = profile_name profile in
-  let trials =
-    List.concat_map
-      (fun load -> List.init config.reps (fun rep -> { load; rep }))
-      config.loads
+  let sweep =
+    Fig_common.sweep ~jobs ~seed:config.seed ~eps ~xs:config.loads
+      ~reps:config.reps (measure config profile)
   in
-  (* A trial is a pure function of its record (the RNG stream derives
-     from the seed and rep alone), so the sweep runs on the domain pool
-     with bit-identical output for every [jobs]. *)
-  let measured = Parallel.map_seeded ~jobs (run_trial config profile) trials in
-  let results = List.combine trials measured in
-  let latency =
-    series config results [ ("p50", fun p -> p.p50); ("p99", fun p -> p.p99) ]
+  let chart what heading projections =
+    Fig_common.chart
+      ~path:
+        (Filename.concat out_dir
+           ("fig-traffic-" ^ what ^ "-" ^ name ^ ".csv"))
+      ~x_header:"offered_load" heading
+      (Fig_common.series_by sweep projections)
   in
-  let queue = series config results [ ("", fun p -> p.peak_queue) ] in
-  let drops = series config results [ ("", fun p -> p.drop_pct) ] in
-  Ascii_plot.print
-    ~title:
-      (Printf.sprintf
-         "Sojourn percentiles vs offered load (%s, eps=%d, %d items, %d \
-          graphs/point)"
-         name eps config.n_items config.reps)
-    ~x_label:"offered load (rate x period)" ~y_label:"sojourn" latency;
-  Fig_latency.table_of_series latency;
-  Printf.printf "Peak input-queue occupancy (unbounded, backpressure):\n";
-  Fig_latency.table_of_series queue;
-  Printf.printf "Shed items (%% of arrivals, queue bound %d, drop-newest):\n"
-    queue_bound;
-  Fig_latency.table_of_series drops;
-  csv (Filename.concat out_dir ("fig-traffic-latency-" ^ name ^ ".csv")) latency;
-  csv (Filename.concat out_dir ("fig-traffic-queue-" ^ name ^ ".csv")) queue;
-  csv (Filename.concat out_dir ("fig-traffic-drops-" ^ name ^ ".csv")) drops;
-  latency
+  chart "latency"
+    (Fig_common.Plot
+       {
+         title =
+           Printf.sprintf
+             "Sojourn percentiles vs offered load (%s, eps=%d, %d items, %d \
+              graphs/point)"
+             name eps config.n_items config.reps;
+         x_label = "offered load (rate x period)";
+         y_label = "sojourn";
+       })
+    [ ("p50", fun p -> p.p50); ("p99", fun p -> p.p99) ];
+  chart "queue"
+    (Fig_common.Line "Peak input-queue occupancy (unbounded, backpressure):")
+    [ ("", fun p -> p.peak_queue) ];
+  chart "drops"
+    (Fig_common.Line
+       (Printf.sprintf
+          "Shed items (%% of arrivals, queue bound %d, drop-newest):"
+          queue_bound))
+    [ ("", fun p -> p.drop_pct) ]
 
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
-  let smooth = sweep config ~out_dir ~jobs Smooth in
-  let bursty = sweep config ~out_dir ~jobs Bursty in
-  (smooth, bursty)
+  sweep config ~out_dir ~jobs Smooth;
+  sweep config ~out_dir ~jobs Bursty

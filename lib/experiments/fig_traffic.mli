@@ -27,12 +27,8 @@ val quick : config
 (** Three loads, 80 items, 2 graphs per point — the CI profile. *)
 
 val run :
-  ?out_dir:string ->
-  ?jobs:int ->
-  config:config ->
-  unit ->
-  Ascii_plot.series list * Ascii_plot.series list
-(** Run the Poisson sweep then the MMPP sweep; prints the charts, writes
-    [fig-traffic-{latency,queue,drops}-{poisson,mmpp}.csv] under
-    [out_dir], and returns the two latency series lists (one p50 and one
-    p99 series per algorithm each). *)
+  ?out_dir:string -> ?jobs:int -> config:config -> unit -> unit
+(** Run the Poisson sweep then the MMPP sweep; charts
+    ({!Fig_common.chart}) the p50/p99 latency, peak queue and drop rate
+    of each, writing [fig-traffic-{latency,queue,drops}-{poisson,mmpp}.csv]
+    under [out_dir]. *)

@@ -21,6 +21,20 @@ let resolve_workload = function
       | Ok spec -> Some spec
       | Error msg -> failwith ("--workload: " ^ msg))
 
+(* A Fig_common sweep figure: the quick or full config at [seed], on the
+   [--workload] spec when one is given.  Only the overhead figures have an
+   exact mode; the others run their sampled config whatever [exact]
+   says. *)
+let sweep_config ~workload ~quick ~seed ~exact ~eps ~crashes =
+  let config =
+    if quick then Fig_common.quick ~eps ~crashes
+    else Fig_common.default ~eps ~crashes
+  in
+  let config = { config with Fig_common.seed; exact } in
+  match resolve_workload workload with
+  | None -> config
+  | Some spec -> { config with Fig_common.spec }
+
 let latency_fig name ~eps ~mode ~crashes description =
   {
     name;
@@ -28,16 +42,9 @@ let latency_fig name ~eps ~mode ~crashes description =
     run =
       (fun ~workload ~quick ~seed ~jobs ~exact:_ ~out_dir ->
         let config =
-          if quick then Fig_common.quick ~eps ~crashes
-          else Fig_common.default ~eps ~crashes
+          sweep_config ~workload ~quick ~seed ~exact:false ~eps ~crashes
         in
-        let config = { config with Fig_common.seed } in
-        let config =
-          match resolve_workload workload with
-          | None -> config
-          | Some spec -> { config with Fig_common.spec }
-        in
-        ignore (Fig_latency.run ~out_dir ~jobs ~config ~mode ()));
+        Fig_latency.run ~out_dir ~jobs ~config ~mode ());
   }
 
 let overhead_fig name ~eps ~crashes description =
@@ -46,17 +53,8 @@ let overhead_fig name ~eps ~crashes description =
     description;
     run =
       (fun ~workload ~quick ~seed ~jobs ~exact ~out_dir ->
-        let config =
-          if quick then Fig_common.quick ~eps ~crashes
-          else Fig_common.default ~eps ~crashes
-        in
-        let config = { config with Fig_common.seed; exact } in
-        let config =
-          match resolve_workload workload with
-          | None -> config
-          | Some spec -> { config with Fig_common.spec }
-        in
-        ignore (Fig_overhead.run ~out_dir ~jobs ~config ()));
+        let config = sweep_config ~workload ~quick ~seed ~exact ~eps ~crashes in
+        Fig_overhead.run ~out_dir ~jobs ~config ());
   }
 
 (* A table figure on its fixed workload: [quick] or [full] graphs. *)
@@ -133,7 +131,7 @@ let all =
             if quick then Fig_recovery.quick else Fig_recovery.default
           in
           let config = { config with Fig_recovery.seed; exact } in
-          ignore (Fig_recovery.run ~out_dir ~jobs ~config ()));
+          Fig_recovery.run ~out_dir ~jobs ~config ());
     };
     {
       name = "traffic";
@@ -144,7 +142,7 @@ let all =
         (fun ~workload:_ ~quick ~seed ~jobs ~exact:_ ~out_dir ->
           let config = if quick then Fig_traffic.quick else Fig_traffic.default in
           let config = { config with Fig_traffic.seed } in
-          ignore (Fig_traffic.run ~out_dir ~jobs ~config ()));
+          Fig_traffic.run ~out_dir ~jobs ~config ());
     };
     {
       name = "faults";
@@ -155,7 +153,7 @@ let all =
         (fun ~workload:_ ~quick ~seed ~jobs ~exact:_ ~out_dir ->
           let config = if quick then Fig_faults.quick else Fig_faults.default in
           let config = { config with Fig_faults.seed } in
-          ignore (Fig_faults.run ~out_dir ~jobs ~config ()));
+          Fig_faults.run ~out_dir ~jobs ~config ());
     };
     {
       name = "convergence";
@@ -167,7 +165,7 @@ let all =
             if quick then Fig_convergence.quick else Fig_convergence.default
           in
           let config = { config with Fig_convergence.seed } in
-          ignore (Fig_convergence.run ~out_dir ~jobs ~config ()));
+          Fig_convergence.run ~out_dir ~jobs ~config ());
     };
     {
       name = "scaling";
@@ -191,11 +189,10 @@ let all =
       run =
         (fun ~workload:_ ~quick ~seed ~jobs ~exact:_ ~out_dir ->
           let config =
-            if quick then Fig_common.quick ~eps:1 ~crashes:0
-            else Fig_common.default ~eps:1 ~crashes:0
+            sweep_config ~workload:None ~quick ~seed ~exact:false ~eps:1
+              ~crashes:0
           in
-          let config = { config with Fig_common.seed } in
-          ignore (Fig_latency.run ~out_dir ~jobs ~config ~mode:Fig_latency.Bounds ());
+          Fig_latency.run ~out_dir ~jobs ~config ~mode:Fig_latency.Bounds ();
           (* The sweep above measures latency with the stage-synchronous
              model; replay a few of the same instances through the
              event-driven one-port simulator so a latency profile also

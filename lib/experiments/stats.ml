@@ -7,12 +7,16 @@ type summary = {
   max : float;
 }
 
+let mean = function
+  | [] -> nan
+  | values -> List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
+
 let summarize = function
   | [] -> invalid_arg "Stats.summarize: empty sample"
   | values ->
       let n = List.length values in
       let fn = float_of_int n in
-      let mean = List.fold_left ( +. ) 0.0 values /. fn in
+      let mean = mean values in
       let sq_dev =
         List.fold_left (fun acc v -> acc +. ((v -. mean) ** 2.0)) 0.0 values
       in
@@ -28,8 +32,6 @@ let summarize = function
 
 let summarize_opt = function [] -> None | values -> Some (summarize values)
 
-let mean values = (summarize values).mean
-
 let mean_by proj items =
   let values =
     List.filter_map
@@ -38,7 +40,7 @@ let mean_by proj items =
         if Float.is_nan v then None else Some v)
       items
   in
-  match values with [] -> nan | _ -> mean values
+  mean values
 
 let median values =
   match List.sort compare values with

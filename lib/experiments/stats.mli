@@ -16,8 +16,8 @@ val summarize_opt : float list -> summary option
 (** [None] on an empty list. *)
 
 val mean : float list -> float
-(** @raise Invalid_argument on an empty list (use {!mean_by} or
-    {!percentile} for the nan-on-empty discipline). *)
+(** The arithmetic mean; [nan] on an empty list.  A [nan] value
+    propagates (use {!mean_by} to skip them). *)
 
 val median : float list -> float
 (** @raise Invalid_argument on an empty list. *)

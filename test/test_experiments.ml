@@ -35,6 +35,10 @@ let stats_tests =
         Alcotest.check_raises "raise" (Invalid_argument "") (fun () ->
             try ignore (Stats.summarize [])
             with Invalid_argument _ -> raise (Invalid_argument "")));
+    case "mean is nan on an empty sample and propagates nan" (fun () ->
+        check_float "mean" 2.0 (Stats.mean [ 1.0; 3.0 ]);
+        check_true "empty" (Float.is_nan (Stats.mean []));
+        check_true "nan" (Float.is_nan (Stats.mean [ 1.0; nan ])));
     case "median of odd and even samples" (fun () ->
         check_float "odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
         check_float "even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ]));
@@ -106,12 +110,13 @@ let output_tests =
           lines);
     case "csv of floats renders NaN as empty" (fun () ->
         let path = Filename.temp_file "streamsched" ".csv" in
-        Csv.write_floats ~path ~header:[ "x" ] [ [ nan ]; [ 1.5 ] ];
+        Fig_common.chart ~path ~x_header:"x" (Fig_common.Line "a NaN cell")
+          [ { Ascii_plot.label = "y"; points = [ (0.5, nan); (1.0, 1.5) ] } ];
         let ic = open_in path in
         let lines = List.init 3 (fun _ -> input_line ic) in
         close_in ic;
         Sys.remove path;
-        Alcotest.(check (list string)) "content" [ "x"; ""; "1.5" ] lines);
+        Alcotest.(check (list string)) "content" [ "x,y"; "0.5,"; "1,1.5" ] lines);
     case "table alignment pads columns" (fun () ->
         let s = Ascii_table.render ~header:[ "col"; "x" ] [ [ "a"; "1" ]; [ "long"; "2" ] ] in
         check_true "has rule" (contains s "---");
@@ -367,20 +372,16 @@ let fig_tests =
         ignore (Fig_optgap.run ~out_dir ~graphs:2 ());
         ignore (Fig_robustness.families ~out_dir ~graphs:2 ());
         ignore (Fig_robustness.topology ~out_dir ~graphs:2 ());
-        ignore
-          (Fig_latency.run ~out_dir ~jobs:1
-             ~config:(Fig_common.quick ~eps:1 ~crashes:0)
-             ~mode:Fig_latency.Bounds ());
-        ignore
-          (Fig_overhead.run ~out_dir ~jobs:1
-             ~config:(Fig_common.quick ~eps:1 ~crashes:1) ());
-        ignore
-          (Fig_recovery.run ~out_dir ~jobs:1
-             ~config:{ Fig_recovery.quick with Fig_recovery.exact = true } ());
-        ignore (Fig_traffic.run ~out_dir ~jobs:1 ~config:Fig_traffic.quick ());
-        ignore (Fig_faults.run ~out_dir ~jobs:1 ~config:Fig_faults.quick ());
-        ignore
-          (Fig_convergence.run ~out_dir ~jobs:1 ~config:Fig_convergence.quick ());
+        Fig_latency.run ~out_dir ~jobs:1
+          ~config:(Fig_common.quick ~eps:1 ~crashes:0)
+          ~mode:Fig_latency.Bounds ();
+        Fig_overhead.run ~out_dir ~jobs:1
+          ~config:(Fig_common.quick ~eps:1 ~crashes:1) ();
+        Fig_recovery.run ~out_dir ~jobs:1
+          ~config:{ Fig_recovery.quick with Fig_recovery.exact = true } ();
+        Fig_traffic.run ~out_dir ~jobs:1 ~config:Fig_traffic.quick ();
+        Fig_faults.run ~out_dir ~jobs:1 ~config:Fig_faults.quick ();
+        Fig_convergence.run ~out_dir ~jobs:1 ~config:Fig_convergence.quick ();
         List.iter
           (fun (file, digest) ->
             let path = Filename.concat out_dir file in
