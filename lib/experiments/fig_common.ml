@@ -355,11 +355,5 @@ let chart ~path ~x_header heading series =
     { head = s.label; key = s.label; show = cell "%.1f" "-"; csv = cell "%.6g" "" }
   in
   table ~path
-    ({
-       head = "g";
-       key = x_header;
-       show = Printf.sprintf "%.1f";
-       csv = Printf.sprintf "%.6g";
-     }
-    :: List.map column series)
+    (num x_header x_header "%g" "%.6g" Fun.id :: List.map column series)
     xs

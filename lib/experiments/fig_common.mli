@@ -225,7 +225,7 @@ type heading =
 val chart :
   path:string -> x_header:string -> heading -> Ascii_plot.series list -> unit
 (** Print the heading, then a {!table} of one row per x value of the
-    first series and one column per series (values [%.1f], a missing or
-    NaN value shown as ["-"]), then write the same rows to the CSV at
-    [path], headed by [x_header] and the series labels (values [%.6g],
-    missing or NaN as an empty cell). *)
+    first series: an x column headed [x_header] (x shown with [%g]) and
+    one column per series (values [%.1f], a missing or NaN value shown
+    as ["-"]).  Then write the same rows to the CSV at [path], under the
+    same headers (values [%.6g], missing or NaN as an empty cell). *)
