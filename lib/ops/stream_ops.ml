@@ -135,7 +135,7 @@ let run ?(config = default_config) ~rng ~throughput m0 =
      platform indices back to original processors (degraded remaps live on
      restricted survivor sub-platforms); [down] lists already-crashed
      processors in current indices (their replicas were moved away by the
-     in-place restorations, but the engine still prunes them). *)
+     in-place restorations; recovery still avoids them). *)
   let mapping = ref m0 in
   (* The engine program for the current mapping: fetched once here (from
      the shared compiled-program cache, so a timeline replayed on a
@@ -350,7 +350,10 @@ let run ?(config = default_config) ~rng ~throughput m0 =
                {
                  Engine.Run.traffic = traffic n_items;
                  snapshot = Some { Engine.clock = !clock };
-                 failed = !down;
+                 (* An in-place restoration moves every replica off the
+                    crashed processors and a degraded remap drops them,
+                    so nothing is left to prune statically. *)
+                 failed = [];
                  timed_failures = Option.to_list crash_now;
                  (* epochs read latencies and fault stats, never the
                     per-transfer log *)

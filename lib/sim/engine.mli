@@ -45,8 +45,8 @@
     [clock] is the absolute time the epoch starts — item [k] of the run is
     injected at [clock + k · period] (closed) or [clock + offset k] (open)
     and every failure instant is interpreted on the same absolute axis.
-    Processors that crashed in earlier epochs go in {!Run.config.failed}
-    (statically dead). *)
+    A processor that is dead from the start of the epoch goes in
+    {!Run.config.failed}. *)
 type snapshot = { clock : float }
 
 type instance = { item : int; rep : Replica.id }
@@ -191,10 +191,10 @@ module Run : sig
             [sim.epoch.items] histogram sample. *)
     failed : Platform.proc list;
         (** fail-silent from time 0 (the paper's §5 failure model): the
-            replicas on these processors are pruned statically.  A
-            resumed epoch lists here the processors that crashed in
-            earlier epochs.  Counted in [sim.failures_injected] with
-            [timed_failures]. *)
+            replicas on these processors are pruned statically.  The
+            operations layer resumes its epochs with [[]]: its recovery
+            leaves no replica on a processor that crashed earlier.
+            Counted in [sim.failures_injected] with [timed_failures]. *)
     timed_failures : (Platform.proc * float) list;
         (** fail-stop crashes mid-stream: work or transfers that would
             complete strictly after the processor's crash instant are

@@ -597,13 +597,24 @@ let prop_recovery_restores_tolerance =
       | Ok m ->
           let rng = Rng.create ~seed:(seed + 7) in
           let m_procs = Platform.size prob.Types.platform in
-          let victim = Rng.int rng m_procs in
-          (match Recovery.restore m ~failed:[ victim ] with
+          (* A set of one to three distinct processors, drawn the way the
+             operations layer accumulates them (the new victim ahead of
+             the earlier crashes): no replica may survive on any of them,
+             which is why an epoch resumed on the restored mapping needs
+             no static-failure list. *)
+          let rec draw acc k =
+            if k = 0 then acc
+            else
+              let u = Rng.int rng m_procs in
+              if List.mem u acc then draw acc k else draw (u :: acc) (k - 1)
+          in
+          let failed = draw [] (1 + Rng.int rng (min 3 (m_procs - 1))) in
+          (match Recovery.restore m ~failed with
           | Error Recovery.Not_enough_processors ->
-              m_procs - 1 < prob.Types.eps + 1
+              m_procs - List.length failed < prob.Types.eps + 1
           | Error (Recovery.No_room _) -> false
           | Ok restored ->
-              Mapping.on_proc restored victim = []
+              List.for_all (fun u -> Mapping.on_proc restored u = []) failed
               && Validate.structure restored = []
               && Validate.fault_tolerance restored = []))
 
