@@ -231,7 +231,7 @@ let service_period mapping ~throughput =
   Float.max (1.0 /. throughput) (Metrics.period mapping)
 
 type 'p sweep = {
-  sweep_eps : int;
+  contenders : contender list;
   xs : float list;
   measured : (float * (string * 'p option) list) list;
 }
@@ -243,9 +243,9 @@ let sweep ~jobs ~seed ~eps ~xs ~reps measure =
   let trials =
     List.concat_map (fun x -> List.init reps (fun rep -> (x, rep))) xs
   in
+  let cs = contenders ~eps in
   let run (x, rep) =
     let rng, inst = rep_instance reduced_spec ~seed ~rep in
-    let cs = contenders ~eps in
     (* A child stream per contender, split in fixed order before any
        scheduling, so adding or reordering measurements never perturbs
        another contender's draws. *)
@@ -253,7 +253,7 @@ let sweep ~jobs ~seed ~eps ~xs ~reps measure =
     List.map2 (fun c rng -> (c.label, measure x ~rng c inst)) cs rngs
   in
   {
-    sweep_eps = eps;
+    contenders = cs;
     xs;
     measured =
       List.combine (List.map fst trials) (Parallel.map_seeded ~jobs run trials);
@@ -286,7 +286,7 @@ let series_by sweep projections =
             points;
           })
         projections)
-    (contenders ~eps:sweep.sweep_eps)
+    sweep.contenders
 
 let per_label label per_rep =
   List.fold_left
@@ -347,10 +347,10 @@ let chart ~path ~x_header heading series =
     match series with [] -> [] | s :: _ -> List.map fst s.Ascii_plot.points
   in
   let column (s : Ascii_plot.series) =
-    let y x = Option.value (List.assoc_opt x s.points) ~default:nan in
     let cell fmt empty x =
-      let v = y x in
-      if Float.is_nan v then empty else Printf.sprintf fmt v
+      match List.assoc_opt x s.points with
+      | Some v when not (Float.is_nan v) -> Printf.sprintf fmt v
+      | _ -> empty
     in
     { head = s.label; key = s.label; show = cell "%.1f" "-"; csv = cell "%.6g" "" }
   in
