@@ -307,7 +307,7 @@ let run_trial config rep =
       in
       Some { tr_retry; tr_gray; tr_corr }
 
-(* The mean over the scheduled trials of [find t x] at each [x]; a NaN
+(* The mean over the scheduled trials of [find x t] at each [x]; a NaN
    measurement propagates into its point. *)
 let series_over trials label xs find =
   {
