@@ -42,7 +42,7 @@ let run_experiments names workload quick seed jobs out_dir exact metrics
                (String.concat ", " ("all" :: Runner.names)))
         else Ok (List.filter_map Runner.find names)
   in
-  let jobs = if jobs <= 0 then Parallel.default_jobs () else jobs in
+  let jobs = if jobs = 0 then Parallel.default_jobs () else jobs in
   let obs_on = metrics <> None || metrics_text || check_metrics in
   match targets with
   | Error msg ->
@@ -91,8 +91,8 @@ let names_arg =
 
 let quick_arg =
   let doc =
-    "Shrink the per-point replication (8 graphs/point instead of the \
-     paper's 60) for a fast smoke run."
+    "Shrink every experiment's replication for a fast smoke run (Figs. 3 \
+     and 4: 8 graphs/point instead of the paper's 60)."
   in
   Arg.(value & flag & info [ "quick"; "q" ] ~doc)
 
@@ -104,10 +104,25 @@ let jobs_arg =
   let doc =
     "Worker domains for the sample sweeps.  $(b,-j 1) (the default) runs \
      sequentially without spawning any domain; $(b,-j 0) uses one worker \
-     per recommended domain.  Results are byte-for-byte identical for \
-     every value — parallelism only changes the wall-clock."
+     per recommended domain; a negative count is rejected.  Results are \
+     byte-for-byte identical for every value — parallelism only changes \
+     the wall-clock."
   in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  let count =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ ->
+          Error
+            (`Msg
+              (Printf.sprintf
+                 "expected a worker count >= 0 (-j 0 uses one per \
+                  recommended domain), got %S"
+                 s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt count 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let out_arg =
   let doc = "Directory for the CSV outputs." in
@@ -126,9 +141,11 @@ let workload_arg =
 let exact_arg =
   let doc =
     "Compute crash columns with the exact availability calculus instead \
-     of Monte-Carlo draws where an experiment supports it (fig3c, fig4c, \
-     recovery).  Exact outputs go to $(b,-exact)-suffixed CSV files; the \
-     sampled artifacts are never touched."
+     of Monte-Carlo draws where an experiment supports it.  $(b,fig3) \
+     and $(b,fig4) write each crash-dependent panel to an \
+     $(b,-exact)-suffixed CSV in place of its sampled one; \
+     $(b,recovery) adds an exact survival curve.  The sampled artifacts \
+     are never touched."
   in
   Arg.(value & flag & info [ "exact" ] ~doc)
 

@@ -29,8 +29,7 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20) ?(jobs = 1) () =
            on a domain pool and the folds below stay in rep order, so the
            row is identical for every [jobs]. *)
         let measure rep =
-          let rng = Rng.create ~seed:(seed + (7919 * rep)) in
-          let inst = Spec.generate Spec.default ~rng ~granularity () in
+          let _, inst = Fig_common.rep_instance Spec.default ~seed ~rep in
           let prob =
             Types.problem ~dag:inst.Paper_workload.dag
               ~platform:inst.Paper_workload.plat ~eps ~throughput

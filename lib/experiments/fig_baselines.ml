@@ -30,8 +30,7 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30) ?(jobs = 1) () =
      on a domain pool; the per-rep results come back in rep order, making
      the result identical for every [jobs]. *)
   let measure rep =
-    let rng = Rng.create ~seed:(seed + (7919 * rep)) in
-    let inst = Spec.generate Spec.default ~rng ~granularity () in
+    let _, inst = Fig_common.rep_instance Spec.default ~seed ~rep in
     let dag = inst.Paper_workload.dag and plat = inst.Paper_workload.plat in
     List.filter_map
       (fun (name, algo) ->

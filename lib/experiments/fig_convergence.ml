@@ -33,17 +33,10 @@ type rep_errors = {
    exact side consumes no randomness at all, so inserting it changes no
    sampled value. *)
 let run_rep config rep =
-  let rng = Rng.create ~seed:(config.seed + (7919 * rep)) in
-  let inst = Spec.generate Spec.default ~rng ~granularity:1.0 () in
-  let throughput = Paper_workload.throughput ~eps in
-  let prob =
-    Types.problem ~dag:inst.Paper_workload.dag ~platform:inst.Paper_workload.plat
-      ~eps ~throughput
-  in
-  let opts = Scheduler.(default |> with_mode Best_effort) in
-  match Rltf.schedule ~opts prob with
-  | Error _ -> None
-  | Ok mapping ->
+  let rng, inst = Fig_common.rep_instance Spec.default ~seed:config.seed ~rep in
+  match Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst with
+  | None -> None
+  | Some (mapping, throughput) ->
       let source =
         Crash.Of_stages { plan = Replica_graph.compile mapping; throughput }
       in

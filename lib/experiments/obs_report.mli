@@ -1,8 +1,8 @@
 (** The documented metric key set, and validation of metric dumps against
     it — the contract behind [bin/experiments.exe --check-metrics].
 
-    A profiling run of the ["latency"] experiment (the fig3a sweep plus an
-    event-driven replay) followed by the ["recovery"] experiment (the
+    A profiling run of the ["latency"] experiment (the sampled fig3
+    pass plus an event-driven replay) followed by the ["recovery"] experiment (the
     operations timelines) and the ["traffic"] experiment (open-system
     queue metrics) must produce every key listed here; CI validates one
     such dump, so renaming or dropping an instrumentation point breaks

@@ -11,51 +11,26 @@ type experiment = {
     unit;
 }
 
-(* Experiments that sweep a Fig_common config accept a workload spec
-   string ("paper-fan-in-out", "huge:v=5000:m=50", …); everything else
-   runs its fixed workload and ignores the flag. *)
-let resolve_workload = function
-  | None -> None
-  | Some str -> (
-      match Spec.of_string str with
-      | Ok spec -> Some spec
-      | Error msg -> failwith ("--workload: " ^ msg))
-
-(* A Fig_common sweep figure: the quick or full config at [seed], on the
-   [--workload] spec when one is given.  Only the overhead figures have an
-   exact mode; the others run their sampled config whatever [exact]
-   says. *)
-let sweep_config ~workload ~quick ~seed ~exact ~eps ~crashes =
+(* A paper figure: one Fig_common pass at (eps, crashes) on the quick or
+   full config at [seed] charts all three panels.  Only these sweeps take
+   a workload spec string ("paper-fan-in-out", "huge:v=5000:m=50", …);
+   every other experiment runs its fixed workload and ignores the flag. *)
+let paper_fig ~eps ~crashes ~workload ~quick ~seed ~jobs ~exact ~out_dir =
   let config =
     if quick then Fig_common.quick ~eps ~crashes
     else Fig_common.default ~eps ~crashes
   in
-  let config = { config with Fig_common.seed; exact } in
-  match resolve_workload workload with
-  | None -> config
-  | Some spec -> { config with Fig_common.spec }
-
-let latency_fig name ~eps ~mode ~crashes description =
-  {
-    name;
-    description;
-    run =
-      (fun ~workload ~quick ~seed ~jobs ~exact:_ ~out_dir ->
-        let config =
-          sweep_config ~workload ~quick ~seed ~exact:false ~eps ~crashes
-        in
-        Fig_latency.run ~out_dir ~jobs ~config ~mode ());
-  }
-
-let overhead_fig name ~eps ~crashes description =
-  {
-    name;
-    description;
-    run =
-      (fun ~workload ~quick ~seed ~jobs ~exact ~out_dir ->
-        let config = sweep_config ~workload ~quick ~seed ~exact ~eps ~crashes in
-        Fig_overhead.run ~out_dir ~jobs ~config ());
-  }
+  let spec =
+    match workload with
+    | None -> config.Fig_common.spec
+    | Some str -> (
+        match Spec.of_string str with
+        | Ok spec -> spec
+        | Error msg -> failwith ("--workload: " ^ msg))
+  in
+  Fig_latency.run ~out_dir ~jobs
+    ~config:{ config with Fig_common.seed; exact; spec }
+    ()
 
 (* A table figure on its fixed workload: [quick] or [full] graphs. *)
 let table_fig name description ~quick ~full run =
@@ -69,18 +44,20 @@ let table_fig name description ~quick ~full run =
 
 let all =
   [
-    latency_fig "fig3a" ~eps:1 ~mode:Fig_latency.Bounds ~crashes:0
-      "Fig. 3(a): latency bounds vs granularity, eps=1";
-    latency_fig "fig3b" ~eps:1 ~mode:Fig_latency.Crash ~crashes:1
-      "Fig. 3(b): latency with 1 crash vs granularity, eps=1";
-    overhead_fig "fig3c" ~eps:1 ~crashes:1
-      "Fig. 3(c): fault-tolerance overhead vs granularity, eps=1";
-    latency_fig "fig4a" ~eps:3 ~mode:Fig_latency.Bounds ~crashes:0
-      "Fig. 4(a): latency bounds vs granularity, eps=3";
-    latency_fig "fig4b" ~eps:3 ~mode:Fig_latency.Crash ~crashes:2
-      "Fig. 4(b): latency with 2 crashes vs granularity, eps=3";
-    overhead_fig "fig4c" ~eps:3 ~crashes:2
-      "Fig. 4(c): fault-tolerance overhead vs granularity, eps=3";
+    {
+      name = "fig3";
+      description =
+        "Fig. 3: latency bounds, latency with 1 crash and fault-tolerance \
+         overhead vs granularity, eps=1";
+      run = paper_fig ~eps:1 ~crashes:1;
+    };
+    {
+      name = "fig4";
+      description =
+        "Fig. 4: latency bounds, latency with 2 crashes and fault-tolerance \
+         overhead vs granularity, eps=3";
+      run = paper_fig ~eps:3 ~crashes:2;
+    };
     {
       name = "examples";
       description = "Figs. 1-2: the paper's worked examples, replayed";
@@ -184,19 +161,18 @@ let all =
     {
       name = "latency";
       description =
-        "Profile: the fig3a sweep plus an event-driven replay of R-LTF \
+        "Profile: the fig3 pass plus an event-driven replay of R-LTF \
          mappings (touches every instrumented layer)";
       run =
         (fun ~workload:_ ~quick ~seed ~jobs ~exact:_ ~out_dir ->
-          let config =
-            sweep_config ~workload:None ~quick ~seed ~exact:false ~eps:1
-              ~crashes:0
-          in
-          Fig_latency.run ~out_dir ~jobs ~config ~mode:Fig_latency.Bounds ();
-          (* The sweep above measures latency with the stage-synchronous
-             model; replay a few of the same instances through the
-             event-driven one-port simulator so a latency profile also
-             covers the sim.* metrics. *)
+          paper_fig ~eps:1 ~crashes:1 ~workload:None ~quick ~seed ~jobs
+            ~exact:false ~out_dir;
+          (* The pass above measures latency with the stage-synchronous
+             model; replay R-LTF mappings through the event-driven
+             one-port simulator so a latency profile also covers the
+             sim.* metrics.  The replay draws its own graphs with
+             [rep_instance] (seed + 7919 rep, granularity 1); the pass's
+             trials are seeded by [trial_seed] and are other graphs. *)
           let graphs = if quick then 3 else 10 in
           let rltf = Fig_common.contender ~eps:1 Rltf.algo in
           let replayed = ref 0 in

@@ -2,7 +2,7 @@
     [bin/experiments.exe] and the integration tests. *)
 
 type experiment = {
-  name : string;        (** CLI name, e.g. "fig3a" *)
+  name : string;        (** CLI name, e.g. "fig3" *)
   description : string;
   run :
     workload:string option ->
@@ -19,20 +19,22 @@ type experiment = {
           per-point replication for smoke runs; [jobs] is the
           worker-domain count for the sample sweeps (1 = sequential; the
           output never depends on it); [exact] switches the crash
-          columns of fig3c/fig4c to the {!Reliability} calculus and adds
+          columns of fig3/fig4 to the {!Reliability} calculus and adds
           the analytic survival curve to "recovery" (experiments without
           an exact mode ignore it) *)
 }
 
 val all : experiment list
-(** fig3a fig3b fig3c fig4a fig4b fig4c examples baselines complexity
-    symmetric ablation pipeline optgap families topology cost recovery
-    traffic faults convergence scaling latency — in that order.  Every experiment runs under an
-    [exp.fig.<name>] span when {!Obs.enabled} is on; ["latency"]
-    combines the fig3a sweep with an event-driven replay so one
-    profiling run exercises the scheduler, the simulator and the sweep
-    machinery together, and ["convergence"] cross-validates the crash
-    sampler against the exact calculus. *)
+(** fig3 fig4 examples baselines complexity symmetric ablation pipeline
+    optgap families topology cost recovery traffic faults convergence
+    scaling latency — in that order.  ["fig3"] and ["fig4"] each chart
+    all three panels of their paper figure from one sample pass.  Every
+    experiment runs under an [exp.fig.<name>] span when {!Obs.enabled}
+    is on; ["latency"] combines the sampled fig3 pass with an
+    event-driven replay of other graphs so one profiling run exercises
+    the scheduler, the simulator and the sweep machinery together, and
+    ["convergence"] cross-validates the crash sampler against the exact
+    calculus. *)
 
 val find : string -> experiment option
 

@@ -306,12 +306,16 @@ let fig_tests =
             check_true "nan mean" (Float.is_nan y)
         | _ -> Alcotest.fail "one point expected");
     case "runner registry is complete" (fun () ->
+        (* The full list, in the order runner.mli documents. *)
+        Alcotest.(check (list string)) "names"
+          [ "fig3"; "fig4"; "examples"; "baselines"; "complexity";
+            "symmetric"; "ablation"; "pipeline"; "optgap"; "families";
+            "topology"; "cost"; "recovery"; "traffic"; "faults";
+            "convergence"; "scaling"; "latency" ]
+          Runner.names;
         List.iter
           (fun name -> check_true name (Runner.find name <> None))
-          [ "fig3a"; "fig3b"; "fig3c"; "fig4a"; "fig4b"; "fig4c";
-            "examples"; "baselines"; "complexity"; "symmetric";
-            "ablation"; "pipeline"; "optgap"; "families"; "topology"; "cost";
-            "recovery"; "convergence"; "latency"; "faults" ];
+          Runner.names;
         check_true "unknown name" (Runner.find "fig9z" = None));
     slow_case "pipeline validation sustains the desired throughput" (fun () ->
         let rows =
@@ -360,9 +364,10 @@ let fig_tests =
           rows);
     slow_case "table figures write pinned csvs" (fun () ->
         (* Digests recorded before the table figures shared one writer
-           and one robustness sweep, and before the series figures
-           (at their quick configs) shared one chart writer and one
-           sweep skeleton: a refactor must not move a byte. *)
+           and one robustness sweep, before the series figures (at their
+           quick configs) shared one chart writer and one sweep skeleton,
+           and before each paper figure became one sample pass: a
+           refactor must not move a byte. *)
         let out_dir = Filename.temp_dir "streamsched" "tables" in
         ignore (Fig_baselines.run ~out_dir ~graphs:2 ());
         ignore (Fig_symmetric.run ~out_dir ~graphs:1 ());
@@ -373,9 +378,6 @@ let fig_tests =
         ignore (Fig_robustness.families ~out_dir ~graphs:2 ());
         ignore (Fig_robustness.topology ~out_dir ~graphs:2 ());
         Fig_latency.run ~out_dir ~jobs:1
-          ~config:(Fig_common.quick ~eps:1 ~crashes:0)
-          ~mode:Fig_latency.Bounds ();
-        Fig_overhead.run ~out_dir ~jobs:1
           ~config:(Fig_common.quick ~eps:1 ~crashes:1) ();
         Fig_recovery.run ~out_dir ~jobs:1
           ~config:{ Fig_recovery.quick with Fig_recovery.exact = true } ();
@@ -398,6 +400,7 @@ let fig_tests =
             ("fig-families.csv", "b1fec7801b9d2b11d0cef3a6242196e7");
             ("fig-topology.csv", "c398cdd416399895ab8fdadd81eb8862");
             ("fig-latency-bounds-eps1.csv", "ed2271c49c0363dfb2fb6f78cbc76ec5");
+            ("fig-latency-crash1-eps1.csv", "d0da5d9fbf7d93b5242b57c52c49695d");
             ("fig-overhead-eps1.csv", "1415a68eeecffaaea5192e85041941ce");
             ("fig-overhead-defeats-eps1.csv", "92f9252a7c6bc6c8f39fdde51ccc741f");
             ("fig-recovery-availability.csv", "5652eaa27b2a0f33390b035fd73b5e82");

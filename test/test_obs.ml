@@ -400,6 +400,23 @@ let report_tests =
             | Ok () -> ()
             | Error missing ->
                 Alcotest.failf "missing keys: %s" (String.concat ", " missing)));
+    slow_case "fig3 --quick charts its three panels from one pass of 80 trials"
+      (fun () ->
+        (* 8 graphs at each of 10 granularities, measured once for all
+           panels: a second pass per panel would count 160 or more. *)
+        let out_dir = Filename.temp_dir "obs" "fig3" in
+        let trials =
+          with_obs (fun () ->
+              let e = Option.get (Runner.find "fig3") in
+              e.Runner.run ~workload:None ~quick:true ~seed:2009 ~jobs:1
+                ~exact:false ~out_dir;
+              Obs.Registry.counter (Obs.snapshot ()) "exp.trials")
+        in
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat out_dir f))
+          (Sys.readdir out_dir);
+        Sys.rmdir out_dir;
+        check_int "exp.trials" 80 trials);
   ]
 
 (* ------------------------------------------------------------------ *)
