@@ -135,8 +135,11 @@ let workload_arg =
      (':'-separated overrides; $(b,v) pins the task count, $(b,m) the \
      processor count).  Experiments with a fixed workload ignore it."
   in
-  Arg.(
-    value & opt (some string) None & info [ "workload" ] ~docv:"SPEC" ~doc)
+  let spec =
+    let parse s = Result.map_error (fun msg -> `Msg msg) (Spec.of_string s) in
+    Arg.conv (parse, fun ppf s -> Format.pp_print_string ppf (Spec.name s))
+  in
+  Arg.(value & opt (some spec) None & info [ "workload" ] ~docv:"SPEC" ~doc)
 
 let exact_arg =
   let doc =

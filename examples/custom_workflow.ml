@@ -82,12 +82,14 @@ let () =
         Engine.simulate ~config:(Engine.Run.closed ()) (Engine.compile mapping)
       in
       let svg = Filename.temp_file "sensor-fusion" ".svg" in
-      Svg_gantt.save svg mapping result;
       let trace = Filename.temp_file "sensor-fusion" ".json" in
-      Trace.save_chrome_json trace mapping result;
-      (* Temp-file names change from run to run, so stdout names each
-         artefact by its size and only stderr prints the paths. *)
-      let bytes path = In_channel.with_open_bin path In_channel.length in
-      Printf.printf "\nSVG Gantt: %Ld bytes\nChrome trace: %Ld bytes\n"
-        (bytes svg) (bytes trace);
-      Printf.eprintf "%s\n%s\n" svg trace
+      (* The artefacts are only sized, then deleted: temp-file names change
+         from run to run, so stdout names each one by its size. *)
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ svg; trace ])
+        (fun () ->
+          Svg_gantt.save svg mapping result;
+          Trace.save_chrome_json trace mapping result;
+          let bytes path = In_channel.with_open_bin path In_channel.length in
+          Printf.printf "\nSVG Gantt: %Ld bytes\nChrome trace: %Ld bytes\n"
+            (bytes svg) (bytes trace))

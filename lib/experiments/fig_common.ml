@@ -230,33 +230,44 @@ let schedule c inst =
 let service_period mapping ~throughput =
   Float.max (1.0 /. throughput) (Metrics.period mapping)
 
-type 'p sweep = {
-  contenders : contender list;
-  xs : float list;
-  measured : (float * (string * 'p option) list) list;
-}
-
-(* A trial is a pure function of its (x, rep) pair: the rep's stream and
-   instance ignore x (common random numbers), so the sweep runs on the
-   domain pool with bit-identical output for every [jobs]. *)
-let sweep ~jobs ~seed ~eps ~xs ~reps measure =
-  let trials =
-    List.concat_map (fun x -> List.init reps (fun rep -> (x, rep))) xs
-  in
-  let cs = contenders ~eps in
-  let run (x, rep) =
+(* A rep is a pure function of its index: its stream and instance come
+   from [rep_instance], so the pass runs on the domain pool with
+   bit-identical output for every [jobs]. *)
+let rep_pass ~jobs ~seed ~reps cs measure =
+  let run rep =
     let rng, inst = rep_instance reduced_spec ~seed ~rep in
     (* A child stream per contender, split in fixed order before any
        scheduling, so adding or reordering measurements never perturbs
        another contender's draws. *)
     let rngs = List.map (fun _ -> Rng.split rng) cs in
-    List.map2 (fun c rng -> (c.label, measure x ~rng c inst)) cs rngs
+    List.map2
+      (fun c rng ->
+        ( c.label,
+          Option.map
+            (fun (mapping, throughput) -> measure ~rep ~rng mapping ~throughput)
+            (schedule c inst) ))
+      cs rngs
   in
+  Parallel.map_seeded ~jobs run (List.init reps Fun.id)
+
+type 'p sweep = {
+  contenders : contender list;
+  xs : float list;
+  measured : (string * 'p list option) list list;
+      (* per rep, per contender: the points at [xs], in order *)
+}
+
+(* Every x replays the contender's stream from the same state (common
+   random numbers): the curves move along x because of x alone. *)
+let sweep ~jobs ~seed ~eps ~xs ~reps measure =
+  let cs = contenders ~eps in
   {
     contenders = cs;
     xs;
     measured =
-      List.combine (List.map fst trials) (Parallel.map_seeded ~jobs run trials);
+      rep_pass ~jobs ~seed ~reps cs (fun ~rep:_ ~rng mapping ~throughput ->
+          let at = measure mapping ~throughput in
+          List.map (fun x -> at x ~rng:(Rng.copy rng)) xs);
   }
 
 let series_by sweep projections =
@@ -265,16 +276,14 @@ let series_by sweep projections =
       List.map
         (fun (suffix, proj) ->
           let points =
-            List.map
-              (fun x ->
+            List.mapi
+              (fun i x ->
                 let here =
-                  List.concat_map
-                    (fun (at, measured) ->
-                      if at <> x then []
-                      else
-                        List.filter_map
-                          (fun (l, m) -> if l = c.label then m else None)
-                          measured)
+                  List.filter_map
+                    (fun per_rep ->
+                      Option.map
+                        (fun points -> List.nth points i)
+                        (List.assoc c.label per_rep))
                     sweep.measured
                 in
                 (x, Stats.mean_by proj here))

@@ -113,8 +113,9 @@ val mean_series :
 (** {2 The extension sweeps}
 
     The traffic, recovery and fault sweeps ([Fig_traffic], [Fig_recovery],
-    [Fig_faults]) schedule one reduced-scale instance per rep with the
-    same contenders and group their measurements the same way. *)
+    [Fig_faults]) run on one {!rep_pass}: each contender is scheduled
+    once on each rep's reduced-scale instance, and every point of the
+    sweep measures that one mapping. *)
 
 (** An algorithm entered in an extension sweep, scheduled best-effort at
     its own replication degree. *)
@@ -152,8 +153,23 @@ val service_period : Mapping.t -> throughput:float -> float
 (** The achieved service interval [max (1/T) (period)]: the unit the
     sweeps' loads, horizons and delays are expressed in. *)
 
+val rep_pass :
+  jobs:int ->
+  seed:int ->
+  reps:int ->
+  contender list ->
+  (rep:int -> rng:Rng.t -> Mapping.t -> throughput:float -> 'm) ->
+  (string * 'm option) list list
+(** One entry per rep, in rep order, run on [jobs] worker domains
+    (identical output for every value).  A rep takes its {!rep_instance}
+    of {!reduced_spec}, splits one child of its stream per contender (in
+    list order, before any scheduling), {!schedule}s each contender once
+    and measures the mapping with the contender's child stream.  Each
+    entry pairs a contender's label with its measurement, [None] where
+    scheduling failed. *)
+
 type 'p sweep
-(** Every contender's measurements at every (x, rep) trial of a sweep. *)
+(** Every contender's measurements at every x of every rep. *)
 
 val sweep :
   jobs:int ->
@@ -161,18 +177,19 @@ val sweep :
   eps:int ->
   xs:float list ->
   reps:int ->
-  (float -> rng:Rng.t -> contender -> Paper_workload.instance -> 'p option) ->
+  (Mapping.t -> throughput:float -> float -> rng:Rng.t -> 'p) ->
   'p sweep
-(** Run the trials [(x, rep)] in x-major order on [jobs] worker domains
-    (identical output for every value).  A trial takes the rep's
-    {!rep_instance} of {!reduced_spec}, splits one child of its stream
-    per contender of {!contenders}[ ~eps] (in order, before any
-    measurement), and measures each contender at [x]. *)
+(** The {!rep_pass} of {!contenders}[ ~eps]: a trial is one rep, and
+    each contender's mapping is measured at every x inside it.  The
+    measure is staged — [measure mapping ~throughput] runs once per
+    (rep, contender), and the function it returns once per x — and each
+    x gets an {!Rng.copy} of the contender's child stream, so every x
+    sees the same draws (common random numbers). *)
 
 val series_by : 'p sweep -> (string * ('p -> float)) list -> Ascii_plot.series list
 (** Per contender, one series per [(suffix, projection)]: at each [x],
-    the mean projection of the points the contender measured in the
-    trials at [x] ([None] points and NaN projections skipped).  A series
+    the mean projection over the reps of the contender's point at [x]
+    (reps that failed to schedule and NaN projections skipped).  A series
     is labelled ["LABEL SUFFIX"], or ["LABEL"] when the suffix is
     empty. *)
 

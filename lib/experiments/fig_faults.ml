@@ -204,108 +204,89 @@ type drill = {
    budget: every instance dispatched to it exhausts, the ledger crosses
    the threshold at the first review, and the operations layer evicts
    the machine through the same chain a crash would take. *)
-let eviction_drill config =
-  let _, inst =
-    Fig_common.rep_instance Fig_common.reduced_spec ~seed:config.seed ~rep:0
-  in
-  match
-    Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst
-  with
-  | None -> None
-  | Some (mapping, throughput) ->
-      let p = Fig_common.service_period mapping ~throughput in
-      let victim = busiest_proc mapping in
-      let horizon = float_of_int config.n_items *. 8.0 *. p in
-      let faults =
+let eviction_drill config mapping ~throughput =
+  let p = Fig_common.service_period mapping ~throughput in
+  let victim = busiest_proc mapping in
+  let horizon = float_of_int config.n_items *. 8.0 *. p in
+  let faults =
+    {
+      Stream_ops.engine_faults =
         {
-          Stream_ops.engine_faults =
+          Faults.transient =
             {
-              Faults.transient =
-                {
-                  Faults.Transient.none with
-                  Faults.Transient.exec_windows = [ (victim, 0.0, 1e15) ];
-                };
-              retry = Faults.Backoff.make ~max_retries:1 ();
-              gray = Faults.Gray.none;
+              Faults.Transient.none with
+              Faults.Transient.exec_windows = [ (victim, 0.0, 1e15) ];
             };
-          eviction_threshold = 3;
-          review_window = float_of_int config.n_items *. p;
-        }
-      in
-      let ops_config =
-        {
-          Stream_ops.horizon;
-          hazard = Failure_gen.uniform ~lambda:0.0;
-          reconfig_delay = 2.0 *. p;
-          max_items_per_epoch = config.n_items + 8;
-          overload = None;
-          faults = Some faults;
-        }
-      in
-      let report =
-        Stream_ops.run ~config:ops_config
-          ~rng:(Rng.create ~seed:(config.seed + 1))
-          ~throughput mapping
-      in
-      Some
-        {
-          dr_evictions = report.Stream_ops.evictions;
-          dr_availability = report.Stream_ops.availability;
-          dr_decisions =
-            List.map
-              (fun ep -> Stream_ops.decision_to_string ep.Stream_ops.decision)
-              report.Stream_ops.epochs;
-        }
+          retry = Faults.Backoff.make ~max_retries:1 ();
+          gray = Faults.Gray.none;
+        };
+      eviction_threshold = 3;
+      review_window = float_of_int config.n_items *. p;
+    }
+  in
+  let ops_config =
+    {
+      Stream_ops.horizon;
+      hazard = Failure_gen.uniform ~lambda:0.0;
+      reconfig_delay = 2.0 *. p;
+      max_items_per_epoch = config.n_items + 8;
+      overload = None;
+      faults = Some faults;
+    }
+  in
+  let report =
+    Stream_ops.run ~config:ops_config
+      ~rng:(Rng.create ~seed:(config.seed + 1))
+      ~throughput mapping
+  in
+  {
+    dr_evictions = report.Stream_ops.evictions;
+    dr_availability = report.Stream_ops.availability;
+    dr_decisions =
+      List.map
+        (fun ep -> Stream_ops.decision_to_string ep.Stream_ops.decision)
+        report.Stream_ops.epochs;
+  }
 
 (* ---- the sweep --------------------------------------------------------- *)
 
 type trial_result = {
+  tr_mapping : Mapping.t;  (** the rep's R-LTF mapping *)
+  tr_throughput : float;  (** the throughput it was scheduled for *)
   tr_retry : ((int * float) * retry_point) list;  (** (budget, rate) *)
   tr_gray : (float * float) list;  (** factor -> mean latency *)
   tr_corr : (float * corr_point) list;  (** rho -> defeat rates *)
 }
 
-(* One trial = one random instance, measured at every sweep point.  The
-   fault-model draws hash a per-trial seed, and the correlation MC
-   stream is split off before use, so each axis moves because of its
-   knob, never because of resampling noise (CRN along every sweep). *)
-let run_trial config rep =
-  let rng, inst =
-    Fig_common.rep_instance Fig_common.reduced_spec ~seed:config.seed ~rep
+(* One trial = one rep's R-LTF mapping, measured at every sweep point.
+   The fault-model draws hash a per-trial seed, and the correlation MC
+   draws come from the trial's own stream, so each axis moves because of
+   its knob, never because of resampling noise (CRN along every sweep). *)
+let run_trial config ~rep ~rng mapping ~throughput =
+  let p = Fig_common.service_period mapping ~throughput in
+  let prog = Engine.compile mapping in
+  let fault_seed = config.seed + (104729 * rep) in
+  let tr_retry =
+    List.concat_map
+      (fun budget ->
+        List.map
+          (fun rate ->
+            ( (budget, rate),
+              measure_retry config ~fault_seed ~budget ~rate prog ~period:p ))
+          config.fault_rates)
+      config.retry_budgets
   in
-  match
-    Fig_common.schedule (Fig_common.contender ~eps Rltf.algo) inst
-  with
-  | None -> None
-  | Some (mapping, throughput) ->
-      let p = Fig_common.service_period mapping ~throughput in
-      let prog = Engine.compile mapping in
-      let fault_seed = config.seed + (104729 * rep) in
-      let tr_retry =
-        List.concat_map
-          (fun budget ->
-            List.map
-              (fun rate ->
-                ( (budget, rate),
-                  measure_retry config ~fault_seed ~budget ~rate prog
-                    ~period:p ))
-              config.fault_rates)
-          config.retry_budgets
-      in
-      let victim = busiest_proc mapping in
-      let tr_gray =
-        List.map
-          (fun factor ->
-            (factor, measure_gray config ~factor prog ~period:p ~proc:victim))
-          config.straggler_factors
-      in
-      let mc_rng = Rng.split rng in
-      let tr_corr =
-        List.map
-          (fun rho -> (rho, measure_corr config ~rng:mc_rng ~rho mapping))
-          config.rhos
-      in
-      Some { tr_retry; tr_gray; tr_corr }
+  let victim = busiest_proc mapping in
+  let tr_gray =
+    List.map
+      (fun factor ->
+        (factor, measure_gray config ~factor prog ~period:p ~proc:victim))
+      config.straggler_factors
+  in
+  let tr_corr =
+    List.map (fun rho -> (rho, measure_corr config ~rng ~rho mapping)) config.rhos
+  in
+  { tr_mapping = mapping; tr_throughput = throughput; tr_retry; tr_gray; tr_corr }
 
 (* The mean over the scheduled trials of [find x t] at each [x]; a NaN
    measurement propagates into its point. *)
@@ -317,11 +298,12 @@ let series_over trials label xs find =
   }
 
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
-  let trials =
-    Parallel.map_seeded ~jobs (run_trial config)
-      (List.init config.reps Fun.id)
-    |> List.filter_map Fun.id
+  let per_rep =
+    Fig_common.rep_pass ~jobs ~seed:config.seed ~reps:config.reps
+      [ Fig_common.contender ~eps Rltf.algo ]
+      (run_trial config)
   in
+  let trials = List.concat_map (List.filter_map snd) per_rep in
   let chart name x_header heading series =
     Fig_common.chart
       ~path:(Filename.concat out_dir ("fig-faults-" ^ name ^ ".csv"))
@@ -389,11 +371,12 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
       corr_series "Monte-Carlo" (fun c -> c.cp_mc);
       corr_series "independent (equal marginals)" (fun c -> c.cp_independent);
     ];
-  (* Part D: the eviction drill. *)
-  match eviction_drill config with
-  | None -> Printf.printf "eviction drill: scheduling failed, skipped\n"
-  | Some d ->
+  (* Part D: the eviction drill, on rep 0's mapping. *)
+  match per_rep with
+  | [ (_, Some t) ] :: _ ->
+      let d = eviction_drill config t.tr_mapping ~throughput:t.tr_throughput in
       Printf.printf
         "eviction drill: %d eviction(s), availability %.3f, epochs [%s]\n"
         d.dr_evictions d.dr_availability
         (String.concat "; " d.dr_decisions)
+  | _ -> Printf.printf "eviction drill: scheduling failed, skipped\n"

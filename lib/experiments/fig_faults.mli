@@ -21,8 +21,10 @@
       permanent exec-fault window until the exhaustion ledger evicts it
       through the normal recovery chain.
 
-    Equal seeds give bit-identical CSVs at any [jobs] (the fault draws
-    hash a per-trial seed and the MC stream is split off before use, so
+    Each graph's R-LTF mapping is scheduled once ({!Fig_common.rep_pass})
+    and serves all four parts; D drills the first graph's.  Equal seeds
+    give bit-identical CSVs at any [jobs] (the fault draws hash a
+    per-trial seed and the MC draws come from the trial's own stream, so
     every axis moves because of its knob — common random numbers). *)
 
 type config = {

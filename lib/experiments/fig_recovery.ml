@@ -40,87 +40,52 @@ type point = {
   availability : float;
   degraded_latency : float;
   had_outage : float;  (** 0/1, so the mean is the outage rate *)
+  survival : float;  (** exact no-recovery survival; [nan] unless [exact] *)
 }
 
-(* The sweep's trial seed ignores the hazard on purpose: with equal RNG
-   state the failure generator's quanta are identical across sweep points
-   (common random numbers), so each curve moves along the sweep because
-   of the rate, never because of resampling noise. *)
-let measure config hazard_per_kitem ~rng contender inst =
-  match Fig_common.schedule contender inst with
-  | None -> None
-  | Some (mapping, throughput) ->
-      (* The mapping's effective period converts the item-denominated
-         knobs into the absolute time units the ops simulator runs in. *)
-      let p = Fig_common.service_period mapping ~throughput in
-      let ops_config =
-        {
-          Stream_ops.horizon = float_of_int config.horizon_items *. p;
-          hazard =
-            Failure_gen.uniform ~lambda:(hazard_per_kitem /. (1000.0 *. p));
-          reconfig_delay = reconfig_items *. p;
-          max_items_per_epoch = config.horizon_items + 8;
-          overload = None;
-          faults = None;
-        }
-      in
-      let report = Stream_ops.run ~config:ops_config ~rng ~throughput mapping in
-      Some
-        {
-          availability = report.Stream_ops.availability;
-          degraded_latency = report.Stream_ops.degraded_mean_latency;
-          had_outage = (if report.Stream_ops.outage then 1.0 else 0.0);
-        }
-
-(* Analytic no-recovery reference: each processor fails within the
-   horizon independently with q = 1 - exp(-lambda), lambda = hazard *
-   horizon / 1000 (the same Poisson process Failure_gen draws from), and
-   the calculus gives the exact probability that the static schedule is
-   never defeated.  Timelines with recovery must sit above this curve;
-   the gap is what recovery buys. *)
-let exact_survival_series config =
-  let contenders = Fig_common.contenders ~eps in
-  (* Same instances as the sweep, so the analytic curve covers exactly
-     the graphs the timelines ran on. *)
-  let analyses =
-    List.init config.reps (fun rep ->
-        let _, inst =
-          Fig_common.rep_instance Fig_common.reduced_spec ~seed:config.seed
-            ~rep
-        in
-        List.map
-          (fun (c : Fig_common.contender) ->
-            ( c.label,
-              Option.map
-                (fun (mapping, _) -> Reliability.analyze mapping)
-                (Fig_common.schedule c inst) ))
-          contenders)
+(* Every hazard replays the same stream (common random numbers): the
+   failure generator's quanta are identical across sweep points, so each
+   curve moves along the sweep because of the rate, never because of
+   resampling noise.  The mapping's effective period converts the
+   item-denominated knobs into the absolute time units the ops simulator
+   runs in. *)
+let measure config mapping ~throughput =
+  let p = Fig_common.service_period mapping ~throughput in
+  let analysis =
+    if config.exact then Some (Reliability.analyze mapping) else None
   in
-  List.map
-    (fun (c : Fig_common.contender) ->
-      let points =
-        List.map
-          (fun hazard ->
-            let lambda =
-              hazard *. float_of_int config.horizon_items /. 1000.0
-            in
-            let q = 1.0 -. exp (-.lambda) in
-            let survivals =
-              List.filter_map
-                (fun per_algo ->
-                  match List.assoc c.label per_algo with
-                  | None -> None
-                  | Some t ->
-                      Some
-                        (Reliability.survival_probability t
-                           (Reliability.Independent (fun _ -> q))))
-                analyses
-            in
-            (hazard, Stats.mean_by Fun.id survivals))
-          config.hazards
+  fun hazard_per_kitem ~rng ->
+    let ops_config =
+      {
+        Stream_ops.horizon = float_of_int config.horizon_items *. p;
+        hazard =
+          Failure_gen.uniform ~lambda:(hazard_per_kitem /. (1000.0 *. p));
+        reconfig_delay = reconfig_items *. p;
+        max_items_per_epoch = config.horizon_items + 8;
+        overload = None;
+        faults = None;
+      }
+    in
+    let report = Stream_ops.run ~config:ops_config ~rng ~throughput mapping in
+    (* Analytic no-recovery reference: each processor fails within the
+       horizon independently with q = 1 - exp(-lambda), lambda = hazard *
+       horizon / 1000 (the same Poisson process Failure_gen draws from),
+       and the calculus gives the exact probability that the static
+       schedule is never defeated.  Timelines with recovery must sit
+       above this curve; the gap is what recovery buys. *)
+    let survival t =
+      let lambda =
+        hazard_per_kitem *. float_of_int config.horizon_items /. 1000.0
       in
-      { Ascii_plot.label = c.label; points })
-    contenders
+      let q = 1.0 -. exp (-.lambda) in
+      Reliability.survival_probability t (Reliability.Independent (fun _ -> q))
+    in
+    {
+      availability = report.Stream_ops.availability;
+      degraded_latency = report.Stream_ops.degraded_mean_latency;
+      had_outage = (if report.Stream_ops.outage then 1.0 else 0.0);
+      survival = Option.fold ~none:nan ~some:survival analysis;
+    }
 
 let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   let sweep =
@@ -154,4 +119,4 @@ let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
       ~x_header:"crashes_per_proc_per_kitem"
       (plot "Exact no-recovery survival probability (analytic, same instances)"
          "P(never defeated)")
-      (exact_survival_series config)
+      (Fig_common.series_by sweep [ ("", fun p -> p.survival) ])

@@ -12,8 +12,9 @@
     Knobs are denominated in {e items} (crashes per processor per 1000
     injected items, horizon and a 2-item reconfiguration delay) so every
     algorithm faces the same failure pressure per unit of delivered work
-    even though their injection periods differ.  The per-trial RNG seed
-    ignores the swept hazard (common random numbers): each curve moves
+    even though their injection periods differ.  Each algorithm is
+    scheduled once per graph ({!Fig_common.sweep}), and every hazard
+    replays the same stream (common random numbers): each curve moves
     along the sweep because of the rate, not resampling noise. *)
 
 type config = {
@@ -43,7 +44,7 @@ val run :
     [fig-recovery-outages.csv].  With [config.exact] it
     additionally charts the analytic no-recovery reference (the exact
     {!Reliability} probability that each static schedule is never
-    defeated within the horizon, on the same instances; the recovery
+    defeated within the horizon, on the same mappings; the recovery
     timelines must sit above it) into
     [fig-recovery-exact-survival.csv].  [jobs] worker domains
     (default 1 = sequential, identical output for every value). *)

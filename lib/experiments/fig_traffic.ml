@@ -64,98 +64,94 @@ type point = {
   drop_pct : float;
 }
 
-(* The sweep's trial seed ignores the load on purpose: with equal RNG
-   state the arrival quanta are identical across sweep points (common
-   random numbers), so each curve moves along the sweep because of the
-   offered rate, never because of resampling noise. *)
-let measure config profile load ~rng contender inst =
-  match Fig_common.schedule contender inst with
-  | None -> None
-  | Some (mapping, throughput) ->
-      (* The achieved period is the service interval the load multiplies:
-         load 1.0 offers work exactly as fast as the pipeline drains it. *)
-      let p = Fig_common.service_period mapping ~throughput in
-      let rate = load /. p in
-      (* Materialize the arrivals once and replay them as a trace, so the
-         percentile run and the shedding run see the same traffic (and the
-         load sweep re-times the same exponential quanta — CRN). *)
-      let offsets =
-        Arrival.times ~rng ~n:config.n_items
-          (arrival_process profile ~rate ~period:p)
-      in
-      let trace = Arrival.Trace (Array.to_list offsets) in
-      let prog = Program_cache.program mapping in
-      (* One arena serves both runs of this sweep point (they execute
-         sequentially), and neither run records per-transfer messages —
-         the point only needs latency percentiles and queue counters. *)
-      let state = Engine.Run_state.create prog in
-      let open_run =
-        Engine.simulate ~state
-          ~config:
-            (Engine.Run.without_messages
-               (Engine.Run.open_ ~n_items:config.n_items trace))
-          prog
-      in
-      let sojourn_buf = Array.make config.n_items 0.0 in
-      let delivered = Engine.sojourns_into open_run sojourn_buf in
-      let q = Stats.quantiles_slice sojourn_buf ~len:delivered in
-      let shed_run =
-        Engine.simulate ~state
-          ~config:
-            (Engine.Run.without_messages
-               (Engine.Run.open_ ~queue_bound
-                  ~policy:Engine.Run.Drop_newest ~n_items:config.n_items trace))
-          prog
-      in
-      Some
-        {
-          p50 = q.Stats.p50;
-          p99 = q.Stats.p99;
-          peak_queue = float_of_int open_run.Engine.peak_queue;
-          drop_pct =
-            100.0
-            *. float_of_int shed_run.Engine.dropped
-            /. float_of_int config.n_items;
-        }
+(* Every load replays the same stream (common random numbers): the
+   arrival quanta are identical across sweep points, so each curve moves
+   along the sweep because of the offered rate, never because of
+   resampling noise.  Both profiles replay it too, so a bursty point
+   differs from its Poisson neighbour only in the process.  One program
+   and one arena serve every run of a (rep, algorithm) pair (they
+   execute sequentially), and no run records per-transfer messages —
+   a point only needs latency percentiles and queue counters. *)
+let measure config mapping ~throughput =
+  (* The achieved period is the service interval the load multiplies:
+     load 1.0 offers work exactly as fast as the pipeline drains it. *)
+  let p = Fig_common.service_period mapping ~throughput in
+  let prog = Program_cache.program mapping in
+  let state = Engine.Run_state.create prog in
+  let sojourn_buf = Array.make config.n_items 0.0 in
+  let point profile load ~rng =
+    (* Materialize the arrivals once and replay them as a trace, so the
+       percentile run and the shedding run see the same traffic. *)
+    let offsets =
+      Arrival.times ~rng ~n:config.n_items
+        (arrival_process profile ~rate:(load /. p) ~period:p)
+    in
+    let trace = Arrival.Trace (Array.to_list offsets) in
+    let simulate run =
+      Engine.simulate ~state ~config:(Engine.Run.without_messages run) prog
+    in
+    let open_run = simulate (Engine.Run.open_ ~n_items:config.n_items trace) in
+    let delivered = Engine.sojourns_into open_run sojourn_buf in
+    let q = Stats.quantiles_slice sojourn_buf ~len:delivered in
+    let shed_run =
+      simulate
+        (Engine.Run.open_ ~queue_bound ~policy:Engine.Run.Drop_newest
+           ~n_items:config.n_items trace)
+    in
+    {
+      p50 = q.Stats.p50;
+      p99 = q.Stats.p99;
+      peak_queue = float_of_int open_run.Engine.peak_queue;
+      drop_pct =
+        100.0
+        *. float_of_int shed_run.Engine.dropped
+        /. float_of_int config.n_items;
+    }
+  in
+  fun load ~rng ->
+    let smooth = point Smooth load ~rng:(Rng.copy rng) in
+    (smooth, point Bursty load ~rng)
 
-(* The latency chart interleaves a p50 and a p99 series per algorithm so
+(* One sweep measures both profiles; each charts from its half.  The
+   latency chart interleaves a p50 and a p99 series per algorithm so
    the divergence past saturation is visible in one plot. *)
-let sweep config ~out_dir ~jobs profile =
-  let name = profile_name profile in
+let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
   let sweep =
     Fig_common.sweep ~jobs ~seed:config.seed ~eps ~xs:config.loads
-      ~reps:config.reps (measure config profile)
+      ~reps:config.reps (measure config)
   in
-  let chart what heading projections =
-    Fig_common.chart
-      ~path:
-        (Filename.concat out_dir
-           ("fig-traffic-" ^ what ^ "-" ^ name ^ ".csv"))
-      ~x_header:"offered_load" heading
-      (Fig_common.series_by sweep projections)
-  in
-  chart "latency"
-    (Fig_common.Plot
-       {
-         title =
-           Printf.sprintf
-             "Sojourn percentiles vs offered load (%s, eps=%d, %d items, %d \
-              graphs/point)"
-             name eps config.n_items config.reps;
-         x_label = "offered load (rate x period)";
-         y_label = "sojourn";
-       })
-    [ ("p50", fun p -> p.p50); ("p99", fun p -> p.p99) ];
-  chart "queue"
-    (Fig_common.Line "Peak input-queue occupancy (unbounded, backpressure):")
-    [ ("", fun p -> p.peak_queue) ];
-  chart "drops"
-    (Fig_common.Line
-       (Printf.sprintf
-          "Shed items (%% of arrivals, queue bound %d, drop-newest):"
-          queue_bound))
-    [ ("", fun p -> p.drop_pct) ]
-
-let run ?(out_dir = "results") ?(jobs = 1) ~(config : config) () =
-  sweep config ~out_dir ~jobs Smooth;
-  sweep config ~out_dir ~jobs Bursty
+  List.iter
+    (fun (profile, half) ->
+      let name = profile_name profile in
+      let chart what heading projections =
+        Fig_common.chart
+          ~path:
+            (Filename.concat out_dir
+               ("fig-traffic-" ^ what ^ "-" ^ name ^ ".csv"))
+          ~x_header:"offered_load" heading
+          (Fig_common.series_by sweep
+             (List.map (fun (suffix, proj) -> (suffix, fun ps -> proj (half ps)))
+                projections))
+      in
+      chart "latency"
+        (Fig_common.Plot
+           {
+             title =
+               Printf.sprintf
+                 "Sojourn percentiles vs offered load (%s, eps=%d, %d items, \
+                  %d graphs/point)"
+                 name eps config.n_items config.reps;
+             x_label = "offered load (rate x period)";
+             y_label = "sojourn";
+           })
+        [ ("p50", fun p -> p.p50); ("p99", fun p -> p.p99) ];
+      chart "queue"
+        (Fig_common.Line "Peak input-queue occupancy (unbounded, backpressure):")
+        [ ("", fun p -> p.peak_queue) ];
+      chart "drops"
+        (Fig_common.Line
+           (Printf.sprintf
+              "Shed items (%% of arrivals, queue bound %d, drop-newest):"
+              queue_bound))
+        [ ("", fun p -> p.drop_pct) ])
+    [ (Smooth, fst); (Bursty, snd) ]

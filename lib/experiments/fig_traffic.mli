@@ -9,9 +9,10 @@
     the sojourn percentiles (p50/p99) and peak queue, and a
     [Drop_newest] run with a queue bound of 4 per replica measuring the
     shed fraction.  LTF and R-LTF replicate with ε = 1, on 30–60-task
-    graphs over 12 processors.  Equal seeds give
-    bit-identical CSVs at any [jobs] (common random numbers; the trial
-    seed ignores the load so a sweep re-times the same quanta). *)
+    graphs over 12 processors.  Each algorithm is scheduled once per
+    graph ({!Fig_common.sweep}), and every load and both profiles replay
+    the same stream, so a sweep re-times the same quanta (common random
+    numbers).  Equal seeds give bit-identical CSVs at any [jobs]. *)
 
 type config = {
   seed : int;
@@ -28,7 +29,7 @@ val quick : config
 
 val run :
   ?out_dir:string -> ?jobs:int -> config:config -> unit -> unit
-(** Run the Poisson sweep then the MMPP sweep; charts
+(** Measure both profiles in one sweep, then chart
     ({!Fig_common.chart}) the p50/p99 latency, peak queue and drop rate
-    of each, writing [fig-traffic-{latency,queue,drops}-{poisson,mmpp}.csv]
+    of the Poisson profile and then of the MMPP one, writing [fig-traffic-{latency,queue,drops}-{poisson,mmpp}.csv]
     under [out_dir]. *)

@@ -2,7 +2,7 @@ type experiment = {
   name : string;
   description : string;
   run :
-    workload:string option ->
+    workload:Spec.t option ->
     quick:bool ->
     seed:int ->
     jobs:int ->
@@ -13,21 +13,14 @@ type experiment = {
 
 (* A paper figure: one Fig_common pass at (eps, crashes) on the quick or
    full config at [seed] charts all three panels.  Only these sweeps take
-   a workload spec string ("paper-fan-in-out", "huge:v=5000:m=50", …);
-   every other experiment runs its fixed workload and ignores the flag. *)
+   a workload spec; every other experiment runs its fixed workload and
+   ignores it. *)
 let paper_fig ~eps ~crashes ~workload ~quick ~seed ~jobs ~exact ~out_dir =
   let config =
     if quick then Fig_common.quick ~eps ~crashes
     else Fig_common.default ~eps ~crashes
   in
-  let spec =
-    match workload with
-    | None -> config.Fig_common.spec
-    | Some str -> (
-        match Spec.of_string str with
-        | Ok spec -> spec
-        | Error msg -> failwith ("--workload: " ^ msg))
-  in
+  let spec = Option.value workload ~default:config.Fig_common.spec in
   Fig_latency.run ~out_dir ~jobs
     ~config:{ config with Fig_common.seed; exact; spec }
     ()

@@ -5,17 +5,16 @@ type experiment = {
   name : string;        (** CLI name, e.g. "fig3" *)
   description : string;
   run :
-    workload:string option ->
+    workload:Spec.t option ->
     quick:bool ->
     seed:int ->
     jobs:int ->
     exact:bool ->
     out_dir:string ->
     unit;
-      (** [workload] names a {!Spec} by spec string (e.g.
-          ["paper-fan-in-out"], ["huge:v=5000:m=50"]) for the
-          experiments that sweep a {!Fig_common.config}; the others run
-          their fixed workload and ignore it.  [quick] shrinks the
+      (** [workload] replaces the {!Spec} of the experiments that sweep
+          a {!Fig_common.config}; the others run their fixed workload
+          and ignore it.  [quick] shrinks the
           per-point replication for smoke runs; [jobs] is the
           worker-domain count for the sample sweeps (1 = sequential; the
           output never depends on it); [exact] switches the crash

@@ -17,6 +17,7 @@ let bits64 t =
   mix t.state
 
 let split t = { state = bits64 t }
+let copy t = { state = t.state }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";

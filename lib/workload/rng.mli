@@ -12,6 +12,10 @@ val create : seed:int -> t
 val split : t -> t
 (** An independent stream derived from (and advancing) this one. *)
 
+val copy : t -> t
+(** A stream that replays this one's next draws; neither advances the
+    other. *)
+
 val bits64 : t -> int64
 (** Next raw 64-bit value. *)
 

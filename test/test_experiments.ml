@@ -366,7 +366,9 @@ let fig_tests =
         (* Digests recorded before the table figures shared one writer
            and one robustness sweep, before the series figures (at their
            quick configs) shared one chart writer and one sweep skeleton,
-           and before each paper figure became one sample pass: a
+           before each paper figure became one sample pass, and before
+           the recovery, traffic and fault sweeps scheduled each (rep,
+           contender) once and replayed its stream at every x: a
            refactor must not move a byte. *)
         let out_dir = Filename.temp_dir "streamsched" "tables" in
         ignore (Fig_baselines.run ~out_dir ~graphs:2 ());

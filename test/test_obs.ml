@@ -417,6 +417,34 @@ let report_tests =
           (Sys.readdir out_dir);
         Sys.rmdir out_dir;
         check_int "exp.trials" 80 trials);
+    slow_case "the extension sweeps schedule each (rep, algorithm) once"
+      (fun () ->
+        (* Quick configs: recovery and traffic have 3 and 2 reps, faults
+           2; one schedule per rep serves every x, both traffic profiles,
+           the exact survival curve and the eviction drill. *)
+        let out_dir = Filename.temp_dir "obs" "sweeps" in
+        let calls span run =
+          with_obs (fun () ->
+              run ();
+              match Obs.Registry.span_stats (Obs.snapshot ()) span with
+              | Some s -> s.Obs.Registry.calls
+              | None -> 0)
+        in
+        check_int "recovery --exact core.ltf.run" 3
+          (calls "core.ltf.run" (fun () ->
+               Fig_recovery.run ~out_dir ~jobs:1
+                 ~config:{ Fig_recovery.quick with Fig_recovery.exact = true }
+                 ()));
+        check_int "traffic core.ltf.run" 2
+          (calls "core.ltf.run" (fun () ->
+               Fig_traffic.run ~out_dir ~jobs:1 ~config:Fig_traffic.quick ()));
+        check_int "faults core.rltf.run" 2
+          (calls "core.rltf.run" (fun () ->
+               Fig_faults.run ~out_dir ~jobs:1 ~config:Fig_faults.quick ()));
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat out_dir f))
+          (Sys.readdir out_dir);
+        Sys.rmdir out_dir);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -56,6 +56,14 @@ let rng_tests =
         let a = Rng.create ~seed:5 in
         let b = Rng.split a in
         check_true "streams differ" (Rng.bits64 a <> Rng.bits64 b));
+    case "copy replays the next draws and leaves the original unadvanced"
+      (fun () ->
+        let a = Rng.create ~seed:5 in
+        ignore (Rng.bits64 a);
+        let b = Rng.copy a in
+        let from_copy = List.init 4 (fun _ -> Rng.bits64 b) in
+        let from_original = List.init 4 (fun _ -> Rng.bits64 a) in
+        check_true "same draws" (from_copy = from_original));
     case "shuffle permutes" (fun () ->
         let rng = Rng.create ~seed:6 in
         let a = Array.init 20 Fun.id in
