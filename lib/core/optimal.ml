@@ -1,7 +1,6 @@
 type result = {
   stages : int;
   mapping : Mapping.t;
-  explored : int;
 }
 
 exception Node_limit
@@ -102,12 +101,7 @@ let minimum_stages ~dag ~platform ~throughput =
   match if n = 0 then Some 0 else None with
   | Some _ ->
       (* empty graph: trivially zero stages *)
-      Some
-        {
-          stages = 0;
-          mapping = Mapping.create ~dag ~platform ~eps:0;
-          explored = 0;
-        }
+      Some { stages = 0; mapping = Mapping.create ~dag ~platform ~eps:0 }
   | None -> (
       match search 0 0 (-1) with
       | () ->
@@ -118,6 +112,6 @@ let minimum_stages ~dag ~platform ~throughput =
                 ~proc_of:(fun task _ -> best_assignment.(task))
                 ()
             in
-            Some { stages = !best_stages; mapping; explored = !explored }
+            Some { stages = !best_stages; mapping }
           end
       | exception Node_limit -> None)

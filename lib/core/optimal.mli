@@ -15,7 +15,6 @@
 type result = {
   stages : int;              (** the optimal pipeline stage number *)
   mapping : Mapping.t;       (** an optimal ε = 0 mapping *)
-  explored : int;            (** search nodes visited *)
 }
 
 val minimum_stages :

@@ -1,10 +1,9 @@
-type row = {
-  name : string;
-  strict_ok : int;
-  meets : int;
-  stages : Stats.summary;
-  latency : Stats.summary;
-  messages : Stats.summary;
+type sample = {
+  strict_ok : bool;
+  meets : bool;
+  stages : float;
+  latency : float;
+  messages : float;
 }
 
 let configurations =
@@ -19,63 +18,37 @@ let configurations =
       ("double lane budget", default |> with_lane_budget_factor 2.0);
     ]
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20) ?(jobs = 1) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20) ~jobs () =
   let granularity = 1.0 and eps = 1 in
   let throughput = Paper_workload.throughput ~eps in
-  let rows =
+  (* One graph serves all six configurations. *)
+  let measure rep =
+    let _, inst = Fig_common.rep_instance Spec.default ~seed ~rep in
+    let prob =
+      Types.problem ~dag:inst.Paper_workload.dag
+        ~platform:inst.Paper_workload.plat ~eps ~throughput
+    in
     List.map
       (fun (name, opts) ->
-        (* One graph is a pure function of its rep index; the graphs run
-           on a domain pool and the folds below stay in rep order, so the
-           row is identical for every [jobs]. *)
-        let measure rep =
-          let _, inst = Fig_common.rep_instance Spec.default ~seed ~rep in
-          let prob =
-            Types.problem ~dag:inst.Paper_workload.dag
-              ~platform:inst.Paper_workload.plat ~eps ~throughput
-          in
-          let strict_ok =
-            match Rltf.schedule ~opts prob with Ok _ -> true | Error _ -> false
-          in
-          let best_effort =
-            match
-              Rltf.schedule ~opts:Scheduler.(opts |> with_mode Best_effort) prob
-            with
-            | Error _ -> None
-            | Ok m ->
-                Some
-                  ( Metrics.meets_throughput m ~throughput,
-                    float_of_int (Metrics.stage_depth m),
-                    Metrics.latency_bound m ~throughput,
-                    float_of_int (Mapping.n_messages m) )
-          in
-          (strict_ok, best_effort)
-        in
-        let per_rep =
-          Parallel.map_seeded ~jobs measure (List.init graphs Fun.id)
-        in
-        let strict_ok = ref 0 and meets = ref 0 in
-        let stages = ref [] and latency = ref [] and messages = ref [] in
-        List.iter
-          (fun (ok, best_effort) ->
-            if ok then incr strict_ok;
-            match best_effort with
-            | None -> ()
-            | Some (meets_t, s, l, msg) ->
-                if meets_t then incr meets;
-                stages := s :: !stages;
-                latency := l :: !latency;
-                messages := msg :: !messages)
-          per_rep;
-        {
-          name;
-          strict_ok = !strict_ok;
-          meets = !meets;
-          stages = Stats.summarize !stages;
-          latency = Stats.summarize !latency;
-          messages = Stats.summarize !messages;
-        })
+        let strict_ok = Result.is_ok (Rltf.schedule ~opts prob) in
+        ( name,
+          match
+            Rltf.schedule ~opts:Scheduler.(opts |> with_mode Best_effort) prob
+          with
+          | Error _ ->
+              { strict_ok; meets = false; stages = nan; latency = nan; messages = nan }
+          | Ok m ->
+              {
+                strict_ok;
+                meets = Metrics.meets_throughput m ~throughput;
+                stages = float_of_int (Metrics.stage_depth m);
+                latency = Metrics.latency_bound m ~throughput;
+                messages = float_of_int (Mapping.n_messages m);
+              } ))
       configurations
+  in
+  let rows =
+    Fig_common.graph_pass ~jobs ~graphs (List.map fst configurations) measure
   in
   Printf.printf
     "Ablation of the R-LTF implementation (g=%.1f, eps=%d, %d graphs):\n"
@@ -83,14 +56,13 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 20) ?(jobs = 1) () =
   Fig_common.table
     ~path:(Filename.concat out_dir "fig-ablation.csv")
     [
-      Fig_common.text "configuration" (fun r -> r.name);
-      Fig_common.count "strict ok" "strict_ok" ~total:graphs (fun r -> r.strict_ok);
-      Fig_common.count "meets T" "meets_T" ~total:graphs (fun r -> r.meets);
-      Fig_common.num "stages" "stages" "%.1f" "%.3f" (fun r -> r.stages.Stats.mean);
-      Fig_common.num "latency bound" "latency_bound" "%.0f" "%.3f" (fun r ->
-          r.latency.Stats.mean);
-      Fig_common.num "messages" "messages" "%.0f" "%.3f" (fun r ->
-          r.messages.Stats.mean);
+      Fig_common.text "configuration" fst;
+      Fig_common.hits "strict ok" "strict_ok" ~total:graphs (fun s -> s.strict_ok);
+      Fig_common.hits "meets T" "meets_T" ~total:graphs (fun s -> s.meets);
+      Fig_common.mean "stages" "stages" "%.1f" "%.3f" (fun s -> s.stages);
+      Fig_common.mean "latency bound" "latency_bound" "%.0f" "%.3f" (fun s ->
+          s.latency);
+      Fig_common.mean "messages" "messages" "%.0f" "%.3f" (fun s -> s.messages);
     ]
     rows;
   rows

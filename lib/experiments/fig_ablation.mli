@@ -7,13 +7,14 @@
     paper workload and reports what every mechanism buys: strict-mode
     success rate, pipeline stages, latency bound and replica messages. *)
 
-type row = {
-  name : string;
-  strict_ok : int;        (** strict-mode successes out of the graph count *)
-  meets : int;            (** best-effort schedules meeting the throughput *)
-  stages : Stats.summary; (** over best-effort schedules *)
-  latency : Stats.summary;
-  messages : Stats.summary;
+(** One configuration on one graph.  The floats measure the best-effort
+    schedule and are [nan] when it failed. *)
+type sample = {
+  strict_ok : bool;  (** the strict-mode schedule succeeded *)
+  meets : bool;  (** the best-effort schedule meets the throughput *)
+  stages : float;
+  latency : float;  (** the latency bound (2S−1)/T *)
+  messages : float;  (** replica messages *)
 }
 
 val configurations : (string * Scheduler.options) list
@@ -22,9 +23,11 @@ val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?jobs:int ->
+  jobs:int ->
   unit ->
-  row list
-(** Defaults: 20 graphs, granularity 1.0, ε = 1, 1 job.  Graphs are
-    measured on [jobs] worker domains (identical output for every value).
+  (string * sample list) list
+(** One row per configuration, in {!configurations} order: its name and
+    its samples, newest graph first.  Defaults: 20 graphs, granularity
+    1.0, ε = 1.  Each graph is generated once for all configurations and
+    measured by {!Fig_common.graph_pass} on [jobs] worker domains.
     Prints a table and writes [fig-ablation.csv]. *)

@@ -1,9 +1,8 @@
-type row = {
-  name : string;
-  stages : Stats.summary;
-  latency_bound : Stats.summary;
-  sim_latency : Stats.summary;
-  meets_throughput : int;
+type sample = {
+  stages : float;
+  latency_bound : float;
+  sim_latency : float;
+  meets_throughput : bool;
 }
 
 (* One uniform sweep over the two registries: the core algorithms
@@ -22,53 +21,36 @@ let algorithms ~throughput =
   List.map (entry ~suffix:" (eps=0)") Scheduler.all
   @ List.map (fun a -> entry a) Baseline_registry.all
 
-let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30) ?(jobs = 1) () =
+let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30) ~jobs () =
   let granularity = 1.0 in
   let throughput = Paper_workload.throughput ~eps:0 in
   let algos = algorithms ~throughput in
-  (* One graph is a pure function of its rep index, so the graphs can run
-     on a domain pool; the per-rep results come back in rep order, making
-     the result identical for every [jobs]. *)
   let measure rep =
     let _, inst = Fig_common.rep_instance Spec.default ~seed ~rep in
     let dag = inst.Paper_workload.dag and plat = inst.Paper_workload.plat in
     List.filter_map
       (fun (name, algo) ->
-        match algo dag plat with
-        | None -> None
-        | Some mapping ->
-            Some
-              ( name,
-                ( float_of_int (Metrics.stage_depth mapping),
-                  Metrics.latency_bound mapping ~throughput,
-                  (Crash.estimate ~source:(Crash.Of_mapping mapping)
-                     ~method_:(Crash.Fixed []) ())
-                    .Crash.est_mean,
-                  Metrics.meets_throughput mapping ~throughput ) ))
+        Option.map
+          (fun mapping ->
+            ( name,
+              {
+                stages = float_of_int (Metrics.stage_depth mapping);
+                latency_bound = Metrics.latency_bound mapping ~throughput;
+                sim_latency =
+                  Option.value ~default:nan
+                    (Crash.estimate ~source:(Crash.Of_mapping mapping)
+                       ~method_:(Crash.Fixed []) ())
+                      .Crash.est_mean;
+                meets_throughput = Metrics.meets_throughput mapping ~throughput;
+              } ))
+          (algo dag plat))
       algos
   in
-  let per_rep = Parallel.map_seeded ~jobs measure (List.init graphs Fun.id) in
+  let stages s = s.stages and latency_bound s = s.latency_bound in
+  let sim_latency s = s.sim_latency in
   let rows =
-    List.filter_map
-      (fun (name, _) ->
-        let mine = Fig_common.per_label name per_rep in
-        match
-          ( Stats.summarize_opt (List.map (fun (s, _, _, _) -> s) mine),
-            Stats.summarize_opt (List.map (fun (_, b, _, _) -> b) mine),
-            Stats.summarize_opt (List.filter_map (fun (_, _, l, _) -> l) mine) )
-        with
-        | Some stages, Some latency_bound, Some sim_latency ->
-            Some
-              {
-                name;
-                stages;
-                latency_bound;
-                sim_latency;
-                meets_throughput =
-                  List.length (List.filter (fun (_, _, _, m) -> m) mine);
-              }
-        | _ -> None)
-      algos
+    Fig_common.graph_pass ~jobs ~graphs (List.map fst algos) measure
+    |> Fig_common.measured [ stages; latency_bound; sim_latency ]
   in
   Printf.printf
     "Baseline comparison (eps=0, g=%.1f, %d graphs, T=%.3f):\n" granularity
@@ -76,14 +58,12 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 30) ?(jobs = 1) () =
   Fig_common.table
     ~path:(Filename.concat out_dir "fig-baselines.csv")
     [
-      Fig_common.text "algorithm" (fun r -> r.name);
-      Fig_common.num "stages" "stages" "%.1f" "%.3f" (fun r -> r.stages.Stats.mean);
-      Fig_common.num "latency bound" "latency_bound" "%.1f" "%.3f" (fun r ->
-          r.latency_bound.Stats.mean);
-      Fig_common.num "sim latency" "sim_latency" "%.1f" "%.3f" (fun r ->
-          r.sim_latency.Stats.mean);
-      Fig_common.count "meets T" "meets_T" ~total:graphs (fun r ->
-          r.meets_throughput);
+      Fig_common.text "algorithm" fst;
+      Fig_common.mean "stages" "stages" "%.1f" "%.3f" stages;
+      Fig_common.mean "latency bound" "latency_bound" "%.1f" "%.3f" latency_bound;
+      Fig_common.mean "sim latency" "sim_latency" "%.1f" "%.3f" sim_latency;
+      Fig_common.hits "meets T" "meets_T" ~total:graphs (fun s ->
+          s.meets_throughput);
     ]
     rows;
   rows

@@ -6,21 +6,24 @@
     we report pipeline stages, latency bound, simulated latency and
     throughput satisfaction. *)
 
-type row = {
-  name : string;
-  stages : Stats.summary;
-  latency_bound : Stats.summary;
-  sim_latency : Stats.summary;
-  meets_throughput : int;  (** graphs (out of the total) meeting T *)
+(** One algorithm's schedule of one graph (graphs it failed to schedule
+    give no sample). *)
+type sample = {
+  stages : float;
+  latency_bound : float;
+  sim_latency : float;  (** [nan] when the simulation lost the output *)
+  meets_throughput : bool;
 }
 
 val run :
   ?out_dir:string ->
   ?seed:int ->
   ?graphs:int ->
-  ?jobs:int ->
+  jobs:int ->
   unit ->
-  row list
-(** Defaults: seed 2009, 30 graphs, granularity 1.0, 1 job.  Graphs are
-    measured on [jobs] worker domains (identical output for every value).
-    Prints a table and writes [fig-baselines.csv]. *)
+  (string * sample list) list
+(** One row per algorithm with a measured stage count, latency bound and
+    simulated latency, in registry order: its name and its samples,
+    newest graph first.  Defaults: seed 2009, 30 graphs, granularity 1.0.
+    Graphs are measured by {!Fig_common.graph_pass} on [jobs] worker
+    domains.  Prints a table and writes [fig-baselines.csv]. *)

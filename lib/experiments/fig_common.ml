@@ -297,13 +297,30 @@ let series_by sweep projections =
         projections)
     sweep.contenders
 
-let per_label label per_rep =
+let per_label key per_rep =
   List.fold_left
     (fun acc measured ->
       List.fold_left
-        (fun acc (l, m) -> if l = label then m :: acc else acc)
+        (fun acc (k, m) -> if k = key then m :: acc else acc)
         acc measured)
     [] per_rep
+
+(* ---- the table figures' graph pass ------------------------------------- *)
+
+(* A graph is a pure function of its rep index, so the pass runs on the
+   domain pool with bit-identical rows for every [jobs]. *)
+let graph_pass ~jobs ~graphs keys measure =
+  let per_rep = Parallel.map_seeded ~jobs measure (List.init graphs Fun.id) in
+  List.map (fun k -> (k, per_label k per_rep)) keys
+
+let measured projs rows =
+  List.filter
+    (fun (_, samples) ->
+      List.for_all
+        (fun proj ->
+          List.exists (fun s -> not (Float.is_nan (proj s))) samples)
+        projs)
+    rows
 
 (* ---- tables ------------------------------------------------------------ *)
 
@@ -331,6 +348,13 @@ let count head key ~total proj =
     show = (fun r -> Printf.sprintf "%d/%d" (proj r) total);
     csv = (fun r -> string_of_int (proj r));
   }
+
+let mean head key show_fmt csv_fmt proj =
+  num head key show_fmt csv_fmt (fun (_, samples) -> Stats.mean_by proj samples)
+
+let hits head key ~total pred =
+  count head key ~total (fun (_, samples) ->
+      List.length (List.filter pred samples))
 
 let table ~path columns rows =
   let cells cell = List.map (fun r -> List.map (fun c -> cell c r) columns) rows in

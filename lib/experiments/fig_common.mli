@@ -193,10 +193,28 @@ val series_by : 'p sweep -> (string * ('p -> float)) list -> Ascii_plot.series l
     is labelled ["LABEL SUFFIX"], or ["LABEL"] when the suffix is
     empty. *)
 
-val per_label : string -> (string * 'a) list list -> 'a list
-(** The measurements labelled [label] in per-rep lists, in {e reverse}
-    rep order: the order the table figures' summaries fold in, so their
-    float sums (and CSVs) stay fixed. *)
+val per_label : 'k -> ('k * 'a) list list -> 'a list
+(** The measurements keyed [key] in per-rep lists, in {e reverse} rep
+    order: the order the table figures' means have always summed in, so
+    their float sums (and CSVs) stay fixed. *)
+
+(** {2 The table figures' graph pass}
+
+    A table figure measures random graphs and reports, per row key, means
+    and counts over the graphs.  {!graph_pass} measures every graph once;
+    a row is a key and its samples, and the {!mean} and {!hits} columns
+    read it. *)
+
+val graph_pass :
+  jobs:int -> graphs:int -> 'k list -> (int -> ('k * 's) list) -> ('k * 's list) list
+(** [graph_pass ~jobs ~graphs keys measure] runs [measure rep] for every
+    rep in [0 .. graphs-1] on [jobs] worker domains (identical output for
+    every value) and returns one row per key, in [keys] order: the key
+    and, by {!per_label}, the samples [measure] paired with it — possibly
+    none. *)
+
+val measured : ('s -> float) list -> ('k * 's list) list -> ('k * 's list) list
+(** The rows where every projection has at least one non-NaN sample. *)
 
 (** {2 Tables}
 
@@ -225,6 +243,19 @@ val num :
 
 val count : string -> string -> total:int -> ('r -> int) -> 'r column
 (** ["n/total"] on the terminal, ["n"] in the file. *)
+
+val mean :
+  string ->
+  string ->
+  (float -> string, unit, string) format ->
+  (float -> string, unit, string) format ->
+  ('s -> float) ->
+  ('k * 's list) column
+(** A {!num} of the row's {!Stats.mean_by}: NaN samples are skipped, and
+    a row with none left shows [nan]. *)
+
+val hits : string -> string -> total:int -> ('s -> bool) -> ('k * 's list) column
+(** A {!count} of the row's samples that satisfy the predicate. *)
 
 val table : path:string -> 'r column list -> 'r list -> unit
 (** Print the table, then write the CSV to [path]. *)

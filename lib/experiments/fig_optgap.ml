@@ -1,9 +1,4 @@
-type row = {
-  name : string;
-  mean_stages : float;
-  mean_ratio : float;
-  optimal_hits : int;
-}
+type sample = { stages : float; ratio : float; optimal : bool }
 
 let heuristics ~throughput =
   [
@@ -32,9 +27,9 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) () =
   (* a period that makes placement non-trivial: roughly half the work
      must leave the first processor *)
   let throughput = float_of_int m /. (2.0 *. float_of_int tasks) in
-  (* Per usable instance, each heuristic's (stages / optimal, stages,
-     hit); instances whose exact search exceeds the node limit are
-     skipped, up to [4 · graphs] draws. *)
+  (* Per usable instance, each heuristic's sample; instances whose exact
+     search exceeds the node limit are skipped, up to [4 · graphs]
+     draws. *)
   let per_rep = ref [] and usable = ref 0 and rep = ref 0 in
   while !usable < graphs && !rep < graphs * 4 do
     incr rep;
@@ -53,28 +48,22 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) () =
                 (fun mapping ->
                   let s = Metrics.stage_depth mapping in
                   ( name,
-                    ( float_of_int s /. float_of_int (max 1 optimal),
-                      float_of_int s,
-                      s = optimal ) ))
+                    {
+                      stages = float_of_int s;
+                      ratio = float_of_int s /. float_of_int (max 1 optimal);
+                      optimal = s = optimal;
+                    } ))
                 (algo dag plat))
             (heuristics ~throughput)
           :: !per_rep
   done;
   let per_rep = List.rev !per_rep and usable = !usable in
+  let stages s = s.stages in
   let rows =
-    List.filter_map
-      (fun (name, _) ->
-        match Fig_common.per_label name per_rep with
-        | [] -> None
-        | mine ->
-            Some
-              {
-                name;
-                mean_stages = Stats.mean (List.map (fun (_, s, _) -> s) mine);
-                mean_ratio = Stats.mean (List.map (fun (r, _, _) -> r) mine);
-                optimal_hits = List.length (List.filter (fun (_, _, h) -> h) mine);
-              })
+    List.map
+      (fun (name, _) -> (name, Fig_common.per_label name per_rep))
       (heuristics ~throughput:1.0)
+    |> Fig_common.measured [ stages ]
   in
   Printf.printf
     "Optimality gap vs exact branch-and-bound (%d instances, %d tasks, m=%d):\n"
@@ -82,13 +71,12 @@ let run ?(out_dir = "results") ?(seed = 2009) ?(graphs = 15) () =
   Fig_common.table
     ~path:(Filename.concat out_dir "fig-optgap.csv")
     [
-      Fig_common.text "algorithm" (fun r -> r.name);
-      Fig_common.num "mean stages" "mean_stages" "%.2f" "%.3f" (fun r ->
-          r.mean_stages);
-      Fig_common.num "stages / optimal" "mean_ratio" "%.2f" "%.3f" (fun r ->
-          r.mean_ratio);
-      Fig_common.count "optimal hits" "optimal_hits" ~total:usable (fun r ->
-          r.optimal_hits);
+      Fig_common.text "algorithm" fst;
+      Fig_common.mean "mean stages" "mean_stages" "%.2f" "%.3f" stages;
+      Fig_common.mean "stages / optimal" "mean_ratio" "%.2f" "%.3f" (fun s ->
+          s.ratio);
+      Fig_common.hits "optimal hits" "optimal_hits" ~total:usable (fun s ->
+          s.optimal);
     ]
     rows;
   rows

@@ -6,11 +6,12 @@
     greedy placement leaves on the table — something the paper could not
     report without an exact reference. *)
 
-type row = {
-  name : string;
-  mean_stages : float;
-  mean_ratio : float;   (** stages / optimal stages, averaged *)
-  optimal_hits : int;   (** instances where the heuristic matched the optimum *)
+(** One heuristic's schedule of one instance (instances it failed to
+    schedule give no sample). *)
+type sample = {
+  stages : float;
+  ratio : float;  (** stages / optimal stages *)
+  optimal : bool;  (** the heuristic matched the optimum *)
 }
 
 val run :
@@ -18,7 +19,10 @@ val run :
   ?seed:int ->
   ?graphs:int ->
   unit ->
-  row list
-(** Defaults: 15 graphs of 9 tasks on 4 homogeneous processors.  Prints a
-    table and writes [fig-optgap.csv].  Instances whose exact search
-    exceeds the node limit are skipped. *)
+  (string * sample list) list
+(** One row per heuristic with a sample: its name and its samples,
+    newest instance first.  Defaults: 15 graphs of 9 tasks on 4
+    homogeneous processors.  Prints a table and writes [fig-optgap.csv].
+    Instances whose exact search exceeds the node limit are skipped, so
+    the number of instances drawn depends on the search and the figure
+    keeps its own loop instead of {!Fig_common.graph_pass}. *)

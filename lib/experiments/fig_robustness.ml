@@ -1,57 +1,49 @@
-type row = {
-  setting : string;
-  algo : string;
-  stages : Stats.summary;
-  latency : Stats.summary;
-  messages : Stats.summary;
-  meets : int;
+type sample = {
+  stages : float;
+  latency : float;
+  messages : float;
+  meets : bool;
 }
 
 let eps = 1
 
 (* Every setting sees the same rep seeds [seed + stride · rep]; a setting
-   turns the rep's stream into its instance. *)
-let sweep ~seed ~stride ~graphs settings =
+   turns the rep's stream into its instance.  A row's key is its
+   (setting, algorithm). *)
+let sweep ~jobs ~seed ~stride ~graphs settings =
   let throughput = Paper_workload.throughput ~eps in
   let opts = Scheduler.(default |> with_mode Best_effort) in
   let algos = [ Ltf.algo; Rltf.algo ] in
-  List.concat_map
-    (fun (setting, instance) ->
-      let per_rep =
-        List.init graphs (fun rep ->
-            let dag, platform = instance (Rng.create ~seed:(seed + (stride * rep))) in
-            let prob = Types.problem ~dag ~platform ~eps ~throughput in
-            List.filter_map
-              (fun (module A : Scheduler.Algo) ->
-                match A.run ~opts prob with
-                | Error _ -> None
-                | Ok m ->
-                    Some
-                      ( A.name,
-                        ( float_of_int (Metrics.stage_depth m),
-                          Metrics.latency_bound m ~throughput,
-                          float_of_int (Mapping.n_messages m),
-                          Metrics.meets_throughput m ~throughput ) ))
-              algos)
-      in
-      List.filter_map
-        (fun (module A : Scheduler.Algo) ->
-          match Fig_common.per_label A.name per_rep with
-          | [] -> None
-          | mine ->
-              let summary proj = Stats.summarize (List.map proj mine) in
-              Some
-                {
-                  setting;
-                  algo = A.name;
-                  stages = summary (fun (s, _, _, _) -> s);
-                  latency = summary (fun (_, l, _, _) -> l);
-                  messages = summary (fun (_, _, msg, _) -> msg);
-                  meets = List.length (List.filter (fun (_, _, _, t) -> t) mine);
-                })
-        algos)
-    settings
-  |> List.sort (fun a b -> compare (a.setting, a.algo) (b.setting, b.algo))
+  let measure rep =
+    List.concat_map
+      (fun (setting, instance) ->
+        let dag, platform = instance (Rng.create ~seed:(seed + (stride * rep))) in
+        let prob = Types.problem ~dag ~platform ~eps ~throughput in
+        List.filter_map
+          (fun (module A : Scheduler.Algo) ->
+            match A.run ~opts prob with
+            | Error _ -> None
+            | Ok m ->
+                Some
+                  ( (setting, A.name),
+                    {
+                      stages = float_of_int (Metrics.stage_depth m);
+                      latency = Metrics.latency_bound m ~throughput;
+                      messages = float_of_int (Mapping.n_messages m);
+                      meets = Metrics.meets_throughput m ~throughput;
+                    } ))
+          algos)
+      settings
+  in
+  let keys =
+    List.concat_map
+      (fun (setting, _) ->
+        List.map (fun (module A : Scheduler.Algo) -> (setting, A.name)) algos)
+      settings
+  in
+  Fig_common.graph_pass ~jobs ~graphs keys measure
+  |> Fig_common.measured [ (fun s -> s.stages) ]
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* The table of one sweep: [setting] heads the first column and [extra]
    columns go before the throughput count. *)
@@ -59,24 +51,23 @@ let report ~path ~title ~setting ~graphs ~extra rows =
   Printf.printf "%s (eps=%d, g=1.0, %d graphs/%s):\n" title eps graphs setting;
   Fig_common.table ~path
     ([
-       Fig_common.text setting (fun r -> r.setting);
-       Fig_common.text "algorithm" (fun r -> r.algo);
-       Fig_common.num "stages" "stages" "%.1f" "%.3f" (fun r -> r.stages.Stats.mean);
-       Fig_common.num "latency" "latency" "%.0f" "%.3f" (fun r ->
-           r.latency.Stats.mean);
+       Fig_common.text setting (fun ((s, _), _) -> s);
+       Fig_common.text "algorithm" (fun ((_, a), _) -> a);
+       Fig_common.mean "stages" "stages" "%.1f" "%.3f" (fun s -> s.stages);
+       Fig_common.mean "latency" "latency" "%.0f" "%.3f" (fun s -> s.latency);
      ]
     @ extra
-    @ [ Fig_common.count "meets T" "meets_T" ~total:graphs (fun r -> r.meets) ])
+    @ [ Fig_common.hits "meets T" "meets_T" ~total:graphs (fun s -> s.meets) ])
     rows;
   rows
 
-let families ?(out_dir = "results") ?(seed = 2009) ?(graphs = 12) () =
+let families ?(out_dir = "results") ?(seed = 2009) ?(graphs = 12) ~jobs () =
   let family f rng =
     let spec = Spec.paper { Paper_workload.default_spec with Paper_workload.family = f } in
     let inst = Spec.generate spec ~rng ~granularity:1.0 () in
     (inst.Paper_workload.dag, inst.Paper_workload.plat)
   in
-  sweep ~seed ~stride:4409 ~graphs
+  sweep ~jobs ~seed ~stride:4409 ~graphs
     [
       ("layered", family Paper_workload.Layered);
       ("fan-in-out", family Paper_workload.Fan_in_out);
@@ -91,13 +82,13 @@ let families ?(out_dir = "results") ?(seed = 2009) ?(graphs = 12) () =
    bandwidth, so differences come from structure, not capacity.  The
    rep's stream only feeds the graph, so every topology sees the same
    workflows. *)
-let topology ?(out_dir = "results") ?(seed = 2009) ?(graphs = 12) () =
+let topology ?(out_dir = "results") ?(seed = 2009) ?(graphs = 12) ~jobs () =
   let on plat rng =
     let tasks = Rng.uniform_int rng ~lo:40 ~hi:80 in
     let dag = Random_dag.layered ~rng ~tasks () in
     (Calibrate.calibrated dag plat ~granularity:1.0, plat)
   in
-  sweep ~seed ~stride:8191 ~graphs
+  sweep ~jobs ~seed ~stride:8191 ~graphs
     [
       ( "uniform",
         on (Platform.homogeneous ~name:"uniform16" ~m:16 ~speed:1.0 ~bandwidth:1.0 ()) );
@@ -115,6 +106,6 @@ let topology ?(out_dir = "results") ?(seed = 2009) ?(graphs = 12) () =
        ~title:"Topology sensitivity" ~setting:"topology" ~graphs
        ~extra:
          [
-           Fig_common.num "messages" "messages" "%.0f" "%.3f" (fun r ->
-               r.messages.Stats.mean);
+           Fig_common.mean "messages" "messages" "%.0f" "%.3f" (fun s ->
+               s.messages);
          ]

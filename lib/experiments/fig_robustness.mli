@@ -15,19 +15,37 @@
       — uniform, clustered (fast islands, slow backbone) and star — to
       show how the placement adapts. *)
 
-type row = {
-  setting : string;  (** the graph family or the topology *)
-  algo : string;
-  stages : Stats.summary;
-  latency : Stats.summary;
-  messages : Stats.summary;
-  meets : int;  (** schedules meeting the throughput *)
+(** One algorithm's schedule of one graph in one setting (graphs it
+    failed to schedule give no sample). *)
+type sample = {
+  stages : float;
+  latency : float;  (** the latency bound (2S−1)/T *)
+  messages : float;  (** replica messages *)
+  meets : bool;  (** the schedule meets the throughput *)
 }
 
-val families : ?out_dir:string -> ?seed:int -> ?graphs:int -> unit -> row list
+(** A row: the (setting, algorithm) it reports — the setting is the
+    graph family or the topology — and its samples, newest graph first.
+    Rows come sorted by key, and a pair with no sample has no row.  Both
+    sweeps measure their graphs by {!Fig_common.graph_pass} on [jobs]
+    worker domains. *)
+
+val families :
+  ?out_dir:string ->
+  ?seed:int ->
+  ?graphs:int ->
+  jobs:int ->
+  unit ->
+  ((string * string) * sample list) list
 (** Defaults: 12 graphs per family.  Prints a table and writes
     [fig-families.csv]. *)
 
-val topology : ?out_dir:string -> ?seed:int -> ?graphs:int -> unit -> row list
+val topology :
+  ?out_dir:string ->
+  ?seed:int ->
+  ?graphs:int ->
+  jobs:int ->
+  unit ->
+  ((string * string) * sample list) list
 (** Defaults: 12 graphs per topology.  Prints a table and writes
     [fig-topology.csv]. *)

@@ -70,27 +70,27 @@ let all =
                ()));
     };
     table_fig "symmetric" "Extension B: Section 6 symmetric problems" ~quick:3
-      ~full:10 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
-        Fig_symmetric.run ~out_dir ~seed ~graphs ());
+      ~full:10 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_symmetric.run ~out_dir ~seed ~jobs ~graphs ());
     table_fig "ablation"
       "Extension C: ablation of the implementation's mechanisms" ~quick:5
       ~full:20 (fun ~out_dir ~seed ~jobs ~graphs ->
         Fig_ablation.run ~out_dir ~seed ~jobs ~graphs ());
     table_fig "pipeline" "Extension D: event-driven validation of the throughput"
-      ~quick:3 ~full:10 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
-        Fig_pipeline.run ~out_dir ~seed ~graphs ());
+      ~quick:3 ~full:10 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_pipeline.run ~out_dir ~seed ~jobs ~graphs ());
     table_fig "optgap" "Extension F: optimality gap vs exact branch-and-bound"
       ~quick:5 ~full:15 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
         Fig_optgap.run ~out_dir ~seed ~graphs ());
     table_fig "families" "Extension H: robustness across graph families"
-      ~quick:4 ~full:12 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
-        Fig_robustness.families ~out_dir ~seed ~graphs ());
+      ~quick:4 ~full:12 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_robustness.families ~out_dir ~seed ~jobs ~graphs ());
     table_fig "topology" "Extension G: sensitivity to the platform topology"
-      ~quick:4 ~full:12 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
-        Fig_robustness.topology ~out_dir ~seed ~graphs ());
+      ~quick:4 ~full:12 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_robustness.topology ~out_dir ~seed ~jobs ~graphs ());
     table_fig "cost" "Extension E: platform rental-cost minimization (Section 6)"
-      ~quick:2 ~full:8 (fun ~out_dir ~seed ~jobs:_ ~graphs ->
-        Fig_cost.run ~out_dir ~seed ~graphs ());
+      ~quick:2 ~full:8 (fun ~out_dir ~seed ~jobs ~graphs ->
+        Fig_cost.run ~out_dir ~seed ~jobs ~graphs ());
     {
       name = "recovery";
       description =

@@ -1,36 +1,6 @@
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  stderr : float;
-  min : float;
-  max : float;
-}
-
 let mean = function
   | [] -> nan
   | values -> List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)
-
-let summarize = function
-  | [] -> invalid_arg "Stats.summarize: empty sample"
-  | values ->
-      let n = List.length values in
-      let fn = float_of_int n in
-      let mean = mean values in
-      let sq_dev =
-        List.fold_left (fun acc v -> acc +. ((v -. mean) ** 2.0)) 0.0 values
-      in
-      let stddev = if n > 1 then sqrt (sq_dev /. (fn -. 1.0)) else 0.0 in
-      {
-        n;
-        mean;
-        stddev;
-        stderr = (if n > 1 then stddev /. sqrt fn else 0.0);
-        min = List.fold_left Float.min infinity values;
-        max = List.fold_left Float.max neg_infinity values;
-      }
-
-let summarize_opt = function [] -> None | values -> Some (summarize values)
 
 let mean_by proj items =
   let values =

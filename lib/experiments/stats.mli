@@ -1,20 +1,5 @@
 (** Small-sample statistics for the experiment harness. *)
 
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;   (** sample standard deviation (n-1 denominator) *)
-  stderr : float;   (** standard error of the mean *)
-  min : float;
-  max : float;
-}
-
-val summarize : float list -> summary
-(** @raise Invalid_argument on an empty list. *)
-
-val summarize_opt : float list -> summary option
-(** [None] on an empty list. *)
-
 val mean : float list -> float
 (** The arithmetic mean; [nan] on an empty list.  A [nan] value
     propagates (use {!mean_by} to skip them). *)

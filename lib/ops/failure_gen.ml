@@ -1,10 +1,10 @@
-type hazard = { lambda : float; speed_exponent : float }
+type hazard = { lambda : float }
 
-let uniform ~lambda = { lambda; speed_exponent = 0.0 }
+let uniform ~lambda = { lambda }
 
-let rate hazard plat p =
+let rate hazard =
   if hazard.lambda < 0.0 then invalid_arg "Failure_gen: negative lambda";
-  hazard.lambda *. (Platform.speed plat p ** hazard.speed_exponent)
+  hazard.lambda
 
 let by_time =
   fun (p1, t1) (p2, t2) ->
@@ -14,7 +14,7 @@ let lifetimes ~rng hazard plat =
   let crashes =
     List.filter_map
       (fun p ->
-        let r = rate hazard plat p in
+        let r = rate hazard in
         (* One standard-exponential quantum per processor, drawn in
            processor order from the same stream regardless of the rate:
            scaling λ rescales every lifetime by the same factor, so the
@@ -46,7 +46,7 @@ let correlated_lifetimes ~rng hazard correlation plat =
   let own =
     List.map
       (fun p ->
-        let r = rate hazard plat p in
+        let r = rate hazard in
         let q = Rng.exponential rng ~rate:1.0 in
         (p, (if r <= 0.0 then infinity else q /. r)))
       (Platform.procs plat)

@@ -1,21 +1,17 @@
 (** Exponentially-distributed fail-stop arrivals for the operations
     simulator.
 
-    Every processor [u] has an exponential lifetime with rate
-    [λ · s_u^α]: [α = 0] makes failures uniform across the platform and
-    [α > 0] makes fast processors fail more often (the usual
-    speed/reliability trade-off of the bi-criteria reliability models —
-    arXiv:0711.1231 uses exactly such per-processor failure rates).
-    Processors are fail-stop: each crashes at most once and is never
-    repaired, matching the paper's failure model. *)
+    Every processor has an exponential lifetime with the same rate [λ],
+    so failures are uniform across the platform.  Processors are
+    fail-stop: each crashes at most once and is never repaired, matching
+    the paper's failure model. *)
 
 type hazard = {
-  lambda : float;  (** base failure rate λ (crashes per time unit) *)
-  speed_exponent : float;  (** α in [λ · speed^α] *)
+  lambda : float;  (** failure rate λ (crashes per time unit) *)
 }
 
 val uniform : lambda:float -> hazard
-(** Speed-independent hazard ([α = 0]). *)
+(** The hazard of rate [lambda] on every processor. *)
 
 val lifetimes :
   rng:Rng.t -> hazard -> Platform.t -> (Platform.proc * float) list

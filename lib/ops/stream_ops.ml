@@ -69,7 +69,6 @@ type report = {
   degraded_mean_latency : float;
   total_downtime : float;
   outage : bool;
-  outage_clock : float;
 }
 
 let touch () =
@@ -158,7 +157,7 @@ let run ?(config = default_config) ~rng ~throughput m0 =
   let degraded_sum = ref 0.0 and degraded_n = ref 0 in
   let first_crash_seen = ref false in
   let total_downtime = ref 0.0 in
-  let outage_at = ref None in
+  let outage_at = ref false in
   (* The injection period of the current mapping: the desired one when the
      mapping sustains it, the achieved one when a degraded restoration
      runs slower (upstream backpressure). *)
@@ -469,7 +468,7 @@ let run ?(config = default_config) ~rng ~throughput m0 =
         record_epoch ~t_start ~t_end:config.horizon
           ~crash:(Some (orig_p, t_c)) ~downtime ~decision:(Outage { attempts })
           ~run_result ~n_items ~capped ~extra_lost:tail_lost;
-        outage_at := Some !clock;
+        outage_at := true;
         clock := config.horizon
   in
   loop timeline;
@@ -490,6 +489,5 @@ let run ?(config = default_config) ~rng ~throughput m0 =
       (if !degraded_n = 0 then nan
        else !degraded_sum /. float_of_int !degraded_n);
     total_downtime = !total_downtime;
-    outage = Option.is_some !outage_at;
-    outage_clock = Option.value !outage_at ~default:nan;
+    outage = !outage_at;
   }

@@ -124,8 +124,7 @@ type report = {
       (** over delivered items from the first crash epoch onward;
           [nan] when no crash ever hit *)
   total_downtime : float;
-  outage : bool;
-  outage_clock : float;  (** when service stopped; [nan] if it never did *)
+  outage : bool;  (** service stopped before the horizon *)
 }
 
 val run :

@@ -17,26 +17,10 @@ let contains haystack needle =
 
 let stats_tests =
   [
-    case "summary of a known sample" (fun () ->
-        let s = Stats.summarize [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ] in
-        check_int "n" 8 s.Stats.n;
-        check_float "mean" 5.0 s.Stats.mean;
-        Fixtures.check_float_eps 1e-9 "stddev"
-          (sqrt (32.0 /. 7.0)) s.Stats.stddev;
-        check_float "min" 2.0 s.Stats.min;
-        check_float "max" 9.0 s.Stats.max);
-    case "single sample has zero spread" (fun () ->
-        let s = Stats.summarize [ 3.5 ] in
-        check_float "mean" 3.5 s.Stats.mean;
-        check_float "stddev" 0.0 s.Stats.stddev;
-        check_float "stderr" 0.0 s.Stats.stderr);
-    case "empty sample raises / returns None" (fun () ->
-        check_true "opt none" (Stats.summarize_opt [] = None);
-        Alcotest.check_raises "raise" (Invalid_argument "") (fun () ->
-            try ignore (Stats.summarize [])
-            with Invalid_argument _ -> raise (Invalid_argument "")));
     case "mean is nan on an empty sample and propagates nan" (fun () ->
         check_float "mean" 2.0 (Stats.mean [ 1.0; 3.0 ]);
+        check_float "known sample" 5.0
+          (Stats.mean [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ]);
         check_true "empty" (Float.is_nan (Stats.mean []));
         check_true "nan" (Float.is_nan (Stats.mean [ 1.0; nan ])));
     case "median of odd and even samples" (fun () ->
@@ -319,19 +303,24 @@ let fig_tests =
         check_true "unknown name" (Runner.find "fig9z" = None));
     slow_case "pipeline validation sustains the desired throughput" (fun () ->
         let rows =
-          Fig_pipeline.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2 ()
+          Fig_pipeline.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2
+            ~jobs:1 ()
         in
+        let desired_throughput = Paper_workload.throughput ~eps:1 in
         List.iter
-          (fun r ->
+          (fun (_, samples) ->
+            let mean proj = Stats.mean_by proj samples in
             let open Fig_pipeline in
             check_true "within 10% of desired"
-              (r.sustained.Stats.mean >= 0.9 *. r.desired_throughput);
+              (mean (fun s -> s.sustained) >= 0.9 *. desired_throughput);
             check_true "steady latency below the stage model"
-              (r.steady_latency.Stats.mean <= r.stage_model.Stats.mean +. 1e-6))
+              (mean (fun s -> s.steady_latency)
+              <= mean (fun s -> s.stage_model) +. 1e-6))
           rows);
     slow_case "ablation rows cover every configuration" (fun () ->
         let rows =
-          Fig_ablation.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2 ()
+          Fig_ablation.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:2
+            ~jobs:1 ()
         in
         check_int "rows" (List.length Fig_ablation.configurations)
           (List.length rows));
@@ -341,44 +330,69 @@ let fig_tests =
         in
         check_true "has rows" (rows <> []);
         List.iter
-          (fun r ->
-            check_true
-              (r.Fig_optgap.name ^ " ratio >= 1")
-              (r.Fig_optgap.mean_ratio >= 1.0 -. 1e-9))
+          (fun (name, samples) ->
+            check_true (name ^ " ratio >= 1")
+              (Stats.mean_by (fun s -> s.Fig_optgap.ratio) samples
+              >= 1.0 -. 1e-9))
           rows);
     slow_case "topology experiment covers every (topology, algorithm) pair"
       (fun () ->
         let rows =
           Fig_robustness.topology ~out_dir:(Filename.get_temp_dir_name ())
-            ~graphs:2 ()
+            ~graphs:2 ~jobs:1 ()
         in
         check_int "six rows" 6 (List.length rows));
     slow_case "cost experiment keeps fractions within [0, 1]" (fun () ->
         let rows =
-          Fig_cost.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:1 ()
+          Fig_cost.run ~out_dir:(Filename.get_temp_dir_name ()) ~graphs:1
+            ~jobs:1 ()
         in
         List.iter
-          (fun r ->
-            let f = r.Fig_cost.cost_fraction.Stats.mean in
+          (fun (_, samples) ->
+            let f = Stats.mean_by (fun s -> s.Fig_cost.cost_fraction) samples in
             check_true "fraction" (f > 0.0 && f <= 1.0 +. 1e-9))
           rows);
+    case "table figures run on zero graphs" (fun () ->
+        (* An empty sample has no mean: every table figure prints [nan]
+           or drops the row instead of raising, and ablation keeps one
+           row per configuration. *)
+        let out_dir = Filename.temp_dir "streamsched" "zero" in
+        let graphs = 0 and jobs = 1 in
+        ignore (Fig_baselines.run ~out_dir ~graphs ~jobs ());
+        ignore (Fig_symmetric.run ~out_dir ~graphs ~jobs ());
+        ignore (Fig_pipeline.run ~out_dir ~graphs ~jobs ());
+        ignore (Fig_optgap.run ~out_dir ~graphs ());
+        ignore (Fig_robustness.families ~out_dir ~graphs ~jobs ());
+        ignore (Fig_robustness.topology ~out_dir ~graphs ~jobs ());
+        ignore (Fig_cost.run ~out_dir ~graphs ~jobs ());
+        let rows = Fig_ablation.run ~out_dir ~graphs ~jobs () in
+        check_int "ablation rows" 6 (List.length rows);
+        List.iter
+          (fun (_, samples) -> check_int "no samples" 0 (List.length samples))
+          rows;
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat out_dir f))
+          (Sys.readdir out_dir);
+        Sys.rmdir out_dir);
     slow_case "table figures write pinned csvs" (fun () ->
         (* Digests recorded before the table figures shared one writer
            and one robustness sweep, before the series figures (at their
            quick configs) shared one chart writer and one sweep skeleton,
            before each paper figure became one sample pass, and before
            the recovery, traffic and fault sweeps scheduled each (rep,
-           contender) once and replayed its stream at every x: a
-           refactor must not move a byte. *)
+           contender) once and replayed its stream at every x, and before
+           the table figures measured each graph once on one graph pass
+           and kept per-key samples instead of summary rows: a refactor
+           must not move a byte. *)
         let out_dir = Filename.temp_dir "streamsched" "tables" in
-        ignore (Fig_baselines.run ~out_dir ~graphs:2 ());
-        ignore (Fig_symmetric.run ~out_dir ~graphs:1 ());
-        ignore (Fig_cost.run ~out_dir ~graphs:1 ());
-        ignore (Fig_ablation.run ~out_dir ~graphs:2 ());
-        ignore (Fig_pipeline.run ~out_dir ~graphs:2 ());
+        ignore (Fig_baselines.run ~out_dir ~graphs:2 ~jobs:1 ());
+        ignore (Fig_symmetric.run ~out_dir ~graphs:1 ~jobs:1 ());
+        ignore (Fig_cost.run ~out_dir ~graphs:1 ~jobs:1 ());
+        ignore (Fig_ablation.run ~out_dir ~graphs:2 ~jobs:1 ());
+        ignore (Fig_pipeline.run ~out_dir ~graphs:2 ~jobs:1 ());
         ignore (Fig_optgap.run ~out_dir ~graphs:2 ());
-        ignore (Fig_robustness.families ~out_dir ~graphs:2 ());
-        ignore (Fig_robustness.topology ~out_dir ~graphs:2 ());
+        ignore (Fig_robustness.families ~out_dir ~graphs:2 ~jobs:1 ());
+        ignore (Fig_robustness.topology ~out_dir ~graphs:2 ~jobs:1 ());
         Fig_latency.run ~out_dir ~jobs:1
           ~config:(Fig_common.quick ~eps:1 ~crashes:1) ();
         Fig_recovery.run ~out_dir ~jobs:1
