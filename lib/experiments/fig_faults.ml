@@ -161,7 +161,6 @@ let measure_corr config ~rng ~rho mapping =
   let domains = Faults.Domains.racks ~size:rack_size ~procs:m in
   let p_shock, p_ind = split_probability ~p_total ~rho in
   let t = Reliability.analyze mapping in
-  let graph = Replica_graph.compile mapping in
   let cp_exact =
     Reliability.defeat_probability t
       (Reliability.Correlated
@@ -176,15 +175,17 @@ let measure_corr config ~rng ~rho mapping =
       (Reliability.Independent (fun _ -> p_total))
   in
   let n_domains = Faults.Domains.count domains in
+  (* one evaluator, and a mask every draw rewrites whole *)
+  let eval = Replica_graph.evaluator (Replica_graph.compile mapping) in
+  let dead = Array.make m false in
   let defeated = ref 0 in
   for _ = 1 to config.mc_draws do
     let shocked = Array.init n_domains (fun _ -> Rng.bool rng p_shock) in
-    let failed = ref [] in
     for u = m - 1 downto 0 do
-      if shocked.(Faults.Domains.domain_of domains u) || Rng.bool rng p_ind
-      then failed := u :: !failed
+      dead.(u) <-
+        shocked.(Faults.Domains.domain_of domains u) || Rng.bool rng p_ind
     done;
-    if Replica_graph.depth ~failed:!failed graph = None then incr defeated
+    if Option.is_none (eval dead) then incr defeated
   done;
   {
     cp_exact;

@@ -38,6 +38,7 @@ let required_counters =
     "ops.recovery.restored.reduced_eps";
     "ops.recovery.restored.best_effort";
     "rel.analyses";
+    "rel.enumerations";
     "exp.trials";
   ]
 

@@ -25,7 +25,10 @@ val required_counters : string list
     full queue) — the recovery-engine family — [ops.recovery.crashes],
     [ops.recovery.epochs], [ops.recovery.attempts],
     [ops.recovery.outages] and one [ops.recovery.restored.<level>] per
-    degradation level — and [exp.trials]. *)
+    degradation level — the exact-calculus family — [rel.analyses] (one
+    per [Reliability.analyze]) and [rel.enumerations] (one per
+    uniform-crash enumeration sweep, which a [Reliability.t] runs at most
+    once per crash count) — and [exp.trials]. *)
 
 val required_histograms : string list
 (** [core.chunk_size] (tasks per chunk β), [sim.heap_size] (event-heap

@@ -32,6 +32,8 @@ type t = {
   t_max_card : int;
   t_fam : (int * int, Bitset.t list) Hashtbl.t;  (* (rid, threshold) *)
   mutable t_defeat : Bitset.t list option;
+  t_uniform : (int, float * (int * float) list) Hashtbl.t;
+      (* crash count -> its enumeration's (defeat, depth distribution) *)
 }
 
 let procs t = t.t_graph.procs
@@ -152,6 +154,7 @@ let defeat_cut_sets t =
 let analyze ?(max_cut_card = max_int) m =
   Obs.with_span "rel.analyze" (fun () ->
       Obs.incr "rel.analyses";
+      Obs.touch "rel.enumerations";
       if not (Mapping.is_complete m) then
         invalid_arg "Reliability.analyze: mapping is not complete";
       if max_cut_card < 0 then
@@ -161,6 +164,7 @@ let analyze ?(max_cut_card = max_int) m =
         t_max_card = max_cut_card;
         t_fam = Hashtbl.create 97;
         t_defeat = None;
+        t_uniform = Hashtbl.create 4;
       })
 
 (* ---- probability evaluation ------------------------------------------- *)
@@ -334,34 +338,45 @@ let probability t cuts = function
    lets a caller force either one. *)
 let default_enumeration_budget = 20_000
 
-let foreach_subset m c f =
-  let chosen = Array.make (max 1 c) 0 in
-  let rec go idx from =
-    if idx = c then f (Array.to_list (Array.sub chosen 0 c))
-    else
-      for u = from to m - (c - idx) do
-        chosen.(idx) <- u;
-        go (idx + 1) (u + 1)
-      done
-  in
-  go 0 0
-
-(* (defeat probability, finite-depth distribution) in one sweep. *)
+(* (defeat probability, finite-depth distribution) in one sweep, memoized
+   per crash count so every evaluator below shares it.  The c-subsets are
+   walked depth-first in lexicographic order over one dead-processor mask,
+   each step flipping a single entry, and judged by one evaluator: nothing
+   is allocated per subset. *)
 let uniform_enumeration t ~crashes =
-  let total = binom (procs t) crashes in
-  let defeated = ref 0.0 in
-  let hist = Hashtbl.create 16 in
-  foreach_subset (procs t) crashes (fun failed ->
-      match Replica_graph.depth ~failed t.t_graph with
-      | None -> defeated := !defeated +. 1.0
-      | Some d ->
-          Hashtbl.replace hist d
-            (1.0 +. Option.value ~default:0.0 (Hashtbl.find_opt hist d)));
-  let dist =
-    Hashtbl.fold (fun d n acc -> (d, n /. total) :: acc) hist []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  (!defeated /. total, dist)
+  match Hashtbl.find_opt t.t_uniform crashes with
+  | Some r -> r
+  | None ->
+      Obs.incr "rel.enumerations";
+      let m = procs t in
+      let eval = Replica_graph.evaluator t.t_graph in
+      let dead = Array.make m false in
+      let defeated = ref 0 in
+      (* a finite depth is at most the task count *)
+      let hist = Array.make (t.t_graph.tasks + 1) 0 in
+      let rec go from remaining =
+        if remaining = 0 then begin
+          match eval dead with
+          | None -> incr defeated
+          | Some d -> hist.(d) <- hist.(d) + 1
+        end
+        else
+          for u = from to m - remaining do
+            dead.(u) <- true;
+            go (u + 1) (remaining - 1);
+            dead.(u) <- false
+          done
+      in
+      go 0 crashes;
+      let total = binom m crashes in
+      let dist = ref [] in
+      for d = Array.length hist - 1 downto 0 do
+        if hist.(d) > 0 then
+          dist := (d, float_of_int hist.(d) /. total) :: !dist
+      done;
+      let r = (float_of_int !defeated /. total, !dist) in
+      Hashtbl.add t.t_uniform crashes r;
+      r
 
 let enumerable t ~budget = function
   | Independent _ | Correlated _ -> None

@@ -43,7 +43,13 @@
 
 type t
 (** The compiled analysis of one complete mapping: its [Replica_graph.t]
-    plus the memoized cut-set families. *)
+    plus two memos filled on demand — the cut-set families, and per crash
+    count the one enumeration sweep that {!defeat_probability},
+    {!survival_probability}, {!depth_distribution},
+    {!latency_distribution} and {!expected_latency} share under
+    [Uniform_crashes c] (so asking all of them of one [t] enumerates each
+    [c] once).  The memos are mutable and unsynchronized: a [t] must not
+    be used from two domains at the same time. *)
 
 (** Failure distribution to evaluate a cut-set family under. *)
 type model =
@@ -94,8 +100,9 @@ val defeat_probability : ?enumerate_below:int -> t -> model -> float
 
     For [Uniform_crashes c] the evaluator picks between two exact
     strategies: when [choose (m, c)] is at most [enumerate_below]
-    (default 20000) it replays the oracle sweep over every [c]-subset,
-    otherwise it sums the cut-set family by Shannon decomposition.
+    (default 20000) it replays the oracle sweep over every [c]-subset
+    (once per [t] and [c]: the sweep is memoized), otherwise it sums the
+    cut-set family by Shannon decomposition.
     [~enumerate_below:0] forces the antichain path (the tests hold the
     two equal); the knob never changes the result, only the work.
 

@@ -72,21 +72,21 @@ let compile m =
     eta;
   }
 
-let depth ?(failed = []) g =
+(* The stage buffer is owned by the evaluator and every rid is written
+   once per call, in topological task order, before any consumer reads
+   it: no reset between failure sets, and no stale stage survives. *)
+let evaluator g =
   let copies = g.copies in
-  let dead_proc = Array.make g.procs false in
-  List.iter
-    (fun p ->
-      if p < 0 || p >= g.procs then
-        invalid_arg "Replica_graph.depth: processor out of range";
-      dead_proc.(p) <- true)
-    failed;
   (* stage 0 = dead; alive replicas have stage >= 1 *)
   let stage = Array.make g.rids 0 in
-  Array.iter
-    (fun task ->
+  fun dead_proc ->
+    if Array.length dead_proc <> g.procs then
+      invalid_arg "Replica_graph.evaluator: mask length is not the platform size";
+    for t = 0 to Array.length g.topo - 1 do
+      let task = g.topo.(t) in
       for copy = 0 to copies - 1 do
         let rid = (task * copies) + copy in
+        stage.(rid) <- 0;
         if g.placed.(rid) && not dead_proc.(g.proc.(rid)) then begin
           (* Per predecessor, the best alive source; the replica is dead
              if some predecessor has none. *)
@@ -105,18 +105,30 @@ let depth ?(failed = []) g =
           done;
           if not !starved then stage.(rid) <- !acc
         end
-      done)
-    g.topo;
-  let rec max_over_exits acc i =
-    if i >= Array.length g.exits then Some acc
-    else begin
-      let exit_task = g.exits.(i) in
+      done
+    done;
+    (* the max over exit tasks of their best alive copy; -1 once some
+       exit task has none *)
+    let depth = ref 0 and i = ref 0 in
+    while !depth >= 0 && !i < Array.length g.exits do
+      let exit_task = g.exits.(!i) in
       let best = ref max_int in
       for copy = 0 to copies - 1 do
         let s = stage.((exit_task * copies) + copy) in
         if s > 0 && s < !best then best := s
       done;
-      if !best = max_int then None else max_over_exits (max acc !best) (i + 1)
-    end
-  in
-  max_over_exits 0 0
+      if !best = max_int then depth := -1
+      else if !best > !depth then depth := !best;
+      incr i
+    done;
+    if !depth < 0 then None else Some !depth
+
+let depth ?(failed = []) g =
+  let dead_proc = Array.make g.procs false in
+  List.iter
+    (fun p ->
+      if p < 0 || p >= g.procs then
+        invalid_arg "Replica_graph.depth: processor out of range";
+      dead_proc.(p) <- true)
+    failed;
+  evaluator g dead_proc

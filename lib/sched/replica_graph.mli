@@ -12,8 +12,9 @@
     "real execution" (§5): a replica takes, per predecessor, the first
     available input, and an exit takes its earliest surviving copy.  The
     event engine's program, the stage model ([Stage_latency]) and the
-    exact calculus ([Reliability]) all read it from {!compile}; {!depth}
-    is the one sweep of that rule. *)
+    exact calculus ([Reliability]) all read it from {!compile};
+    {!evaluator} is the one sweep of that rule, and {!depth} its
+    one-failure-set wrapper. *)
 
 type t = private {
   mapping : Mapping.t;  (** the mapping compiled *)
@@ -36,6 +37,21 @@ val compile : Mapping.t -> t
     never alive).  Built once per mapping; the arrays are shared and must
     not be mutated. *)
 
+val evaluator : t -> bool array -> int option
+(** [evaluator g] allocates one stage buffer (one slot per rid) and
+    returns the sweep of {!depth} over it: [evaluator g dead] is
+    [depth ~failed g] for the failure set whose members are the [true]
+    entries of the mask [dead] (one entry per processor).  Apply it
+    partially to evaluate one failure set after another with no
+    allocation beyond the [Some] of the answer: each call rewrites every
+    slot of the buffer before reading it, so nothing of an earlier set
+    carries over.  The caller owns the mask and may flip its entries
+    between calls; the evaluator only reads it.  The buffer makes an
+    evaluator single-threaded: build one per loop or per domain, never
+    share one across domains.
+    @raise Invalid_argument naming [Replica_graph.evaluator] when the
+    mask's length is not [procs]. *)
+
 val depth : ?failed:Platform.proc list -> t -> int option
 (** The effective pipeline depth [S_eff] under the fail-silent failure
     set [failed] (default none): the maximum over exit tasks of the
@@ -44,6 +60,7 @@ val depth : ?failed:Platform.proc list -> t -> int option
     source, and its stage is [max 1 (max over groups (min over alive
     sources (stage + eta)))].  [None] when some exit task has no alive
     replica (the failure set defeats the mapping); [Some 0] for the
-    empty graph.
+    empty graph.  A thin wrapper that builds the mask of [failed] and
+    runs a fresh {!evaluator} once; duplicates in [failed] are harmless.
     @raise Invalid_argument naming [Replica_graph.depth] when a processor
     in [failed] is outside [0, procs). *)

@@ -61,7 +61,18 @@ let survivor_replay p () =
               Replica_graph.depth says survives"
              (String.concat ", " (List.map string_of_int failed)))
 
-let predicate_defeats graph failed = Replica_graph.depth ~failed graph = None
+(* The cut predicate over one evaluator and one dead-processor mask, built
+   once per estimate (never shared across domains): [defeats failed] marks
+   the set, judges it, and clears the mask again. *)
+let predicate graph =
+  let eval = Replica_graph.evaluator graph in
+  let dead = Array.make graph.Replica_graph.procs false in
+  let mark v = List.iter (fun u -> dead.(u) <- v) in
+  fun failed ->
+    mark true failed;
+    let defeated = Option.is_none (eval dead) in
+    mark false failed;
+    defeated
 
 (* ---- shared internals -------------------------------------------------- *)
 
@@ -89,28 +100,35 @@ let int_binom n k =
 
 (* Every one of the choose (m, c) failure sets evaluated: the exact
    analogue of the sampled mean under the model's own latency semantics,
-   with the enumeration count as the only cost knob.  Returns
-   (evaluations, defeated, survivors' latency sum, survivors). *)
-let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes evaluate =
+   with the enumeration count as the only cost knob.  The sets are walked
+   in lexicographic order over one dead-processor mask that [eval] (a
+   [Replica_graph.evaluator]) judges; only the survivors are listed
+   (increasing) for [replay].
+   Returns (evaluations, defeated, survivors' latency sum, survivors). *)
+let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes eval replay =
   let total = int_binom n_procs crashes in
   if total > max_evaluations then
     invalid_arg "Crash.estimate: exact enumeration over budget";
   let sum = ref 0.0 and survivors = ref 0 and defeated = ref 0 in
-  (* next processor to pick >= [from]; [chosen] in decreasing order *)
-  let rec go chosen from remaining =
-    if remaining = 0 then begin
-      match evaluate (List.rev chosen) with
-      | Some l ->
-          sum := !sum +. l;
-          incr survivors
-      | None -> incr defeated
+  let dead = Array.make n_procs false and chosen = Array.make crashes 0 in
+  (* the next processor to pick is >= [from] *)
+  let rec go idx from =
+    if idx = crashes then begin
+      if Option.is_none (eval dead) then incr defeated
+      else begin
+        sum := !sum +. replay (Array.to_list chosen);
+        incr survivors
+      end
     end
     else
-      for u = from to n_procs - remaining do
-        go (u :: chosen) (u + 1) (remaining - 1)
+      for u = from to n_procs - (crashes - idx) do
+        chosen.(idx) <- u;
+        dead.(u) <- true;
+        go (idx + 1) (u + 1);
+        dead.(u) <- false
       done
   in
-  go [] 0 crashes;
+  go 0 0;
   (total, !defeated, !sum, !survivors)
 
 (* Draws are folded in fixed-size chunks: each chunk's sum starts at 0.0
@@ -155,12 +173,12 @@ let draw_latencies ~jobs model sets =
           Stage_latency.latency_of_plan ~failed plan ~throughput)
         sets
   | Engine_model p ->
-      let graph = Engine.program_graph p in
+      let defeats = predicate (Engine.program_graph p) in
       let index = Set_table.create 64 and distinct = ref [] in
       let slot =
         Array.map
           (fun failed ->
-            if predicate_defeats graph failed then -1
+            if defeats failed then -1
             else begin
               let key = Bitset.of_list failed in
               match Set_table.find_opt index key with
@@ -293,11 +311,9 @@ let estimate ?(jobs = 1) ~source ~method_ () =
           | Engine_model p ->
               (* The predicate settles defeated sets; only survivors are
                  replayed, in enumeration order through one arena. *)
-              let replay = survivor_replay p () in
               let total, defeated, sum, survivors =
-                enumerate ?max_evaluations ~n_procs ~crashes (fun failed ->
-                    if predicate_defeats graph failed then None
-                    else Some (replay failed))
+                enumerate ?max_evaluations ~n_procs ~crashes
+                  (Replica_graph.evaluator graph) (survivor_replay p ())
               in
               {
                 est_crashes = crashes;

@@ -93,8 +93,8 @@ val estimate :
 
     An engine-source [Sampled] estimate works in three steps.  It draws
     every failure set from the per-draw seeds; it decides defeat per
-    draw with the cut predicate ({!Replica_graph.depth} on the program's
-    graph returning [None]); and it replays each {e distinct} surviving
+    draw with the cut predicate (one {!Replica_graph.evaluator} on the
+    program's graph returning [None], reused over every draw); and it replays each {e distinct} surviving
     set once, through one reusable {!Engine.Run_state} arena per
     worker, fanned out across domains.  The per-draw latencies are then
     folded in fixed 32-draw chunks in draw order.  [Of_stages] draws

@@ -460,6 +460,48 @@ let prop_crash_monotone =
                   | Some depth -> depth >= healthy)
                 (Platform.procs prob.Types.platform)))
 
+(* One evaluator reused over a sequence of failure sets answers each as a
+   fresh [Replica_graph.depth ~failed] does: no stage of an earlier set
+   leaks into a later one.  The sequence opens and closes with the empty
+   set and the whole platform, repeats every drawn set in reverse, and the
+   drawn sets are unsorted lists that may repeat a processor. *)
+let prop_evaluator_reuse_matches_depth =
+  QCheck.Test.make ~name:"a reused evaluator matches a fresh depth per failure set"
+    ~count:40
+    QCheck.(
+      pair seed_arb
+        (list_of_size Gen.(0 -- 12) (list_of_size Gen.(0 -- 10) (int_range 0 7))))
+    (fun (seed, drawn) ->
+      let prob = small_problem_of_seed seed in
+      match Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok m ->
+          let graph = Replica_graph.compile m in
+          let n = graph.Replica_graph.procs in
+          let drawn = List.map (List.map (fun p -> p mod n)) drawn in
+          let all = List.init n Fun.id in
+          let sets = ([] :: all :: drawn) @ (all :: [] :: List.rev drawn) in
+          let eval = Replica_graph.evaluator graph in
+          let dead = Array.make n false in
+          let raises msg f =
+            match f () with
+            | exception Invalid_argument m -> m = msg
+            | _ -> false
+          in
+          let out_of_range p =
+            raises "Replica_graph.depth: processor out of range" (fun () ->
+                Replica_graph.depth ~failed:[ 0; p ] graph)
+          in
+          List.for_all
+            (fun failed ->
+              Array.fill dead 0 n false;
+              List.iter (fun p -> dead.(p) <- true) failed;
+              eval dead = Replica_graph.depth ~failed graph)
+            sets
+          && out_of_range n && out_of_range (-1)
+          && raises "Replica_graph.evaluator: mask length is not the platform size"
+               (fun () -> eval (Array.make (n + 1) false)))
+
 let prop_single_failure_survival =
   QCheck.Test.make
     ~name:"eps >= 1 schedules survive every single processor failure"
@@ -757,5 +799,6 @@ let () =
             prop_engine_one_port;
             prop_engine_latency_lower_bound;
             prop_pre_probe_exact;
+            prop_evaluator_reuse_matches_depth;
           ] );
     ]

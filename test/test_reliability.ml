@@ -812,14 +812,20 @@ let pinned_defeat_rates : (int * float) list =
     (4, 0.96780185758513937);
   ]
 
-let pinned_paper_workload () =
+let pinned_eps = 1
+let pinned_throughput = Paper_workload.throughput ~eps:pinned_eps
+
+let pinned_mapping () =
   let inst = Fixtures.paper_instance () in
-  let eps = 1 in
   let prob =
     Types.problem ~dag:inst.Paper_workload.dag ~platform:inst.Paper_workload.plat
-      ~eps ~throughput:(Paper_workload.throughput ~eps)
+      ~eps:pinned_eps ~throughput:pinned_throughput
   in
-  let m = Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf prob in
+  Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf prob
+
+let pinned_paper_workload () =
+  let eps = pinned_eps in
+  let m = pinned_mapping () in
   let t = Reliability.analyze ~max_cut_card:4 m in
   let p c = Reliability.defeat_probability t (Reliability.Uniform_crashes c) in
   let p_cuts c =
@@ -841,6 +847,70 @@ let pinned_paper_workload () =
         (Printf.sprintf "pinned defeat rate via antichain, c=%d" c)
         expected (p_cuts c))
     pinned_defeat_rates
+
+(* One [t] answers every uniform question from one enumeration sweep per
+   crash count, and the memo changes no answer: asked in either order,
+   each result is bitwise equal to the same call on a fresh analysis. *)
+let sweep_memo_changes_no_answer () =
+  let m = pinned_mapping () in
+  let throughput = pinned_throughput in
+  let questions =
+    [
+      ( "defeat_probability",
+        fun t c ->
+          `P (Reliability.defeat_probability t (Reliability.Uniform_crashes c)) );
+      ( "depth_distribution",
+        fun t c ->
+          `D (Reliability.depth_distribution t (Reliability.Uniform_crashes c)) );
+      ( "latency_distribution",
+        fun t c ->
+          `L
+            (Reliability.latency_distribution t ~throughput
+               (Reliability.Uniform_crashes c)) );
+      ( "expected_latency",
+        fun t c ->
+          `E
+            (Reliability.expected_latency t ~throughput
+               (Reliability.Uniform_crashes c)) );
+    ]
+  in
+  let enumerations () =
+    Obs.Registry.counter (Obs.snapshot ()) "rel.enumerations"
+  in
+  let ask_all t ~order c =
+    let before = enumerations () in
+    List.iter
+      (fun (name, ask) ->
+        let memo = ask t c in
+        let fresh = ask (Reliability.analyze ~max_cut_card:4 m) c in
+        Fixtures.check_true
+          (Printf.sprintf "%s, c=%d, %s order: bitwise equal to a fresh t" name
+             c order)
+          (memo = fresh))
+      (if order = "forward" then questions else List.rev questions);
+    (* each fresh analysis runs its own sweep; [t] ran exactly one *)
+    Alcotest.(check int)
+      (Printf.sprintf "one sweep of t per crash count, c=%d, %s order" c order)
+      (before + 1 + List.length questions)
+      (enumerations ())
+  in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let forward = Reliability.analyze ~max_cut_card:4 m in
+      let backward = Reliability.analyze ~max_cut_card:4 m in
+      List.iter (ask_all forward ~order:"forward") [ 1; 2; 3 ];
+      List.iter (ask_all backward ~order:"backward") [ 3; 2; 1 ];
+      (* a second round is all memo hits *)
+      let before = enumerations () in
+      List.iter
+        (fun c -> List.iter (fun (_, ask) -> ignore (ask forward c)) questions)
+        [ 1; 2; 3 ];
+      Alcotest.(check int) "no sweep on a memo hit" before (enumerations ()))
 
 let () =
   Alcotest.run "reliability"
@@ -885,5 +955,6 @@ let () =
           case "mirrored chain cut sets" mirrored_cut_sets;
           case "validation errors" validation_errors;
           case "pinned paper workload" pinned_paper_workload;
+          case "the sweep memo changes no answer" sweep_memo_changes_no_answer;
         ] );
     ]
