@@ -1,29 +1,21 @@
-(* A ranking is a score plus a cheap lower bound on that score.  The bound
-   receives, for the (task, copy) being placed, the earliest instant any
-   admissible source set can deliver data ([finish_lb] already includes the
-   candidate's execution time) and a floor on the pipeline stage; both are
+(* A ranking orders trials by a (primary, secondary) key, smaller first;
+   [State.stage_floor] and [State.finish_floor] give, for the (task, copy) being
+   placed, a floor on the pipeline stage and the earliest instant any
+   admissible source set can finish the candidate's execution.  Both are
    valid for every source-set variant the placement branch may try, so a
-   candidate processor whose bound already loses to the incumbent can skip
-   the full timeline probe.  Soundness: each component of [bound] is ≤ the
-   corresponding component of [score] of any trial on that processor, so
-   [bound >lex incumbent] implies [score >lex incumbent]. *)
-type rank = {
-  score : State.t -> State.trial -> float * float;
-  bound : stage_lb:int -> finish_lb:float -> float * float;
-}
+   candidate processor whose floor key already loses to the incumbent can
+   skip the full timeline probe.  Soundness: each component of the floor
+   key is ≤ the corresponding component of the key of any trial on that
+   processor, so floor >lex incumbent implies key >lex incumbent. *)
+type rank = Finish_time | Stage_then_finish
 
-let by_finish_time : rank =
-  {
-    score = (fun _ trial -> (trial.State.t_finish, 0.0));
-    bound = (fun ~stage_lb:_ ~finish_lb -> (finish_lb, 0.0));
-  }
+let primary rank (trial : State.trial) =
+  match rank with
+  | Finish_time -> trial.t_finish
+  | Stage_then_finish -> float_of_int trial.t_stage
 
-let by_stage_then_finish : rank =
-  {
-    score =
-      (fun _ trial -> (float_of_int trial.State.t_stage, trial.State.t_finish));
-    bound = (fun ~stage_lb ~finish_lb -> (float_of_int stage_lb, finish_lb));
-  }
+let secondary rank (trial : State.trial) =
+  match rank with Finish_time -> 0.0 | Stage_then_finish -> trial.t_finish
 
 (* Per-chunk-task working data.  [ct_claimed] is the union of the kill
    sets of the already-placed replicas of the task: the locking discipline
@@ -98,7 +90,7 @@ let singleton_data state count task =
     ct_heads = heads }
 
 (* The incumbent of a placement step: the best trial offered so far and
-   its selection key (penalty, then the rank score). *)
+   its selection key (penalty, then the rank key). *)
 type incumbent = {
   i_penalty : float;
   i_primary : float;
@@ -112,8 +104,8 @@ type incumbent = {
    broken by processor index — the same winner the materialize-then-fold
    version selected.  The key is compared one float at a time, with the
    lexicographic [<]/[=] of the tuple it replaces. *)
-let offer ~rank state best ~penalty trial =
-  let primary, secondary = rank.score state trial in
+let offer ~rank best ~penalty (trial : State.trial) =
+  let primary = primary rank trial and secondary = secondary rank trial in
   let wins =
     match !best with
     | None -> true
@@ -124,7 +116,7 @@ let offer ~rank state best ~penalty trial =
               || primary = b.i_primary
                  && (secondary < b.i_secondary
                     || secondary = b.i_secondary
-                       && trial.State.t_proc < b.i_trial.State.t_proc))
+                       && trial.t_proc < b.i_trial.State.t_proc))
   in
   if wins then
     best :=
@@ -134,19 +126,22 @@ let offer ~rank state best ~penalty trial =
 
 (* A candidate processor can be skipped without probing when the incumbent
    carries no overload penalty (so any candidate's penalty, ≥ 0, cannot
-   beat it) and the rank lower bound already loses: the bound is
-   component-wise ≤ the true score of every trial on that processor, so
-   bound >lex incumbent implies score >lex incumbent, and the strict
-   inequality also rules out the processor-index tie-break.  The floors
-   cost a processor-timeline scan, so they are only computed when the
-   incumbent makes a prune possible. *)
+   beat it) and the floor key already loses: it is component-wise ≤ the
+   key of every trial on that processor, so floor >lex incumbent implies
+   key >lex incumbent, and the strict inequality also rules out the
+   processor-index tie-break.  The floors are only computed when the
+   incumbent makes a prune possible, and the finish floor (a processor
+   timeline scan) only when the stage floor does not decide. *)
 let prune ~rank state best floor_data proc =
   match !best with
-  | Some b when b.i_penalty = 0.0 ->
-      let stage_lb, finish_lb = State.floors state floor_data ~proc in
-      let primary, secondary = rank.bound ~stage_lb ~finish_lb in
-      primary > b.i_primary
-      || (primary = b.i_primary && secondary > b.i_secondary)
+  | Some b when b.i_penalty = 0.0 -> (
+      match rank with
+      | Finish_time -> State.finish_floor state floor_data ~proc > b.i_primary
+      | Stage_then_finish ->
+          let stage_lb = float_of_int (State.stage_floor floor_data ~proc) in
+          stage_lb > b.i_primary
+          || stage_lb = b.i_primary
+             && State.finish_floor state floor_data ~proc > b.i_secondary)
   | _ -> false
 
 (* Hosts of the admissible sources, probed ahead of the main sweep: a
@@ -154,49 +149,54 @@ let prune ~rank state best floor_data proc =
    zero-penalty incumbent that lets the bound discard most of the
    remaining sweep.  The selected trial is order-independent — the winner
    is the minimum under ((penalty, rank), processor index), which no
-   traversal permutation changes. *)
-let source_hosts mapping sources =
-  List.sort_uniq Int.compare
-    (List.concat_map
-       (fun (_, ids) ->
-         List.map
-           (fun (id : Replica.id) ->
-             (Mapping.replica_exn mapping id.task id.copy).Replica.proc)
-           ids)
-       sources)
+   traversal permutation changes.  Both passes run in ascending processor
+   order.  [is_host] is a caller-owned scratch array of length n_procs,
+   all false between sweeps. *)
+let sweep ~is_host floor_data consider =
+  State.iter_hosts floor_data (fun p -> is_host.(p) <- true);
+  Array.iteri (fun p host -> if host then consider p) is_host;
+  Array.iteri (fun p host -> if not host then consider p) is_host;
+  State.iter_hosts floor_data (fun p -> is_host.(p) <- false)
 
-(* One placement's pruned candidates and condition-(1) rejections,
-   reported with one [Obs.incr] each when the placement ends: at
-   m = 10³ an [Obs.incr] per candidate would hash its key millions of
+(* One placement's probes, pruned candidates and condition-(1)
+   rejections, reported with one [Obs.incr] each when the placement ends:
+   at m = 10³ an [Obs.incr] per candidate would hash its key millions of
    times. *)
-type tally = { mutable prunes : int; mutable rejections : int }
+type tally = {
+  mutable probes : int;
+  mutable prunes : int;
+  mutable rejections : int;
+}
+
+let tally () = { probes = 0; prunes = 0; rejections = 0 }
 
 let report tally =
+  if tally.probes > 0 then Obs.incr ~by:tally.probes "core.placement_probes";
   if tally.prunes > 0 then Obs.incr ~by:tally.prunes "core.probe_prunes";
   if tally.rejections > 0 then
     Obs.incr ~by:tally.rejections "core.feasibility_rejections"
 
 (* Judge one source-set variant of a candidate processor and offer it.
-   Condition (1) and the overload penalty come from the transfer list
-   before any timeline probe: in strict mode an infeasible variant is
-   rejected, in best-effort mode it survives (ranked by its penalty) but
-   still counts as a rejection for the profile, and a penalty strictly
-   above the incumbent's already loses the selection. *)
+   Condition (1) and the overload penalty come from the transfers before
+   any timeline probe: in strict mode an infeasible variant is rejected,
+   in best-effort mode it survives (ranked by its penalty) but still
+   counts as a rejection for the profile, and a penalty strictly above
+   the incumbent's already loses the selection. *)
 let consider_variant ~(mode : Sched_api.mode) ~rank ~tally state best ~task
     ~copy ~proc ~sources =
   let transfers = State.transfers state ~task ~proc ~sources in
   let (adm : State.admission) = State.admission state ~task ~proc transfers in
   if not adm.feasible then tally.rejections <- tally.rejections + 1;
-  let probe penalty =
+  let admitted = match mode with Strict -> adm.feasible | Best_effort -> true
+  and penalty = match mode with Strict -> 0.0 | Best_effort -> adm.penalty in
+  if admitted then begin
     match !best with
     | Some b when penalty > b.i_penalty -> tally.prunes <- tally.prunes + 1
     | _ ->
-        offer ~rank state best ~penalty
+        tally.probes <- tally.probes + 1;
+        offer ~rank best ~penalty
           (State.evaluate state ~task ~copy ~proc ~sources ~transfers)
-  in
-  match mode with
-  | Strict -> if adm.feasible then probe 0.0
-  | Best_effort -> probe adm.penalty
+  end
 
 (* Each replica may sole-source (transitively) through at most a "lane" of
    [m / (ε+1)] processors: the kill sets of the ε+1 replicas of a task must
@@ -217,7 +217,7 @@ let lane_budget ~(opts : Sched_api.options) prob =
    kill set stays disjoint from the processors already claimed by sibling
    replicas and small enough to fit the lane budget; stale heads are
    dropped lazily. *)
-let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
+let one_to_one ~(opts : Sched_api.options) ~rank ~is_host state ct ~copy =
   Obs.incr "core.one_to_one_calls";
   let mode = opts.mode in
   let prob = State.problem state in
@@ -227,14 +227,13 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     State.Pset.disjoint s ct.ct_claimed && State.Pset.cardinal s < budget
   in
   List.iter (fun (_, ids) -> ids := List.filter usable !ids) ct.ct_heads;
-  if List.exists (fun (_, ids) -> !ids = []) ct.ct_heads then None
+  if List.exists (fun (_, ids) -> List.is_empty !ids) ct.ct_heads then None
   else begin
     let sources =
       List.map (fun (pred, ids) -> (pred, [ List.hd !ids ])) ct.ct_heads
     in
     let floor_data = State.floor_data state ~task:ct.ct_task sources in
-    let best = ref None in
-    let tally = { prunes = 0; rejections = 0 } in
+    let best = ref None and tally = tally () in
     let consider proc =
       if not (State.Pset.mem proc ct.ct_claimed) then begin
         if prune ~rank state best floor_data proc then
@@ -247,9 +246,7 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
         end
       end
     in
-    let hosts = source_hosts (State.mapping state) sources in
-    List.iter consider hosts;
-    List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
+    sweep ~is_host floor_data consider;
     report tally;
     match !best with
     | None -> None
@@ -259,6 +256,18 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
         List.iter (fun (_, ids) -> ids := List.tl !ids) ct.ct_heads;
         Some trial
   end
+
+(* Whether two source-set lists name the same replicas, compared
+   monomorphically. *)
+let same_sources a b =
+  List.equal
+    (fun (p, xs) (q, ys) ->
+      Int.equal p q
+      && List.equal
+           (fun (x : Replica.id) (y : Replica.id) ->
+             Int.equal x.task y.task && Int.equal x.copy y.copy)
+           xs ys)
+    a b
 
 (* General branch: the replica receives, for each predecessor, either from
    a co-located predecessor replica whose kill set is still unclaimed (a
@@ -271,7 +280,7 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
    full groups keep them free.  A kill chain through the candidate
    processor itself is harmless (the replica dies with its host anyway)
    and is exempt from the disjointness requirement. *)
-let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
+let general ~(opts : Sched_api.options) ~rank ~is_host state ct ~copy =
   Obs.incr "core.general_calls";
   let mode = opts.mode in
   let prob = State.problem state in
@@ -303,28 +312,41 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
               (State.Pset.union !acc (State.support state r.id))
             <= budget
           in
-          let candidates =
-            List.filter (fun r -> disjoint r && fits r) replicas
-            |> List.map (fun (r : Replica.t) ->
-                   let growth =
-                     State.Pset.cardinal
-                       (State.Pset.diff (State.support state r.id) !acc)
-                   in
-                   let comm =
-                     if r.proc = proc then 0.0
-                     else Platform.comm_time plat r.proc proc vol
-                   in
-                   ((growth, comm), r))
-            |> List.sort (fun (ka, (ra : Replica.t)) (kb, rb) ->
-                   match compare ka kb with
-                   | 0 -> Replica.compare_id ra.id rb.Replica.id
-                   | c -> c)
-          in
-          match candidates with
-          | (_, r) :: _ ->
+          (* Ties on growth and transfer time go to the smallest id. *)
+          let pick = ref None and pick_growth = ref 0 and pick_comm = ref 0.0 in
+          List.iter
+            (fun (r : Replica.t) ->
+              if disjoint r && fits r then begin
+                let growth =
+                  State.Pset.cardinal
+                    (State.Pset.diff (State.support state r.id) !acc)
+                in
+                let comm =
+                  if r.proc = proc then 0.0
+                  else Platform.comm_time plat r.proc proc vol
+                in
+                let better =
+                  match !pick with
+                  | None -> true
+                  | Some (p : Replica.t) ->
+                      growth < !pick_growth
+                      || growth = !pick_growth
+                         && (comm < !pick_comm
+                            || comm = !pick_comm
+                               && Replica.compare_id r.id p.id < 0)
+                in
+                if better then begin
+                  pick := Some r;
+                  pick_growth := growth;
+                  pick_comm := comm
+                end
+              end)
+            replicas;
+          match !pick with
+          | Some r ->
               acc := State.Pset.union !acc (State.support state r.id);
               (pred, [ r.Replica.id ])
-          | [] -> full)
+          | None -> full)
         pred_replicas
     in
     (* Conservative variant: local sole source when free, else the full
@@ -354,7 +376,8 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
     | Greedy_only -> [ greedy ]
     | Conservative_only -> [ conservative ]
     | Both_variants ->
-        if greedy = conservative then [ greedy ] else [ greedy; conservative ]
+        if same_sources greedy conservative then [ greedy ]
+        else [ greedy; conservative ]
   in
   (* Every source-set variant draws at least one replica per predecessor. *)
   let all_sources =
@@ -364,8 +387,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
       pred_replicas
   in
   let floor_data = State.floor_data state ~task:ct.ct_task all_sources in
-  let best = ref None in
-  let tally = { prunes = 0; rejections = 0 } in
+  let best = ref None and tally = tally () in
   let consider proc =
     if not (State.Pset.mem proc ct.ct_claimed) then begin
       if prune ~rank state best floor_data proc then
@@ -384,9 +406,7 @@ let general ~(opts : Sched_api.options) ~rank ~procs state ct ~copy =
           (variants_on proc)
     end
   in
-  let hosts = source_hosts mapping all_sources in
-  List.iter consider hosts;
-  List.iter (fun p -> if not (List.mem p hosts) then consider p) procs;
+  sweep ~is_host floor_data consider;
   report tally;
   match !best with
   | None -> None
@@ -406,8 +426,8 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   let dag = prob.Types.dag and plat = prob.Types.platform in
   let state = State.create prob in
   let priority = Levels.priority dag (Metrics.paper_weights dag plat) in
-  let procs = Platform.procs plat in
   let count_scratch = Array.make (Platform.size plat) 0 in
+  let is_host = Array.make (Platform.size plat) false in
   let higher a b =
     if priority.(a) <> priority.(b) then compare priority.(b) priority.(a)
     else compare a b
@@ -447,17 +467,17 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
                 if !failure = None then begin
                   let placed =
                     if opts.use_one_to_one && ct.ct_z < ct.ct_theta then begin
-                      match one_to_one ~opts ~rank ~procs state ct ~copy:n with
+                      match one_to_one ~opts ~rank ~is_host state ct ~copy:n with
                       | Some _ ->
                           ct.ct_z <- ct.ct_z + 1;
                           true
                       | None ->
                           Option.is_some
-                            (general ~opts ~rank ~procs state ct ~copy:n)
+                            (general ~opts ~rank ~is_host state ct ~copy:n)
                     end
                     else
                       Option.is_some
-                        (general ~opts ~rank ~procs state ct ~copy:n)
+                        (general ~opts ~rank ~is_host state ct ~copy:n)
                   in
                   if not placed then
                     failure := Some (Types.No_feasible_processor (ct.ct_task, n))

@@ -40,27 +40,18 @@
     instrumentation is purely observational: results are bit-identical
     whether it is on or off. *)
 
-type rank = {
-  score : State.t -> State.trial -> float * float;
-      (** Smaller is better, compared lexicographically; ties broken by
-          processor index. *)
-  bound : stage_lb:int -> finish_lb:float -> float * float;
-      (** A component-wise lower bound on [score] for any trial of the
-          (task, copy) being placed on a candidate processor, given the
-          {!State.floors} on its pipeline stage and on its finish time
-          (the processor timeline's earliest fit after the earliest
-          source data readiness, plus the execution time).  Candidates
-          whose bound already loses lexicographically to a zero-overload
-          incumbent are skipped without probing the timelines — the
-          selected trial is identical, only the probe count changes. *)
-}
-
-val by_finish_time : rank
-(** LTF's policy: score [(F, 0)], bound [(finish_lb, 0)]. *)
-
-val by_stage_then_finish : rank
-(** R-LTF's Rule 1 policy: score [(stage, F)], bound
-    [(stage_lb, finish_lb)]. *)
+type rank =
+  | Finish_time
+      (** LTF's policy: the smallest estimated finish time [F]. *)
+  | Stage_then_finish
+      (** R-LTF's Rule 1 policy: the smallest pipeline stage, then the
+          smallest [F]. *)
+(** How a placement step ranks its admitted trials, smaller first, with
+    ties broken by processor index.  Before a candidate processor is
+    probed, its {!State.stage_floor} and {!State.finish_floor} are ranked
+    the same way: a candidate whose floors already lose to a
+    zero-overload incumbent is skipped without probing the timelines —
+    the selected trial is identical, only the probe count changes. *)
 
 val schedule :
   ?opts:Sched_api.options ->

@@ -1,6 +1,6 @@
 let schedule_state ?opts prob =
   Obs.with_span "core.ltf.run" (fun () ->
-      Chunk_scheduler.schedule ?opts ~rank:Chunk_scheduler.by_finish_time prob)
+      Chunk_scheduler.schedule ?opts ~rank:Chunk_scheduler.Finish_time prob)
 
 let schedule ?opts prob = Result.map State.mapping (schedule_state ?opts prob)
 

@@ -4,7 +4,7 @@ let reverse_problem (prob : Types.problem) =
 
 let schedule_state ?opts prob =
   Obs.with_span "core.rltf.run" (fun () ->
-      Chunk_scheduler.schedule ?opts ~rank:Chunk_scheduler.by_stage_then_finish
+      Chunk_scheduler.schedule ?opts ~rank:Chunk_scheduler.Stage_then_finish
         (reverse_problem prob))
 
 (* The bottom-up run fixes where every replica lives; the forward

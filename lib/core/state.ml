@@ -14,11 +14,19 @@ type t = {
   recv_tl : Timeline.t array;
   finish_arr : float array; (* [task * copies + copy]; nan = unplaced *)
   stage_arr : int array;    (* [task * copies + copy]; 0 = unplaced *)
+  proc_arr : int array;     (* [task * copies + copy]; the host once placed *)
   support_arr : Pset.t array; (* [task * copies + copy]; kill sets *)
+  (* Probe scratch, reused by every [evaluate] and [admission]. *)
+  recv_probe : Timeline.probe;
+  send_probe : Timeline.probe array; (* per sender processor *)
+  out_sum : float array;
+      (* per source processor: its outgoing time in the admission being
+         judged; nan outside it *)
+  out_procs : int array; (* those source processors, in first-transfer order *)
   scratch_out : (int, float) Hashtbl.t;
-      (* reusable per-source-proc accumulator for [admission]; reset (not
-         recreated) so the fold order matches a fresh 8-slot table and the
-         best-effort penalty sums stay bit-identical *)
+      (* the historical per-source-proc accumulator, folded by [admission]
+         only when three or more source processors overflow; reset (not
+         recreated) so the fold order matches a fresh 8-slot table *)
 }
 
 let create (prob : Types.problem) =
@@ -36,7 +44,12 @@ let create (prob : Types.problem) =
     recv_tl = Array.init n_procs (fun _ -> Timeline.create ());
     finish_arr = Array.make slots nan;
     stage_arr = Array.make slots 0;
+    proc_arr = Array.make slots (-1);
     support_arr = Array.make slots Pset.empty;
+    recv_probe = Timeline.probe ();
+    send_probe = Array.init n_procs (fun _ -> Timeline.probe ());
+    out_sum = Array.make n_procs nan;
+    out_procs = Array.make n_procs 0;
     scratch_out = Hashtbl.create 8;
   }
 
@@ -45,19 +58,24 @@ let mapping s = s.mapping
 
 let slot s (id : Replica.id) = (id.task * s.copies) + id.copy
 
+let not_placed fn id =
+  invalid_arg
+    (Printf.sprintf "State.%s: %s not placed" fn (Replica.id_to_string id))
+
 let finish s (id : Replica.id) =
   let f = s.finish_arr.(slot s id) in
-  if Float.is_nan f then
-    invalid_arg
-      (Printf.sprintf "State.finish: %s not placed" (Replica.id_to_string id));
+  if Float.is_nan f then not_placed "finish" id;
   f
 
 let stage s (id : Replica.id) =
   let st = s.stage_arr.(slot s id) in
-  if st = 0 then
-    invalid_arg
-      (Printf.sprintf "State.stage: %s not placed" (Replica.id_to_string id));
+  if st = 0 then not_placed "stage" id;
   st
+
+let host s (id : Replica.id) =
+  let p = s.proc_arr.(slot s id) in
+  if p < 0 then not_placed "host" id;
+  p
 
 let loads s = s.loads
 
@@ -90,6 +108,8 @@ let support_of_sources s ~proc ~sources =
 
 let send_ready s u = Timeline.busy_until s.send_tl.(u)
 
+type transfer = { tr_src : Replica.id; tr_proc : Platform.proc; tr_dur : float }
+
 type trial = {
   t_task : Dag.task;
   t_copy : int;
@@ -98,188 +118,240 @@ type trial = {
   t_start : float;
   t_finish : float;
   t_stage : int;
-  t_comms : (Replica.id * float * float * float) list;
+  t_transfers : transfer array;
+  t_comm_starts : float array;
 }
 
-type transfer = { tr_src : Replica.id; tr_proc : Platform.proc; tr_dur : float }
+(* Transfers in order of data readiness (source finish, then replica id),
+   so the probe is deterministic.  The order is total: no two transfers
+   share a source. *)
+let ready_before s a b =
+  let fa = s.finish_arr.(slot s a.tr_src) and fb = s.finish_arr.(slot s b.tr_src) in
+  fa < fb || (fa = fb && Replica.compare_id a.tr_src b.tr_src < 0)
 
-let proc_of_replica s (id : Replica.id) =
-  (Mapping.replica_exn s.mapping id.task id.copy).Replica.proc
-
-(* Off-processor transfers in order of data readiness, so the probe is
-   deterministic. *)
 let transfers s ~task ~proc ~sources =
   let plat = s.prob.platform and dag = s.prob.dag in
-  List.concat_map
+  let remote = ref [] in
+  List.iter
     (fun (pred, ids) ->
       let vol = Dag.volume dag pred task in
-      List.filter_map
+      List.iter
         (fun (src : Replica.id) ->
-          let sp = proc_of_replica s src in
-          if sp = proc then None
-          else
-            Some
-              { tr_src = src; tr_proc = sp; tr_dur = Platform.comm_time plat sp proc vol })
+          let sp = host s src in
+          if sp <> proc then
+            remote :=
+              { tr_src = src; tr_proc = sp; tr_dur = Platform.comm_time plat sp proc vol }
+              :: !remote)
         ids)
-    sources
-  |> List.sort (fun a b ->
-         match Float.compare (finish s a.tr_src) (finish s b.tr_src) with
-         | 0 -> Replica.compare_id a.tr_src b.tr_src
-         | c -> c)
+    sources;
+  let trs = Array.of_list !remote in
+  (* Insertion sort: a placement has a handful of transfers. *)
+  for i = 1 to Array.length trs - 1 do
+    let tr = trs.(i) and j = ref (i - 1) in
+    while !j >= 0 && ready_before s tr trs.(!j) do
+      trs.(!j + 1) <- trs.(!j);
+      decr j
+    done;
+    trs.(!j + 1) <- tr
+  done;
+  trs
 
 type admission = { feasible : bool; penalty : float }
 
-(* The outgoing durations are summed per source processor in a hash table
-   and folded in its order: the penalty is a float sum, so that order is
-   part of the pinned schedules. *)
+let[@inline] over s current extra = Float.max 0.0 (current +. extra -. s.delta)
+
+(* The outgoing durations are summed per source processor in [out_sum], in
+   transfer order.  The penalty adds the overflow of each source processor,
+   and historically added them in the fold order of a hash table keyed by
+   processor; float addition is order-sensitive, so that order is part of
+   the pinned schedules.  Every term is +0 or positive, and +0 leaves a
+   non-negative sum unchanged, so only the overflowing processors count:
+   with at most two of them the sum is the same in any order, and with
+   three or more the table is rebuilt and folded as before. *)
 let admission s ~task ~proc transfers =
   let plat = s.prob.platform and dag = s.prob.dag and l = s.loads in
   let exec = Platform.exec_time plat proc (Dag.exec dag task) in
-  let incoming = List.fold_left (fun acc tr -> acc +. tr.tr_dur) 0.0 transfers in
-  let outgoing = s.scratch_out in
-  Hashtbl.reset outgoing;
-  List.iter
-    (fun tr ->
-      let prev = try Hashtbl.find outgoing tr.tr_proc with Not_found -> 0.0 in
-      Hashtbl.replace outgoing tr.tr_proc (prev +. tr.tr_dur))
-    transfers;
+  let incoming = ref 0.0 and n_out = ref 0 in
+  for k = 0 to Array.length transfers - 1 do
+    let tr = transfers.(k) in
+    incoming := !incoming +. tr.tr_dur;
+    let prev = s.out_sum.(tr.tr_proc) in
+    if Float.is_nan prev then begin
+      s.out_procs.(!n_out) <- tr.tr_proc;
+      incr n_out;
+      s.out_sum.(tr.tr_proc) <- 0.0 +. tr.tr_dur
+    end
+    else s.out_sum.(tr.tr_proc) <- prev +. tr.tr_dur
+  done;
   let slack = s.delta *. (1.0 +. 1e-9) in
-  let over current extra = Float.max 0.0 (current +. extra -. s.delta) in
+  let out_fits = ref true and overflowing = ref 0 and out_over = ref 0.0 in
+  for k = 0 to !n_out - 1 do
+    let sp = s.out_procs.(k) in
+    let extra = s.out_sum.(sp) in
+    if not (l.Loads.c_out.(sp) +. extra <= slack) then out_fits := false;
+    let o = over s l.Loads.c_out.(sp) extra in
+    if o > 0.0 then begin
+      incr overflowing;
+      out_over := !out_over +. o
+    end;
+    s.out_sum.(sp) <- nan
+  done;
+  if !overflowing >= 3 then begin
+    let outgoing = s.scratch_out in
+    Hashtbl.reset outgoing;
+    Array.iter
+      (fun tr ->
+        let prev = try Hashtbl.find outgoing tr.tr_proc with Not_found -> 0.0 in
+        Hashtbl.replace outgoing tr.tr_proc (prev +. tr.tr_dur))
+      transfers;
+    out_over :=
+      Hashtbl.fold (fun sp extra acc -> acc +. over s l.Loads.c_out.(sp) extra) outgoing 0.0
+  end;
   {
     feasible =
       l.Loads.sigma.(proc) +. exec <= slack
-      && l.Loads.c_in.(proc) +. incoming <= slack
-      && Hashtbl.fold
-           (fun sp extra ok -> ok && l.Loads.c_out.(sp) +. extra <= slack)
-           outgoing true;
+      && l.Loads.c_in.(proc) +. !incoming <= slack
+      && !out_fits;
     penalty =
-      over l.Loads.sigma.(proc) exec
-      +. over l.Loads.c_in.(proc) incoming
-      +. Hashtbl.fold
-           (fun sp extra acc -> acc +. over l.Loads.c_out.(sp) extra)
-           outgoing 0.0;
+      over s l.Loads.sigma.(proc) exec +. over s l.Loads.c_in.(proc) !incoming +. !out_over;
   }
 
+(* The admissible sources of a placement step, flattened: predecessor [k]
+   has volume [f_vol.(k)] and its sources at [f_off.(k)] up to
+   [f_off.(k + 1)]; each source's finish, stage and host are read once. *)
 type floor_data = {
   f_task : Dag.task;
-  f_preds : (float * (float * int * Platform.proc) list) list;
-      (* per predecessor: volume, and (finish, stage, host) per source *)
+  f_vol : float array;
+  f_off : int array;
+  f_finish : float array;
+  f_stage : int array;
+  f_host : int array;
 }
 
 let floor_data s ~task sources =
   let dag = s.prob.dag in
-  {
-    f_task = task;
-    f_preds =
-      List.map
-        (fun (pred, ids) ->
-          ( Dag.volume dag pred task,
-            List.map
-              (fun (src : Replica.id) ->
-                (finish s src, stage s src, proc_of_replica s src))
-              ids ))
-        sources;
-  }
+  let n_preds = List.length sources in
+  let n_srcs = List.fold_left (fun n (_, ids) -> n + List.length ids) 0 sources in
+  let fd =
+    {
+      f_task = task;
+      f_vol = Array.make n_preds 0.0;
+      f_off = Array.make (n_preds + 1) 0;
+      f_finish = Array.make n_srcs 0.0;
+      f_stage = Array.make n_srcs 0;
+      f_host = Array.make n_srcs 0;
+    }
+  in
+  List.iteri
+    (fun k (pred, ids) ->
+      fd.f_vol.(k) <- Dag.volume dag pred task;
+      List.iteri
+        (fun i src ->
+          let at = fd.f_off.(k) + i in
+          fd.f_finish.(at) <- finish s src;
+          fd.f_stage.(at) <- stage s src;
+          fd.f_host.(at) <- host s src)
+        ids;
+      fd.f_off.(k + 1) <- fd.f_off.(k) + List.length ids)
+    sources;
+  fd
+
+let iter_hosts fd f = Array.iter f fd.f_host
 
 (* Every source set drawing one of the listed replicas per predecessor has
+   a stage no lower than the per-predecessor minimum (+1 when remote), and
    its data ready no earlier than the latest per-predecessor minimum
-   arrival (finish plus the transfer time, zero when co-located), and a
-   stage no lower than the per-predecessor minimum (+1 when remote).
+   arrival (finish plus the transfer time, zero when co-located).
    [evaluate] starts the execution at the processor timeline's earliest
    fit after the data is ready, and [earliest_fit] is monotone in [ready],
    so the fit at the data floor floors the finish too. *)
-let floors s fd ~proc =
-  let plat = s.prob.platform in
-  let ready = ref 0.0 and stg = ref 1 in
-  List.iter
-    (fun (vol, reps) ->
-      let f = ref infinity and st = ref max_int in
-      List.iter
-        (fun (rf, rs, rp) ->
-          if rp = proc then begin
-            if rf < !f then f := rf;
-            if rs < !st then st := rs
-          end
-          else begin
-            let arr = rf +. Platform.comm_time plat rp proc vol in
-            if arr < !f then f := arr;
-            if rs + 1 < !st then st := rs + 1
-          end)
-        reps;
-      if reps <> [] then begin
-        if !f > !ready then ready := !f;
-        if !st > !stg then stg := !st
-      end)
-    fd.f_preds;
-  let exec = Platform.exec_time plat proc (Dag.exec s.prob.dag fd.f_task) in
-  (!stg, Timeline.earliest_fit s.proc_tl.(proc) ~ready:!ready ~duration:exec +. exec)
+let stage_floor fd ~proc =
+  let stg = ref 1 in
+  for k = 0 to Array.length fd.f_vol - 1 do
+    if fd.f_off.(k + 1) > fd.f_off.(k) then begin
+      let st = ref max_int in
+      for i = fd.f_off.(k) to fd.f_off.(k + 1) - 1 do
+        let rs = if fd.f_host.(i) = proc then fd.f_stage.(i) else fd.f_stage.(i) + 1 in
+        if rs < !st then st := rs
+      done;
+      if !st > !stg then stg := !st
+    end
+  done;
+  !stg
 
-(* Earliest start >= ready fitting simultaneously in two probed timelines:
-   iterate the two earliest-fit maps until they agree (both are monotone,
-   so this terminates at their least common fixpoint). *)
-let joint_fit a pa b pb ~ready ~duration =
-  let rec settle candidate =
-    let ca = Timeline.earliest_fit ~probe:pa a ~ready:candidate ~duration in
-    let cb = Timeline.earliest_fit ~probe:pb b ~ready:ca ~duration in
-    if cb = candidate then candidate else settle cb
-  in
-  settle (Timeline.earliest_fit ~probe:pa a ~ready ~duration)
+let finish_floor s fd ~proc =
+  let plat = s.prob.platform in
+  let ready = ref 0.0 in
+  for k = 0 to Array.length fd.f_vol - 1 do
+    if fd.f_off.(k + 1) > fd.f_off.(k) then begin
+      let f = ref infinity in
+      for i = fd.f_off.(k) to fd.f_off.(k + 1) - 1 do
+        let rf = fd.f_finish.(i) and rp = fd.f_host.(i) in
+        if rp = proc then begin
+          if rf < !f then f := rf
+        end
+        else begin
+          let arr = rf +. Platform.comm_time plat rp proc fd.f_vol.(k) in
+          if arr < !f then f := arr
+        end
+      done;
+      if !f > !ready then ready := !f
+    end
+  done;
+  let exec = Platform.exec_time plat proc (Dag.exec s.prob.dag fd.f_task) in
+  Timeline.earliest_fit s.proc_tl.(proc) ~ready:!ready ~duration:exec +. exec
+
+(* Data from co-located sources is available at their finish time; the
+   pipeline stage is the max over sources of their stage, +1 for remote
+   ones. *)
+let rec local_ready s ~proc acc = function
+  | [] -> acc
+  | (_, ids) :: rest -> local_ready s ~proc (local_ready_of s ~proc acc ids) rest
+
+and local_ready_of s ~proc acc = function
+  | [] -> acc
+  | src :: rest ->
+      let k = slot s src in
+      let acc = if s.proc_arr.(k) = proc then Float.max acc (finish s src) else acc in
+      local_ready_of s ~proc acc rest
+
+let rec stage_of s ~proc acc = function
+  | [] -> acc
+  | (_, ids) :: rest -> stage_of s ~proc (stage_of_ids s ~proc acc ids) rest
+
+and stage_of_ids s ~proc acc = function
+  | [] -> acc
+  | src :: rest ->
+      let k = slot s src in
+      let st = if s.proc_arr.(k) = proc then s.stage_arr.(k) else s.stage_arr.(k) + 1 in
+      stage_of_ids s ~proc (if st > acc then st else acc) rest
 
 let evaluate s ~task ~copy ~proc ~sources ~transfers =
-  Obs.incr "core.placement_probes";
   let plat = s.prob.platform and dag = s.prob.dag in
   (* Place transfers sequentially on probes of the receive port and of the
      send ports of their sources, leaving the committed timelines
-     untouched.  The handful of distinct source processors rides in an
-     assoc list: probes run a billion times at scale and must not allocate
-     hash tables. *)
-  let recv_tl = s.recv_tl.(proc) in
-  let recv = ref [] in
-  let sends = ref [] in
-  let send_of p = Option.value (List.assq_opt p !sends) ~default:[] in
-  let comms =
-    List.map
-      (fun { tr_src = src; tr_proc = sp; tr_dur = dur } ->
-        let ready = finish s src in
-        let send = send_of sp in
-        let start =
-          joint_fit s.send_tl.(sp) send recv_tl !recv ~ready ~duration:dur
-        in
-        recv := Timeline.tentative ~probe:!recv recv_tl ~start ~duration:dur;
-        sends :=
-          (sp, Timeline.tentative ~probe:send s.send_tl.(sp) ~start ~duration:dur)
-          :: List.remove_assq sp !sends;
-        (src, start, dur, start +. dur))
-      transfers
-  in
-  (* Data from co-located sources is available at their finish time. *)
-  let local_ready =
-    List.fold_left
-      (fun acc (_, ids) ->
-        List.fold_left
-          (fun acc (src : Replica.id) ->
-            if proc_of_replica s src = proc then Float.max acc (finish s src)
-            else acc)
-          acc ids)
-      0.0 sources
-  in
-  let data_ready =
-    List.fold_left (fun acc (_, _, _, arrival) -> Float.max acc arrival)
-      local_ready comms
-  in
+     untouched. *)
+  let recv_tl = s.recv_tl.(proc) and recv = s.recv_probe in
+  let n = Array.length transfers in
+  Timeline.clear recv;
+  for k = 0 to n - 1 do
+    Timeline.clear s.send_probe.(transfers.(k).tr_proc)
+  done;
+  let starts = Array.make n 0.0 in
+  let data_ready = ref (local_ready s ~proc 0.0 sources) in
+  for k = 0 to n - 1 do
+    let { tr_src; tr_proc = sp; tr_dur = duration } = transfers.(k) in
+    let send_tl = s.send_tl.(sp) and send = s.send_probe.(sp) in
+    let start =
+      Timeline.joint_fit send_tl send recv_tl recv ~ready:(finish s tr_src) ~duration
+    in
+    Timeline.tentative recv_tl recv ~start ~duration;
+    Timeline.tentative send_tl send ~start ~duration;
+    starts.(k) <- start;
+    data_ready := Float.max !data_ready (start +. duration)
+  done;
   let exec = Platform.exec_time plat proc (Dag.exec dag task) in
-  let start = Timeline.earliest_fit s.proc_tl.(proc) ~ready:data_ready ~duration:exec in
-  (* Pipeline stage: max over sources of their stage, +1 for remote ones. *)
-  let t_stage =
-    List.fold_left
-      (fun acc (_, ids) ->
-        List.fold_left
-          (fun acc (src : Replica.id) ->
-            let eta = if proc_of_replica s src = proc then 0 else 1 in
-            max acc (s.stage_arr.(slot s src) + eta))
-          acc ids)
-      1 sources
-  in
+  let start = Timeline.earliest_fit s.proc_tl.(proc) ~ready:!data_ready ~duration:exec in
   {
     t_task = task;
     t_copy = copy;
@@ -287,8 +359,9 @@ let evaluate s ~task ~copy ~proc ~sources ~transfers =
     t_sources = sources;
     t_start = start;
     t_finish = start +. exec;
-    t_stage;
-    t_comms = comms;
+    t_stage = stage_of s ~proc 1 sources;
+    t_transfers = transfers;
+    t_comm_starts = starts;
   }
 
 let commit s trial =
@@ -305,17 +378,18 @@ let commit s trial =
      order (Σ, then per transfer Cᴵ before Cᴼ): schedules are pinned
      bit-identical and float addition is order-sensitive. *)
   Loads.add_exec s.loads trial.t_proc exec;
-  List.iter
-    (fun ((src : Replica.id), start, dur, _) ->
-      let sp = proc_of_replica s src in
+  Array.iteri
+    (fun k { tr_proc = sp; tr_dur = dur; _ } ->
+      let start = trial.t_comm_starts.(k) in
       Loads.add_comm s.loads ~src:sp ~dst:trial.t_proc dur;
       Timeline.insert s.recv_tl.(trial.t_proc) ~start ~duration:dur;
       Timeline.insert s.send_tl.(sp) ~start ~duration:dur)
-    trial.t_comms;
+    trial.t_transfers;
   Timeline.insert s.proc_tl.(trial.t_proc) ~start:trial.t_start
     ~duration:(trial.t_finish -. trial.t_start);
   let k = (trial.t_task * s.copies) + trial.t_copy in
   s.finish_arr.(k) <- trial.t_finish;
   s.stage_arr.(k) <- trial.t_stage;
+  s.proc_arr.(k) <- trial.t_proc;
   s.support_arr.(k) <-
     support_of_sources s ~proc:trial.t_proc ~sources:trial.t_sources

@@ -13,8 +13,10 @@
     schedule each incoming transfer earliest-fit on the pair (sender send
     port, receiver receive port) and the execution earliest-fit on the
     target processor, on top of the committed timelines; the trial's own
-    transfers ride in {!Timeline.probe}s, so the committed timelines are
-    only written by {!commit}. *)
+    transfers ride in {!Timeline.probe}s that the state owns and reuses
+    from one trial to the next, so the committed timelines are only
+    written by {!commit}.  The state is therefore single-threaded: one
+    schedule, one domain. *)
 
 type t
 
@@ -64,6 +66,12 @@ val send_ready : t -> Platform.proc -> float
 (** Earliest instant the send port of the processor is free forever after —
     the key used to sort predecessor replicas in the one-to-one procedure. *)
 
+type transfer = {
+  tr_src : Replica.id;
+  tr_proc : Platform.proc;  (** the source replica's processor *)
+  tr_dur : float;  (** transfer time over the link to the target *)
+}
+
 (** A simulated placement of one replica. *)
 type trial = {
   t_task : Dag.task;
@@ -73,14 +81,10 @@ type trial = {
   t_start : float;
   t_finish : float;
   t_stage : int;
-  t_comms : (Replica.id * float * float * float) list;
-      (** incoming transfers: source replica, start, duration, arrival *)
-}
-
-type transfer = {
-  tr_src : Replica.id;
-  tr_proc : Platform.proc;  (** the source replica's processor *)
-  tr_dur : float;  (** transfer time over the link to the target *)
+  t_transfers : transfer array;  (** the incoming transfers, in probe order *)
+  t_comm_starts : float array;
+      (** the start of each incoming transfer (same indexing); it arrives
+          [tr_dur] later *)
 }
 
 val transfers :
@@ -88,7 +92,7 @@ val transfers :
   task:Dag.task ->
   proc:Platform.proc ->
   sources:(Dag.task * Replica.id list) list ->
-  transfer list
+  transfer array
 (** The off-processor transfers of placing a replica of [task] on [proc]
     with the given source sets (each source already placed), sorted by
     source finish time, then replica id: the order {!evaluate} schedules
@@ -108,27 +112,47 @@ type admission = {
           increasing the communication overhead"). *)
 }
 
-val admission : t -> task:Dag.task -> proc:Platform.proc -> transfer list -> admission
+val admission : t -> task:Dag.task -> proc:Platform.proc -> transfer array -> admission
 (** Condition (1) and the overload penalty of a placement, from its
     {!transfers} alone: both depend on the transfer durations, not on when
-    the transfers run, so they are known before any timeline probe. *)
+    the transfers run, so they are known before any timeline probe.
+
+    The outgoing time is summed per source processor in a float array, in
+    transfer order.  The penalty's per-source-processor overflows are
+    pinned to the fold order of a hash table keyed by processor, the
+    historical accumulator.  Each overflow is [+0] or positive and adding
+    [+0] changes no sum, so with at most two overflowing processors the
+    sum is the same in every order and the array's order is used; with
+    three or more, [admission] rebuilds the table from the transfers in
+    the same order and folds it, so the penalty stays bit-identical. *)
 
 type floor_data
 (** The source replicas a placement step may draw from, per predecessor of
-    the task, with their volume, finish, stage and host read once. *)
+    the task, with their volume, finish, stage and host read once into
+    flat arrays. *)
 
 val floor_data :
   t -> task:Dag.task -> (Dag.task * Replica.id list) list -> floor_data
 (** [floor_data s ~task sources]: the admissible replicas of each
     predecessor of [task] (all placed). *)
 
-val floors : t -> floor_data -> proc:Platform.proc -> int * float
-(** [(stage_lb, finish_lb)]: lower bounds on [t_stage] and [t_finish] of
-    every trial of the task on [proc] whose source sets draw at least one
-    admissible replica per predecessor.  The data cannot be ready before
-    the latest per-predecessor earliest arrival, and the finish floor is
-    the processor timeline's earliest fit at that instant plus the
-    execution time: {!Timeline.earliest_fit} is monotone in [ready]. *)
+val iter_hosts : floor_data -> (Platform.proc -> unit) -> unit
+(** Apply the function to the host of every listed replica, predecessor by
+    predecessor; a host that carries several of them is visited once per
+    replica. *)
+
+val stage_floor : floor_data -> proc:Platform.proc -> int
+(** A lower bound on [t_stage] of every trial of the task on [proc] whose
+    source sets draw at least one admissible replica per predecessor: the
+    latest per-predecessor minimum of the source stage, +1 for a remote
+    source. *)
+
+val finish_floor : t -> floor_data -> proc:Platform.proc -> float
+(** A lower bound on [t_finish] of the same trials.  The data cannot be
+    ready before the latest per-predecessor earliest arrival, and the
+    finish floor is the processor timeline's earliest fit at that instant
+    plus the execution time: {!Timeline.earliest_fit} is monotone in
+    [ready]. *)
 
 val evaluate :
   t ->
@@ -136,12 +160,16 @@ val evaluate :
   copy:int ->
   proc:Platform.proc ->
   sources:(Dag.task * Replica.id list) list ->
-  transfers:transfer list ->
+  transfers:transfer array ->
   trial
 (** Simulate placing the replica on the processor with the given source
     sets (one entry per predecessor, each source already placed) and their
-    {!transfers}.  Does not check condition (1) — see {!admission}.  Counted
-    under [core.placement_probes]. *)
+    {!transfers}.  Does not check condition (1) — see {!admission}.  The
+    transfers' tentative port intervals go into probes owned by the state
+    (one for the receive port, one per sender), cleared at the start of
+    each call, so a probe builds no list and no closure: besides the
+    returned trial it allocates a few boxed floats per transfer, and
+    nothing per timeline interval it passes. *)
 
 val commit : t -> trial -> unit
 (** Apply a trial: place the replica in the mapping, charge loads, reserve

@@ -10,8 +10,8 @@
     single source of truth that EXPERIMENTS.md documents. *)
 
 val required_counters : string list
-(** [core.placement_probes] (one per {!State.evaluate}, the timeline
-    probe), [core.probe_prunes] (candidates skipped before the probe
+(** [core.placement_probes] (one per {!State.evaluate} the scheduler
+    makes, the timeline probe), [core.probe_prunes] (candidates skipped before the probe
     because their floors or penalty already lose),
     [core.feasibility_rejections] (condition-(1) refusals),
     [core.one_to_one_calls] / [core.general_calls] (placement branch

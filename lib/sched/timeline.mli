@@ -4,32 +4,59 @@
     compute core, a send port, a receive port).  It is mutable: {!insert}
     commits an interval in place.  Trial placements during processor
     selection never touch it; they carry their own tentative intervals in
-    a {!probe} that {!earliest_fit} merges with the committed ones. *)
+    a {!probe} that {!earliest_fit} and {!joint_fit} merge with the
+    committed ones.
+
+    Every query is a loop over the interval arrays (a search, then a
+    merged scan of the committed and the probe intervals) with no
+    polymorphic comparison: beyond its boxed float result it allocates
+    nothing, however many intervals it passes. *)
 
 type t
 
-type probe = (float * float) list
-(** Tentative busy intervals [(start, finish)] sorted by start, layered on
-    top of a committed timeline.  Build it with {!tentative}; [[]] is the
-    empty probe. *)
+type probe
+(** Tentative busy intervals sorted by start, layered on top of a
+    committed timeline.  A probe is caller-owned scratch: the probing loop
+    keeps one per resource, {!clear}s it before each candidate, and extends
+    it in place with {!tentative}.  On equal starts a query visits the
+    committed interval first, then the probe's in the order they were
+    added. *)
 
 val create : unit -> t
 (** A fresh timeline with no busy interval. *)
+
+val probe : unit -> probe
+(** A fresh, empty probe. *)
+
+val clear : probe -> unit
+(** Empty the probe, keeping its storage. *)
 
 val earliest_fit : ?probe:probe -> t -> ready:float -> duration:float -> float
 (** The earliest start [s ≥ ready] such that [[s, s + duration)] does not
     intersect any busy interval of the timeline or of [probe].  A
     zero-duration request returns the earliest instant not interior to a
-    busy interval. *)
+    busy interval.
+    @raise Invalid_argument if [duration < 0]. *)
+
+val joint_fit :
+  t -> probe -> t -> probe -> ready:float -> duration:float -> float
+(** [joint_fit a pa b pb ~ready ~duration]: the earliest start at or after
+    [ready] that fits both [a] under [pa] and [b] under [pb] (a transfer on
+    a send port and a receive port).  It is the fixpoint of alternating
+    {!earliest_fit} on [a] and on [b], starting with [a], and returns that
+    alternation's answer bit for bit; each timeline's search resumes where
+    its previous one ended instead of starting over.
+    @raise Invalid_argument if [duration < 0]. *)
 
 val insert : t -> start:float -> duration:float -> unit
 (** Mark [[start, start + duration)] busy; a zero duration is a no-op.
     @raise Invalid_argument if it overlaps an existing interval (callers
     must reserve via {!earliest_fit}) or if [duration < 0]. *)
 
-val tentative : ?probe:probe -> t -> start:float -> duration:float -> probe
-(** [probe] extended with [[start, start + duration)], leaving the timeline
-    itself untouched; a zero duration returns [probe] unchanged.
+val tentative : t -> probe -> start:float -> duration:float -> unit
+(** [tentative t p ~start ~duration] adds [[start, start + duration)] to
+    the probe [p], leaving the timeline [t] itself untouched; a zero
+    duration leaves [p] unchanged.
     @raise Invalid_argument under the same conditions as {!insert},
     checked against the committed and the probe intervals. *)
 

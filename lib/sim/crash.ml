@@ -61,18 +61,25 @@ let survivor_replay p () =
               Replica_graph.depth says survives"
              (String.concat ", " (List.map string_of_int failed)))
 
-(* The cut predicate over one evaluator and one dead-processor mask, built
-   once per estimate (never shared across domains): [defeats failed] marks
-   the set, judges it, and clears the mask again. *)
-let predicate graph =
+(* The effective depth of one failure set after another, through one
+   evaluator and one dead-processor mask built once per loop (never shared
+   across domains): [judge failed] marks the set, sweeps, and clears the
+   mask again.  The sets are drawn or enumerated inside [0, m), so the
+   range check of [Replica_graph.depth] is not repeated. *)
+let judge graph =
   let eval = Replica_graph.evaluator graph in
   let dead = Array.make graph.Replica_graph.procs false in
   let mark v = List.iter (fun u -> dead.(u) <- v) in
   fun failed ->
     mark true failed;
-    let defeated = Option.is_none (eval dead) in
+    let depth = eval dead in
     mark false failed;
-    defeated
+    depth
+
+(* The cut predicate: whether a failure set defeats the mapping. *)
+let predicate graph =
+  let judge = judge graph in
+  fun failed -> Option.is_none (judge failed)
 
 (* ---- shared internals -------------------------------------------------- *)
 
@@ -169,8 +176,10 @@ let draw_latencies ~jobs model sets =
   match model with
   | Stage_model { plan; throughput } ->
       map_chunks ~jobs
-        (fun () failed ->
-          Stage_latency.latency_of_plan ~failed plan ~throughput)
+        (fun () ->
+          let judge = judge plan in
+          fun failed ->
+            Option.map (Stage_latency.latency_of_depth ~throughput) (judge failed))
         sets
   | Engine_model p ->
       let defeats = predicate (Engine.program_graph p) in

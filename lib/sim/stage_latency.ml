@@ -1,7 +1,8 @@
+let latency_of_depth ~throughput depth =
+  float_of_int ((2 * depth) - 1) /. throughput
+
 let latency_of_plan ?failed pl ~throughput =
-  Option.map
-    (fun depth -> float_of_int ((2 * depth) - 1) /. throughput)
-    (Replica_graph.depth ?failed pl)
+  Option.map (latency_of_depth ~throughput) (Replica_graph.depth ?failed pl)
 
 (* The shared plan cache: the stage-model counterpart of
    [Program_cache.programs]. *)

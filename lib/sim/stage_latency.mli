@@ -19,6 +19,11 @@
     {!Reliability} calculus) come from [Crash.estimate] with an
     [Of_stages] source. *)
 
+val latency_of_depth : throughput:float -> int -> float
+(** [(2·S_eff − 1) / T] for an effective depth [S_eff]: the rule
+    {!latency_of_plan} applies, for loops that sweep failure sets through
+    their own [Replica_graph.evaluator]. *)
+
 val latency_of_plan :
   ?failed:Platform.proc list -> Replica_graph.t -> throughput:float ->
   float option

@@ -188,6 +188,61 @@ let state_tests =
                          (State.support state { Replica.task = t; copy = b }))
                   done
                 done));
+    (* Three sources on three processors, each overflowing its send port:
+       the penalty must add the overflows in the fold order of a fresh
+       hash table keyed by processor, as the admission always has.  The
+       volumes are picked so that transfer order rounds differently. *)
+    case "admission with three overflowing senders sums like a fresh table"
+      (fun () ->
+        let dag =
+          Dag.of_edges ~exec:[| 1.0; 1.0; 1.0; 1.0 |]
+            [ (0, 3, 1.1); (1, 3, 3.7); (2, 3, 1.2) ]
+        in
+        let prob =
+          Types.problem ~dag ~platform:(Fixtures.uniform 4) ~eps:0 ~throughput:1.0
+        in
+        let state = State.create prob in
+        List.iter
+          (fun task ->
+            State.commit state
+              (State.evaluate state ~task ~copy:0 ~proc:(task + 1) ~sources:[]
+                 ~transfers:[||]))
+          [ 0; 1; 2 ];
+        let sources =
+          List.map (fun t -> (t, [ { Replica.task = t; copy = 0 } ])) [ 0; 1; 2 ]
+        in
+        let transfers = State.transfers state ~task:3 ~proc:0 ~sources in
+        let (adm : State.admission) = State.admission state ~task:3 ~proc:0 transfers in
+        let l = State.loads state and delta = Types.period prob in
+        let over current extra = Float.max 0.0 (current +. extra -. delta) in
+        let table = Hashtbl.create 8 in
+        Array.iter
+          (fun (tr : State.transfer) ->
+            let prev = Option.value (Hashtbl.find_opt table tr.tr_proc) ~default:0.0 in
+            Hashtbl.replace table tr.tr_proc (prev +. tr.tr_dur))
+          transfers;
+        let incoming =
+          Array.fold_left (fun acc (tr : State.transfer) -> acc +. tr.tr_dur) 0.0 transfers
+        in
+        let base = over l.Loads.sigma.(0) 1.0 +. over l.Loads.c_in.(0) incoming in
+        let folded =
+          Hashtbl.fold (fun sp extra acc -> acc +. over l.Loads.c_out.(sp) extra) table 0.0
+        in
+        let in_transfer_order =
+          Array.fold_left
+            (fun acc (tr : State.transfer) -> acc +. over l.Loads.c_out.(tr.tr_proc) tr.tr_dur)
+            0.0 transfers
+        in
+        let bits = Int64.bits_of_float in
+        check_int "three overflowing senders" 3
+          (Hashtbl.fold
+             (fun sp extra n -> if over l.Loads.c_out.(sp) extra > 0.0 then n + 1 else n)
+             table 0);
+        check_true "the summation order shows in the penalty"
+          (bits (base +. folded) <> bits (base +. in_transfer_order));
+        check_true "infeasible" (not adm.feasible);
+        check_true "penalty bit-identical to the fresh table"
+          (bits adm.penalty = bits (base +. folded)));
   ]
 
 (* ------------------------------------------------------------------ *)

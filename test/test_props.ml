@@ -133,20 +133,129 @@ let prop_timeline_probe_is_virtual_insert =
         Timeline.insert inserted ~start ~duration
       done;
       let committed = Timeline.intervals tl in
-      let probe = ref [] in
+      let probe = Timeline.probe () in
       for _ = 1 to k do
         let ready, duration = random_job () in
-        let start = Timeline.earliest_fit ~probe:!probe tl ~ready ~duration in
-        probe := Timeline.tentative ~probe:!probe tl ~start ~duration;
+        let start = Timeline.earliest_fit ~probe tl ~ready ~duration in
+        Timeline.tentative tl probe ~start ~duration;
         Timeline.insert inserted ~start ~duration
       done;
       Timeline.intervals tl = committed
       && List.for_all
            (fun _ ->
              let ready = Rng.float rng 40.0 and duration = Rng.float rng 5.0 in
-             Timeline.earliest_fit ~probe:!probe tl ~ready ~duration
+             Timeline.earliest_fit ~probe tl ~ready ~duration
              = Timeline.earliest_fit inserted ~ready ~duration)
            (List.init 30 Fun.id))
+
+(* The list-walking fit the loop replaced, kept as the oracle: binary
+   search of the committed starts, then a recursive merge of the
+   committed arrays with a sorted probe list, committed first on equal
+   starts. *)
+let list_fit (starts, finishes) probe ~ready ~duration =
+  let eps = 1e-12 and n = Array.length starts in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if starts.(mid) < ready -. eps then lo := mid + 1 else hi := mid
+  done;
+  let committed_next i probe =
+    i < n && match probe with [] -> true | (ps, _) :: _ -> starts.(i) <= ps
+  in
+  let rec scan candidate i probe =
+    if committed_next i probe then begin
+      if candidate +. duration <= starts.(i) +. eps then candidate
+      else scan (Float.max candidate finishes.(i)) (i + 1) probe
+    end
+    else
+      match probe with
+      | [] -> candidate
+      | (s, f) :: rest ->
+          if candidate +. duration <= s +. eps then candidate
+          else scan (Float.max candidate f) i rest
+  in
+  scan ready (max 0 (!lo - 1)) probe
+
+(* The joint fit as the scheduler computed it before [Timeline.joint_fit]:
+   alternate two fits, [a] then [b], until a round trip moves nothing. *)
+let alternation fit_a fit_b ~ready =
+  let rec settle candidate =
+    let cb = fit_b (fit_a candidate) in
+    if cb = candidate then candidate else settle cb
+  in
+  settle (fit_a ready)
+
+(* Interval edges and ready times on a half-unit lattice around 0, nudged
+   inside and just outside the 1e-12 slack, with -0.0, +0.0 and
+   [Float.max_float] among them. *)
+let edge_time rng =
+  match Rng.int rng 12 with
+  | 0 -> -0.0
+  | 1 -> 0.0
+  | 2 -> Float.max_float
+  | _ ->
+      let nudge = [| 0.0; 4e-13; -4e-13; 1e-12; -1e-12; 3e-12 |] in
+      (0.5 *. float_of_int (Rng.int rng 24 - 2)) +. nudge.(Rng.int rng 6)
+
+let edge_duration rng =
+  [| 0.0; 5e-13; 1e-12; 0.5; 0.5; 1.0; 1.5; 3.0 |].(Rng.int rng 8)
+
+let prop_fits_match_the_list_oracle =
+  QCheck.Test.make
+    ~name:"loop fits and the joint fit match the list oracle bit for bit"
+    ~count:300
+    QCheck.(pair seed_arb (int_range 0 40))
+    (fun (seed, n) ->
+      let rng = Rng.create ~seed in
+      (* Committed intervals where inserts succeed: they may touch or
+         overlap inside the slack. *)
+      let committed () =
+        let t = Timeline.create () in
+        for _ = 1 to n do
+          let start = edge_time rng and duration = edge_duration rng in
+          try Timeline.insert t ~start ~duration with Invalid_argument _ -> ()
+        done;
+        t
+      in
+      let a = committed () and b = committed () in
+      let pa = Timeline.probe () and pb = Timeline.probe () in
+      let la = ref [] and lb = ref [] in
+      let arrays t =
+        let ivs = Timeline.intervals t in
+        (Array.of_list (List.map fst ivs), Array.of_list (List.map snd ivs))
+      in
+      let aa = arrays a and ab = arrays b in
+      let tentative t p mirror ~start ~duration =
+        match Timeline.tentative t p ~start ~duration with
+        | () when duration <> 0.0 ->
+            let rec place = function
+              | (s, _) as iv :: rest when s <= start -> iv :: place rest
+              | later -> (start, start +. duration) :: later
+            in
+            mirror := place !mirror
+        | () | (exception Invalid_argument _) -> ()
+      in
+      List.for_all
+        (fun _ ->
+          let ready = edge_time rng and duration = edge_duration rng in
+          let fit = Timeline.earliest_fit ~probe:pa a ~ready ~duration in
+          let joint = Timeline.joint_fit a pa b pb ~ready ~duration in
+          let ok =
+            float_bits_equal fit (list_fit aa !la ~ready ~duration)
+            && float_bits_equal joint
+                 (alternation ~ready
+                    (fun ready -> Timeline.earliest_fit ~probe:pa a ~ready ~duration)
+                    (fun ready -> Timeline.earliest_fit ~probe:pb b ~ready ~duration))
+            && float_bits_equal joint
+                 (alternation ~ready
+                    (fun ready -> list_fit aa !la ~ready ~duration)
+                    (fun ready -> list_fit ab !lb ~ready ~duration))
+          in
+          (* Book the slot on both probes, as a transfer probe does. *)
+          tentative a pa la ~start:joint ~duration;
+          tentative b pb lb ~start:joint ~duration;
+          ok)
+        (List.init 10 Fun.id))
 
 (* ------------------------------------------------------------------ *)
 (* Event heap vs a sorted-list model                                   *)
@@ -326,15 +435,17 @@ let admission_of_trial state (trial : State.trial) =
       (Dag.exec prob.Types.dag trial.t_task)
   in
   let incoming =
-    List.fold_left (fun acc (_, _, dur, _) -> acc +. dur) 0.0 trial.t_comms
+    Array.fold_left (fun acc (tr : State.transfer) -> acc +. tr.tr_dur) 0.0
+      trial.t_transfers
   in
   let outgoing = Hashtbl.create 8 in
-  List.iter
-    (fun ((src : Replica.id), _, dur, _) ->
+  Array.iter
+    (fun (tr : State.transfer) ->
+      let src = tr.tr_src in
       let sp = (Mapping.replica_exn (State.mapping state) src.task src.copy).proc in
       let prev = Option.value (Hashtbl.find_opt outgoing sp) ~default:0.0 in
-      Hashtbl.replace outgoing sp (prev +. dur))
-    trial.t_comms;
+      Hashtbl.replace outgoing sp (prev +. tr.tr_dur))
+    trial.t_transfers;
   let slack = delta *. (1.0 +. 1e-9) in
   let over current extra = Float.max 0.0 (current +. extra -. delta) in
   ( l.Loads.sigma.(trial.t_proc) +. exec <= slack
@@ -382,7 +493,8 @@ let pre_probe_exact prob ~(rank : Chunk_scheduler.rank) ~best_effort =
             let trial = State.evaluate state ~task ~copy ~proc ~sources ~transfers in
             List.iter
               (fun fd ->
-                let stage_lb, finish_lb = State.floors state fd ~proc in
+                let stage_lb = State.stage_floor fd ~proc
+                and finish_lb = State.finish_floor state fd ~proc in
                 if stage_lb > trial.t_stage || finish_lb > trial.t_finish then
                   exact := false)
               floor_data;
@@ -390,7 +502,12 @@ let pre_probe_exact prob ~(rank : Chunk_scheduler.rank) ~best_effort =
             if feasible <> adm.feasible || not (float_bits_equal penalty adm.penalty)
             then exact := false;
             if best_effort || adm.feasible then begin
-              let key = ((if best_effort then adm.penalty else 0.0), rank.score state trial) in
+              let score =
+                match rank with
+                | Chunk_scheduler.Finish_time -> (trial.t_finish, 0.0)
+                | Stage_then_finish -> (float_of_int trial.t_stage, trial.t_finish)
+              in
+              let key = ((if best_effort then adm.penalty else 0.0), score) in
               match !best with
               | Some (k, _) when k <= key -> ()
               | _ -> best := Some (key, trial)
@@ -427,7 +544,7 @@ let prop_pre_probe_exact =
         (fun (prob, best_effort) ->
           List.for_all
             (fun rank -> pre_probe_exact prob ~rank ~best_effort)
-            [ Chunk_scheduler.by_finish_time; Chunk_scheduler.by_stage_then_finish ])
+            [ Chunk_scheduler.Finish_time; Stage_then_finish ])
         [ (prob, false); (tight, true) ])
 
 let prop_effective_depth_bounded =
@@ -769,6 +886,7 @@ let () =
             prop_timeline_busy_sum;
             prop_timeline_probe_is_virtual_insert;
             prop_heap_matches_model;
+            prop_fits_match_the_list_oracle;
           ]
       );
       ( "bitsets",

@@ -166,16 +166,37 @@ let timeline_tests =
           (List.fold_left (fun acc (s, f) -> acc +. (f -. s)) 0.0
              (Timeline.intervals t)));
     case "a probe leaves the timeline untouched" (fun () ->
-        let t = timeline_of [ (0.0, 1.0) ] in
-        let probe = Timeline.tentative t ~start:2.0 ~duration:1.0 in
+        let t = timeline_of [ (0.0, 1.0) ] and probe = Timeline.probe () in
+        Timeline.tentative t probe ~start:2.0 ~duration:1.0;
         check_int "base untouched" 1 (List.length (Timeline.intervals t));
         check_float "probe seen" 3.0
           (Timeline.earliest_fit ~probe t ~ready:1.5 ~duration:1.0);
         check_float "probe not committed" 1.5
           (Timeline.earliest_fit t ~ready:1.5 ~duration:1.0);
         Alcotest.check_raises "probe overlap" (Invalid_argument "") (fun () ->
-            try ignore (Timeline.tentative ~probe t ~start:2.5 ~duration:1.0)
-            with Invalid_argument _ -> raise (Invalid_argument "")));
+            try Timeline.tentative t probe ~start:2.5 ~duration:1.0
+            with Invalid_argument _ -> raise (Invalid_argument ""));
+        Timeline.clear probe;
+        check_float "cleared probe" 1.5
+          (Timeline.earliest_fit ~probe t ~ready:1.5 ~duration:1.0));
+    (* The probe path runs billions of times at scale: a fit must cost
+       the same few words (at most its boxed result) whether it passes
+       one interval or a hundred. *)
+    case "a long fit allocates no more than a short one" (fun () ->
+        let t = timeline_of (List.init 100 (fun i -> (float_of_int (2 * i), 1.5))) in
+        let probe = Timeline.probe () in
+        Timeline.tentative t probe ~start:200.0 ~duration:1.0;
+        let words ready =
+          let before = Gc.minor_words () in
+          let start = Timeline.earliest_fit ~probe t ~ready ~duration:1.0 in
+          let after = Gc.minor_words () in
+          (start, after -. before)
+        in
+        ignore (words 0.0);
+        let short_start, short = words 199.6 and long_start, long = words 0.0 in
+        check_float "short fit passes the last interval" 201.0 short_start;
+        check_float "long fit passes them all" 201.0 long_start;
+        Fixtures.check_bool "no more words for 100 intervals" true (long <= short));
   ]
 
 (* ------------------------------------------------------------------ *)
