@@ -23,6 +23,16 @@ let build_graph name tasks seed =
       Random_dag.layered ~rng ~tasks ()
   | other -> failwith (Printf.sprintf "unknown graph family %S" other)
 
+(* A usage error naming [option]: [main] hands it to cmdliner, which
+   prints it with the usage line and exits 124, like a malformed option
+   value. *)
+exception Usage of string
+
+let usage option fmt =
+  Printf.ksprintf
+    (fun msg -> raise (Usage (Printf.sprintf "option '%s': %s" option msg)))
+    fmt
+
 let main graph_name algo tasks m eps period seed crash spec_string
     workflow_file platform_file svg_out trace_out save_mapping load_mapping =
   try
@@ -55,6 +65,11 @@ let main graph_name algo tasks m eps period seed crash spec_string
             Classic.fig1_platform
           else Classic.fig2_platform ~m
     in
+    let procs = Platform.size plat in
+    if eps >= procs then
+      usage "--eps" "%d tolerated failures need more than %d processors" eps procs;
+    if crash > procs then
+      usage "--crash" "cannot fail %d of %d processors" crash procs;
     let dag =
       if
         spec_instance <> None
@@ -79,11 +94,11 @@ let main graph_name algo tasks m eps period seed crash spec_string
     match outcome with
     | Error f ->
         Printf.eprintf "scheduling failed: %s\n" (Types.failure_to_string f);
-        1
+        `Ok 1
     | Ok mapping ->
         Format.printf "%a@." Mapping.pp mapping;
         print_string (Gantt.summary mapping);
-        let failed = List.init (min crash m) Fun.id in
+        let failed = List.init crash Fun.id in
         let result =
           Engine.simulate
             ~config:{ (Engine.Run.closed ()) with Engine.Run.failed }
@@ -122,10 +137,12 @@ let main graph_name algo tasks m eps period seed crash spec_string
             Trace.save_chrome_json path mapping result;
             Printf.printf "Chrome trace written to %s\n" path)
           trace_out;
-        0
-  with Failure msg ->
-    prerr_endline msg;
-    1
+        `Ok 0
+  with
+  | Failure msg ->
+      prerr_endline msg;
+      `Ok 1
+  | Usage msg -> `Error (true, msg)
 
 let graph_arg =
   let doc =
@@ -138,23 +155,57 @@ let algo_arg =
   let doc = "Scheduling algorithm: ltf or rltf." in
   Arg.(value & opt string "rltf" & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
 
+(* Option values checked by cmdliner itself, so a bad one is a usage
+   error (exit 124) before any library call sees it. *)
+let int_at_least lo what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s >= %d, got %S" what lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float what =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite %s > 0, got %S" what s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let tasks_arg =
-  Arg.(value & opt int 24 & info [ "tasks"; "n" ] ~docv:"N" ~doc:"Task count for generated graphs.")
+  Arg.(
+    value
+    & opt (int_at_least 1 "a task count") 24
+    & info [ "tasks"; "n" ] ~docv:"N" ~doc:"Task count for generated graphs.")
 
 let m_arg =
-  Arg.(value & opt int 8 & info [ "procs"; "m" ] ~docv:"M" ~doc:"Processor count.")
+  Arg.(
+    value
+    & opt (int_at_least 1 "a processor count") 8
+    & info [ "procs"; "m" ] ~docv:"M" ~doc:"Processor count.")
 
 let eps_arg =
-  Arg.(value & opt int 1 & info [ "eps"; "e" ] ~docv:"EPS" ~doc:"Tolerated failures.")
+  Arg.(
+    value
+    & opt (int_at_least 0 "a failure count") 1
+    & info [ "eps"; "e" ] ~docv:"EPS" ~doc:"Tolerated failures.")
 
 let period_arg =
-  Arg.(value & opt float 20.0 & info [ "period" ] ~docv:"DELTA" ~doc:"Desired period 1/T.")
+  Arg.(
+    value
+    & opt (positive_float "period") 20.0
+    & info [ "period" ] ~docv:"DELTA" ~doc:"Desired period 1/T.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for random graphs.")
 
 let crash_arg =
-  Arg.(value & opt int 0 & info [ "crash" ] ~docv:"C" ~doc:"Fail the first C processors in the replay.")
+  Arg.(
+    value
+    & opt (int_at_least 0 "a crash count") 0
+    & info [ "crash" ] ~docv:"C"
+        ~doc:"Fail the first C processors in the replay.")
 
 let spec_arg =
   Arg.(
@@ -213,9 +264,10 @@ let cmd =
   let doc = "schedule a workflow and draw the resulting pipelined execution" in
   Cmd.v (Cmd.info "schedviz" ~doc)
     Term.(
-      const main $ graph_arg $ algo_arg $ tasks_arg $ m_arg $ eps_arg
-      $ period_arg $ seed_arg $ crash_arg $ spec_arg $ workflow_file_arg
-      $ platform_file_arg $ svg_arg $ trace_arg $ save_mapping_arg
-      $ load_mapping_arg)
+      ret
+        (const main $ graph_arg $ algo_arg $ tasks_arg $ m_arg $ eps_arg
+       $ period_arg $ seed_arg $ crash_arg $ spec_arg $ workflow_file_arg
+       $ platform_file_arg $ svg_arg $ trace_arg $ save_mapping_arg
+       $ load_mapping_arg))
 
 let () = exit (Cmd.eval' cmd)

@@ -69,7 +69,14 @@ type program = {
   p_rids : int;  (* p_tasks * p_copies *)
   p_procs : int;
   p_topo : int array;  (* task order for the liveness sweep *)
-  p_prio : float array;  (* per task: bottom level on averaged weights *)
+  (* Task priority (bottom level on averaged weights) as integers, so no
+     compare in the event loop touches a float or divides: [p_rank] is a
+     rid's position in (priority descending, rid ascending) order and
+     [p_unrank] its inverse; [p_prio_rank] is the dense priority rank,
+     0 for the highest, shared by equal priorities. *)
+  p_rank : int array;
+  p_unrank : int array;
+  p_prio_rank : int array;
   p_pred_count : int array;  (* per task *)
   p_pred_off : int array;  (* per rid: offset into the per-item sat slab *)
   p_total_preds : int;  (* slab stride: sum of pred counts over all rids *)
@@ -107,6 +114,26 @@ let compile m =
   let n_tasks = Dag.size dag and n_procs = Platform.size plat in
   let n_rids = n_tasks * copies in
   let prio = Levels.bottom dag (Metrics.paper_weights dag plat) in
+  (* [unrank] lists the rids in the ready-heap order (priority
+     descending, then rid ascending); [prio_rank] numbers the distinct
+     priorities along it. *)
+  let rid_prio rid = prio.(rid / copies) in
+  let unrank = Array.init n_rids Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare (rid_prio b) (rid_prio a) in
+      if c <> 0 then c else compare a b)
+    unrank;
+  let rank = Array.make n_rids 0 and prio_rank = Array.make n_rids 0 in
+  Array.iteri
+    (fun k rid ->
+      rank.(rid) <- k;
+      if k > 0 then begin
+        let prev = unrank.(k - 1) in
+        prio_rank.(rid) <-
+          (prio_rank.(prev) + if rid_prio prev = rid_prio rid then 0 else 1)
+      end)
+    unrank;
   let pred_count = Array.init n_tasks (fun t -> List.length (Dag.preds dag t)) in
   let pred_off = Array.make (n_rids + 1) 0 in
   for rid = 0 to n_rids - 1 do
@@ -168,7 +195,9 @@ let compile m =
     p_rids = n_rids;
     p_procs = n_procs;
     p_topo = g.topo;
-    p_prio = prio;
+    p_rank = rank;
+    p_unrank = unrank;
+    p_prio_rank = prio_rank;
     p_pred_count = pred_count;
     p_pred_off = pred_off;
     p_total_preds = pred_off.(n_rids);
@@ -248,30 +277,31 @@ end
 
    Events are packed into one immediate int, [(arg lsl 3) lor kind], so
    the event heap stores no pointers and the loop allocates nothing per
-   event. *)
+   event.  Item arrivals are not events: [run_events] reads them from a
+   cursor over the run's nondecreasing arrival instants, so the heap
+   holds only in-flight work. *)
 
 let ev_inject = 0 (* arg: iidx — a backed-off execution retry becomes ready *)
-let ev_arrive = 1 (* arg: item — an item reaches the source *)
-let ev_finish = 2 (* arg: iidx *)
+let ev_finish = 1 (* arg: iidx *)
 
-let ev_arrival = 3
+let ev_arrival = 2
 (* arg: message handle; the commit-time start is in [rs_pm_commit] *)
 
-let ev_port_free = 4
+let ev_port_free = 3
 (* wake-up when a crash-lost transfer releases its ports: the transfer
    never arrives, but other pending messages must get a chance to claim
    the port *)
 
-let ev_exec_failed = 5
+let ev_exec_failed = 4
 (* arg: iidx — a transient execution fault surfaces after the full
    attempt duration (the timeout): the processor frees, the instance is
    re-driven after the backoff or abandoned *)
 
-let ev_comm_failed = 6
+let ev_comm_failed = 5
 (* arg: message handle — a transient transfer fault surfaces at the
    transfer's end: both ports were held for the whole failed attempt *)
 
-let ev_requeue = 7
+let ev_requeue = 6
 (* arg: message handle — a backed-off transfer re-enters the pending
    set *)
 
@@ -374,6 +404,7 @@ module Run_state = struct
     mutable rs_pm_len : int;
     mutable rs_dl_len : int;
     mutable rs_msg_dirty : bool;
+    mutable rs_src_dirty : bool;
     mutable rs_next_admit : int;
     mutable rs_arrived : int;
     mutable rs_dropped : int;
@@ -443,6 +474,7 @@ module Run_state = struct
       rs_pm_len = 0;
       rs_dl_len = 0;
       rs_msg_dirty = false;
+      rs_src_dirty = true;
       rs_next_admit = 0;
       rs_arrived = 0;
       rs_dropped = 0;
@@ -530,6 +562,7 @@ module Run_state = struct
     st.rs_log <- [];
     st.rs_dl_len <- 0;
     st.rs_msg_dirty <- false;
+    st.rs_src_dirty <- true;
     st.rs_next_admit <- 0;
     st.rs_arrived <- 0;
     st.rs_dropped <- 0;
@@ -621,32 +654,26 @@ let touch st u =
    descending, then replica id ascending — which is a strict total order
    on any one processor's ready set (two instances there always differ in
    item or task), so popping the root picks exactly the instance the
-   legacy list fold selected. *)
-let inst_before p a b =
-  let n_rids = p.p_rids in
-  let ia = a / n_rids and ib = b / n_rids in
-  if ia <> ib then ia < ib
-  else begin
-    let ra = a mod n_rids and rb = b mod n_rids in
-    let pa = p.p_prio.(ra / p.p_copies) and pb = p.p_prio.(rb / p.p_copies) in
-    if pa <> pb then pa > pb else ra < rb
-  end
-
-let ready_push st p u x =
+   legacy list fold selected.  A heap entry is the key
+   [item * n_rids + p_rank.(rid)], whose integer order is that relation,
+   so a sift compares plain ints. *)
+let ready_push st p u iidx rid =
   touch st u;
+  let x = iidx - rid + p.p_rank.(rid) in
   let len = st.rs_ready_len.(u) in
   if len = Array.length st.rs_ready_data.(u) then
     st.rs_ready_data.(u) <- grown st.rs_ready_data.(u) len ~min:8 0;
   let d = st.rs_ready_data.(u) in
   st.rs_ready_len.(u) <- len + 1;
   let i = ref len in
-  while !i > 0 && inst_before p x d.((!i - 1) / 2) do
+  while !i > 0 && x < d.((!i - 1) / 2) do
     d.(!i) <- d.((!i - 1) / 2);
     i := (!i - 1) / 2
   done;
   d.(!i) <- x
 
-let ready_pop st p u =
+(* Pop [u]'s smallest key; [start_exec] decodes it. *)
+let ready_pop st u =
   let d = st.rs_ready_data.(u) in
   let len = st.rs_ready_len.(u) - 1 in
   let top = d.(0) and x = d.(len) in
@@ -654,8 +681,8 @@ let ready_pop st p u =
   let i = ref 0 and sifting = ref true in
   while !sifting do
     let l = (2 * !i) + 1 in
-    let c = if l + 1 < len && inst_before p d.(l + 1) d.(l) then l + 1 else l in
-    if c < len && inst_before p d.(c) x then begin
+    let c = if l + 1 < len && d.(l + 1) < d.(l) then l + 1 else l in
+    if c < len && d.(c) < x then begin
       d.(!i) <- d.(c);
       i := c
     end
@@ -725,7 +752,7 @@ let satisfy st p iidx pos =
     Bytes.set st.rs_sat si '\001';
     let u = st.rs_unsatisfied.(iidx) - 1 in
     st.rs_unsatisfied.(iidx) <- u;
-    if u = 0 then ready_push st p p.p_proc.(rid) iidx
+    if u = 0 then ready_push st p p.p_proc.(rid) iidx rid
   end
 
 (* ------------------------------------------------------------------ *)
@@ -740,11 +767,13 @@ let satisfy st p iidx pos =
    finishes always had a live-processor charge, so the release in
    [on_finish] never underflows.  These helpers read the clock from
    [slot_now] rather than taking a [float] argument, which would be boxed
-   at every call. *)
+   at every call.  A charge wakes no transfer: it only raises occupancy,
+   and every caller charges an instance whose queue already had room (or
+   was unbounded, or was already charged), so a transfer toward it was
+   committable before. *)
 let charge st p iidx =
   if Bytes.get st.rs_charged iidx = '\000' then begin
     Bytes.set st.rs_charged iidx '\001';
-    st.rs_msg_dirty <- true;
     let rid = iidx mod p.p_rids in
     if st.rs_fail_time.(p.p_proc.(rid)) > st.rs_f.(slot_now) then begin
       let o = st.rs_occ.(rid) + 1 in
@@ -824,20 +853,25 @@ let admit st p item =
       if not st.rs_dead.(rid) then begin
         let iidx = (item * p.p_rids) + rid in
         charge st p iidx;
-        ready_push st p p.p_proc.(rid) iidx
+        ready_push st p p.p_proc.(rid) iidx rid
       end
     done
   done
 
 (* Admit as many backlogged items as fit, FIFO: the head of the line
-   blocks the line (that is what backpressure means at the source). *)
+   blocks the line (that is what backpressure means at the source).
+   [entry_room] is re-checked only while [rs_src_dirty] is set: a failed
+   check clears it, and only an entry replica's occupancy release or a
+   timed-failure crossing can turn the answer back to true. *)
 let rec dispatch_source st p =
-  if st.rs_next_admit < st.rs_arrived && entry_room st p then begin
-    let item = st.rs_next_admit in
-    st.rs_next_admit <- item + 1;
-    admit st p item;
-    dispatch_source st p
-  end
+  if st.rs_next_admit < st.rs_arrived && st.rs_src_dirty then
+    if entry_room st p then begin
+      let item = st.rs_next_admit in
+      st.rs_next_admit <- item + 1;
+      admit st p item;
+      dispatch_source st p
+    end
+    else st.rs_src_dirty <- false
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch: processors and transfers                                   *)
@@ -846,8 +880,11 @@ let rec dispatch_source st p =
 (* Start the best ready instance on idle processor [u] at [now]. *)
 let start_exec st p u =
   let now = st.rs_f.(slot_now) in
-  let iidx = ready_pop st p u in
-  let dur = p.p_exec_dur.(iidx mod p.p_rids) in
+  let key = ready_pop st u in
+  let r = key mod p.p_rids in
+  let rid = p.p_unrank.(r) in
+  let iidx = key - r + rid in
+  let dur = p.p_exec_dur.(rid) in
   (* Gray straggler: the factor active at the attempt's start stretches
      the whole attempt. *)
   let dur =
@@ -977,15 +1014,15 @@ let commit_transfer st p sp i mi =
     schedule st ev_port_free
 
 (* Greedily commit every transfer whose data and both ports are free.
-   The candidate order is the legacy one: highest destination priority,
-   then smallest destination instance, then (on full ties) the most
-   recently created message — the highest pool handle.  That order is
-   strict (handles are unique), so the winner does not depend on the
-   order [rs_ports] is scanned in.  Clears [rs_msg_dirty] once nothing is
-   committable. *)
+   The candidate order is the legacy one: highest destination priority
+   (lowest [p_prio_rank]), then smallest destination instance, then (on
+   full ties) the most recently created message — the highest pool
+   handle.  That order is strict (handles are unique), so the winner does
+   not depend on the order [rs_ports] is scanned in.  Clears
+   [rs_msg_dirty] once nothing is committable. *)
 let rec dispatch_msgs st p =
   let now = st.rs_f.(slot_now) in
-  let fail_time = st.rs_fail_time and prio = p.p_prio and copies = p.p_copies in
+  let fail_time = st.rs_fail_time and prio_rank = p.p_prio_rank in
   let check_room = st.rs_bound <> max_int in
   let best = ref (-1) in
   let best_u = ref (-1) and best_i = ref (-1) in
@@ -1003,9 +1040,9 @@ let rec dispatch_msgs st p =
             let b = !best in
             b < 0
             ||
-            let pm = prio.(st.rs_pm_dst_rid.(mi) / copies)
-            and pb = prio.(st.rs_pm_dst_rid.(b) / copies) in
-            pm > pb
+            let pm = prio_rank.(st.rs_pm_dst_rid.(mi))
+            and pb = prio_rank.(st.rs_pm_dst_rid.(b)) in
+            pm < pb
             || (pm = pb
                && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
                   || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b) && mi > b)))
@@ -1024,23 +1061,14 @@ let rec dispatch_msgs st p =
   end
   else st.rs_msg_dirty <- false
 
-(* Seed the source: one Arrive per item at its arrival instant —
-   admission happens when the event pops (and, under backpressure, when
-   room frees). *)
-let seed_source st =
-  let f = st.rs_f in
-  for item = 0 to Array.length st.rs_arr_abs - 1 do
-    f.(slot_key) <- st.rs_arr_abs.(item);
-    schedule st ((item lsl 3) lor ev_arrive)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Events                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Item [item] reaches the source. *)
-let on_arrive st p item =
-  st.rs_arrived <- st.rs_arrived + 1;
+(* The next item reaches the source. *)
+let on_arrive st p =
+  let item = st.rs_arrived in
+  st.rs_arrived <- item + 1;
   if st.rs_shed then begin
     (* Load shedding decides at the arrival instant: admit or drop, never
        defer — the backlog stays empty. *)
@@ -1071,7 +1099,8 @@ let on_finish st p iidx =
   bump_makespan st;
   if Bytes.get st.rs_charged iidx = '\001' then begin
     st.rs_occ.(rid) <- st.rs_occ.(rid) - 1;
-    st.rs_msg_dirty <- true
+    if st.rs_bound <> max_int then st.rs_msg_dirty <- true;
+    if p.p_pred_count.(rid / p.p_copies) = 0 then st.rs_src_dirty <- true
   end;
   for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do
     let dst_rid = p.p_cons_dst.(k) in
@@ -1178,15 +1207,16 @@ let on_comm_failed st p mi =
 let handle st p ev =
   let arg = ev asr 3 in
   match ev land 7 with
-  | 0 (* ev_inject *) -> ready_push st p p.p_proc.(arg mod p.p_rids) arg
-  | 1 (* ev_arrive *) -> on_arrive st p arg
-  | 2 (* ev_finish *) -> on_finish st p arg
-  | 3 (* ev_arrival *) -> on_arrival st p arg
-  | 4 (* ev_port_free *) ->
+  | 0 (* ev_inject *) ->
+      let rid = arg mod p.p_rids in
+      ready_push st p p.p_proc.(rid) arg rid
+  | 1 (* ev_finish *) -> on_finish st p arg
+  | 2 (* ev_arrival *) -> on_arrival st p arg
+  | 3 (* ev_port_free *) ->
       st.rs_msg_dirty <- true;
       bump_makespan st
-  | 5 (* ev_exec_failed *) -> on_exec_failed st p arg
-  | 6 (* ev_comm_failed *) -> on_comm_failed st p arg
+  | 4 (* ev_exec_failed *) -> on_exec_failed st p arg
+  | 5 (* ev_comm_failed *) -> on_comm_failed st p arg
   | _ (* ev_requeue *) ->
       bump_makespan st;
       pend_push st p.p_proc.(st.rs_pm_src.(arg) mod p.p_rids) arg
@@ -1197,8 +1227,9 @@ let handle st p ev =
 
 (* The next timed-failure instant after the clock.  Crossing one can
    make a transfer committable with no event at that instant (its
-   destination's ports stop mattering), so [run_events] marks the
-   transfers dirty when the clock reaches it. *)
+   destination's ports stop mattering) and can give the source room (a
+   crashed entry replica's queue stops mattering), so [run_events] marks
+   both the transfers and the source dirty when the clock reaches it. *)
 let advance_fail st p =
   let f = st.rs_f in
   f.(slot_next_fail) <- infinity;
@@ -1214,22 +1245,41 @@ let pop_and_handle st p =
 
 (* The loop reads the heap's exposed arrays directly: the key peek lands
    in [slot_now] and the value pop is an immediate, so an iteration
-   allocates nothing.  Simultaneous events are drained before any
+   allocates nothing.  The next instant is the earlier of the next
+   arrival (the cursor [rs_arrived] into the nondecreasing [rs_arr_abs])
+   and the heap top; on a tie every arrival at that instant is handled
+   before any heap event there — the order a heap seeded with every
+   arrival up front would pop, since the seeded arrivals held the lowest
+   insertion numbers.  Simultaneous events are drained before any
    dispatch decision.  When room frees, in-pipeline data beats new
    source admissions: deferred local hand-offs first, then transfers,
    then the backlog — that priority order is the backpressure.  A
-   transfer scan that would find nothing committable is skipped: a send
-   port frees only at the event ending its transfer, and every other
-   change that can make a transfer committable sets [rs_msg_dirty]. *)
+   dispatch that would find nothing to do is skipped.  [rs_msg_dirty]
+   (transfers) is set by a new or requeued pending transfer, by the
+   event ending a transfer (arrival, failed attempt, crash-lost port
+   free: the only way a port frees), by an occupancy release under
+   bounded queues and by a failure crossing.  [rs_src_dirty] (the
+   backlog) is set at run start, by an entry replica's occupancy release
+   and by a failure crossing.  A charge sets neither (see [charge]). *)
 let run_events st p =
-  let events = st.rs_events and f = st.rs_f in
-  while events.Event_heap.len > 0 do
-    f.(slot_now) <- events.Event_heap.keys.(0);
+  let events = st.rs_events and f = st.rs_f and arr = st.rs_arr_abs in
+  let n_items = Array.length arr in
+  while events.Event_heap.len > 0 || st.rs_arrived < n_items do
+    if
+      st.rs_arrived < n_items
+      && (events.Event_heap.len = 0
+         || arr.(st.rs_arrived) <= events.Event_heap.keys.(0))
+    then f.(slot_now) <- arr.(st.rs_arrived)
+    else f.(slot_now) <- events.Event_heap.keys.(0);
     if f.(slot_now) >= f.(slot_next_fail) then begin
       st.rs_msg_dirty <- true;
+      st.rs_src_dirty <- true;
       advance_fail st p
     end;
-    pop_and_handle st p;
+    while st.rs_arrived < n_items && arr.(st.rs_arrived) <= f.(slot_now) do
+      if st.rs_obs then Obs.incr "sim.events_popped";
+      on_arrive st p
+    done;
     while
       events.Event_heap.len > 0 && events.Event_heap.keys.(0) <= f.(slot_now)
     do
@@ -1396,7 +1446,6 @@ let simulate ?state ~(config : Run.config) p =
       Run_state.start st p ~clock ~period ~offsets ~queue_bound ~policy ~failed
         ~timed_failures ~record_messages:config.Run.record_messages
         ~faults;
-      seed_source st;
       advance_fail st p;
       run_events st p;
       if closed then st.rs_peak_queue <- 0;

@@ -295,6 +295,24 @@ val simulate : ?state:Run_state.t -> config:Run.config -> program -> result
     when a queue frees, waiting in-pipeline data beats new source
     admissions.  Runs record [sim.queue.enqueued], [sim.queue.blocked],
     [sim.drops] and the [sim.queue.occupancy] histogram.
+
+    Event order: arrivals are read from a cursor over the materialized
+    (nondecreasing) arrival instants, not filed as events, so the event
+    heap — and the [sim.heap_size] histogram — holds only in-flight
+    work.  The clock jumps to the earlier of the next arrival and the
+    heap top; when they tie, every arrival at that instant is handled
+    before any other event there, in item order, and all simultaneous
+    events are handled before any dispatch decision.  Each handled
+    arrival counts in [sim.events_popped].  Two wake-up flags skip
+    dispatches that cannot change anything.  The transfer scan reruns
+    after a new or requeued pending transfer, the end of a transfer
+    (arrival, failed attempt or crash loss: the only ways a port
+    frees), an occupancy release under bounded queues, or the clock
+    crossing a timed-failure instant.  The source backlog is re-checked
+    at run start, after an entry replica's occupancy release, or at a
+    timed-failure crossing; a failed check parks it.  Charging a queue
+    sets neither flag: it only raises occupancy, on a queue that had
+    room, so it can unblock neither a transfer nor the source.
     @raise Invalid_argument (naming [Engine.simulate]) if [n_items < 1],
     a closed [period] is negative or not finite, a processor in
     [failed] or [timed_failures] is outside [0, m), a

@@ -868,55 +868,106 @@ let fault_scenario =
       };
   }
 
+(* A fork-join whose branches tie on bottom level, R-LTF-mapped with one
+   replica per task onto four unit processors: equal-priority transfers
+   and ready instances fall back to their tie-breaks. *)
+let tie_mapping () =
+  Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+    (Types.problem ~dag:(Classic.fork_join ~width:4 ~exec:1.0 ~volume:1.0)
+       ~platform:(Fixtures.uniform 4) ~eps:1 ~throughput:0.2)
+
+(* A unit-weight chain, R-LTF-mapped onto [hetero4]: one entry task
+   whose two replicas run at different speeds, so a crash of the slower
+   one can leave the source blocked on it alone. *)
+let hetero_chain_mapping () =
+  Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+    (Types.problem ~dag:Fixtures.chain3 ~platform:Fixtures.hetero4 ~eps:1
+       ~throughput:0.2)
+
+(* A unit-weight chain on unit processors: every finish instant is an
+   integer, so integer trace offsets coincide with finishes. *)
+let chain_mapping () =
+  Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+    (Types.problem ~dag:Fixtures.chain3 ~platform:(Fixtures.uniform 4) ~eps:1
+       ~throughput:0.2)
+
 (* One config per engine path the closed-mode digest leaves unguarded:
    bounded Block and Drop_newest queues, transient and gray faults, timed
-   failures under open traffic, a snapshot resume, and crashes whose
-   instants no event marks (a transfer toward the crashed processor
-   becomes committable at the next event, whatever its receive port is
-   doing).  [q] is the mapping's period. *)
-let pinned_configs q =
-  [
-    ( "open Poisson, Block, bound 4",
-      Engine.Run.open_ ~queue_bound:4 ~policy:Engine.Run.Block
-        ~rng:(Rng.create ~seed:11) ~n_items:40
-        (Arrival.Poisson { rate = 1.3 /. q }) );
-    ( "open MMPP, Drop_newest, bound 1",
-      Engine.Run.open_ ~queue_bound:1 ~policy:Engine.Run.Drop_newest
-        ~rng:(Rng.create ~seed:12) ~n_items:40
-        (Arrival.Mmpp
-           {
-             burst_rate = 3.0 /. q;
-             idle_rate = 0.3 /. q;
-             mean_burst = 5.0 *. q;
-             mean_idle = 5.0 *. q;
-           }) );
-    ( "closed, transient and gray faults",
-      Engine.Run.with_faults fault_scenario (closed ~n_items:8 ()) );
-    ( "open, two timed failures",
-      {
-        (Engine.Run.open_ ~queue_bound:4 ~rng:(Rng.create ~seed:13) ~n_items:30
-           (Arrival.Poisson { rate = 0.9 /. q }))
-        with
-        Engine.Run.timed_failures = [ (1, 55.0); (4, 130.0) ];
-      } );
-    ( "snapshot resume",
-      closed
-        ~snapshot:{ Engine.clock = 30.0 } ~failed:[ 2 ]
-        ~n_items:6 ~timed_failures:[ (5, 90.0) ] () );
-    ( "closed, crashes at 50 and 81",
-      closed ~n_items:8 ~timed_failures:[ (10, 50.0); (17, 81.0) ] () );
-    (* Processors 5 and 16 crashed in earlier epochs and host replicas:
-       dropping either from [failed] changes the digest. *)
-    ( "open resume with two processors down",
-      {
-        (Engine.Run.open_ ~queue_bound:3 ~rng:(Rng.create ~seed:17) ~n_items:24
-           (Arrival.Poisson { rate = 1.1 /. q }))
-        with
-        Engine.Run.snapshot = Some { Engine.clock = 45.0 };
-        failed = [ 5; 16 ];
-        timed_failures = [ (6, 120.0) ];
-      } );
-  ]
+   failures under open traffic, a snapshot resume, crashes whose instants
+   no event marks (a transfer toward the crashed processor becomes
+   committable at the next event, whatever its receive port is doing),
+   a slow entry replica crashing under a blocked backlog while its
+   faster twin sits idle (only the crash can re-open admission), tied
+   task priorities, and arrivals that tie with finishes (the arrival is
+   handled first).  Each entry names the mapping it runs on; [m] is the
+   seed-2009 pinned mapping. *)
+let pinned_configs m =
+  let q = Metrics.period m in
+  let tie = tie_mapping () and chain = chain_mapping () in
+  let hetero = hetero_chain_mapping () in
+  let slow_entry = (Mapping.replica_exn hetero 0 1).Replica.proc in
+  List.map
+    (fun (name, config) -> (name, m, config))
+    [
+      ( "open Poisson, Block, bound 4",
+        Engine.Run.open_ ~queue_bound:4 ~policy:Engine.Run.Block
+          ~rng:(Rng.create ~seed:11) ~n_items:40
+          (Arrival.Poisson { rate = 1.3 /. q }) );
+      ( "open MMPP, Drop_newest, bound 1",
+        Engine.Run.open_ ~queue_bound:1 ~policy:Engine.Run.Drop_newest
+          ~rng:(Rng.create ~seed:12) ~n_items:40
+          (Arrival.Mmpp
+             {
+               burst_rate = 3.0 /. q;
+               idle_rate = 0.3 /. q;
+               mean_burst = 5.0 *. q;
+               mean_idle = 5.0 *. q;
+             }) );
+      ( "closed, transient and gray faults",
+        Engine.Run.with_faults fault_scenario (closed ~n_items:8 ()) );
+      ( "open, two timed failures",
+        {
+          (Engine.Run.open_ ~queue_bound:4 ~rng:(Rng.create ~seed:13) ~n_items:30
+             (Arrival.Poisson { rate = 0.9 /. q }))
+          with
+          Engine.Run.timed_failures = [ (1, 55.0); (4, 130.0) ];
+        } );
+      ( "snapshot resume",
+        closed
+          ~snapshot:{ Engine.clock = 30.0 } ~failed:[ 2 ]
+          ~n_items:6 ~timed_failures:[ (5, 90.0) ] () );
+      ( "closed, crashes at 50 and 81",
+        closed ~n_items:8 ~timed_failures:[ (10, 50.0); (17, 81.0) ] () );
+      (* Processors 5 and 16 crashed in earlier epochs and host replicas:
+         dropping either from [failed] changes the digest. *)
+      ( "open resume with two processors down",
+        {
+          (Engine.Run.open_ ~queue_bound:3 ~rng:(Rng.create ~seed:17) ~n_items:24
+             (Arrival.Poisson { rate = 1.1 /. q }))
+          with
+          Engine.Run.snapshot = Some { Engine.clock = 45.0 };
+          failed = [ 5; 16 ];
+          timed_failures = [ (6, 120.0) ];
+        } );
+    ]
+  @ [
+      ( "open Poisson, Block, bound 1, entry processor crashes mid-backlog",
+        hetero,
+        {
+          (Engine.Run.open_ ~queue_bound:1 ~rng:(Rng.create ~seed:19) ~n_items:30
+             (Arrival.Poisson { rate = 1.5 /. Metrics.period hetero }))
+          with
+          Engine.Run.timed_failures = [ (slow_entry, 8.0) ];
+        } );
+      ( "fork-join with tied priorities, open Poisson, Block, bound 2",
+        tie,
+        Engine.Run.open_ ~queue_bound:2 ~rng:(Rng.create ~seed:23) ~n_items:30
+          (Arrival.Poisson { rate = 1.2 /. Metrics.period tie }) );
+      ( "repeated trace offsets on finish instants, Drop_newest, bound 1",
+        chain,
+        Engine.Run.open_ ~queue_bound:1 ~policy:Engine.Run.Drop_newest ~n_items:18
+          (Arrival.Trace (List.init 18 (fun k -> float_of_int (2 * k / 3)))) );
+    ]
 
 let compiled_tests =
   [
@@ -1002,16 +1053,15 @@ let compiled_tests =
         Alcotest.(check string)
           "digest" "86751422180444b1ec5c84c1e9506b12" (digest_of_result r));
     case "pinned digests of the open, fault and resume paths" (fun () ->
-        (* Recorded before the event-driven dispatch rewrite: any change
-           to event order, tie-breaks, admission or fault draws on these
-           paths breaks one of them. *)
-        let m = pinned_mapping () in
-        let prog = Engine.compile m in
+        (* The first seven were recorded before the event-driven
+           dispatch rewrite, the last three before arrivals left the
+           event heap: any change to event order, tie-breaks, admission
+           or fault draws on these paths breaks one of them. *)
         List.iter2
-          (fun (name, config) expected ->
-            let r = Engine.simulate ~config prog in
+          (fun (name, m, config) expected ->
+            let r = simulate ~config m in
             Alcotest.(check string) name expected (full_digest m r))
-          (pinned_configs (Engine.program_period prog))
+          (pinned_configs (pinned_mapping ()))
           [
             "135591b1b56439aa52b40d19c8e079c2";
             "7e6e03a54b4de3731cf499b163c61db4";
@@ -1020,6 +1070,9 @@ let compiled_tests =
             "829ba11c399e10373fab2dea8f0be312";
             "c3a010334c94c86960cbc8dd13fffc01";
             "0ed1d47ce92e7be70a091414efebd1b5";
+            "88f04859b87500d587faf29f69a2bdf9";
+            "a9d554cf4030c878fb8a63a7059f0a09";
+            "9039a3a1c091bb999c15c5ba9c0acff1";
           ]);
     case "identically-shaped messages both serialize on the port" (fun () ->
         (* A source listed twice yields two structurally identical pending
