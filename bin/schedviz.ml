@@ -4,24 +4,30 @@
 
 open Cmdliner
 
-let build_graph name tasks seed =
-  match name with
-  | "fig1" -> Classic.fig1_graph
-  | "fig2" -> Classic.fig2_graph
-  | "chain" -> Classic.chain ~n:tasks ~exec:1.0 ~volume:0.5
-  | "fork-join" -> Classic.fork_join ~width:(max 1 (tasks - 2)) ~exec:1.0 ~volume:0.5
-  | "diamond" -> Classic.diamond ~levels:(max 1 (int_of_float (sqrt (float_of_int tasks)))) ~exec:1.0 ~volume:0.5
-  | "fft" ->
+let graphs =
+  [
+    ("fig1", `Fig1); ("fig2", `Fig2); ("chain", `Chain);
+    ("fork-join", `Fork_join); ("diamond", `Diamond); ("fft", `Fft);
+    ("gauss", `Gauss); ("stencil", `Stencil); ("random", `Random);
+  ]
+
+let build_graph graph tasks seed =
+  match graph with
+  | `Fig1 -> Classic.fig1_graph
+  | `Fig2 -> Classic.fig2_graph
+  | `Chain -> Classic.chain ~n:tasks ~exec:1.0 ~volume:0.5
+  | `Fork_join -> Classic.fork_join ~width:(max 1 (tasks - 2)) ~exec:1.0 ~volume:0.5
+  | `Diamond -> Classic.diamond ~levels:(max 1 (int_of_float (sqrt (float_of_int tasks)))) ~exec:1.0 ~volume:0.5
+  | `Fft ->
       let p = max 1 (int_of_float (Float.log2 (float_of_int (max 2 tasks)) /. 2.0)) in
       Classic.fft ~p ~exec:1.0 ~volume:0.5
-  | "gauss" -> Classic.gaussian_elimination ~n:(max 2 (int_of_float (sqrt (2.0 *. float_of_int tasks)))) ~exec:1.0 ~volume:0.5
-  | "stencil" ->
+  | `Gauss -> Classic.gaussian_elimination ~n:(max 2 (int_of_float (sqrt (2.0 *. float_of_int tasks)))) ~exec:1.0 ~volume:0.5
+  | `Stencil ->
       let side = max 1 (int_of_float (sqrt (float_of_int tasks))) in
       Classic.stencil ~rows:side ~cols:side ~exec:1.0 ~volume:0.5
-  | "random" ->
+  | `Random ->
       let rng = Rng.create ~seed in
       Random_dag.layered ~rng ~tasks ()
-  | other -> failwith (Printf.sprintf "unknown graph family %S" other)
 
 (* A usage error naming [option]: [main] hands it to cmdliner, which
    prints it with the usage line and exits 124, like a malformed option
@@ -33,7 +39,7 @@ let usage option fmt =
     (fun msg -> raise (Usage (Printf.sprintf "option '%s': %s" option msg)))
     fmt
 
-let main graph_name algo tasks m eps period seed crash spec_string
+let main graph algo tasks m eps period seed crash spec_string
     workflow_file platform_file svg_out trace_out save_mapping load_mapping =
   try
     let spec_instance =
@@ -51,7 +57,7 @@ let main graph_name algo tasks m eps period seed crash spec_string
           match Workflow_io.load_workflow path with
           | Ok dag -> dag
           | Error e -> failwith (path ^ ": " ^ Workflow_io.error_to_string e))
-      | None, None -> build_graph graph_name tasks seed
+      | None, None -> build_graph graph tasks seed
     in
     let plat =
       match (spec_instance, platform_file) with
@@ -61,7 +67,7 @@ let main graph_name algo tasks m eps period seed crash spec_string
           | Ok p -> p
           | Error e -> failwith (path ^ ": " ^ Workflow_io.error_to_string e))
       | None, None ->
-          if graph_name = "fig1" && workflow_file = None then
+          if graph = `Fig1 && workflow_file = None then
             Classic.fig1_platform
           else Classic.fig2_platform ~m
     in
@@ -73,7 +79,7 @@ let main graph_name algo tasks m eps period seed crash spec_string
     let dag =
       if
         spec_instance <> None
-        || ((graph_name = "fig1" || graph_name = "fig2") && workflow_file = None)
+        || ((graph = `Fig1 || graph = `Fig2) && workflow_file = None)
       then dag
       else Calibrate.normalize_time dag plat
     in
@@ -86,10 +92,10 @@ let main graph_name algo tasks m eps period seed crash spec_string
           | Ok mapping -> Ok mapping
           | Error e -> failwith (path ^ ": " ^ Mapping_io.error_to_string e))
       | None -> (
+          let opts = Scheduler.(default |> with_mode Best_effort) in
           match algo with
-          | "ltf" -> Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob
-          | "rltf" -> Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob
-          | other -> failwith (Printf.sprintf "unknown algorithm %S" other))
+          | `Ltf -> Ltf.schedule ~opts prob
+          | `Rltf -> Rltf.schedule ~opts prob)
     in
     match outcome with
     | Error f ->
@@ -144,16 +150,16 @@ let main graph_name algo tasks m eps period seed crash spec_string
       `Ok 1
   | Usage msg -> `Error (true, msg)
 
+(* Enumerated option values: an unknown name is a usage error (exit 124)
+   that lists the accepted ones. *)
 let graph_arg =
-  let doc =
-    "Graph family: fig1, fig2, chain, fork-join, diamond, fft, gauss, \
-     stencil, random."
-  in
-  Arg.(value & pos 0 string "fig2" & info [] ~docv:"GRAPH" ~doc)
+  let doc = Printf.sprintf "Graph family: %s." (Arg.doc_alts_enum graphs) in
+  Arg.(value & pos 0 (enum graphs) `Fig2 & info [] ~docv:"GRAPH" ~doc)
 
 let algo_arg =
-  let doc = "Scheduling algorithm: ltf or rltf." in
-  Arg.(value & opt string "rltf" & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
+  let algos = [ ("ltf", `Ltf); ("rltf", `Rltf) ] in
+  let doc = Printf.sprintf "Scheduling algorithm: %s." (Arg.doc_alts_enum algos) in
+  Arg.(value & opt (enum algos) `Rltf & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
 
 (* Option values checked by cmdliner itself, so a bad one is a usage
    error (exit 124) before any library call sees it. *)

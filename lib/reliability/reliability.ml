@@ -169,17 +169,6 @@ let analyze ?(max_cut_card = max_int) m =
 
 (* ---- probability evaluation ------------------------------------------- *)
 
-let binom n k =
-  if k < 0 || k > n then 0.0
-  else begin
-    let k = min k (n - k) in
-    let r = ref 1.0 in
-    for i = 1 to k do
-      r := !r *. float_of_int (n - k + i) /. float_of_int i
-    done;
-    !r
-  end
-
 let support cuts = List.fold_left Bitset.union Bitset.empty cuts
 
 (* Counting polynomial of a family restricted to its support: [n.(j)] is
@@ -196,7 +185,7 @@ let count_defeating cuts sup =
     let len = s - i in
     if cuts = [] then Array.make (len + 1) 0.0
     else if List.exists Bitset.is_empty cuts then
-      Array.init (len + 1) (fun j -> binom len j)
+      Array.init (len + 1) (fun j -> Subsets.binom len j)
     else begin
       match Hashtbl.find_opt memo (cuts, i) with
       | Some r -> r
@@ -228,9 +217,11 @@ let uniform_probability ~procs ~crashes cuts =
     let n = count_defeating cuts sup in
     let rec sum j acc =
       if j > min s crashes then acc
-      else sum (j + 1) (acc +. (n.(j) *. binom (procs - s) (crashes - j)))
+      else
+        sum (j + 1)
+          (acc +. (n.(j) *. Subsets.binom (procs - s) (crashes - j)))
     in
-    sum 0 0.0 /. binom procs crashes
+    sum 0 0.0 /. Subsets.binom procs crashes
   end
 
 let check_pfail ~pfail u =
@@ -339,10 +330,8 @@ let probability t cuts = function
 let default_enumeration_budget = 20_000
 
 (* (defeat probability, finite-depth distribution) in one sweep, memoized
-   per crash count so every evaluator below shares it.  The c-subsets are
-   walked depth-first in lexicographic order over one dead-processor mask,
-   each step flipping a single entry, and judged by one evaluator: nothing
-   is allocated per subset. *)
+   per crash count so every evaluator below shares it: one evaluator
+   judges each c-subset's mask as [Subsets.iter] flips it. *)
 let uniform_enumeration t ~crashes =
   match Hashtbl.find_opt t.t_uniform crashes with
   | Some r -> r
@@ -350,25 +339,14 @@ let uniform_enumeration t ~crashes =
       Obs.incr "rel.enumerations";
       let m = procs t in
       let eval = Replica_graph.evaluator t.t_graph in
-      let dead = Array.make m false in
       let defeated = ref 0 in
       (* a finite depth is at most the task count *)
       let hist = Array.make (t.t_graph.tasks + 1) 0 in
-      let rec go from remaining =
-        if remaining = 0 then begin
+      Subsets.iter ~procs:m ~size:crashes (fun dead _ ->
           match eval dead with
           | None -> incr defeated
-          | Some d -> hist.(d) <- hist.(d) + 1
-        end
-        else
-          for u = from to m - remaining do
-            dead.(u) <- true;
-            go (u + 1) (remaining - 1);
-            dead.(u) <- false
-          done
-      in
-      go 0 crashes;
-      let total = binom m crashes in
+          | Some d -> hist.(d) <- hist.(d) + 1);
+      let total = Subsets.binom m crashes in
       let dist = ref [] in
       for d = Array.length hist - 1 downto 0 do
         if hist.(d) > 0 then
@@ -382,7 +360,7 @@ let enumerable t ~budget = function
   | Independent _ | Correlated _ -> None
   | Uniform_crashes c ->
       check_uniform t c;
-      if binom (procs t) c <= float_of_int budget then Some c else None
+      if Subsets.binom (procs t) c <= float_of_int budget then Some c else None
 
 let defeat_probability ?(enumerate_below = default_enumeration_budget) t model
     =
@@ -430,12 +408,9 @@ let depth_distribution ?(enumerate_below = default_enumeration_budget) t model
   | Some c -> snd (uniform_enumeration t ~crashes:c)
   | None -> depth_distribution_by_families t model
 
-let latency_of_depth ~throughput d =
-  float_of_int ((2 * d) - 1) /. throughput
-
 let latency_distribution t ~throughput model =
   List.map
-    (fun (d, p) -> (latency_of_depth ~throughput d, p))
+    (fun (d, p) -> (Metrics.latency_of_depth ~throughput d, p))
     (depth_distribution t model)
 
 let expected_latency ?enumerate_below t ~throughput model =
@@ -445,7 +420,8 @@ let expected_latency ?enumerate_below t ~throughput model =
   else
     Some
       (List.fold_left
-         (fun acc (d, p) -> acc +. (latency_of_depth ~throughput d *. p))
+         (fun acc (d, p) ->
+           acc +. (Metrics.latency_of_depth ~throughput d *. p))
          0.0 dist
       /. mass)
 

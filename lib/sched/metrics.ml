@@ -40,6 +40,5 @@ let meets_throughput ?loads m ~throughput =
 
 let stage_depth m = Stages.depth (Stages.compute m)
 
-let latency_bound m ~throughput =
-  let s = stage_depth m in
-  float_of_int ((2 * s) - 1) /. throughput
+let latency_of_depth ~throughput s = float_of_int ((2 * s) - 1) /. throughput
+let latency_bound m ~throughput = latency_of_depth ~throughput (stage_depth m)

@@ -29,6 +29,10 @@ val meets_throughput : ?loads:Loads.t -> Mapping.t -> throughput:float -> bool
 val stage_depth : Mapping.t -> int
 (** Pipeline stage number [S]. *)
 
+val latency_of_depth : throughput:float -> int -> float
+(** [(2S − 1) / T], the latency of [S] pipeline stages at throughput [T]
+    (§4, after [Hary–Özgüner 1999]); [Stage_latency] and [Reliability]
+    convert effective depths with it too. *)
+
 val latency_bound : Mapping.t -> throughput:float -> float
-(** The paper's pipelined latency [L = (2S − 1) / T] for the desired
-    throughput [T] (§4, after [Hary–Özgüner 1999]). *)
+(** {!latency_of_depth} of {!stage_depth}: the paper's latency bound. *)

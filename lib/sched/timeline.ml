@@ -11,13 +11,14 @@ type t = {
   mutable starts : float array;
   mutable finishes : float array; (* same indexing *)
   mutable n : int;
+  mutable nested : bool; (* some committed interval lies inside another *)
 }
 
 type probe = t
 
 let eps = 1e-12
 
-let create () = { starts = [||]; finishes = [||]; n = 0 }
+let create () = { starts = [||]; finishes = [||]; n = 0; nested = false }
 let probe = create
 let clear p = p.n <- 0
 
@@ -55,11 +56,12 @@ let[@inline] later (x : float) (y : float) =
   else Float.max x y
 
 (* Where a scan from [ready] starts: one before [lower_bound] (or 0).
-   Every interval before that first index satisfies s + eps < ready and
-   (by disjointness, up to the eps slack) f <= s_next + eps < ready +
-   2eps; only the last of them may span [ready], so the scan steps back to
-   it. *)
-let[@inline] scan_from lo = if lo > 0 then lo - 1 else 0
+   Every interval before that first index starts before ready -. eps, and
+   while none nests inside another their finishes grow with their starts,
+   so only the last of them can reach past [ready]: the scan steps back to
+   it.  An interval shorter than the slack can nest inside another and
+   hide it; from then on scans start at the head. *)
+let[@inline] scan_from t lo = if lo > 0 && not t.nested then lo - 1 else 0
 
 (* The merged (committed from index [i], probe from its head) walk of
    [earliest_fit]: skip a busy interval by advancing past its finish; stop
@@ -87,7 +89,7 @@ let[@inline] scan t p i ~ready ~duration =
 
 let earliest_fit ?(probe = no_probe) t ~ready ~duration =
   if duration < 0.0 then invalid_arg "Timeline.earliest_fit: negative duration";
-  scan t probe (scan_from (lower_bound t ~from:0 ~ready)) ~ready ~duration
+  scan t probe (scan_from t (lower_bound t ~from:0 ~ready)) ~ready ~duration
 
 (* The historical alternation, fit on [a] then on [b] until a round trip
    moves nothing, with each timeline's search resumed where its last one
@@ -96,14 +98,14 @@ let earliest_fit ?(probe = no_probe) t ~ready ~duration =
 let joint_fit a pa b pb ~ready ~duration =
   if duration < 0.0 then invalid_arg "Timeline.joint_fit: negative duration";
   let la = ref (lower_bound a ~from:0 ~ready) and lb = ref 0 in
-  let candidate = ref (scan a pa (scan_from !la) ~ready ~duration) in
+  let candidate = ref (scan a pa (scan_from a !la) ~ready ~duration) in
   let settled = ref false in
   while not !settled do
     let c = !candidate in
     la := lower_bound a ~from:!la ~ready:c;
-    let ca = scan a pa (scan_from !la) ~ready:c ~duration in
+    let ca = scan a pa (scan_from a !la) ~ready:c ~duration in
     lb := lower_bound b ~from:!lb ~ready:ca;
-    let cb = scan b pb (scan_from !lb) ~ready:ca ~duration in
+    let cb = scan b pb (scan_from b !lb) ~ready:ca ~duration in
     if cb = c then settled := true else candidate := cb
   done;
   !candidate
@@ -115,7 +117,8 @@ let[@inline] overlap ~fn ~start ~finish s f =
 (* Intervals skipped by [scan_from] end before [start], so checking from
    there on (the probe from its head) is a full overlap check. *)
 let[@inline] check_no_overlap ~fn t p ~start ~finish =
-  let i = ref (scan_from (lower_bound t ~from:0 ~ready:start)) and j = ref 0 in
+  let i = ref (scan_from t (lower_bound t ~from:0 ~ready:start)) in
+  let j = ref 0 in
   let more = ref true in
   while !more do
     if !i < t.n && (!j >= p.n || t.starts.(!i) <= p.starts.(!j)) then begin
@@ -132,7 +135,8 @@ let[@inline] check_no_overlap ~fn t p ~start ~finish =
   done
 
 (* Store [[start, start + duration)] in the slot after every interval
-   starting at or before [start], growing the arrays as needed. *)
+   starting at or before [start], growing the arrays as needed, and
+   return the slot. *)
 let put t ~start ~duration =
   if t.n = Array.length t.starts then begin
     let cap = if 2 * t.n > 8 then 2 * t.n else 8 in
@@ -156,14 +160,20 @@ let put t ~start ~duration =
   end;
   t.starts.(i) <- start;
   t.finishes.(i) <- start +. duration;
-  t.n <- t.n + 1
+  t.n <- t.n + 1;
+  i
 
 let insert t ~start ~duration =
   if duration < 0.0 then invalid_arg "Timeline.insert: negative duration";
   if duration > 0.0 then begin
     let finish = start +. duration in
     check_no_overlap ~fn:"Timeline.insert" t no_probe ~start ~finish;
-    put t ~start ~duration
+    (* A finish that stops growing with the starts nests one interval in
+       another. *)
+    let i = put t ~start ~duration in
+    if (i > 0 && not (t.finishes.(i - 1) <= finish))
+       || (i + 1 < t.n && not (finish <= t.finishes.(i + 1)))
+    then t.nested <- true
   end
 
 let tentative t p ~start ~duration =
@@ -171,9 +181,13 @@ let tentative t p ~start ~duration =
   if duration <> 0.0 then begin
     let finish = start +. duration in
     check_no_overlap ~fn:"Timeline.tentative" t p ~start ~finish;
-    put p ~start ~duration
+    ignore (put p ~start ~duration)
   end
 
-let busy_until t = if t.n = 0 then 0.0 else t.finishes.(t.n - 1)
+let busy_until t =
+  if t.nested then
+    Array.fold_left later neg_infinity (Array.sub t.finishes 0 t.n)
+  else if t.n = 0 then 0.0
+  else t.finishes.(t.n - 1)
 
 let intervals t = List.init t.n (fun i -> (t.starts.(i), t.finishes.(i)))

@@ -1,11 +1,20 @@
 (** Busy-interval timelines for one-port finish-time estimation.
 
-    A timeline records disjoint half-open busy intervals on a resource (a
+    A timeline records half-open busy intervals on a resource (a
     compute core, a send port, a receive port).  It is mutable: {!insert}
     commits an interval in place.  Trial placements during processor
     selection never touch it; they carry their own tentative intervals in
     a {!probe} that {!earliest_fit} and {!joint_fit} merge with the
     committed ones.
+
+    {b Contract.}  Two intervals [[s, f)] and [[s', f')] {e conflict}
+    when they overlap by more than a [1e-12] rounding slack: [f > s' +
+    1e-12] and [f' > s + 1e-12].  {!insert} and {!tentative} reject a
+    conflict, so accepted intervals overlap by at most the slack; one
+    shorter than the slack may nest inside another, and the queries still
+    see the outer one.  An answer of {!earliest_fit} or {!joint_fit}
+    conflicts with nothing it was asked about, so it is always insertable
+    there.
 
     Every query is a loop over the interval arrays (a search, then a
     merged scan of the committed and the probe intervals) with no
@@ -32,10 +41,11 @@ val clear : probe -> unit
 (** Empty the probe, keeping its storage. *)
 
 val earliest_fit : ?probe:probe -> t -> ready:float -> duration:float -> float
-(** The earliest start [s ≥ ready] such that [[s, s + duration)] does not
-    intersect any busy interval of the timeline or of [probe].  A
-    zero-duration request returns the earliest instant not interior to a
-    busy interval.
+(** The first fit: starting from [ready], walk the busy intervals of the
+    timeline and of [probe] in start order, moving the start past each
+    one that [[s, s + duration)] cannot end before (within the slack).
+    The answer conflicts with none of them.  A zero-duration request
+    returns the earliest instant not interior to a busy interval.
     @raise Invalid_argument if [duration < 0]. *)
 
 val joint_fit :
@@ -50,8 +60,8 @@ val joint_fit :
 
 val insert : t -> start:float -> duration:float -> unit
 (** Mark [[start, start + duration)] busy; a zero duration is a no-op.
-    @raise Invalid_argument if it overlaps an existing interval (callers
-    must reserve via {!earliest_fit}) or if [duration < 0]. *)
+    @raise Invalid_argument if it conflicts with an existing interval
+    (callers reserve via {!earliest_fit}) or if [duration < 0]. *)
 
 val tentative : t -> probe -> start:float -> duration:float -> unit
 (** [tentative t p ~start ~duration] adds [[start, start + duration)] to
@@ -61,7 +71,7 @@ val tentative : t -> probe -> start:float -> duration:float -> unit
     checked against the committed and the probe intervals. *)
 
 val busy_until : t -> float
-(** End of the last busy interval; [0] for an empty timeline. *)
+(** The latest finish of a busy interval; [0] for an empty timeline. *)
 
 val intervals : t -> (float * float) list
 (** Busy intervals in increasing order (for tests and rendering). *)

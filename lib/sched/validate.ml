@@ -104,19 +104,13 @@ let fault_tolerance ?max_failures m =
   let eps = match max_failures with Some k -> k | None -> Mapping.eps m in
   let m_procs = Platform.size (Mapping.platform m) in
   let errors = ref [] in
-  (* Enumerate failure sets of size exactly [eps]; smaller sets are
-     dominated (failing fewer processors only helps). *)
-  let rec enumerate chosen first remaining =
-    if remaining = 0 then begin
-      let failed = List.rev chosen in
-      if not (survives m ~failed) then errors := Not_fault_tolerant failed :: !errors
-    end
-    else
-      for p = first to m_procs - remaining do
-        enumerate (p :: chosen) (p + 1) (remaining - 1)
-      done
-  in
-  if eps > 0 && Dag.size (Mapping.dag m) > 0 then enumerate [] 0 (min eps m_procs);
+  (* Failure sets of size exactly [eps]; smaller sets are dominated
+     (failing fewer processors only helps). *)
+  if eps > 0 && Dag.size (Mapping.dag m) > 0 then
+    Subsets.iter ~procs:m_procs ~size:(min eps m_procs) (fun _ chosen ->
+        let failed = Array.to_list chosen in
+        if not (survives m ~failed) then
+          errors := Not_fault_tolerant failed :: !errors);
   List.rev !errors
 
 let all m ~throughput:t =

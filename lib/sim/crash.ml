@@ -94,50 +94,6 @@ let draw_distinct rng ~count ~bound =
   in
   pick [] count
 
-let int_binom n k =
-  if k < 0 || k > n then 0
-  else begin
-    let k = min k (n - k) in
-    let r = ref 1 in
-    for i = 1 to k do
-      r := !r * (n - k + i) / i
-    done;
-    !r
-  end
-
-(* Every one of the choose (m, c) failure sets evaluated: the exact
-   analogue of the sampled mean under the model's own latency semantics,
-   with the enumeration count as the only cost knob.  The sets are walked
-   in lexicographic order over one dead-processor mask that [eval] (a
-   [Replica_graph.evaluator]) judges; only the survivors are listed
-   (increasing) for [replay].
-   Returns (evaluations, defeated, survivors' latency sum, survivors). *)
-let enumerate ?(max_evaluations = 1_000_000) ~n_procs ~crashes eval replay =
-  let total = int_binom n_procs crashes in
-  if total > max_evaluations then
-    invalid_arg "Crash.estimate: exact enumeration over budget";
-  let sum = ref 0.0 and survivors = ref 0 and defeated = ref 0 in
-  let dead = Array.make n_procs false and chosen = Array.make crashes 0 in
-  (* the next processor to pick is >= [from] *)
-  let rec go idx from =
-    if idx = crashes then begin
-      if Option.is_none (eval dead) then incr defeated
-      else begin
-        sum := !sum +. replay (Array.to_list chosen);
-        incr survivors
-      end
-    end
-    else
-      for u = from to n_procs - (crashes - idx) do
-        chosen.(idx) <- u;
-        dead.(u) <- true;
-        go (idx + 1) (u + 1);
-        dead.(u) <- false
-      done
-  in
-  go 0 0;
-  (total, !defeated, !sum, !survivors)
-
 (* Draws are folded in fixed-size chunks: each chunk's sum starts at 0.0
    and the chunk sums are folded in chunk-index order.  The chunking is a
    function of the draw count alone — never of the worker count or of
@@ -179,7 +135,7 @@ let draw_latencies ~jobs model sets =
         (fun () ->
           let judge = judge plan in
           fun failed ->
-            Option.map (Stage_latency.latency_of_depth ~throughput) (judge failed))
+            Option.map (Metrics.latency_of_depth ~throughput) (judge failed))
         sets
   | Engine_model p ->
       let defeats = predicate (Engine.program_graph p) in
@@ -318,18 +274,29 @@ let estimate ?(jobs = 1) ~source ~method_ () =
                 est_failed = [];
               }
           | Engine_model p ->
-              (* The predicate settles defeated sets; only survivors are
-                 replayed, in enumeration order through one arena. *)
-              let total, defeated, sum, survivors =
-                enumerate ?max_evaluations ~n_procs ~crashes
-                  (Replica_graph.evaluator graph) (survivor_replay p ())
-              in
+              (* Every one of the choose (m, c) sets, budgeted on the
+                 float binomial (an int one wraps): the cut predicate
+                 settles the defeated ones and only survivors are
+                 replayed, in walk order through one arena. *)
+              let budget = Option.value max_evaluations ~default:1_000_000 in
+              if Subsets.binom n_procs crashes > float_of_int budget then
+                invalid_arg "Crash.estimate: exact enumeration over budget";
+              let eval = Replica_graph.evaluator graph
+              and replay = survivor_replay p () in
+              let sum = ref 0.0 and survivors = ref 0 and defeated = ref 0 in
+              Subsets.iter ~procs:n_procs ~size:crashes (fun dead chosen ->
+                  if Option.is_none (eval dead) then incr defeated
+                  else begin
+                    sum := !sum +. replay (Array.to_list chosen);
+                    incr survivors
+                  end);
+              let total = !defeated + !survivors in
               {
                 est_crashes = crashes;
                 est_draws = 0;
                 est_evaluations = total;
-                est_defeated = defeated;
-                est_p_defeat = float_of_int defeated /. float_of_int total;
-                est_mean = mean_of sum survivors;
+                est_defeated = !defeated;
+                est_p_defeat = float_of_int !defeated /. float_of_int total;
+                est_mean = mean_of !sum !survivors;
                 est_failed = [];
               })

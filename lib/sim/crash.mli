@@ -48,8 +48,10 @@ type method_ =
   | Exact of { crashes : int; max_evaluations : int option }
       (** the exact expectation over all [choose (m, crashes)] failure
           sets, under a [sim.crash.exact] span.  Engine sources
-          enumerate every set, [max_evaluations] (default 1_000_000)
-          bounding the enumeration; the cut predicate settles the
+          enumerate every set in {!Subsets.iter} order, refused up
+          front when [Subsets.binom m crashes] exceeds [max_evaluations]
+          (default 1_000_000): a float binomial saturates, so no crash
+          count wraps past the budget.  The cut predicate settles the
           defeated sets and only the survivors are replayed.
           [Of_stages] answers through the {!Reliability} calculus
           instead, replays nothing and ignores [max_evaluations]. *)

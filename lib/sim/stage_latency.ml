@@ -1,8 +1,6 @@
-let latency_of_depth ~throughput depth =
-  float_of_int ((2 * depth) - 1) /. throughput
-
 let latency_of_plan ?failed pl ~throughput =
-  Option.map (latency_of_depth ~throughput) (Replica_graph.depth ?failed pl)
+  Option.map (Metrics.latency_of_depth ~throughput)
+    (Replica_graph.depth ?failed pl)
 
 (* The shared plan cache: the stage-model counterpart of
    [Program_cache.programs]. *)

@@ -19,18 +19,13 @@
     {!Reliability} calculus) come from [Crash.estimate] with an
     [Of_stages] source. *)
 
-val latency_of_depth : throughput:float -> int -> float
-(** [(2·S_eff − 1) / T] for an effective depth [S_eff]: the rule
-    {!latency_of_plan} applies, for loops that sweep failure sets through
-    their own [Replica_graph.evaluator]. *)
-
 val latency_of_plan :
   ?failed:Platform.proc list -> Replica_graph.t -> throughput:float ->
   float option
-(** [(2·S_eff − 1) / T] against a compiled replica graph (a {e plan},
-    built once per mapping and replayed per failure draw), where [S_eff]
-    is [Replica_graph.depth ?failed plan]; [None] when the failure set
-    defeats the schedule.
+(** [(2·S_eff − 1) / T] ({!Metrics.latency_of_depth}) against a compiled
+    replica graph (a {e plan}, built once per mapping and replayed per
+    failure draw), where [S_eff] is [Replica_graph.depth ?failed plan];
+    [None] when the failure set defeats the schedule.
     @raise Invalid_argument when a processor in [failed] is out of
     range (the check of [Replica_graph.depth]). *)
 

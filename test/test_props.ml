@@ -148,33 +148,27 @@ let prop_timeline_probe_is_virtual_insert =
              = Timeline.earliest_fit inserted ~ready ~duration)
            (List.init 30 Fun.id))
 
-(* The list-walking fit the loop replaced, kept as the oracle: binary
-   search of the committed starts, then a recursive merge of the
-   committed arrays with a sorted probe list, committed first on equal
-   starts. *)
-let list_fit (starts, finishes) probe ~ready ~duration =
-  let eps = 1e-12 and n = Array.length starts in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if starts.(mid) < ready -. eps then lo := mid + 1 else hi := mid
-  done;
-  let committed_next i probe =
-    i < n && match probe with [] -> true | (ps, _) :: _ -> starts.(i) <= ps
+(* The naive oracle of the interval contract: every interval in one list
+   in start order, committed before probe on equal starts, walked from its
+   head.  No search and no step-back, so a sub-slack interval nested in a
+   longer one cannot hide the longer one's finish. *)
+let slack = 1e-12
+let conflicts (s, f) (s', f') = f > s' +. slack && f' > s +. slack
+
+(* [iv] placed after every interval starting at or before it, as a
+   timeline stores it. *)
+let rec place ((start, _) as iv) = function
+  | ((s, _) as held) :: rest when s <= start -> held :: place iv rest
+  | later -> iv :: later
+
+let list_fit committed probe ~ready ~duration =
+  let rec scan candidate = function
+    | [] -> candidate
+    | (s, f) :: rest ->
+        if candidate +. duration <= s +. slack then candidate
+        else scan (Float.max candidate f) rest
   in
-  let rec scan candidate i probe =
-    if committed_next i probe then begin
-      if candidate +. duration <= starts.(i) +. eps then candidate
-      else scan (Float.max candidate finishes.(i)) (i + 1) probe
-    end
-    else
-      match probe with
-      | [] -> candidate
-      | (s, f) :: rest ->
-          if candidate +. duration <= s +. eps then candidate
-          else scan (Float.max candidate f) i rest
-  in
-  scan ready (max 0 (!lo - 1)) probe
+  scan ready (List.merge (fun (a, _) (b, _) -> compare a b) committed probe)
 
 (* The joint fit as the scheduler computed it before [Timeline.joint_fit]:
    alternate two fits, [a] then [b], until a round trip moves nothing. *)
@@ -220,19 +214,11 @@ let prop_fits_match_the_list_oracle =
       let a = committed () and b = committed () in
       let pa = Timeline.probe () and pb = Timeline.probe () in
       let la = ref [] and lb = ref [] in
-      let arrays t =
-        let ivs = Timeline.intervals t in
-        (Array.of_list (List.map fst ivs), Array.of_list (List.map snd ivs))
-      in
-      let aa = arrays a and ab = arrays b in
+      let aa = Timeline.intervals a and ab = Timeline.intervals b in
       let tentative t p mirror ~start ~duration =
         match Timeline.tentative t p ~start ~duration with
         | () when duration <> 0.0 ->
-            let rec place = function
-              | (s, _) as iv :: rest when s <= start -> iv :: place rest
-              | later -> (start, start +. duration) :: later
-            in
-            mirror := place !mirror
+            mirror := place (start, start +. duration) !mirror
         | () | (exception Invalid_argument _) -> ()
       in
       List.for_all
@@ -256,6 +242,102 @@ let prop_fits_match_the_list_oracle =
           tentative b pb lb ~start:joint ~duration;
           ok)
         (List.init 10 Fun.id))
+
+(* A timeline with its probe, and the oracle's copy of both. *)
+type mirrored = {
+  tl : Timeline.t;
+  pr : Timeline.probe;
+  mutable held : (float * float) list;
+  mutable booked : (float * float) list;
+}
+
+(* Random raw inserts and fits, first committed, then booked on the
+   probes, with starts and ready times often nested in the first or last
+   slack of an interval already held and durations at and below the
+   slack.  Every raw insert is accepted exactly when it conflicts with
+   nothing held, every fit and joint fit answers as the naive oracle does
+   and is accepted where it is booked, no two held intervals conflict, and
+   [busy_until] is the latest committed finish. *)
+let prop_interval_contract =
+  QCheck.Test.make
+    ~name:"the timeline interval contract holds against the naive list oracle"
+    ~count:500
+    QCheck.(triple seed_arb (int_range 1 30) (int_range 0 10))
+    (fun (seed, n, k) ->
+      let rng = Rng.create ~seed in
+      let fresh () =
+        { tl = Timeline.create (); pr = Timeline.probe (); held = []; booked = [] }
+      in
+      let a = fresh () and b = fresh () and ok = ref true in
+      let expect c = if not c then ok := false in
+      let time () =
+        match a.held @ a.booked @ b.held @ b.booked with
+        | _ :: _ as ivs when Rng.bool rng 0.5 ->
+            let s, f = Rng.choose rng ivs and inside = Rng.float rng slack in
+            if Rng.bool rng 0.5 then s +. inside else f -. inside
+        | _ -> edge_time rng
+      in
+      let duration () =
+        [| 0.0; 1e-13; 4e-13; 1e-12; 0.5; 1.0; 2.5 |].(Rng.int rng 7)
+      in
+      let hold ~commit x ~start ~duration =
+        let iv = (start, start +. duration) in
+        let accepted =
+          match
+            if commit then Timeline.insert x.tl ~start ~duration
+            else Timeline.tentative x.tl x.pr ~start ~duration
+          with
+          | () -> true
+          | exception Invalid_argument _ -> false
+        in
+        expect
+          (accepted
+          = (duration = 0.0
+            || not (List.exists (conflicts iv) (x.held @ x.booked))));
+        if accepted && duration > 0.0 then
+          if commit then x.held <- place iv x.held
+          else x.booked <- place iv x.booked;
+        accepted
+      in
+      let oracle x ~duration ready = list_fit x.held x.booked ~ready ~duration in
+      let step ~commit =
+        let ready = time () and duration = duration () in
+        match Rng.int rng 3 with
+        | 0 ->
+            let x = if Rng.bool rng 0.5 then a else b in
+            ignore (hold ~commit x ~start:ready ~duration)
+        | 1 ->
+            let start = Timeline.earliest_fit ~probe:a.pr a.tl ~ready ~duration in
+            expect (float_bits_equal start (oracle a ~duration ready));
+            expect (hold ~commit a ~start ~duration)
+        | _ ->
+            let start = Timeline.joint_fit a.tl a.pr b.tl b.pr ~ready ~duration in
+            expect
+              (float_bits_equal start
+                 (alternation ~ready (oracle a ~duration) (oracle b ~duration)));
+            expect (hold ~commit a ~start ~duration);
+            expect (hold ~commit b ~start ~duration)
+      in
+      for _ = 1 to n do
+        step ~commit:true
+      done;
+      for _ = 1 to k do
+        step ~commit:false
+      done;
+      let rec pairwise = function
+        | [] -> true
+        | iv :: rest -> (not (List.exists (conflicts iv) rest)) && pairwise rest
+      in
+      let busy x =
+        match x.held with
+        | [] -> 0.0
+        | ivs -> List.fold_left (fun m (_, f) -> Float.max m f) neg_infinity ivs
+      in
+      !ok
+      && pairwise (a.held @ a.booked)
+      && pairwise (b.held @ b.booked)
+      && float_bits_equal (Timeline.busy_until a.tl) (busy a)
+      && float_bits_equal (Timeline.busy_until b.tl) (busy b))
 
 (* ------------------------------------------------------------------ *)
 (* Event heap vs a sorted-list model                                   *)
@@ -887,6 +969,7 @@ let () =
             prop_timeline_probe_is_virtual_insert;
             prop_heap_matches_model;
             prop_fits_match_the_list_oracle;
+            prop_interval_contract;
           ]
       );
       ( "bitsets",

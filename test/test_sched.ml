@@ -156,6 +156,17 @@ let timeline_tests =
         Alcotest.check_raises "overlap" (Invalid_argument "") (fun () ->
             try Timeline.insert t ~start:1.0 ~duration:1.0
             with Invalid_argument _ -> raise (Invalid_argument "")));
+    (* A sub-slack interval nested in the first slack of [1, 3) must not
+       hide [1, 3) from a query that steps back past it. *)
+    case "a nested sub-slack interval hides nothing" (fun () ->
+        let t = timeline_of [ (1.0, 2.0); (1.0 +. 1e-13, 4e-13) ] in
+        check_float "fit after the long interval" 3.0
+          (Timeline.earliest_fit t ~ready:2.0 ~duration:0.5);
+        check_float "busy until the long interval ends" 3.0
+          (Timeline.busy_until t);
+        Alcotest.check_raises "insert inside it" (Invalid_argument "") (fun () ->
+            try Timeline.insert t ~start:2.0 ~duration:0.5
+            with Invalid_argument _ -> raise (Invalid_argument "")));
     case "zero duration is a no-op" (fun () ->
         let t = timeline_of [ (1.0, 0.0) ] in
         check_int "still empty" 0 (List.length (Timeline.intervals t)));
@@ -296,6 +307,48 @@ let validate_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Subsets                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let subsets_tests =
+  [
+    case "the walk visits each c-subset once, in lexicographic order" (fun () ->
+        let seen = ref [] in
+        Subsets.iter ~procs:5 ~size:3 (fun dead chosen ->
+            let set = Array.to_list chosen in
+            check_true "the mask marks exactly the chosen"
+              (List.for_all
+                 (fun u -> dead.(u) = List.mem u set)
+                 (List.init 5 Fun.id));
+            seen := set :: !seen);
+        let seen = List.rev !seen in
+        check_int "choose (5, 3) sets" 10 (List.length seen);
+        check_float "as many as the binomial" (Subsets.binom 5 3)
+          (float_of_int (List.length seen));
+        check_true "increasing sets in lexicographic order"
+          (List.for_all (fun s -> List.sort_uniq compare s = s) seen
+          && List.sort_uniq compare seen = seen);
+        let empty = ref 0 in
+        Subsets.iter ~procs:4 ~size:0 (fun _ chosen ->
+            check_int "the empty set" 0 (Array.length chosen);
+            incr empty);
+        check_int "one empty set" 1 !empty;
+        Alcotest.check_raises "size above procs"
+          (Invalid_argument "Subsets.iter: size outside [0, procs]") (fun () ->
+            Subsets.iter ~procs:2 ~size:3 (fun _ _ -> ())));
+    case "the binomial saturates instead of wrapping" (fun () ->
+        check_float "choose (5, 2)" 10.0 (Subsets.binom 5 2);
+        check_float "outside the range" 0.0 (Subsets.binom 4 5);
+        (* An int binomial overflows at C(61, 28) and is negative at
+           C(62, 27), which let an over-budget enumeration start. *)
+        let b = Subsets.binom 62 27 in
+        check_true "finite, positive and far above 10^6"
+          (Float.is_finite b && b > 1e6);
+        check_true "saturates to infinity, never below zero"
+          (Subsets.binom 2000 1000 = infinity));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Gantt                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -326,5 +379,6 @@ let () =
       ("timeline", timeline_tests);
       ("loads-stages-metrics", loads_tests);
       ("validate", validate_tests);
+      ("subsets", subsets_tests);
       ("gantt", gantt_tests);
     ]

@@ -716,6 +716,28 @@ let crash_tests =
                 (estimate_on (lanes ())
                    (Crash.Exact { crashes = 2; max_evaluations = Some 3 }))
             with Invalid_argument _ -> raise (Invalid_argument "")));
+    case "an exact budget test on 62 processors fails at once" (fun () ->
+        (* choose (62, 27) is about 2.8e17 sets, and an int binomial wraps
+           negative there, which would let this enumeration start.  If the
+           budget test is ever bypassed, the alarm ends the run instead of
+           hanging the suite. *)
+        let dag = Classic.chain ~n:2 ~exec:1.0 ~volume:1.0 in
+        let m =
+          Fixtures.must_schedule `Ltf
+            (Types.problem ~dag ~platform:(Fixtures.uniform 62) ~eps:1
+               ~throughput:0.1)
+        in
+        ignore (Unix.alarm 10);
+        Fun.protect
+          ~finally:(fun () -> ignore (Unix.alarm 0))
+          (fun () ->
+            Alcotest.check_raises "over budget"
+              (Invalid_argument "Crash.estimate: exact enumeration over budget")
+              (fun () ->
+                ignore
+                  (Crash.estimate ~source:(Crash.Of_mapping m)
+                     ~method_:(Crash.Exact { crashes = 27; max_evaluations = None })
+                     ()))));
     case "fixed sets mark defeat" (fun () ->
         let alive = estimate_on (lanes ()) (Crash.Fixed [ 1 ]) in
         check_int "survivor not defeated" 0 alive.Crash.est_defeated;
