@@ -28,17 +28,11 @@ type chunk_task = {
   ct_task : Dag.task;
   mutable ct_z : int;
   ct_theta : int;
-  mutable ct_claimed : State.Pset.t;
+  mutable ct_claimed : Bitset.t;
   ct_heads : (Dag.task * Replica.id list ref) list;
       (* per predecessor: remaining singleton replicas, sorted by the
          one-to-one communication-readiness key *)
 }
-
-let record_placement state ct (trial : State.trial) =
-  ct.ct_claimed <-
-    State.Pset.union ct.ct_claimed
-      (State.support_of_sources state ~proc:trial.State.t_proc
-         ~sources:trial.State.t_sources)
 
 (* [count] is a caller-owned scratch array of length n_procs, zeroed on
    entry and re-zeroed before returning: at a million tasks the per-task
@@ -86,7 +80,7 @@ let singleton_data state count task =
         (fun (r : Replica.t) -> count.(r.proc) <- 0)
         (Mapping.replicas_of_task mapping pred))
     preds;
-  { ct_task = task; ct_z = 0; ct_theta = theta; ct_claimed = State.Pset.empty;
+  { ct_task = task; ct_z = 0; ct_theta = theta; ct_claimed = Bitset.empty;
     ct_heads = heads }
 
 (* The incumbent of a placement step: the best trial offered so far and
@@ -212,49 +206,71 @@ let lane_budget ~(opts : Sched_api.options) prob =
           (opts.lane_budget_factor *. float_of_int m
           /. float_of_int (prob.Types.eps + 1))))
 
+(* The placement step of Algorithm 4.1, shared by both branches: every
+   processor outside the claim is a candidate, hosts of [floor_sources]
+   first; each source-set variant the branch offers on it ([variants])
+   whose kill set the branch admits ([admits]) is judged, and the best
+   trial is committed and its kill set added to the claim.  Every variant
+   draws at least one replica per predecessor from [floor_sources], so its
+   floors bound them all. *)
+let place ~mode ~rank ~is_host state ct ~copy ~floor_sources ~variants ~admits =
+  let task = ct.ct_task in
+  let floor_data = State.floor_data state ~task floor_sources in
+  let best = ref None and tally = tally () in
+  let rec judge proc = function
+    | [] -> ()
+    | sources :: rest ->
+        if admits (State.support_of_sources state ~proc ~sources) then
+          consider_variant ~mode ~rank ~tally state best ~task ~copy ~proc
+            ~sources;
+        judge proc rest
+  in
+  let consider proc =
+    if not (Bitset.mem proc ct.ct_claimed) then begin
+      if prune ~rank state best floor_data proc then
+        tally.prunes <- tally.prunes + 1
+      else judge proc (variants proc)
+    end
+  in
+  sweep ~is_host floor_data consider;
+  report tally;
+  match !best with
+  | None -> false
+  | Some { i_trial = trial; _ } ->
+      State.commit state trial;
+      ct.ct_claimed <-
+        Bitset.union ct.ct_claimed (State.support state { Replica.task; copy });
+      true
+
 (* Algorithm 4.2: map one replica so that each head replica of every
-   predecessor feeds exactly this replica.  A head is only usable while its
-   kill set stays disjoint from the processors already claimed by sibling
-   replicas and small enough to fit the lane budget; stale heads are
-   dropped lazily. *)
-let one_to_one ~(opts : Sched_api.options) ~rank ~is_host state ct ~copy =
+   predecessor feeds exactly this replica, with a kill set within the lane
+   budget.  A head is only usable while its kill set stays disjoint from
+   the processors already claimed by sibling replicas and leaves room in
+   the budget; stale heads are dropped lazily. *)
+let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
+    ~copy =
   Obs.incr "core.one_to_one_calls";
-  let mode = opts.mode in
-  let prob = State.problem state in
-  let budget = lane_budget ~opts prob in
   let usable (id : Replica.id) =
     let s = State.support state id in
-    State.Pset.disjoint s ct.ct_claimed && State.Pset.cardinal s < budget
+    Bitset.disjoint s ct.ct_claimed && Bitset.cardinal s < budget
   in
   List.iter (fun (_, ids) -> ids := List.filter usable !ids) ct.ct_heads;
-  if List.exists (fun (_, ids) -> List.is_empty !ids) ct.ct_heads then None
+  if List.exists (fun (_, ids) -> List.is_empty !ids) ct.ct_heads then false
   else begin
     let sources =
       List.map (fun (pred, ids) -> (pred, [ List.hd !ids ])) ct.ct_heads
     in
-    let floor_data = State.floor_data state ~task:ct.ct_task sources in
-    let best = ref None and tally = tally () in
-    let consider proc =
-      if not (State.Pset.mem proc ct.ct_claimed) then begin
-        if prune ~rank state best floor_data proc then
-          tally.prunes <- tally.prunes + 1
-        else begin
-          let kill = State.support_of_sources state ~proc ~sources in
-          if State.Pset.cardinal kill <= budget then
-            consider_variant ~mode ~rank ~tally state best ~task:ct.ct_task
-              ~copy ~proc ~sources
-        end
-      end
+    let variants = [ sources ] in
+    let placed =
+      place ~mode:opts.mode ~rank ~is_host state ct ~copy ~floor_sources:sources
+        ~variants:(fun _ -> variants)
+        ~admits:(fun kill -> Bitset.cardinal kill <= budget)
     in
-    sweep ~is_host floor_data consider;
-    report tally;
-    match !best with
-    | None -> None
-    | Some { i_trial = trial; _ } ->
-        State.commit state trial;
-        record_placement state ct trial;
-        List.iter (fun (_, ids) -> ids := List.tl !ids) ct.ct_heads;
-        Some trial
+    if placed then begin
+      List.iter (fun (_, ids) -> ids := List.tl !ids) ct.ct_heads;
+      ct.ct_z <- ct.ct_z + 1
+    end;
+    placed
   end
 
 (* Whether two source-set lists name the same replicas, compared
@@ -279,97 +295,91 @@ let same_sources a b =
    claiming long kill chains can paint later siblings into a corner while
    full groups keep them free.  A kill chain through the candidate
    processor itself is harmless (the replica dies with its host anyway)
-   and is exempt from the disjointness requirement. *)
-let general ~(opts : Sched_api.options) ~rank ~is_host state ct ~copy =
+   and exempt from the disjointness requirement; a candidate is never in
+   the claim, so the whole kill set can be tested against it. *)
+let general ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
+    ~copy =
   Obs.incr "core.general_calls";
-  let mode = opts.mode in
   let prob = State.problem state in
   let mapping = State.mapping state in
   let plat = prob.Types.platform in
   let pred_replicas =
     List.map
-      (fun (pred, vol) -> (pred, vol, Mapping.replicas_of_task mapping pred))
+      (fun (pred, vol) ->
+        let replicas = Mapping.replicas_of_task mapping pred in
+        let full = List.map (fun (r : Replica.t) -> r.Replica.id) replicas in
+        (pred, vol, replicas, full))
       (Dag.preds prob.Types.dag ct.ct_task)
   in
-  let budget = lane_budget ~opts prob in
+  let unclaimed (r : Replica.t) =
+    Bitset.disjoint (State.support state r.id) ct.ct_claimed
+  in
   let variants_on proc =
-    let others = State.Pset.remove proc ct.ct_claimed in
-    let disjoint (r : Replica.t) =
-      State.Pset.disjoint (State.support state r.id) others
-    in
     (* Greedy variant: fold over the predecessors accumulating the kill
        set, sole-sourcing only while the lane budget allows and preferring
        the source that grows the chain least, then the cheapest transfer. *)
     let greedy =
-      let acc = ref (State.Pset.singleton proc) in
+      let acc = ref (Bitset.singleton proc) in
       List.map
-        (fun (pred, vol, replicas) ->
-          let full =
-            (pred, List.map (fun (r : Replica.t) -> r.Replica.id) replicas)
-          in
-          let fits (r : Replica.t) =
-            State.Pset.cardinal
-              (State.Pset.union !acc (State.support state r.id))
-            <= budget
-          in
+        (fun (pred, vol, replicas, full) ->
+          let room = budget - Bitset.cardinal !acc in
           (* Ties on growth and transfer time go to the smallest id. *)
           let pick = ref None and pick_growth = ref 0 and pick_comm = ref 0.0 in
           List.iter
             (fun (r : Replica.t) ->
-              if disjoint r && fits r then begin
+              if unclaimed r then begin
                 let growth =
-                  State.Pset.cardinal
-                    (State.Pset.diff (State.support state r.id) !acc)
+                  Bitset.diff_cardinal (State.support state r.id) !acc
                 in
-                let comm =
-                  if r.proc = proc then 0.0
-                  else Platform.comm_time plat r.proc proc vol
-                in
-                let better =
-                  match !pick with
-                  | None -> true
-                  | Some (p : Replica.t) ->
-                      growth < !pick_growth
-                      || growth = !pick_growth
-                         && (comm < !pick_comm
-                            || comm = !pick_comm
-                               && Replica.compare_id r.id p.id < 0)
-                in
-                if better then begin
-                  pick := Some r;
-                  pick_growth := growth;
-                  pick_comm := comm
+                if growth <= room then begin
+                  let comm =
+                    if r.proc = proc then 0.0
+                    else Platform.comm_time plat r.proc proc vol
+                  in
+                  let better =
+                    match !pick with
+                    | None -> true
+                    | Some (p : Replica.t) ->
+                        growth < !pick_growth
+                        || growth = !pick_growth
+                           && (comm < !pick_comm
+                              || comm = !pick_comm
+                                 && Replica.compare_id r.id p.id < 0)
+                  in
+                  if better then begin
+                    pick := Some r;
+                    pick_growth := growth;
+                    pick_comm := comm
+                  end
                 end
               end)
             replicas;
           match !pick with
           | Some r ->
-              acc := State.Pset.union !acc (State.support state r.id);
+              acc := Bitset.union !acc (State.support state r.id);
               (pred, [ r.Replica.id ])
-          | None -> full)
+          | None -> (pred, full))
         pred_replicas
     in
     (* Conservative variant: local sole source when free, else the full
        group; keeps the claim small for later siblings. *)
     let conservative =
-      let acc = ref (State.Pset.singleton proc) in
+      let acc = ref (Bitset.singleton proc) in
       List.map
-        (fun (pred, _, replicas) ->
+        (fun (pred, _, replicas, full) ->
+          let room = budget - Bitset.cardinal !acc in
           let local =
             List.find_opt
               (fun (r : Replica.t) ->
-                r.proc = proc && disjoint r
-                && State.Pset.cardinal
-                     (State.Pset.union !acc (State.support state r.id))
-                   <= budget)
+                r.proc = proc && unclaimed r
+                && Bitset.diff_cardinal (State.support state r.id) !acc <= room)
               replicas
           in
           match local with
           | Some r ->
-              acc := State.Pset.union !acc (State.support state r.id);
+              acc := Bitset.union !acc (State.support state r.id);
               (pred, [ r.Replica.id ])
-          | None ->
-              (pred, List.map (fun (r : Replica.t) -> r.Replica.id) replicas))
+          | None -> (pred, full))
         pred_replicas
     in
     match opts.source_policy with
@@ -379,41 +389,11 @@ let general ~(opts : Sched_api.options) ~rank ~is_host state ct ~copy =
         if same_sources greedy conservative then [ greedy ]
         else [ greedy; conservative ]
   in
-  (* Every source-set variant draws at least one replica per predecessor. *)
-  let all_sources =
-    List.map
-      (fun (pred, _, replicas) ->
-        (pred, List.map (fun (r : Replica.t) -> r.Replica.id) replicas))
-      pred_replicas
-  in
-  let floor_data = State.floor_data state ~task:ct.ct_task all_sources in
-  let best = ref None and tally = tally () in
-  let consider proc =
-    if not (State.Pset.mem proc ct.ct_claimed) then begin
-      if prune ~rank state best floor_data proc then
-        tally.prunes <- tally.prunes + 1
-      else
-        List.iter
-          (fun sources ->
-            let kill_set = State.support_of_sources state ~proc ~sources in
-            if
-              State.Pset.disjoint
-                (State.Pset.remove proc kill_set)
-                ct.ct_claimed
-            then
-              consider_variant ~mode ~rank ~tally state best ~task:ct.ct_task
-                ~copy ~proc ~sources)
-          (variants_on proc)
-    end
-  in
-  sweep ~is_host floor_data consider;
-  report tally;
-  match !best with
-  | None -> None
-  | Some { i_trial = trial; _ } ->
-      State.commit state trial;
-      record_placement state ct trial;
-      Some trial
+  place ~mode:opts.mode ~rank ~is_host state ct ~copy
+    ~floor_sources:
+      (List.map (fun (pred, _, _, full) -> (pred, full)) pred_replicas)
+    ~variants:variants_on
+    ~admits:(fun kill -> Bitset.disjoint kill ct.ct_claimed)
 
 let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   Obs.touch "core.placement_probes";
@@ -428,6 +408,7 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   let priority = Levels.priority dag (Metrics.paper_weights dag plat) in
   let count_scratch = Array.make (Platform.size plat) 0 in
   let is_host = Array.make (Platform.size plat) false in
+  let budget = lane_budget ~opts prob in
   let higher a b =
     if priority.(a) <> priority.(b) then compare priority.(b) priority.(a)
     else compare a b
@@ -466,18 +447,9 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
               (fun ct ->
                 if !failure = None then begin
                   let placed =
-                    if opts.use_one_to_one && ct.ct_z < ct.ct_theta then begin
-                      match one_to_one ~opts ~rank ~is_host state ct ~copy:n with
-                      | Some _ ->
-                          ct.ct_z <- ct.ct_z + 1;
-                          true
-                      | None ->
-                          Option.is_some
-                            (general ~opts ~rank ~is_host state ct ~copy:n)
-                    end
-                    else
-                      Option.is_some
-                        (general ~opts ~rank ~is_host state ct ~copy:n)
+                    (opts.use_one_to_one && ct.ct_z < ct.ct_theta
+                    && one_to_one ~opts ~rank ~is_host ~budget state ct ~copy:n)
+                    || general ~opts ~rank ~is_host ~budget state ct ~copy:n
                   in
                   if not placed then
                     failure := Some (Types.No_feasible_processor (ct.ct_task, n))

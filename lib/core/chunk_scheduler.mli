@@ -12,17 +12,23 @@
     where the replica receives from all [ε + 1] replicas of every
     predecessor.
 
-    Processor eligibility follows §4: a candidate must not be locked for
-    the task (hosting one of its replicas, or involved in a communication
-    with one) and must satisfy the throughput condition (1).  When no
-    unlocked processor is feasible, the general branch may fall back to
-    communication-locked processors that are provably safe for the
-    ε-failure guarantee (never those hosting a replica of the task, nor
-    those that are the sole source of a placed replica); this implements
-    the paper's "we use other processors" escape hatch without
-    compromising fault tolerance.  If even the fallback finds no
-    processor, the algorithm fails, as LTF does in the worked example of
-    §4.3.
+    Both branches run one placement step.  Its candidates are the
+    processors outside the task's claim, the union of the kill sets of
+    its placed replicas: §4's locked processors, narrowed to those whose
+    failure kills a sibling.  A processor that only feeds a sibling as
+    part of a full replica group stays a candidate, which is the paper's
+    "we use other processors" without weakening fault tolerance.  Hosts
+    of the admissible source replicas are visited first.  On each
+    candidate the branch offers its source-set variants and admits those
+    whose kill set passes its test: the one-to-one branch offers the head
+    sources and admits a kill set within the lane budget; the general
+    branch offers its greedy and conservative variants and admits a kill
+    set disjoint from the claim.  An admitted variant must meet condition
+    (1) in strict mode and is ranked by its overload penalty first in
+    best-effort mode; it is then probed, and the best trial is committed
+    and its kill set added to the claim.  When the one-to-one step places
+    nothing the general step runs; when that places nothing either, the
+    schedule fails, as LTF does in the worked example of §4.3.
 
     Candidate ranking is a parameter: LTF minimizes the estimated finish
     time [F]; R-LTF minimizes the pipeline stage first (Rule 1) and the

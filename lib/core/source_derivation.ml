@@ -1,5 +1,3 @@
-module Pset = Bitset
-
 let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
   let hint =
     match hint with
@@ -8,23 +6,25 @@ let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
   in
   let mapping = Mapping.create ~dag ~platform ~eps in
   let copies = eps + 1 in
-  (* Same lane budget as the scheduler: a replica may sole-source through
-     at most m/(ε+1) processors so that the ε+1 pairwise-disjoint kill sets
-     all fit on the platform. *)
+  (* A replica may sole-source through at most ⌊m/(ε+1)⌋ processors so
+     that the ε+1 pairwise-disjoint kill sets all fit on the platform.  The
+     floor is deliberate: [Chunk_scheduler.lane_budget] rounds
+     factor·m/(ε+1) instead (7 against this 6 at m = 20, ε = 2), and
+     switching to that rounding changes the cost figure's output. *)
   let budget = max 1 (Platform.size platform / copies) in
   let delta = match throughput with Some t -> 1.0 /. t | None -> infinity in
   let slack = delta *. (1.0 +. 1e-9) in
   let n_procs = Platform.size platform in
   let c_in = Array.make n_procs 0.0 and c_out = Array.make n_procs 0.0 in
-  let support = Array.init (Dag.size dag) (fun _ -> Array.make copies Pset.empty) in
+  let support = Array.init (Dag.size dag) (fun _ -> Array.make copies Bitset.empty) in
   Array.iter
     (fun task ->
       (* Claim every sibling processor up front so that no replica's kill
          chain ever runs through the host of another replica of the task. *)
       let base_claim =
         List.fold_left
-          (fun acc copy -> Pset.add (proc_of task copy) acc)
-          Pset.empty
+          (fun acc copy -> Bitset.add (proc_of task copy) acc)
+          Bitset.empty
           (List.init copies Fun.id)
       in
       let claimed = ref base_claim in
@@ -33,8 +33,8 @@ let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
         (* A kill chain through the replica's own processor is harmless —
            the replica dies with that processor anyway — so it is exempt
            from the disjointness requirement. *)
-        let others = Pset.remove proc !claimed in
-        let acc = ref (Pset.singleton proc) in
+        let others = Bitset.remove proc !claimed in
+        let acc = ref (Bitset.singleton proc) in
         let commit_loads transfers =
           List.iter
             (fun (src_proc, time) ->
@@ -61,14 +61,14 @@ let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
           let usable (r : Replica.t) =
             let s = support.(pred).(r.id.Replica.copy) in
             copies = 1
-            || (Pset.disjoint s others
-                && Pset.cardinal (Pset.union !acc s) <= budget)
+            || (Bitset.disjoint s others
+                && Bitset.cardinal !acc + Bitset.diff_cardinal s !acc <= budget)
           in
           let transfer (r : Replica.t) =
             (r.proc, Platform.comm_time platform r.proc proc vol)
           in
           let pick (r : Replica.t) =
-            acc := Pset.union !acc support.(pred).(r.id.Replica.copy);
+            acc := Bitset.union !acc support.(pred).(r.id.Replica.copy);
             commit_loads [ transfer r ];
             (pred, [ r.Replica.id ])
           in
@@ -100,8 +100,7 @@ let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
                 List.filter usable replicas
                 |> List.map (fun (r : Replica.t) ->
                        let growth =
-                         Pset.cardinal
-                           (Pset.diff support.(pred).(r.id.Replica.copy) !acc)
+                         Bitset.diff_cardinal support.(pred).(r.id.Replica.copy) !acc
                        in
                        (((not (is_hinted r)), growth, snd (transfer r)), r))
                 |> List.sort (fun (ka, ra) (kb, rb) ->
@@ -126,7 +125,7 @@ let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
         in
         let chosen = List.map choose (Dag.preds dag task) in
         support.(task).(copy) <- !acc;
-        claimed := Pset.union !claimed !acc;
+        claimed := Bitset.union !claimed !acc;
         Mapping.assign mapping
           { Replica.id = { Replica.task; copy }; proc; sources = chosen }
       done)

@@ -1,5 +1,3 @@
-module Pset = Bitset
-
 (* Per-replica attributes live in flat arrays indexed [task * (eps+1) +
    copy] so a million-task schedule is a handful of contiguous slabs
    rather than a forest of per-task records. *)
@@ -15,7 +13,7 @@ type t = {
   finish_arr : float array; (* [task * copies + copy]; nan = unplaced *)
   stage_arr : int array;    (* [task * copies + copy]; 0 = unplaced *)
   proc_arr : int array;     (* [task * copies + copy]; the host once placed *)
-  support_arr : Pset.t array; (* [task * copies + copy]; kill sets *)
+  support_arr : Bitset.t array; (* [task * copies + copy]; kill sets *)
   (* Probe scratch, reused by every [evaluate] and [admission]. *)
   recv_probe : Timeline.probe;
   send_probe : Timeline.probe array; (* per sender processor *)
@@ -23,10 +21,6 @@ type t = {
       (* per source processor: its outgoing time in the admission being
          judged; nan outside it *)
   out_procs : int array; (* those source processors, in first-transfer order *)
-  scratch_out : (int, float) Hashtbl.t;
-      (* the historical per-source-proc accumulator, folded by [admission]
-         only when three or more source processors overflow; reset (not
-         recreated) so the fold order matches a fresh 8-slot table *)
 }
 
 let create (prob : Types.problem) =
@@ -45,12 +39,11 @@ let create (prob : Types.problem) =
     finish_arr = Array.make slots nan;
     stage_arr = Array.make slots 0;
     proc_arr = Array.make slots (-1);
-    support_arr = Array.make slots Pset.empty;
+    support_arr = Array.make slots Bitset.empty;
     recv_probe = Timeline.probe ();
     send_probe = Array.init n_procs (fun _ -> Timeline.probe ());
     out_sum = Array.make n_procs nan;
     out_procs = Array.make n_procs 0;
-    scratch_out = Hashtbl.create 8;
   }
 
 let problem s = s.prob
@@ -94,17 +87,17 @@ let support_of_sources s ~proc ~sources =
     (fun acc (pred, ids) ->
       match ids with
       | [] -> acc
-      | [ (src : Replica.id) ] -> Pset.union acc (support s src)
+      | [ (src : Replica.id) ] -> Bitset.union acc (support s src)
       | first :: rest ->
           let full = List.length ids = Mapping.n_copies s.mapping in
           ignore pred;
           if full then acc
           else
-            Pset.union acc
+            Bitset.union acc
               (List.fold_left
-                 (fun inter (src : Replica.id) -> Pset.inter inter (support s src))
+                 (fun inter (src : Replica.id) -> Bitset.inter inter (support s src))
                  (support s first) rest))
-    (Pset.singleton proc) sources
+    (Bitset.singleton proc) sources
 
 let send_ready s u = Timeline.busy_until s.send_tl.(u)
 
@@ -161,13 +154,8 @@ type admission = { feasible : bool; penalty : float }
 let[@inline] over s current extra = Float.max 0.0 (current +. extra -. s.delta)
 
 (* The outgoing durations are summed per source processor in [out_sum], in
-   transfer order.  The penalty adds the overflow of each source processor,
-   and historically added them in the fold order of a hash table keyed by
-   processor; float addition is order-sensitive, so that order is part of
-   the pinned schedules.  Every term is +0 or positive, and +0 leaves a
-   non-negative sum unchanged, so only the overflowing processors count:
-   with at most two of them the sum is the same in any order, and with
-   three or more the table is rebuilt and folded as before. *)
+   transfer order, and the penalty adds the overflows of the source
+   processors in the order of their first transfer. *)
 let admission s ~task ~proc transfers =
   let plat = s.prob.platform and dag = s.prob.dag and l = s.loads in
   let exec = Platform.exec_time plat proc (Dag.exec dag task) in
@@ -184,29 +172,14 @@ let admission s ~task ~proc transfers =
     else s.out_sum.(tr.tr_proc) <- prev +. tr.tr_dur
   done;
   let slack = s.delta *. (1.0 +. 1e-9) in
-  let out_fits = ref true and overflowing = ref 0 and out_over = ref 0.0 in
+  let out_fits = ref true and out_over = ref 0.0 in
   for k = 0 to !n_out - 1 do
     let sp = s.out_procs.(k) in
     let extra = s.out_sum.(sp) in
     if not (l.Loads.c_out.(sp) +. extra <= slack) then out_fits := false;
-    let o = over s l.Loads.c_out.(sp) extra in
-    if o > 0.0 then begin
-      incr overflowing;
-      out_over := !out_over +. o
-    end;
+    out_over := !out_over +. over s l.Loads.c_out.(sp) extra;
     s.out_sum.(sp) <- nan
   done;
-  if !overflowing >= 3 then begin
-    let outgoing = s.scratch_out in
-    Hashtbl.reset outgoing;
-    Array.iter
-      (fun tr ->
-        let prev = try Hashtbl.find outgoing tr.tr_proc with Not_found -> 0.0 in
-        Hashtbl.replace outgoing tr.tr_proc (prev +. tr.tr_dur))
-      transfers;
-    out_over :=
-      Hashtbl.fold (fun sp extra acc -> acc +. over s l.Loads.c_out.(sp) extra) outgoing 0.0
-  end;
   {
     feasible =
       l.Loads.sigma.(proc) +. exec <= slack

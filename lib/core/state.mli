@@ -39,16 +39,11 @@ val loads : t -> Loads.t
     charges them through the [Loads] primitives, so readers never pay a
     full [Loads.of_mapping] rewalk. *)
 
-module Pset = Bitset
-(** Kill sets are packed bitsets over the processor indices: [disjoint] /
-    [union] / [cardinal] — the operations on the placement hot path — run
-    in O(m/word_size) word steps instead of walking a balanced tree. *)
-
-val support : t -> Replica.id -> Pset.t
-(** The {e kill set} of a placed replica: the processors whose individual
-    failure prevents it from producing its output — its own processor,
-    plus (transitively) the kill set of every sole-source predecessor
-    replica.  A predecessor fed by all [ε+1] replicas contributes nothing:
+val support : t -> Replica.id -> Bitset.t
+(** The {e kill set} of a placed replica, a {!Bitset.t} over the
+    processor indices: the processors whose individual failure prevents
+    it from producing its output — its own processor, plus (transitively)
+    the kill set of every sole-source predecessor replica.  A predecessor fed by all [ε+1] replicas contributes nothing:
     no single failure can silence a full replica group whose kill sets are
     pairwise disjoint, and the scheduler maintains exactly that
     disjointness invariant per task (this is the locking discipline that
@@ -58,7 +53,7 @@ val support_of_sources :
   t ->
   proc:Platform.proc ->
   sources:(Dag.task * Replica.id list) list ->
-  Pset.t
+  Bitset.t
 (** The kill set a replica would have if placed on [proc] with the given
     sources (all of which must be placed). *)
 
@@ -118,13 +113,9 @@ val admission : t -> task:Dag.task -> proc:Platform.proc -> transfer array -> ad
     the transfers run, so they are known before any timeline probe.
 
     The outgoing time is summed per source processor in a float array, in
-    transfer order.  The penalty's per-source-processor overflows are
-    pinned to the fold order of a hash table keyed by processor, the
-    historical accumulator.  Each overflow is [+0] or positive and adding
-    [+0] changes no sum, so with at most two overflowing processors the
-    sum is the same in every order and the array's order is used; with
-    three or more, [admission] rebuilds the table from the transfers in
-    the same order and folds it, so the penalty stays bit-identical. *)
+    transfer order.  The penalty is the target's computing overflow, plus
+    its input overflow, plus the output overflow of each source processor
+    added in the order of that processor's first transfer. *)
 
 type floor_data
 (** The source replicas a placement step may draw from, per predecessor of

@@ -134,10 +134,9 @@ let[@inline] check_no_overlap ~fn t p ~start ~finish =
     else more := false
   done
 
-(* Store [[start, start + duration)] in the slot after every interval
-   starting at or before [start], growing the arrays as needed, and
-   return the slot. *)
-let put t ~start ~duration =
+(* Store [[start, finish)] in the slot after every interval starting at
+   or before [start], growing the arrays as needed, and return the slot. *)
+let put t ~start ~finish =
   if t.n = Array.length t.starts then begin
     let cap = if 2 * t.n > 8 then 2 * t.n else 8 in
     let grow a =
@@ -159,18 +158,21 @@ let put t ~start ~duration =
     Array.blit t.finishes i t.finishes (i + 1) (t.n - i)
   end;
   t.starts.(i) <- start;
-  t.finishes.(i) <- start +. duration;
+  t.finishes.(i) <- finish;
   t.n <- t.n + 1;
   i
 
+(* An interval whose finish does not come after its start, because its
+   duration is zero or lost to rounding, is empty: storing nothing keeps
+   every stored interval non-empty. *)
 let insert t ~start ~duration =
   if duration < 0.0 then invalid_arg "Timeline.insert: negative duration";
-  if duration > 0.0 then begin
-    let finish = start +. duration in
+  let finish = start +. duration in
+  if finish > start then begin
     check_no_overlap ~fn:"Timeline.insert" t no_probe ~start ~finish;
     (* A finish that stops growing with the starts nests one interval in
        another. *)
-    let i = put t ~start ~duration in
+    let i = put t ~start ~finish in
     if (i > 0 && not (t.finishes.(i - 1) <= finish))
        || (i + 1 < t.n && not (finish <= t.finishes.(i + 1)))
     then t.nested <- true
@@ -178,10 +180,10 @@ let insert t ~start ~duration =
 
 let tentative t p ~start ~duration =
   if duration < 0.0 then invalid_arg "Timeline.tentative: negative duration";
-  if duration <> 0.0 then begin
-    let finish = start +. duration in
+  let finish = start +. duration in
+  if finish > start then begin
     check_no_overlap ~fn:"Timeline.tentative" t p ~start ~finish;
-    ignore (put p ~start ~duration)
+    ignore (put p ~start ~finish)
   end
 
 let busy_until t =

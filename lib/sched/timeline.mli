@@ -59,14 +59,16 @@ val joint_fit :
     @raise Invalid_argument if [duration < 0]. *)
 
 val insert : t -> start:float -> duration:float -> unit
-(** Mark [[start, start + duration)] busy; a zero duration is a no-op.
+(** Mark [[start, start + duration)] busy.  An empty interval, whose
+    computed finish is not after [start] (a zero duration, or one lost to
+    rounding), is a no-op.
     @raise Invalid_argument if it conflicts with an existing interval
     (callers reserve via {!earliest_fit}) or if [duration < 0]. *)
 
 val tentative : t -> probe -> start:float -> duration:float -> unit
 (** [tentative t p ~start ~duration] adds [[start, start + duration)] to
-    the probe [p], leaving the timeline [t] itself untouched; a zero
-    duration leaves [p] unchanged.
+    the probe [p], leaving the timeline [t] itself untouched; an empty
+    interval, as for {!insert}, leaves [p] unchanged.
     @raise Invalid_argument under the same conditions as {!insert},
     checked against the committed and the probe intervals. *)
 

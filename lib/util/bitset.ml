@@ -95,6 +95,13 @@ let popcount w =
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s
 
+let diff_cardinal a b =
+  let nb = Array.length b and n = ref 0 in
+  for i = 0 to Array.length a - 1 do
+    n := !n + popcount (if i < nb then a.(i) land lnot b.(i) else a.(i))
+  done;
+  !n
+
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 

@@ -42,6 +42,10 @@ val subset : t -> t -> bool
 val cardinal : t -> int
 (** Population count over the words. *)
 
+val diff_cardinal : t -> t -> int
+(** [diff_cardinal a b] is [cardinal (diff a b)] without building the
+    difference: how much [union b a] grows [b]. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -183,16 +183,16 @@ let state_tests =
                 for a = 0 to 2 do
                   for b = a + 1 to 2 do
                     check_true "disjoint"
-                      (State.Pset.disjoint
+                      (Bitset.disjoint
                          (State.support state { Replica.task = t; copy = a })
                          (State.support state { Replica.task = t; copy = b }))
                   done
                 done));
     (* Three sources on three processors, each overflowing its send port:
-       the penalty must add the overflows in the fold order of a fresh
-       hash table keyed by processor, as the admission always has.  The
-       volumes are picked so that transfer order rounds differently. *)
-    case "admission with three overflowing senders sums like a fresh table"
+       the penalty adds the overflows in the order of each sender's first
+       transfer.  The volumes are picked so that the order shows: the
+       reverse order rounds differently. *)
+    case "admission sums three overflowing senders in first-transfer order"
       (fun () ->
         let dag =
           Dag.of_edges ~exec:[| 1.0; 1.0; 1.0; 1.0 |]
@@ -215,34 +215,26 @@ let state_tests =
         let (adm : State.admission) = State.admission state ~task:3 ~proc:0 transfers in
         let l = State.loads state and delta = Types.period prob in
         let over current extra = Float.max 0.0 (current +. extra -. delta) in
-        let table = Hashtbl.create 8 in
-        Array.iter
-          (fun (tr : State.transfer) ->
-            let prev = Option.value (Hashtbl.find_opt table tr.tr_proc) ~default:0.0 in
-            Hashtbl.replace table tr.tr_proc (prev +. tr.tr_dur))
-          transfers;
+        let overflow (tr : State.transfer) = over l.Loads.c_out.(tr.tr_proc) tr.tr_dur in
         let incoming =
           Array.fold_left (fun acc (tr : State.transfer) -> acc +. tr.tr_dur) 0.0 transfers
         in
         let base = over l.Loads.sigma.(0) 1.0 +. over l.Loads.c_in.(0) incoming in
-        let folded =
-          Hashtbl.fold (fun sp extra acc -> acc +. over l.Loads.c_out.(sp) extra) table 0.0
-        in
-        let in_transfer_order =
-          Array.fold_left
-            (fun acc (tr : State.transfer) -> acc +. over l.Loads.c_out.(tr.tr_proc) tr.tr_dur)
-            0.0 transfers
-        in
+        (* one transfer per sender, so transfer order is first-transfer order *)
+        let in_order = Array.fold_left (fun acc tr -> acc +. overflow tr) 0.0 transfers in
+        let reversed = Array.fold_right (fun tr acc -> acc +. overflow tr) transfers 0.0 in
         let bits = Int64.bits_of_float in
-        check_int "three overflowing senders" 3
-          (Hashtbl.fold
-             (fun sp extra n -> if over l.Loads.c_out.(sp) extra > 0.0 then n + 1 else n)
-             table 0);
+        check_int "three senders" 3
+          (List.length
+             (List.sort_uniq Int.compare
+                (Array.to_list (Array.map (fun (tr : State.transfer) -> tr.tr_proc) transfers))));
+        check_int "all three overflow" 3
+          (Array.fold_left (fun n tr -> if overflow tr > 0.0 then n + 1 else n) 0 transfers);
         check_true "the summation order shows in the penalty"
-          (bits (base +. folded) <> bits (base +. in_transfer_order));
+          (bits (base +. in_order) <> bits (base +. reversed));
         check_true "infeasible" (not adm.feasible);
-        check_true "penalty bit-identical to the fresh table"
-          (bits adm.penalty = bits (base +. folded)));
+        check_true "penalty bit-identical to the first-transfer-order sum"
+          (bits adm.penalty = bits (base +. in_order)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -217,7 +217,7 @@ let prop_fits_match_the_list_oracle =
       let aa = Timeline.intervals a and ab = Timeline.intervals b in
       let tentative t p mirror ~start ~duration =
         match Timeline.tentative t p ~start ~duration with
-        | () when duration <> 0.0 ->
+        | () when start +. duration > start ->
             mirror := place (start, start +. duration) !mirror
         | () | (exception Invalid_argument _) -> ()
       in
@@ -254,8 +254,9 @@ type mirrored = {
 (* Random raw inserts and fits, first committed, then booked on the
    probes, with starts and ready times often nested in the first or last
    slack of an interval already held and durations at and below the
-   slack.  Every raw insert is accepted exactly when it conflicts with
-   nothing held, every fit and joint fit answers as the naive oracle does
+   slack.  Every raw insert is accepted exactly when it is empty (its
+   finish not after its start) or conflicts with nothing held, and only a
+   non-empty one is held; every fit and joint fit answers as the naive oracle does
    and is accepted where it is booked, no two held intervals conflict, and
    [busy_until] is the latest committed finish. *)
 let prop_interval_contract =
@@ -282,6 +283,7 @@ let prop_interval_contract =
       in
       let hold ~commit x ~start ~duration =
         let iv = (start, start +. duration) in
+        let empty = not (snd iv > start) in
         let accepted =
           match
             if commit then Timeline.insert x.tl ~start ~duration
@@ -292,9 +294,8 @@ let prop_interval_contract =
         in
         expect
           (accepted
-          = (duration = 0.0
-            || not (List.exists (conflicts iv) (x.held @ x.booked))));
-        if accepted && duration > 0.0 then
+          = (empty || not (List.exists (conflicts iv) (x.held @ x.booked))));
+        if accepted && not empty then
           if commit then x.held <- place iv x.held
           else x.booked <- place iv x.booked;
         accepted
@@ -405,6 +406,21 @@ let prop_bitset_matches_reference =
       && Bitset.elements a = IntSet.elements ra
       && Bitset.fold List.cons a [] = IntSet.fold List.cons ra [])
 
+(* Sets of different word lengths (elements up to 199), so the count
+   meets a shorter and a longer right operand. *)
+let prop_bitset_diff_cardinal =
+  QCheck.Test.make ~name:"diff_cardinal a b counts diff a b" ~count:200
+    seed_arb (fun seed ->
+      let rng = Rng.create ~seed in
+      let set () =
+        let top = 1 + Rng.int rng 200 in
+        Bitset.of_list (List.init (Rng.int rng 60) (fun _ -> Rng.int rng top))
+      in
+      let a = set () in
+      let b = set () in
+      Bitset.diff_cardinal a b = Bitset.cardinal (Bitset.diff a b)
+      && Bitset.diff_cardinal b a = Bitset.cardinal (Bitset.diff b a))
+
 let prop_bitset_complement_reference =
   QCheck.Test.make
     ~name:"complement matches the dense-universe set difference" ~count:200
@@ -506,9 +522,10 @@ let prop_best_effort_tolerant =
       check (Ltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob)
       && check (Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob))
 
-(* Condition (1) and the overload penalty as the probe used to compute
-   them: from the probed trial's own transfers, summed per source
-   processor in a fresh table. *)
+(* Condition (1) and the overload penalty recomputed from the probed
+   trial's own transfers: the outgoing time summed per source processor,
+   and the overflows added in the order of each processor's first
+   transfer. *)
 let admission_of_trial state (trial : State.trial) =
   let prob = State.problem state and l = State.loads state in
   let delta = Types.period prob in
@@ -520,26 +537,27 @@ let admission_of_trial state (trial : State.trial) =
     Array.fold_left (fun acc (tr : State.transfer) -> acc +. tr.tr_dur) 0.0
       trial.t_transfers
   in
-  let outgoing = Hashtbl.create 8 in
-  Array.iter
-    (fun (tr : State.transfer) ->
-      let src = tr.tr_src in
-      let sp = (Mapping.replica_exn (State.mapping state) src.task src.copy).proc in
-      let prev = Option.value (Hashtbl.find_opt outgoing sp) ~default:0.0 in
-      Hashtbl.replace outgoing sp (prev +. tr.tr_dur))
-    trial.t_transfers;
+  let outgoing =
+    Array.fold_left
+      (fun acc (tr : State.transfer) ->
+        let src = tr.tr_src in
+        let sp = (Mapping.replica_exn (State.mapping state) src.task src.copy).proc in
+        match List.assoc_opt sp acc with
+        | None -> acc @ [ (sp, 0.0 +. tr.tr_dur) ]
+        | Some prev ->
+            List.map (fun (p, d) -> (p, if p = sp then prev +. tr.tr_dur else d)) acc)
+      [] trial.t_transfers
+  in
   let slack = delta *. (1.0 +. 1e-9) in
   let over current extra = Float.max 0.0 (current +. extra -. delta) in
   ( l.Loads.sigma.(trial.t_proc) +. exec <= slack
     && l.Loads.c_in.(trial.t_proc) +. incoming <= slack
-    && Hashtbl.fold
-         (fun sp extra ok -> ok && l.Loads.c_out.(sp) +. extra <= slack)
-         outgoing true,
+    && List.for_all (fun (sp, extra) -> l.Loads.c_out.(sp) +. extra <= slack) outgoing,
     over l.Loads.sigma.(trial.t_proc) exec
     +. over l.Loads.c_in.(trial.t_proc) incoming
-    +. Hashtbl.fold
-         (fun sp extra acc -> acc +. over l.Loads.c_out.(sp) extra)
-         outgoing 0.0 )
+    +. List.fold_left
+         (fun acc (sp, extra) -> acc +. over l.Loads.c_out.(sp) extra)
+         0.0 outgoing )
 
 (* Drive [State] through a whole schedule by hand: every replica tries
    every free processor with two source sets (full groups, and one replica
@@ -970,6 +988,7 @@ let () =
             prop_heap_matches_model;
             prop_fits_match_the_list_oracle;
             prop_interval_contract;
+            prop_bitset_diff_cardinal;
           ]
       );
       ( "bitsets",

@@ -170,6 +170,10 @@ let timeline_tests =
     case "zero duration is a no-op" (fun () ->
         let t = timeline_of [ (1.0, 0.0) ] in
         check_int "still empty" 0 (List.length (Timeline.intervals t)));
+    (* max_float +. 0.5 rounds back to max_float: the interval is empty. *)
+    case "a duration lost to rounding is a no-op" (fun () ->
+        let t = timeline_of [ (Float.max_float, 0.5); (Float.max_float, 0.5) ] in
+        check_int "still empty" 0 (List.length (Timeline.intervals t)));
     case "busy accounting" (fun () ->
         let t = timeline_of [ (1.0, 2.0); (4.0, 1.5) ] in
         check_float "busy until" 5.5 (Timeline.busy_until t);
