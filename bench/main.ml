@@ -768,12 +768,42 @@ let check_sched_json path =
   Printf.printf "%s: %d pair(s) at or above break-even, scale points ok\n" path
     n_pairs
 
-(* --gc-stats: allocation and collection counts per arena draw, in a
-   human-readable dump CI uploads as an artifact.  Exits 1 when the draw
-   allocates more than [arena_draw_ceiling] bytes: per-run engine state
-   belongs in the arena, so the draw must stay near its fixed
-   result-record cost (about 0.1 KiB). *)
+(* --gc-stats: allocation and collection counts per arena draw, and the
+   allocation of a fresh arena's first long run, in a human-readable dump
+   CI uploads as an artifact.  Exits 1 when the draw allocates more than
+   [arena_draw_ceiling] bytes: per-run engine state belongs in the arena,
+   so the draw must stay near its fixed result-record cost (about
+   0.1 KiB).  Exits 1 as well when the fresh run allocates more than
+   [fresh_instance_ceiling] bytes per (item, replica) instance: the
+   arena grows its per-instance slabs once, and its message pool only to
+   the transfers pending or in flight at one time (a pool holding one
+   slot per transfer of the run measured about 220 bytes per
+   instance). *)
 let arena_draw_ceiling = 2048.0
+let fresh_items = 256
+let fresh_instance_ceiling = 96.0
+
+(* Bytes allocated by a fresh arena's first [fresh_items]-item closed
+   run on the medium program, log off: the minimum over [alloc_reps]
+   runs, as in [bytes_per_call], and the instance count it is judged
+   per. *)
+let fresh_arena_run () =
+  let config =
+    Engine.Run.without_messages (Engine.Run.closed ~n_items:fresh_items ())
+  in
+  let best = ref infinity in
+  for _ = 1 to alloc_reps do
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Engine.simulate ~config sim_medium_prog));
+    best := Float.min !best (Gc.allocated_bytes () -. before)
+  done;
+  let instances =
+    fresh_items
+    * Dag.size (Mapping.dag sim_medium)
+    * Mapping.n_copies sim_medium
+  in
+  (!best, instances)
 
 let gc_stats () =
   Printf.printf "## GC per draw (medium workload, %d draws)\n" alloc_iters;
@@ -805,11 +835,27 @@ let gc_stats () =
     (per
        (float_of_int s0.Gc.minor_collections)
        (float_of_int s1.Gc.minor_collections));
+  let fresh_name =
+    Printf.sprintf "fresh arena, log off (%d-item run)" fresh_items
+  in
+  let fresh_bytes, instances = fresh_arena_run () in
+  let per_instance = fresh_bytes /. float_of_int instances in
+  Printf.printf
+    "%-42s %12.0f bytes  %8.1f bytes per instance (%d instances)\n%!"
+    fresh_name fresh_bytes per_instance instances;
+  let failed = ref false in
   if per b0 b1 > arena_draw_ceiling then begin
     Printf.eprintf "FAIL %s allocates %.0f bytes per draw (ceiling %.0f)\n"
       name (per b0 b1) arena_draw_ceiling;
-    exit 1
-  end
+    failed := true
+  end;
+  if per_instance > fresh_instance_ceiling then begin
+    Printf.eprintf
+      "FAIL %s allocates %.1f bytes per instance (ceiling %.0f)\n" fresh_name
+      per_instance fresh_instance_ceiling;
+    failed := true
+  end;
+  if !failed then exit 1
 
 let () =
   match Array.to_list Sys.argv with

@@ -208,28 +208,25 @@ let lane_budget ~(opts : Sched_api.options) prob =
 
 (* The placement step of Algorithm 4.1, shared by both branches: every
    processor outside the claim is a candidate, hosts of [floor_sources]
-   first; each source-set variant the branch offers on it ([variants])
-   whose kill set the branch admits ([admits]) is judged, and the best
-   trial is committed and its kill set added to the claim.  Every variant
-   draws at least one replica per predecessor from [floor_sources], so its
-   floors bound them all. *)
-let place ~mode ~rank ~is_host state ct ~copy ~floor_sources ~variants ~admits =
+   first; each source-set variant the branch offers on it ([variants]) is
+   judged, and the best trial is committed and its kill set added to the
+   claim.  A branch offers only variants whose kill set it admits.  Every
+   variant draws at least one replica per predecessor from
+   [floor_sources], so its floors bound them all. *)
+let place ~mode ~rank ~is_host state ct ~copy ~floor_sources ~variants =
   let task = ct.ct_task in
   let floor_data = State.floor_data state ~task floor_sources in
   let best = ref None and tally = tally () in
-  let rec judge proc = function
-    | [] -> ()
-    | sources :: rest ->
-        if admits (State.support_of_sources state ~proc ~sources) then
-          consider_variant ~mode ~rank ~tally state best ~task ~copy ~proc
-            ~sources;
-        judge proc rest
-  in
   let consider proc =
     if not (Bitset.mem proc ct.ct_claimed) then begin
       if prune ~rank state best floor_data proc then
         tally.prunes <- tally.prunes + 1
-      else judge proc (variants proc)
+      else
+        List.iter
+          (fun sources ->
+            consider_variant ~mode ~rank ~tally state best ~task ~copy ~proc
+              ~sources)
+          (variants proc)
     end
   in
   sweep ~is_host floor_data consider;
@@ -246,7 +243,9 @@ let place ~mode ~rank ~is_host state ct ~copy ~floor_sources ~variants ~admits =
    predecessor feeds exactly this replica, with a kill set within the lane
    budget.  A head is only usable while its kill set stays disjoint from
    the processors already claimed by sibling replicas and leaves room in
-   the budget; stale heads are dropped lazily. *)
+   the budget; stale heads are dropped lazily.  Every source is a single
+   head, so the kill set on [proc] is {proc} ∪ S, S the union of the
+   heads' kill sets, computed once. *)
 let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
     ~copy =
   Obs.incr "core.one_to_one_calls";
@@ -260,11 +259,21 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
     let sources =
       List.map (fun (pred, ids) -> (pred, [ List.hd !ids ])) ct.ct_heads
     in
-    let variants = [ sources ] in
+    let heads_kill =
+      List.fold_left
+        (fun acc (_, ids) ->
+          Bitset.union acc (State.support state (List.hd !ids)))
+        Bitset.empty ct.ct_heads
+    in
+    let n_heads_kill = Bitset.cardinal heads_kill in
+    let offered = [ sources ] in
+    let variants proc =
+      let kill = n_heads_kill + if Bitset.mem proc heads_kill then 0 else 1 in
+      if kill > budget then [] else offered
+    in
     let placed =
       place ~mode:opts.mode ~rank ~is_host state ct ~copy ~floor_sources:sources
-        ~variants:(fun _ -> variants)
-        ~admits:(fun kill -> Bitset.cardinal kill <= budget)
+        ~variants
     in
     if placed then begin
       List.iter (fun (_, ids) -> ids := List.tl !ids) ct.ct_heads;
@@ -295,8 +304,11 @@ let same_sources a b =
    claiming long kill chains can paint later siblings into a corner while
    full groups keep them free.  A kill chain through the candidate
    processor itself is harmless (the replica dies with its host anyway)
-   and exempt from the disjointness requirement; a candidate is never in
-   the claim, so the whole kill set can be tested against it. *)
+   and exempt from the disjointness requirement.  Every variant is
+   admissible as built: its kill set is the candidate, outside the claim,
+   plus the kill sets of its sole sources, each disjoint from the claim
+   (a full group adds nothing, or, at ε = 0, meets an empty claim), so
+   it is never tested against the claim. *)
 let general ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
     ~copy =
   Obs.incr "core.general_calls";
@@ -393,7 +405,6 @@ let general ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
     ~floor_sources:
       (List.map (fun (pred, _, _, full) -> (pred, full)) pred_replicas)
     ~variants:variants_on
-    ~admits:(fun kill -> Bitset.disjoint kill ct.ct_claimed)
 
 let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   Obs.touch "core.placement_probes";

@@ -19,11 +19,15 @@
     part of a full replica group stays a candidate, which is the paper's
     "we use other processors" without weakening fault tolerance.  Hosts
     of the admissible source replicas are visited first.  On each
-    candidate the branch offers its source-set variants and admits those
-    whose kill set passes its test: the one-to-one branch offers the head
-    sources and admits a kill set within the lane budget; the general
-    branch offers its greedy and conservative variants and admits a kill
-    set disjoint from the claim.  An admitted variant must meet condition
+    candidate the branch offers only source-set variants whose kill set
+    it admits: the one-to-one branch offers the head sources when their
+    kill set (the candidate plus the union of the heads' kill sets) fits
+    the lane budget; the general branch offers its greedy and
+    conservative variants, which are always admissible — each is built
+    from sole sources whose kill sets are disjoint from the claim and
+    from full groups, which kill nothing alone, so its kill set (those
+    plus the candidate, itself outside the claim) is disjoint from the
+    claim by construction.  An offered variant must meet condition
     (1) in strict mode and is ranked by its overload penalty first in
     best-effort mode; it is then probed, and the best trial is committed
     and its kill set added to the claim.  When the one-to-one step places

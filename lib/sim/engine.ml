@@ -265,15 +265,19 @@ end
 (* The event engine over a compiled program                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A transfer waiting for its data and for both ports lives in the run
+(* A transfer waiting for its ports or in flight lives in the run
    arena's message pool — parallel arrays (structure-of-arrays, so the
-   float fields are stored unboxed) indexed by a pool handle.  Handles
-   are issued in creation order, so the handle doubles as the legacy
-   insertion sequence number: the legacy engine kept pending messages in
-   a most-recent-first list and its fold kept the incumbent on full
-   ties, so among equal (destination priority, destination instance)
-   candidates the most recently created message — the highest handle —
-   commits first.
+   float fields are stored unboxed) indexed by a pool handle.  A handle
+   is released when its transfer arrives, is lost to a crash or exhausts
+   its retries, and the next transfer reuses it, so the pool holds only
+   the transfers pending or in flight at one time.  Each slot also
+   carries the transfer's creation number ([rs_pm_seq]), issued by a
+   per-run counter: the legacy engine kept pending messages in a
+   most-recent-first list and its fold kept the incumbent on full ties,
+   so among equal (destination priority, destination instance)
+   candidates the most recently created message — the highest creation
+   number — commits first.  The same number keys the transient-fault
+   draw of a transfer.
 
    Events are packed into one immediate int, [(arg lsl 3) lor kind], so
    the event heap stores no pointers and the loop allocates nothing per
@@ -359,7 +363,8 @@ module Run_state = struct
     rs_occ : int array;
     (* message pool (structure-of-arrays), grown on demand; every run
        writes a slot before reading it, and the slots hold no pointers,
-       so only its length is reset *)
+       so only its length and free stack are reset.  [rs_pm_free] holds
+       the released handles, [rs_pm_seq] each slot's creation number. *)
     mutable rs_pm_src : int array;
     mutable rs_pm_dst : int array;
     mutable rs_pm_dst_rid : int array;
@@ -369,6 +374,8 @@ module Run_state = struct
     mutable rs_pm_alive : bool array;
     mutable rs_pm_attempt : int array;
     mutable rs_pm_commit : float array;
+    mutable rs_pm_seq : int array;
+    mutable rs_pm_free : int array;
     (* per-(item, replica) slabs, grown on demand *)
     mutable rs_starts : float array;
     mutable rs_finishes : float array;
@@ -401,9 +408,14 @@ module Run_state = struct
     (* the run's cursors and counters *)
     mutable rs_n_touched : int;
     mutable rs_n_ports : int;
-    mutable rs_pm_len : int;
+    mutable rs_pm_len : int;  (* handles issued so far: the pool's high water *)
+    mutable rs_pm_n_free : int;
+    mutable rs_pm_next_seq : int;
     mutable rs_dl_len : int;
     mutable rs_msg_dirty : bool;
+    mutable rs_room_blocked : bool;
+        (* the last transfer scan that committed nothing saw a transfer
+           whose ports were free but whose destination queue was full *)
     mutable rs_src_dirty : bool;
     mutable rs_next_admit : int;
     mutable rs_arrived : int;
@@ -448,6 +460,8 @@ module Run_state = struct
       rs_pm_alive = [||];
       rs_pm_attempt = [||];
       rs_pm_commit = [||];
+      rs_pm_seq = [||];
+      rs_pm_free = [||];
       rs_starts = Array.make (max 1 rids) nan;
       rs_finishes = Array.make (max 1 rids) nan;
       rs_unsatisfied = Array.make (max 1 rids) 0;
@@ -472,8 +486,11 @@ module Run_state = struct
       rs_n_touched = 0;
       rs_n_ports = 0;
       rs_pm_len = 0;
+      rs_pm_n_free = 0;
+      rs_pm_next_seq = 0;
       rs_dl_len = 0;
       rs_msg_dirty = false;
+      rs_room_blocked = false;
       rs_src_dirty = true;
       rs_next_admit = 0;
       rs_arrived = 0;
@@ -559,9 +576,12 @@ module Run_state = struct
     st.rs_n_touched <- 0;
     st.rs_n_ports <- 0;
     st.rs_pm_len <- 0;
+    st.rs_pm_n_free <- 0;
+    st.rs_pm_next_seq <- 0;
     st.rs_log <- [];
     st.rs_dl_len <- 0;
     st.rs_msg_dirty <- false;
+    st.rs_room_blocked <- false;
     st.rs_src_dirty <- true;
     st.rs_next_admit <- 0;
     st.rs_arrived <- 0;
@@ -691,32 +711,57 @@ let ready_pop st u =
   d.(!i) <- x;
   top
 
-(* A fresh message-pool handle.  Handles are issued in creation order,
-   which is exactly the legacy [pm_seq] numbering (one message created
-   per cross-processor hand-off, and a requeued message keeps its
-   handle). *)
+(* A message-pool handle for a new transfer: the most recently released
+   one, or a fresh slot when none is free (the pool grows only then, so
+   the free stack, as long as the pool, never overflows).  The slot gets
+   the next creation number, which is exactly the legacy [pm_seq]
+   numbering (one message created per cross-processor hand-off, and a
+   requeued message keeps its handle and number). *)
 let pm_alloc st =
-  let len = st.rs_pm_len in
-  if len = Array.length st.rs_pm_src then begin
-    let grow a zero = grown a len ~min:16 zero in
-    st.rs_pm_src <- grow st.rs_pm_src 0;
-    st.rs_pm_dst <- grow st.rs_pm_dst 0;
-    st.rs_pm_dst_rid <- grow st.rs_pm_dst_rid 0;
-    st.rs_pm_dp <- grow st.rs_pm_dp 0;
-    st.rs_pm_pos <- grow st.rs_pm_pos 0;
-    st.rs_pm_attempt <- grow st.rs_pm_attempt 0;
-    st.rs_pm_dur <- grow st.rs_pm_dur 0.0;
-    st.rs_pm_commit <- grow st.rs_pm_commit 0.0;
-    st.rs_pm_alive <- grow st.rs_pm_alive false
-  end;
-  st.rs_pm_len <- len + 1;
-  len
+  let mi =
+    if st.rs_pm_n_free > 0 then begin
+      let n = st.rs_pm_n_free - 1 in
+      st.rs_pm_n_free <- n;
+      st.rs_pm_free.(n)
+    end
+    else begin
+      let len = st.rs_pm_len in
+      if len = Array.length st.rs_pm_src then begin
+        let grow a zero = grown a len ~min:16 zero in
+        st.rs_pm_src <- grow st.rs_pm_src 0;
+        st.rs_pm_dst <- grow st.rs_pm_dst 0;
+        st.rs_pm_dst_rid <- grow st.rs_pm_dst_rid 0;
+        st.rs_pm_dp <- grow st.rs_pm_dp 0;
+        st.rs_pm_pos <- grow st.rs_pm_pos 0;
+        st.rs_pm_attempt <- grow st.rs_pm_attempt 0;
+        st.rs_pm_seq <- grow st.rs_pm_seq 0;
+        st.rs_pm_free <- grow st.rs_pm_free 0;
+        st.rs_pm_dur <- grow st.rs_pm_dur 0.0;
+        st.rs_pm_commit <- grow st.rs_pm_commit 0.0;
+        st.rs_pm_alive <- grow st.rs_pm_alive false
+      end;
+      st.rs_pm_len <- len + 1;
+      len
+    end
+  in
+  st.rs_pm_seq.(mi) <- st.rs_pm_next_seq;
+  st.rs_pm_next_seq <- st.rs_pm_next_seq + 1;
+  mi
+
+(* Transfer [mi] is over — arrived, lost to a crash or abandoned — and
+   no pending bucket or event names its handle any more. *)
+let pm_release st mi =
+  st.rs_pm_free.(st.rs_pm_n_free) <- mi;
+  st.rs_pm_n_free <- st.rs_pm_n_free + 1
 
 (* Pending transfers, bucketed by sending processor (the send port they
    wait on); index-based removal, so structurally identical messages are
    distinct entries.  [rs_ports] lists the send ports with a nonempty
    bucket; [rs_port_at] is written when a port enters the list, before
-   any read. *)
+   any read.  A new or requeued transfer wakes the transfer scan only
+   when both its ports let it commit now; otherwise the event that ends
+   the blocking transfer, or the failure crossing that frees a dead
+   receiver's port, wakes it. *)
 let pend_push st u mi =
   let len = st.rs_pend_len.(u) in
   if len = Array.length st.rs_pend_data.(u) then
@@ -728,7 +773,13 @@ let pend_push st u mi =
     st.rs_ports.(st.rs_n_ports) <- u;
     st.rs_n_ports <- st.rs_n_ports + 1
   end;
-  st.rs_msg_dirty <- true
+  let now = st.rs_f.(slot_now) and fail_time = st.rs_fail_time in
+  let dp = st.rs_pm_dp.(mi) in
+  if
+    now < fail_time.(u)
+    && st.rs_send_free.(u) <= now
+    && (fail_time.(dp) <= now || st.rs_recv_free.(dp) <= now)
+  then st.rs_msg_dirty <- true
 
 let pend_remove st u i =
   let len = st.rs_pend_len.(u) - 1 in
@@ -997,7 +1048,7 @@ let commit_transfer st p sp i mi =
     let failing =
       (not st.rs_fz)
       && Faults.Transient.comm_fails st.rs_faults.Faults.transient ~src:sp
-           ~key:mi ~attempt:st.rs_pm_attempt.(mi) ~at:now
+           ~key:st.rs_pm_seq.(mi) ~attempt:st.rs_pm_attempt.(mi) ~at:now
     in
     if failing then schedule st ((mi lsl 3) lor ev_comm_failed)
     else begin
@@ -1008,23 +1059,26 @@ let commit_transfer st p sp i mi =
       schedule st ((mi lsl 3) lor ev_arrival)
     end
   end
-  else
+  else begin
     (* the crash loses the transfer in flight, but the ports still free
        up and waiting messages must be woken *)
+    pm_release st mi;
     schedule st ev_port_free
+  end
 
 (* Greedily commit every transfer whose data and both ports are free.
    The candidate order is the legacy one: highest destination priority
    (lowest [p_prio_rank]), then smallest destination instance, then (on
-   full ties) the most recently created message — the highest pool
-   handle.  That order is strict (handles are unique), so the winner does
-   not depend on the order [rs_ports] is scanned in.  Clears
-   [rs_msg_dirty] once nothing is committable. *)
+   full ties) the most recently created message — the highest creation
+   number.  That order is strict (creation numbers are unique), so the
+   winner does not depend on the order [rs_ports] is scanned in.  Once
+   nothing is committable it clears [rs_msg_dirty] and records in
+   [rs_room_blocked] whether a transfer waits on queue room alone. *)
 let rec dispatch_msgs st p =
   let now = st.rs_f.(slot_now) in
   let fail_time = st.rs_fail_time and prio_rank = p.p_prio_rank in
   let check_room = st.rs_bound <> max_int in
-  let best = ref (-1) in
+  let best = ref (-1) and room_blocked = ref false in
   let best_u = ref (-1) and best_i = ref (-1) in
   for k = 0 to st.rs_n_ports - 1 do
     let u = st.rs_ports.(k) in
@@ -1032,34 +1086,37 @@ let rec dispatch_msgs st p =
       for i = 0 to st.rs_pend_len.(u) - 1 do
         let mi = st.rs_pend_data.(u).(i) in
         let dp = st.rs_pm_dp.(mi) in
-        if
-          (fail_time.(dp) <= now || st.rs_recv_free.(dp) <= now)
-          && ((not check_room) || msg_room st mi)
-        then begin
-          let beats =
-            let b = !best in
-            b < 0
-            ||
-            let pm = prio_rank.(st.rs_pm_dst_rid.(mi))
-            and pb = prio_rank.(st.rs_pm_dst_rid.(b)) in
-            pm < pb
-            || (pm = pb
-               && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
-                  || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b) && mi > b)))
-          in
-          if beats then begin
-            best := mi;
-            best_u := u;
-            best_i := i
+        if fail_time.(dp) <= now || st.rs_recv_free.(dp) <= now then
+          if check_room && not (msg_room st mi) then room_blocked := true
+          else begin
+            let beats =
+              let b = !best in
+              b < 0
+              ||
+              let pm = prio_rank.(st.rs_pm_dst_rid.(mi))
+              and pb = prio_rank.(st.rs_pm_dst_rid.(b)) in
+              pm < pb
+              || (pm = pb
+                 && (st.rs_pm_dst.(mi) < st.rs_pm_dst.(b)
+                    || (st.rs_pm_dst.(mi) = st.rs_pm_dst.(b)
+                       && st.rs_pm_seq.(mi) > st.rs_pm_seq.(b))))
+            in
+            if beats then begin
+              best := mi;
+              best_u := u;
+              best_i := i
+            end
           end
-        end
       done
   done;
   if !best >= 0 then begin
     commit_transfer st p !best_u !best_i !best;
     dispatch_msgs st p
   end
-  else st.rs_msg_dirty <- false
+  else begin
+    st.rs_msg_dirty <- false;
+    st.rs_room_blocked <- !room_blocked
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                               *)
@@ -1099,7 +1156,9 @@ let on_finish st p iidx =
   bump_makespan st;
   if Bytes.get st.rs_charged iidx = '\001' then begin
     st.rs_occ.(rid) <- st.rs_occ.(rid) - 1;
-    if st.rs_bound <> max_int then st.rs_msg_dirty <- true;
+    (* room belongs to the destination instance's replica, so only a
+       release can unblock a transfer the last scan left waiting on it *)
+    if st.rs_room_blocked then st.rs_msg_dirty <- true;
     if p.p_pred_count.(rid / p.p_copies) = 0 then st.rs_src_dirty <- true
   end;
   for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do
@@ -1137,7 +1196,8 @@ let decode p iidx =
   let item = iidx / p.p_rids and rid = iidx mod p.p_rids in
   { item; rep = { Replica.task = rid / p.p_copies; copy = rid mod p.p_copies } }
 
-(* Transfer [mi] arrived: log it and satisfy its destination. *)
+(* Transfer [mi] arrived: log it, satisfy its destination and release
+   its handle. *)
 let on_arrival st p mi =
   st.rs_msg_dirty <- true;
   bump_makespan st;
@@ -1150,7 +1210,8 @@ let on_arrival st p mi =
         msg_finish = st.rs_f.(slot_now);
       }
       :: st.rs_log;
-  if st.rs_pm_alive.(mi) then satisfy st p st.rs_pm_dst.(mi) st.rs_pm_pos.(mi)
+  if st.rs_pm_alive.(mi) then satisfy st p st.rs_pm_dst.(mi) st.rs_pm_pos.(mi);
+  pm_release st mi
 
 (* A transient fault surfaced on the [attempt]-th try of a work unit:
    re-drive it as event [retry_ev] after the backoff and return [true],
@@ -1192,9 +1253,10 @@ let on_exec_failed st p iidx =
        ((iidx lsl 3) lor ev_inject))
 
 (* The transfer attempt failed.  A retried transfer keeps its handle
-   (and with it the legacy pm_seq tie-break); only the attempt count
-   moves.  Exhaustion is charged to the sender's port — it did all the
-   (re)work — mirroring execution faults charged to the executor. *)
+   (and with it its creation number); only the attempt count moves.  An
+   abandoned one releases its handle.  Exhaustion is charged to the
+   sender's port — it did all the (re)work — mirroring execution faults
+   charged to the executor. *)
 let on_comm_failed st p mi =
   st.rs_msg_dirty <- true;
   bump_makespan st;
@@ -1203,6 +1265,7 @@ let on_comm_failed st p mi =
   let sender = p.p_proc.(st.rs_pm_src.(mi) mod p.p_rids) in
   if retry_or_exhaust st ~attempt ~blame:sender ((mi lsl 3) lor ev_requeue) then
     st.rs_pm_attempt.(mi) <- attempt + 1
+  else pm_release st mi
 
 let handle st p ev =
   let arg = ev asr 3 in
@@ -1255,10 +1318,11 @@ let pop_and_handle st p =
    source admissions: deferred local hand-offs first, then transfers,
    then the backlog — that priority order is the backpressure.  A
    dispatch that would find nothing to do is skipped.  [rs_msg_dirty]
-   (transfers) is set by a new or requeued pending transfer, by the
-   event ending a transfer (arrival, failed attempt, crash-lost port
-   free: the only way a port frees), by an occupancy release under
-   bounded queues and by a failure crossing.  [rs_src_dirty] (the
+   (transfers) is set by a new or requeued pending transfer whose ports
+   are both free, by the event ending a transfer (arrival, failed
+   attempt, crash-lost port free: the only way a port frees), by an
+   occupancy release when the last scan left a transfer waiting on room
+   alone, and by a failure crossing.  [rs_src_dirty] (the
    backlog) is set at run start, by an entry replica's occupancy release
    and by a failure crossing.  A charge sets neither (see [charge]). *)
 let run_events st p =

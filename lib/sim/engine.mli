@@ -260,7 +260,10 @@ end
     program and reused across runs.  A draw loop — crash sampling, resumed epochs, traffic
     sweeps — creates one arena and passes it to every {!simulate} call,
     reducing per-draw allocation to the handful of words of the result
-    record itself. *)
+    record itself.  The message pool is sized by the transfers pending
+    or in flight at one time, not by the transfers a run creates: a
+    transfer's slot is reused once it arrives, is lost to a crash or
+    exhausts its retries. *)
 module Run_state : sig
   type t
 
@@ -305,12 +308,15 @@ val simulate : ?state:Run_state.t -> config:Run.config -> program -> result
     events are handled before any dispatch decision.  Each handled
     arrival counts in [sim.events_popped].  Two wake-up flags skip
     dispatches that cannot change anything.  The transfer scan reruns
-    after a new or requeued pending transfer, the end of a transfer
-    (arrival, failed attempt or crash loss: the only ways a port
-    frees), an occupancy release under bounded queues, or the clock
-    crossing a timed-failure instant.  The source backlog is re-checked
-    at run start, after an entry replica's occupancy release, or at a
-    timed-failure crossing; a failed check parks it.  Charging a queue
+    after a new or requeued pending transfer whose send port is alive
+    and free and whose receive port is free or dead, the end of a
+    transfer (arrival, failed attempt or crash loss: the only ways a
+    port frees), an occupancy release when the last scan that
+    committed nothing left a transfer waiting on queue room alone (room
+    belongs to the destination replica, so only a release gives it),
+    or the clock crossing a timed-failure instant.  The source backlog
+    is re-checked at run start, after an entry replica's occupancy
+    release, or at a timed-failure crossing; a failed check parks it.  Charging a queue
     sets neither flag: it only raises occupancy, on a queue that had
     room, so it can unblock neither a transfer nor the source.
     @raise Invalid_argument (naming [Engine.simulate]) if [n_items < 1],

@@ -890,6 +890,18 @@ let fault_scenario =
       };
   }
 
+(* Transient transfer faults alone, re-driven at most twice: a retried
+   transfer commits after the transfers created around it have arrived
+   and their message-pool slots have been reused, so neither its fault
+   draws nor its full-tie rank may depend on which slot it holds. *)
+let comm_fault_scenario =
+  {
+    Faults.none with
+    Faults.transient =
+      { Faults.Transient.none with comm_rate = 0.1; seed = 29 };
+    retry = Faults.Backoff.make ~base_delay:0.5 ~max_retries:2 ();
+  }
+
 (* A fork-join whose branches tie on bottom level, R-LTF-mapped with one
    replica per task onto four unit processors: equal-priority transfers
    and ready instances fall back to their tie-breaks. *)
@@ -989,6 +1001,9 @@ let pinned_configs m =
         chain,
         Engine.Run.open_ ~queue_bound:1 ~policy:Engine.Run.Drop_newest ~n_items:18
           (Arrival.Trace (List.init 18 (fun k -> float_of_int (2 * k / 3)))) );
+      ( "closed, transient transfer faults retried on recycled slots",
+        m,
+        Engine.Run.with_faults comm_fault_scenario (closed ~n_items:12 ()) );
     ]
 
 let compiled_tests =
@@ -1076,9 +1091,10 @@ let compiled_tests =
           "digest" "86751422180444b1ec5c84c1e9506b12" (digest_of_result r));
     case "pinned digests of the open, fault and resume paths" (fun () ->
         (* The first seven were recorded before the event-driven
-           dispatch rewrite, the last three before arrivals left the
-           event heap: any change to event order, tie-breaks, admission
-           or fault draws on these paths breaks one of them. *)
+           dispatch rewrite, the next three before arrivals left the
+           event heap, the last before message-pool slots were reused:
+           any change to event order, tie-breaks, admission or fault
+           draws on these paths breaks one of them. *)
         List.iter2
           (fun (name, m, config) expected ->
             let r = simulate ~config m in
@@ -1095,6 +1111,7 @@ let compiled_tests =
             "88f04859b87500d587faf29f69a2bdf9";
             "a9d554cf4030c878fb8a63a7059f0a09";
             "9039a3a1c091bb999c15c5ba9c0acff1";
+            "023b5528c84b6c668487e084671c1e66";
           ]);
     case "identically-shaped messages both serialize on the port" (fun () ->
         (* A source listed twice yields two structurally identical pending
