@@ -53,7 +53,8 @@ let sim_mapping ~seed ~tasks ~eps =
   rltf_mapping (problem ~eps (sim_instance ~seed ~tasks))
 
 let sim_small = sim_mapping ~seed:41 ~tasks:50 ~eps:1
-let sim_medium = sim_mapping ~seed:42 ~tasks:100 ~eps:1
+let sim_medium_problem = problem ~eps:1 (sim_instance ~seed:42 ~tasks:100)
+let sim_medium = rltf_mapping sim_medium_problem
 let sim_large = sim_mapping ~seed:43 ~tasks:150 ~eps:2
 
 let sim_small_prog = Engine.compile sim_small
@@ -778,10 +779,15 @@ let check_sched_json path =
    arena grows its per-instance slabs once, and its message pool only to
    the transfers pending or in flight at one time (a pool holding one
    slot per transfer of the run measured about 220 bytes per
-   instance). *)
+   instance).  Exits 1 as well when one LTF + R-LTF schedule of the
+   medium instance allocates more than [schedule_pair_ceiling] bytes:
+   the placement step judges every candidate in state-owned buffers, so
+   what is left is the per-placement and per-task bookkeeping (about
+   2.2 MB; 6.5 MB while every candidate built its own records). *)
 let arena_draw_ceiling = 2048.0
 let fresh_items = 256
 let fresh_instance_ceiling = 96.0
+let schedule_pair_ceiling = 3e6
 
 (* Bytes allocated by a fresh arena's first [fresh_items]-item closed
    run on the medium program, log off: the minimum over [alloc_reps]
@@ -804,6 +810,20 @@ let fresh_arena_run () =
     * Mapping.n_copies sim_medium
   in
   (!best, instances)
+
+(* Bytes one best-effort LTF + R-LTF schedule of the medium instance
+   allocates: the minimum over [alloc_reps] pairs, as in
+   [bytes_per_call]. *)
+let schedule_pair_bytes () =
+  let best = ref infinity in
+  for _ = 1 to alloc_reps do
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Ltf.schedule ~opts:best_effort sim_medium_problem));
+    ignore (Sys.opaque_identity (Rltf.schedule ~opts:best_effort sim_medium_problem));
+    best := Float.min !best (Gc.allocated_bytes () -. before)
+  done;
+  !best
 
 let gc_stats () =
   Printf.printf "## GC per draw (medium workload, %d draws)\n" alloc_iters;
@@ -843,6 +863,9 @@ let gc_stats () =
   Printf.printf
     "%-42s %12.0f bytes  %8.1f bytes per instance (%d instances)\n%!"
     fresh_name fresh_bytes per_instance instances;
+  let pair_name = "LTF + R-LTF schedule (medium, v=100)" in
+  let pair_bytes = schedule_pair_bytes () in
+  Printf.printf "%-42s %12.0f bytes\n%!" pair_name pair_bytes;
   let failed = ref false in
   if per b0 b1 > arena_draw_ceiling then begin
     Printf.eprintf "FAIL %s allocates %.0f bytes per draw (ceiling %.0f)\n"
@@ -853,6 +876,11 @@ let gc_stats () =
     Printf.eprintf
       "FAIL %s allocates %.1f bytes per instance (ceiling %.0f)\n" fresh_name
       per_instance fresh_instance_ceiling;
+    failed := true
+  end;
+  if pair_bytes > schedule_pair_ceiling then begin
+    Printf.eprintf "FAIL %s allocates %.0f bytes (ceiling %.0f)\n" pair_name
+      pair_bytes schedule_pair_ceiling;
     failed := true
   end;
   if !failed then exit 1

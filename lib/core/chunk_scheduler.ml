@@ -1,21 +1,15 @@
-(* A ranking orders trials by a (primary, secondary) key, smaller first;
-   [State.stage_floor] and [State.finish_floor] give, for the (task, copy) being
-   placed, a floor on the pipeline stage and the earliest instant any
-   admissible source set can finish the candidate's execution.  Both are
-   valid for every source-set variant the placement branch may try, so a
-   candidate processor whose floor key already loses to the incumbent can
-   skip the full timeline probe.  Soundness: each component of the floor
-   key is ≤ the corresponding component of the key of any trial on that
-   processor, so floor >lex incumbent implies key >lex incumbent. *)
+(* A ranking orders probes by a (primary, secondary) key, smaller first:
+   LTF's is the finish time alone, R-LTF's the stage, then the finish
+   time.  [State.stage_floor] and [State.finish_floor_above] bound, for
+   the (task, copy) being placed, the pipeline stage and the earliest
+   instant any admissible source set can finish the candidate's
+   execution.  Both are valid for every source-set variant the placement
+   branch may try, so a candidate processor whose floor key already loses
+   to the incumbent can skip the full timeline probe.  Soundness: each
+   component of the floor key is ≤ the corresponding component of the key
+   of any probe on that processor, so floor >lex incumbent implies key
+   >lex incumbent. *)
 type rank = Finish_time | Stage_then_finish
-
-let primary rank (trial : State.trial) =
-  match rank with
-  | Finish_time -> trial.t_finish
-  | Stage_then_finish -> float_of_int trial.t_stage
-
-let secondary rank (trial : State.trial) =
-  match rank with Finish_time -> 0.0 | Stage_then_finish -> trial.t_finish
 
 (* Per-chunk-task working data.  [ct_claimed] is the union of the kill
    sets of the already-placed replicas of the task: the locking discipline
@@ -36,7 +30,10 @@ type chunk_task = {
 
 (* [count] is a caller-owned scratch array of length n_procs, zeroed on
    entry and re-zeroed before returning: at a million tasks the per-task
-   O(m) allocation (and clearing) would dominate the whole chunk phase. *)
+   O(m) allocation (and clearing) would dominate the whole chunk phase.
+   Heads are sorted by their key, read once per head, then by replica id:
+   the order the polymorphic compare of (key, id) pairs gave, without a
+   pair built per comparison. *)
 let singleton_data state count task =
   let prob = State.problem state in
   let dag = prob.Types.dag in
@@ -51,17 +48,22 @@ let singleton_data state count task =
   let heads =
     List.map
       (fun pred ->
-        let on_singletons =
-          Mapping.replicas_of_task mapping pred
-          |> List.filter (fun (r : Replica.t) -> count.(r.proc) = 1)
-          |> List.map (fun (r : Replica.t) -> (r.id, r.proc))
-        in
-        let key (id, proc) =
-          (Float.max (State.finish state id) (State.send_ready state proc), id)
+        let keyed =
+          List.filter_map
+            (fun (r : Replica.t) ->
+              if count.(r.proc) = 1 then
+                Some
+                  ( Float.max (State.finish state r.id) (State.send_ready state r.proc),
+                    r.id )
+              else None)
+            (Mapping.replicas_of_task mapping pred)
         in
         let sorted =
-          List.sort (fun a b -> compare (key a) (key b)) on_singletons
-          |> List.map fst
+          List.sort
+            (fun (ka, a) (kb, b) ->
+              match Float.compare ka kb with 0 -> Replica.compare_id a b | c -> c)
+            keyed
+          |> List.map snd
         in
         (pred, ref sorted))
       preds
@@ -83,74 +85,82 @@ let singleton_data state count task =
   { ct_task = task; ct_z = 0; ct_theta = theta; ct_claimed = Bitset.empty;
     ct_heads = heads }
 
-(* The incumbent of a placement step: the best trial offered so far and
-   its selection key (penalty, then the rank key). *)
-type incumbent = {
-  i_penalty : float;
-  i_primary : float;
-  i_secondary : float;
-  i_trial : State.trial;
+(* Scratch of one schedule, reused by every placement step: the sweep's
+   host marks, the source rows of the variants (greedy or head sources,
+   then conservative), the all-groups floor row of the general branch, and
+   the kill-set accumulator the variants grow. *)
+type scratch = {
+  count : int array;
+  is_host : bool array;
+  rows : int array array;
+  groups : int array;
+  kill : Bitset.acc;
 }
 
-(* Incremental form of the historical pick-best fold: [offer] feeds
-   admitted trials in their generation order (ascending processor, then
-   variant order), keeping the winner under (penalty, rank) with ties
-   broken by processor index — the same winner the materialize-then-fold
-   version selected.  The key is compared one float at a time, with the
-   lexicographic [<]/[=] of the tuple it replaces. *)
-let offer ~rank best ~penalty (trial : State.trial) =
-  let primary = primary rank trial and secondary = secondary rank trial in
+(* Strict mode ranks every admitted probe with no penalty. *)
+let[@inline] penalty ~strict (p : State.probe) = if strict then 0.0 else p.p_at.penalty
+
+(* Incremental form of the historical pick-best fold: admitted candidates
+   are offered in their generation order (ascending processor, then
+   variant order), and the incumbent is the winner under (penalty, rank)
+   with ties broken by processor index — the same winner the
+   materialize-then-fold version selected.  The key is compared one field
+   at a time, with the lexicographic [<]/[=] of the tuple it replaces; a
+   win swaps the candidate buffer in. *)
+let offer ~rank ~strict state =
+  let c = State.candidate state and b = State.incumbent state in
   let wins =
-    match !best with
-    | None -> true
-    | Some b ->
-        penalty < b.i_penalty
-        || penalty = b.i_penalty
-           && (primary < b.i_primary
-              || primary = b.i_primary
-                 && (secondary < b.i_secondary
-                    || secondary = b.i_secondary
-                       && trial.t_proc < b.i_trial.State.t_proc))
+    b.p_proc < 0
+    ||
+    let pc = penalty ~strict c and pb = penalty ~strict b in
+    pc < pb
+    || pc = pb
+       &&
+       match rank with
+       | Finish_time ->
+           c.p_at.finish < b.p_at.finish
+           || (c.p_at.finish = b.p_at.finish && c.p_proc < b.p_proc)
+       | Stage_then_finish ->
+           c.p_stage < b.p_stage
+           || c.p_stage = b.p_stage
+              && (c.p_at.finish < b.p_at.finish
+                 || (c.p_at.finish = b.p_at.finish && c.p_proc < b.p_proc))
   in
-  if wins then
-    best :=
-      Some
-        { i_penalty = penalty; i_primary = primary; i_secondary = secondary;
-          i_trial = trial }
+  if wins then State.swap state
 
 (* A candidate processor can be skipped without probing when the incumbent
    carries no overload penalty (so any candidate's penalty, ≥ 0, cannot
    beat it) and the floor key already loses: it is component-wise ≤ the
-   key of every trial on that processor, so floor >lex incumbent implies
+   key of every probe on that processor, so floor >lex incumbent implies
    key >lex incumbent, and the strict inequality also rules out the
    processor-index tie-break.  The floors are only computed when the
    incumbent makes a prune possible, and the finish floor (a processor
    timeline scan) only when the stage floor does not decide. *)
-let prune ~rank state best floor_data proc =
-  match !best with
-  | Some b when b.i_penalty = 0.0 -> (
-      match rank with
-      | Finish_time -> State.finish_floor state floor_data ~proc > b.i_primary
-      | Stage_then_finish ->
-          let stage_lb = float_of_int (State.stage_floor floor_data ~proc) in
-          stage_lb > b.i_primary
-          || stage_lb = b.i_primary
-             && State.finish_floor state floor_data ~proc > b.i_secondary)
-  | _ -> false
+let prune ~rank ~strict state proc =
+  let b = State.incumbent state in
+  b.p_proc >= 0
+  && penalty ~strict b = 0.0
+  &&
+  match rank with
+  | Finish_time -> State.finish_floor_above state ~proc
+  | Stage_then_finish ->
+      let stage_lb = State.stage_floor state ~proc in
+      stage_lb > b.p_stage
+      || (stage_lb = b.p_stage && State.finish_floor_above state ~proc)
 
 (* Hosts of the admissible sources, probed ahead of the main sweep: a
    co-located placement pays no transfer, so it usually sets a strong
    zero-penalty incumbent that lets the bound discard most of the
-   remaining sweep.  The selected trial is order-independent — the winner
+   remaining sweep.  The selected probe is order-independent — the winner
    is the minimum under ((penalty, rank), processor index), which no
    traversal permutation changes.  Both passes run in ascending processor
    order.  [is_host] is a caller-owned scratch array of length n_procs,
    all false between sweeps. *)
-let sweep ~is_host floor_data consider =
-  State.iter_hosts floor_data (fun p -> is_host.(p) <- true);
+let sweep ~is_host state consider =
+  State.iter_hosts state (fun p -> is_host.(p) <- true);
   Array.iteri (fun p host -> if host then consider p) is_host;
   Array.iteri (fun p host -> if not host then consider p) is_host;
-  State.iter_hosts floor_data (fun p -> is_host.(p) <- false)
+  State.iter_hosts state (fun p -> is_host.(p) <- false)
 
 (* One placement's probes, pruned candidates and condition-(1)
    rejections, reported with one [Obs.incr] each when the placement ends:
@@ -176,20 +186,20 @@ let report tally =
    in best-effort mode it survives (ranked by its penalty) but still
    counts as a rejection for the profile, and a penalty strictly above
    the incumbent's already loses the selection. *)
-let consider_variant ~(mode : Sched_api.mode) ~rank ~tally state best ~task
-    ~copy ~proc ~sources =
-  let transfers = State.transfers state ~task ~proc ~sources in
-  let (adm : State.admission) = State.admission state ~task ~proc transfers in
-  if not adm.feasible then tally.rejections <- tally.rejections + 1;
-  let admitted = match mode with Strict -> adm.feasible | Best_effort -> true
-  and penalty = match mode with Strict -> 0.0 | Best_effort -> adm.penalty in
-  if admitted then begin
-    match !best with
-    | Some b when penalty > b.i_penalty -> tally.prunes <- tally.prunes + 1
-    | _ ->
-        tally.probes <- tally.probes + 1;
-        offer ~rank best ~penalty
-          (State.evaluate state ~task ~copy ~proc ~sources ~transfers)
+let consider_variant ~strict ~rank ~tally state ~proc row =
+  State.transfers state ~proc row;
+  State.admission state;
+  let c = State.candidate state in
+  if not c.p_feasible then tally.rejections <- tally.rejections + 1;
+  if c.p_feasible || not strict then begin
+    let b = State.incumbent state in
+    if b.p_proc >= 0 && penalty ~strict c > penalty ~strict b then
+      tally.prunes <- tally.prunes + 1
+    else begin
+      tally.probes <- tally.probes + 1;
+      State.evaluate state;
+      offer ~rank ~strict state
+    end
   end
 
 (* Each replica may sole-source (transitively) through at most a "lane" of
@@ -207,37 +217,37 @@ let lane_budget ~(opts : Sched_api.options) prob =
           /. float_of_int (prob.Types.eps + 1))))
 
 (* The placement step of Algorithm 4.1, shared by both branches: every
-   processor outside the claim is a candidate, hosts of [floor_sources]
-   first; each source-set variant the branch offers on it ([variants]) is
-   judged, and the best trial is committed and its kill set added to the
-   claim.  A branch offers only variants whose kill set it admits.  Every
-   variant draws at least one replica per predecessor from
-   [floor_sources], so its floors bound them all. *)
-let place ~mode ~rank ~is_host state ct ~copy ~floor_sources ~variants =
+   processor outside the claim is a candidate, hosts of the [floor] row's
+   sources first; each source-set variant the branch offers on it
+   ([variants proc] fills that many of [sc.rows]) is judged, and the best
+   probe is committed and its kill set added to the claim.  A branch
+   offers only variants whose kill set it admits.  Every variant draws at
+   least one replica per predecessor from the [floor] row, so its floors
+   bound them all. *)
+let place ~(mode : Sched_api.mode) ~rank ~sc state ct ~copy ~floor ~variants =
   let task = ct.ct_task in
-  let floor_data = State.floor_data state ~task floor_sources in
-  let best = ref None and tally = tally () in
+  let strict = match mode with Strict -> true | Best_effort -> false in
+  State.start_step state ~task ~copy;
+  State.set_floor state floor;
+  let tally = tally () in
   let consider proc =
     if not (Bitset.mem proc ct.ct_claimed) then begin
-      if prune ~rank state best floor_data proc then
-        tally.prunes <- tally.prunes + 1
+      if prune ~rank ~strict state proc then tally.prunes <- tally.prunes + 1
       else
-        List.iter
-          (fun sources ->
-            consider_variant ~mode ~rank ~tally state best ~task ~copy ~proc
-              ~sources)
-          (variants proc)
+        for v = 0 to variants proc - 1 do
+          consider_variant ~strict ~rank ~tally state ~proc sc.rows.(v)
+        done
     end
   in
-  sweep ~is_host floor_data consider;
+  sweep ~is_host:sc.is_host state consider;
   report tally;
-  match !best with
-  | None -> false
-  | Some { i_trial = trial; _ } ->
-      State.commit state trial;
-      ct.ct_claimed <-
-        Bitset.union ct.ct_claimed (State.support state { Replica.task; copy });
-      true
+  if (State.incumbent state).p_proc < 0 then false
+  else begin
+    State.commit state;
+    ct.ct_claimed <-
+      Bitset.union ct.ct_claimed (State.support state { Replica.task; copy });
+    true
+  end
 
 (* Algorithm 4.2: map one replica so that each head replica of every
    predecessor feeds exactly this replica, with a kill set within the lane
@@ -245,9 +255,9 @@ let place ~mode ~rank ~is_host state ct ~copy ~floor_sources ~variants =
    the processors already claimed by sibling replicas and leaves room in
    the budget; stale heads are dropped lazily.  Every source is a single
    head, so the kill set on [proc] is {proc} ∪ S, S the union of the
-   heads' kill sets, computed once. *)
-let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
-    ~copy =
+   heads' kill sets, computed once.  The head row is both the one variant
+   and the floor. *)
+let one_to_one ~(opts : Sched_api.options) ~rank ~sc ~budget state ct ~copy =
   Obs.incr "core.one_to_one_calls";
   let usable (id : Replica.id) =
     let s = State.support state id in
@@ -256,9 +266,8 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
   List.iter (fun (_, ids) -> ids := List.filter usable !ids) ct.ct_heads;
   if List.exists (fun (_, ids) -> List.is_empty !ids) ct.ct_heads then false
   else begin
-    let sources =
-      List.map (fun (pred, ids) -> (pred, [ List.hd !ids ])) ct.ct_heads
-    in
+    let heads = sc.rows.(0) in
+    List.iteri (fun k (_, ids) -> heads.(k) <- State.slot state (List.hd !ids)) ct.ct_heads;
     let heads_kill =
       List.fold_left
         (fun acc (_, ids) ->
@@ -266,14 +275,12 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
         Bitset.empty ct.ct_heads
     in
     let n_heads_kill = Bitset.cardinal heads_kill in
-    let offered = [ sources ] in
     let variants proc =
       let kill = n_heads_kill + if Bitset.mem proc heads_kill then 0 else 1 in
-      if kill > budget then [] else offered
+      if kill > budget then 0 else 1
     in
     let placed =
-      place ~mode:opts.mode ~rank ~is_host state ct ~copy ~floor_sources:sources
-        ~variants
+      place ~mode:opts.mode ~rank ~sc state ct ~copy ~floor:heads ~variants
     in
     if placed then begin
       List.iter (fun (_, ids) -> ids := List.tl !ids) ct.ct_heads;
@@ -282,17 +289,72 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
     placed
   end
 
-(* Whether two source-set lists name the same replicas, compared
-   monomorphically. *)
-let same_sources a b =
-  List.equal
-    (fun (p, xs) (q, ys) ->
-      Int.equal p q
-      && List.equal
-           (fun (x : Replica.id) (y : Replica.id) ->
-             Int.equal x.task y.task && Int.equal x.copy y.copy)
-           xs ys)
-    a b
+(* Greedy variant: walk the predecessors accumulating the kill set,
+   sole-sourcing only while the lane budget allows and preferring the
+   source that grows the chain least, then the cheapest transfer, then the
+   smallest id.  [card] tracks the accumulator's cardinality. *)
+let greedy_row state (st : State.step) ~claimed ~budget ~kill ~proc row =
+  Bitset.acc_reset kill proc;
+  let card = ref 1 in
+  for k = 0 to st.n_preds - 1 do
+    let room = budget - !card in
+    let pick = ref (-1) and pick_growth = ref 0 in
+    for i = st.grp_off.(k) to st.grp_off.(k + 1) - 1 do
+      if Bitset.disjoint st.grp_kill.(i) claimed then begin
+        let growth = Bitset.acc_growth kill st.grp_kill.(i) in
+        if
+          growth <= room
+          && (!pick < 0
+             || growth < !pick_growth
+             || (growth = !pick_growth && State.closer state ~k ~proc i !pick))
+        then begin
+          pick := i;
+          pick_growth := growth
+        end
+      end
+    done;
+    if !pick >= 0 then begin
+      Bitset.acc_union kill st.grp_kill.(!pick);
+      card := !card + !pick_growth;
+      row.(k) <- st.grp_slot.(!pick)
+    end
+    else row.(k) <- -1
+  done
+
+(* Conservative variant: the first co-located sole source that is free
+   and fits, else the full group; keeps the claim small for later
+   siblings. *)
+let conservative_row (st : State.step) ~claimed ~budget ~kill ~proc row =
+  Bitset.acc_reset kill proc;
+  let card = ref 1 in
+  for k = 0 to st.n_preds - 1 do
+    let room = budget - !card in
+    let local = ref (-1) and growth = ref 0 in
+    let i = ref st.grp_off.(k) in
+    while !local < 0 && !i < st.grp_off.(k + 1) do
+      if st.grp_host.(!i) = proc && Bitset.disjoint st.grp_kill.(!i) claimed then begin
+        let g = Bitset.acc_growth kill st.grp_kill.(!i) in
+        if g <= room then begin
+          local := !i;
+          growth := g
+        end
+      end;
+      incr i
+    done;
+    if !local >= 0 then begin
+      Bitset.acc_union kill st.grp_kill.(!local);
+      card := !card + !growth;
+      row.(k) <- st.grp_slot.(!local)
+    end
+    else row.(k) <- -1
+  done
+
+let same_row n a b =
+  let k = ref 0 in
+  while !k < n && a.(!k) = b.(!k) do
+    incr k
+  done;
+  !k = n
 
 (* General branch: the replica receives, for each predecessor, either from
    a co-located predecessor replica whose kill set is still unclaimed (a
@@ -308,103 +370,30 @@ let same_sources a b =
    admissible as built: its kill set is the candidate, outside the claim,
    plus the kill sets of its sole sources, each disjoint from the claim
    (a full group adds nothing, or, at ε = 0, meets an empty claim), so
-   it is never tested against the claim. *)
-let general ~(opts : Sched_api.options) ~rank ~is_host ~budget state ct
-    ~copy =
+   it is never tested against the claim.  The rows are filled in place,
+   per candidate. *)
+let general_rows (policy : Sched_api.source_policy) state ~claimed ~budget ~kill
+    ~proc rows =
+  let st = State.step state in
+  match policy with
+  | Greedy_only ->
+      greedy_row state st ~claimed ~budget ~kill ~proc rows.(0);
+      1
+  | Conservative_only ->
+      conservative_row st ~claimed ~budget ~kill ~proc rows.(0);
+      1
+  | Both_variants ->
+      greedy_row state st ~claimed ~budget ~kill ~proc rows.(0);
+      conservative_row st ~claimed ~budget ~kill ~proc rows.(1);
+      if same_row st.n_preds rows.(0) rows.(1) then 1 else 2
+
+let general ~(opts : Sched_api.options) ~rank ~sc ~budget state ct ~copy =
   Obs.incr "core.general_calls";
-  let prob = State.problem state in
-  let mapping = State.mapping state in
-  let plat = prob.Types.platform in
-  let pred_replicas =
-    List.map
-      (fun (pred, vol) ->
-        let replicas = Mapping.replicas_of_task mapping pred in
-        let full = List.map (fun (r : Replica.t) -> r.Replica.id) replicas in
-        (pred, vol, replicas, full))
-      (Dag.preds prob.Types.dag ct.ct_task)
+  let variants proc =
+    general_rows opts.source_policy state ~claimed:ct.ct_claimed ~budget
+      ~kill:sc.kill ~proc sc.rows
   in
-  let unclaimed (r : Replica.t) =
-    Bitset.disjoint (State.support state r.id) ct.ct_claimed
-  in
-  let variants_on proc =
-    (* Greedy variant: fold over the predecessors accumulating the kill
-       set, sole-sourcing only while the lane budget allows and preferring
-       the source that grows the chain least, then the cheapest transfer. *)
-    let greedy =
-      let acc = ref (Bitset.singleton proc) in
-      List.map
-        (fun (pred, vol, replicas, full) ->
-          let room = budget - Bitset.cardinal !acc in
-          (* Ties on growth and transfer time go to the smallest id. *)
-          let pick = ref None and pick_growth = ref 0 and pick_comm = ref 0.0 in
-          List.iter
-            (fun (r : Replica.t) ->
-              if unclaimed r then begin
-                let growth =
-                  Bitset.diff_cardinal (State.support state r.id) !acc
-                in
-                if growth <= room then begin
-                  let comm =
-                    if r.proc = proc then 0.0
-                    else Platform.comm_time plat r.proc proc vol
-                  in
-                  let better =
-                    match !pick with
-                    | None -> true
-                    | Some (p : Replica.t) ->
-                        growth < !pick_growth
-                        || growth = !pick_growth
-                           && (comm < !pick_comm
-                              || comm = !pick_comm
-                                 && Replica.compare_id r.id p.id < 0)
-                  in
-                  if better then begin
-                    pick := Some r;
-                    pick_growth := growth;
-                    pick_comm := comm
-                  end
-                end
-              end)
-            replicas;
-          match !pick with
-          | Some r ->
-              acc := Bitset.union !acc (State.support state r.id);
-              (pred, [ r.Replica.id ])
-          | None -> (pred, full))
-        pred_replicas
-    in
-    (* Conservative variant: local sole source when free, else the full
-       group; keeps the claim small for later siblings. *)
-    let conservative =
-      let acc = ref (Bitset.singleton proc) in
-      List.map
-        (fun (pred, _, replicas, full) ->
-          let room = budget - Bitset.cardinal !acc in
-          let local =
-            List.find_opt
-              (fun (r : Replica.t) ->
-                r.proc = proc && unclaimed r
-                && Bitset.diff_cardinal (State.support state r.id) !acc <= room)
-              replicas
-          in
-          match local with
-          | Some r ->
-              acc := Bitset.union !acc (State.support state r.id);
-              (pred, [ r.Replica.id ])
-          | None -> (pred, full))
-        pred_replicas
-    in
-    match opts.source_policy with
-    | Greedy_only -> [ greedy ]
-    | Conservative_only -> [ conservative ]
-    | Both_variants ->
-        if same_sources greedy conservative then [ greedy ]
-        else [ greedy; conservative ]
-  in
-  place ~mode:opts.mode ~rank ~is_host state ct ~copy
-    ~floor_sources:
-      (List.map (fun (pred, _, _, full) -> (pred, full)) pred_replicas)
-    ~variants:variants_on
+  place ~mode:opts.mode ~rank ~sc state ct ~copy ~floor:sc.groups ~variants
 
 let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   Obs.touch "core.placement_probes";
@@ -417,8 +406,21 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
   let dag = prob.Types.dag and plat = prob.Types.platform in
   let state = State.create prob in
   let priority = Levels.priority dag (Metrics.paper_weights dag plat) in
-  let count_scratch = Array.make (Platform.size plat) 0 in
-  let is_host = Array.make (Platform.size plat) false in
+  let m = Platform.size plat in
+  let max_preds =
+    let d = ref 0 in
+    Dag.iter_tasks dag (fun t -> d := max !d (Dag.in_degree dag t));
+    !d
+  in
+  let sc =
+    {
+      count = Array.make m 0;
+      is_host = Array.make m false;
+      rows = Array.init 2 (fun _ -> Array.make max_preds (-1));
+      groups = Array.make max_preds (-1);
+      kill = Bitset.acc ~universe:m;
+    }
+  in
   let budget = lane_budget ~opts prob in
   let higher a b =
     if priority.(a) <> priority.(b) then compare priority.(b) priority.(a)
@@ -447,7 +449,7 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
           end
         in
         let beta =
-          take chunk_bound [] |> List.map (singleton_data state count_scratch)
+          take chunk_bound [] |> List.map (singleton_data state sc.count)
         in
         Obs.incr "core.chunks";
         Obs.observe "core.chunk_size" (float_of_int (List.length beta));
@@ -459,8 +461,8 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
                 if !failure = None then begin
                   let placed =
                     (opts.use_one_to_one && ct.ct_z < ct.ct_theta
-                    && one_to_one ~opts ~rank ~is_host ~budget state ct ~copy:n)
-                    || general ~opts ~rank ~is_host ~budget state ct ~copy:n
+                    && one_to_one ~opts ~rank ~sc ~budget state ct ~copy:n)
+                    || general ~opts ~rank ~sc ~budget state ct ~copy:n
                   in
                   if not placed then
                     failure := Some (Types.No_feasible_processor (ct.ct_task, n))

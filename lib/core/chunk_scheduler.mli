@@ -23,16 +23,24 @@
     it admits: the one-to-one branch offers the head sources when their
     kill set (the candidate plus the union of the heads' kill sets) fits
     the lane budget; the general branch offers its greedy and
-    conservative variants, which are always admissible — each is built
-    from sole sources whose kill sets are disjoint from the claim and
-    from full groups, which kill nothing alone, so its kill set (those
-    plus the candidate, itself outside the claim) is disjoint from the
-    claim by construction.  An offered variant must meet condition
-    (1) in strict mode and is ranked by its overload penalty first in
-    best-effort mode; it is then probed, and the best trial is committed
-    and its kill set added to the claim.  When the one-to-one step places
-    nothing the general step runs; when that places nothing either, the
-    schedule fails, as LTF does in the worked example of §4.3.
+    conservative variants ({!general_rows}), which are always admissible
+    — each is built from sole sources whose kill sets are disjoint from
+    the claim and from full groups, which kill nothing alone, so its kill
+    set (those plus the candidate, itself outside the claim) is disjoint
+    from the claim by construction.  An offered variant must meet
+    condition (1) in strict mode and is ranked by its overload penalty
+    first in best-effort mode; it is then probed, and the best probe is
+    committed and its kill set added to the claim.  When the one-to-one
+    step places nothing the general step runs; when that places nothing
+    either, the schedule fails, as LTF does in the worked example of
+    §4.3.
+
+    A variant is a {!State} source row, one int per predecessor, filled
+    in place in a scratch row per candidate; candidates are judged in the
+    state's probe buffers, and a winner is swapped in as the incumbent.
+    Past its per-placement set-up (the floor sources, the sweep's
+    closures, the committed source list), a placement step allocates
+    nothing per candidate.
 
     Candidate ranking is a parameter: LTF minimizes the estimated finish
     time [F]; R-LTF minimizes the pipeline stage first (Rule 1) and the
@@ -56,12 +64,12 @@ type rank =
   | Stage_then_finish
       (** R-LTF's Rule 1 policy: the smallest pipeline stage, then the
           smallest [F]. *)
-(** How a placement step ranks its admitted trials, smaller first, with
+(** How a placement step ranks its admitted probes, smaller first, with
     ties broken by processor index.  Before a candidate processor is
-    probed, its {!State.stage_floor} and {!State.finish_floor} are ranked
-    the same way: a candidate whose floors already lose to a
+    probed, its {!State.stage_floor} and {!State.finish_floor_above} are
+    ranked the same way: a candidate whose floors already lose to a
     zero-overload incumbent is skipped without probing the timelines —
-    the selected trial is identical, only the probe count changes. *)
+    the selected probe is identical, only the probe count changes. *)
 
 val schedule :
   ?opts:Sched_api.options ->
@@ -70,3 +78,23 @@ val schedule :
   (State.t, Types.failure) result
 (** Schedule every task of the problem's DAG.  On success the returned
     state holds a complete mapping. *)
+
+val general_rows :
+  Sched_api.source_policy ->
+  State.t ->
+  claimed:Bitset.t ->
+  budget:int ->
+  kill:Bitset.acc ->
+  proc:Platform.proc ->
+  int array array ->
+  int
+(** [general_rows policy s ~claimed ~budget ~kill ~proc rows]: the general
+    branch's source rows for placing the state's current {!State.step} on
+    [proc], written to [rows.(0)] and, when the policy offers both and
+    they differ, [rows.(1)]; the result is how many it wrote.  The greedy
+    row sole-sources each predecessor through the replica with an
+    unclaimed kill set that grows the accumulated kill set least within
+    the lane [budget], then sends fastest, then has the smallest id; the
+    conservative row only through an unclaimed co-located replica that
+    fits; every other predecessor sends its whole group.  [kill] is
+    scratch over the processors.  Allocates nothing. *)

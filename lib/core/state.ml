@@ -1,6 +1,41 @@
 (* Per-replica attributes live in flat arrays indexed [task * (eps+1) +
    copy] so a million-task schedule is a handful of contiguous slabs
-   rather than a forest of per-task records. *)
+   rather than a forest of per-task records.
+
+   Every float the placement step computes per candidate lives in a float
+   array or an all-float record, and no function that takes or returns a
+   float is called across a module boundary on that path: such a float
+   would be boxed.  Platform speeds and bandwidths are therefore read into
+   the state once, and the timelines are queried through one reused
+   [Timeline.query]. *)
+
+type floats = { mutable start : float; mutable finish : float; mutable penalty : float }
+
+type probe = {
+  mutable p_task : Dag.task;
+  mutable p_copy : int;
+  mutable p_proc : Platform.proc; (* -1: holds no placement *)
+  mutable p_variant : int array;
+  mutable p_stage : int;
+  mutable p_feasible : bool;
+  p_at : floats;
+  mutable p_n : int;
+  mutable p_src : int array;
+  mutable p_src_proc : int array;
+  mutable p_dur : float array;
+  mutable p_comm_start : float array;
+}
+
+type step = {
+  mutable task : Dag.task;
+  mutable copy : int;
+  mutable n_preds : int;
+  mutable grp_off : int array;
+  mutable grp_slot : int array;
+  mutable grp_host : Platform.proc array;
+  mutable grp_kill : Bitset.t array;
+}
+
 type t = {
   prob : Types.problem;
   mapping : Mapping.t;
@@ -14,7 +49,24 @@ type t = {
   stage_arr : int array;    (* [task * copies + copy]; 0 = unplaced *)
   proc_arr : int array;     (* [task * copies + copy]; the host once placed *)
   support_arr : Bitset.t array; (* [task * copies + copy]; kill sets *)
-  (* Probe scratch, reused by every [evaluate] and [admission]. *)
+  speed : float array; (* per processor *)
+  bw : float array array; (* [src].(dst), src <> dst *)
+  (* The placement step: its predecessors and their volumes, the
+     execution weight of its task in [weight.(0)], and the floor sources
+     flattened per predecessor (see [set_floor]). *)
+  step : step;
+  mutable preds : Dag.task array;
+  mutable vols : float array;
+  weight : float array;
+  mutable fl_off : int array;
+  mutable fl_finish : float array;
+  mutable fl_stage : int array;
+  mutable fl_host : int array;
+  (* The two probe buffers, swapped when the candidate wins. *)
+  mutable cand : probe;
+  mutable best : probe;
+  (* Probe scratch, reused by every [evaluate], [admission] and floor. *)
+  query : Timeline.query;
   recv_probe : Timeline.probe;
   send_probe : Timeline.probe array; (* per sender processor *)
   out_sum : float array;
@@ -23,13 +75,30 @@ type t = {
   out_procs : int array; (* those source processors, in first-transfer order *)
 }
 
+let empty_probe () =
+  {
+    p_task = 0;
+    p_copy = 0;
+    p_proc = -1;
+    p_variant = [||];
+    p_stage = 0;
+    p_feasible = false;
+    p_at = { start = 0.0; finish = 0.0; penalty = 0.0 };
+    p_n = 0;
+    p_src = [||];
+    p_src_proc = [||];
+    p_dur = [||];
+    p_comm_start = [||];
+  }
+
 let create (prob : Types.problem) =
-  let n_procs = Platform.size prob.platform in
+  let plat = prob.platform in
+  let n_procs = Platform.size plat in
   let copies = prob.eps + 1 in
   let slots = Dag.size prob.dag * copies in
   {
     prob;
-    mapping = Mapping.create ~dag:prob.dag ~platform:prob.platform ~eps:prob.eps;
+    mapping = Mapping.create ~dag:prob.dag ~platform:plat ~eps:prob.eps;
     delta = Types.period prob;
     copies;
     loads = Loads.create ~n_procs;
@@ -40,6 +109,31 @@ let create (prob : Types.problem) =
     stage_arr = Array.make slots 0;
     proc_arr = Array.make slots (-1);
     support_arr = Array.make slots Bitset.empty;
+    speed = Array.init n_procs (Platform.speed plat);
+    bw =
+      Array.init n_procs (fun k ->
+          Array.init n_procs (fun h ->
+              if k = h then 0.0 else Platform.bandwidth plat k h));
+    step =
+      {
+        task = 0;
+        copy = 0;
+        n_preds = 0;
+        grp_off = [| 0 |];
+        grp_slot = [||];
+        grp_host = [||];
+        grp_kill = [||];
+      };
+    preds = [||];
+    vols = [||];
+    weight = [| 0.0 |];
+    fl_off = [| 0 |];
+    fl_finish = [||];
+    fl_stage = [||];
+    fl_host = [||];
+    cand = empty_probe ();
+    best = empty_probe ();
+    query = { Timeline.ready = 0.0; duration = 0.0; start = 0.0 };
     recv_probe = Timeline.probe ();
     send_probe = Array.init n_procs (fun _ -> Timeline.probe ());
     out_sum = Array.make n_procs nan;
@@ -50,6 +144,8 @@ let problem s = s.prob
 let mapping s = s.mapping
 
 let slot s (id : Replica.id) = (id.task * s.copies) + id.copy
+
+let id_of_slot s k = { Replica.task = k / s.copies; copy = k mod s.copies }
 
 let not_placed fn id =
   invalid_arg
@@ -65,11 +161,6 @@ let stage s (id : Replica.id) =
   if st = 0 then not_placed "stage" id;
   st
 
-let host s (id : Replica.id) =
-  let p = s.proc_arr.(slot s id) in
-  if p < 0 then not_placed "host" id;
-  p
-
 let loads s = s.loads
 
 let support s (id : Replica.id) = s.support_arr.(slot s id)
@@ -84,14 +175,12 @@ let support s (id : Replica.id) = s.support_arr.(slot s id)
    starvation channel. *)
 let support_of_sources s ~proc ~sources =
   List.fold_left
-    (fun acc (pred, ids) ->
+    (fun acc (_, ids) ->
       match ids with
       | [] -> acc
       | [ (src : Replica.id) ] -> Bitset.union acc (support s src)
       | first :: rest ->
-          let full = List.length ids = Mapping.n_copies s.mapping in
-          ignore pred;
-          if full then acc
+          if List.length ids = Mapping.n_copies s.mapping then acc
           else
             Bitset.union acc
               (List.fold_left
@@ -101,75 +190,154 @@ let support_of_sources s ~proc ~sources =
 
 let send_ready s u = Timeline.busy_until s.send_tl.(u)
 
-type transfer = { tr_src : Replica.id; tr_proc : Platform.proc; tr_dur : float }
+(* [Float.max], bit for bit, inlined: a call would box both floats. *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x then y
+  else if y < x then x
+  else if y = x then if x = 0.0 && Float.sign_bit x then y else x
+  else Float.max x y
 
-type trial = {
-  t_task : Dag.task;
-  t_copy : int;
-  t_proc : Platform.proc;
-  t_sources : (Dag.task * Replica.id list) list;
-  t_start : float;
-  t_finish : float;
-  t_stage : int;
-  t_transfers : transfer array;
-  t_comm_starts : float array;
-}
+let[@inline] comm_time s ~src ~dst vol =
+  if src = dst then 0.0 else vol /. s.bw.(src).(dst)
 
-(* Transfers in order of data readiness (source finish, then replica id),
-   so the probe is deterministic.  The order is total: no two transfers
-   share a source. *)
-let ready_before s a b =
-  let fa = s.finish_arr.(slot s a.tr_src) and fb = s.finish_arr.(slot s b.tr_src) in
-  fa < fb || (fa = fb && Replica.compare_id a.tr_src b.tr_src < 0)
+let[@inline] exec_time s proc = s.weight.(0) /. s.speed.(proc)
 
-let transfers s ~task ~proc ~sources =
-  let plat = s.prob.platform and dag = s.prob.dag in
-  let remote = ref [] in
-  List.iter
-    (fun (pred, ids) ->
-      let vol = Dag.volume dag pred task in
-      List.iter
-        (fun (src : Replica.id) ->
-          let sp = host s src in
-          if sp <> proc then
-            remote :=
-              { tr_src = src; tr_proc = sp; tr_dur = Platform.comm_time plat sp proc vol }
-              :: !remote)
-        ids)
-    sources;
-  let trs = Array.of_list !remote in
-  (* Insertion sort: a placement has a handful of transfers. *)
-  for i = 1 to Array.length trs - 1 do
-    let tr = trs.(i) and j = ref (i - 1) in
-    while !j >= 0 && ready_before s tr trs.(!j) do
-      trs.(!j + 1) <- trs.(!j);
-      decr j
-    done;
-    trs.(!j + 1) <- tr
+(* Arrays of the placement step only ever grow. *)
+let grown_int a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+let grown_float a n =
+  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0.0
+
+let reserve p ~n_preds ~n_transfers =
+  p.p_variant <- grown_int p.p_variant n_preds;
+  if Array.length p.p_src < n_transfers then begin
+    p.p_src <- grown_int p.p_src n_transfers;
+    p.p_src_proc <- grown_int p.p_src_proc n_transfers;
+    p.p_dur <- grown_float p.p_dur n_transfers;
+    p.p_comm_start <- grown_float p.p_comm_start n_transfers
+  end
+
+let start_step s ~task ~copy =
+  let st = s.step and preds = Dag.preds s.prob.dag task in
+  let n = List.length preds in
+  s.preds <- grown_int s.preds n;
+  s.vols <- grown_float s.vols n;
+  st.grp_off <- grown_int st.grp_off (n + 1);
+  let cap = n * s.copies in
+  if Array.length st.grp_slot < cap then begin
+    st.grp_slot <- grown_int st.grp_slot cap;
+    st.grp_host <- grown_int st.grp_host cap;
+    st.grp_kill <- Array.make (Array.length st.grp_slot) Bitset.empty
+  end;
+  let at = ref 0 in
+  List.iteri
+    (fun k (pred, vol) ->
+      s.preds.(k) <- pred;
+      s.vols.(k) <- vol;
+      for c = 0 to s.copies - 1 do
+        let sl = (pred * s.copies) + c in
+        if s.proc_arr.(sl) >= 0 then begin
+          st.grp_slot.(!at) <- sl;
+          st.grp_host.(!at) <- s.proc_arr.(sl);
+          st.grp_kill.(!at) <- s.support_arr.(sl);
+          incr at
+        end
+      done;
+      st.grp_off.(k + 1) <- !at)
+    preds;
+  st.task <- task;
+  st.copy <- copy;
+  st.n_preds <- n;
+  s.weight.(0) <- Dag.exec s.prob.dag task;
+  reserve s.cand ~n_preds:n ~n_transfers:!at;
+  reserve s.best ~n_preds:n ~n_transfers:!at;
+  s.best.p_proc <- -1
+
+let step s = s.step
+let candidate s = s.cand
+let incumbent s = s.best
+
+let swap s =
+  let c = s.cand in
+  s.cand <- s.best;
+  s.best <- c
+
+let closer s ~k ~proc i j =
+  let st = s.step and vol = s.vols.(k) in
+  let ci = comm_time s ~src:st.grp_host.(i) ~dst:proc vol
+  and cj = comm_time s ~src:st.grp_host.(j) ~dst:proc vol in
+  ci < cj || (ci = cj && st.grp_slot.(i) < st.grp_slot.(j))
+
+(* The source replicas of predecessor [k] under [row] are entries
+   [first] to [last] of its group, or the one replica the row names: loop
+   [i] over that range and read [source_at].  Loops, not an iterator:
+   a closure over the loop's counters would be allocated per call. *)
+let[@inline] first s row k = if row.(k) < 0 then s.step.grp_off.(k) else 0
+
+let[@inline] last s row k = if row.(k) < 0 then s.step.grp_off.(k + 1) - 1 else 0
+
+let[@inline] source_at s row k i = if row.(k) < 0 then s.step.grp_slot.(i) else row.(k)
+
+(* Transfers in order of data readiness (source finish, then slot — the
+   replica id order), so the probe is deterministic.  The order is total:
+   no two transfers share a source.  Insertion: a placement has a handful
+   of transfers.  The duration is computed here, not passed: a float
+   argument would be boxed. *)
+let add_transfer s c ~k ~proc sl sp =
+  let dur = comm_time s ~src:sp ~dst:proc s.vols.(k) in
+  let f = s.finish_arr.(sl) in
+  let j = ref c.p_n in
+  while
+    !j > 0
+    &&
+    let g = s.finish_arr.(c.p_src.(!j - 1)) in
+    f < g || (f = g && sl < c.p_src.(!j - 1))
+  do
+    c.p_src.(!j) <- c.p_src.(!j - 1);
+    c.p_src_proc.(!j) <- c.p_src_proc.(!j - 1);
+    c.p_dur.(!j) <- c.p_dur.(!j - 1);
+    decr j
   done;
-  trs
+  c.p_src.(!j) <- sl;
+  c.p_src_proc.(!j) <- sp;
+  c.p_dur.(!j) <- dur;
+  c.p_n <- c.p_n + 1
 
-type admission = { feasible : bool; penalty : float }
+let transfers s ~proc row =
+  let st = s.step and c = s.cand in
+  c.p_task <- st.task;
+  c.p_copy <- st.copy;
+  c.p_proc <- proc;
+  c.p_n <- 0;
+  Array.blit row 0 c.p_variant 0 st.n_preds;
+  for k = 0 to st.n_preds - 1 do
+    for i = first s row k to last s row k do
+      let sl = source_at s row k i in
+      let sp = s.proc_arr.(sl) in
+      if sp <> proc then add_transfer s c ~k ~proc sl sp
+    done
+  done
 
-let[@inline] over s current extra = Float.max 0.0 (current +. extra -. s.delta)
+let[@inline] over s current extra = fmax 0.0 (current +. extra -. s.delta)
 
 (* The outgoing durations are summed per source processor in [out_sum], in
    transfer order, and the penalty adds the overflows of the source
    processors in the order of their first transfer. *)
-let admission s ~task ~proc transfers =
-  let plat = s.prob.platform and dag = s.prob.dag and l = s.loads in
-  let exec = Platform.exec_time plat proc (Dag.exec dag task) in
+let admission s =
+  let c = s.cand and l = s.loads in
+  let proc = c.p_proc in
+  let exec = exec_time s proc in
   let incoming = ref 0.0 and n_out = ref 0 in
-  for k = 0 to Array.length transfers - 1 do
-    let tr = transfers.(k) in
-    incoming := !incoming +. tr.tr_dur;
-    let prev = s.out_sum.(tr.tr_proc) in
+  for k = 0 to c.p_n - 1 do
+    let sp = c.p_src_proc.(k) and dur = c.p_dur.(k) in
+    incoming := !incoming +. dur;
+    let prev = s.out_sum.(sp) in
     if Float.is_nan prev then begin
-      s.out_procs.(!n_out) <- tr.tr_proc;
+      s.out_procs.(!n_out) <- sp;
       incr n_out;
-      s.out_sum.(tr.tr_proc) <- 0.0 +. tr.tr_dur
+      s.out_sum.(sp) <- 0.0 +. dur
     end
-    else s.out_sum.(tr.tr_proc) <- prev +. tr.tr_dur
+    else s.out_sum.(sp) <- prev +. dur
   done;
   let slack = s.delta *. (1.0 +. 1e-9) in
   let out_fits = ref true and out_over = ref 0.0 in
@@ -180,71 +348,53 @@ let admission s ~task ~proc transfers =
     out_over := !out_over +. over s l.Loads.c_out.(sp) extra;
     s.out_sum.(sp) <- nan
   done;
-  {
-    feasible =
-      l.Loads.sigma.(proc) +. exec <= slack
-      && l.Loads.c_in.(proc) +. !incoming <= slack
-      && !out_fits;
-    penalty =
-      over s l.Loads.sigma.(proc) exec +. over s l.Loads.c_in.(proc) !incoming +. !out_over;
-  }
+  c.p_feasible <-
+    l.Loads.sigma.(proc) +. exec <= slack
+    && l.Loads.c_in.(proc) +. !incoming <= slack
+    && !out_fits;
+  c.p_at.penalty <-
+    over s l.Loads.sigma.(proc) exec +. over s l.Loads.c_in.(proc) !incoming +. !out_over
 
-(* The admissible sources of a placement step, flattened: predecessor [k]
-   has volume [f_vol.(k)] and its sources at [f_off.(k)] up to
-   [f_off.(k + 1)]; each source's finish, stage and host are read once. *)
-type floor_data = {
-  f_task : Dag.task;
-  f_vol : float array;
-  f_off : int array;
-  f_finish : float array;
-  f_stage : int array;
-  f_host : int array;
-}
+(* The floor sources are flattened: predecessor [k]'s sit at [fl_off.(k)]
+   up to [fl_off.(k + 1)], with their finish, stage and host. *)
+let set_floor s row =
+  let n = s.step.n_preds in
+  s.fl_off <- grown_int s.fl_off (n + 1);
+  let cap = Array.length s.step.grp_slot in
+  s.fl_finish <- grown_float s.fl_finish cap;
+  s.fl_stage <- grown_int s.fl_stage cap;
+  s.fl_host <- grown_int s.fl_host cap;
+  let at = ref 0 in
+  for k = 0 to n - 1 do
+    for i = first s row k to last s row k do
+      let sl = source_at s row k i in
+      s.fl_finish.(!at) <- s.finish_arr.(sl);
+      s.fl_stage.(!at) <- s.stage_arr.(sl);
+      s.fl_host.(!at) <- s.proc_arr.(sl);
+      incr at
+    done;
+    s.fl_off.(k + 1) <- !at
+  done
 
-let floor_data s ~task sources =
-  let dag = s.prob.dag in
-  let n_preds = List.length sources in
-  let n_srcs = List.fold_left (fun n (_, ids) -> n + List.length ids) 0 sources in
-  let fd =
-    {
-      f_task = task;
-      f_vol = Array.make n_preds 0.0;
-      f_off = Array.make (n_preds + 1) 0;
-      f_finish = Array.make n_srcs 0.0;
-      f_stage = Array.make n_srcs 0;
-      f_host = Array.make n_srcs 0;
-    }
-  in
-  List.iteri
-    (fun k (pred, ids) ->
-      fd.f_vol.(k) <- Dag.volume dag pred task;
-      List.iteri
-        (fun i src ->
-          let at = fd.f_off.(k) + i in
-          fd.f_finish.(at) <- finish s src;
-          fd.f_stage.(at) <- stage s src;
-          fd.f_host.(at) <- host s src)
-        ids;
-      fd.f_off.(k + 1) <- fd.f_off.(k) + List.length ids)
-    sources;
-  fd
+let iter_hosts s f =
+  for i = 0 to s.fl_off.(s.step.n_preds) - 1 do
+    f s.fl_host.(i)
+  done
 
-let iter_hosts fd f = Array.iter f fd.f_host
-
-(* Every source set drawing one of the listed replicas per predecessor has
+(* Every source set drawing one of the floor replicas per predecessor has
    a stage no lower than the per-predecessor minimum (+1 when remote), and
    its data ready no earlier than the latest per-predecessor minimum
    arrival (finish plus the transfer time, zero when co-located).
    [evaluate] starts the execution at the processor timeline's earliest
-   fit after the data is ready, and [earliest_fit] is monotone in [ready],
-   so the fit at the data floor floors the finish too. *)
-let stage_floor fd ~proc =
+   fit after the data is ready, and the fit is monotone in [ready], so the
+   fit at the data floor floors the finish too. *)
+let stage_floor s ~proc =
   let stg = ref 1 in
-  for k = 0 to Array.length fd.f_vol - 1 do
-    if fd.f_off.(k + 1) > fd.f_off.(k) then begin
+  for k = 0 to s.step.n_preds - 1 do
+    if s.fl_off.(k + 1) > s.fl_off.(k) then begin
       let st = ref max_int in
-      for i = fd.f_off.(k) to fd.f_off.(k + 1) - 1 do
-        let rs = if fd.f_host.(i) = proc then fd.f_stage.(i) else fd.f_stage.(i) + 1 in
+      for i = s.fl_off.(k) to s.fl_off.(k + 1) - 1 do
+        let rs = if s.fl_host.(i) = proc then s.fl_stage.(i) else s.fl_stage.(i) + 1 in
         if rs < !st then st := rs
       done;
       if !st > !stg then stg := !st
@@ -252,117 +402,104 @@ let stage_floor fd ~proc =
   done;
   !stg
 
-let finish_floor s fd ~proc =
-  let plat = s.prob.platform in
+let finish_floor_above s ~proc =
   let ready = ref 0.0 in
-  for k = 0 to Array.length fd.f_vol - 1 do
-    if fd.f_off.(k + 1) > fd.f_off.(k) then begin
+  for k = 0 to s.step.n_preds - 1 do
+    if s.fl_off.(k + 1) > s.fl_off.(k) then begin
       let f = ref infinity in
-      for i = fd.f_off.(k) to fd.f_off.(k + 1) - 1 do
-        let rf = fd.f_finish.(i) and rp = fd.f_host.(i) in
+      for i = s.fl_off.(k) to s.fl_off.(k + 1) - 1 do
+        let rf = s.fl_finish.(i) and rp = s.fl_host.(i) in
         if rp = proc then begin
           if rf < !f then f := rf
         end
         else begin
-          let arr = rf +. Platform.comm_time plat rp proc fd.f_vol.(k) in
+          let arr = rf +. comm_time s ~src:rp ~dst:proc s.vols.(k) in
           if arr < !f then f := arr
         end
       done;
       if !f > !ready then ready := !f
     end
   done;
-  let exec = Platform.exec_time plat proc (Dag.exec s.prob.dag fd.f_task) in
-  Timeline.earliest_fit s.proc_tl.(proc) ~ready:!ready ~duration:exec +. exec
+  let exec = exec_time s proc and q = s.query in
+  q.ready <- !ready;
+  q.duration <- exec;
+  Timeline.fit s.proc_tl.(proc) q;
+  q.start +. exec > s.best.p_at.finish
 
-(* Data from co-located sources is available at their finish time; the
-   pipeline stage is the max over sources of their stage, +1 for remote
-   ones. *)
-let rec local_ready s ~proc acc = function
-  | [] -> acc
-  | (_, ids) :: rest -> local_ready s ~proc (local_ready_of s ~proc acc ids) rest
-
-and local_ready_of s ~proc acc = function
-  | [] -> acc
-  | src :: rest ->
-      let k = slot s src in
-      let acc = if s.proc_arr.(k) = proc then Float.max acc (finish s src) else acc in
-      local_ready_of s ~proc acc rest
-
-let rec stage_of s ~proc acc = function
-  | [] -> acc
-  | (_, ids) :: rest -> stage_of s ~proc (stage_of_ids s ~proc acc ids) rest
-
-and stage_of_ids s ~proc acc = function
-  | [] -> acc
-  | src :: rest ->
-      let k = slot s src in
-      let st = if s.proc_arr.(k) = proc then s.stage_arr.(k) else s.stage_arr.(k) + 1 in
-      stage_of_ids s ~proc (if st > acc then st else acc) rest
-
-let evaluate s ~task ~copy ~proc ~sources ~transfers =
-  let plat = s.prob.platform and dag = s.prob.dag in
-  (* Place transfers sequentially on probes of the receive port and of the
-     send ports of their sources, leaving the committed timelines
-     untouched. *)
+(* Data from co-located sources is available at their finish time, and
+   the pipeline stage is the max over sources of their stage, +1 for
+   remote ones.  The transfers go sequentially on probes of the receive
+   port and of the send ports of their sources, leaving the committed
+   timelines untouched. *)
+let evaluate s =
+  let c = s.cand and q = s.query in
+  let proc = c.p_proc in
+  let data_ready = ref 0.0 and stg = ref 1 in
+  let row = c.p_variant in
+  for k = 0 to s.step.n_preds - 1 do
+    for i = first s row k to last s row k do
+      let sl = source_at s row k i in
+      if s.proc_arr.(sl) = proc then begin
+        data_ready := fmax !data_ready s.finish_arr.(sl);
+        if s.stage_arr.(sl) > !stg then stg := s.stage_arr.(sl)
+      end
+      else if s.stage_arr.(sl) + 1 > !stg then stg := s.stage_arr.(sl) + 1
+    done
+  done;
   let recv_tl = s.recv_tl.(proc) and recv = s.recv_probe in
-  let n = Array.length transfers in
   Timeline.clear recv;
-  for k = 0 to n - 1 do
-    Timeline.clear s.send_probe.(transfers.(k).tr_proc)
+  for k = 0 to c.p_n - 1 do
+    Timeline.clear s.send_probe.(c.p_src_proc.(k))
   done;
-  let starts = Array.make n 0.0 in
-  let data_ready = ref (local_ready s ~proc 0.0 sources) in
-  for k = 0 to n - 1 do
-    let { tr_src; tr_proc = sp; tr_dur = duration } = transfers.(k) in
+  for k = 0 to c.p_n - 1 do
+    let sp = c.p_src_proc.(k) in
     let send_tl = s.send_tl.(sp) and send = s.send_probe.(sp) in
-    let start =
-      Timeline.joint_fit send_tl send recv_tl recv ~ready:(finish s tr_src) ~duration
-    in
-    Timeline.tentative recv_tl recv ~start ~duration;
-    Timeline.tentative send_tl send ~start ~duration;
-    starts.(k) <- start;
-    data_ready := Float.max !data_ready (start +. duration)
+    q.ready <- s.finish_arr.(c.p_src.(k));
+    q.duration <- c.p_dur.(k);
+    Timeline.joint_fit send_tl send recv_tl recv q;
+    Timeline.tentative recv_tl recv q;
+    Timeline.tentative send_tl send q;
+    c.p_comm_start.(k) <- q.start;
+    data_ready := fmax !data_ready (q.start +. q.duration)
   done;
-  let exec = Platform.exec_time plat proc (Dag.exec dag task) in
-  let start = Timeline.earliest_fit s.proc_tl.(proc) ~ready:!data_ready ~duration:exec in
-  {
-    t_task = task;
-    t_copy = copy;
-    t_proc = proc;
-    t_sources = sources;
-    t_start = start;
-    t_finish = start +. exec;
-    t_stage = stage_of s ~proc 1 sources;
-    t_transfers = transfers;
-    t_comm_starts = starts;
-  }
+  let exec = exec_time s proc in
+  q.ready <- !data_ready;
+  q.duration <- exec;
+  Timeline.fit s.proc_tl.(proc) q;
+  c.p_at.start <- q.start;
+  c.p_at.finish <- q.start +. exec;
+  c.p_stage <- !stg
 
-let commit s trial =
+let commit s =
+  let b = s.best in
+  if b.p_proc < 0 then invalid_arg "State.commit: no incumbent";
   Obs.incr "core.commits";
-  let plat = s.prob.platform and dag = s.prob.dag in
+  let st = s.step and proc = b.p_proc in
+  let sources =
+    List.init st.n_preds (fun k ->
+        let row = b.p_variant in
+        ( s.preds.(k),
+          List.init
+            (last s row k - first s row k + 1)
+            (fun i -> id_of_slot s (source_at s row k (first s row k + i))) ))
+  in
   Mapping.assign s.mapping
-    {
-      Replica.id = { Replica.task = trial.t_task; copy = trial.t_copy };
-      proc = trial.t_proc;
-      sources = trial.t_sources;
-    };
-  let exec = Platform.exec_time plat trial.t_proc (Dag.exec dag trial.t_task) in
+    { Replica.id = { Replica.task = b.p_task; copy = b.p_copy }; proc; sources };
   (* Charge through the Loads primitives in exactly the historical float
      order (Σ, then per transfer Cᴵ before Cᴼ): schedules are pinned
      bit-identical and float addition is order-sensitive. *)
-  Loads.add_exec s.loads trial.t_proc exec;
-  Array.iteri
-    (fun k { tr_proc = sp; tr_dur = dur; _ } ->
-      let start = trial.t_comm_starts.(k) in
-      Loads.add_comm s.loads ~src:sp ~dst:trial.t_proc dur;
-      Timeline.insert s.recv_tl.(trial.t_proc) ~start ~duration:dur;
-      Timeline.insert s.send_tl.(sp) ~start ~duration:dur)
-    trial.t_transfers;
-  Timeline.insert s.proc_tl.(trial.t_proc) ~start:trial.t_start
-    ~duration:(trial.t_finish -. trial.t_start);
-  let k = (trial.t_task * s.copies) + trial.t_copy in
-  s.finish_arr.(k) <- trial.t_finish;
-  s.stage_arr.(k) <- trial.t_stage;
-  s.proc_arr.(k) <- trial.t_proc;
-  s.support_arr.(k) <-
-    support_of_sources s ~proc:trial.t_proc ~sources:trial.t_sources
+  Loads.add_exec s.loads proc (exec_time s proc);
+  for k = 0 to b.p_n - 1 do
+    let sp = b.p_src_proc.(k) and dur = b.p_dur.(k) and start = b.p_comm_start.(k) in
+    Loads.add_comm s.loads ~src:sp ~dst:proc dur;
+    Timeline.insert s.recv_tl.(proc) ~start ~duration:dur;
+    Timeline.insert s.send_tl.(sp) ~start ~duration:dur
+  done;
+  Timeline.insert s.proc_tl.(proc) ~start:b.p_at.start
+    ~duration:(b.p_at.finish -. b.p_at.start);
+  let k = (b.p_task * s.copies) + b.p_copy in
+  s.finish_arr.(k) <- b.p_at.finish;
+  s.stage_arr.(k) <- b.p_stage;
+  s.proc_arr.(k) <- proc;
+  s.support_arr.(k) <- support_of_sources s ~proc ~sources;
+  b.p_proc <- -1

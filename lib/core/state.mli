@@ -6,17 +6,24 @@
     for contention-aware finish-time estimation, committed replica finish
     times, and incremental pipeline stages.
 
-    A placement is judged in two steps, neither of which changes the state.
-    Its {!transfers} decide condition (1) and the overload penalty through
-    {!admission}, without touching a timeline; only then does {!evaluate}
-    probe the timelines for a {!trial}, which is then {!commit}ted.  Trials
+    A placement step places one replica ({!start_step}).  Each candidate
+    placement is judged in a probe buffer the state owns, in two steps
+    that leave the schedule unchanged: its {!transfers} decide condition
+    (1) and the overload penalty through {!admission}, without touching a
+    timeline; only then does {!evaluate} probe the timelines.  Probes
     schedule each incoming transfer earliest-fit on the pair (sender send
     port, receiver receive port) and the execution earliest-fit on the
-    target processor, on top of the committed timelines; the trial's own
+    target processor, on top of the committed timelines; the probe's own
     transfers ride in {!Timeline.probe}s that the state owns and reuses
-    from one trial to the next, so the committed timelines are only
-    written by {!commit}.  The state is therefore single-threaded: one
-    schedule, one domain. *)
+    from one probe to the next.  A candidate that wins becomes the
+    incumbent by a {!swap} of the two buffers, and {!commit} applies the
+    incumbent: the committed timelines are only written there.  The state
+    is therefore single-threaded: one schedule, one domain.
+
+    Nothing on the per-candidate path allocates: the buffers grow to the
+    largest step once, floats stay in float arrays and all-float records,
+    and no float crosses a module boundary as an argument or a result,
+    where it would be boxed. *)
 
 type t
 
@@ -49,66 +56,118 @@ val support : t -> Replica.id -> Bitset.t
     disjointness invariant per task (this is the locking discipline that
     makes the active replication scheme ε-fault-tolerant). *)
 
-val support_of_sources :
-  t ->
-  proc:Platform.proc ->
-  sources:(Dag.task * Replica.id list) list ->
-  Bitset.t
-(** The kill set a replica would have if placed on [proc] with the given
-    sources (all of which must be placed). *)
 
 val send_ready : t -> Platform.proc -> float
 (** Earliest instant the send port of the processor is free forever after —
     the key used to sort predecessor replicas in the one-to-one procedure. *)
 
-type transfer = {
-  tr_src : Replica.id;
-  tr_proc : Platform.proc;  (** the source replica's processor *)
-  tr_dur : float;  (** transfer time over the link to the target *)
+val slot : t -> Replica.id -> int
+(** The replica's index [task * (ε+1) + copy]: the form a {!step} and a
+    source row name replicas in. *)
+
+(** {1 The placement step} *)
+
+(** The placed replicas of each predecessor of the task being placed, read
+    once per step: predecessor [k] (in {!Dag.preds} order) has its
+    replicas at [grp_off.(k)] up to [grp_off.(k + 1)], in copy order, with
+    their slot, host and kill set. *)
+type step = private {
+  mutable task : Dag.task;
+  mutable copy : int;
+  mutable n_preds : int;
+  mutable grp_off : int array;
+  mutable grp_slot : int array;
+  mutable grp_host : Platform.proc array;
+  mutable grp_kill : Bitset.t array;
 }
 
-(** A simulated placement of one replica. *)
-type trial = {
-  t_task : Dag.task;
-  t_copy : int;
-  t_proc : Platform.proc;
-  t_sources : (Dag.task * Replica.id list) list;
-  t_start : float;
-  t_finish : float;
-  t_stage : int;
-  t_transfers : transfer array;  (** the incoming transfers, in probe order *)
-  t_comm_starts : float array;
-      (** the start of each incoming transfer (same indexing); it arrives
-          [tr_dur] later *)
-}
+val start_step : t -> task:Dag.task -> copy:int -> unit
+(** Begin placing replica [copy] of [task] (every predecessor placed):
+    read its predecessors into {!step} and empty the incumbent.
 
-val transfers :
-  t ->
-  task:Dag.task ->
-  proc:Platform.proc ->
-  sources:(Dag.task * Replica.id list) list ->
-  transfer array
-(** The off-processor transfers of placing a replica of [task] on [proc]
-    with the given source sets (each source already placed), sorted by
-    source finish time, then replica id: the order {!evaluate} schedules
-    them in. *)
+    A {e source row} chooses the sources of a placement, one entry per
+    predecessor [k]: the slot of its one source replica, or [-1] for the
+    predecessor's whole replica group.  Rows are caller-owned [int array]s
+    with at least [n_preds] entries. *)
 
-type admission = {
-  feasible : bool;
+val step : t -> step
+
+val closer : t -> k:int -> proc:Platform.proc -> int -> int -> bool
+(** [closer s ~k ~proc i j]: whether group entry [i] of predecessor [k]
+    sends to [proc] in less time than entry [j], or in the same time with
+    the smaller slot (a co-located replica sends in no time). *)
+
+(** {2 Floors} *)
+
+val set_floor : t -> int array -> unit
+(** Take the source row every variant of the step draws at least one
+    replica per predecessor from: the floors below bound each of them. *)
+
+val iter_hosts : t -> (Platform.proc -> unit) -> unit
+(** Apply the function to the host of every floor source, predecessor by
+    predecessor; a host that carries several of them is visited once per
+    replica. *)
+
+val stage_floor : t -> proc:Platform.proc -> int
+(** A lower bound on the stage of every probe on [proc]: the latest
+    per-predecessor minimum of the floor sources' stage, +1 for a remote
+    source. *)
+
+val finish_floor_above : t -> proc:Platform.proc -> bool
+(** Whether a lower bound on the finish of every probe on [proc] lies
+    above the incumbent's finish.  The data cannot be ready before the
+    latest per-predecessor earliest arrival of the floor sources, and the
+    bound is the processor timeline's earliest fit at that instant plus
+    the execution time: the fit is monotone in [ready].
+    @raise Invalid_argument when there is no incumbent. *)
+
+(** {2 Probes} *)
+
+(** The float results of a probe, stored flat. *)
+type floats = { mutable start : float; mutable finish : float; mutable penalty : float }
+
+(** A candidate placement: which replica goes where with which sources
+    ([p_variant], a source row), what it costs, and its incoming
+    transfers [0 .. p_n - 1] in the order {!evaluate} schedules them —
+    by source finish time, then slot — with each one's source slot, source
+    processor, duration and start. *)
+type probe = private {
+  mutable p_task : Dag.task;
+  mutable p_copy : int;
+  mutable p_proc : Platform.proc;  (** [-1] when the buffer holds none *)
+  mutable p_variant : int array;
+  mutable p_stage : int;
+  mutable p_feasible : bool;
       (** Condition (1) of §4: with the replica added, the target
           processor's computing load and input-communication load, and
           every source processor's output-communication load, all fit
           within the period [Δ = 1/T]. *)
-  penalty : float;
-      (** Total amount by which the placement would push those loads beyond
-          the period.  The best-effort mode ranks by it first, to pick the
+  p_at : floats;
+      (** [start] and [finish] of the execution; [penalty] is the total
+          amount by which the placement would push those loads beyond the
+          period.  The best-effort mode ranks by it first, to pick the
           least-overloaded placement when condition (1) cannot be met
           anywhere (the paper's "we use other processors, at the risk of
           increasing the communication overhead"). *)
+  mutable p_n : int;
+  mutable p_src : int array;
+  mutable p_src_proc : Platform.proc array;
+  mutable p_dur : float array;
+  mutable p_comm_start : float array;
 }
 
-val admission : t -> task:Dag.task -> proc:Platform.proc -> transfer array -> admission
-(** Condition (1) and the overload penalty of a placement, from its
+val candidate : t -> probe
+val incumbent : t -> probe
+(** The two buffers.  Both change identity at every {!swap}: read them
+    again after one. *)
+
+val transfers : t -> proc:Platform.proc -> int array -> unit
+(** Make the candidate the step's replica on [proc] with the sources of
+    the row: record the row and list the off-processor transfers, sorted
+    in place by source finish time, then slot. *)
+
+val admission : t -> unit
+(** Condition (1) and the overload penalty of the candidate, from its
     {!transfers} alone: both depend on the transfer durations, not on when
     the transfers run, so they are known before any timeline probe.
 
@@ -117,52 +176,21 @@ val admission : t -> task:Dag.task -> proc:Platform.proc -> transfer array -> ad
     its input overflow, plus the output overflow of each source processor
     added in the order of that processor's first transfer. *)
 
-type floor_data
-(** The source replicas a placement step may draw from, per predecessor of
-    the task, with their volume, finish, stage and host read once into
-    flat arrays. *)
+val evaluate : t -> unit
+(** Simulate the candidate on top of the committed timelines: its start,
+    finish, stage and transfer starts.  Does not check condition (1) — see
+    {!admission}.  The transfers' tentative port intervals go into probes
+    owned by the state (one for the receive port, one per sender), cleared
+    at the start of each call. *)
 
-val floor_data :
-  t -> task:Dag.task -> (Dag.task * Replica.id list) list -> floor_data
-(** [floor_data s ~task sources]: the admissible replicas of each
-    predecessor of [task] (all placed). *)
+val swap : t -> unit
+(** Exchange the candidate and the incumbent buffers: the candidate wins
+    without a copy. *)
 
-val iter_hosts : floor_data -> (Platform.proc -> unit) -> unit
-(** Apply the function to the host of every listed replica, predecessor by
-    predecessor; a host that carries several of them is visited once per
-    replica. *)
-
-val stage_floor : floor_data -> proc:Platform.proc -> int
-(** A lower bound on [t_stage] of every trial of the task on [proc] whose
-    source sets draw at least one admissible replica per predecessor: the
-    latest per-predecessor minimum of the source stage, +1 for a remote
-    source. *)
-
-val finish_floor : t -> floor_data -> proc:Platform.proc -> float
-(** A lower bound on [t_finish] of the same trials.  The data cannot be
-    ready before the latest per-predecessor earliest arrival, and the
-    finish floor is the processor timeline's earliest fit at that instant
-    plus the execution time: {!Timeline.earliest_fit} is monotone in
-    [ready]. *)
-
-val evaluate :
-  t ->
-  task:Dag.task ->
-  copy:int ->
-  proc:Platform.proc ->
-  sources:(Dag.task * Replica.id list) list ->
-  transfers:transfer array ->
-  trial
-(** Simulate placing the replica on the processor with the given source
-    sets (one entry per predecessor, each source already placed) and their
-    {!transfers}.  Does not check condition (1) — see {!admission}.  The
-    transfers' tentative port intervals go into probes owned by the state
-    (one for the receive port, one per sender), cleared at the start of
-    each call, so a probe builds no list and no closure: besides the
-    returned trial it allocates a few boxed floats per transfer, and
-    nothing per timeline interval it passes. *)
-
-val commit : t -> trial -> unit
-(** Apply a trial: place the replica in the mapping, charge loads, reserve
-    the timeline intervals, record finish time and stage.
-    @raise Invalid_argument on mapping inconsistencies. *)
+val commit : t -> unit
+(** Apply the incumbent and empty it: place the replica in the mapping
+    (its source list is built here, once per placement), charge loads,
+    reserve the timeline intervals, record finish time, stage and kill
+    set.
+    @raise Invalid_argument when there is no incumbent, or on mapping
+    inconsistencies. *)

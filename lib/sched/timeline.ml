@@ -5,7 +5,10 @@
    timeline of the same shape, cleared between probes; queries merge it
    with the committed arrays, committed entries first on equal starts —
    the order in which they were inserted.  Every query is a loop over the
-   two arrays and allocates nothing per interval it passes. *)
+   two arrays and allocates nothing per interval it passes; the probe
+   path ([fit], [joint_fit], [tentative]) takes its floats in a flat
+   [query] record and inlines every helper that takes a float, so it
+   boxes none. *)
 
 type t = {
   mutable starts : float array;
@@ -15,6 +18,12 @@ type t = {
 }
 
 type probe = t
+
+type query = {
+  mutable ready : float;
+  mutable duration : float;
+  mutable start : float;
+}
 
 let eps = 1e-12
 
@@ -33,7 +42,7 @@ let no_probe = create ()
    paper-sweep workload 77% of the answers are the last index or [n], 90%
    within four of [n]; on flat LTF at m = 10³, 95% and 100%), so the
    search gallops down from the end before it bisects. *)
-let lower_bound t ~from ~ready =
+let[@inline] lower_bound t ~from ~ready =
   let bound = ready -. eps in
   let hi = ref t.n and step = ref 1 in
   while !hi - !step >= from && not (t.starts.(!hi - !step) < bound) do
@@ -87,15 +96,22 @@ let[@inline] scan t p i ~ready ~duration =
   done;
   !candidate
 
-let earliest_fit ?(probe = no_probe) t ~ready ~duration =
-  if duration < 0.0 then invalid_arg "Timeline.earliest_fit: negative duration";
-  scan t probe (scan_from t (lower_bound t ~from:0 ~ready)) ~ready ~duration
+let fit ?(probe = no_probe) t q =
+  let ready = q.ready and duration = q.duration in
+  if duration < 0.0 then invalid_arg "Timeline.fit: negative duration";
+  q.start <- scan t probe (scan_from t (lower_bound t ~from:0 ~ready)) ~ready ~duration
+
+let earliest_fit ?probe t ~ready ~duration =
+  let q = { ready; duration; start = 0.0 } in
+  fit ?probe t q;
+  q.start
 
 (* The historical alternation, fit on [a] then on [b] until a round trip
    moves nothing, with each timeline's search resumed where its last one
    ended: both fit maps are monotone, so every [ready] handed to a
    timeline is at least the one before. *)
-let joint_fit a pa b pb ~ready ~duration =
+let joint_fit a pa b pb q =
+  let ready = q.ready and duration = q.duration in
   if duration < 0.0 then invalid_arg "Timeline.joint_fit: negative duration";
   let la = ref (lower_bound a ~from:0 ~ready) and lb = ref 0 in
   let candidate = ref (scan a pa (scan_from a !la) ~ready ~duration) in
@@ -108,7 +124,7 @@ let joint_fit a pa b pb ~ready ~duration =
     let cb = scan b pb (scan_from b !lb) ~ready:ca ~duration in
     if cb = c then settled := true else candidate := cb
   done;
-  !candidate
+  q.start <- !candidate
 
 let[@inline] overlap ~fn ~start ~finish s f =
   if finish > s +. eps && f > start +. eps then
@@ -134,19 +150,19 @@ let[@inline] check_no_overlap ~fn t p ~start ~finish =
     else more := false
   done
 
+let grow t =
+  let cap = if 2 * t.n > 8 then 2 * t.n else 8 in
+  let starts = Array.make cap 0.0 and finishes = Array.make cap 0.0 in
+  Array.blit t.starts 0 starts 0 t.n;
+  Array.blit t.finishes 0 finishes 0 t.n;
+  t.starts <- starts;
+  t.finishes <- finishes
+
 (* Store [[start, finish)] in the slot after every interval starting at
-   or before [start], growing the arrays as needed, and return the slot. *)
-let put t ~start ~finish =
-  if t.n = Array.length t.starts then begin
-    let cap = if 2 * t.n > 8 then 2 * t.n else 8 in
-    let grow a =
-      let b = Array.make cap 0.0 in
-      Array.blit a 0 b 0 t.n;
-      b
-    in
-    t.starts <- grow t.starts;
-    t.finishes <- grow t.finishes
-  end;
+   or before [start], growing the arrays as needed, and return the slot.
+   Inlined (so it holds no local function): its floats stay unboxed. *)
+let[@inline] put t ~start ~finish =
+  if t.n = Array.length t.starts then grow t;
   let lo = ref 0 and hi = ref t.n in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
@@ -178,7 +194,8 @@ let insert t ~start ~duration =
     then t.nested <- true
   end
 
-let tentative t p ~start ~duration =
+let tentative t p q =
+  let start = q.start and duration = q.duration in
   if duration < 0.0 then invalid_arg "Timeline.tentative: negative duration";
   let finish = start +. duration in
   if finish > start then begin

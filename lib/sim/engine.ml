@@ -413,9 +413,12 @@ module Run_state = struct
     mutable rs_pm_next_seq : int;
     mutable rs_dl_len : int;
     mutable rs_msg_dirty : bool;
-    mutable rs_room_blocked : bool;
-        (* the last transfer scan that committed nothing saw a transfer
-           whose ports were free but whose destination queue was full *)
+    rs_room_wait : bool array;
+        (* per replica: the last transfer scan saw a transfer toward it
+           whose ports were free but whose queue was full; the marked
+           replicas are [rs_room_list.(0 .. rs_n_room - 1)] *)
+    rs_room_list : int array;
+    mutable rs_n_room : int;
     mutable rs_src_dirty : bool;
     mutable rs_next_admit : int;
     mutable rs_arrived : int;
@@ -490,7 +493,9 @@ module Run_state = struct
       rs_pm_next_seq = 0;
       rs_dl_len = 0;
       rs_msg_dirty = false;
-      rs_room_blocked = false;
+      rs_room_wait = Array.make rids false;
+      rs_room_list = Array.make rids 0;
+      rs_n_room = 0;
       rs_src_dirty = true;
       rs_next_admit = 0;
       rs_arrived = 0;
@@ -534,6 +539,12 @@ module Run_state = struct
         end
       done
     done
+
+  let clear_room_wait st =
+    for i = 0 to st.rs_n_room - 1 do
+      st.rs_room_wait.(st.rs_room_list.(i)) <- false
+    done;
+    st.rs_n_room <- 0
 
   (* Make the arena ready for one validated run: grow the item-dependent
      slabs, resolve the scenario into flags, reset every counter and
@@ -581,7 +592,7 @@ module Run_state = struct
     st.rs_log <- [];
     st.rs_dl_len <- 0;
     st.rs_msg_dirty <- false;
-    st.rs_room_blocked <- false;
+    clear_room_wait st;
     st.rs_src_dirty <- true;
     st.rs_next_admit <- 0;
     st.rs_arrived <- 0;
@@ -1071,15 +1082,18 @@ let commit_transfer st p sp i mi =
    (lowest [p_prio_rank]), then smallest destination instance, then (on
    full ties) the most recently created message — the highest creation
    number.  That order is strict (creation numbers are unique), so the
-   winner does not depend on the order [rs_ports] is scanned in.  Once
-   nothing is committable it clears [rs_msg_dirty] and records in
-   [rs_room_blocked] whether a transfer waits on queue room alone. *)
+   winner does not depend on the order [rs_ports] is scanned in.  Each
+   scan marks in [rs_room_wait] the destination replicas of the
+   transfers that wait on queue room alone, so once nothing is
+   committable the marks name the replicas whose occupancy release can
+   give one of them room; it then clears [rs_msg_dirty]. *)
 let rec dispatch_msgs st p =
   let now = st.rs_f.(slot_now) in
   let fail_time = st.rs_fail_time and prio_rank = p.p_prio_rank in
   let check_room = st.rs_bound <> max_int in
-  let best = ref (-1) and room_blocked = ref false in
+  let best = ref (-1) in
   let best_u = ref (-1) and best_i = ref (-1) in
+  clear_room_wait st;
   for k = 0 to st.rs_n_ports - 1 do
     let u = st.rs_ports.(k) in
     if now < fail_time.(u) && st.rs_send_free.(u) <= now then
@@ -1087,7 +1101,14 @@ let rec dispatch_msgs st p =
         let mi = st.rs_pend_data.(u).(i) in
         let dp = st.rs_pm_dp.(mi) in
         if fail_time.(dp) <= now || st.rs_recv_free.(dp) <= now then
-          if check_room && not (msg_room st mi) then room_blocked := true
+          if check_room && not (msg_room st mi) then begin
+            let rid = st.rs_pm_dst_rid.(mi) in
+            if not st.rs_room_wait.(rid) then begin
+              st.rs_room_wait.(rid) <- true;
+              st.rs_room_list.(st.rs_n_room) <- rid;
+              st.rs_n_room <- st.rs_n_room + 1
+            end
+          end
           else begin
             let beats =
               let b = !best in
@@ -1113,10 +1134,7 @@ let rec dispatch_msgs st p =
     commit_transfer st p !best_u !best_i !best;
     dispatch_msgs st p
   end
-  else begin
-    st.rs_msg_dirty <- false;
-    st.rs_room_blocked <- !room_blocked
-  end
+  else st.rs_msg_dirty <- false
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                               *)
@@ -1156,9 +1174,9 @@ let on_finish st p iidx =
   bump_makespan st;
   if Bytes.get st.rs_charged iidx = '\001' then begin
     st.rs_occ.(rid) <- st.rs_occ.(rid) - 1;
-    (* room belongs to the destination instance's replica, so only a
+    (* room belongs to the destination instance's replica, so only its
        release can unblock a transfer the last scan left waiting on it *)
-    if st.rs_room_blocked then st.rs_msg_dirty <- true;
+    if st.rs_room_wait.(rid) then st.rs_msg_dirty <- true;
     if p.p_pred_count.(rid / p.p_copies) = 0 then st.rs_src_dirty <- true
   end;
   for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do
@@ -1321,8 +1339,8 @@ let pop_and_handle st p =
    (transfers) is set by a new or requeued pending transfer whose ports
    are both free, by the event ending a transfer (arrival, failed
    attempt, crash-lost port free: the only way a port frees), by an
-   occupancy release when the last scan left a transfer waiting on room
-   alone, and by a failure crossing.  [rs_src_dirty] (the
+   occupancy release of a replica the last scan left a transfer waiting
+   on for room alone, and by a failure crossing.  [rs_src_dirty] (the
    backlog) is set at run start, by an entry replica's occupancy release
    and by a failure crossing.  A charge sets neither (see [charge]). *)
 let run_events st p =

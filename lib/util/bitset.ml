@@ -76,10 +76,14 @@ let diff a b =
   done;
   normalize r
 
+(* A loop, not a local recursive scan: the scan would close over [a] and
+   [b], and the scheduler tests disjointness per candidate replica. *)
 let disjoint a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec scan i = i >= n || (a.(i) land b.(i) = 0 && scan (i + 1)) in
-  scan 0
+  let n = min (Array.length a) (Array.length b) and i = ref 0 in
+  while !i < n && a.(!i) land b.(!i) = 0 do
+    incr i
+  done;
+  !i >= n
 
 let subset a b =
   let nb = Array.length b in
@@ -101,6 +105,28 @@ let diff_cardinal a b =
     n := !n + popcount (if i < nb then a.(i) land lnot b.(i) else a.(i))
   done;
   !n
+
+(* An accumulator is a word array over the whole universe, never
+   normalized: it is only read through [acc_growth]. *)
+type acc = int array
+
+let acc ~universe =
+  if universe < 0 then invalid_arg "Bitset.acc: negative universe";
+  Array.make (max 1 (((universe - 1) / word_bits) + 1)) 0
+
+let acc_reset a x =
+  check_elt "acc_reset" x;
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- 0
+  done;
+  a.(x / word_bits) <- 1 lsl (x mod word_bits)
+
+let acc_union a s =
+  for i = 0 to Array.length s - 1 do
+    a.(i) <- a.(i) lor s.(i)
+  done
+
+let acc_growth a s = diff_cardinal s a
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b

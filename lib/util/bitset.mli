@@ -46,6 +46,31 @@ val diff_cardinal : t -> t -> int
 (** [diff_cardinal a b] is [cardinal (diff a b)] without building the
     difference: how much [union b a] grows [b]. *)
 
+(** {2 In-place unions}
+
+    A kill set built up over one placement candidate grows by a handful
+    of unions; a fresh [t] per union would allocate on every candidate. *)
+
+type acc
+(** A mutable set over a fixed universe [[0, universe)], grown in place. *)
+
+val acc : universe:int -> acc
+(** An accumulator for elements below [universe].
+    @raise Invalid_argument on a negative universe. *)
+
+val acc_reset : acc -> elt -> unit
+(** Make the accumulator the singleton [{x}].
+    @raise Invalid_argument on a negative element or one outside the
+    universe. *)
+
+val acc_union : acc -> t -> unit
+(** Add every element of the set.
+    @raise Invalid_argument if one lies outside the universe. *)
+
+val acc_growth : acc -> t -> int
+(** [acc_growth a s] is [|s \ a|]: how much [acc_union a s] grows [a].
+    No allocation. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

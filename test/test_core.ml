@@ -130,6 +130,19 @@ let classic_tests =
 (* Scheduler internals via run_state                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Place a replica by hand: every predecessor's whole group as sources,
+   on the first processor that does not host the task yet. *)
+let place_by_hand state ~task ~copy =
+  State.start_step state ~task ~copy;
+  let proc = ref 0 in
+  while Mapping.mapped (State.mapping state) task !proc do
+    incr proc
+  done;
+  State.transfers state ~proc:!proc (Array.make (State.step state).n_preds (-1));
+  State.evaluate state;
+  State.swap state;
+  State.commit state
+
 let state_tests =
   [
     case "state stages agree with the mapping stages" (fun () ->
@@ -204,37 +217,101 @@ let state_tests =
         let state = State.create prob in
         List.iter
           (fun task ->
-            State.commit state
-              (State.evaluate state ~task ~copy:0 ~proc:(task + 1) ~sources:[]
-                 ~transfers:[||]))
+            State.start_step state ~task ~copy:0;
+            State.transfers state ~proc:(task + 1) [||];
+            State.evaluate state;
+            State.swap state;
+            State.commit state)
           [ 0; 1; 2 ];
-        let sources =
-          List.map (fun t -> (t, [ { Replica.task = t; copy = 0 } ])) [ 0; 1; 2 ]
-        in
-        let transfers = State.transfers state ~task:3 ~proc:0 ~sources in
-        let (adm : State.admission) = State.admission state ~task:3 ~proc:0 transfers in
+        State.start_step state ~task:3 ~copy:0;
+        State.transfers state ~proc:0 [| 0; 1; 2 |];
+        State.admission state;
+        let c = State.candidate state in
+        let transfers = List.init c.p_n (fun k -> (c.p_src_proc.(k), c.p_dur.(k))) in
         let l = State.loads state and delta = Types.period prob in
         let over current extra = Float.max 0.0 (current +. extra -. delta) in
-        let overflow (tr : State.transfer) = over l.Loads.c_out.(tr.tr_proc) tr.tr_dur in
-        let incoming =
-          Array.fold_left (fun acc (tr : State.transfer) -> acc +. tr.tr_dur) 0.0 transfers
-        in
+        let overflow (sp, dur) = over l.Loads.c_out.(sp) dur in
+        let incoming = List.fold_left (fun acc (_, dur) -> acc +. dur) 0.0 transfers in
         let base = over l.Loads.sigma.(0) 1.0 +. over l.Loads.c_in.(0) incoming in
         (* one transfer per sender, so transfer order is first-transfer order *)
-        let in_order = Array.fold_left (fun acc tr -> acc +. overflow tr) 0.0 transfers in
-        let reversed = Array.fold_right (fun tr acc -> acc +. overflow tr) transfers 0.0 in
+        let in_order = List.fold_left (fun acc tr -> acc +. overflow tr) 0.0 transfers in
+        let reversed = List.fold_right (fun tr acc -> acc +. overflow tr) transfers 0.0 in
         let bits = Int64.bits_of_float in
         check_int "three senders" 3
-          (List.length
-             (List.sort_uniq Int.compare
-                (Array.to_list (Array.map (fun (tr : State.transfer) -> tr.tr_proc) transfers))));
+          (List.length (List.sort_uniq Int.compare (List.map fst transfers)));
         check_int "all three overflow" 3
-          (Array.fold_left (fun n tr -> if overflow tr > 0.0 then n + 1 else n) 0 transfers);
+          (List.length (List.filter (fun tr -> overflow tr > 0.0) transfers));
         check_true "the summation order shows in the penalty"
           (bits (base +. in_order) <> bits (base +. reversed));
-        check_true "infeasible" (not adm.feasible);
+        check_true "infeasible" (not c.p_feasible);
         check_true "penalty bit-identical to the first-transfer-order sum"
-          (bits adm.penalty = bits (base +. in_order)));
+          (bits c.p_at.penalty = bits (base +. in_order)));
+    (* Half of gauss5 placed by hand, then replica 1 of the next task with
+       more than one predecessor is judged on every free processor the
+       way a placement step judges a candidate: both general rows, and
+       per row the transfers, the admission, the timeline probe, the
+       floors against the probe as incumbent, and the swap back.  After a
+       warm-up pass has grown the buffers, a second pass allocates no
+       minor word. *)
+    case "a full placement probe allocates nothing once warm" (fun () ->
+        let prob = problem ~eps:1 ~m:8 ~throughput:0.02 Fixtures.gauss5 in
+        let state = State.create prob in
+        let order = Topo.order Fixtures.gauss5 in
+        let half = Array.length order / 2 in
+        for i = 0 to half - 1 do
+          for copy = 0 to 1 do
+            place_by_hand state ~task:order.(i) ~copy
+          done
+        done;
+        let task =
+          let i = ref half in
+          while Dag.in_degree Fixtures.gauss5 order.(!i) < 2 do
+            incr i
+          done;
+          order.(!i)
+        in
+        place_by_hand state ~task ~copy:0;
+        State.start_step state ~task ~copy:1;
+        let n_preds = (State.step state).n_preds in
+        State.set_floor state (Array.make n_preds (-1));
+        let claimed = State.support state { Replica.task; copy = 0 }
+        and kill = Bitset.acc ~universe:8
+        and rows = Array.init 2 (fun _ -> Array.make n_preds (-1))
+        and budget = 4
+        and probes = ref 0 in
+        let free =
+          Array.of_list
+            (List.filter
+               (fun proc -> not (Mapping.mapped (State.mapping state) task proc))
+               (List.init 8 Fun.id))
+        in
+        let pass () =
+          for i = 0 to Array.length free - 1 do
+            let proc = free.(i) in
+            for v =
+              0
+              to Chunk_scheduler.general_rows Sched_api.Both_variants state
+                   ~claimed ~budget ~kill ~proc rows
+                 - 1
+            do
+              State.transfers state ~proc rows.(v);
+              State.admission state;
+              State.evaluate state;
+              State.swap state;
+              ignore (State.stage_floor state ~proc);
+              ignore (State.finish_floor_above state ~proc);
+              State.swap state;
+              incr probes
+            done
+          done
+        in
+        pass ();
+        let before = Gc.minor_words () in
+        pass ();
+        let after = Gc.minor_words () in
+        check_true "a probe took place" (!probes > 0);
+        check_true "transfers were probed" ((State.candidate state).p_n > 0);
+        Fixtures.check_float "minor words of the second pass" 0.0 (after -. before));
   ]
 
 (* ------------------------------------------------------------------ *)

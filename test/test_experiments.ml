@@ -382,8 +382,10 @@ let fig_tests =
            the recovery, traffic and fault sweeps scheduled each (rep,
            contender) once and replayed its stream at every x, and before
            the table figures measured each graph once on one graph pass
-           and kept per-key samples instead of summary rows: a refactor
-           must not move a byte. *)
+           and kept per-key samples instead of summary rows, and (the
+           eps = 3 fig4 panels) before the placement step judged its
+           candidates in state-owned buffers: a refactor must not move a
+           byte. *)
         let out_dir = Filename.temp_dir "streamsched" "tables" in
         ignore (Fig_baselines.run ~out_dir ~graphs:2 ~jobs:1 ());
         ignore (Fig_symmetric.run ~out_dir ~graphs:1 ~jobs:1 ());
@@ -395,6 +397,8 @@ let fig_tests =
         ignore (Fig_robustness.topology ~out_dir ~graphs:2 ~jobs:1 ());
         Fig_latency.run ~out_dir ~jobs:1
           ~config:(Fig_common.quick ~eps:1 ~crashes:1) ();
+        Fig_latency.run ~out_dir ~jobs:1
+          ~config:(Fig_common.quick ~eps:3 ~crashes:2) ();
         Fig_recovery.run ~out_dir ~jobs:1
           ~config:{ Fig_recovery.quick with Fig_recovery.exact = true } ();
         Fig_traffic.run ~out_dir ~jobs:1 ~config:Fig_traffic.quick ();
@@ -419,6 +423,10 @@ let fig_tests =
             ("fig-latency-crash1-eps1.csv", "d0da5d9fbf7d93b5242b57c52c49695d");
             ("fig-overhead-eps1.csv", "1415a68eeecffaaea5192e85041941ce");
             ("fig-overhead-defeats-eps1.csv", "92f9252a7c6bc6c8f39fdde51ccc741f");
+            ("fig-latency-bounds-eps3.csv", "047dc344cf5d3dac6a6b985440db9045");
+            ("fig-latency-crash2-eps3.csv", "3adff30b6d3a374b6fc28fbe5882e129");
+            ("fig-overhead-eps3.csv", "324a25ea0b1b2e59882b24cc1eda7b3e");
+            ("fig-overhead-defeats-eps3.csv", "92f9252a7c6bc6c8f39fdde51ccc741f");
             ("fig-recovery-availability.csv", "5652eaa27b2a0f33390b035fd73b5e82");
             ("fig-recovery-latency.csv", "2a00667f6586ddfdb2f7c1dd1fdcf14a");
             ("fig-recovery-outages.csv", "e55f72b559671297ebe940f24f1b920a");

@@ -116,6 +116,15 @@ let prop_timeline_busy_sum =
    random probe never writes the timeline, and fitting against the probe
    answers exactly as fitting against a timeline with those intervals
    inserted. *)
+(* The probe path's query record, from float arguments. *)
+let tentative_at t p ~start ~duration =
+  Timeline.tentative t p { Timeline.ready = start; duration; start }
+
+let joint_fit_at a pa b pb ~ready ~duration =
+  let q = { Timeline.ready; duration; start = 0.0 } in
+  Timeline.joint_fit a pa b pb q;
+  q.start
+
 let prop_timeline_probe_is_virtual_insert =
   QCheck.Test.make ~name:"a probe fits like an insert and leaves the timeline"
     ~count:200
@@ -137,7 +146,7 @@ let prop_timeline_probe_is_virtual_insert =
       for _ = 1 to k do
         let ready, duration = random_job () in
         let start = Timeline.earliest_fit ~probe tl ~ready ~duration in
-        Timeline.tentative tl probe ~start ~duration;
+        tentative_at tl probe ~start ~duration;
         Timeline.insert inserted ~start ~duration
       done;
       Timeline.intervals tl = committed
@@ -216,7 +225,7 @@ let prop_fits_match_the_list_oracle =
       let la = ref [] and lb = ref [] in
       let aa = Timeline.intervals a and ab = Timeline.intervals b in
       let tentative t p mirror ~start ~duration =
-        match Timeline.tentative t p ~start ~duration with
+        match tentative_at t p ~start ~duration with
         | () when start +. duration > start ->
             mirror := place (start, start +. duration) !mirror
         | () | (exception Invalid_argument _) -> ()
@@ -225,7 +234,7 @@ let prop_fits_match_the_list_oracle =
         (fun _ ->
           let ready = edge_time rng and duration = edge_duration rng in
           let fit = Timeline.earliest_fit ~probe:pa a ~ready ~duration in
-          let joint = Timeline.joint_fit a pa b pb ~ready ~duration in
+          let joint = joint_fit_at a pa b pb ~ready ~duration in
           let ok =
             float_bits_equal fit (list_fit aa !la ~ready ~duration)
             && float_bits_equal joint
@@ -287,7 +296,7 @@ let prop_interval_contract =
         let accepted =
           match
             if commit then Timeline.insert x.tl ~start ~duration
-            else Timeline.tentative x.tl x.pr ~start ~duration
+            else tentative_at x.tl x.pr ~start ~duration
           with
           | () -> true
           | exception Invalid_argument _ -> false
@@ -312,7 +321,7 @@ let prop_interval_contract =
             expect (float_bits_equal start (oracle a ~duration ready));
             expect (hold ~commit a ~start ~duration)
         | _ ->
-            let start = Timeline.joint_fit a.tl a.pr b.tl b.pr ~ready ~duration in
+            let start = joint_fit_at a.tl a.pr b.tl b.pr ~ready ~duration in
             expect
               (float_bits_equal start
                  (alternation ~ready (oracle a ~duration) (oracle b ~duration)));
@@ -523,102 +532,101 @@ let prop_best_effort_tolerant =
       && check (Rltf.schedule ~opts:Scheduler.(default |> with_mode Best_effort) prob))
 
 (* Condition (1) and the overload penalty recomputed from the probed
-   trial's own transfers: the outgoing time summed per source processor,
-   and the overflows added in the order of each processor's first
-   transfer. *)
-let admission_of_trial state (trial : State.trial) =
+   candidate's own transfers: the outgoing time summed per source
+   processor (read from the mapping), and the overflows added in the
+   order of each processor's first transfer. *)
+let admission_of_probe state (c : State.probe) =
   let prob = State.problem state and l = State.loads state in
-  let delta = Types.period prob in
+  let delta = Types.period prob and copies = prob.Types.eps + 1 in
   let exec =
-    Platform.exec_time prob.Types.platform trial.t_proc
-      (Dag.exec prob.Types.dag trial.t_task)
+    Platform.exec_time prob.Types.platform c.p_proc (Dag.exec prob.Types.dag c.p_task)
   in
-  let incoming =
-    Array.fold_left (fun acc (tr : State.transfer) -> acc +. tr.tr_dur) 0.0
-      trial.t_transfers
-  in
+  let transfers = List.init c.p_n (fun k -> (c.p_src.(k), c.p_dur.(k))) in
+  let incoming = List.fold_left (fun acc (_, dur) -> acc +. dur) 0.0 transfers in
   let outgoing =
-    Array.fold_left
-      (fun acc (tr : State.transfer) ->
-        let src = tr.tr_src in
-        let sp = (Mapping.replica_exn (State.mapping state) src.task src.copy).proc in
+    List.fold_left
+      (fun acc (src, dur) ->
+        let sp =
+          (Mapping.replica_exn (State.mapping state) (src / copies) (src mod copies)).proc
+        in
         match List.assoc_opt sp acc with
-        | None -> acc @ [ (sp, 0.0 +. tr.tr_dur) ]
-        | Some prev ->
-            List.map (fun (p, d) -> (p, if p = sp then prev +. tr.tr_dur else d)) acc)
-      [] trial.t_transfers
+        | None -> acc @ [ (sp, 0.0 +. dur) ]
+        | Some prev -> List.map (fun (p, d) -> (p, if p = sp then prev +. dur else d)) acc)
+      [] transfers
   in
   let slack = delta *. (1.0 +. 1e-9) in
   let over current extra = Float.max 0.0 (current +. extra -. delta) in
-  ( l.Loads.sigma.(trial.t_proc) +. exec <= slack
-    && l.Loads.c_in.(trial.t_proc) +. incoming <= slack
+  ( l.Loads.sigma.(c.p_proc) +. exec <= slack
+    && l.Loads.c_in.(c.p_proc) +. incoming <= slack
     && List.for_all (fun (sp, extra) -> l.Loads.c_out.(sp) +. extra <= slack) outgoing,
-    over l.Loads.sigma.(trial.t_proc) exec
-    +. over l.Loads.c_in.(trial.t_proc) incoming
+    over l.Loads.sigma.(c.p_proc) exec
+    +. over l.Loads.c_in.(c.p_proc) incoming
     +. List.fold_left
          (fun acc (sp, extra) -> acc +. over l.Loads.c_out.(sp) extra)
          0.0 outgoing )
 
 (* Drive [State] through a whole schedule by hand: every replica tries
-   every free processor with two source sets (full groups, and one replica
-   per predecessor), and the best trial under the mode's (penalty, rank)
-   key is committed.  Every candidate is probed, and checked against what
-   the scheduler knows before the probe: the floors of each admissible
-   source list it draws from never exceed the trial's stage and finish,
-   and the admission equals, bit for bit, the one recomputed from the
-   trial's transfers.  Returns false on the first violation. *)
+   every free processor with two source rows (full groups, and one
+   replica per predecessor), and the best probe under the mode's
+   (penalty, rank) key is committed.  Every candidate is probed, and
+   checked against what the scheduler knows before the probe: the floors
+   of each admissible source row it draws from never exceed the probe's
+   stage and finish (the finish floor is judged with the probe swapped in
+   as the incumbent), and the admission equals, bit for bit, the one
+   recomputed from the probe's transfers.  Returns false on the first
+   violation. *)
 let pre_probe_exact prob ~(rank : Chunk_scheduler.rank) ~best_effort =
   let state = State.create prob in
   let dag = prob.Types.dag and mapping = State.mapping state in
   let exact = ref true in
   let place task copy =
-    let groups =
-      List.map
-        (fun (pred, _) ->
-          ( pred,
-            List.map (fun (r : Replica.t) -> r.id) (Mapping.replicas_of_task mapping pred) ))
-        (Dag.preds dag task)
-    in
-    let group_floors = State.floor_data state ~task groups in
+    State.start_step state ~task ~copy;
+    let st = State.step state in
+    let groups = Array.make st.n_preds (-1) in
     let best = ref None in
     for proc = 0 to Platform.size prob.Types.platform - 1 do
       if not (Mapping.mapped mapping task proc) then begin
         let single =
-          List.map (fun (pred, ids) -> (pred, [ List.nth ids (proc mod List.length ids) ])) groups
+          Array.init st.n_preds (fun k ->
+              let first = st.grp_off.(k) in
+              st.grp_slot.(first + (proc mod (st.grp_off.(k + 1) - first))))
         in
         List.iter
-          (fun (sources, floor_data) ->
-            let transfers = State.transfers state ~task ~proc ~sources in
-            let adm = State.admission state ~task ~proc transfers in
-            let trial = State.evaluate state ~task ~copy ~proc ~sources ~transfers in
+          (fun (row, floors) ->
+            State.transfers state ~proc row;
+            State.admission state;
+            State.evaluate state;
+            State.swap state;
+            let probe = State.incumbent state in
             List.iter
-              (fun fd ->
-                let stage_lb = State.stage_floor fd ~proc
-                and finish_lb = State.finish_floor state fd ~proc in
-                if stage_lb > trial.t_stage || finish_lb > trial.t_finish then
-                  exact := false)
-              floor_data;
-            let feasible, penalty = admission_of_trial state trial in
-            if feasible <> adm.feasible || not (float_bits_equal penalty adm.penalty)
+              (fun floor ->
+                State.set_floor state floor;
+                if State.stage_floor state ~proc > probe.p_stage
+                   || State.finish_floor_above state ~proc
+                then exact := false)
+              floors;
+            State.swap state;
+            let c = State.candidate state in
+            let feasible, penalty = admission_of_probe state c in
+            if feasible <> c.p_feasible || not (float_bits_equal penalty c.p_at.penalty)
             then exact := false;
-            if best_effort || adm.feasible then begin
+            if best_effort || c.p_feasible then begin
               let score =
                 match rank with
-                | Chunk_scheduler.Finish_time -> (trial.t_finish, 0.0)
-                | Stage_then_finish -> (float_of_int trial.t_stage, trial.t_finish)
+                | Chunk_scheduler.Finish_time -> (c.p_at.finish, 0.0)
+                | Stage_then_finish -> (float_of_int c.p_stage, c.p_at.finish)
               in
-              let key = ((if best_effort then adm.penalty else 0.0), score) in
+              let key = ((if best_effort then c.p_at.penalty else 0.0), score) in
               match !best with
-              | Some (k, _) when k <= key -> ()
-              | _ -> best := Some (key, trial)
+              | Some k when k <= key -> ()
+              | _ ->
+                  best := Some key;
+                  State.swap state
             end)
-          [
-            (groups, [ group_floors ]);
-            (single, [ group_floors; State.floor_data state ~task single ]);
-          ]
+          [ (groups, [ groups ]); (single, [ groups; single ]) ]
       end
     done;
-    Option.map (fun (_, trial) -> State.commit state trial) !best
+    Option.map (fun _ -> State.commit state) !best
   in
   (try
      Array.iter

@@ -131,6 +131,9 @@ let timeline_of ivs =
   List.iter (fun (start, duration) -> Timeline.insert t ~start ~duration) ivs;
   t
 
+let tentative t probe ~start ~duration =
+  Timeline.tentative t probe { Timeline.ready = start; duration; start }
+
 let timeline_tests =
   [
     case "earliest fit on empty" (fun () ->
@@ -182,30 +185,32 @@ let timeline_tests =
              (Timeline.intervals t)));
     case "a probe leaves the timeline untouched" (fun () ->
         let t = timeline_of [ (0.0, 1.0) ] and probe = Timeline.probe () in
-        Timeline.tentative t probe ~start:2.0 ~duration:1.0;
+        tentative t probe ~start:2.0 ~duration:1.0;
         check_int "base untouched" 1 (List.length (Timeline.intervals t));
         check_float "probe seen" 3.0
           (Timeline.earliest_fit ~probe t ~ready:1.5 ~duration:1.0);
         check_float "probe not committed" 1.5
           (Timeline.earliest_fit t ~ready:1.5 ~duration:1.0);
         Alcotest.check_raises "probe overlap" (Invalid_argument "") (fun () ->
-            try Timeline.tentative t probe ~start:2.5 ~duration:1.0
+            try tentative t probe ~start:2.5 ~duration:1.0
             with Invalid_argument _ -> raise (Invalid_argument ""));
         Timeline.clear probe;
         check_float "cleared probe" 1.5
           (Timeline.earliest_fit ~probe t ~ready:1.5 ~duration:1.0));
     (* The probe path runs billions of times at scale: a fit must cost
-       the same few words (at most its boxed result) whether it passes
-       one interval or a hundred. *)
+       the same few words (at most the option around its probe) whether
+       it passes one interval or a hundred. *)
     case "a long fit allocates no more than a short one" (fun () ->
         let t = timeline_of (List.init 100 (fun i -> (float_of_int (2 * i), 1.5))) in
         let probe = Timeline.probe () in
-        Timeline.tentative t probe ~start:200.0 ~duration:1.0;
+        tentative t probe ~start:200.0 ~duration:1.0;
+        let q = { Timeline.ready = 0.0; duration = 1.0; start = 0.0 } in
         let words ready =
+          q.ready <- ready;
           let before = Gc.minor_words () in
-          let start = Timeline.earliest_fit ~probe t ~ready ~duration:1.0 in
+          Timeline.fit ~probe t q;
           let after = Gc.minor_words () in
-          (start, after -. before)
+          (q.start, after -. before)
         in
         ignore (words 0.0);
         let short_start, short = words 199.6 and long_start, long = words 0.0 in
