@@ -349,12 +349,19 @@ let conservative_row (st : State.step) ~claimed ~budget ~kill ~proc row =
     else row.(k) <- -1
   done
 
-let same_row n a b =
+(* Whether two rows name the same replicas: a one-replica group (ε = 0)
+   is the same source whether a row names its replica or the group. *)
+let named (st : State.step) row k =
+  if row.(k) < 0 && st.grp_off.(k + 1) - st.grp_off.(k) = 1 then
+    st.grp_slot.(st.grp_off.(k))
+  else row.(k)
+
+let same_row (st : State.step) a b =
   let k = ref 0 in
-  while !k < n && a.(!k) = b.(!k) do
+  while !k < st.n_preds && named st a !k = named st b !k do
     incr k
   done;
-  !k = n
+  !k = st.n_preds
 
 (* General branch: the replica receives, for each predecessor, either from
    a co-located predecessor replica whose kill set is still unclaimed (a
@@ -385,7 +392,7 @@ let general_rows (policy : Sched_api.source_policy) state ~claimed ~budget ~kill
   | Both_variants ->
       greedy_row state st ~claimed ~budget ~kill ~proc rows.(0);
       conservative_row st ~claimed ~budget ~kill ~proc rows.(1);
-      if same_row st.n_preds rows.(0) rows.(1) then 1 else 2
+      if same_row st rows.(0) rows.(1) then 1 else 2
 
 let general ~(opts : Sched_api.options) ~rank ~sc ~budget state ct ~copy =
   Obs.incr "core.general_calls";
