@@ -87,14 +87,13 @@ let singleton_data state count task =
 
 (* Scratch of one schedule, reused by every placement step: the sweep's
    host marks, the source rows of the variants (greedy or head sources,
-   then conservative), the all-groups floor row of the general branch, and
-   the kill-set accumulator the variants grow. *)
+   then conservative) and the all-groups floor row of the general
+   branch. *)
 type scratch = {
   count : int array;
   is_host : bool array;
   rows : int array array;
   groups : int array;
-  kill : Bitset.acc;
 }
 
 (* Strict mode ranks every admitted probe with no penalty. *)
@@ -289,80 +288,6 @@ let one_to_one ~(opts : Sched_api.options) ~rank ~sc ~budget state ct ~copy =
     placed
   end
 
-(* Greedy variant: walk the predecessors accumulating the kill set,
-   sole-sourcing only while the lane budget allows and preferring the
-   source that grows the chain least, then the cheapest transfer, then the
-   smallest id.  [card] tracks the accumulator's cardinality. *)
-let greedy_row state (st : State.step) ~claimed ~budget ~kill ~proc row =
-  Bitset.acc_reset kill proc;
-  let card = ref 1 in
-  for k = 0 to st.n_preds - 1 do
-    let room = budget - !card in
-    let pick = ref (-1) and pick_growth = ref 0 in
-    for i = st.grp_off.(k) to st.grp_off.(k + 1) - 1 do
-      if Bitset.disjoint st.grp_kill.(i) claimed then begin
-        let growth = Bitset.acc_growth kill st.grp_kill.(i) in
-        if
-          growth <= room
-          && (!pick < 0
-             || growth < !pick_growth
-             || (growth = !pick_growth && State.closer state ~k ~proc i !pick))
-        then begin
-          pick := i;
-          pick_growth := growth
-        end
-      end
-    done;
-    if !pick >= 0 then begin
-      Bitset.acc_union kill st.grp_kill.(!pick);
-      card := !card + !pick_growth;
-      row.(k) <- st.grp_slot.(!pick)
-    end
-    else row.(k) <- -1
-  done
-
-(* Conservative variant: the first co-located sole source that is free
-   and fits, else the full group; keeps the claim small for later
-   siblings. *)
-let conservative_row (st : State.step) ~claimed ~budget ~kill ~proc row =
-  Bitset.acc_reset kill proc;
-  let card = ref 1 in
-  for k = 0 to st.n_preds - 1 do
-    let room = budget - !card in
-    let local = ref (-1) and growth = ref 0 in
-    let i = ref st.grp_off.(k) in
-    while !local < 0 && !i < st.grp_off.(k + 1) do
-      if st.grp_host.(!i) = proc && Bitset.disjoint st.grp_kill.(!i) claimed then begin
-        let g = Bitset.acc_growth kill st.grp_kill.(!i) in
-        if g <= room then begin
-          local := !i;
-          growth := g
-        end
-      end;
-      incr i
-    done;
-    if !local >= 0 then begin
-      Bitset.acc_union kill st.grp_kill.(!local);
-      card := !card + !growth;
-      row.(k) <- st.grp_slot.(!local)
-    end
-    else row.(k) <- -1
-  done
-
-(* Whether two rows name the same replicas: a one-replica group (ε = 0)
-   is the same source whether a row names its replica or the group. *)
-let named (st : State.step) row k =
-  if row.(k) < 0 && st.grp_off.(k + 1) - st.grp_off.(k) = 1 then
-    st.grp_slot.(st.grp_off.(k))
-  else row.(k)
-
-let same_row (st : State.step) a b =
-  let k = ref 0 in
-  while !k < st.n_preds && named st a !k = named st b !k do
-    incr k
-  done;
-  !k = st.n_preds
-
 (* General branch: the replica receives, for each predecessor, either from
    a co-located predecessor replica whose kill set is still unclaimed (a
    single comm-free source), or from the cheapest remote replica with an
@@ -377,28 +302,13 @@ let same_row (st : State.step) a b =
    admissible as built: its kill set is the candidate, outside the claim,
    plus the kill sets of its sole sources, each disjoint from the claim
    (a full group adds nothing, or, at ε = 0, meets an empty claim), so
-   it is never tested against the claim.  The rows are filled in place,
-   per candidate. *)
-let general_rows (policy : Sched_api.source_policy) state ~claimed ~budget ~kill
-    ~proc rows =
-  let st = State.step state in
-  match policy with
-  | Greedy_only ->
-      greedy_row state st ~claimed ~budget ~kill ~proc rows.(0);
-      1
-  | Conservative_only ->
-      conservative_row st ~claimed ~budget ~kill ~proc rows.(0);
-      1
-  | Both_variants ->
-      greedy_row state st ~claimed ~budget ~kill ~proc rows.(0);
-      conservative_row st ~claimed ~budget ~kill ~proc rows.(1);
-      if same_row st rows.(0) rows.(1) then 1 else 2
-
+   it is never tested against the claim.  [State.general_rows] fills the
+   rows in place, per candidate. *)
 let general ~(opts : Sched_api.options) ~rank ~sc ~budget state ct ~copy =
   Obs.incr "core.general_calls";
   let variants proc =
-    general_rows opts.source_policy state ~claimed:ct.ct_claimed ~budget
-      ~kill:sc.kill ~proc sc.rows
+    State.general_rows state opts.source_policy ~claimed:ct.ct_claimed ~budget
+      ~proc sc.rows
   in
   place ~mode:opts.mode ~rank ~sc state ct ~copy ~floor:sc.groups ~variants
 
@@ -425,7 +335,6 @@ let schedule ?(opts = Sched_api.default) ~rank (prob : Types.problem) =
       is_host = Array.make m false;
       rows = Array.init 2 (fun _ -> Array.make max_preds (-1));
       groups = Array.make max_preds (-1);
-      kill = Bitset.acc ~universe:m;
     }
   in
   let budget = lane_budget ~opts prob in

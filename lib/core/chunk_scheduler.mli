@@ -23,7 +23,7 @@
     it admits: the one-to-one branch offers the head sources when their
     kill set (the candidate plus the union of the heads' kill sets) fits
     the lane budget; the general branch offers its greedy and
-    conservative variants ({!general_rows}), which are always admissible
+    conservative variants ({!State.general_rows}), which are always admissible
     — each is built from sole sources whose kill sets are disjoint from
     the claim and from full groups, which kill nothing alone, so its kill
     set (those plus the candidate, itself outside the claim) is disjoint
@@ -78,23 +78,3 @@ val schedule :
   (State.t, Types.failure) result
 (** Schedule every task of the problem's DAG.  On success the returned
     state holds a complete mapping. *)
-
-val general_rows :
-  Sched_api.source_policy ->
-  State.t ->
-  claimed:Bitset.t ->
-  budget:int ->
-  kill:Bitset.acc ->
-  proc:Platform.proc ->
-  int array array ->
-  int
-(** [general_rows policy s ~claimed ~budget ~kill ~proc rows]: the general
-    branch's source rows for placing the state's current {!State.step} on
-    [proc], written to [rows.(0)] and, when the policy offers both and
-    they differ, [rows.(1)]; the result is how many it wrote.  The greedy
-    row sole-sources each predecessor through the replica with an
-    unclaimed kill set that grows the accumulated kill set least within
-    the lane [budget], then sends fastest, then has the smallest id; the
-    conservative row only through an unclaimed co-located replica that
-    fits; every other predecessor sends its whole group.  [kill] is
-    scratch over the processors.  Allocates nothing. *)

@@ -5,9 +5,9 @@
    Every float the placement step computes per candidate lives in a float
    array or an all-float record, and no function that takes or returns a
    float is called across a module boundary on that path: such a float
-   would be boxed.  Platform speeds and bandwidths are therefore read into
-   the state once, and the timelines are queried through one reused
-   [Timeline.query]. *)
+   would be boxed.  Platform speeds and bandwidths are therefore read from
+   the platform's own arrays, and the timelines are queried through one
+   reused [Timeline.query]. *)
 
 type floats = { mutable start : float; mutable finish : float; mutable penalty : float }
 
@@ -26,6 +26,10 @@ type probe = {
   mutable p_comm_start : float array;
 }
 
+(* The placed replicas of each predecessor of the task being placed, read
+   once per step: predecessor [k] (in [Dag.preds] order) has its replicas
+   at [grp_off.(k)] up to [grp_off.(k + 1)], in copy order, with their
+   slot, host and kill set. *)
 type step = {
   mutable task : Dag.task;
   mutable copy : int;
@@ -49,8 +53,8 @@ type t = {
   stage_arr : int array;    (* [task * copies + copy]; 0 = unplaced *)
   proc_arr : int array;     (* [task * copies + copy]; the host once placed *)
   support_arr : Bitset.t array; (* [task * copies + copy]; kill sets *)
-  speed : float array; (* per processor *)
-  bw : float array array; (* [src].(dst), src <> dst *)
+  speed : float array; (* the platform's, per processor *)
+  bw : float array array; (* the platform's, [src].(dst), src <> dst *)
   (* The placement step: its predecessors and their volumes, the
      execution weight of its task in [weight.(0)], and the floor sources
      flattened per predecessor (see [set_floor]). *)
@@ -62,6 +66,7 @@ type t = {
   mutable fl_finish : float array;
   mutable fl_stage : int array;
   mutable fl_host : int array;
+  kill : Bitset.acc; (* the kill set a source row grows *)
   (* The two probe buffers, swapped when the candidate wins. *)
   mutable cand : probe;
   mutable best : probe;
@@ -109,11 +114,8 @@ let create (prob : Types.problem) =
     stage_arr = Array.make slots 0;
     proc_arr = Array.make slots (-1);
     support_arr = Array.make slots Bitset.empty;
-    speed = Array.init n_procs (Platform.speed plat);
-    bw =
-      Array.init n_procs (fun k ->
-          Array.init n_procs (fun h ->
-              if k = h then 0.0 else Platform.bandwidth plat k h));
+    speed = Platform.speeds plat;
+    bw = Platform.bandwidths plat;
     step =
       {
         task = 0;
@@ -131,6 +133,7 @@ let create (prob : Types.problem) =
     fl_finish = [||];
     fl_stage = [||];
     fl_host = [||];
+    kill = Bitset.acc ~universe:n_procs;
     cand = empty_probe ();
     best = empty_probe ();
     query = { Timeline.ready = 0.0; duration = 0.0; start = 0.0 };
@@ -253,7 +256,6 @@ let start_step s ~task ~copy =
   reserve s.best ~n_preds:n ~n_transfers:!at;
   s.best.p_proc <- -1
 
-let step s = s.step
 let candidate s = s.cand
 let incumbent s = s.best
 
@@ -261,12 +263,6 @@ let swap s =
   let c = s.cand in
   s.cand <- s.best;
   s.best <- c
-
-let closer s ~k ~proc i j =
-  let st = s.step and vol = s.vols.(k) in
-  let ci = comm_time s ~src:st.grp_host.(i) ~dst:proc vol
-  and cj = comm_time s ~src:st.grp_host.(j) ~dst:proc vol in
-  ci < cj || (ci = cj && st.grp_slot.(i) < st.grp_slot.(j))
 
 (* The source replicas of predecessor [k] under [row] are entries
    [first] to [last] of its group, or the one replica the row names: loop
@@ -277,6 +273,102 @@ let[@inline] first s row k = if row.(k) < 0 then s.step.grp_off.(k) else 0
 let[@inline] last s row k = if row.(k) < 0 then s.step.grp_off.(k + 1) - 1 else 0
 
 let[@inline] source_at s row k i = if row.(k) < 0 then s.step.grp_slot.(i) else row.(k)
+
+(* Whether entry [i] of predecessor [k]'s group sends to [proc] in less
+   time than entry [j], or in the same time with the smaller slot. *)
+let closer s ~k ~proc i j =
+  let st = s.step and vol = s.vols.(k) in
+  let ci = comm_time s ~src:st.grp_host.(i) ~dst:proc vol
+  and cj = comm_time s ~src:st.grp_host.(j) ~dst:proc vol in
+  ci < cj || (ci = cj && st.grp_slot.(i) < st.grp_slot.(j))
+
+(* Greedy row: walk the predecessors accumulating the kill set,
+   sole-sourcing only while the lane budget allows and preferring the
+   source that grows the chain least, then the cheapest transfer, then the
+   smallest slot.  [card] tracks the accumulator's cardinality. *)
+let greedy_row s ~claimed ~budget ~proc row =
+  let st = s.step and kill = s.kill in
+  Bitset.acc_reset kill proc;
+  let card = ref 1 in
+  for k = 0 to st.n_preds - 1 do
+    let room = budget - !card in
+    let pick = ref (-1) and pick_growth = ref 0 in
+    for i = st.grp_off.(k) to st.grp_off.(k + 1) - 1 do
+      if Bitset.disjoint st.grp_kill.(i) claimed then begin
+        let growth = Bitset.acc_growth kill st.grp_kill.(i) in
+        if
+          growth <= room
+          && (!pick < 0
+             || growth < !pick_growth
+             || (growth = !pick_growth && closer s ~k ~proc i !pick))
+        then begin
+          pick := i;
+          pick_growth := growth
+        end
+      end
+    done;
+    if !pick >= 0 then begin
+      Bitset.acc_union kill st.grp_kill.(!pick);
+      card := !card + !pick_growth;
+      row.(k) <- st.grp_slot.(!pick)
+    end
+    else row.(k) <- -1
+  done
+
+(* Conservative row: the first co-located sole source that is free and
+   fits, else the full group; keeps the claim small for later siblings. *)
+let conservative_row s ~claimed ~budget ~proc row =
+  let st = s.step and kill = s.kill in
+  Bitset.acc_reset kill proc;
+  let card = ref 1 in
+  for k = 0 to st.n_preds - 1 do
+    let room = budget - !card in
+    let local = ref (-1) and growth = ref 0 in
+    let i = ref st.grp_off.(k) in
+    while !local < 0 && !i < st.grp_off.(k + 1) do
+      if st.grp_host.(!i) = proc && Bitset.disjoint st.grp_kill.(!i) claimed then begin
+        let g = Bitset.acc_growth kill st.grp_kill.(!i) in
+        if g <= room then begin
+          local := !i;
+          growth := g
+        end
+      end;
+      incr i
+    done;
+    if !local >= 0 then begin
+      Bitset.acc_union kill st.grp_kill.(!local);
+      card := !card + !growth;
+      row.(k) <- st.grp_slot.(!local)
+    end
+    else row.(k) <- -1
+  done
+
+(* Whether two rows name the same replicas: a one-replica group (ε = 0)
+   is the same source whether a row names its replica or the group. *)
+let named st row k =
+  if row.(k) < 0 && st.grp_off.(k + 1) - st.grp_off.(k) = 1 then
+    st.grp_slot.(st.grp_off.(k))
+  else row.(k)
+
+let same_row st a b =
+  let k = ref 0 in
+  while !k < st.n_preds && named st a !k = named st b !k do
+    incr k
+  done;
+  !k = st.n_preds
+
+let general_rows s (policy : Sched_api.source_policy) ~claimed ~budget ~proc rows =
+  match policy with
+  | Greedy_only ->
+      greedy_row s ~claimed ~budget ~proc rows.(0);
+      1
+  | Conservative_only ->
+      conservative_row s ~claimed ~budget ~proc rows.(0);
+      1
+  | Both_variants ->
+      greedy_row s ~claimed ~budget ~proc rows.(0);
+      conservative_row s ~claimed ~budget ~proc rows.(1);
+      if same_row s.step rows.(0) rows.(1) then 1 else 2
 
 (* Transfers in order of data readiness (source finish, then slot — the
    replica id order), so the probe is deterministic.  The order is total:

@@ -62,40 +62,40 @@ val send_ready : t -> Platform.proc -> float
     the key used to sort predecessor replicas in the one-to-one procedure. *)
 
 val slot : t -> Replica.id -> int
-(** The replica's index [task * (ε+1) + copy]: the form a {!step} and a
-    source row name replicas in. *)
+(** The replica's index [task * (ε+1) + copy]: the form a source row
+    names replicas in. *)
 
 (** {1 The placement step} *)
 
-(** The placed replicas of each predecessor of the task being placed, read
-    once per step: predecessor [k] (in {!Dag.preds} order) has its
-    replicas at [grp_off.(k)] up to [grp_off.(k + 1)], in copy order, with
-    their slot, host and kill set. *)
-type step = private {
-  mutable task : Dag.task;
-  mutable copy : int;
-  mutable n_preds : int;
-  mutable grp_off : int array;
-  mutable grp_slot : int array;
-  mutable grp_host : Platform.proc array;
-  mutable grp_kill : Bitset.t array;
-}
-
 val start_step : t -> task:Dag.task -> copy:int -> unit
 (** Begin placing replica [copy] of [task] (every predecessor placed):
-    read its predecessors into {!step} and empty the incumbent.
+    read the placed replicas of its predecessors once, and empty the
+    incumbent.
 
     A {e source row} chooses the sources of a placement, one entry per
-    predecessor [k]: the slot of its one source replica, or [-1] for the
-    predecessor's whole replica group.  Rows are caller-owned [int array]s
-    with at least [n_preds] entries. *)
+    predecessor [k] (in {!Dag.preds} order): the slot of its one source
+    replica, or [-1] for the predecessor's whole replica group.  Rows are
+    caller-owned [int array]s with at least [Dag.in_degree] entries. *)
 
-val step : t -> step
-
-val closer : t -> k:int -> proc:Platform.proc -> int -> int -> bool
-(** [closer s ~k ~proc i j]: whether group entry [i] of predecessor [k]
-    sends to [proc] in less time than entry [j], or in the same time with
-    the smaller slot (a co-located replica sends in no time). *)
+val general_rows :
+  t ->
+  Sched_api.source_policy ->
+  claimed:Bitset.t ->
+  budget:int ->
+  proc:Platform.proc ->
+  int array array ->
+  int
+(** [general_rows s policy ~claimed ~budget ~proc rows]: the general
+    branch's source rows for placing the step's replica on [proc], written
+    to [rows.(0)] and, when the policy offers both and they name different
+    sources, [rows.(1)]; the result is how many it wrote.  The greedy row
+    sole-sources each predecessor through the replica with a kill set
+    disjoint from [claimed] that grows the accumulated kill set (from
+    [{proc}]) least within the lane [budget], then sends fastest, then has
+    the smallest slot; the conservative row only through such a replica
+    co-located on [proc]; every other predecessor sends its whole group.
+    A one-replica group (ε = 0) is the same source as its replica, so
+    two rows that differ only there count as one.  Allocates nothing. *)
 
 (** {2 Floors} *)
 

@@ -83,6 +83,9 @@ let bandwidth p k h =
   if k = h then invalid_arg "Platform.bandwidth: same processor";
   p.bw.(k).(h)
 
+let speeds p = p.speeds
+let bandwidths p = p.bw
+
 let unit_delay p k h = if k = h then 0.0 else 1.0 /. p.bw.(k).(h)
 let exec_time p u w = w /. p.speeds.(u)
 let comm_time p src dst vol = if src = dst then 0.0 else vol /. p.bw.(src).(dst)

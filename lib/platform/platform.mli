@@ -33,6 +33,13 @@ val bandwidth : t -> proc -> proc -> float
 (** Bandwidth of the link between two distinct processors.
     @raise Invalid_argument when both arguments are equal. *)
 
+val speeds : t -> float array
+val bandwidths : t -> float array array
+(** The platform's own speed array and bandwidth matrix ([.(k).(h)], the
+    diagonal meaningless), shared, not copied: read them, never write
+    them.  They serve hot loops in other modules, where a float returned
+    by {!speed} or {!bandwidth} would be boxed. *)
+
 val unit_delay : t -> proc -> proc -> float
 (** [1 / bandwidth]; [0] when both processors coincide (local transfers are
     free). *)

@@ -138,7 +138,8 @@ let place_by_hand state ~task ~copy =
   while Mapping.mapped (State.mapping state) task !proc do
     incr proc
   done;
-  State.transfers state ~proc:!proc (Array.make (State.step state).n_preds (-1));
+  let n_preds = Dag.in_degree (State.problem state).Types.dag task in
+  State.transfers state ~proc:!proc (Array.make n_preds (-1));
   State.evaluate state;
   State.swap state;
   State.commit state
@@ -272,10 +273,9 @@ let state_tests =
         in
         place_by_hand state ~task ~copy:0;
         State.start_step state ~task ~copy:1;
-        let n_preds = (State.step state).n_preds in
+        let n_preds = Dag.in_degree Fixtures.gauss5 task in
         State.set_floor state (Array.make n_preds (-1));
         let claimed = State.support state { Replica.task; copy = 0 }
-        and kill = Bitset.acc ~universe:8
         and rows = Array.init 2 (fun _ -> Array.make n_preds (-1))
         and budget = 4
         and probes = ref 0 in
@@ -290,8 +290,8 @@ let state_tests =
             let proc = free.(i) in
             for v =
               0
-              to Chunk_scheduler.general_rows Sched_api.Both_variants state
-                   ~claimed ~budget ~kill ~proc rows
+              to State.general_rows state Sched_api.Both_variants ~claimed ~budget
+                   ~proc rows
                  - 1
             do
               State.transfers state ~proc rows.(v);
@@ -312,6 +312,42 @@ let state_tests =
         check_true "a probe took place" (!probes > 0);
         check_true "transfers were probed" ((State.candidate state).p_n > 0);
         Fixtures.check_float "minor words of the second pass" 0.0 (after -. before));
+    (* Task 1 fed by task 0, placed on processor 1; task 1's replica 0 is
+       judged on processor 2.  The greedy row names task 0's replica 0,
+       the conservative row (nothing co-located) its whole group.  At
+       ε = 0 that group is the one replica: one variant, not two.  At
+       ε = 1 the group is two replicas, and both variants are offered. *)
+    case "a one-replica group and its replica are one general variant"
+      (fun () ->
+        let dag = Dag.of_edges ~exec:[| 1.0; 1.0 |] [ (0, 1, 1.0) ] in
+        let variants ~eps =
+          let prob =
+            Types.problem ~dag ~platform:(Fixtures.uniform 4) ~eps ~throughput:0.1
+          in
+          let state = State.create prob in
+          for copy = 0 to eps do
+            State.start_step state ~task:0 ~copy;
+            State.transfers state ~proc:(1 + copy) [||];
+            State.evaluate state;
+            State.swap state;
+            State.commit state
+          done;
+          State.start_step state ~task:1 ~copy:0;
+          let rows = Array.init 2 (fun _ -> Array.make 1 7) in
+          let n =
+            State.general_rows state Sched_api.Both_variants ~claimed:Bitset.empty
+              ~budget:4 ~proc:(eps + 2) rows
+          in
+          (n, rows.(0).(0), rows.(1).(0))
+        in
+        let n, greedy, conservative = variants ~eps:0 in
+        check_int "greedy names the replica" 0 greedy;
+        check_int "conservative names the group" (-1) conservative;
+        check_int "one variant at eps = 0" 1 n;
+        let n, greedy, conservative = variants ~eps:1 in
+        check_int "greedy names replica 0 at eps = 1" 0 greedy;
+        check_int "conservative names the group at eps = 1" (-1) conservative;
+        check_int "two variants at eps = 1" 2 n);
   ]
 
 (* ------------------------------------------------------------------ *)

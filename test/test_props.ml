@@ -581,15 +581,17 @@ let pre_probe_exact prob ~(rank : Chunk_scheduler.rank) ~best_effort =
   let exact = ref true in
   let place task copy =
     State.start_step state ~task ~copy;
-    let st = State.step state in
-    let groups = Array.make st.n_preds (-1) in
+    let preds = Array.of_list (List.map fst (Dag.preds dag task)) in
+    let groups = Array.make (Array.length preds) (-1) in
     let best = ref None in
     for proc = 0 to Platform.size prob.Types.platform - 1 do
       if not (Mapping.mapped mapping task proc) then begin
         let single =
-          Array.init st.n_preds (fun k ->
-              let first = st.grp_off.(k) in
-              st.grp_slot.(first + (proc mod (st.grp_off.(k + 1) - first))))
+          Array.map
+            (fun pred ->
+              State.slot state
+                { Replica.task = pred; copy = proc mod (prob.Types.eps + 1) })
+            preds
         in
         List.iter
           (fun (row, floors) ->
