@@ -527,6 +527,14 @@ let parallel_section cfg =
 let alloc_iters = 100
 let alloc_reps = 5
 
+(* Bytes allocated so far.  On OCaml 5.1 [Gc.allocated_bytes] counts
+   the words allocated in the minor heap since the last minor collection
+   at an eighth of their size, so a window that no collection crosses
+   reads about 8x low; [Gc.minor_words] counts them exactly. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
 (* Minimum over repetitions, not a single pass: [Gc.allocated_bytes]
    on OCaml 5.1 sporadically over-reports around minor collections
    (promotion accounting), so identical code can measure tens of
@@ -538,11 +546,11 @@ let bytes_per_call thunk =
   (* warm: grow the arena, fault in the code path *)
   let best = ref infinity in
   for _ = 1 to alloc_reps do
-    let before = Gc.allocated_bytes () in
+    let before = allocated_bytes () in
     for _ = 1 to alloc_iters do
       thunk ()
     done;
-    let b = (Gc.allocated_bytes () -. before) /. float_of_int alloc_iters in
+    let b = (allocated_bytes () -. before) /. float_of_int alloc_iters in
     if b < !best then best := b
   done;
   !best
@@ -774,7 +782,7 @@ let check_sched_json path =
    CI uploads as an artifact.  Exits 1 when the draw allocates more than
    [arena_draw_ceiling] bytes: per-run engine state belongs in the arena,
    so the draw must stay near its fixed result-record cost (about
-   0.1 KiB).  Exits 1 as well when the fresh run allocates more than
+   1 KiB).  Exits 1 as well when the fresh run allocates more than
    [fresh_instance_ceiling] bytes per (item, replica) instance: the
    arena grows its per-instance slabs once, and its message pool only to
    the transfers pending or in flight at one time (a pool holding one
@@ -782,12 +790,20 @@ let check_sched_json path =
    instance).  Exits 1 as well when one LTF + R-LTF schedule of the
    medium instance allocates more than [schedule_pair_ceiling] bytes:
    the placement step judges every candidate in state-owned buffers, so
-   what is left is the per-placement and per-task bookkeeping (about
-   2.2 MB; 6.5 MB while every candidate built its own records). *)
+   what is left is the per-placement and per-task bookkeeping and the
+   forward source derivation (about 1.8 MB; 2.15 MB while the
+   derivation built lists and closures per candidate).  Exits 1
+   as well when one restoration of the medium mapping — a
+   [Recovery.restore] after a crash plus the [Program_cache.program]
+   lookup that finds its program — allocates more than
+   [restore_ceiling] bytes: the derivation is one flat pass and the cache
+   key is hashed in a reused scratch, so what is left is mostly the
+   restored mapping itself (about 267 KB; 727 KB before). *)
 let arena_draw_ceiling = 2048.0
 let fresh_items = 256
 let fresh_instance_ceiling = 96.0
-let schedule_pair_ceiling = 3e6
+let schedule_pair_ceiling = 2.2e6
+let restore_ceiling = 4e5
 
 (* Bytes allocated by a fresh arena's first [fresh_items]-item closed
    run on the medium program, log off: the minimum over [alloc_reps]
@@ -800,9 +816,9 @@ let fresh_arena_run () =
   let best = ref infinity in
   for _ = 1 to alloc_reps do
     Gc.minor ();
-    let before = Gc.allocated_bytes () in
+    let before = allocated_bytes () in
     ignore (Sys.opaque_identity (Engine.simulate ~config sim_medium_prog));
-    best := Float.min !best (Gc.allocated_bytes () -. before)
+    best := Float.min !best (allocated_bytes () -. before)
   done;
   let instances =
     fresh_items
@@ -818,10 +834,31 @@ let schedule_pair_bytes () =
   let best = ref infinity in
   for _ = 1 to alloc_reps do
     Gc.minor ();
-    let before = Gc.allocated_bytes () in
+    let before = allocated_bytes () in
     ignore (Sys.opaque_identity (Ltf.schedule ~opts:best_effort sim_medium_problem));
     ignore (Sys.opaque_identity (Rltf.schedule ~opts:best_effort sim_medium_problem));
-    best := Float.min !best (Gc.allocated_bytes () -. before)
+    best := Float.min !best (allocated_bytes () -. before)
+  done;
+  !best
+
+(* Bytes one restoration of the medium mapping allocates after the host
+   of replica t0(0) crashes: the restore and the cache lookup of the
+   restored mapping's program, compiled once before the window.  The
+   minimum over [alloc_reps] restorations, as in [bytes_per_call]. *)
+let restore_bytes () =
+  let failed = [ (Mapping.replica_exn sim_medium 0 0).Replica.proc ] in
+  let restoration () =
+    match Recovery.restore sim_medium ~failed with
+    | Ok m -> ignore (Sys.opaque_identity (Program_cache.program m))
+    | Error e -> failwith (Recovery.error_to_string e)
+  in
+  restoration ();
+  let best = ref infinity in
+  for _ = 1 to alloc_reps do
+    Gc.minor ();
+    let before = allocated_bytes () in
+    restoration ();
+    best := Float.min !best (allocated_bytes () -. before)
   done;
   !best
 
@@ -838,19 +875,19 @@ let gc_stats () =
      in the minor heap, so whether the gate passed depended on how much
      the schedulers that built [sim_medium_prog] happened to allocate. *)
   Gc.minor ();
-  let s0 = Gc.quick_stat () in
-  let b0 = Gc.allocated_bytes () in
+  let s0 = Gc.quick_stat () and w0 = Gc.minor_words () in
+  let b0 = allocated_bytes () in
   for _ = 1 to alloc_iters do
     thunk ()
   done;
-  let b1 = Gc.allocated_bytes () in
-  let s1 = Gc.quick_stat () in
+  let b1 = allocated_bytes () in
+  let s1 = Gc.quick_stat () and w1 = Gc.minor_words () in
   let per x0 x1 = (x1 -. x0) /. float_of_int alloc_iters in
   Printf.printf
     "%-42s %12.0f bytes (min %.0f)  %8.1f minor words  %8.1f major words  \
      %6.2f minor collections\n%!"
     name (per b0 b1) (bytes_per_call thunk)
-    (per s0.Gc.minor_words s1.Gc.minor_words)
+    (per w0 w1)
     (per s0.Gc.major_words s1.Gc.major_words)
     (per
        (float_of_int s0.Gc.minor_collections)
@@ -866,6 +903,9 @@ let gc_stats () =
   let pair_name = "LTF + R-LTF schedule (medium, v=100)" in
   let pair_bytes = schedule_pair_bytes () in
   Printf.printf "%-42s %12.0f bytes\n%!" pair_name pair_bytes;
+  let restore_name = "restore + cached program (medium, v=100)" in
+  let restored_bytes = restore_bytes () in
+  Printf.printf "%-42s %12.0f bytes\n%!" restore_name restored_bytes;
   let failed = ref false in
   if per b0 b1 > arena_draw_ceiling then begin
     Printf.eprintf "FAIL %s allocates %.0f bytes per draw (ceiling %.0f)\n"
@@ -881,6 +921,11 @@ let gc_stats () =
   if pair_bytes > schedule_pair_ceiling then begin
     Printf.eprintf "FAIL %s allocates %.0f bytes (ceiling %.0f)\n" pair_name
       pair_bytes schedule_pair_ceiling;
+    failed := true
+  end;
+  if restored_bytes > restore_ceiling then begin
+    Printf.eprintf "FAIL %s allocates %.0f bytes (ceiling %.0f)\n"
+      restore_name restored_bytes restore_ceiling;
     failed := true
   end;
   if !failed then exit 1

@@ -16,16 +16,21 @@ let error_to_string e = Format.asprintf "%a" pp_error e
    a mapping that was exactly at the bound into a rejection. *)
 let tolerance = 1e-9
 
+(* [id] is among the sources [sources] lists for its own task. *)
+let rec listed (id : Replica.id) = function
+  | [] -> false
+  | (pred, ids) :: rest ->
+      if pred = id.Replica.task then List.mem id ids else listed id rest
+
 let restore ?throughput m ~failed =
   let dag = Mapping.dag m and plat = Mapping.platform m in
   let eps = Mapping.eps m in
   let n_procs = Platform.size plat in
   let is_failed = Array.make n_procs false in
   List.iter (fun p -> is_failed.(p) <- true) failed;
-  let survivors =
-    List.filter (fun p -> not is_failed.(p)) (Platform.procs plat)
-  in
-  if List.length survivors < eps + 1 then Error Not_enough_processors
+  let n_survivors = ref 0 in
+  Array.iter (fun f -> if not f then incr n_survivors) is_failed;
+  if !n_survivors < eps + 1 then Error Not_enough_processors
   else begin
     (* New processor of every replica: survivors stay, casualties move to
        the least-loaded eligible survivor.  Loads are tracked in execution
@@ -45,9 +50,7 @@ let restore ?throughput m ~failed =
     Mapping.iter m (fun (r : Replica.t) ->
         if is_failed.(r.Replica.proc) && !place_failure = None then begin
           let task = r.Replica.id.Replica.task in
-          let siblings =
-            Array.to_list proc_table.(task) |> List.filter (fun p -> p >= 0)
-          in
+          let siblings = proc_table.(task) in
           (* A survivor is eligible when it hosts no sibling and — under a
              throughput bound — when absorbing the replica's execution
              load keeps its cycle time within the period (the execution
@@ -63,25 +66,24 @@ let restore ?throughput m ~failed =
                 *. t
                 <= 1.0 +. tolerance
           in
-          let eligible =
-            List.filter
-              (fun p -> (not (List.mem p siblings)) && fits p)
-              survivors
-          in
-          let best =
-            List.fold_left
-              (fun acc p ->
-                match acc with
-                | Some b when load.(b) <= load.(p) -> acc
-                | _ -> Some p)
-              None eligible
-          in
-          match best with
-          | None -> place_failure := Some (task, r.Replica.id.Replica.copy)
-          | Some p ->
-              proc_table.(task).(r.Replica.id.Replica.copy) <- p;
-              load.(p) <-
-                load.(p) +. Platform.exec_time plat p (Dag.exec dag task)
+          (* The least-loaded eligible survivor, the lowest on ties. *)
+          let best = ref (-1) in
+          for p = 0 to n_procs - 1 do
+            if
+              (not is_failed.(p))
+              && (not (Array.mem p siblings))
+              && fits p
+              && (!best < 0 || not (load.(!best) <= load.(p)))
+            then best := p
+          done;
+          if !best < 0 then
+            place_failure := Some (task, r.Replica.id.Replica.copy)
+          else begin
+            let p = !best in
+            proc_table.(task).(r.Replica.id.Replica.copy) <- p;
+            load.(p) <-
+              load.(p) +. Platform.exec_time plat p (Dag.exec dag task)
+          end
         end);
     match !place_failure with
     | Some (task, copy) -> Error (No_room (task, copy))
@@ -89,20 +91,15 @@ let restore ?throughput m ~failed =
         (* Re-derive the whole communication structure; the original source
            sets are offered as hints so surviving pairings are kept where
            they remain safe. *)
-        let hint task copy pred =
+        let hint task copy (s : Replica.id) =
           match Mapping.replica m task copy with
-          | Some r -> (
-              match List.assoc_opt pred r.Replica.sources with
-              | Some ids ->
-                  List.filter
-                    (fun (s : Replica.id) ->
-                      proc_table.(s.task).(s.copy) >= 0
-                      && not
-                           (is_failed.((Mapping.replica_exn m s.task s.copy)
-                                         .Replica.proc)))
-                    ids
-              | None -> [])
-          | None -> []
+          | Some r ->
+              listed s r.Replica.sources
+              && proc_table.(s.task).(s.copy) >= 0
+              && not
+                   (is_failed.((Mapping.replica_exn m s.task s.copy)
+                                 .Replica.proc))
+          | None -> false
         in
         Ok
           (Source_derivation.derive ?throughput ~hint ~dag ~platform:plat ~eps

@@ -12,21 +12,22 @@ let schedule_state ?opts prob =
    discipline (see {!Source_derivation}), which keeps the kill sets of each
    task's replicas pairwise disjoint — the reverse-direction pairing would
    not by itself bound the forward kill chains. *)
+let rec names task copy = function
+  | [] -> false
+  | (src : Replica.id) :: rest ->
+      (src.task = task && src.copy = copy) || names task copy rest
+
 let forward_mapping (prob : Types.problem) rmapping =
   Obs.with_span "core.rltf.derive" (fun () ->
       (* The reverse-run source set of a replica r_p (of task p) lists, for
          its reverse predecessor t (= forward successor), the t-replicas it
          pairs with; transposed, r_p is a preferred forward source for
          exactly those t-replicas. *)
-      let hint task copy pred =
-        Mapping.replicas_of_task rmapping pred
-        |> List.filter_map (fun (rp : Replica.t) ->
-               let paired =
-                 List.exists
-                   (fun (src : Replica.id) -> src.task = task && src.copy = copy)
-                   (Replica.sources_for rp task)
-               in
-               if paired then Some rp.Replica.id else None)
+      let hint task copy (rp : Replica.id) =
+        names task copy
+          (Replica.sources_for
+             (Mapping.replica_exn rmapping rp.Replica.task rp.Replica.copy)
+             task)
       in
       Source_derivation.derive ~throughput:prob.throughput ~hint ~dag:prob.dag
         ~platform:prob.platform ~eps:prob.eps

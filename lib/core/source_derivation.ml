@@ -1,9 +1,8 @@
-let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
-  let hint =
-    match hint with
-    | Some f -> f
-    | None -> fun _ _ _ -> ([] : Replica.id list)
-  in
+(* One flat pass in topological order over per-slot ([task * (ε+1) +
+   copy]) hosts, kill sets and ids.  Bandwidths come from the platform's
+   own matrix: a [float] returned across a module boundary is boxed. *)
+let derive ?throughput ?(hint = fun _ _ _ -> false) ~dag ~platform ~eps
+    ~proc_of () =
   let mapping = Mapping.create ~dag ~platform ~eps in
   let copies = eps + 1 in
   (* A replica may sole-source through at most ⌊m/(ε+1)⌋ processors so
@@ -14,120 +13,130 @@ let derive ?throughput ?hint ~dag ~platform ~eps ~proc_of () =
   let budget = max 1 (Platform.size platform / copies) in
   let delta = match throughput with Some t -> 1.0 /. t | None -> infinity in
   let slack = delta *. (1.0 +. 1e-9) in
-  let n_procs = Platform.size platform in
+  let n_procs = Platform.size platform and bw = Platform.bandwidths platform in
   let c_in = Array.make n_procs 0.0 and c_out = Array.make n_procs 0.0 in
-  let support = Array.init (Dag.size dag) (fun _ -> Array.make copies Bitset.empty) in
+  let n_slots = Dag.size dag * copies in
+  let host = Array.make n_slots 0 and support = Array.make n_slots Bitset.empty in
+  let ids = Array.make n_slots { Replica.task = 0; copy = 0 } in
+  (* The replica being sourced: task, copy, host, the kill set it grows
+     in place and that set's size, and its siblings' claimed processors. *)
+  let task = ref 0 and copy = ref 0 and proc = ref 0 in
+  let kill = Bitset.acc ~universe:n_procs and card = ref 1 in
+  let others = ref Bitset.empty in
+  (* Per copy of the predecessor being chosen from: transfer time,
+     kill-set growth, usability and hint; [order] ranks the usable copies. *)
+  let time = Array.make copies 0.0 and growth = Array.make copies 0 in
+  let usable = Array.make copies false and hinted = Array.make copies false in
+  let order = Array.make copies 0 in
+  (* Whether the transfers from copies [lo .. hi] of the predecessor at
+     [base] (those not already local) keep the inbound time and every
+     sender's outbound time within the period; [charge] books them.  Both
+     run in copy order, so every sum adds in one order. *)
+  let fits base lo hi =
+    let extra = ref 0.0 and ok = ref true in
+    for c = lo to hi do
+      let sp = host.(base + c) in
+      if sp <> !proc then begin
+        extra := !extra +. time.(c);
+        if not (c_out.(sp) +. time.(c) <= slack) then ok := false
+      end
+    done;
+    c_in.(!proc) +. !extra <= slack && !ok
+  in
+  let charge base lo hi =
+    for c = lo to hi do
+      let sp = host.(base + c) in
+      if sp <> !proc then begin
+        c_out.(sp) <- c_out.(sp) +. time.(c);
+        c_in.(!proc) <- c_in.(!proc) +. time.(c)
+      end
+    done
+  in
+  let pick pred base c =
+    Bitset.acc_union kill support.(base + c);
+    card := !card + growth.(c);
+    charge base c c;
+    (pred, [ ids.(base + c) ])
+  in
+  (* Remote preference: hinted, then smaller kill-set growth, then
+     cheaper transfer, then lower copy. *)
+  let precedes a b =
+    if hinted.(a) <> hinted.(b) then hinted.(a)
+    else if growth.(a) <> growth.(b) then growth.(a) < growth.(b)
+    else
+      let c = Float.compare time.(a) time.(b) in
+      if c <> 0 then c < 0 else a < b
+  in
+  (* Per predecessor: a usable co-located replica, else the best usable
+     remote replica whose transfer fits the period, else the full group
+     when it fits or nothing is usable, else the best usable remote one. *)
+  let choose (pred, vol) =
+    let base = pred * copies and local = ref (-1) in
+    for c = 0 to copies - 1 do
+      let h = host.(base + c) and s = support.(base + c) in
+      growth.(c) <- Bitset.acc_growth kill s;
+      usable.(c) <-
+        copies = 1
+        || (Bitset.disjoint s !others && !card + growth.(c) <= budget);
+      time.(c) <- (if h = !proc then 0.0 else vol /. bw.(h).(!proc));
+      if !local < 0 && h = !proc && usable.(c) then local := c
+    done;
+    if !local >= 0 then pick pred base !local
+    else begin
+      (* Prefer the scheduler's own pairing when one was recorded: that
+         transfer was already accounted against the period during the
+         placement run. *)
+      let n = ref 0 in
+      for c = 0 to copies - 1 do
+        if usable.(c) then begin
+          hinted.(c) <- hint !task !copy ids.(base + c);
+          let i = ref !n in
+          while !i > 0 && precedes c order.(!i - 1) do
+            order.(!i) <- order.(!i - 1);
+            decr i
+          done;
+          order.(!i) <- c;
+          incr n
+        end
+      done;
+      let i = ref 0 in
+      while !i < !n && not (fits base order.(!i) order.(!i)) do
+        incr i
+      done;
+      if !i < !n then pick pred base order.(!i)
+      else if fits base 0 (copies - 1) || !n = 0 then begin
+        charge base 0 (copies - 1);
+        (pred, List.init copies (fun c -> ids.(base + c)))
+      end
+      else pick pred base order.(0)
+    end
+  in
   Array.iter
-    (fun task ->
+    (fun t ->
+      let base = t * copies in
       (* Claim every sibling processor up front so that no replica's kill
          chain ever runs through the host of another replica of the task. *)
-      let base_claim =
-        List.fold_left
-          (fun acc copy -> Bitset.add (proc_of task copy) acc)
-          Bitset.empty
-          (List.init copies Fun.id)
-      in
-      let claimed = ref base_claim in
-      for copy = 0 to copies - 1 do
-        let proc = proc_of task copy in
+      let claimed = ref Bitset.empty in
+      for c = 0 to copies - 1 do
+        host.(base + c) <- proc_of t c;
+        ids.(base + c) <- { Replica.task = t; copy = c };
+        claimed := Bitset.add host.(base + c) !claimed
+      done;
+      for c = 0 to copies - 1 do
+        task := t;
+        copy := c;
+        proc := host.(base + c);
         (* A kill chain through the replica's own processor is harmless —
            the replica dies with that processor anyway — so it is exempt
            from the disjointness requirement. *)
-        let others = Bitset.remove proc !claimed in
-        let acc = ref (Bitset.singleton proc) in
-        let commit_loads transfers =
-          List.iter
-            (fun (src_proc, time) ->
-              if src_proc <> proc then begin
-                c_out.(src_proc) <- c_out.(src_proc) +. time;
-                c_in.(proc) <- c_in.(proc) +. time
-              end)
-            transfers
-        in
-        let fits transfers =
-          let extra_in =
-            List.fold_left
-              (fun t (sp, time) -> if sp <> proc then t +. time else t)
-              0.0 transfers
-          in
-          c_in.(proc) +. extra_in <= slack
-          && List.for_all
-               (fun (sp, time) -> sp = proc || c_out.(sp) +. time <= slack)
-               transfers
-        in
-        let choose (pred, _) =
-          let vol = Dag.volume dag pred task in
-          let replicas = Mapping.replicas_of_task mapping pred in
-          let usable (r : Replica.t) =
-            let s = support.(pred).(r.id.Replica.copy) in
-            copies = 1
-            || (Bitset.disjoint s others
-                && Bitset.cardinal !acc + Bitset.diff_cardinal s !acc <= budget)
-          in
-          let transfer (r : Replica.t) =
-            (r.proc, Platform.comm_time platform r.proc proc vol)
-          in
-          let pick (r : Replica.t) =
-            acc := Bitset.union !acc support.(pred).(r.id.Replica.copy);
-            commit_loads [ transfer r ];
-            (pred, [ r.Replica.id ])
-          in
-          let full () =
-            let transfers =
-              List.filter_map
-                (fun (r : Replica.t) ->
-                  if r.proc = proc then None else Some (transfer r))
-                replicas
-            in
-            commit_loads transfers;
-            (pred, List.map (fun (r : Replica.t) -> r.Replica.id) replicas)
-          in
-          match
-            List.find_opt
-              (fun (r : Replica.t) -> r.proc = proc && usable r)
-              replicas
-          with
-          | Some r -> pick r
-          | None ->
-              (* Prefer the scheduler's own pairing when one was recorded:
-                 that transfer was already accounted against the period
-                 during the placement run. *)
-              let hinted = hint task copy pred in
-              let is_hinted (r : Replica.t) =
-                List.exists (fun h -> Replica.compare_id h r.id = 0) hinted
-              in
-              let remote =
-                List.filter usable replicas
-                |> List.map (fun (r : Replica.t) ->
-                       let growth =
-                         Bitset.diff_cardinal support.(pred).(r.id.Replica.copy) !acc
-                       in
-                       (((not (is_hinted r)), growth, snd (transfer r)), r))
-                |> List.sort (fun (ka, ra) (kb, rb) ->
-                       match compare ka kb with
-                       | 0 -> Replica.compare_id ra.Replica.id rb.Replica.id
-                       | c -> c)
-              in
-              let fitting =
-                List.find_opt (fun (_, r) -> fits [ transfer r ]) remote
-              in
-              (match fitting with
-              | Some (_, r) -> pick r
-              | None ->
-                  let full_transfers =
-                    List.filter_map
-                      (fun (r : Replica.t) ->
-                        if r.proc = proc then None else Some (transfer r))
-                      replicas
-                  in
-                  if fits full_transfers || remote = [] then full ()
-                  else pick (snd (List.hd remote)))
-        in
-        let chosen = List.map choose (Dag.preds dag task) in
-        support.(task).(copy) <- !acc;
-        claimed := Bitset.union !claimed !acc;
+        others := Bitset.remove !proc !claimed;
+        Bitset.acc_reset kill !proc;
+        card := 1;
+        let sources = List.map choose (Dag.preds dag t) in
+        support.(base + c) <- Bitset.of_acc kill;
+        claimed := Bitset.union !claimed support.(base + c);
         Mapping.assign mapping
-          { Replica.id = { Replica.task; copy }; proc; sources = chosen }
+          { Replica.id = ids.(base + c); proc = !proc; sources }
       done)
     (Topo.order dag);
   mapping

@@ -15,7 +15,7 @@
 
 val derive :
   ?throughput:float ->
-  ?hint:(Dag.task -> int -> Dag.task -> Replica.id list) ->
+  ?hint:(Dag.task -> int -> Replica.id -> bool) ->
   dag:Dag.t ->
   platform:Platform.t ->
   eps:int ->
@@ -29,7 +29,10 @@ val derive :
     invariants; the throughput of the derived communication structure is
     the caller's to check. *)
 
-(** The optional [hint] returns, for (task, copy, predecessor), preferred
-    source replicas — e.g. the pairing recorded by a previous scheduling
-    pass whose communication cost was already charged against the period.
-    Hinted sources are preferred among equally-usable remote sources. *)
+(** The optional [hint task copy src] says whether replica [src] of a
+    predecessor of [task] is a preferred source of replica [copy] of
+    [task] — e.g. the pairing recorded by a previous scheduling pass whose
+    communication cost was already charged against the period.  Hinted
+    sources are preferred among the usable remote sources.  The predicate
+    must be pure: it is asked only about usable remote candidates, in no
+    promised order. *)

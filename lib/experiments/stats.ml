@@ -67,7 +67,7 @@ let quantiles values =
    median-of-three pivots, so heavy duplicate runs — e.g. the latencies
    of a synchronous schedule, where thousands of items share one value —
    don't degrade to quadratic like Lomuto would.  Permutes [a]. *)
-let nth_slice a ~len k =
+let nth_slice (a : float array) ~len k =
   let swap i j =
     if i <> j then begin
       let t = a.(i) in

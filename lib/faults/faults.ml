@@ -92,23 +92,25 @@ module Transient = struct
     t.exec_rate = 0.0 && t.comm_rate = 0.0 && t.exec_windows = []
     && t.comm_windows = []
 
-  let rec in_window windows who at =
+  let rec in_window windows who clock slot =
     match windows with
     | [] -> false
-    | (u, t0, t1) :: rest -> (u = who && at >= t0 && at < t1) || in_window rest who at
+    | (u, t0, t1) :: rest ->
+        (u = who && clock.(slot) >= t0 && clock.(slot) < t1)
+        || in_window rest who clock slot
 
   (* Distinct salts keep the execution and communication draw spaces
      disjoint even when the same (key, attempt) pair occurs in both. *)
   let exec_salt = 0x45584543 (* "EXEC" *)
   let comm_salt = 0x434f4d4d (* "COMM" *)
 
-  let exec_fails t ~proc ~key ~attempt ~at =
-    in_window t.exec_windows proc at
+  let exec_fails t ~proc ~key ~attempt ~clock ~slot =
+    in_window t.exec_windows proc clock slot
     || (t.exec_rate > 0.0
        && flip ~seed:t.seed ~salt:exec_salt ~key ~attempt t.exec_rate)
 
-  let comm_fails t ~src ~key ~attempt ~at =
-    in_window t.comm_windows src at
+  let comm_fails t ~src ~key ~attempt ~clock ~slot =
+    in_window t.comm_windows src clock slot
     || (t.comm_rate > 0.0
        && flip ~seed:t.seed ~salt:comm_salt ~key ~attempt t.comm_rate)
 end

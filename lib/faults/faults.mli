@@ -74,14 +74,19 @@ module Transient : sig
 
   val none : t
 
-  val exec_fails : t -> proc:int -> key:int -> attempt:int -> at:float -> bool
+  val exec_fails :
+    t -> proc:int -> key:int -> attempt:int -> clock:float array -> slot:int ->
+    bool
   (** Whether the [attempt]-th execution attempt (1-based) of the work
       unit [key] (the engine's instance index), starting on [proc] at
-      time [at], suffers a transient fault.  Deterministic in all
-      arguments; for a fixed [(key, attempt)] the answer is monotone in
-      [exec_rate]. *)
+      time [clock.(slot)], suffers a transient fault.  Deterministic in
+      all arguments; for a fixed [(key, attempt)] the answer is monotone
+      in [exec_rate].  The time is read from the caller's float array
+      because a [float] argument would be boxed at every draw. *)
 
-  val comm_fails : t -> src:int -> key:int -> attempt:int -> at:float -> bool
+  val comm_fails :
+    t -> src:int -> key:int -> attempt:int -> clock:float array -> slot:int ->
+    bool
   (** Same for a transfer attempt committed by sender [src]; [key] is
       the transfer's creation sequence number. *)
 end

@@ -413,12 +413,11 @@ module Run_state = struct
     mutable rs_pm_next_seq : int;
     mutable rs_dl_len : int;
     mutable rs_msg_dirty : bool;
-    rs_room_wait : bool array;
-        (* per replica: the last transfer scan saw a transfer toward it
-           whose ports were free but whose queue was full; the marked
-           replicas are [rs_room_list.(0 .. rs_n_room - 1)] *)
-    rs_room_list : int array;
-    mutable rs_n_room : int;
+    rs_room_stamp : int array;
+        (* per replica: equal to [rs_room_scan] when the last transfer
+           scan saw a transfer toward it whose ports were free but whose
+           queue was full *)
+    mutable rs_room_scan : int;  (* the last transfer scan's number *)
     mutable rs_src_dirty : bool;
     mutable rs_next_admit : int;
     mutable rs_arrived : int;
@@ -493,9 +492,8 @@ module Run_state = struct
       rs_pm_next_seq = 0;
       rs_dl_len = 0;
       rs_msg_dirty = false;
-      rs_room_wait = Array.make rids false;
-      rs_room_list = Array.make rids 0;
-      rs_n_room = 0;
+      rs_room_stamp = Array.make rids 0;
+      rs_room_scan = 0;
       rs_src_dirty = true;
       rs_next_admit = 0;
       rs_arrived = 0;
@@ -540,11 +538,8 @@ module Run_state = struct
       done
     done
 
-  let clear_room_wait st =
-    for i = 0 to st.rs_n_room - 1 do
-      st.rs_room_wait.(st.rs_room_list.(i)) <- false
-    done;
-    st.rs_n_room <- 0
+  (* A new scan number unmarks every replica at once. *)
+  let clear_room_wait st = st.rs_room_scan <- st.rs_room_scan + 1
 
   (* Make the arena ready for one validated run: grow the item-dependent
      slabs, resolve the scenario into flags, reset every counter and
@@ -974,7 +969,7 @@ let start_exec st p u =
            let a = st.rs_attempts.(iidx) + 1 in
            st.rs_attempts.(iidx) <- a;
            Faults.Transient.exec_fails st.rs_faults.Faults.transient ~proc:u
-             ~key:iidx ~attempt:a ~at:now
+             ~key:iidx ~attempt:a ~clock:st.rs_f ~slot:slot_now
          end
     in
     st.rs_f.(slot_key) <- now +. dur;
@@ -1059,7 +1054,8 @@ let commit_transfer st p sp i mi =
     let failing =
       (not st.rs_fz)
       && Faults.Transient.comm_fails st.rs_faults.Faults.transient ~src:sp
-           ~key:st.rs_pm_seq.(mi) ~attempt:st.rs_pm_attempt.(mi) ~at:now
+           ~key:st.rs_pm_seq.(mi) ~attempt:st.rs_pm_attempt.(mi)
+           ~clock:st.rs_f ~slot:slot_now
     in
     if failing then schedule st ((mi lsl 3) lor ev_comm_failed)
     else begin
@@ -1083,7 +1079,7 @@ let commit_transfer st p sp i mi =
    full ties) the most recently created message — the highest creation
    number.  That order is strict (creation numbers are unique), so the
    winner does not depend on the order [rs_ports] is scanned in.  Each
-   scan marks in [rs_room_wait] the destination replicas of the
+   scan marks in [rs_room_stamp] the destination replicas of the
    transfers that wait on queue room alone, so once nothing is
    committable the marks name the replicas whose occupancy release can
    give one of them room; it then clears [rs_msg_dirty]. *)
@@ -1102,12 +1098,7 @@ let rec dispatch_msgs st p =
         let dp = st.rs_pm_dp.(mi) in
         if fail_time.(dp) <= now || st.rs_recv_free.(dp) <= now then
           if check_room && not (msg_room st mi) then begin
-            let rid = st.rs_pm_dst_rid.(mi) in
-            if not st.rs_room_wait.(rid) then begin
-              st.rs_room_wait.(rid) <- true;
-              st.rs_room_list.(st.rs_n_room) <- rid;
-              st.rs_n_room <- st.rs_n_room + 1
-            end
+            st.rs_room_stamp.(st.rs_pm_dst_rid.(mi)) <- st.rs_room_scan
           end
           else begin
             let beats =
@@ -1176,7 +1167,7 @@ let on_finish st p iidx =
     st.rs_occ.(rid) <- st.rs_occ.(rid) - 1;
     (* room belongs to the destination instance's replica, so only its
        release can unblock a transfer the last scan left waiting on it *)
-    if st.rs_room_wait.(rid) then st.rs_msg_dirty <- true;
+    if st.rs_room_stamp.(rid) = st.rs_room_scan then st.rs_msg_dirty <- true;
     if p.p_pred_count.(rid / p.p_copies) = 0 then st.rs_src_dirty <- true
   end;
   for k = p.p_cons_off.(rid) to p.p_cons_off.(rid + 1) - 1 do

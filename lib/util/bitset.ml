@@ -13,12 +13,17 @@ let is_empty s = Array.length s = 0
 let check_elt name x =
   if x < 0 then invalid_arg ("Bitset." ^ name ^ ": negative element")
 
-let normalize (a : int array) : t =
+(* The number of words up to the last nonzero one. *)
+let used_words (a : int array) =
   let n = ref (Array.length a) in
   while !n > 0 && a.(!n - 1) = 0 do
     decr n
   done;
-  if !n = Array.length a then a else Array.sub a 0 !n
+  !n
+
+let normalize (a : int array) : t =
+  let n = used_words a in
+  if n = Array.length a then a else Array.sub a 0 n
 
 let singleton x =
   check_elt "singleton" x;
@@ -107,7 +112,7 @@ let diff_cardinal a b =
   !n
 
 (* An accumulator is a word array over the whole universe, never
-   normalized: it is only read through [acc_growth]. *)
+   normalized: it is only read through [acc_growth] and [of_acc]. *)
 type acc = int array
 
 let acc ~universe =
@@ -127,6 +132,8 @@ let acc_union a s =
   done
 
 let acc_growth a s = diff_cardinal s a
+
+let of_acc a = Array.sub a 0 (used_words a)
 
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b

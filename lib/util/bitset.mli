@@ -71,6 +71,9 @@ val acc_growth : acc -> t -> int
 (** [acc_growth a s] is [|s \ a|]: how much [acc_union a s] grows [a].
     No allocation. *)
 
+val of_acc : acc -> t
+(** The set the accumulator holds, as an immutable value. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

@@ -438,8 +438,8 @@ let derivation_tests =
            sibling too *)
         let dag = Classic.chain ~n:2 ~exec:1.0 ~volume:1.0 in
         let proc_of _ copy = copy in
-        let hint task copy _pred =
-          if task = 1 then [ { Replica.task = 0; copy = 1 - copy } ] else []
+        let hint task copy (src : Replica.id) =
+          task = 1 && src.Replica.task = 0 && src.Replica.copy = 1 - copy
         in
         let m =
           Source_derivation.derive ~hint ~dag ~platform:(Fixtures.uniform 4)
@@ -980,6 +980,184 @@ let options_tests =
         Alcotest.(check string) "identical" (fingerprint a) (fingerprint b));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Pinned derivations                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let text_md5 m = Digest.to_hex (Digest.string (Mapping_io.print m))
+
+(* One line per derived mapping of paper instance [seed]: R-LTF at
+   ε ∈ {1, 2, 3}, strict and best effort; the fault-free reference; and
+   restorations of the best-effort ε = 1 and ε = 2 mappings after fixed
+   crashes, with and without the throughput bound.  Each line names the
+   mapping and the MD5 of its {!Mapping_io} text, or the failure. *)
+let derivation_lines seed =
+  let inst = Fixtures.paper_instance ~seed () in
+  let dag = inst.Paper_workload.dag and platform = inst.Paper_workload.plat in
+  let m_procs = Platform.size platform in
+  let line what outcome =
+    Printf.sprintf "seed %d %s %s" seed what
+      (match outcome with Ok m -> text_md5 m | Error e -> "error: " ^ e)
+  in
+  let rltf mode eps =
+    Rltf.schedule
+      ~opts:Scheduler.(default |> with_mode mode)
+      (Types.problem ~dag ~platform ~eps
+         ~throughput:(Paper_workload.throughput ~eps))
+    |> Result.map_error Types.failure_to_string
+  in
+  let restore ~bound eps m failed =
+    let throughput =
+      if bound then Some (Paper_workload.throughput ~eps) else None
+    in
+    Recovery.restore ?throughput m ~failed
+    |> Result.map_error Recovery.error_to_string
+  in
+  let schedules =
+    List.concat_map
+      (fun eps ->
+        List.map
+          (fun (name, mode) ->
+            line (Printf.sprintf "R-LTF eps %d %s" eps name) (rltf mode eps))
+          [ ("strict", Scheduler.Strict); ("best effort", Scheduler.Best_effort) ])
+      [ 1; 2; 3 ]
+  in
+  let ff =
+    line "fault-free"
+      (Fault_free.run ~dag ~platform
+         ~throughput:(Paper_workload.throughput ~eps:1) ()
+      |> Result.map_error Types.failure_to_string)
+  in
+  let restorations =
+    List.concat_map
+      (fun (eps, failed) ->
+        match rltf Scheduler.Best_effort eps with
+        | Error e -> [ line (Printf.sprintf "restore eps %d" eps) (Error e) ]
+        | Ok m ->
+            List.map
+              (fun bound ->
+                line
+                  (Printf.sprintf "restore eps %d%s" eps
+                     (if bound then " bounded" else ""))
+                  (restore ~bound eps m failed))
+              [ false; true ])
+      [
+        (1, [ seed mod m_procs ]);
+        (2, [ (3 * seed) mod m_procs; ((3 * seed) + 7) mod m_procs ]);
+      ]
+  in
+  schedules @ (ff :: restorations)
+
+(* Recorded before the derivation became one flat pass: every source
+   set, and so every byte of these texts, must survive any rewrite of
+   [Source_derivation] or of its two hint callers. *)
+let pinned_derivations =
+  [
+    "seed 1 R-LTF eps 1 strict a7aaf888731a71bd98719b649c091cfd";
+    "seed 1 R-LTF eps 1 best effort a7aaf888731a71bd98719b649c091cfd";
+    "seed 1 R-LTF eps 2 strict d8a9530219fc0deb76d96e9a8403f4e3";
+    "seed 1 R-LTF eps 2 best effort d8a9530219fc0deb76d96e9a8403f4e3";
+    "seed 1 R-LTF eps 3 strict 1ece9e10e0ddc845a895106c7b52aca2";
+    "seed 1 R-LTF eps 3 best effort 1ece9e10e0ddc845a895106c7b52aca2";
+    "seed 1 fault-free e8b40d1ce9f67ef831c18a8662ec6bc3";
+    "seed 1 restore eps 1 4b8f2a440784944019671ebedd4a933c";
+    "seed 1 restore eps 1 bounded 4b8f2a440784944019671ebedd4a933c";
+    "seed 1 restore eps 2 ead5a68b541913c12f1d7743966ec05f";
+    "seed 1 restore eps 2 bounded ead5a68b541913c12f1d7743966ec05f";
+    "seed 2 R-LTF eps 1 strict error: the derived communication structure loads P7 to a cycle time of 20.4613, beyond the period";
+    "seed 2 R-LTF eps 1 best effort 56c29be20058bb5f36d79eb631e7a5c5";
+    "seed 2 R-LTF eps 2 strict error: no processor can host replica t19(1) under the throughput constraint";
+    "seed 2 R-LTF eps 2 best effort d2d1671e8374b315a04e3625d33746c3";
+    "seed 2 R-LTF eps 3 strict error: no processor can host replica t52(2) under the throughput constraint";
+    "seed 2 R-LTF eps 3 best effort 009293a7d8690c0ee0920d15c1d292f7";
+    "seed 2 fault-free 7c48d2a8fc6a27af0ee33d49c14bf6f0";
+    "seed 2 restore eps 1 2d10ba8a7b424a93a7c6ed972a5ea1a5";
+    "seed 2 restore eps 1 bounded 2d10ba8a7b424a93a7c6ed972a5ea1a5";
+    "seed 2 restore eps 2 152c591c8fb085f4ee05349c5bd2029b";
+    "seed 2 restore eps 2 bounded 152c591c8fb085f4ee05349c5bd2029b";
+    "seed 3 R-LTF eps 1 strict 6b8dc6c56ea3da377edc7aacee091bb5";
+    "seed 3 R-LTF eps 1 best effort 6b8dc6c56ea3da377edc7aacee091bb5";
+    "seed 3 R-LTF eps 2 strict error: the derived communication structure loads P1 to a cycle time of 35.2177, beyond the period";
+    "seed 3 R-LTF eps 2 best effort 2b661dd5ea69132afd96819f4eac58c0";
+    "seed 3 R-LTF eps 3 strict error: the derived communication structure loads P12 to a cycle time of 42.2132, beyond the period";
+    "seed 3 R-LTF eps 3 best effort 28db2931e29e47b10ea7f287d1d4bb86";
+    "seed 3 fault-free 7d0a23505e0bb17daf5d33111f4fb308";
+    "seed 3 restore eps 1 bd527aa3fa9ce32acef8f6c497921228";
+    "seed 3 restore eps 1 bounded bd527aa3fa9ce32acef8f6c497921228";
+    "seed 3 restore eps 2 30b59395b829a21cd75ad85b94f707d5";
+    "seed 3 restore eps 2 bounded f808049d5d0af44d54e2bc8845421c65";
+    "seed 4 R-LTF eps 1 strict 6027905300895bc57544181d5f110f4e";
+    "seed 4 R-LTF eps 1 best effort 6027905300895bc57544181d5f110f4e";
+    "seed 4 R-LTF eps 2 strict 5adade6f7fd22bf8782d24cb55a3b964";
+    "seed 4 R-LTF eps 2 best effort 5adade6f7fd22bf8782d24cb55a3b964";
+    "seed 4 R-LTF eps 3 strict error: no processor can host replica t0(2) under the throughput constraint";
+    "seed 4 R-LTF eps 3 best effort 10e8ee7ab5df8f62479772c0e01c8ace";
+    "seed 4 fault-free f4a6905e0e4779049ef5675300f29adf";
+    "seed 4 restore eps 1 138aa4f12d0914ec5f6ea46b09862060";
+    "seed 4 restore eps 1 bounded 138aa4f12d0914ec5f6ea46b09862060";
+    "seed 4 restore eps 2 b6886478423ba352ae56366fbd02fcda";
+    "seed 4 restore eps 2 bounded b6886478423ba352ae56366fbd02fcda";
+    "seed 5 R-LTF eps 1 strict 832e38c4e0a4007ebcb6f21ebf4ba86b";
+    "seed 5 R-LTF eps 1 best effort 832e38c4e0a4007ebcb6f21ebf4ba86b";
+    "seed 5 R-LTF eps 2 strict 63d04937eb406bbb1b08576f06d24776";
+    "seed 5 R-LTF eps 2 best effort 63d04937eb406bbb1b08576f06d24776";
+    "seed 5 R-LTF eps 3 strict d202e1a777d1383b98d45b7f201c1a7b";
+    "seed 5 R-LTF eps 3 best effort d202e1a777d1383b98d45b7f201c1a7b";
+    "seed 5 fault-free 3f35c51aa3a6309abcff5884475a4ec2";
+    "seed 5 restore eps 1 7a30705237e843ed99ac7cfc4d127040";
+    "seed 5 restore eps 1 bounded 7a30705237e843ed99ac7cfc4d127040";
+    "seed 5 restore eps 2 c078e9a069ba81eda7c88d8c1c37540c";
+    "seed 5 restore eps 2 bounded c078e9a069ba81eda7c88d8c1c37540c";
+  ]
+
+(* The minor words of one unbounded [Recovery.restore] of the seed-1
+   best-effort ε = 1 mapping after its first task's host crashes, the
+   least over three calls, and the replicas it restores. *)
+let restore_words () =
+  let inst = Fixtures.paper_instance ~seed:1 () in
+  let m =
+    Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+      (Types.problem ~dag:inst.Paper_workload.dag
+         ~platform:inst.Paper_workload.plat ~eps:1
+         ~throughput:(Paper_workload.throughput ~eps:1))
+  in
+  let victim = (Mapping.replica_exn m 0 0).Replica.proc in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Recovery.restore m ~failed:[ victim ]));
+    best := Float.min !best (Gc.minor_words () -. before)
+  done;
+  (!best, Dag.size (Mapping.dag m) * Mapping.n_copies m)
+
+let pin_tests =
+  [
+    case "derived mappings match the pinned texts" (fun () ->
+        Alcotest.(check (list string))
+          "derivations" pinned_derivations
+          (List.concat_map derivation_lines [ 1; 2; 3; 4; 5 ]));
+    case "program-cache keys match the pinned digests" (fun () ->
+        let inst = Fixtures.paper_instance ~seed:1 () in
+        let paper =
+          Fixtures.must_schedule ~mode:Scheduler.Best_effort `Rltf
+            (Types.problem ~dag:inst.Paper_workload.dag
+               ~platform:inst.Paper_workload.plat ~eps:1
+               ~throughput:(Paper_workload.throughput ~eps:1))
+        in
+        let key m = Digest.to_hex (Program_cache.digest m) in
+        Alcotest.(check string)
+          "shared lanes" "f26604d23686100d2ab6564265315494"
+          (key (two_on_shared_lanes ()));
+        Alcotest.(check string)
+          "seed-1 R-LTF" "22d24428118fc8617a0de0017dab29dd" (key paper));
+    case "one restoration allocates a bounded number of words per replica"
+      (fun () ->
+        let words, replicas = restore_words () in
+        let per = words /. float_of_int replicas in
+        if per > 200.0 then
+          Alcotest.failf "%.1f minor words per replica (ceiling 200)" per);
+  ]
+
 let () =
   Alcotest.run "streamsched-core"
     [
@@ -994,4 +1172,5 @@ let () =
       ("recovery-policy", policy_tests);
       ("ablation-options", options_tests);
       ("integration", integration_tests);
+      ("pins", pin_tests);
     ]

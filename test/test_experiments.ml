@@ -36,6 +36,22 @@ let stats_tests =
         check_float "p95" a.Stats.p95 b.Stats.p95;
         check_float "p99" a.Stats.p99 b.Stats.p99;
         check_float "p999" a.Stats.p999 b.Stats.p999);
+    (* Selection over a float array reads its elements unboxed: a
+       polymorphic selection boxed a float per read and compared
+       through the polymorphic order, about 66 000 words here. *)
+    case "quantiles_slice over 300 floats allocates a bounded few words"
+      (fun () ->
+        let rng = Rng.create ~seed:35 in
+        let xs = Array.init 300 (fun _ -> Rng.uniform rng ~lo:0.0 ~hi:100.0) in
+        let best = ref infinity in
+        for _ = 1 to 3 do
+          let a = Array.copy xs in
+          let before = Gc.minor_words () in
+          ignore (Sys.opaque_identity (Stats.quantiles_slice a ~len:300));
+          best := Float.min !best (Gc.minor_words () -. before)
+        done;
+        if !best > 200.0 then
+          Alcotest.failf "%.0f minor words (ceiling 200)" !best);
     case "quantiles_in_place on an empty array is all-nan" (fun () ->
         let q = Stats.quantiles_slice [||] ~len:0 in
         check_int "n" 0 q.Stats.q_n;

@@ -125,10 +125,12 @@ let draw_tests =
         for key = 0 to 500 do
           for attempt = 1 to 3 do
             let f_lo =
-              Faults.Transient.exec_fails lo ~proc:0 ~key ~attempt ~at:0.0
+              Faults.Transient.exec_fails lo ~proc:0 ~key ~attempt
+                ~clock:[| 0.0 |] ~slot:0
             in
             let f_hi =
-              Faults.Transient.exec_fails hi ~proc:0 ~key ~attempt ~at:0.0
+              Faults.Transient.exec_fails hi ~proc:0 ~key ~attempt
+                ~clock:[| 0.0 |] ~slot:0
             in
             if f_lo then incr low_fired;
             if f_lo && not f_hi then ok := false
@@ -144,7 +146,8 @@ let draw_tests =
           }
         in
         let fails ~proc ~at =
-          Faults.Transient.exec_fails t ~proc ~key:0 ~attempt:1 ~at
+          Faults.Transient.exec_fails t ~proc ~key:0 ~attempt:1
+            ~clock:[| at |] ~slot:0
         in
         check_true "inside" (fails ~proc:1 ~at:2.0);
         check_true "inside late" (fails ~proc:1 ~at:4.999);

@@ -1113,6 +1113,50 @@ let compiled_tests =
             "9039a3a1c091bb999c15c5ba9c0acff1";
             "023b5528c84b6c668487e084671c1e66";
           ]);
+    case "transient fault draws allocate a bounded few words per event"
+      (fun () ->
+        (* The pinned fault configs with gray windows left out (a gray
+           factor is a float returned across the module boundary), run
+           log off through a warm arena.  A draw that took its clock as a
+           [float] argument boxed it: about 2 words per event on both. *)
+        let m = pinned_mapping () in
+        let prog = Engine.compile m in
+        let state = Engine.Run_state.create prog in
+        List.iter
+          (fun (name, faults, n_items) ->
+            let config =
+              Engine.Run.without_messages
+                (Engine.Run.with_faults faults (closed ~n_items ()))
+            in
+            ignore (Engine.simulate ~state ~config prog);
+            Obs.set_enabled true;
+            Obs.reset ();
+            let events =
+              Fun.protect
+                ~finally:(fun () ->
+                  Obs.set_enabled false;
+                  Obs.reset ())
+                (fun () ->
+                  ignore (Engine.simulate ~state ~config prog);
+                  Obs.Registry.counter (Obs.snapshot ()) "sim.events_popped")
+            in
+            let best = ref infinity in
+            for _ = 1 to 3 do
+              let before = Gc.minor_words () in
+              ignore (Sys.opaque_identity (Engine.simulate ~state ~config prog));
+              best := Float.min !best (Gc.minor_words () -. before)
+            done;
+            let per = !best /. float_of_int events in
+            check_true (name ^ ": events counted") (events > 0);
+            if per > 1.0 then
+              Alcotest.failf "%s: %.3f minor words per event (ceiling 1)" name
+                per)
+          [
+            ( "transient faults",
+              { fault_scenario with Faults.gray = Faults.Gray.none },
+              8 );
+            ("transient transfer faults", comm_fault_scenario, 12);
+          ]);
     case "identically-shaped messages both serialize on the port" (fun () ->
         (* A source listed twice yields two structurally identical pending
            transfers; removal by index (not structural or physical
